@@ -15,12 +15,22 @@ use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_graph::datasets::PointCloudDataset;
 use gcode_graph::knn::knn_graph;
 use gcode_hardware::SystemConfig;
-use gcode_nn::agg::{aggregate, AggMode};
+use gcode_nn::agg::{aggregate, aggregate_forward, AggMode};
+use gcode_nn::linear::Linear;
+use gcode_nn::pool::{global_pool, global_pool_forward, PoolMode};
 use gcode_sim::{simulate, SimBackend, SimConfig};
 use gcode_tensor::Matrix;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+
+/// `rows × cols` activations as a `Combine` leaves them: about half the
+/// entries exactly zero, the rest in `(0, 1)`.
+fn relu_sparse(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let data = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0).max(0.0)).collect::<Vec<f32>>();
+    Matrix::from_vec(rows, cols, data)
+}
 
 fn bench_knn(c: &mut Criterion) {
     let mut group = c.benchmark_group("knn_graph");
@@ -29,6 +39,14 @@ fn bench_knn(c: &mut Criterion) {
         let pts = &ds.samples()[0].features;
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| knn_graph(black_box(pts), 20));
+        });
+    }
+    // The two kNNs of a `stream_compute` frame: raw coordinates on the
+    // device, 64-wide features on the edge.
+    for &d in &[3usize, 64] {
+        let x = relu_sparse(1024, d, 11);
+        group.bench_with_input(BenchmarkId::new("1024_k20_d", d), &d, |b, _| {
+            b.iter(|| knn_graph(black_box(&x), 20));
         });
     }
     group.finish();
@@ -46,6 +64,28 @@ fn bench_aggregate(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The frame's widest aggregate, with and without the backward cache.
+    let x = relu_sparse(1024, 128, 12);
+    let mut group = c.benchmark_group("aggregate_max_1024x128_k20");
+    group.bench_with_input(BenchmarkId::from_parameter("train"), &(), |b, _| {
+        b.iter(|| aggregate(black_box(&g), black_box(&x), AggMode::Max));
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("forward"), &(), |b, _| {
+        b.iter(|| aggregate_forward(black_box(&g), black_box(&x), AggMode::Max));
+    });
+    group.finish();
+}
+
+fn bench_global_pool(c: &mut Criterion) {
+    let x = relu_sparse(1024, 1024, 13);
+    let mut group = c.benchmark_group("global_pool_max_1024x1024");
+    group.bench_with_input(BenchmarkId::from_parameter("train"), &(), |b, _| {
+        b.iter(|| global_pool(black_box(&x), PoolMode::Max));
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("forward"), &(), |b, _| {
+        b.iter(|| global_pool_forward(black_box(&x), PoolMode::Max));
+    });
+    group.finish();
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -53,6 +93,17 @@ fn bench_matmul(c: &mut Criterion) {
     let w = Matrix::full(64, 128, 0.5);
     c.bench_function("matmul_1024x64x128", |b| {
         b.iter(|| black_box(&a).matmul(black_box(&w)));
+    });
+    // The frame's largest `Combine`: a ReLU-sparse left operand, so the
+    // zero-skip path runs.
+    let a = relu_sparse(1024, 128, 14);
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let lin = Linear::new(128, 1024, &mut rng);
+    c.bench_function("matmul_1024x128x1024_relu_sparse", |b| {
+        b.iter(|| black_box(&a).matmul(black_box(&lin.w)));
+    });
+    c.bench_function("combine_1024x128x1024_relu_sparse", |b| {
+        b.iter(|| black_box(&lin).forward_relu(black_box(&a)));
     });
 }
 
@@ -118,6 +169,7 @@ criterion_group!(
     benches,
     bench_knn,
     bench_aggregate,
+    bench_global_pool,
     bench_matmul,
     bench_compress,
     bench_cost_models,

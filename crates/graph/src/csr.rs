@@ -65,6 +65,13 @@ impl CsrGraph {
         Self { offsets, targets }
     }
 
+    /// Builds a graph in which every node has exactly `degree` neighbors,
+    /// from the neighbor lists concatenated in node order.
+    pub(crate) fn from_regular(nodes: usize, degree: usize, targets: Vec<u32>) -> Self {
+        assert_eq!(targets.len(), nodes * degree, "one neighbor list of `degree` per node");
+        Self { offsets: (0..=nodes).map(|u| u * degree).collect(), targets }
+    }
+
     /// An empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         Self { offsets: vec![0; n + 1], targets: Vec::new() }

@@ -3,23 +3,30 @@
 //! DGCNN rebuilds the neighbor graph *in feature space* before every edge
 //! convolution; this is the `KNN` operation whose cost dominates GPU
 //! execution in the paper's Fig. 3. The brute-force `O(n²·d)` scan here is
-//! faithful to what PyG's `knn_graph` does for these sizes.
+//! faithful to what PyG's `knn_graph` does for these sizes; it is blocked
+//! and transposed for the machine, not approximated.
 
 use crate::CsrGraph;
 use gcode_tensor::Matrix;
 use rand::Rng;
 
+/// Query rows whose distance rows are accumulated together: each column of
+/// the transposed features is loaded once per block, and the block's
+/// distance rows (`QUERY_BLOCK · n` floats) stay in L1 while it is swept.
+const QUERY_BLOCK: usize = 4;
+
 /// Builds the directed k-NN graph of the rows of `features` under squared
-/// Euclidean distance. Node `u` points to its `k` nearest *other* nodes.
+/// Euclidean distance. Node `u` points to its `k` nearest *other* nodes,
+/// nearest first; with `n <= k` nodes every other node becomes a neighbor.
 ///
-/// Ties are broken by node index, which keeps the construction fully
-/// deterministic.
+/// The order is total, so the construction is fully deterministic on any
+/// input: by distance, then by node index, and a NaN distance (a non-finite
+/// coordinate on either end) ranks after every non-NaN one — `+inf`
+/// included — again by node index. Nothing here panics on non-finite
+/// input; the edge runs this on activations that arrived over a socket.
 ///
-/// # Panics
-///
-/// Panics if `k >= features.rows()` and the matrix is non-empty with more
-/// than one row is required; for a graph with `n <= k` nodes every other
-/// node becomes a neighbor.
+/// Each distance is the sum `((0 + t₀²) + t₁²) + …` over the coordinates in
+/// order, `tⱼ = features[u][j] - features[v][j]`, whatever the blocking.
 ///
 /// # Example
 ///
@@ -33,37 +40,94 @@ use rand::Rng;
 /// assert_eq!(g.neighbors(2), &[1]);
 /// ```
 pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
-    let n = features.rows();
-    let mut adj = Vec::with_capacity(n);
-    let mut dist: Vec<(f32, u32)> = Vec::with_capacity(n.saturating_sub(1));
-    for u in 0..n {
-        dist.clear();
-        let fu = features.row(u);
-        for v in 0..n {
-            if v == u {
-                continue;
-            }
-            let fv = features.row(v);
-            let mut d = 0.0;
-            for (a, b) in fu.iter().zip(fv) {
-                let t = a - b;
-                d += t * t;
-            }
-            dist.push((d, v as u32));
-        }
-        let kk = k.min(dist.len());
-        if kk == 0 {
-            adj.push(Vec::new());
-            continue;
-        }
-        // Partial selection: only the first k entries need to be ordered.
-        let pivot = kk - 1;
-        dist.select_nth_unstable_by(pivot, |a, b| a.partial_cmp(b).expect("distances are finite"));
-        let mut chosen: Vec<(f32, u32)> = dist[..kk].to_vec();
-        chosen.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-        adj.push(chosen.into_iter().map(|(_, v)| v).collect());
+    let (n, d) = features.shape();
+    assert!(u32::try_from(n).is_ok(), "node indices are u32");
+    let kk = k.min(n.saturating_sub(1));
+    if kk == 0 {
+        return CsrGraph::empty(n);
     }
-    CsrGraph::from_adjacency(adj)
+    // One transposed copy, so that coordinate `j` of every node is one
+    // contiguous run and the distance loop below is lane-parallel over `v`
+    // with no change to any pair's summation order.
+    let coords = features.transpose();
+    let mut dist = vec![0.0f32; QUERY_BLOCK * n];
+    let mut select = Selector::new(n, kk);
+    let mut targets = Vec::with_capacity(n * kk);
+    for u0 in (0..n).step_by(QUERY_BLOCK) {
+        let block = &mut dist[..QUERY_BLOCK.min(n - u0) * n];
+        block.fill(0.0);
+        for j in 0..d {
+            let coord = coords.row(j);
+            for (r, acc) in block.chunks_exact_mut(n).enumerate() {
+                let q = coord[u0 + r];
+                for (a, &c) in acc.iter_mut().zip(coord) {
+                    let t = q - c;
+                    *a += t * t;
+                }
+            }
+        }
+        for (r, row) in block.chunks_exact(n).enumerate() {
+            targets.extend(select.nearest(row, u0 + r).iter().map(|&key| key as u32));
+        }
+    }
+    CsrGraph::from_regular(n, kk, targets)
+}
+
+/// Sort key of candidate `v` at distance `d`: distance in the high half,
+/// node index in the low half, so one integer comparison orders by both.
+///
+/// A sum of squares is `+0`, positive, `+inf` or NaN. The bit patterns of
+/// the first three order as the values do; every NaN is sent above them.
+fn rank(d: f32, v: usize) -> u64 {
+    let bits = if d.is_nan() { u32::MAX } else { d.to_bits() };
+    u64::from(bits) << 32 | v as u64
+}
+
+/// Picks the `kk` nearest entries of one distance row, with buffers reused
+/// from row to row.
+///
+/// Two passes, both sequential over the row. The first keeps the minimum
+/// of every `lanes`-strided lane (NaN never wins) and takes the
+/// `kk + 1`-th smallest of those minima as a bound: at least `kk + 1`
+/// distinct nodes lie at or under it, so at least `kk` besides the query
+/// itself, so none of the `kk` nearest lies above it. The second pass
+/// collects what lies at or under the bound — a few more than `kk` entries
+/// on a typical row — and only those are ranked and sorted. NaN entries are
+/// always collected; they sort last and are cut off again unless the row
+/// has too few others, which is also when the bound is `+inf` and the pass
+/// collects everything.
+struct Selector {
+    kk: usize,
+    lane_min: Vec<f32>,
+    ranked: Vec<u64>,
+}
+
+impl Selector {
+    fn new(n: usize, kk: usize) -> Self {
+        // Twice the lanes the bound needs: narrower lanes, tighter bound.
+        let lanes = (2 * (kk + 1)).next_multiple_of(8).min(n);
+        Self { kk, lane_min: vec![0.0; lanes], ranked: Vec::with_capacity(n) }
+    }
+
+    /// Rank keys of the `kk` nearest nodes of `row` other than `u`, nearest
+    /// first. `row.len() > kk` and `row.len() >= lanes`.
+    fn nearest(&mut self, row: &[f32], u: usize) -> &[u64] {
+        self.lane_min.fill(f32::INFINITY);
+        for chunk in row.chunks(self.lane_min.len()) {
+            for (m, &d) in self.lane_min.iter_mut().zip(chunk) {
+                *m = if d < *m { d } else { *m };
+            }
+        }
+        let (_, &mut bound, _) = self.lane_min.select_nth_unstable_by(self.kk, f32::total_cmp);
+        self.ranked.clear();
+        for (v, &d) in row.iter().enumerate() {
+            if (d <= bound || d.is_nan()) && v != u {
+                self.ranked.push(rank(d, v));
+            }
+        }
+        self.ranked.sort_unstable();
+        &self.ranked[..self.kk]
+    }
 }
 
 /// Builds a random directed graph where each node points to `k` distinct
@@ -105,6 +169,126 @@ mod tests {
 
     fn grid_points() -> Matrix {
         Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[5.0, 5.0], &[5.0, 6.0]])
+    }
+
+    /// The order `knn_graph` documents, written out case by case.
+    fn by_distance_then_index(a: &(f32, u32), b: &(f32, u32)) -> std::cmp::Ordering {
+        match (a.0.is_nan(), b.0.is_nan()) {
+            (false, false) => a.partial_cmp(b).expect("neither distance is NaN"),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan).then(a.1.cmp(&b.1)),
+        }
+    }
+
+    /// The brute force `knn_graph` replaced — one serial distance per pair,
+    /// `select_nth_unstable_by` + sort, one `Vec` per node — kept as the
+    /// reference the blocked kernel must match edge for edge.
+    fn knn_graph_reference(features: &Matrix, k: usize) -> CsrGraph {
+        let n = features.rows();
+        let mut adj = Vec::with_capacity(n);
+        let mut dist: Vec<(f32, u32)> = Vec::with_capacity(n.saturating_sub(1));
+        for u in 0..n {
+            dist.clear();
+            let fu = features.row(u);
+            for v in 0..n {
+                if v == u {
+                    continue;
+                }
+                let fv = features.row(v);
+                let mut d = 0.0;
+                for (a, b) in fu.iter().zip(fv) {
+                    let t = a - b;
+                    d += t * t;
+                }
+                dist.push((d, v as u32));
+            }
+            let kk = k.min(dist.len());
+            if kk == 0 {
+                adj.push(Vec::new());
+                continue;
+            }
+            dist.select_nth_unstable_by(kk - 1, by_distance_then_index);
+            let mut chosen: Vec<(f32, u32)> = dist[..kk].to_vec();
+            chosen.sort_unstable_by(by_distance_then_index);
+            adj.push(chosen.into_iter().map(|(_, v)| v).collect());
+        }
+        CsrGraph::from_adjacency(adj)
+    }
+
+    /// `n × d` points on a coarse grid, so exact distance ties are common.
+    fn grid_cloud(n: usize, d: usize, cells: i32, rng: &mut ChaCha8Rng) -> Matrix {
+        let data = (0..n * d).map(|_| rng.gen_range(0..cells) as f32 * 0.3).collect();
+        Matrix::from_vec(n, d, data)
+    }
+
+    #[test]
+    fn blocked_knn_matches_the_brute_force_edge_for_edge() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6E6E);
+        let k = 20;
+        // Every remainder of the query block and of the selector's lanes.
+        for n in [0usize, 1, 2, 3, 5, k, k + 1, k + 2, 47, 133, 257] {
+            for d in [1usize, 3, 16, 64] {
+                // Few cells: most distances tie. Many cells: few do.
+                for cells in [2, 5, 1000] {
+                    let pts = grid_cloud(n, d, cells, &mut rng);
+                    for k in [1, 4, k, 64, 1000] {
+                        assert_eq!(
+                            knn_graph(&pts, k),
+                            knn_graph_reference(&pts, k),
+                            "n {n} d {d} cells {cells} k {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn knn_of_zero_width_features_is_the_first_k_other_nodes() {
+        let g = knn_graph(&Matrix::zeros(5, 0), 2);
+        assert_eq!(g, knn_graph_reference(&Matrix::zeros(5, 0), 2));
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+    }
+
+    #[test]
+    fn non_finite_coordinates_rank_last_and_never_panic() {
+        // Node 1 is NaN, node 3 is at infinity: from a finite node, 3 is
+        // infinitely far (ranks after every finite distance) and 1 is NaN
+        // far (ranks after that).
+        let pts = Matrix::from_rows(&[&[0.0], &[f32::NAN], &[1.0], &[f32::INFINITY], &[3.0]]);
+        let g = knn_graph(&pts, 4);
+        assert_eq!(g.neighbors(0), &[2, 4, 3, 1]);
+        assert_eq!(g.neighbors(4), &[2, 0, 3, 1]);
+        // Every distance from the NaN node is NaN: index order.
+        assert_eq!(g.neighbors(1), &[0, 2, 3, 4]);
+        // From infinity, finite nodes are infinitely far; NaN is NaN far.
+        assert_eq!(g.neighbors(3), &[0, 2, 4, 1]);
+        assert_eq!(g, knn_graph_reference(&pts, 4));
+        assert_eq!(knn_graph(&pts, 2).neighbors(0), &[2, 4]);
+    }
+
+    #[test]
+    fn knn_with_scattered_non_finite_values_matches_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBAD);
+        for n in [2usize, 9, 47, 133] {
+            for d in [1usize, 3, 16] {
+                for share in [0.02, 0.3, 1.0] {
+                    let mut pts = grid_cloud(n, d, 4, &mut rng);
+                    for x in pts.as_mut_slice() {
+                        if rng.gen_bool(share) {
+                            *x = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3)];
+                        }
+                    }
+                    for k in [1, 8, 20] {
+                        assert_eq!(
+                            knn_graph(&pts, k),
+                            knn_graph_reference(&pts, k),
+                            "n {n} d {d} share {share} k {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct AggCache {
 
 /// Aggregates neighbor features: `out[u] = reduce({ x[v] : v ∈ N(u) })`.
 ///
-/// Returns the aggregated features and a cache for the backward pass.
+/// Returns the aggregated features and a cache for the backward pass;
+/// inference, which needs no cache, calls [`aggregate_forward`].
 ///
 /// # Panics
 ///
@@ -62,47 +63,70 @@ pub struct AggCache {
 /// assert_eq!(out[(1, 0)], 0.0); // node 1 has no neighbors
 /// ```
 pub fn aggregate(graph: &CsrGraph, x: &Matrix, mode: AggMode) -> (Matrix, AggCache) {
+    let mut argmax = (mode == AggMode::Max).then(|| vec![u32::MAX; x.len()]);
+    let out = reduce(graph, x, mode, argmax.as_deref_mut());
+    (out, AggCache { mode, argmax })
+}
+
+/// [`aggregate`] without the backward cache: the same features, bit for
+/// bit, and no `argmax` table built along the way.
+///
+/// # Panics
+///
+/// Panics if `graph.num_nodes() != x.rows()`.
+pub fn aggregate_forward(graph: &CsrGraph, x: &Matrix, mode: AggMode) -> Matrix {
+    reduce(graph, x, mode, None)
+}
+
+/// The one implementation of every reduction. Neighbor rows are streamed
+/// whole, in neighbor order, into the output row, so each `out[u][j]` folds
+/// its neighbors in the order the graph lists them; `Max` is a
+/// compare-and-select over the row (a NaN never wins, the first of equal
+/// maxima keeps the `argmax`).
+fn reduce(graph: &CsrGraph, x: &Matrix, mode: AggMode, mut argmax: Option<&mut [u32]>) -> Matrix {
     assert_eq!(graph.num_nodes(), x.rows(), "graph/features node count mismatch");
     let (n, d) = x.shape();
     let mut out = Matrix::zeros(n, d);
-    let mut argmax = if mode == AggMode::Max { Some(vec![u32::MAX; n * d]) } else { None };
     for u in 0..n {
         let neighbors = graph.neighbors(u);
         if neighbors.is_empty() {
             continue;
         }
+        let dst = out.row_mut(u);
         match mode {
             AggMode::Add | AggMode::Mean => {
                 for &v in neighbors {
-                    let src = x.row(v as usize);
-                    let dst = out.row_mut(u);
-                    for (o, s) in dst.iter_mut().zip(src) {
+                    for (o, s) in dst.iter_mut().zip(x.row(v as usize)) {
                         *o += s;
                     }
                 }
                 if mode == AggMode::Mean {
                     let inv = 1.0 / neighbors.len() as f32;
-                    for o in out.row_mut(u) {
+                    for o in dst {
                         *o *= inv;
                     }
                 }
             }
             AggMode::Max => {
-                let am = argmax.as_mut().expect("argmax allocated for Max");
-                for (j, o) in out.row_mut(u).iter_mut().enumerate() {
-                    *o = f32::NEG_INFINITY;
-                    for &v in neighbors {
-                        let val = x[(v as usize, j)];
-                        if val > *o {
-                            *o = val;
-                            am[u * d + j] = v;
+                dst.fill(f32::NEG_INFINITY);
+                let mut chosen = argmax.as_deref_mut().map(|a| &mut a[u * d..(u + 1) * d]);
+                for &v in neighbors {
+                    let src = x.row(v as usize);
+                    // Two plain select loops vectorise; one loop with two
+                    // selects does not.
+                    if let Some(chosen) = chosen.as_deref_mut() {
+                        for ((a, &o), &s) in chosen.iter_mut().zip(dst.iter()).zip(src) {
+                            *a = if s > o { v } else { *a };
                         }
+                    }
+                    for (o, &s) in dst.iter_mut().zip(src) {
+                        *o = if s > *o { s } else { *o };
                     }
                 }
             }
         }
     }
-    (out, AggCache { mode, argmax })
+    out
 }
 
 /// Backward pass of [`aggregate`]: routes `gout` back to the neighbor
@@ -158,6 +182,80 @@ mod tests {
 
     fn feats() -> Matrix {
         Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 3.0], &[4.0, -5.0]])
+    }
+
+    /// The column-wise `aggregate` that [`reduce`] replaced, kept as the
+    /// reference for features and `argmax` alike.
+    fn aggregate_reference(graph: &CsrGraph, x: &Matrix, mode: AggMode) -> (Matrix, AggCache) {
+        let (n, d) = x.shape();
+        let mut out = Matrix::zeros(n, d);
+        let mut argmax = if mode == AggMode::Max { Some(vec![u32::MAX; n * d]) } else { None };
+        for u in 0..n {
+            let neighbors = graph.neighbors(u);
+            if neighbors.is_empty() {
+                continue;
+            }
+            match mode {
+                AggMode::Add | AggMode::Mean => {
+                    for &v in neighbors {
+                        let src = x.row(v as usize);
+                        let dst = out.row_mut(u);
+                        for (o, s) in dst.iter_mut().zip(src) {
+                            *o += s;
+                        }
+                    }
+                    if mode == AggMode::Mean {
+                        let inv = 1.0 / neighbors.len() as f32;
+                        for o in out.row_mut(u) {
+                            *o *= inv;
+                        }
+                    }
+                }
+                AggMode::Max => {
+                    let am = argmax.as_mut().expect("argmax allocated for Max");
+                    for (j, o) in out.row_mut(u).iter_mut().enumerate() {
+                        *o = f32::NEG_INFINITY;
+                        for &v in neighbors {
+                            let val = x[(v as usize, j)];
+                            if val > *o {
+                                *o = val;
+                                am[u * d + j] = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (out, AggCache { mode, argmax })
+    }
+
+    #[test]
+    fn row_wise_aggregate_matches_the_column_wise_reference() {
+        use crate::test_util::{bits, tie_heavy};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xA66);
+        let k = 20;
+        for n in [0usize, 1, 2, k, k + 1, 133, 257] {
+            for d in [1usize, 3, 16, 64] {
+                let x = tie_heavy(n, d, &mut rng);
+                // Random neighbor lists of uneven length, isolated nodes and
+                // repeated neighbors included.
+                let adj = (0..n)
+                    .map(|_| {
+                        let degree = rng.gen_range(0..=k.min(n));
+                        (0..degree).map(|_| rng.gen_range(0..n) as u32).collect()
+                    })
+                    .collect();
+                let g = CsrGraph::from_adjacency(adj);
+                for mode in AggMode::ALL {
+                    let (want, want_cache) = aggregate_reference(&g, &x, mode);
+                    let (got, got_cache) = aggregate(&g, &x, mode);
+                    assert_eq!(bits(&got), bits(&want), "n {n} d {d} {mode}");
+                    assert_eq!(got_cache.argmax, want_cache.argmax, "n {n} d {d} {mode}");
+                    assert_eq!(bits(&aggregate_forward(&g, &x, mode)), bits(&want));
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,28 @@ impl Linear {
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w).add_row_broadcast(&self.b)
+        self.affine_then(x, |pre| pre)
+    }
+
+    /// `relu(x·W + b)` — what a `Combine` computes — with the bias and the
+    /// ReLU applied in place on the product, so the layer allocates its
+    /// output and nothing else. Bit-identical to `ops::relu(&self.forward(x))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != in_dim()`.
+    pub fn forward_relu(&self, x: &Matrix) -> Matrix {
+        self.affine_then(x, |pre| pre.max(0.0))
+    }
+
+    fn affine_then(&self, x: &Matrix, act: impl Fn(f32) -> f32) -> Matrix {
+        let mut y = x.matmul(&self.w);
+        for i in 0..y.rows() {
+            for (o, b) in y.row_mut(i).iter_mut().zip(self.b.as_slice()) {
+                *o = act(*o + b);
+            }
+        }
+        y
     }
 
     /// Backward pass. `x` must be the same input given to `forward`;
@@ -111,6 +132,19 @@ mod tests {
         let y = lin.forward(&Matrix::zeros(2, 3));
         assert_eq!(y.row(0), &[1.5, -0.5]);
         assert_eq!(y.row(1), &[1.5, -0.5]);
+    }
+
+    #[test]
+    fn in_place_bias_and_relu_match_the_allocating_ops() {
+        let mut r = rng();
+        let mut lin = Linear::new(5, 19, &mut r);
+        lin.b = gcode_tensor::init::uniform(1, 19, 1.0, &mut r);
+        let x = gcode_tensor::init::uniform(7, 5, 2.0, &mut r);
+        use crate::test_util::bits;
+        let pre = x.matmul(&lin.w).add_row_broadcast(&lin.b);
+        assert_eq!(bits(&lin.forward(&x)), bits(&pre));
+        assert_eq!(bits(&lin.forward_relu(&x)), bits(&gcode_tensor::ops::relu(&pre)));
+        assert_eq!(lin.forward_relu(&Matrix::zeros(0, 5)).shape(), (0, 19));
     }
 
     #[test]

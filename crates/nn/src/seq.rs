@@ -9,9 +9,9 @@
 //! that place the same function at the same slot *share* weights — the
 //! paper's one-shot decoupling of supernet training from search (Sec. 3.1).
 
-use crate::agg::{aggregate, aggregate_backward, AggCache, AggMode};
+use crate::agg::{aggregate, aggregate_backward, aggregate_forward, AggCache, AggMode};
 use crate::linear::Linear;
-use crate::pool::{global_pool, global_pool_backward, PoolCache, PoolMode};
+use crate::pool::{global_pool, global_pool_backward, global_pool_forward, PoolCache, PoolMode};
 use gcode_graph::knn::{knn_graph, random_graph};
 use gcode_graph::CsrGraph;
 use gcode_tensor::{loss, ops, Matrix};
@@ -123,16 +123,17 @@ pub struct GraphInput<'a> {
     pub graph: Option<&'a CsrGraph>,
 }
 
+/// What one op of the training pass leaves for its backward step; ops
+/// without one (`Sample`, `Identity`) leave nothing.
 enum StepCache {
-    Graph,
     Agg { graph: CsrGraph, cache: AggCache },
     Combine { key: (usize, usize, usize), x: Matrix, pre: Matrix },
     Pool(PoolCache),
-    Identity,
 }
 
 /// Executes `specs` over `input` using shared weights from `bank`,
-/// returning `1 × num_classes` logits.
+/// returning `1 × num_classes` logits: [`forward_features`] from slot 0,
+/// then [`classify`].
 ///
 /// If the sequence never pools, a mean readout is applied before the
 /// classifier so the executor is total; the validity checker in
@@ -145,7 +146,8 @@ pub fn forward(
     bank: &mut WeightBank,
     rng: &mut impl Rng,
 ) -> Matrix {
-    run(specs, input, bank, rng, None).0
+    let (h, _) = forward_features(specs, 0, input, bank, rng);
+    classify(&h, bank)
 }
 
 /// Executes `specs` **without** the trailing readout/classifier, returning
@@ -193,38 +195,39 @@ pub fn forward_features_slotted(
             LayerSpec::BuildKnn { k } => graph = Some(knn_graph(&h, k)),
             LayerSpec::BuildRandom { k } => graph = Some(random_graph(h.rows(), k, rng)),
             LayerSpec::Aggregate(mode) => {
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                h = aggregate(&g, &h, mode).0;
-                graph = Some(g);
+                h = aggregate_forward(live_graph(&mut graph, &h), &h, mode);
             }
             LayerSpec::Combine { out_dim } => {
-                let lin = bank.combine_mut(slot, h.cols(), out_dim);
-                h = ops::relu(&lin.forward(&h));
+                h = bank.combine_mut(slot, h.cols(), out_dim).forward_relu(&h);
             }
             LayerSpec::GlobalPool(mode) => {
-                h = global_pool(&h, mode).0;
+                h = global_pool_forward(&h, mode);
                 graph = None;
             }
             LayerSpec::Identity => {}
             LayerSpec::FusedAggregateCombine { mode, out_dim } => {
                 // Same float-op order as the unfused Aggregate + Combine
                 // pair, with the Combine's slot keying the weights.
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                h = aggregate(&g, &h, mode).0;
-                graph = Some(g);
-                let lin = bank.combine_mut(slot, h.cols(), out_dim);
-                h = ops::relu(&lin.forward(&h));
+                h = aggregate_forward(live_graph(&mut graph, &h), &h, mode);
+                h = bank.combine_mut(slot, h.cols(), out_dim).forward_relu(&h);
             }
         }
     }
     (h, graph)
 }
 
+/// The graph an `Aggregate` reads: the live one, or — when no `Sample` op
+/// and no input graph provided any — the default k-NN over `h`, built once
+/// and left live for the ops that follow.
+fn live_graph<'g>(graph: &'g mut Option<CsrGraph>, h: &Matrix) -> &'g CsrGraph {
+    graph.get_or_insert_with(|| knn_graph(h, default_k(h.rows())))
+}
+
 /// Final readout + classifier over features produced by
 /// [`forward_features`]: node-level features are mean-pooled first, a
 /// pooled `1 × d` vector goes straight to the `d`-keyed classifier head.
 pub fn classify(h: &Matrix, bank: &mut WeightBank) -> Matrix {
-    let pooled = if h.rows() > 1 { global_pool(h, PoolMode::Mean).0 } else { h.clone() };
+    let pooled = if h.rows() == 1 { h.clone() } else { global_pool_forward(h, PoolMode::Mean) };
     bank.classifier_mut(pooled.cols()).forward(&pooled)
 }
 
@@ -238,7 +241,7 @@ pub fn train_step(
     lr: f32,
     rng: &mut impl Rng,
 ) -> f32 {
-    let (logits, caches, pooled_in) = run(specs, input, bank, rng, Some(()));
+    let (logits, caches, pooled_in) = run(specs, input, bank, rng);
     let (loss_value, glogits) = loss::cross_entropy(&logits, &[label]);
 
     // Classifier backward.
@@ -251,7 +254,6 @@ pub fn train_step(
     // Walk the caches in reverse.
     for step in caches.into_iter().rev() {
         match step {
-            StepCache::Graph | StepCache::Identity => {}
             StepCache::Agg { graph, cache } => {
                 g = aggregate_backward(&graph, &cache, &g);
             }
@@ -270,50 +272,27 @@ pub fn train_step(
     loss_value
 }
 
+/// The recording forward pass behind [`train_step`]: the ops of
+/// [`forward`], each leaving what its backward pass needs. Returns the
+/// logits, the caches in op order, and the classifier's input.
 fn run(
     specs: &[LayerSpec],
     input: GraphInput<'_>,
     bank: &mut WeightBank,
     rng: &mut impl Rng,
-    record: Option<()>,
 ) -> (Matrix, Vec<StepCache>, Matrix) {
     let mut h = input.features.clone();
     let mut graph: Option<CsrGraph> = input.graph.cloned();
-    let mut caches = Vec::with_capacity(specs.len());
+    let mut caches = Vec::with_capacity(specs.len() + 1);
     let mut pooled = false;
 
     for (slot, spec) in specs.iter().enumerate() {
         match *spec {
-            LayerSpec::BuildKnn { k } => {
-                graph = Some(knn_graph(&h, k));
-                if record.is_some() {
-                    caches.push(StepCache::Graph);
-                }
-            }
-            LayerSpec::BuildRandom { k } => {
-                graph = Some(random_graph(h.rows(), k, rng));
-                if record.is_some() {
-                    caches.push(StepCache::Graph);
-                }
-            }
-            LayerSpec::Aggregate(mode) => {
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                let (out, cache) = aggregate(&g, &h, mode);
-                h = out;
-                if record.is_some() {
-                    caches.push(StepCache::Agg { graph: g.clone(), cache });
-                }
-                graph = Some(g);
-            }
+            LayerSpec::BuildKnn { k } => graph = Some(knn_graph(&h, k)),
+            LayerSpec::BuildRandom { k } => graph = Some(random_graph(h.rows(), k, rng)),
+            LayerSpec::Aggregate(mode) => h = recorded_aggregate(&h, &mut graph, mode, &mut caches),
             LayerSpec::Combine { out_dim } => {
-                let key = (slot, h.cols(), out_dim);
-                let lin = bank.combine_mut(key.0, key.1, key.2);
-                let pre = lin.forward(&h);
-                let out = ops::relu(&pre);
-                if record.is_some() {
-                    caches.push(StepCache::Combine { key, x: h.clone(), pre });
-                }
-                h = out;
+                h = recorded_combine(h, bank, slot, out_dim, &mut caches);
             }
             LayerSpec::GlobalPool(mode) => {
                 let (out, cache) = global_pool(&h, mode);
@@ -321,34 +300,15 @@ fn run(
                 pooled = true;
                 // Pooling invalidates the node-level graph.
                 graph = None;
-                if record.is_some() {
-                    caches.push(StepCache::Pool(cache));
-                }
+                caches.push(StepCache::Pool(cache));
             }
-            LayerSpec::Identity => {
-                if record.is_some() {
-                    caches.push(StepCache::Identity);
-                }
-            }
+            LayerSpec::Identity => {}
             LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-                // The train/monolithic path never sees fused ops (only the
-                // plan optimizer emits them), but stays total: aggregate
-                // then combine at this positional slot, two caches.
-                let g = graph.clone().unwrap_or_else(|| knn_graph(&h, default_k(h.rows())));
-                let (out, cache) = aggregate(&g, &h, mode);
-                h = out;
-                if record.is_some() {
-                    caches.push(StepCache::Agg { graph: g.clone(), cache });
-                }
-                graph = Some(g);
-                let key = (slot, h.cols(), out_dim);
-                let lin = bank.combine_mut(key.0, key.1, key.2);
-                let pre = lin.forward(&h);
-                let out = ops::relu(&pre);
-                if record.is_some() {
-                    caches.push(StepCache::Combine { key, x: h.clone(), pre });
-                }
-                h = out;
+                // Training never sees fused ops (only the plan optimizer
+                // emits them), but stays total: aggregate then combine at
+                // this positional slot, two caches.
+                h = recorded_aggregate(&h, &mut graph, mode, &mut caches);
+                h = recorded_combine(h, bank, slot, out_dim, &mut caches);
             }
         }
     }
@@ -356,14 +316,37 @@ fn run(
     if !pooled {
         let (out, cache) = global_pool(&h, PoolMode::Mean);
         h = out;
-        if record.is_some() {
-            caches.push(StepCache::Pool(cache));
-        }
+        caches.push(StepCache::Pool(cache));
     }
 
-    let pooled_in = h.clone();
     let logits = bank.classifier_mut(h.cols()).forward(&h);
-    (logits, caches, pooled_in)
+    (logits, caches, h)
+}
+
+fn recorded_aggregate(
+    h: &Matrix,
+    graph: &mut Option<CsrGraph>,
+    mode: AggMode,
+    caches: &mut Vec<StepCache>,
+) -> Matrix {
+    let g = live_graph(graph, h);
+    let (out, cache) = aggregate(g, h, mode);
+    caches.push(StepCache::Agg { graph: g.clone(), cache });
+    out
+}
+
+fn recorded_combine(
+    h: Matrix,
+    bank: &mut WeightBank,
+    slot: usize,
+    out_dim: usize,
+    caches: &mut Vec<StepCache>,
+) -> Matrix {
+    let key = (slot, h.cols(), out_dim);
+    let pre = bank.combine_mut(key.0, key.1, key.2).forward(&h);
+    let out = ops::relu(&pre);
+    caches.push(StepCache::Combine { key, x: h, pre });
+    out
 }
 
 fn default_k(n: usize) -> usize {
@@ -613,6 +596,48 @@ mod tests {
         assert_eq!(h1, h2, "fusion must preserve the float-op order exactly");
         assert_eq!(g1.is_some(), g2.is_some());
         assert_eq!(classify(&h1, &mut bank1), classify(&h2, &mut bank2));
+    }
+
+    #[test]
+    fn training_pass_and_inference_pass_compute_the_same_logits() {
+        use crate::test_util::bits;
+        let clouds = PointCloudDataset::generate(2, 18, 3, 6);
+        let texts = TextGraphDataset::generate(2, 12, 32, 3);
+        let plans = [
+            pc_specs(),
+            // Never pools: both passes fall back to a mean readout.
+            vec![LayerSpec::BuildKnn { k: 4 }, LayerSpec::Aggregate(AggMode::Add)],
+            // No Sample op: both build the default k-NN, once.
+            vec![
+                LayerSpec::Aggregate(AggMode::Max),
+                LayerSpec::FusedAggregateCombine { mode: AggMode::Mean, out_dim: 8 },
+                LayerSpec::BuildRandom { k: 3 },
+                LayerSpec::Aggregate(AggMode::Max),
+                LayerSpec::GlobalPool(PoolMode::Sum),
+            ],
+        ];
+        for specs in &plans {
+            for s in clouds.samples().iter().chain(texts.samples()) {
+                let input = GraphInput { features: &s.features, graph: s.graph.as_ref() };
+                let mut bank = WeightBank::new(3, 21);
+                let (recorded, _, _) = run(specs, input.clone(), &mut bank, &mut rng());
+                let inferred = forward(specs, input, &mut WeightBank::new(3, 21), &mut rng());
+                assert_eq!(bits(&recorded), bits(&inferred), "{specs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_unpooled_input_still_yields_one_row_of_logits() {
+        let mut bank = WeightBank::new(2, 0);
+        let empty = Matrix::zeros(0, 5);
+        let logits = forward(
+            &[LayerSpec::Identity],
+            GraphInput { features: &empty, graph: None },
+            &mut bank,
+            &mut rng(),
+        );
+        assert_eq!(logits.shape(), (1, 2));
     }
 
     #[test]

@@ -153,6 +153,16 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
+    /// Every `out[i][j]` is `((0 + a[i][k₀]·b[k₀][j]) + a[i][k₁]·b[k₁][j]) + …`
+    /// over the non-zero `a[i][k]` in ascending `k` — the order of the plain
+    /// i-k-j loop with its zero-skip — so the result does not depend on how
+    /// the columns are tiled. The shape is chosen for the machine: `rhs` is
+    /// repacked one column panel at a time into a contiguous `k × T` block
+    /// that stays in L1, each row's `T` partial sums live in registers
+    /// across the whole `k` loop, and the zero-skip is decided once per row
+    /// (a compacted `(k, a)` list) instead of once per row and panel, where
+    /// ReLU-sparse activations made it an unpredictable branch.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
@@ -163,22 +173,15 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop sequential over both the rhs
-        // row and the output row, which is the cache-friendly order for
-        // row-major data.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
+        if self.data.is_empty() || rhs.cols == 0 {
+            return out;
         }
+        let lhs = NonZeroRows::of(self);
+        // Widest tile first; each narrower one takes what the last left over.
+        let next = lhs.mul_columns::<64>(rhs, &mut out, 0);
+        let next = lhs.mul_columns::<16>(rhs, &mut out, next);
+        let next = lhs.mul_columns::<4>(rhs, &mut out, next);
+        lhs.mul_columns::<1>(rhs, &mut out, next);
         out
     }
 
@@ -313,8 +316,8 @@ impl Matrix {
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
         for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j] += self.data[i * self.cols + j];
+            for (o, v) in out.data.iter_mut().zip(self.row(i)) {
+                *o += v;
             }
         }
         out
@@ -337,11 +340,8 @@ impl Matrix {
         }
         let mut out = Matrix::from_vec(1, self.cols, self.row(0).to_vec());
         for i in 1..self.rows {
-            for j in 0..self.cols {
-                let v = self.data[i * self.cols + j];
-                if v > out.data[j] {
-                    out.data[j] = v;
-                }
+            for (o, &v) in out.data.iter_mut().zip(self.row(i)) {
+                *o = if v > *o { v } else { *o };
             }
         }
         out
@@ -404,6 +404,62 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().zip(&rhs.data).map(|(&a, &b)| f(a, b)).collect(),
         }
+    }
+}
+
+/// The non-zero entries of a matrix, row by row, columns ascending: the
+/// left operand of [`Matrix::matmul`] with its zero-skip already applied.
+struct NonZeroRows {
+    /// `(column, value)` of every non-zero entry, rows concatenated.
+    entries: Vec<(u32, f32)>,
+    /// End of each row's run in `entries`.
+    row_ends: Vec<usize>,
+}
+
+impl NonZeroRows {
+    fn of(m: &Matrix) -> Self {
+        assert!(u32::try_from(m.cols).is_ok(), "matmul inner dimension exceeds u32");
+        let mut entries = Vec::with_capacity(m.data.len());
+        let mut row_ends = Vec::with_capacity(m.rows);
+        for row in m.data.chunks_exact(m.cols) {
+            entries.extend(
+                row.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(k, &a)| (k as u32, a)),
+            );
+            row_ends.push(entries.len());
+        }
+        Self { entries, row_ends }
+    }
+
+    /// Fills output columns `from..` in tiles of `T` for as long as a whole
+    /// tile fits, and returns the first column left over.
+    fn mul_columns<const T: usize>(&self, rhs: &Matrix, out: &mut Matrix, from: usize) -> usize {
+        let n = rhs.cols;
+        let mut j0 = from;
+        if n - j0 < T {
+            return j0;
+        }
+        let mut panel = vec![0.0f32; rhs.rows * T];
+        while j0 + T <= n {
+            for (packed, row) in panel.chunks_exact_mut(T).zip(rhs.data.chunks_exact(n)) {
+                packed.copy_from_slice(&row[j0..j0 + T]);
+            }
+            let mut start = 0;
+            for (orow, &end) in out.data.chunks_exact_mut(n).zip(&self.row_ends) {
+                let mut acc = [0.0f32; T];
+                for &(k, a) in &self.entries[start..end] {
+                    let k = k as usize;
+                    let packed: &[f32; T] =
+                        panel[k * T..(k + 1) * T].try_into().expect("panel rows are T wide");
+                    for (o, b) in acc.iter_mut().zip(packed) {
+                        *o += a * b;
+                    }
+                }
+                orow[j0..j0 + T].copy_from_slice(&acc);
+                start = end;
+            }
+            j0 += T;
+        }
+        j0
     }
 }
 
@@ -513,6 +569,83 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+}
+
+#[cfg(test)]
+mod matmul_equivalence {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The i-k-j product [`Matrix::matmul`] replaced, kept as the reference
+    /// its tiling must match bit for bit.
+    fn matmul_reference(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(lhs.rows, rhs.cols);
+        for i in 0..lhs.rows {
+            for k in 0..lhs.cols {
+                let a = lhs.data[i * lhs.cols + k];
+                if a == 0.0 {
+                    continue;
+                }
+                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
+                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (o, r) in orow.iter_mut().zip(rrow) {
+                    *o += a * r;
+                }
+            }
+        }
+        out
+    }
+
+    /// Values from a coarse signed grid, a `zero_share` of them exactly zero
+    /// (what a ReLU leaves behind).
+    fn grid(rows: usize, cols: usize, zero_share: f64, rng: &mut ChaCha8Rng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                if rng.gen_bool(zero_share) {
+                    0.0
+                } else {
+                    rng.gen_range(-8i32..=8) as f32 * 0.37
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_matmul_is_bit_identical_to_the_ikj_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7113);
+        // Widths on both sides of every tile: 64 + 16 + 4 + 1 and remainders.
+        for rows in [0usize, 1, 2, 21, 133] {
+            for inner in [0usize, 1, 3, 16, 64] {
+                for cols in [0usize, 1, 3, 4, 5, 16, 19, 40, 64, 85, 150] {
+                    for zero_share in [0.0, 0.5, 1.0] {
+                        let lhs = grid(rows, inner, zero_share, &mut rng);
+                        let rhs = grid(inner, cols, 0.1, &mut rng);
+                        let got = lhs.matmul(&rhs);
+                        let want = matmul_reference(&lhs, &rhs);
+                        assert_eq!(got.shape(), want.shape());
+                        assert_eq!(bits(&got), bits(&want), "{rows}x{inner} · {inner}x{cols}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_skip_keeps_non_finite_weights_out_of_skipped_rows() {
+        // 0 · inf would be NaN; the zero-skip must keep it out, as before.
+        let lhs = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 0.0]]);
+        let rhs = Matrix::from_rows(&[&[f32::INFINITY, 1.0], &[3.0, f32::NAN]]);
+        let got = lhs.matmul(&rhs);
+        assert_eq!(bits(&got), bits(&matmul_reference(&lhs, &rhs)));
+        assert_eq!(got[(0, 0)], 6.0);
+        assert_eq!(got[(1, 0)], f32::INFINITY);
     }
 }
 
