@@ -12,6 +12,7 @@ use gcode_core::predictor::{abstract_architecture, FeatureMode};
 use gcode_core::search::{random_search, SearchConfig};
 use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode_engine::{decode_frame, encode_frame, Frame, WireState};
 use gcode_graph::datasets::PointCloudDataset;
 use gcode_graph::knn::knn_graph;
 use gcode_hardware::SystemConfig;
@@ -107,15 +108,36 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
+/// The codec rung at the frame's shapes: the float blob on a ReLU-sparse
+/// 1024×64 activation (what a `Combine` ships) and on a dense one (what an
+/// `Aggregate` ships), then whole `State` frames with and without the
+/// 1024×20 kNN graph a post-`Sample` split carries.
 fn bench_compress(c: &mut Criterion) {
-    let values: Vec<f32> = (0..1024 * 64).map(|i| (i as f32 * 0.001).sin()).collect();
-    c.bench_function("compress_floats_256KiB", |b| {
-        b.iter(|| gcode_compress::compress_floats(black_box(&values)));
-    });
-    let packed = gcode_compress::compress_floats(&values);
-    c.bench_function("decompress_floats_256KiB", |b| {
-        b.iter(|| gcode_compress::decompress_floats(black_box(&packed)).expect("valid"));
-    });
+    let sparse = relu_sparse(1024, 64, 16);
+    let dense = sparse.map(|v| v + 1.0);
+    for (name, activation) in [("relu_sparse", &sparse), ("dense", &dense)] {
+        c.bench_function(&format!("compress_floats_1024x64_{name}"), |b| {
+            b.iter(|| gcode_compress::compress_floats(black_box(activation.as_slice())));
+        });
+        let packed = gcode_compress::compress_floats(activation.as_slice());
+        c.bench_function(&format!("decompress_floats_1024x64_{name}"), |b| {
+            b.iter(|| gcode_compress::decompress_floats(black_box(&packed)).expect("valid"));
+        });
+    }
+
+    let cloud = PointCloudDataset::generate(1, 1024, 4, 1);
+    let graph = knn_graph(&cloud.samples()[0].features, 20);
+    for (name, graph) in [("no_graph", None), ("knn_1024x20", Some(graph))] {
+        let frame =
+            Frame::State(WireState { frame_id: 0, features: sparse.clone(), graph, label: 0 });
+        c.bench_function(&format!("encode_frame_state_1024x64_{name}"), |b| {
+            b.iter(|| encode_frame(black_box(&frame)));
+        });
+        let body = encode_frame(&frame);
+        c.bench_function(&format!("decode_frame_state_1024x64_{name}"), |b| {
+            b.iter(|| decode_frame(black_box(&body)).expect("valid"));
+        });
+    }
 }
 
 fn bench_cost_models(c: &mut Criterion) {

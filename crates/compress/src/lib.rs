@@ -1,20 +1,30 @@
-//! From-scratch lossless codec for transmitted tensors.
+//! Lossless codecs for what crosses the device–edge link.
 //!
 //! The paper's engine "compresses all transmitted data based on zlib". zlib
-//! is not among the allowed offline crates, so this crate implements the
-//! same role with an LZ77 greedy matcher plus varint-encoded tokens, and a
-//! byte-plane transposition front-end ([`compress_floats`]) that makes IEEE
-//! 754 tensors compressible (same trick as HDF5's shuffle filter).
+//! is not among the allowed offline crates, and the tensors a frame ships
+//! are `Combine` outputs — post-ReLU, so half their words are `+0.0` and
+//! the mantissa bytes of the rest are noise (7.9–8.0 bits/byte). An LZ
+//! matcher finds nothing there; a one-bit-per-word zero map finds half the
+//! tensor. [`compress_floats_into`] is that map: a presence bitmap plus the
+//! non-zero words verbatim, or the raw words when that is shorter, with a
+//! strict inverse ([`decompress_floats`]). It is what every `State` frame
+//! of `gcode-engine` carries.
+//!
+//! [`compress`] / [`decompress`] are a greedy LZ77 byte codec. Frames no
+//! longer use it (on byte-plane-shuffled activations it spent 2.6 ms a
+//! frame to ship them 2–3 % larger than raw); it stays public because the
+//! `perf/` harness times it as its `compress.bytes_*` rung.
 //!
 //! # Example
 //!
 //! ```
-//! use gcode_compress::{compress, decompress};
+//! use gcode_compress::{compress_floats, decompress_floats};
 //!
-//! let data = b"abcabcabcabcabc".to_vec();
-//! let packed = compress(&data);
-//! assert!(packed.len() < data.len());
-//! assert_eq!(decompress(&packed)?, data);
+//! // A post-ReLU row: the zeros cost one bit each.
+//! let row = [0.0f32, 1.5, 0.0, 0.0, 2.25, 0.0, 0.0, 0.0];
+//! let packed = compress_floats(&row);
+//! assert_eq!(packed.len(), 5 + 1 + 2 * 4);
+//! assert_eq!(decompress_floats(&packed)?, row);
 //! # Ok::<(), gcode_compress::DecodeError>(())
 //! ```
 
@@ -178,43 +188,141 @@ pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, DecodeError> {
     Ok(out)
 }
 
-/// Compresses an `f32` tensor: byte-plane transposition (all byte-0s, then
-/// all byte-1s, …) followed by [`compress`]. Exponent bytes of similar
-/// floats repeat heavily, which is where the ratio comes from.
+/// Leading byte of a float blob whose words follow verbatim.
+const MODE_STORED: u8 = 0;
+/// Leading byte of a float blob that ships a presence bitmap and only the
+/// words whose bit pattern is non-zero.
+const MODE_SPARSE: u8 = 1;
+/// `[u8 mode][u32 n]`.
+const FLOAT_HEADER_LEN: usize = 5;
+
+/// Packs an `f32` tensor into a fresh buffer; see [`compress_floats_into`]
+/// for the layout.
 pub fn compress_floats(values: &[f32]) -> Vec<u8> {
-    let n = values.len();
-    let mut shuffled = vec![0u8; 4 * n];
-    for (i, v) in values.iter().enumerate() {
-        let b = v.to_le_bytes();
-        for plane in 0..4 {
-            shuffled[plane * n + i] = b[plane];
-        }
-    }
-    compress(&shuffled)
+    let mut out = Vec::new();
+    compress_floats_into(values, &mut out);
+    out
 }
 
-/// Inverse of [`compress_floats`].
+/// Appends the packed tensor to `out`, reserving its exact size first:
+///
+/// ```text
+/// stored: [u8 0][u32 n][n × u32 LE words]
+/// sparse: [u8 1][u32 n][⌈n/8⌉ bitmap bytes, bit i%8 of byte i/8 = word i present]
+///         [one u32 LE word per set bit, in index order]
+/// ```
+///
+/// A word is *present* when its bit pattern is non-zero, so `-0.0`, NaN
+/// payloads and denormals all survive bit-exactly. Sparse is chosen exactly
+/// when it is the shorter of the two, so the blob never exceeds `5 + 4n`
+/// bytes; a post-ReLU activation (half its words `+0.0`) packs to ~0.53×.
+///
+/// # Panics
+///
+/// Panics if `values` holds more than `u32::MAX` words.
+pub fn compress_floats_into(values: &[f32], out: &mut Vec<u8>) {
+    let n = u32::try_from(values.len()).expect("a float blob counts its words in a u32");
+    // Summed in u32 lanes (n fits one) — twice the vector width of `count()`.
+    let present = values.iter().map(|v| u32::from(v.to_bits() != 0)).sum::<u32>() as usize;
+    let bitmap_len = values.len().div_ceil(8);
+    let sparse = bitmap_len + 4 * present < 4 * values.len();
+    let payload_len = if sparse { bitmap_len + 4 * present } else { 4 * values.len() };
+    out.reserve(FLOAT_HEADER_LEN + payload_len);
+    out.push(if sparse { MODE_SPARSE } else { MODE_STORED });
+    out.extend_from_slice(&n.to_le_bytes());
+    let start = out.len();
+    out.resize(start + payload_len, 0);
+    let payload = &mut out[start..];
+    if sparse {
+        let (bitmap, words) = payload.split_at_mut(bitmap_len);
+        let mut words = words.chunks_exact_mut(4);
+        // 64 words a step: the mask is built branch-free, and the copy
+        // loop has one data-dependent exit per 64 words, not a branch a word.
+        for (map, group) in bitmap.chunks_mut(8).zip(values.chunks(64)) {
+            let mut mask = 0u64;
+            for (i, v) in group.iter().enumerate() {
+                mask |= u64::from(v.to_bits() != 0) << i;
+            }
+            map.copy_from_slice(&mask.to_le_bytes()[..map.len()]);
+            while mask != 0 {
+                let word = group[mask.trailing_zeros() as usize].to_bits();
+                words
+                    .next()
+                    .expect("one slot per present word")
+                    .copy_from_slice(&word.to_le_bytes());
+                mask &= mask - 1;
+            }
+        }
+    } else {
+        for (slot, v) in payload.chunks_exact_mut(4).zip(values) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+fn le_word(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))
+}
+
+/// Inverse of [`compress_floats`]. Strict: the blob must be exactly one
+/// canonical encoding — no trailing bytes, bitmap popcount equal to the
+/// words that follow, no bitmap bits past `n`, no present word that is
+/// zero. The output allocation is bounded by what arrived (`4n ≤ 32 ×`
+/// the blob length, the all-zero sparse case) before it is made.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] if the stream is malformed or not a whole number
-/// of floats.
+/// Returns [`DecodeError`] on any violation of the above.
 pub fn decompress_floats(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
-    let shuffled = decompress(packed)?;
-    if shuffled.len() % 4 != 0 {
-        return Err(DecodeError { msg: "not a float tensor" });
+    if packed.len() < FLOAT_HEADER_LEN {
+        return Err(DecodeError { msg: "missing float header" });
     }
-    let n = shuffled.len() / 4;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(f32::from_le_bytes([
-            shuffled[i],
-            shuffled[n + i],
-            shuffled[2 * n + i],
-            shuffled[3 * n + i],
-        ]));
+    let (header, payload) = packed.split_at(FLOAT_HEADER_LEN);
+    let n = le_word(&header[1..]) as usize;
+    match header[0] {
+        MODE_STORED => {
+            if n.checked_mul(4) != Some(payload.len()) {
+                return Err(DecodeError { msg: "stored float payload is not 4n bytes" });
+            }
+            Ok(payload.chunks_exact(4).map(|w| f32::from_bits(le_word(w))).collect())
+        }
+        MODE_SPARSE => {
+            let bitmap_len = n.div_ceil(8);
+            if payload.len() < bitmap_len {
+                return Err(DecodeError { msg: "truncated float bitmap" });
+            }
+            let (bitmap, words) = payload.split_at(bitmap_len);
+            let present: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+            if present.checked_mul(4) != Some(words.len()) {
+                return Err(DecodeError {
+                    msg: "float bitmap popcount disagrees with words present",
+                });
+            }
+            if !n.is_multiple_of(8) && bitmap[bitmap_len - 1] >> (n % 8) != 0 {
+                return Err(DecodeError { msg: "float bitmap has bits past n" });
+            }
+            let mut out = vec![0.0f32; n];
+            let mut words = words.chunks_exact(4);
+            let mut zero_word = false;
+            // 64 slots a step: one data-dependent loop exit per 64 words.
+            for (group, map) in out.chunks_mut(64).zip(bitmap.chunks(8)) {
+                let mut bits = [0u8; 8];
+                bits[..map.len()].copy_from_slice(map);
+                let mut bits = u64::from_le_bytes(bits);
+                while bits != 0 {
+                    let word = le_word(words.next().expect("popcount checked above"));
+                    zero_word |= word == 0;
+                    group[bits.trailing_zeros() as usize] = f32::from_bits(word);
+                    bits &= bits - 1;
+                }
+            }
+            if zero_word {
+                return Err(DecodeError { msg: "present float word is zero" });
+            }
+            Ok(out)
+        }
+        _ => Err(DecodeError { msg: "unknown float blob mode" }),
     }
-    Ok(out)
 }
 
 /// Achieved compression ratio (`original / compressed`), 1.0 for empty
@@ -263,17 +371,6 @@ mod tests {
         let packed = compress(&data);
         assert!(packed.len() < data.len() / 2);
         assert_eq!(decompress(&packed).expect("ok"), data);
-    }
-
-    #[test]
-    fn float_tensor_round_trip_and_ratio() {
-        // Smooth features like real activations: exponent bytes repeat.
-        let values: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
-        let packed = compress_floats(&values);
-        let back = decompress_floats(&packed).expect("ok");
-        assert_eq!(back, values);
-        let r = ratio(values.len() * 4, packed.len());
-        assert!(r > 1.2, "shuffle should help on smooth floats, got {r}");
     }
 
     #[test]
@@ -334,20 +431,158 @@ mod tests {
         }
     }
 
+    fn assert_bit_exact_round_trip(values: &[f32]) -> Vec<u8> {
+        let packed = compress_floats(values);
+        assert!(packed.len() <= 5 + 4 * values.len(), "worst case is 5 bytes over raw");
+        let back = decompress_floats(&packed).expect("round trip");
+        assert_eq!(back.len(), values.len());
+        for (i, (a, b)) in back.iter().zip(values).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "word {i} of {}", values.len());
+        }
+        // In place behind existing bytes, with nothing left over.
+        let mut framed = vec![0xAB; 3];
+        compress_floats_into(values, &mut framed);
+        assert_eq!(&framed[..3], &[0xAB; 3]);
+        assert_eq!(&framed[3..], &packed[..]);
+        packed
+    }
+
+    /// Words no arithmetic comparison tells apart from zero or from each
+    /// other: only the bit pattern survives as the criterion.
+    const AWKWARD: [u32; 8] = [
+        0x8000_0000, // -0.0
+        0x7FC0_0001, // quiet NaN with a payload
+        0xFFA5_5A5A, // negative signalling NaN with a payload
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x0000_0001, // smallest denormal
+        0x807F_FFFF, // largest negative denormal
+        0x0000_0000, // +0.0, the one absent word
+    ];
+
     #[test]
-    fn randomized_float_round_trip() {
-        // Covers arbitrary bit patterns, including NaNs and infinities,
-        // which must round-trip bit-exactly.
+    fn float_round_trips_are_bit_exact_at_every_bitmap_boundary() {
         let mut gen = ByteGen(0x5EED_0002);
-        for case in 0..64 {
-            let len = (gen.next_u64() % 512) as usize;
-            let values: Vec<f32> =
-                (0..len).map(|_| f32::from_bits(gen.next_u64() as u32)).collect();
-            let packed = compress_floats(&values);
-            let back = decompress_floats(&packed).expect("round trip");
-            assert_eq!(back.len(), values.len(), "case {case}");
-            for (a, b) in back.iter().zip(&values) {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
+        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1023, 65536] {
+            let all_zero = vec![0.0f32; n];
+            let packed = assert_bit_exact_round_trip(&all_zero);
+            assert_eq!(packed.len(), 5 + n.div_ceil(8), "an all-zero tensor is its bitmap");
+
+            let dense: Vec<f32> =
+                (0..n).map(|_| f32::from_bits(gen.next_u64() as u32 | 1)).collect();
+            let packed = assert_bit_exact_round_trip(&dense);
+            assert_eq!(packed.len(), 5 + 4 * n, "an all-non-zero tensor is stored");
+
+            // Half zeros, the rest drawn from the awkward set and noise.
+            let sprinkled: Vec<f32> = (0..n)
+                .map(|_| {
+                    let r = gen.next_u64();
+                    f32::from_bits(match r % 4 {
+                        0 | 1 => 0,
+                        2 => AWKWARD[(r >> 8) as usize % AWKWARD.len()],
+                        _ => (r >> 32) as u32,
+                    })
+                })
+                .collect();
+            assert_bit_exact_round_trip(&sprinkled);
+        }
+        assert_bit_exact_round_trip(&AWKWARD.map(f32::from_bits));
+    }
+
+    #[test]
+    fn sparse_is_chosen_exactly_when_it_is_shorter() {
+        // 32 words: the bitmap costs 4 bytes, one zero word saves 4 — a
+        // tie stays stored; two zero words tip it.
+        let mut values = vec![1.0f32; 32];
+        values[3] = 0.0;
+        assert_eq!(compress_floats(&values)[0], MODE_STORED);
+        values[17] = 0.0;
+        let packed = compress_floats(&values);
+        assert_eq!(packed[0], MODE_SPARSE);
+        assert_eq!(packed.len(), 5 + 4 + 4 * 30);
+        assert_bit_exact_round_trip(&values);
+    }
+
+    /// `[mode][n]` + payload.
+    fn float_blob(mode: u8, n: u32, payload: &[u8]) -> Vec<u8> {
+        let mut blob = vec![mode];
+        blob.extend_from_slice(&n.to_le_bytes());
+        blob.extend_from_slice(payload);
+        blob
+    }
+
+    #[test]
+    fn hand_built_non_canonical_float_blobs_are_rejected() {
+        let one = 1.0f32.to_le_bytes();
+        // The canonical sparse blob for [0, 1, 0, 0, 0, 0, 0, 0, 0, 1].
+        let good = float_blob(MODE_SPARSE, 10, &[&[0b10u8, 0b10][..], &one, &one].concat());
+        assert_eq!(decompress_floats(&good).expect("canonical").len(), 10);
+
+        let cases: [(&str, Vec<u8>); 9] = [
+            (
+                "two bits, one word",
+                float_blob(MODE_SPARSE, 10, &[&[0b10u8, 0b10][..], &one].concat()),
+            ),
+            (
+                "one bit, two words",
+                float_blob(MODE_SPARSE, 10, &[&[0b10u8, 0][..], &one, &one].concat()),
+            ),
+            (
+                "bit past n",
+                float_blob(MODE_SPARSE, 10, &[&[0b10u8, 0b100][..], &one, &one].concat()),
+            ),
+            (
+                "set bit, zero word",
+                float_blob(MODE_SPARSE, 10, &[&[0b10u8, 0b10][..], &one, &[0; 4]].concat()),
+            ),
+            ("trailing byte", [&good[..], &[0]].concat()),
+            ("short bitmap", float_blob(MODE_SPARSE, 10, &[0b10])),
+            ("stored, short", float_blob(MODE_STORED, 2, &one)),
+            ("stored, trailing", float_blob(MODE_STORED, 1, &[&one[..], &[0]].concat())),
+            ("unknown mode", float_blob(2, 1, &one)),
+        ];
+        for (what, blob) in cases {
+            assert!(decompress_floats(&blob).is_err(), "{what} must be rejected");
+        }
+        // A header-only claim of 4 Gi words is refused on arithmetic alone.
+        assert!(decompress_floats(&float_blob(MODE_SPARSE, u32::MAX, &[])).is_err());
+        assert!(decompress_floats(&float_blob(MODE_STORED, u32::MAX, &[])).is_err());
+        assert!(decompress_floats(&[]).is_err());
+    }
+
+    #[test]
+    fn hostile_float_blobs_never_panic_or_over_allocate() {
+        // Every truncation and every single-bit flip of the header and
+        // bitmap (and a stretch of the words) of blobs in both modes:
+        // a typed error or a value whose size the bytes present justify.
+        let mut gen = ByteGen(0x5EED_0004);
+        for n in [1usize, 8, 9, 64, 200] {
+            for zero_share in [0u64, 2, 4] {
+                let values: Vec<f32> = (0..n)
+                    .map(|_| {
+                        let r = gen.next_u64();
+                        f32::from_bits(if r % 4 < zero_share { 0 } else { (r >> 32) as u32 | 1 })
+                    })
+                    .collect();
+                let packed = compress_floats(&values);
+                let check = |bytes: &[u8]| {
+                    if let Ok(out) = decompress_floats(bytes) {
+                        assert!(4 * out.capacity() <= 32 * bytes.len(), "allocation above 32×");
+                    }
+                };
+                for cut in 0..packed.len() {
+                    assert!(decompress_floats(&packed[..cut]).is_err(), "cut {cut}/{n}");
+                }
+                let flippable = (5 + n.div_ceil(8) + 16).min(packed.len());
+                for bit in 0..8 * flippable {
+                    let mut bad = packed.clone();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    check(&bad);
+                }
+                for _ in 0..64 {
+                    let len = (gen.next_u64() % 64) as usize;
+                    check(&gen.bytes(len));
+                }
             }
         }
     }

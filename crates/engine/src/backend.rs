@@ -15,6 +15,7 @@ use crate::fleet::{EdgeFleet, FleetSpec};
 use crate::optimizer::{lower_and_optimize, OptimizeOptions, PassManager};
 use crate::plan::ExecutionPlan;
 use crate::pool::EdgePool;
+use crate::proto::PROTOCOL_VERSION;
 use crate::runtime::{latency_percentiles, DeviceClient, EdgeServer, EngineStats};
 use crate::EngineError;
 use gcode_core::arch::{Architecture, WorkloadProfile};
@@ -393,7 +394,16 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// the frame stream and the optimizer fingerprint — optimized and raw
     /// plans execute the same logits but different wire bytes and op
     /// counts, so their measurements must never collide in a shared log.
+    /// The wire protocol version is in it for the same reason: latency,
+    /// energy and `bytes_sent` are functions of the `State` codec, so a
+    /// log written by a build with another codec must re-measure.
     fn fidelity_tag(&self) -> u64 {
+        self.fidelity_tag_under(PROTOCOL_VERSION)
+    }
+
+    /// [`fidelity_tag`](Self::fidelity_tag) as a build speaking
+    /// `wire_version` would compute it.
+    fn fidelity_tag_under(&self, wire_version: u8) -> u64 {
         let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
         for s in &self.samples {
             for v in [s.features.rows() as u64, s.features.cols() as u64, s.label as u64] {
@@ -412,7 +422,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         };
         let acc = if self.measured_accuracy { "measured" } else { "modeled" };
         cachelog::tag_key(&format!(
-            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|{endpoint}|data{fingerprint:#x}|opt{:#x}|acc:{acc}",
+            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|{endpoint}|data{fingerprint:#x}|opt{:#x}|acc:{acc}|wire{wire_version}",
             self.num_classes, self.bank_seed, self.run_seed, self.frames, self.warmup,
             self.optimizer_fingerprint(),
         ))
@@ -904,6 +914,30 @@ mod tests {
         assert_eq!(preds_on, preds_off, "optimized predictions must be bit-identical to raw");
         assert!(on.optimizer_stats().ops_elided() > 0, "the Identity op must be elided");
         assert_eq!(off.optimizer_stats(), Default::default());
+    }
+
+    #[test]
+    fn wire_versions_never_share_a_log_entry() {
+        // A cache file outlives the build that wrote it. Two builds that
+        // differ only in the wire codec measure different bytes and
+        // latencies for the same candidate, so what one stored the other
+        // must not find.
+        let b = backend().with_frames(3);
+        let (ours, theirs) = (b.fidelity_tag(), b.fidelity_tag_under(PROTOCOL_VERSION - 1));
+        assert_eq!(ours, b.fidelity_tag_under(PROTOCOL_VERSION));
+        assert_ne!(ours, theirs);
+
+        let dir = std::env::temp_dir().join("gcode-cachelog-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("backend-wire-version.gclg");
+        let _ = std::fs::remove_file(&path);
+        let arch = cachelog::arch_key(&split_arch());
+        let stored = Metrics { accuracy: 0.5, latency_s: 0.25, energy_j: 0.125 };
+        let mut log = cachelog::CacheLog::open(&path).expect("open log");
+        log.put(arch, theirs, 0, stored);
+        assert_eq!(log.get(arch, theirs, 0), Some(stored));
+        assert_eq!(log.get(arch, ours, 0), None, "another codec's entry must not replay");
+        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Wire protocol: length-prefixed frames — compressed intermediate states
+//! Wire protocol: length-prefixed frames — packed intermediate states
 //! as data frames, plus the control frames that drive a persistent edge
 //! and the session frames that drive the `gcode-serve` daemon.
 //!
 //! Layout of one message: `[u32 total_len][u8 kind][body…]`. The original
 //! three kinds carry co-inference traffic (see [`Frame`]): a `State` data
-//! frame whose body is the compressed feature tensor plus the optional CSR
+//! frame whose body is the packed feature tensor plus the optional CSR
 //! graph (the paper's Fig. 2 point: splits after KNN must also ship graph
-//! data), a `SwapPlan` control frame carrying the next [`ExecutionPlan`] a
-//! persistent edge should serve (the paper's Sec. 3.6 dispatcher: all zoo
-//! members share one supernet `WeightBank`, so a swap ships a plan, never
-//! weights), and a bodiless `Shutdown` control frame that ends the serve
-//! loop cleanly.
+//! data; layout at [`encode_state`]), a `SwapPlan` control frame carrying
+//! the next [`ExecutionPlan`] a persistent edge should serve (the paper's
+//! Sec. 3.6 dispatcher: all zoo members share one supernet `WeightBank`,
+//! so a swap ships a plan, never weights), and a bodiless `Shutdown`
+//! control frame that ends the serve loop cleanly.
 //!
 //! Since protocol v2 a `SwapPlan` body is the binary columnar plan
 //! encoding ([`encode_plan`]) rather than JSON — a fixed header (codec
@@ -58,7 +58,7 @@
 use crate::plan::ExecutionPlan;
 use crate::EngineError;
 use bytes::{BufMut, BytesMut};
-use gcode_compress::{compress, compress_floats, decompress, decompress_floats};
+use gcode_compress::{compress_floats_into, decompress_floats};
 use gcode_core::eval::scenario::ScenarioTrace;
 use gcode_core::eval::{Objective, SearchReport};
 use gcode_core::search::{SearchConfig, SearchResult};
@@ -68,7 +68,7 @@ use gcode_nn::pool::PoolMode;
 use gcode_nn::seq::LayerSpec;
 use gcode_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Intermediate execution state crossing the link.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,41 +84,133 @@ pub struct WireState {
     pub label: u32,
 }
 
-/// Encodes a state into a framed, compressed message body.
+/// Encodes a state into a message body:
+///
+/// ```text
+/// [u64 frame_id][u32 label][u32 rows][u32 cols]
+/// [u32 float_len][float blob — gcode_compress::compress_floats_into]
+/// [u8 has_graph]([graph blob, to the end of the body])
+/// ```
+///
+/// The graph blob ships the CSR arrays at the narrowest width that holds
+/// them, neighbor order untouched (`Mean` aggregation sums in that order,
+/// so the order is part of bit-identity):
+///
+/// ```text
+/// [u32 n][u32 d]             d = every node's out-degree, or u32::MAX
+/// [u32 degree × n]           only when d = u32::MAX (irregular)
+/// [id × edges]               w LE bytes each, w = fewest bytes holding n−1
+/// ```
+///
+/// `d = 0` is reserved for `n = 0`: an edgeless graph over `n > 0` nodes
+/// ships its (all-zero) degree column, so every node a decoder allocates
+/// for is backed by bytes that arrived.
+///
+/// # Panics
+///
+/// Panics if a neighbor id is `>= n` (narrowing would silently alias it)
+/// or a count overflows its `u32` field.
 pub fn encode_state(state: &WireState) -> Vec<u8> {
     let mut body = Vec::new();
     encode_state_into(state, &mut body);
     body
 }
 
+/// `d` field of a graph blob whose nodes differ in out-degree.
+const IRREGULAR_DEGREE: u32 = u32::MAX;
+
+fn wire_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("state frame counts fit their u32 fields")
+}
+
+/// Bytes per neighbor id in a graph blob over `n` nodes.
+fn id_width(n: usize) -> usize {
+    match n {
+        0..=0x100 => 1,
+        0x101..=0x1_0000 => 2,
+        0x1_0001..=0x100_0000 => 3,
+        _ => 4,
+    }
+}
+
 /// Appends the encoded state to `body` — lets [`encode_frame`] seed the
-/// kind byte first instead of shifting the whole buffer afterwards.
+/// kind byte first, and every blob is written in place behind it.
 fn encode_state_into(state: &WireState, body: &mut Vec<u8>) {
     body.extend_from_slice(&state.frame_id.to_le_bytes());
     body.extend_from_slice(&state.label.to_le_bytes());
-    body.extend_from_slice(&(state.features.rows() as u32).to_le_bytes());
-    body.extend_from_slice(&(state.features.cols() as u32).to_le_bytes());
-    let packed_feats = compress_floats(state.features.as_slice());
-    body.extend_from_slice(&(packed_feats.len() as u32).to_le_bytes());
-    body.extend_from_slice(&packed_feats);
+    body.extend_from_slice(&wire_u32(state.features.rows()).to_le_bytes());
+    body.extend_from_slice(&wire_u32(state.features.cols()).to_le_bytes());
+    let len_at = body.len();
+    body.extend_from_slice(&[0; 4]);
+    compress_floats_into(state.features.as_slice(), body);
+    let float_len = wire_u32(body.len() - len_at - 4);
+    body[len_at..len_at + 4].copy_from_slice(&float_len.to_le_bytes());
     match &state.graph {
         None => body.push(0),
         Some(g) => {
             body.push(1);
-            let mut graph_bytes = Vec::with_capacity(8 + 4 * (g.num_nodes() + g.num_edges()));
-            graph_bytes.extend_from_slice(&(g.num_nodes() as u32).to_le_bytes());
-            for u in 0..g.num_nodes() {
-                let ns = g.neighbors(u);
-                graph_bytes.extend_from_slice(&(ns.len() as u32).to_le_bytes());
-                for &v in ns {
-                    graph_bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            let packed_graph = compress(&graph_bytes);
-            body.extend_from_slice(&(packed_graph.len() as u32).to_le_bytes());
-            body.extend_from_slice(&packed_graph);
+            encode_graph_into(g, body);
         }
     }
+}
+
+fn encode_graph_into(g: &CsrGraph, body: &mut Vec<u8>) {
+    let n = g.num_nodes();
+    let degree = if n == 0 { 0 } else { g.degree(0) };
+    let uniform = n == 0 || (degree > 0 && (1..n).all(|u| g.degree(u) == degree));
+    let width = id_width(n);
+    body.reserve(8 + if uniform { 0 } else { 4 * n } + width * g.num_edges());
+    body.extend_from_slice(&wire_u32(n).to_le_bytes());
+    if uniform {
+        body.extend_from_slice(&wire_u32(degree).to_le_bytes());
+    } else {
+        body.extend_from_slice(&IRREGULAR_DEGREE.to_le_bytes());
+        for u in 0..n {
+            body.extend_from_slice(&wire_u32(g.degree(u)).to_le_bytes());
+        }
+    }
+    let ids_at = body.len();
+    body.resize(ids_at + width * g.num_edges(), 0);
+    let ids = &mut body[ids_at..];
+    let max_id = match width {
+        1 => put_ids::<1>(g, ids),
+        2 => put_ids::<2>(g, ids),
+        3 => put_ids::<3>(g, ids),
+        _ => put_ids::<4>(g, ids),
+    };
+    assert!(g.num_edges() == 0 || (max_id as usize) < n, "graph neighbor {max_id} out of range");
+}
+
+/// Writes every neighbor id, node by node, as its `W` low LE bytes;
+/// returns the largest id seen.
+fn put_ids<const W: usize>(g: &CsrGraph, mut out: &mut [u8]) -> u32 {
+    let mut max_id = 0u32;
+    for u in 0..g.num_nodes() {
+        let neighbors = g.neighbors(u);
+        let (row, rest) = out.split_at_mut(W * neighbors.len());
+        for (slot, &v) in row.chunks_exact_mut(W).zip(neighbors) {
+            slot.copy_from_slice(&v.to_le_bytes()[..W]);
+            max_id = max_id.max(v);
+        }
+        out = rest;
+    }
+    max_id
+}
+
+/// Widens `W`-byte LE ids back to `u32`, rejecting any id `>= n`.
+fn get_ids<const W: usize>(bytes: &[u8], n: usize) -> Result<Vec<u32>, EngineError> {
+    let ids: Vec<u32> = bytes
+        .chunks_exact(W)
+        .map(|chunk| {
+            let mut word = [0u8; 4];
+            word[..W].copy_from_slice(chunk);
+            u32::from_le_bytes(word)
+        })
+        .collect();
+    if ids.iter().any(|&v| v as usize >= n) {
+        return Err(EngineError::Protocol("graph neighbor out of range".to_string()));
+    }
+    Ok(ids)
 }
 
 fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, EngineError> {
@@ -131,11 +223,63 @@ fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, EngineError> {
     Ok(v)
 }
 
-/// Decodes a message body produced by [`encode_state`].
+/// The out-degrees of an irregular graph blob's degree column.
+fn column_degrees(column: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    column.chunks_exact(4).map(|d| u32::from_le_bytes(d.try_into().expect("4 bytes")))
+}
+
+/// Decodes a graph blob (layout at [`encode_state`]). Strict: the id
+/// bytes must be exactly what `n` and the degrees call for, and both are
+/// checked against the bytes present before anything is allocated — the
+/// CSR arrays never exceed 32× the blob.
+fn decode_graph(blob: &[u8]) -> Result<CsrGraph, EngineError> {
+    let mut pos = 0usize;
+    let n = read_u32(blob, &mut pos)? as usize;
+    let degree = read_u32(blob, &mut pos)?;
+    let column = if degree == IRREGULAR_DEGREE {
+        let column = n
+            .checked_mul(4)
+            .and_then(|len| blob[pos..].get(..len))
+            .ok_or_else(|| EngineError::Protocol("graph degree column exceeds buffer".into()))?;
+        pos += column.len();
+        Some(column)
+    } else if (degree == 0) != (n == 0) {
+        return Err(EngineError::Protocol("uniform degree 0 is reserved for n = 0".to_string()));
+    } else {
+        None
+    };
+    // u32 counts: neither the sum nor the product can overflow a u64.
+    let edges = match column {
+        Some(column) => column_degrees(column).map(u64::from).sum(),
+        None => n as u64 * u64::from(degree),
+    };
+    let width = id_width(n);
+    let ids = &blob[pos..];
+    if edges.checked_mul(width as u64) != Some(ids.len() as u64) {
+        return Err(EngineError::Protocol(format!(
+            "graph of {n} nodes and {edges} edges needs {width}-byte ids, got {} id bytes",
+            ids.len()
+        )));
+    }
+    let targets = match width {
+        1 => get_ids::<1>(ids, n),
+        2 => get_ids::<2>(ids, n),
+        3 => get_ids::<3>(ids, n),
+        _ => get_ids::<4>(ids, n),
+    }?;
+    Ok(match column {
+        Some(column) => CsrGraph::from_degrees(column_degrees(column).map(|d| d as usize), targets),
+        None => CsrGraph::from_degrees(std::iter::repeat_n(degree as usize, n), targets),
+    })
+}
+
+/// Decodes a message body produced by [`encode_state`]. Strict: every
+/// length must agree with the bytes present and nothing may trail the
+/// last blob.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError`] on truncation or codec failure.
+/// Returns [`EngineError`] on truncation, trailing bytes or codec failure.
 pub fn decode_state(body: &[u8]) -> Result<WireState, EngineError> {
     if body.len() < 12 {
         return Err(EngineError::Protocol("short body".to_string()));
@@ -145,53 +289,26 @@ pub fn decode_state(body: &[u8]) -> Result<WireState, EngineError> {
     let label = read_u32(body, &mut pos)?;
     let rows = read_u32(body, &mut pos)? as usize;
     let cols = read_u32(body, &mut pos)? as usize;
-    let feat_len = read_u32(body, &mut pos)? as usize;
-    let end = pos + feat_len;
-    if end > body.len() {
-        return Err(EngineError::Protocol("truncated features".to_string()));
-    }
-    let values = decompress_floats(&body[pos..end])?;
-    if values.len() != rows * cols {
+    let float_len = read_u32(body, &mut pos)? as usize;
+    let packed = body[pos..]
+        .get(..float_len)
+        .ok_or_else(|| EngineError::Protocol("truncated features".to_string()))?;
+    let values = decompress_floats(packed)?;
+    if rows.checked_mul(cols) != Some(values.len()) {
         return Err(EngineError::Protocol("feature shape mismatch".to_string()));
     }
     let features = Matrix::from_vec(rows, cols, values);
-    pos = end;
-    let has_graph =
-        *body.get(pos).ok_or_else(|| EngineError::Protocol("missing graph flag".to_string()))?;
-    pos += 1;
-    let graph = if has_graph == 1 {
-        let glen = read_u32(body, &mut pos)? as usize;
-        let gend = pos + glen;
-        if gend > body.len() {
-            return Err(EngineError::Protocol("truncated graph".to_string()));
+    pos += float_len;
+    let graph = match body.get(pos) {
+        Some(0) if body.len() == pos + 1 => None,
+        Some(0) => {
+            return Err(EngineError::Protocol("bytes trail a graphless state".to_string()));
         }
-        let raw = decompress(&body[pos..gend])?;
-        let mut gpos = 0usize;
-        let n = read_u32(&raw, &mut gpos)? as usize;
-        // Corrupted counts must not drive allocations: every node needs at
-        // least a 4-byte degree field, every neighbor 4 bytes.
-        if n > raw.len() / 4 {
-            return Err(EngineError::Protocol("graph node count exceeds buffer".to_string()));
+        Some(1) => Some(decode_graph(&body[pos + 1..])?),
+        Some(flag) => {
+            return Err(EngineError::Protocol(format!("unknown graph flag {flag}")));
         }
-        let mut adj = Vec::with_capacity(n);
-        for _ in 0..n {
-            let deg = read_u32(&raw, &mut gpos)? as usize;
-            if deg > (raw.len() - gpos) / 4 {
-                return Err(EngineError::Protocol("graph degree exceeds buffer".to_string()));
-            }
-            let mut ns = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                let v = read_u32(&raw, &mut gpos)?;
-                if v as usize >= n {
-                    return Err(EngineError::Protocol("graph neighbor out of range".to_string()));
-                }
-                ns.push(v);
-            }
-            adj.push(ns);
-        }
-        Some(CsrGraph::from_adjacency(adj))
-    } else {
-        None
+        None => return Err(EngineError::Protocol("missing graph flag".to_string())),
     };
     Ok(WireState { frame_id, features, graph, label })
 }
@@ -205,8 +322,15 @@ pub fn decode_state(body: &[u8]) -> Result<WireState, EngineError> {
 /// deploys to the binary columnar encoding (kind 13) and added batched
 /// deploys (`SwapPlanBatch`/`AckBatch`, kinds 14/15). The legacy JSON
 /// kind was decoded for one release after the switch; that window has
-/// closed and kind 1 is now rejected.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// closed and kind 1 is now rejected. v3 changed the `State` body: the
+/// byte-plane-shuffled LZ77 streams (which shipped post-ReLU activations
+/// 2–3 % *larger* than raw) gave way to the zero-bitmap float blob and the
+/// narrow-id graph blob laid out at [`encode_state`].
+///
+/// Frame sizes depend on it, so the measurement-cache keys of
+/// `EngineBackend` and `gcode-serve` fold this byte in: a cache file
+/// written under another version re-measures instead of replaying.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Version byte leading every binary-encoded plan (and the
 /// `SwapPlanBatch` body). Independent of [`PROTOCOL_VERSION`]: it gates
@@ -884,21 +1008,35 @@ pub fn write_message<W: Write>(mut w: W, body: &[u8]) -> Result<(), EngineError>
             body.len()
         )));
     }
-    // One contiguous write: a separate 4-byte prefix write would tickle
-    // Nagle + delayed-ACK (40 ms stalls) on sockets without nodelay.
-    let mut framed = Vec::with_capacity(4 + body.len());
-    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    framed.extend_from_slice(body);
-    w.write_all(&framed)?;
+    // One vectored write, not a copy behind the prefix: on a `TcpStream`
+    // prefix and body still leave in one segment — a separate 4-byte
+    // prefix write would tickle Nagle + delayed-ACK (40 ms stalls) on
+    // sockets without nodelay. A writer may take any part of it, so the
+    // prefix is re-offered until it is out; `write_all` finishes the body.
+    let prefix = (body.len() as u32).to_le_bytes();
+    let mut sent = 0usize;
+    while sent < prefix.len() {
+        match w.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    w.write_all(&body[sent - prefix.len()..])?;
     w.flush()?;
     Ok(())
 }
 
 /// Largest message body [`read_message`] will accept. Real payloads are a
-/// compressed feature tensor plus a CSR graph — well under a megabyte at
+/// packed feature tensor plus a CSR graph — well under a megabyte at
 /// paper scale — so a corrupted length prefix must not drive a multi-GiB
 /// allocation on a constrained device.
 pub const MAX_MESSAGE_LEN: usize = 64 << 20;
+
+/// Most [`read_message`] reserves on the word of a length prefix alone; a
+/// longer body grows its buffer as the bytes actually arrive.
+const MAX_EAGER_RESERVE: usize = 1 << 20;
 
 /// Reads one length-prefixed message; `Ok(None)` signals a clean EOF at a
 /// message boundary (peer closed the stream).
@@ -931,8 +1069,13 @@ pub fn read_message<R: Read>(mut r: R) -> Result<Option<Vec<u8>>, EngineError> {
             "message length {len} exceeds the {MAX_MESSAGE_LEN}-byte cap"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(MAX_EAGER_RESERVE));
+    let arrived = r.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if arrived < len {
+        return Err(EngineError::Protocol(format!(
+            "stream truncated inside a message body: {arrived} of {len} bytes arrived"
+        )));
+    }
     Ok(Some(body))
 }
 
@@ -1245,16 +1388,319 @@ mod tests {
         assert!(decode_frame(&[KIND_ACK_BATCH, 1, 2]).is_err(), "short ack body");
     }
 
+    /// What `stream_wire` ships: the `Combine { dim: 64 }` output of the
+    /// supernet bank on a 1024-point cloud — post-ReLU, half `+0.0`.
+    fn relu_activation() -> Matrix {
+        use rand::SeedableRng;
+        let cloud = gcode_graph::datasets::PointCloudDataset::generate(1, 1024, 40, 1);
+        let mut bank = gcode_nn::seq::WeightBank::new(40, 0x5EED);
+        let (h, _) = gcode_nn::seq::forward_features_slotted(
+            &[LayerSpec::Combine { out_dim: 64 }],
+            &[0],
+            gcode_nn::seq::GraphInput { features: &cloud.samples()[0].features, graph: None },
+            &mut bank,
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(0),
+        );
+        assert_eq!(h.shape(), (1024, 64));
+        h
+    }
+
+    /// The `float_len` field of the state's encoding.
+    fn packed_float_len(features: &Matrix) -> usize {
+        let state = WireState { frame_id: 0, features: features.clone(), graph: None, label: 0 };
+        u32::from_le_bytes(encode_state(&state)[20..24].try_into().expect("4 bytes")) as usize
+    }
+
     #[test]
-    fn compression_shrinks_large_smooth_tensor() {
-        let values: Vec<f32> = (0..2048).map(|i| (i as f32 * 0.005).cos()).collect();
-        let s = WireState {
-            frame_id: 0,
-            features: Matrix::from_vec(512, 4, values),
-            graph: None,
-            label: 0,
+    fn relu_activation_packs_to_about_half_its_raw_size() {
+        let h = relu_activation();
+        let packed = packed_float_len(&h);
+        assert!(
+            packed as f64 <= 0.56 * (4 * h.len()) as f64,
+            "a post-ReLU activation must pack to <= 0.56x raw, got {packed} of {}",
+            4 * h.len()
+        );
+        // A dense (post-Aggregate-style) tensor pays the 5-byte header only.
+        let dense = h.map(|v| v + 1.0);
+        assert_eq!(packed_float_len(&dense), 5 + 4 * dense.len());
+    }
+
+    #[test]
+    fn measured_float_ratio_meets_the_link_models_default() {
+        // `gcode_hardware::Link` prices every modeled transfer at its
+        // default `compression_ratio`; the codec must deliver at least that
+        // on the activations the engine ships, or the Analytic/Sim tiers
+        // undercharge the link relative to the Measured tier.
+        let h = relu_activation();
+        let measured = (4 * h.len()) as f64 / packed_float_len(&h) as f64;
+        let modeled = gcode_hardware::Link::mbps(10.0).compression_ratio;
+        assert!(measured >= modeled, "measured ratio {measured:.3} < modeled {modeled}");
+    }
+
+    /// A graph over `n` nodes whose node `u` has `degree(u)` neighbors,
+    /// ids scattered over the whole range and deliberately unsorted.
+    fn scattered_graph(n: usize, degree: impl Fn(usize) -> usize) -> CsrGraph {
+        let degrees: Vec<usize> = (0..n).map(degree).collect();
+        let mut targets = Vec::with_capacity(degrees.iter().sum());
+        for (u, &d) in degrees.iter().enumerate() {
+            for j in 0..d {
+                targets.push(((u * 2_654_435_761 + (d - j) * 40_503) % n) as u32);
+            }
+        }
+        CsrGraph::from_degrees(degrees, targets)
+    }
+
+    fn state_over(graph: CsrGraph) -> WireState {
+        WireState {
+            frame_id: 9,
+            features: Matrix::zeros(graph.num_nodes(), 1),
+            graph: Some(graph),
+            label: 2,
+        }
+    }
+
+    #[test]
+    fn graphs_round_trip_at_every_id_width_with_neighbor_order_intact() {
+        for n in [0usize, 1, 2, 256, 257, 65536, 65537] {
+            let regular = scattered_graph(n, |_| 3);
+            let irregular = scattered_graph(n, |u| u % 4);
+            let edgeless = CsrGraph::empty(n);
+            for graph in [regular, irregular, edgeless] {
+                let state = state_over(graph);
+                let back = decode_state(&encode_state(&state)).expect("round trip");
+                // `CsrGraph` equality is offsets and targets, element for
+                // element: neighbor order is part of it.
+                assert_eq!(back, state, "n = {n}");
+            }
+        }
+        // The endpoints of each width: n - 1 is the largest id there is.
+        for n in [256usize, 257, 65536, 65537] {
+            let graph = CsrGraph::from_degrees(vec![2; n], [0, n as u32 - 1].repeat(n));
+            let state = state_over(graph);
+            assert_eq!(decode_state(&encode_state(&state)).expect("round trip"), state);
+        }
+    }
+
+    #[test]
+    fn knn_graph_blob_is_two_bytes_an_edge() {
+        let graph = scattered_graph(1024, |_| 20);
+        let with = encode_state(&state_over(graph.clone())).len();
+        let without = encode_state(&WireState { graph: None, ..state_over(graph) }).len();
+        assert_eq!(with - without, 8 + 2 * 1024 * 20);
+    }
+
+    /// `[n][d]` + payload behind a graphless 0x0 state's flag byte.
+    fn state_with_graph_blob(n: u32, d: u32, payload: &[u8]) -> Vec<u8> {
+        let empty = WireState { frame_id: 0, features: Matrix::zeros(0, 0), graph: None, label: 0 };
+        let mut body = encode_state(&empty);
+        *body.last_mut().expect("flag byte") = 1;
+        body.extend_from_slice(&n.to_le_bytes());
+        body.extend_from_slice(&d.to_le_bytes());
+        body.extend_from_slice(payload);
+        body
+    }
+
+    #[test]
+    fn hand_built_hostile_graph_blobs_are_rejected() {
+        assert!(decode_state(&state_with_graph_blob(3, 1, &[1, 2, 0])).is_ok(), "canonical");
+        let cases: [(&str, Vec<u8>); 9] = [
+            ("id >= n", state_with_graph_blob(3, 1, &[1, 3, 0])),
+            ("degree x width over the buffer", state_with_graph_blob(3, 2, &[1, 2, 0])),
+            ("degree x width under the buffer", state_with_graph_blob(3, 1, &[1, 2, 0, 0])),
+            ("huge uniform degree", state_with_graph_blob(3, u32::MAX - 1, &[1, 2, 0])),
+            ("huge node count, no bytes", state_with_graph_blob(u32::MAX, 1, &[])),
+            ("edgeless nodes without a degree column", state_with_graph_blob(1 << 30, 0, &[])),
+            (
+                "degree column over the buffer",
+                state_with_graph_blob(1 << 30, IRREGULAR_DEGREE, &[0; 64]),
+            ),
+            (
+                "degrees disagree with ids",
+                state_with_graph_blob(2, IRREGULAR_DEGREE, &[2, 0, 0, 0, 0, 0, 0, 0, 1]),
+            ),
+            ("one-byte ids where n needs two", state_with_graph_blob(300, 1, &[0; 300])),
+        ];
+        for (what, body) in cases {
+            let err = decode_state(&body).expect_err(what);
+            assert!(matches!(err, EngineError::Protocol(_)), "{what}: {err}");
+        }
+        let mut flagged = encode_state(&state_with_graph());
+        let trailing = [&flagged[..], &[0]].concat();
+        assert!(decode_state(&trailing).is_err(), "trailing byte behind the graph");
+        let graphless = encode_state(&WireState { graph: None, ..state_with_graph() });
+        assert!(decode_state(&[&graphless[..], &[0]].concat()).is_err(), "trailing byte, no graph");
+        let flag_at = graphless.len() - 1;
+        flagged[flag_at] = 2;
+        assert!(decode_state(&flagged).is_err(), "unknown graph flag");
+    }
+
+    /// Deterministic xorshift stream for the seeded hostile-byte loops
+    /// (stands in for proptest, which is unavailable offline).
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn hostile_state_bodies_yield_errors_or_bounded_values() {
+        // Every truncation, every single-bit flip of everything up to and
+        // including the float bitmap and of the graph header, and seeded
+        // garbage: a typed error or a state no larger than the bytes
+        // present justify — never a panic.
+        let mut rng = 0x5EED_0013u64;
+        let check = |body: &[u8]| match decode_state(body) {
+            Err(EngineError::Protocol(_) | EngineError::Decode(_)) => {}
+            Err(other) => panic!("untyped error {other}"),
+            Ok(state) => {
+                let graph_bytes =
+                    state.graph.as_ref().map_or(0, |g| 8 * (g.num_nodes() + 1) + 4 * g.num_edges());
+                assert!(4 * state.features.len() + graph_bytes <= 32 * body.len());
+            }
         };
-        let body = encode_state(&s);
-        assert!(body.len() < 512 * 4 * 4, "wire size {} should beat raw f32 size", body.len());
+        for (n, cols) in [(1usize, 1usize), (5, 3), (64, 4), (300, 2)] {
+            for graph in
+                [None, Some(scattered_graph(n, |_| 2)), Some(scattered_graph(n, |u| u % 3))]
+            {
+                let values: Vec<f32> = (0..n * cols)
+                    .map(|_| {
+                        let r = xorshift(&mut rng);
+                        // Finite, so `PartialEq` can witness the round trip.
+                        f32::from_bits(if r.is_multiple_of(2) {
+                            0
+                        } else {
+                            (r >> 32) as u32 & 0xBFFF_FFFF | 1
+                        })
+                    })
+                    .collect();
+                let features = Matrix::from_vec(n, cols, values);
+                let state = WireState { frame_id: 7, features, graph, label: 1 };
+                let body = encode_state(&state);
+                assert_eq!(decode_state(&body).expect("round trip"), state);
+                for cut in 0..body.len() {
+                    assert!(decode_state(&body[..cut]).is_err(), "cut {cut} of {}", body.len());
+                }
+                let float_len = u32::from_le_bytes(body[20..24].try_into().expect("4 bytes"));
+                let graph_header = 24 + float_len as usize + 1;
+                let float_head = 24 + 5 + (n * cols).div_ceil(8);
+                let flips =
+                    (0..float_head).chain(graph_header - 1..(graph_header + 8).min(body.len()));
+                for byte in flips {
+                    for bit in 0..8 {
+                        let mut bad = body.clone();
+                        bad[byte] ^= 1 << bit;
+                        check(&bad);
+                    }
+                }
+                for _ in 0..32 {
+                    let mut bad = body.clone();
+                    let at = xorshift(&mut rng) as usize % bad.len();
+                    bad[at] = xorshift(&mut rng) as u8;
+                    check(&bad);
+                }
+            }
+        }
+        for _ in 0..256 {
+            let len = xorshift(&mut rng) as usize % 96;
+            let garbage: Vec<u8> = (0..len).map(|_| xorshift(&mut rng) as u8).collect();
+            check(&garbage);
+        }
+    }
+
+    /// Accepts one byte per call and never vectors: the slowest legal peer.
+    struct OneByteWriter(Vec<u8>);
+
+    impl Write for OneByteWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.extend_from_slice(&buf[..buf.len().min(1)]);
+            Ok(buf.len().min(1))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out at most `step` bytes per call, interrupting now and then.
+    struct DribblingReader {
+        bytes: Vec<u8>,
+        at: usize,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Read for DribblingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = self.step.min(buf.len()).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn write_message_survives_a_writer_that_takes_one_byte_per_call() {
+        let mut expected = Vec::new();
+        let mut slow = OneByteWriter(Vec::new());
+        for body in [&b""[..], b"x", b"hello, edge", &[0xC3; 1000]] {
+            write_message(&mut expected, body).expect("vec write");
+            write_message(&mut slow, body).expect("one byte per call");
+        }
+        assert_eq!(slow.0, expected);
+        let mut cursor = std::io::Cursor::new(slow.0);
+        assert_eq!(read_message(&mut cursor).expect("read").expect("some"), b"");
+        assert_eq!(read_message(&mut cursor).expect("read").expect("some"), b"x");
+    }
+
+    #[test]
+    fn write_message_reports_a_writer_that_takes_nothing() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_message(Full, b"body").expect_err("nothing was written");
+        assert!(matches!(err, EngineError::Io(e) if e.kind() == std::io::ErrorKind::WriteZero));
+    }
+
+    #[test]
+    fn read_message_reassembles_a_dribbled_stream() {
+        let bodies: [&[u8]; 3] = [b"alpha", b"", &[0x5A; 70_000]];
+        let mut wire = Vec::new();
+        for body in bodies {
+            write_message(&mut wire, body).expect("write");
+        }
+        for step in [1usize, 3, 4096] {
+            let mut reader = DribblingReader { bytes: wire.clone(), at: 0, step, calls: 0 };
+            for body in bodies {
+                assert_eq!(read_message(&mut reader).expect("read").expect("message"), body);
+            }
+            assert!(read_message(&mut reader).expect("clean eof").is_none());
+        }
+    }
+
+    #[test]
+    fn oversized_header_then_eof_is_a_typed_truncation_not_an_allocation() {
+        // The largest length the cap admits, then nothing: the reader
+        // reserves for what a frame plausibly is, not for the header's word.
+        let mut wire = (MAX_MESSAGE_LEN as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(b"seven b");
+        let err = read_message(std::io::Cursor::new(wire)).expect_err("truncated");
+        match err {
+            EngineError::Protocol(msg) => {
+                assert!(msg.contains("truncated inside a message body"), "got: {msg}");
+                assert!(msg.contains("7 of 67108864"), "got: {msg}");
+            }
+            other => panic!("expected a protocol error, got {other}"),
+        }
     }
 }

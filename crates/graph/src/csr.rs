@@ -65,11 +65,24 @@ impl CsrGraph {
         Self { offsets, targets }
     }
 
-    /// Builds a graph in which every node has exactly `degree` neighbors,
-    /// from the neighbor lists concatenated in node order.
-    pub(crate) fn from_regular(nodes: usize, degree: usize, targets: Vec<u32>) -> Self {
-        assert_eq!(targets.len(), nodes * degree, "one neighbor list of `degree` per node");
-        Self { offsets: (0..=nodes).map(|u| u * degree).collect(), targets }
+    /// Builds a graph from each node's out-degree and the neighbor lists
+    /// concatenated in node order — the CSR arrays themselves, so nothing
+    /// is copied or reordered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the degrees do not sum to `targets.len()`.
+    pub fn from_degrees(degrees: impl IntoIterator<Item = usize>, targets: Vec<u32>) -> Self {
+        let degrees = degrees.into_iter();
+        let mut offsets = Vec::with_capacity(degrees.size_hint().0 + 1);
+        let mut end = 0usize;
+        offsets.push(end);
+        for degree in degrees {
+            end += degree;
+            offsets.push(end);
+        }
+        assert_eq!(end, targets.len(), "degrees must sum to the number of targets");
+        Self { offsets, targets }
     }
 
     /// An empty graph with `n` isolated nodes.
@@ -169,6 +182,21 @@ mod tests {
         for (u, expected) in adj.iter().enumerate() {
             assert_eq!(g.neighbors(u), expected.as_slice());
         }
+    }
+
+    #[test]
+    fn from_degrees_matches_from_adjacency() {
+        let adj = vec![vec![1, 2], vec![], vec![0, 0, 1]];
+        let degrees = adj.iter().map(Vec::len);
+        let g = CsrGraph::from_degrees(degrees, adj.concat());
+        assert_eq!(g, CsrGraph::from_adjacency(adj));
+        assert_eq!(CsrGraph::from_degrees([], Vec::new()), CsrGraph::empty(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "degrees must sum")]
+    fn from_degrees_rejects_a_short_target_list() {
+        let _ = CsrGraph::from_degrees([2, 1], vec![0, 1]);
     }
 
     #[test]

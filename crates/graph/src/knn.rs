@@ -70,7 +70,7 @@ pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
             targets.extend(select.nearest(row, u0 + r).iter().map(|&key| key as u32));
         }
     }
-    CsrGraph::from_regular(n, kk, targets)
+    CsrGraph::from_degrees(std::iter::repeat_n(kk, n), targets)
 }
 
 /// Sort key of candidate `v` at distance `d`: distance in the high half,

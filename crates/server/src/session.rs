@@ -27,7 +27,7 @@ use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_engine::{
     EdgeFleet, EngineStats, ExecutionPlan, FleetOutcome, FleetSpec, SessionOutcome, SessionSpec,
-    SessionTask,
+    SessionTask, PROTOCOL_VERSION,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
 use gcode_hardware::SystemConfig;
@@ -222,12 +222,20 @@ pub(crate) fn session_measurements(outcomes: &[FleetOutcome]) -> (MeasuredProfil
 
 /// The measurement-cache namespace of one task: everything that pins what
 /// a plan's deployment on the serve fleet produces — the task's stream,
-/// the fleet seeds, the bank width. Two servers whose fixtures agree may
-/// share a cache file; any constant change above starts a fresh
-/// namespace.
+/// the fleet seeds, the bank width, and the wire protocol version (the
+/// cached `EngineStats` carry `bytes_sent` and latencies, which are the
+/// `State` codec's doing). Two servers whose fixtures agree may share a
+/// cache file; any constant change above, or a build speaking another
+/// wire version, starts a fresh namespace.
 pub(crate) fn measurement_context(task: SessionTask) -> u64 {
+    measurement_context_under(task, PROTOCOL_VERSION)
+}
+
+/// [`measurement_context`] as a build speaking `wire_version` would
+/// compute it.
+fn measurement_context_under(task: SessionTask, wire_version: u8) -> u64 {
     gcode_core::cachelog::tag_key(&format!(
-        "serve:{task:?}|classes{SERVE_NUM_CLASSES}|bank{SERVE_BANK_SEED:#x}|run{SERVE_RUN_SEED:#x}|stream{SERVE_STREAM_SEED}x{SERVE_STREAM_LEN}"
+        "serve:{task:?}|classes{SERVE_NUM_CLASSES}|bank{SERVE_BANK_SEED:#x}|run{SERVE_RUN_SEED:#x}|stream{SERVE_STREAM_SEED}x{SERVE_STREAM_LEN}|wire{wire_version}"
     ))
 }
 
@@ -330,6 +338,29 @@ mod tests {
         assert_eq!(r1, r2, "same seed, same report");
         let (_, c) = run_search(&spec(8, SessionTask::ModelNet40), &scratch);
         assert_ne!(a.history, c.history, "different seed, different trajectory");
+    }
+
+    #[test]
+    fn wire_versions_never_share_a_measurement_cache_entry() {
+        // A `--cache-file` outlives the build that wrote it: a blob stored
+        // by a build with another `State` codec holds that codec's
+        // `bytes_sent` and latencies and must not replay as today's.
+        let task = SessionTask::ModelNet40;
+        let ours = measurement_context(task);
+        let theirs = measurement_context_under(task, PROTOCOL_VERSION - 1);
+        assert_eq!(ours, measurement_context_under(task, PROTOCOL_VERSION));
+        assert_ne!(ours, theirs);
+
+        let dir = std::env::temp_dir().join("gcode-cachelog-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("serve-wire-version.gclg");
+        let _ = std::fs::remove_file(&path);
+        let mut log = gcode_core::cachelog::CacheLog::open(&path).expect("open log");
+        let plan_id = 0xFEED_u64;
+        log.put_blob((plan_id, theirs), b"measured under another codec");
+        assert!(log.get_blob((plan_id, theirs)).is_some());
+        assert!(log.get_blob((plan_id, ours)).is_none(), "another codec's blob must not replay");
+        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
