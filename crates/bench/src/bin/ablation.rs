@@ -11,9 +11,10 @@
 //!    that prices escalated candidates on the live TCP runtime, vs the
 //!    pure-sim search, with live p50/p95/p99 frame latencies in the
 //!    `SearchReport`;
-//! 7. persistent edge pool: per-candidate spawn/connect/teardown vs one
-//!    warm pair hot-swapping plans (`SwapPlan` control frames) — deploy
-//!    throughput and p50 per mode;
+//! 7. warm edge pool: per-candidate spawn/connect/teardown (a reference
+//!    baseline built from `EdgeServer`/`DeviceClient` primitives) vs the
+//!    default `EngineBackend`'s one warm pair hot-swapping plans
+//!    (`SwapPlan` control frames) — deploy throughput and p50 per mode;
 //! 8. edge fleet: Measured-tier deploy throughput as the same candidate
 //!    batch is pulled off the shared morsel queue by 1 → 2 → 4 loopback
 //!    pools (`EdgeFleet`) under a 10 Mbps uplink cap, uniform and with a
@@ -61,8 +62,9 @@ use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_core::zoo::ArchitectureZoo;
 use gcode_engine::{
-    encode_frame, lower_and_optimize, EdgeFleet, EdgePool, EngineBackend, EngineDispatcher,
-    ExecutionPlan, FleetSpec, Frame, OptimizeOptions, ScenarioRunner, SessionSpec, SessionTask,
+    encode_frame, latency_percentiles, lower_and_optimize, DeviceClient, EdgeFleet, EdgePool,
+    EdgeServer, EngineBackend, EngineDispatcher, ExecutionPlan, FleetSpec, Frame, OptimizeOptions,
+    ScenarioRunner, SessionSpec, SessionTask,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample};
 use gcode_hardware::SystemConfig;
@@ -98,27 +100,48 @@ fn pool_candidates(n: usize) -> Vec<Architecture> {
         .collect()
 }
 
+/// Section 7's reference baseline, built from the runtime primitives
+/// outside `EngineBackend` (which only deploys on warm pools): a fresh
+/// `EdgeServer`/`DeviceClient` pair spawned, streamed and torn down per
+/// candidate, lowered and seeded exactly as the backend would. Returns
+/// the wall over all candidates and the post-warmup per-frame p50.
+fn spawn_per_candidate(archs: &[Architecture], samples: &[Sample], warmup: usize) -> (f64, f64) {
+    let opts = OptimizeOptions {
+        profile: Some(WorkloadProfile::modelnet40_mini(samples[0].features.rows(), 4)),
+        ..OptimizeOptions::default()
+    };
+    let mut latencies_s = Vec::new();
+    let start = Instant::now();
+    for arch in archs {
+        let (plan, _) = lower_and_optimize(arch, &opts);
+        let bank = WeightBank::new(4, 0x5EED);
+        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 0xE261).expect("edge spawns");
+        let mut client =
+            DeviceClient::connect(server.addr(), plan, bank, 0xE261).expect("device connects");
+        let (_, stats) = client.run_pipelined(samples).expect("fresh pair streams");
+        drop(client);
+        server.join().expect("edge exits cleanly");
+        latencies_s.extend_from_slice(&stats.frame_latencies_s[warmup..]);
+    }
+    (start.elapsed().as_secs_f64(), latency_percentiles(&latencies_s).0)
+}
+
 /// Section 7 body: price the same candidate list on a fresh pair per
-/// candidate vs one persistent hot-swapping pair, and time both.
+/// candidate (the primitives baseline) vs the default `EngineBackend` —
+/// one warm hot-swapping pool — and time both.
 fn run_pool_ablation(candidates: usize, frames: usize, warmup: usize) -> PoolAblation {
     let sys = SystemConfig::tx2_to_i7(40.0);
     let ds = PointCloudDataset::generate(6, 20, 4, 47);
     let accuracy = |a: &Architecture| 0.8 + 0.001 * a.len() as f64;
     let archs = pool_candidates(candidates);
 
-    let spawn_backend = EngineBackend::new(ds.samples().to_vec(), 4, sys.clone(), accuracy)
-        .with_frames(frames)
-        .with_warmup(warmup);
-    let spawn_start = Instant::now();
-    for arch in &archs {
-        spawn_backend.evaluate(arch);
-    }
-    let spawn_wall_s = spawn_start.elapsed().as_secs_f64();
+    let stream: Vec<Sample> =
+        (0..warmup + frames).map(|i| ds.samples()[i % ds.samples().len()].clone()).collect();
+    let (spawn_wall_s, spawn_p50_s) = spawn_per_candidate(&archs, &stream, warmup);
 
     let pooled_backend = EngineBackend::new(ds.samples().to_vec(), 4, sys, accuracy)
         .with_frames(frames)
-        .with_warmup(warmup)
-        .with_persistent_edge();
+        .with_warmup(warmup);
     let pooled_start = Instant::now();
     for arch in &archs {
         pooled_backend.evaluate(arch);
@@ -129,9 +152,9 @@ fn run_pool_ablation(candidates: usize, frames: usize, warmup: usize) -> PoolAbl
         candidates,
         spawn_wall_s,
         pooled_wall_s,
-        spawn_p50_s: spawn_backend.measured_profile().p50_s,
+        spawn_p50_s,
         pooled_p50_s: pooled_backend.measured_profile().p50_s,
-        pool_spawns: pooled_backend.pool_spawns(),
+        pool_spawns: pooled_backend.fleet_stats().spawns(),
     }
 }
 
@@ -213,7 +236,7 @@ fn run_fleet_ablation(quick: bool) -> FleetAblation {
             let start = Instant::now();
             backend.evaluate_batch(&archs);
             let wall_s = start.elapsed().as_secs_f64();
-            let stats = backend.fleet_stats().expect("fleet configured");
+            let stats = backend.fleet_stats();
             FleetPoint { pools, wall_s, stats }
         })
         .collect();
@@ -416,7 +439,7 @@ impl WireCacheAblation {
 /// deploys the whole list through `SwapPlanBatch` frames on the already
 /// warm pair. The retired JSON `SwapPlan` (kind 1) no longer ships, so it
 /// appears only as a static serde-JSON byte size for scale. Cache: the
-/// same candidate list priced twice on a live persistent-edge
+/// same candidate list priced twice on a live
 /// [`EngineBackend`] against one cache-log file — the first pass deploys
 /// and writes through, the second must answer every candidate from the
 /// file without spawning a pair.
@@ -465,7 +488,6 @@ fn run_wire_cache_ablation(quick: bool) -> WireCacheAblation {
     let cold = EngineBackend::new(ds.samples().to_vec(), 4, sys.clone(), accuracy)
         .with_frames(frames)
         .with_warmup(1)
-        .with_persistent_edge()
         .with_cache_log(open_shared(&path).expect("cache file opens"));
     let start = Instant::now();
     for a in &archs {
@@ -476,7 +498,6 @@ fn run_wire_cache_ablation(quick: bool) -> WireCacheAblation {
     let warm = EngineBackend::new(ds.samples().to_vec(), 4, sys, accuracy)
         .with_frames(frames)
         .with_warmup(1)
-        .with_persistent_edge()
         .with_cache_log(open_shared(&path).expect("cache file reopens"));
     let start = Instant::now();
     for a in &archs {
@@ -489,7 +510,7 @@ fn run_wire_cache_ablation(quick: bool) -> WireCacheAblation {
         archs.len(),
         "a warm restart must replay every candidate from the cache file"
     );
-    assert_eq!(warm.pool_spawns(), 0, "a fully warm restart never spawns a pair");
+    assert_eq!(warm.fleet_stats().spawns(), 0, "a fully warm restart never spawns a pair");
     let _ = std::fs::remove_file(&path);
 
     WireCacheAblation {
@@ -585,7 +606,7 @@ fn optimizer_candidates(n: usize) -> Vec<Architecture> {
 }
 
 /// Section 11 body: price the same candidate list on a warm
-/// persistent-edge pair twice — optimizer pipeline on, then off — under
+/// pair twice — optimizer pipeline on, then off — under
 /// the [`FLEET_UPLINK_MBPS`] cap, and read the per-pass counters back.
 /// The wire-size comparison is static: the same candidates lowered both
 /// ways through `lower_and_optimize` and framed.
@@ -612,7 +633,6 @@ fn run_optimizer_ablation(quick: bool) -> OptimizerAblation {
             .with_frames(frames)
             .with_warmup(1)
             .with_uplink_mbps(FLEET_UPLINK_MBPS)
-            .with_persistent_edge()
             .with_optimize(optimize);
         let start = Instant::now();
         for a in &archs {
@@ -840,7 +860,7 @@ fn print_scenario_ablation(s: &ScenarioAblation) {
 }
 
 fn print_pool_ablation(pool: &PoolAblation) {
-    header("Ablation 7 — persistent edge pool: per-candidate spawn vs hot-swap");
+    header("Ablation 7 — warm edge pool: per-candidate spawn (primitives baseline) vs hot-swap");
     println!(
         "  per-candidate spawn: {:2} deployments in {:7.1} ms  ({:6.1} deploys/s)  p50 {:.3} ms",
         pool.candidates,

@@ -2,9 +2,9 @@
 //! *deployed* pipelined engine instead of a model of it.
 //!
 //! This closes the paper's loop (Sec. 3.6): the searched architecture is
-//! lowered to an [`ExecutionPlan`], deployed to a loopback
-//! [`EdgeServer`]/[`DeviceClient`] pair, and driven with a real frame
-//! stream over real sockets — compression, framing, pipelining and
+//! lowered to an [`ExecutionPlan`], hot-swapped onto a warm device/edge
+//! pair of an [`EdgeFleet`], and driven with a real frame stream over
+//! real sockets — compression, framing, pipelining and
 //! (optionally) a throttled uplink all charged at face value. As the top
 //! rung of a `gcode_core::eval::backend::CascadeBackend` ladder
 //! (`analytic → sim → engine`), it prices exactly the few candidates the
@@ -14,21 +14,15 @@
 use crate::fleet::{EdgeFleet, FleetSpec};
 use crate::optimizer::{lower_and_optimize, OptimizeOptions, PassManager};
 use crate::plan::ExecutionPlan;
-use crate::pool::EdgePool;
 use crate::proto::PROTOCOL_VERSION;
-use crate::runtime::{latency_percentiles, DeviceClient, EdgeServer, EngineStats};
-use crate::EngineError;
+use crate::runtime::{latency_percentiles, EngineStats};
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::cachelog::{self, SharedCacheLog};
-use gcode_core::eval::backend::{shard_batch, EvalBackend, Fidelity};
-use gcode_core::eval::{
-    Evaluator, FleetStats, MeasuredProfile, Metrics, OptimizerStats, PoolStats,
-};
+use gcode_core::eval::backend::{EvalBackend, Fidelity};
+use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics, OptimizerStats};
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;
-use gcode_nn::seq::WeightBank;
 use parking_lot::Mutex;
-use std::net::SocketAddr;
 
 /// Latency/energy assigned to a candidate whose deployment failed
 /// (socket or protocol error): large but finite so it serializes cleanly
@@ -56,9 +50,6 @@ struct Telemetry {
     last_correct: u64,
     /// Measured frames of the most recent deployment only.
     last_frames: u64,
-    /// Persistent pools spawned (0 unless `with_persistent_edge`; 1 for a
-    /// whole healthy search — respawns after contained failures add more).
-    pool_spawns: u64,
     /// Candidates priced from the persistent cache log instead of a live
     /// deployment — non-zero only on warm restarts.
     log_hits: u64,
@@ -68,27 +59,18 @@ struct Telemetry {
 /// [`Fidelity::Measured`], the ground truth every cheaper tier
 /// approximates.
 ///
-/// Per candidate: lower to an [`ExecutionPlan`], deploy it, and stream
-/// `warmup + frames` real samples through the pipelined runtime. Three
-/// deployment modes exist:
-///
-/// * **Fresh spawn** (default): spawn a loopback [`EdgeServer`], connect a
-///   [`DeviceClient`] (with the configured uplink throttle), tear the pair
-///   down after the run.
-/// * **Persistent pool** ([`with_persistent_edge`](Self::with_persistent_edge)):
-///   spawn one [`EdgePool`] lazily on the first candidate and hot-swap
-///   each subsequent candidate's plan onto the warm pair via a `SwapPlan`
-///   control frame — no process spawn, TCP handshake or teardown per
-///   candidate, exactly the paper's Sec. 3.6 dispatcher move (the shared
-///   supernet `WeightBank` makes a swap weight-transfer-free). Weights are
-///   keyed and seeded per slot and the edge RNG restarts on every swap, so
-///   pooled predictions are bit-identical to fresh spawns.
-/// * **Edge fleet** ([`with_fleet`](Self::with_fleet)): N persistent pools
-///   — loopback and/or remote endpoints from a [`FleetSpec`] — pulling
-///   each escalated batch's candidates off a shared morsel queue as they
-///   free up. Identical per-slot seeding on every pool keeps predictions
-///   bit-identical for any pool count; a pool death returns its candidate
-///   to the queue for the survivors (see [`EdgeFleet`]).
+/// Every candidate takes the one deployment path: lower to an
+/// [`ExecutionPlan`], hand it to the backend's [`EdgeFleet`] — by default
+/// one warm loopback pool, spawned lazily on the first uncached candidate;
+/// [`with_fleet`](Self::with_fleet) widens it to N pools and/or points it
+/// at remote pre-deployed edges — and stream `warmup + frames` real
+/// samples through the pipelined runtime. Each candidate hot-swaps its
+/// plan onto a warm pair via `SwapPlan`/`SwapPlanBatch` control frames: no
+/// process spawn, TCP handshake or teardown per candidate, exactly the
+/// paper's Sec. 3.6 dispatcher move (the shared supernet `WeightBank`
+/// makes a swap weight-transfer-free). Weights are keyed and seeded per
+/// slot and the edge RNG restarts on every swap, so predictions are
+/// bit-identical to a freshly spawned pair, for any pool count.
 ///
 /// Warmup frames prime the pipeline and are excluded from pricing and
 /// telemetry: latency is the mean *post-warmup* per-frame latency, energy
@@ -97,11 +79,14 @@ struct Telemetry {
 /// the busy/idle split is not observable from wall clock), and the live
 /// stream hit rate in the telemetry counts measured frames only.
 ///
-/// Deployment failures never poison a search: a candidate whose engine run
-/// errors is priced at [`DEPLOY_FAILURE_SENTINEL`] (infeasible under any
-/// sane constraint), the error is counted in
-/// [`EngineBackend::measured_profile`], and the backend remains usable for
-/// the next candidate.
+/// Deployment failures never poison a search. A pool that dies under a
+/// candidate is discarded and respawned (loopback) or reconnected
+/// (remote), and the candidate is retried once
+/// ([`MAX_TRIES_PER_CANDIDATE`](crate::fleet::MAX_TRIES_PER_CANDIDATE));
+/// only one that fails again — or outlives every endpoint — is priced at
+/// [`DEPLOY_FAILURE_SENTINEL`] (infeasible under any sane constraint) and
+/// counted in [`EngineBackend::measured_profile`]. The backend remains
+/// usable for the next candidate either way.
 ///
 /// Being a wall-clock measurement, metrics are *not* bit-reproducible
 /// across runs — that is the point of the tier. Memoization still holds
@@ -148,28 +133,26 @@ pub struct EngineBackend<F: Fn(&Architecture) -> f64 + Sync> {
     uplink_mbps: Option<f64>,
     bank_seed: u64,
     run_seed: u64,
-    remote_edge: Option<SocketAddr>,
-    persistent: bool,
-    fleet_spec: Option<FleetSpec>,
+    fleet_spec: FleetSpec,
     optimize: bool,
     measured_accuracy: bool,
     accuracy_fn: F,
     cache_log: Option<SharedCacheLog>,
     telemetry: Mutex<Telemetry>,
     optimizer_stats: Mutex<OptimizerStats>,
-    pool: Mutex<Option<EdgePool>>,
     fleet: Mutex<Option<EdgeFleet>>,
 }
 
 impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Creates a backend that streams `samples` (cycled as needed) through
     /// each candidate's deployed pipeline. `num_classes` sizes the shared
-    /// [`WeightBank`]; `sys` supplies the power/link model used to convert
-    /// measured times and bytes into energy; `accuracy_fn` prices accuracy
-    /// (surrogate or supernet — the synthetic frame stream's own hit rate
-    /// stays available in the telemetry).
+    /// supernet `WeightBank`; `sys` supplies the power/link model used to
+    /// convert measured times and bytes into energy; `accuracy_fn` prices
+    /// accuracy (surrogate or supernet — the synthetic frame stream's own
+    /// hit rate stays available in the telemetry).
     ///
-    /// Defaults: measure every sample once, no warmup, no uplink throttle.
+    /// Defaults: measure every sample once, no warmup, no uplink throttle,
+    /// one loopback pool.
     ///
     /// # Panics
     ///
@@ -190,16 +173,13 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             uplink_mbps: None,
             bank_seed: 0x5EED,
             run_seed: 0xE261,
-            remote_edge: None,
-            persistent: false,
-            fleet_spec: None,
+            fleet_spec: FleetSpec::default(),
             optimize: true,
             measured_accuracy: false,
             accuracy_fn,
             cache_log: None,
             telemetry: Mutex::new(Telemetry::default()),
             optimizer_stats: Mutex::new(OptimizerStats::default()),
-            pool: Mutex::new(None),
             fleet: Mutex::new(None),
         }
     }
@@ -268,48 +248,19 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         self
     }
 
-    /// Connects every deployment to an already-running edge at `addr`
-    /// instead of spawning a loopback [`EdgeServer`] per candidate — for
-    /// pre-deployed LAN edges, and for fault-injection tests that stand up
-    /// a misbehaving peer. Composes with
-    /// [`with_persistent_edge`](Self::with_persistent_edge): the pool then
-    /// keeps one session connection to the remote edge.
-    #[must_use]
-    pub fn with_remote_edge(mut self, addr: SocketAddr) -> Self {
-        self.remote_edge = Some(addr);
-        self
-    }
-
-    /// Switches to the persistent edge pool: one warm
-    /// [`EdgePool`] pair is spawned lazily on the first candidate and every
-    /// later candidate hot-swaps its plan onto it, cutting the
-    /// per-candidate deployment cost to a single control frame. A deploy
-    /// failure discards the broken pool (counted in the telemetry error
-    /// tally) and the next candidate respawns a fresh one, so the backend
-    /// stays usable mid-search. The pool shuts down cleanly when the
-    /// backend drops.
-    #[must_use]
-    pub fn with_persistent_edge(mut self) -> Self {
-        self.persistent = true;
-        self
-    }
-
-    /// Spreads the Measured tier across an [`EdgeFleet`] of `spec`'s
-    /// endpoints: every escalated batch becomes a shared morsel queue that
-    /// one worker per live pool drains, each pulling the next candidate the
-    /// moment its previous measurement finishes — the fleet generalizes
-    /// [`with_persistent_edge`](Self::with_persistent_edge) (which it
-    /// supersedes when both are set) from one warm pair to N.
-    /// Predictions are bit-identical for any pool count; per-pool lifecycle
-    /// counters, busy time and per-candidate latency percentiles surface
-    /// via [`fleet_stats`](Self::fleet_stats). A pool that dies mid-morsel
-    /// is respawned/excluded and its candidate goes back on the queue, so
-    /// one dead machine costs throughput, not results.
-    /// [`with_remote_edge`](Self::with_remote_edge) is ignored in
-    /// fleet mode — remote endpoints belong in the spec itself.
+    /// Replaces the default one-loopback-pool fleet with `spec`'s
+    /// endpoints — more loopback pools, remote pre-deployed edges, or a
+    /// mix. Every escalated batch becomes a shared morsel queue that one
+    /// worker per live pool drains, each pulling the next candidate the
+    /// moment its previous measurement finishes. Predictions are
+    /// bit-identical for any pool count; per-pool lifecycle counters, busy
+    /// time and per-candidate latency percentiles surface via
+    /// [`fleet_stats`](Self::fleet_stats). A pool that dies mid-morsel is
+    /// respawned/excluded and its candidate goes back on the queue, so one
+    /// dead machine costs throughput, not results.
     #[must_use]
     pub fn with_fleet(mut self, spec: FleetSpec) -> Self {
-        self.fleet_spec = Some(spec);
+        self.fleet_spec = spec;
         self
     }
 
@@ -323,11 +274,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// cached forever.
     ///
     /// The log key's fidelity tag is derived from the backend configuration
-    /// (seeds, frame counts, uplink cap, endpoint, a dataset fingerprint),
-    /// so differently-configured backends sharing one log file never serve
-    /// each other's numbers. The accuracy function is the one input the tag
-    /// cannot see — callers swapping accuracy models should use distinct
-    /// log files.
+    /// (seeds, frame counts, uplink cap, fleet endpoints, a dataset
+    /// fingerprint), so differently-configured backends sharing one log
+    /// file never serve each other's numbers. The accuracy function is the
+    /// one input the tag cannot see — callers swapping accuracy models
+    /// should use distinct log files.
     #[must_use]
     pub fn with_cache_log(mut self, log: SharedCacheLog) -> Self {
         self.cache_log = Some(log);
@@ -360,8 +311,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     }
 
     /// The single lower-and-optimize entry point: every candidate this
-    /// backend deploys — fresh pair, pooled or fleet — passes through here,
-    /// so pass counters accumulate no matter the deployment mode.
+    /// backend deploys passes through here, so pass counters accumulate.
     fn lower_plan(&self, arch: &Architecture) -> ExecutionPlan {
         let (plan, stats) = lower_and_optimize(arch, &self.optimize_options());
         if self.optimize {
@@ -381,9 +331,8 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     }
 
     /// Accumulated per-pass optimizer counters across every candidate this
-    /// backend has lowered (all deployment modes). All-zero when
-    /// [`with_optimize`](Self::with_optimize)`(false)` disabled the
-    /// pipeline.
+    /// backend has lowered. All-zero when
+    /// [`with_optimize`](Self::with_optimize)`(false)` disabled the pipeline.
     pub fn optimizer_stats(&self) -> OptimizerStats {
         self.optimizer_stats.lock().clone()
     }
@@ -394,6 +343,8 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// the frame stream and the optimizer fingerprint — optimized and raw
     /// plans execute the same logits but different wire bytes and op
     /// counts, so their measurements must never collide in a shared log.
+    /// The fleet is tagged by its endpoint list, not its width: two specs
+    /// of one length can name different machines.
     /// The wire protocol version is in it for the same reason: latency,
     /// energy and `bytes_sent` are functions of the `State` codec, so a
     /// log written by a build with another codec must re-measure.
@@ -415,16 +366,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             Some(mbps) => format!("{mbps}"),
             None => "none".to_string(),
         };
-        let endpoint = match (&self.fleet_spec, self.remote_edge) {
-            (Some(spec), _) => format!("fleet:{}", spec.endpoints().len()),
-            (None, Some(addr)) => addr.to_string(),
-            (None, None) => "loopback".to_string(),
-        };
         let acc = if self.measured_accuracy { "measured" } else { "modeled" };
         cachelog::tag_key(&format!(
-            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|{endpoint}|data{fingerprint:#x}|opt{:#x}|acc:{acc}|wire{wire_version}",
+            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|fleet:{}|data{fingerprint:#x}|opt{:#x}|acc:{acc}|wire{wire_version}",
             self.num_classes, self.bank_seed, self.run_seed, self.frames, self.warmup,
-            self.optimizer_fingerprint(),
+            self.fleet_spec, self.optimizer_fingerprint(),
         ))
     }
 
@@ -481,30 +427,27 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         self.telemetry.lock().deployments
     }
 
-    /// Persistent pools spawned so far: 0 in fresh-spawn mode, exactly 1
-    /// for a healthy `with_persistent_edge` search (contained deploy
-    /// failures discard the pool, so the respawn for the next candidate
-    /// increments this).
-    pub fn pool_spawns(&self) -> u64 {
-        self.telemetry.lock().pool_spawns
+    /// The fleet every deployment runs on, built from the configured spec,
+    /// seeds and uplink cap. Construction does no I/O — pools spawn or
+    /// connect on the first batch that needs them.
+    fn new_fleet(&self) -> EdgeFleet {
+        let fleet = EdgeFleet::new(
+            self.fleet_spec.clone(),
+            self.num_classes,
+            self.bank_seed,
+            self.run_seed,
+        );
+        match self.uplink_mbps {
+            Some(mbps) => fleet.with_uplink_mbps(mbps),
+            None => fleet,
+        }
     }
 
-    /// Per-pool fleet telemetry: `Some` whenever
-    /// [`with_fleet`](Self::with_fleet) configured a fleet (all-zero
-    /// counters until the first batch spawns it), `None` otherwise.
-    pub fn fleet_stats(&self) -> Option<FleetStats> {
-        let guard = self.fleet.lock();
-        if let Some(fleet) = guard.as_ref() {
-            return Some(fleet.stats());
-        }
-        self.fleet_spec.as_ref().map(|spec| FleetStats {
-            pools: spec
-                .endpoints()
-                .iter()
-                .map(|e| PoolStats { endpoint: e.to_string(), ..PoolStats::default() })
-                .collect(),
-            resharded: 0,
-        })
+    /// Per-pool fleet telemetry — spawns, deployments, failures, busy time
+    /// and per-candidate latency percentiles per endpoint. All-zero
+    /// counters until the first uncached candidate spawns a pool.
+    pub fn fleet_stats(&self) -> FleetStats {
+        self.fleet.lock().as_ref().map_or_else(|| self.new_fleet().stats(), EdgeFleet::stats)
     }
 
     /// Fraction of measured frames whose live prediction matched its
@@ -535,86 +478,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             .collect()
     }
 
-    /// Deploys one candidate (fresh pair or pooled hot-swap) and runs the
-    /// frame stream through it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and protocol errors from either half; a fresh
-    /// pair is torn down either way, a broken pool is discarded so the
-    /// next candidate respawns one.
-    fn run_candidate(&self, arch: &Architecture) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let plan = self.lower_plan(arch);
-        let stream = self.stream();
-        if self.persistent {
-            return self.run_pooled(plan, &stream);
-        }
-        let bank = WeightBank::new(self.num_classes, self.bank_seed);
-        let (addr, server) = match self.remote_edge {
-            Some(addr) => (addr, None),
-            None => {
-                let server = EdgeServer::spawn(plan.clone(), bank.clone(), self.run_seed)?;
-                (server.addr(), Some(server))
-            }
-        };
-        let mut client = DeviceClient::connect(addr, plan, bank, self.run_seed)?;
-        if let Some(mbps) = self.uplink_mbps {
-            client = client.with_uplink_mbps(mbps);
-        }
-        let result = client.run_pipelined(&stream);
-        // Teardown: dropping the client closes the socket, which ends the
-        // edge's serve loop; join so no server thread outlives the
-        // candidate. On a client-side error the edge may report its own
-        // mirror error — the client's is the one worth surfacing.
-        drop(client);
-        if let Some(server) = server {
-            match &result {
-                Ok(_) => server.join()?,
-                Err(_) => {
-                    let _ = server.join();
-                }
-            }
-        }
-        result
-    }
-
-    /// Pooled deployment: ensure the warm pair exists (spawning or
-    /// connecting it lazily on first use), hot-swap the candidate's plan
-    /// in, and stream. On any error the pool is discarded — its drop path
-    /// shuts the serve thread down — so one broken deployment never
-    /// poisons the candidates after it.
-    fn run_pooled(
-        &self,
-        plan: ExecutionPlan,
-        stream: &[Sample],
-    ) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let mut guard = self.pool.lock();
-        if guard.is_none() {
-            let bank = WeightBank::new(self.num_classes, self.bank_seed);
-            let mut pool = match self.remote_edge {
-                Some(addr) => EdgePool::connect(addr, bank, self.run_seed)?,
-                None => EdgePool::spawn(bank, self.run_seed)?,
-            };
-            if let Some(mbps) = self.uplink_mbps {
-                pool = pool.with_uplink_mbps(mbps);
-            }
-            self.telemetry.lock().pool_spawns += 1;
-            *guard = Some(pool);
-        }
-        let pool = guard.as_mut().expect("pool just ensured");
-        let result = pool.deploy(plan).and_then(|()| pool.run(stream));
-        if result.is_err() {
-            *guard = None;
-        }
-        result
-    }
-
     /// Converts one successful deployment's raw predictions and
     /// [`EngineStats`] into [`Metrics`], accumulating the measured window
-    /// into the telemetry — the shared pricing path of the single-pair,
-    /// pooled and fleet modes. Everything priced here comes from
-    /// the measured window only: warmup frames primed the pipeline and
-    /// must not leak into latency, traffic, energy or the live hit rate.
+    /// into the telemetry. Everything priced here comes from the measured
+    /// window only: warmup frames primed the pipeline and must not leak
+    /// into latency, traffic, energy or the live hit rate.
     fn price_measured(
         &self,
         arch: &Architecture,
@@ -666,11 +534,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         }
     }
 
-    /// Fleet path: lower the whole batch to plans, let the [`EdgeFleet`]'s
-    /// pools pull them off the shared morsel queue (spawning the fleet
-    /// lazily on first use), and price each outcome. Fleet-internal
-    /// recoveries are invisible here — only candidates the fleet
-    /// definitively gave up on come back as errors.
+    /// The one deployment path: lower the whole batch to plans, let the
+    /// [`EdgeFleet`]'s pools pull them off the shared morsel queue
+    /// (building the fleet lazily on first use), and price each outcome.
+    /// Fleet-internal recoveries are invisible here — only candidates the
+    /// fleet definitively gave up on come back as errors.
     fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
         // Cache-log partition: candidates with stored metrics never reach
         // the morsel queue, and a fully-cached batch never even spawns the
@@ -681,23 +549,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             let plans: Vec<ExecutionPlan> =
                 uncached.iter().map(|&i| self.lower_plan(&archs[i])).collect();
             let stream = self.stream();
-            let mut guard = self.fleet.lock();
-            let fleet = guard.get_or_insert_with(|| {
-                let spec = self.fleet_spec.clone().expect("fleet batch requires a spec");
-                let mut fleet =
-                    EdgeFleet::new(spec, self.num_classes, self.bank_seed, self.run_seed);
-                if let Some(mbps) = self.uplink_mbps {
-                    fleet = fleet.with_uplink_mbps(mbps);
-                }
-                fleet
-            });
-            let spawns_before = fleet.spawns();
-            let outcomes = fleet.run_batch(&plans, &stream);
-            let spawned = fleet.spawns() - spawns_before;
-            drop(guard);
-            if spawned > 0 {
-                self.telemetry.lock().pool_spawns += spawned;
-            }
+            let outcomes = self
+                .fleet
+                .lock()
+                .get_or_insert_with(|| self.new_fleet())
+                .run_batch(&plans, &stream);
             for (&i, outcome) in uncached.iter().zip(outcomes) {
                 let m = match outcome {
                     Ok((predictions, stats)) => {
@@ -714,13 +570,10 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
 }
 
 impl<F: Fn(&Architecture) -> f64 + Sync> Drop for EngineBackend<F> {
-    /// Shuts the persistent pool and the fleet (if any) down cleanly —
-    /// `Shutdown` control frames, then join — so no serve thread outlives
-    /// the backend.
+    /// Shuts the fleet (if one was ever built) down cleanly — `Shutdown`
+    /// control frames, then join — so no serve thread outlives the
+    /// backend.
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.lock().take() {
-            let _ = pool.shutdown();
-        }
         if let Some(fleet) = self.fleet.lock().take() {
             let _ = fleet.shutdown();
         }
@@ -728,45 +581,24 @@ impl<F: Fn(&Architecture) -> f64 + Sync> Drop for EngineBackend<F> {
 }
 
 impl<F: Fn(&Architecture) -> f64 + Sync> Evaluator for EngineBackend<F> {
+    /// Single lookups (the ladder's honest-winner escalations) are a batch
+    /// of one, so every deployment shares the warm pools and the per-pool
+    /// accounting.
     fn evaluate(&self, arch: &Architecture) -> Metrics {
-        if self.fleet_spec.is_some() {
-            // Single lookups (the ladder's honest-winner escalations) ride
-            // the fleet too, as a batch of one, so every deployment shares
-            // the warm pools and the per-pool accounting.
-            return self
-                .run_fleet_batch(std::slice::from_ref(arch))
-                .pop()
-                .expect("one metric for one candidate");
-        }
-        if let Some(m) = self.log_lookup(arch) {
-            return m;
-        }
-        match self.run_candidate(arch) {
-            Ok((predictions, stats)) => {
-                let m = self.price_measured(arch, &predictions, &stats);
-                self.log_store(arch, m);
-                m
-            }
-            Err(_) => self.price_failure(),
-        }
+        self.run_fleet_batch(std::slice::from_ref(arch))
+            .pop()
+            .expect("one metric for one candidate")
     }
 
     fn evaluate_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
-        if self.fleet_spec.is_some() {
-            return self.run_fleet_batch(archs);
-        }
-        archs.iter().map(|a| self.evaluate(a)).collect()
+        self.run_fleet_batch(archs)
     }
 
-    /// In fleet mode the fleet is its own parallel driver: the batch is
-    /// handed over whole so scheduling follows pools, not `workers` — the
-    /// session's worker count must never change how a Measured batch is
-    /// served. Without a fleet the default contiguous-shard driver applies.
-    fn evaluate_batch_workers(&self, archs: &[Architecture], workers: usize) -> Vec<Metrics> {
-        if self.fleet_spec.is_some() {
-            return self.run_fleet_batch(archs);
-        }
-        shard_batch(self, archs, workers)
+    /// The fleet is its own parallel driver: the batch is handed over
+    /// whole so scheduling follows pools, not `workers` — the session's
+    /// worker count never changes how a Measured batch is served.
+    fn evaluate_batch_workers(&self, archs: &[Architecture], _workers: usize) -> Vec<Metrics> {
+        self.run_fleet_batch(archs)
     }
 }
 
@@ -861,7 +693,7 @@ mod tests {
 
         // Cold process: real deployments, written through to the log.
         let log = gcode_core::cachelog::open_shared(&path).expect("open log");
-        let cold = backend().with_frames(2).with_persistent_edge().with_cache_log(log);
+        let cold = backend().with_frames(2).with_cache_log(log);
         let cold_split = cold.evaluate(&split_arch());
         let cold_local = cold.evaluate(&local);
         assert_eq!(cold.deployments(), 2);
@@ -871,11 +703,11 @@ mod tests {
         // Warm process: same configuration, same log — every candidate is
         // priced from the log with bit-exact metrics and no engine at all.
         let log = gcode_core::cachelog::open_shared(&path).expect("reopen log");
-        let warm = backend().with_frames(2).with_persistent_edge().with_cache_log(log);
+        let warm = backend().with_frames(2).with_cache_log(log);
         let warm_split = warm.evaluate(&split_arch());
         let warm_local = warm.evaluate(&local);
         assert_eq!(warm.deployments(), 0, "warm restart deploys nothing");
-        assert_eq!(warm.pool_spawns(), 0, "no pool was even spawned");
+        assert_eq!(warm.fleet_stats().spawns(), 0, "no pool was even spawned");
         assert_eq!(warm.log_hits(), 2);
         for (w, c) in [(warm_split, cold_split), (warm_local, cold_local)] {
             assert_eq!(w.accuracy.to_bits(), c.accuracy.to_bits());
@@ -885,7 +717,7 @@ mod tests {
 
         // A differently-configured backend must not see those entries.
         let log = gcode_core::cachelog::open_shared(&path).expect("reopen log");
-        let other = backend().with_frames(3).with_persistent_edge().with_cache_log(log);
+        let other = backend().with_frames(3).with_cache_log(log);
         other.evaluate(&split_arch());
         assert_eq!(other.log_hits(), 0, "frames count is part of the fidelity tag");
         assert_eq!(other.deployments(), 1);
@@ -909,9 +741,16 @@ mod tests {
         let off = backend().with_frames(3).with_optimize(false);
         assert_ne!(on.fidelity_tag(), off.fidelity_tag());
 
-        let (preds_on, _) = on.run_candidate(&arch).expect("optimized deploy");
-        let (preds_off, _) = off.run_candidate(&arch).expect("raw deploy");
-        assert_eq!(preds_on, preds_off, "optimized predictions must be bit-identical to raw");
+        // Each backend's own lowering, deployed on the fleet it would build.
+        let plans = [on.lower_plan(&arch), off.lower_plan(&arch)];
+        assert_ne!(plans[0], plans[1], "the optimizer must have rewritten the plan");
+        let mut fleet = on.new_fleet();
+        let mut preds = fleet
+            .run_batch(&plans, &on.stream())
+            .into_iter()
+            .map(|outcome| outcome.expect("both lowerings deploy").0);
+        assert_eq!(preds.next(), preds.next(), "optimized predictions must equal raw ones");
+        fleet.shutdown().expect("clean");
         assert!(on.optimizer_stats().ops_elided() > 0, "the Identity op must be elided");
         assert_eq!(off.optimizer_stats(), Default::default());
     }
@@ -938,6 +777,19 @@ mod tests {
         assert_eq!(log.get(arch, theirs, 0), Some(stored));
         assert_eq!(log.get(arch, ours, 0), None, "another codec's entry must not replay");
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn fleets_naming_different_machines_never_share_a_log_entry() {
+        // Same width, different endpoints: what one fleet measured says
+        // nothing about the other's machines.
+        let tag =
+            |spec: &str| backend().with_fleet(spec.parse().expect("fleet spec")).fidelity_tag();
+        assert_ne!(tag("loopback:2"), tag("10.0.0.7:9000,10.0.0.8:9000"));
+        assert_ne!(tag("10.0.0.7:9000,10.0.0.8:9000"), tag("10.0.0.7:9000,10.0.0.9:9000"));
+        assert_ne!(tag("loopback"), tag("loopback:2"), "width still counts");
+        assert_eq!(tag("loopback"), backend().fidelity_tag(), "the default is one loopback pool");
+        assert_eq!(tag("loopback:2"), tag("loopback,loopback"), "spelling does not");
     }
 
     #[test]

@@ -165,6 +165,29 @@ impl FleetSpec {
     }
 }
 
+impl Default for FleetSpec {
+    /// One spawned loopback pool — what `EngineBackend` deploys on unless
+    /// told otherwise.
+    fn default() -> Self {
+        Self::loopback(1)
+    }
+}
+
+impl std::fmt::Display for FleetSpec {
+    /// The endpoint list in spec order, comma-separated — the textual form
+    /// [`FromStr`] accepts, one entry per pool. Cache tags use it, so two
+    /// specs naming different machines never read as the same fleet.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, endpoint) in self.endpoints.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{endpoint}")?;
+        }
+        Ok(())
+    }
+}
+
 impl FromStr for FleetSpec {
     type Err = String;
 
@@ -694,6 +717,10 @@ mod tests {
         let mixed: FleetSpec = "loopback:2,127.0.0.1:9000".parse().expect("mixed");
         assert_eq!(mixed.len(), 3);
         assert_eq!(mixed.endpoints()[2].to_string(), "127.0.0.1:9000");
+        // Display writes one entry per pool and parses back to the same spec.
+        assert_eq!(mixed.to_string(), "loopback,loopback,127.0.0.1:9000");
+        assert_eq!(mixed.to_string().parse::<FleetSpec>().expect("round trip"), mixed);
+        assert_eq!(FleetSpec::default(), FleetSpec::loopback(1));
     }
 
     #[test]

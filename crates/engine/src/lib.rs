@@ -84,7 +84,7 @@ pub use proto::{
     SessionSpec, SessionState, SessionTask, WireState, MAX_BATCH_PLANS, PLAN_WIRE_VERSION,
     PROTOCOL_VERSION,
 };
-pub use runtime::{DeviceClient, EdgeServer, EngineStats};
+pub use runtime::{latency_percentiles, DeviceClient, EdgeServer, EngineStats};
 pub use scenario::{replay_on_fleet, ScenarioRunner};
 pub use throttle::Throttle;
 

@@ -24,9 +24,9 @@ use std::net::SocketAddr;
 /// Deploy a candidate with [`deploy`](Self::deploy), stream frames with
 /// [`run`](Self::run), repeat; [`shutdown`](Self::shutdown) (or drop)
 /// ends the serve thread cleanly via the `Shutdown` control frame. A pool
-/// holds at most one spawned [`EdgeServer`] for its whole lifetime —
-/// `gcode_core` search sessions route every `Measured`-tier candidate
-/// through it when `EngineBackend::with_persistent_edge` is set.
+/// holds at most one spawned [`EdgeServer`] for its whole lifetime; an
+/// `EdgeFleet` of such pools is what `EngineBackend` routes every
+/// `Measured`-tier candidate through.
 ///
 /// # Example
 ///
@@ -89,20 +89,10 @@ impl EdgePool {
 
     /// Connects a session-mode client to an already-running persistent
     /// edge at `addr` (a pre-deployed LAN edge, or a test double) instead
-    /// of spawning one.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors.
-    pub fn connect(addr: SocketAddr, bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        let client = DeviceClient::connect(addr, placeholder_plan(), bank, seed)?.with_session();
-        Ok(Self { server: None, client, swaps: 0 })
-    }
-
-    /// [`connect`](Self::connect) with an upper bound on how long the TCP
-    /// connect may block — a machine that silently drops SYNs then costs
-    /// `timeout`, not the OS default of minutes. Used by `EdgeFleet` so a
-    /// dead endpoint cannot stall the coordinating thread.
+    /// of spawning one. The TCP connect may block for at most `timeout` — a
+    /// machine that silently drops SYNs then costs `timeout`, not the OS
+    /// default of minutes — so a dead endpoint cannot stall an `EdgeFleet`'s
+    /// coordinating thread.
     ///
     /// # Errors
     ///
@@ -190,11 +180,12 @@ impl EdgePool {
 
     /// Cleanly ends the pool. For a pool that spawned its own edge, a
     /// `Shutdown` control frame stops the serve loop and the serve thread
-    /// is joined — no thread outlives the pool. A [`connect`](Self::connect)-mode
-    /// pool does *not* own its edge: it only closes its session (the
-    /// remote persistent edge sees a clean disconnect and loops back to
-    /// `accept` for its next client), never terminating a shared
-    /// pre-deployed edge out from under other users.
+    /// is joined — no thread outlives the pool. A pool that connected to a
+    /// remote edge ([`connect_with_timeout`](Self::connect_with_timeout))
+    /// does *not* own it: it only closes its session (the remote
+    /// persistent edge sees a clean disconnect and loops back to `accept`
+    /// for its next client), never terminating a shared pre-deployed edge
+    /// out from under other users.
     ///
     /// # Errors
     ///

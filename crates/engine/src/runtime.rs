@@ -61,8 +61,10 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// `(p50, p95, p99)` of an unsorted per-frame latency sample.
-pub(crate) fn latency_percentiles(latencies: &[f64]) -> (f64, f64, f64) {
+/// `(p50, p95, p99)` of an unsorted latency sample, by nearest rank (all
+/// 0 when empty) — the one percentile definition every engine, fleet,
+/// backend and served-session report uses.
+pub fn latency_percentiles(latencies: &[f64]) -> (f64, f64, f64) {
     let mut sorted = latencies.to_vec();
     sorted.sort_by(f64::total_cmp);
     (percentile(&sorted, 50.0), percentile(&sorted, 95.0), percentile(&sorted, 99.0))
@@ -80,20 +82,15 @@ pub struct EdgeServer {
 }
 
 impl EdgeServer {
-    /// Binds to an ephemeral loopback port and spawns the serving thread.
+    /// Binds to an ephemeral loopback port and spawns the serving thread:
+    /// one connection, one fixed `plan`, then exit — the fresh pair the
+    /// bit-identity suites use as their reference.
     ///
     /// # Errors
     ///
     /// Returns an error if the listener cannot bind.
     pub fn spawn(plan: ExecutionPlan, bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let handle = std::thread::spawn(move || -> Result<(), EngineError> {
-            let (stream, _) = listener.accept()?;
-            let mut bank = bank;
-            serve_frames(stream, Some(plan), &mut bank, seed).map(|_| ())
-        });
-        Ok(Self { addr, handle: Some(handle) })
+        Self::spawn_serving(Some(plan), bank, seed)
     }
 
     /// Binds to an ephemeral loopback port and serves *indefinitely*: no
@@ -109,52 +106,28 @@ impl EdgeServer {
     ///
     /// Returns an error if the listener cannot bind.
     pub fn spawn_persistent(bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let handle = std::thread::spawn(move || -> Result<(), EngineError> {
-            let mut bank = bank;
-            loop {
-                let (stream, _) = listener.accept()?;
-                match serve_frames(stream, None, &mut bank, seed)? {
-                    ServeOutcome::Shutdown => return Ok(()),
-                    ServeOutcome::PeerClosed => {}
-                }
-            }
-        });
-        Ok(Self { addr, handle: Some(handle) })
+        Self::spawn_serving(None, bank, seed)
     }
 
-    /// Binds to an ephemeral loopback port and serves up to `max_clients`
-    /// concurrent device connections, one handler thread each — an edge
-    /// node shared by several devices. The serving thread exits after all
-    /// `max_clients` connections have been accepted and drained.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot bind.
-    pub fn spawn_multi(
-        plan: ExecutionPlan,
-        bank: WeightBank,
+    /// The one accept loop. With an initial `plan` the edge is one-shot —
+    /// it serves a single connection under that plan; without one it is
+    /// persistent and keeps accepting until a `Shutdown` frame.
+    fn spawn_serving(
+        mut plan: Option<ExecutionPlan>,
+        mut bank: WeightBank,
         seed: u64,
-        max_clients: usize,
     ) -> Result<Self, EngineError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
+        let one_shot = plan.is_some();
         let handle = std::thread::spawn(move || -> Result<(), EngineError> {
-            let mut workers = Vec::with_capacity(max_clients);
-            for client in 0..max_clients {
+            loop {
                 let (stream, _) = listener.accept()?;
-                let plan = plan.clone();
-                let mut bank = bank.clone();
-                workers.push(std::thread::spawn(move || {
-                    serve_frames(stream, Some(plan), &mut bank, seed ^ client as u64).map(|_| ())
-                }));
+                let outcome = serve_frames(stream, plan.take(), &mut bank, seed)?;
+                if one_shot || matches!(outcome, ServeOutcome::Shutdown) {
+                    return Ok(());
+                }
             }
-            for w in workers {
-                w.join()
-                    .map_err(|_| EngineError::Protocol("edge worker panicked".to_string()))??;
-            }
-            Ok(())
         });
         Ok(Self { addr, handle: Some(handle) })
     }
@@ -397,17 +370,7 @@ impl DeviceClient {
         bank: WeightBank,
         seed: u64,
     ) -> Result<Self, EngineError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            plan,
-            bank,
-            stream: Some(stream),
-            seed,
-            uplink_mbps: None,
-            session: false,
-            pending_plans: VecDeque::new(),
-        })
+        Self::over(TcpStream::connect(addr)?, plan, bank, seed)
     }
 
     /// Like [`connect`](Self::connect), but gives up after `timeout`
@@ -426,7 +389,16 @@ impl DeviceClient {
         seed: u64,
         timeout: std::time::Duration,
     ) -> Result<Self, EngineError> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Self::over(TcpStream::connect_timeout(&addr, timeout)?, plan, bank, seed)
+    }
+
+    /// A one-shot, unthrottled client over an established connection.
+    fn over(
+        stream: TcpStream,
+        plan: ExecutionPlan,
+        bank: WeightBank,
+        seed: u64,
+    ) -> Result<Self, EngineError> {
         stream.set_nodelay(true)?;
         Ok(Self {
             plan,
@@ -868,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_edge_hot_swaps_plans_bit_identically() {
+    fn persistent_server_hot_swaps_plans_bit_identically() {
         let arch_a = split_arch();
         let arch_b = Architecture::new(vec![
             Op::Sample(SampleFn::Knn { k: 4 }),
@@ -970,49 +942,6 @@ mod tests {
         server.join().expect("clean");
         assert_eq!(preds.len(), 3);
         assert!(stats.bytes_sent > 0);
-    }
-}
-
-#[cfg(test)]
-mod multi_client_tests {
-    use super::*;
-    use gcode_core::arch::Architecture;
-    use gcode_core::op::{Op, SampleFn};
-    use gcode_graph::datasets::PointCloudDataset;
-    use gcode_nn::agg::AggMode;
-    use gcode_nn::pool::PoolMode;
-
-    #[test]
-    fn two_devices_share_one_edge() {
-        let arch = Architecture::new(vec![
-            Op::Sample(SampleFn::Knn { k: 5 }),
-            Op::Aggregate(AggMode::Max),
-            Op::Communicate,
-            Op::Combine { dim: 16 },
-            Op::GlobalPool(PoolMode::Max),
-        ]);
-        let plan = ExecutionPlan::from_architecture(&arch);
-        let bank = WeightBank::new(3, 77);
-        let server = EdgeServer::spawn_multi(plan.clone(), bank.clone(), 3, 2).expect("edge");
-        let addr = server.addr();
-
-        let mk = |seed: u64, data_seed: u64| {
-            let plan = plan.clone();
-            let bank = bank.clone();
-            std::thread::spawn(move || {
-                let ds = PointCloudDataset::generate(5, 16, 3, data_seed);
-                let mut client = DeviceClient::connect(addr, plan, bank, seed).expect("device");
-                client.run_pipelined(ds.samples()).expect("stream")
-            })
-        };
-        let d1 = mk(1, 100);
-        let d2 = mk(2, 200);
-        let (p1, s1) = d1.join().expect("device 1");
-        let (p2, s2) = d2.join().expect("device 2");
-        server.join().expect("edge clean");
-        assert_eq!(p1.len(), 5);
-        assert_eq!(p2.len(), 5);
-        assert!(s1.bytes_sent > 0 && s2.bytes_sent > 0);
     }
 
     #[test]

@@ -170,15 +170,6 @@ pub(crate) fn zoo_plans(result: &SearchResult, task: SessionTask) -> Vec<Executi
     result.zoo.iter().map(|z| gcode_engine::lower_and_optimize(&z.arch, &opts).0).collect()
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (0 when empty).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Folds a session's fleet outcomes (its zoo deployments, winner first)
 /// into the aggregate [`MeasuredProfile`] attached to its report, plus
 /// the winner's predictions.
@@ -203,20 +194,12 @@ pub(crate) fn session_measurements(outcomes: &[FleetOutcome]) -> (MeasuredProfil
             Err(_) => errors += 1,
         }
     }
-    latencies.sort_by(f64::total_cmp);
+    let (p50_s, p95_s, p99_s) = gcode_engine::latency_percentiles(&latencies);
     // `deployed` counts every successful outcome here; a caller that
     // served some outcomes from a measurement cache moves those counts
     // from `deployed` to `cached` afterwards.
-    let profile = MeasuredProfile {
-        frames,
-        p50_s: percentile(&latencies, 50.0),
-        p95_s: percentile(&latencies, 95.0),
-        p99_s: percentile(&latencies, 99.0),
-        bytes_sent,
-        errors,
-        deployed,
-        cached: 0,
-    };
+    let profile =
+        MeasuredProfile { frames, p50_s, p95_s, p99_s, bytes_sent, errors, deployed, cached: 0 };
     (profile, winner_predictions)
 }
 

@@ -40,8 +40,8 @@ fn main() {
     };
     // Top rung: the live engine, streaming 4 measured frames (after one
     // warmup frame) per candidate over a 40 Mbps-throttled loopback
-    // uplink. Persistent mode: one warm device/edge pair for the whole
-    // search — every escalated candidate hot-swaps its plan in.
+    // uplink. One warm device/edge pair serves the whole search — every
+    // escalated candidate hot-swaps its plan in.
     let frames = PointCloudDataset::generate(8, 24, 4, 3);
     let s3 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
     let engine = EngineBackend::new(frames.samples().to_vec(), 4, sys.clone(), move |a| {
@@ -49,8 +49,7 @@ fn main() {
     })
     .with_frames(4)
     .with_warmup(1)
-    .with_uplink_mbps(40.0)
-    .with_persistent_edge();
+    .with_uplink_mbps(40.0);
 
     let ladder = CascadeBackend::ladder(vec![&analytic, &sim, &engine], objective)
         .with_keep_fracs(&[0.25, 0.5]);
@@ -68,9 +67,9 @@ fn main() {
     }
     let measured = engine.measured_profile();
     println!(
-        "live engine: {} deployments hot-swapped onto {} persistent pair(s), {} measured frames, p50 {:.2} ms / p95 {:.2} ms / p99 {:.2} ms, {} bytes sent, {} errors",
+        "live engine: {} deployments hot-swapped onto {} warm pair(s), {} measured frames, p50 {:.2} ms / p95 {:.2} ms / p99 {:.2} ms, {} bytes sent, {} errors",
         engine.deployments(),
-        engine.pool_spawns(),
+        engine.fleet_stats().spawns(),
         measured.frames,
         measured.p50_s * 1e3,
         measured.p95_s * 1e3,

@@ -68,7 +68,7 @@ fn main() {
             t.name, t.fidelity, t.cost_hint, t.evals
         );
     }
-    let fleet = engine.fleet_stats().expect("fleet configured");
+    let fleet = engine.fleet_stats();
     println!(
         "edge fleet: {} pools, {} deployments, {} failures, {} requeued",
         fleet.pools.len(),

@@ -5,7 +5,7 @@
 //! gcode search   --device tx2 --edge i7 --mbps 40 --task modelnet40 \
 //!                [--backend analytic|sim|cascade|engine|ladder]
 //!                [--tiers analytic,predictor,sim,engine] [--adaptive-keep true]
-//!                [--frames N] [--warmup N] [--persistent-edge true]
+//!                [--frames N] [--warmup N]
 //!                [--fleet loopback:N|host:port,host:port,…]
 //!                [--workers N] [--keep-frac F[,F…]]
 //!                [--iterations N] [--lambda F] [--latency-ms F] [--energy-j F]
@@ -19,12 +19,10 @@
 //! ```
 //!
 //! `--tiers` builds a fidelity ladder (implies `--backend ladder`); the
-//! `engine` tier deploys each escalated candidate to a loopback TCP
-//! device/edge pair and prices it on the live pipelined runtime.
-//! `--persistent-edge` keeps *one* warm pair for the whole search and
-//! hot-swaps each candidate's plan onto it (`SwapPlan` control frames)
-//! instead of spawning/tearing down a pair per candidate. `--fleet`
-//! spreads the Measured tier across N warm pairs (spawned loopback pools
+//! `engine` tier prices each escalated candidate on the live pipelined
+//! runtime: one warm loopback TCP device/edge pair serves the whole
+//! search, each candidate's plan hot-swapped onto it (`SwapPlan` control
+//! frames). `--fleet` widens that to N warm pairs (spawned loopback pools
 //! and/or remote pre-deployed edges) that pull each escalated batch's
 //! candidates off a shared morsel queue, with results merged at input
 //! positions — predictions stay bit-identical for any pool count.
@@ -107,8 +105,8 @@ const USAGE: &str = "usage:
   gcode search   --device <tx2|pi> --edge <i7|1060> [--mbps F] [--task <modelnet40|mr>]
                  [--backend <analytic|sim|cascade|engine|ladder>]
                  [--tiers <analytic,predictor,sim,engine>] [--adaptive-keep <true|false>]
-                 [--frames N] [--warmup N] [--persistent-edge <true|false>]
-                 [--optimize <on|off>] [--fleet <loopback:N|host:port,...>]
+                 [--frames N] [--warmup N] [--optimize <on|off>]
+                 [--fleet <loopback:N|host:port,...>]
                  [--workers N] [--keep-frac F[,F...]]
                  [--iterations N] [--lambda F] [--latency-ms F] [--energy-j F]
                  [--seed N] [--cache-file FILE] [--zoo-out FILE] [--report-out FILE]
@@ -230,26 +228,23 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     );
     let frames = get_usize(opts, "frames", 8)?.max(1);
     let warmup = get_usize(opts, "warmup", 2)?;
-    let persistent_edge = matches!(
-        opts.get("persistent-edge").map(String::as_str),
-        Some("true") | Some("1") | Some("yes")
-    );
     let optimize = match opts.get("optimize").map(String::as_str) {
         None | Some("on") => true,
         Some("off") => false,
         Some(other) => return Err(format!("--optimize: `{other}` (on|off)")),
     };
-    let fleet_spec = opts
-        .get("fleet")
-        .map(|s| s.parse::<FleetSpec>())
-        .transpose()
-        .map_err(|e| format!("--fleet: {e}"))?;
     let tiers = tier_names(opts)?;
-    if fleet_spec.is_some() && !tiers.iter().any(|t| t == "engine") {
+    if opts.contains_key("fleet") && !tiers.iter().any(|t| t == "engine") {
         return Err("--fleet drives the Measured tier; add the `engine` tier (e.g. \
                     --backend engine or --tiers analytic,sim,engine)"
             .into());
     }
+    let fleet_spec = opts
+        .get("fleet")
+        .map(|s| s.parse::<FleetSpec>())
+        .transpose()
+        .map_err(|e| format!("--fleet: {e}"))?
+        .unwrap_or_default();
     // The persistent evaluation cache: consulted by the search session on
     // memo misses and by the engine tier before any live deployment, and
     // written through on every fresh price.
@@ -338,13 +333,8 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
                     .with_frames(frames)
                     .with_warmup(warmup)
                     .with_uplink_mbps(mbps)
-                    .with_optimize(optimize);
-                if persistent_edge {
-                    engine = engine.with_persistent_edge();
-                }
-                if let Some(spec) = &fleet_spec {
-                    engine = engine.with_fleet(spec.clone());
-                }
+                    .with_optimize(optimize)
+                    .with_fleet(fleet_spec.clone());
                 if let Some(log) = &cache_log {
                     engine = engine.with_cache_log(log.clone());
                 }
@@ -409,12 +399,11 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
         // the batch composition — hence the whole run configuration —
         // matches the one that wrote the records.
         let tag = format!(
-            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|adaptive{adaptive}|persistent{persistent_edge}|optimize{optimize}|fleet{}",
+            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|adaptive{adaptive}|optimize{optimize}|fleet:{fleet_spec}",
             tiers.join(","),
             sys.label(),
             cfg.seed,
             keep_fracs,
-            fleet_spec.as_ref().map_or(0, |s| s.endpoints().len()),
         );
         session = session.with_cache_log(log.clone(), &tag);
     }
@@ -456,35 +445,28 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
             profile.deployed,
             profile.cached
         );
-        if let Some(fleet) = e.fleet_stats() {
+        let fleet = e.fleet_stats();
+        println!(
+            "edge fleet: {} pools, {} spawns, {} deployments, {} pool failures, {} candidates requeued",
+            fleet.pools.len(),
+            fleet.spawns(),
+            fleet.deployments(),
+            fleet.failures(),
+            fleet.resharded
+        );
+        for p in &fleet.pools {
             println!(
-                "edge fleet: {} pools, {} deployments, {} pool failures, {} candidates requeued",
-                fleet.pools.len(),
-                fleet.deployments(),
-                fleet.failures(),
-                fleet.resharded
-            );
-            for p in &fleet.pools {
-                println!(
-                    "  {:<22} {:>4} deployments  {} spawns  {} failures  busy {:.2} s  cand p50 {:.1} ms  p95 {:.1} ms",
-                    p.endpoint,
-                    p.deployments,
-                    p.spawns,
-                    p.failures,
-                    p.busy_s,
-                    p.p50_s * 1e3,
-                    p.p95_s * 1e3
-                );
-            }
-            report = report.with_fleet(fleet);
-        } else if persistent_edge {
-            println!(
-                "persistent edge pool: {} deployments hot-swapped over {} spawned pair{}",
-                e.deployments(),
-                e.pool_spawns(),
-                if e.pool_spawns() == 1 { "" } else { "s" }
+                "  {:<22} {:>4} deployments  {} spawns  {} failures  busy {:.2} s  cand p50 {:.1} ms  p95 {:.1} ms",
+                p.endpoint,
+                p.deployments,
+                p.spawns,
+                p.failures,
+                p.busy_s,
+                p.p50_s * 1e3,
+                p.p95_s * 1e3
             );
         }
+        report = report.with_fleet(fleet);
         if optimize {
             let opt = e.optimizer_stats();
             println!(

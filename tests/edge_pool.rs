@@ -1,12 +1,14 @@
-//! Persistent edge pool integration: pooled hot-swap must be
-//! indistinguishable from fresh-spawn measurement (bit-identical
-//! predictions), survive deploy failures mid-search, account warmup
+//! Warm edge pool integration: the one warm pool a default
+//! `EngineBackend` deploys on must be indistinguishable from fresh-spawn
+//! measurement (bit-identical predictions) whatever the session's worker
+//! count, retry a candidate once when its pool dies and only then price
+//! the sentinel, never shut a shared remote edge down, account warmup
 //! frames out of telemetry exactly, and leave no threads behind on
 //! shutdown.
 
 mod common;
 
-use common::spawn_flaky_then_healthy_edge;
+use common::{spawn_flaky_then_healthy_edge, spawn_scripted_edge};
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend};
 use gcode::core::eval::{Evaluator, Objective, SearchSession};
@@ -14,7 +16,8 @@ use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::{RandomSearch, SearchConfig};
 use gcode::core::space::DesignSpace;
 use gcode::engine::{
-    DeviceClient, EdgePool, EdgeServer, EngineBackend, ExecutionPlan, DEPLOY_FAILURE_SENTINEL,
+    DeviceClient, EdgePool, EdgeServer, EngineBackend, ExecutionPlan, FleetSpec,
+    DEPLOY_FAILURE_SENTINEL,
 };
 use gcode::graph::datasets::{PointCloudDataset, Sample};
 use gcode::hardware::SystemConfig;
@@ -22,9 +25,14 @@ use gcode::nn::agg::AggMode;
 use gcode::nn::pool::PoolMode;
 use gcode::nn::seq::WeightBank;
 use gcode::sim::{SimBackend, SimConfig};
+use std::net::SocketAddr;
 
 const BANK_SEED: u64 = 71;
-const RUN_SEED: u64 = 23;
+/// The run seed every `EngineBackend` deployment uses, so one fresh-pair
+/// reference serves the raw pools and the backend alike.
+const RUN_SEED: u64 = 0xE261;
+
+type Accuracy = fn(&Architecture) -> f64;
 
 fn accuracy(a: &Architecture) -> f64 {
     0.8 + 0.001 * a.len() as f64
@@ -72,8 +80,7 @@ fn pooled_ladder_search_spawns_one_edge_and_matches_fresh_predictions() {
     let engine = EngineBackend::new(ds.samples().to_vec(), 4, sys, accuracy)
         .with_frames(3)
         .with_warmup(1)
-        .with_bank_seed(BANK_SEED)
-        .with_persistent_edge();
+        .with_bank_seed(BANK_SEED);
     let ladder = CascadeBackend::ladder(vec![&cheap, &mid, &engine], objective)
         .with_keep_fracs(&[0.25, 0.5]);
     let mut session = SearchSession::new(&space, &ladder).with_objective(objective);
@@ -82,7 +89,7 @@ fn pooled_ladder_search_spawns_one_edge_and_matches_fresh_predictions() {
 
     // The whole Measured tier ran on exactly one spawned edge pair.
     assert!(engine.deployments() > 1, "several candidates escalated to the engine tier");
-    assert_eq!(engine.pool_spawns(), 1, "one EdgeServer for the whole search");
+    assert_eq!(engine.fleet_stats().spawns(), 1, "one EdgeServer for the whole search");
     assert_eq!(engine.measured_profile().errors, 0);
     assert!(best.latency_s < DEPLOY_FAILURE_SENTINEL);
     drop(ladder);
@@ -102,67 +109,101 @@ fn pooled_ladder_search_spawns_one_edge_and_matches_fresh_predictions() {
     pool.shutdown().expect("no threads left behind");
 }
 
+/// A backend whose whole fleet is one remote edge at `addr`.
+fn remote_backend(ds: &PointCloudDataset, addr: SocketAddr) -> EngineBackend<Accuracy> {
+    let spec: FleetSpec = addr.to_string().parse().expect("remote fleet spec");
+    EngineBackend::new(
+        ds.samples().to_vec(),
+        2,
+        SystemConfig::tx2_to_i7(40.0),
+        accuracy as Accuracy,
+    )
+    .with_frames(2)
+    .with_bank_seed(BANK_SEED)
+    .with_fleet(spec)
+}
+
+#[test]
+fn default_backend_keeps_one_warm_pool_whatever_the_worker_count() {
+    let ds = PointCloudDataset::generate(6, 24, 4, 13);
+    let archs: Vec<Architecture> = [8, 16, 24, 32].iter().map(|&d| split_arch(d)).collect();
+
+    // No `with_fleet`: the default deployment. Measured accuracy makes each
+    // candidate's predictions observable as its exact stream hit rate.
+    let backend = EngineBackend::new(
+        ds.samples().to_vec(),
+        4,
+        SystemConfig::tx2_to_i7(40.0),
+        accuracy as Accuracy,
+    )
+    .with_bank_seed(BANK_SEED)
+    .with_optimize(false)
+    .with_measured_accuracy(ds.samples().to_vec());
+    let metrics = backend.evaluate_batch_workers(&archs, 4);
+
+    // Four workers asked for, one warm pool serving: `workers` never
+    // reshapes a Measured batch.
+    let fleet = backend.fleet_stats();
+    assert_eq!(fleet.pools.len(), 1, "the default fleet is one loopback pool");
+    assert_eq!(fleet.spawns(), 1, "one EdgeServer for the whole batch");
+    assert_eq!(fleet.deployments(), 4);
+    assert_eq!(backend.deployments(), 4);
+    assert_eq!(backend.measured_profile().errors, 0);
+
+    // Each candidate's hit rate is exactly what a fresh pair predicts for it.
+    for (arch, m) in archs.iter().zip(&metrics) {
+        let fresh = run_fresh(arch, ds.samples());
+        let hits = fresh.iter().zip(ds.samples()).filter(|&(&p, s)| p == s.label).count();
+        assert_eq!(m.accuracy, hits as f64 / fresh.len() as f64, "pooled run diverged from fresh");
+    }
+}
+
 #[test]
 fn pool_survives_a_deploy_failure_mid_search_and_measures_the_next_candidate() {
     let ds = PointCloudDataset::generate(4, 16, 2, 5);
-    let backend = EngineBackend::new(
-        ds.samples().to_vec(),
-        2,
-        SystemConfig::tx2_to_i7(40.0),
-        accuracy as fn(&Architecture) -> f64,
-    )
-    .with_frames(2)
-    .with_bank_seed(BANK_SEED)
-    .with_remote_edge(spawn_flaky_then_healthy_edge(2, BANK_SEED))
-    .with_persistent_edge();
 
-    // Candidate 1: the pool's first connection dies mid-stream — a
-    // contained sentinel-priced failure, and the broken pool is discarded.
+    // One bad connection: the pool dies under candidate 1, the fleet
+    // reconnects and retries it — a recovery, not an error.
+    let backend = remote_backend(&ds, spawn_flaky_then_healthy_edge(2, BANK_SEED));
+    let m1 = backend.evaluate(&split_arch(8));
+    assert!(m1.latency_s > 0.0 && m1.latency_s < DEPLOY_FAILURE_SENTINEL, "retried, measured");
+    assert_eq!(backend.measured_profile().errors, 0);
+    assert_eq!(backend.deployments(), 1);
+    let fleet = backend.fleet_stats();
+    assert_eq!((fleet.failures(), fleet.resharded), (1, 1), "one pool death, one requeue");
+    assert_eq!(fleet.spawns(), 2, "one reconnect after the contained failure");
+
+    // Two bad connections in a row exhaust candidate 1's retry: it is
+    // priced with the sentinel, and candidate 2 finds a reconnected pool.
+    let backend = remote_backend(&ds, spawn_scripted_edge(2, BANK_SEED, 2));
     let m1 = backend.evaluate(&split_arch(8));
     assert_eq!(m1.latency_s, DEPLOY_FAILURE_SENTINEL);
     assert_eq!(backend.measured_profile().errors, 1);
-    assert_eq!(backend.pool_spawns(), 1);
     assert_eq!(backend.deployments(), 0);
-
-    // Candidate 2: the backend respawns a pool and measures normally.
     let m2 = backend.evaluate(&split_arch(16));
     assert!(m2.latency_s > 0.0 && m2.latency_s < DEPLOY_FAILURE_SENTINEL, "search continues");
-    assert_eq!(backend.pool_spawns(), 2, "one respawn after the contained failure");
     assert_eq!(backend.deployments(), 1);
     assert_eq!(backend.measured_profile().errors, 1, "no new errors");
+    assert_eq!(backend.fleet_stats().spawns(), 3, "two dead sessions, one live");
+}
 
-    // A connect-mode pool does not own the shared edge: dropping this
-    // backend must close its session without shutting the edge down, so a
-    // later backend can still measure against it.
-    let addr = spawn_flaky_then_healthy_edge(2, BANK_SEED);
-    let first = EngineBackend::new(
-        ds.samples().to_vec(),
-        2,
-        SystemConfig::tx2_to_i7(40.0),
-        accuracy as fn(&Architecture) -> f64,
-    )
-    .with_frames(2)
-    .with_bank_seed(BANK_SEED)
-    .with_remote_edge(addr)
-    .with_persistent_edge();
-    assert_eq!(first.evaluate(&split_arch(8)).latency_s, DEPLOY_FAILURE_SENTINEL);
+#[test]
+fn dropping_a_backend_never_shuts_a_shared_remote_edge_down() {
+    // A remote endpoint's pool does not own the edge: dropping the backend
+    // must close its session without sending `Shutdown`, so a later
+    // backend can still measure against the same machine.
+    let ds = PointCloudDataset::generate(4, 16, 2, 5);
+    let addr = spawn_scripted_edge(2, BANK_SEED, 0);
+    let first = remote_backend(&ds, addr);
     assert!(first.evaluate(&split_arch(8)).latency_s < DEPLOY_FAILURE_SENTINEL);
     drop(first);
-    let second = EngineBackend::new(
-        ds.samples().to_vec(),
-        2,
-        SystemConfig::tx2_to_i7(40.0),
-        accuracy as fn(&Architecture) -> f64,
-    )
-    .with_frames(2)
-    .with_bank_seed(BANK_SEED)
-    .with_remote_edge(addr)
-    .with_persistent_edge();
+    let second = remote_backend(&ds, addr);
     let m = second.evaluate(&split_arch(16));
     assert!(
         m.latency_s < DEPLOY_FAILURE_SENTINEL,
         "the shared remote edge must outlive the first backend's drop"
     );
+    assert_eq!(second.measured_profile().errors, 0);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use gcode::nn::agg::AggMode;
 use gcode::nn::pool::PoolMode;
 use gcode::sim::{SimBackend, SimConfig};
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 
 fn mini_profile() -> WorkloadProfile {
     WorkloadProfile::modelnet40_mini(24, 4)
@@ -124,15 +124,16 @@ fn engine_run_records_per_frame_percentiles() {
     assert!(profile.p50_s <= profile.p95_s && profile.p95_s <= profile.p99_s);
 }
 
-/// A rogue edge peer: accepts connections, reads a few bytes, then drops
-/// the socket mid-stream — the pattern from `tests/engine_failures.rs`,
-/// aimed at the backend instead of the raw protocol.
-fn spawn_rogue_edge(connections: usize) -> std::net::SocketAddr {
+/// A rogue edge peer: accepts every connection, reads a few bytes, then
+/// drops the socket mid-stream — the pattern from
+/// `tests/engine_failures.rs`, aimed at the backend instead of the raw
+/// protocol. It misbehaves identically on every connection, so the
+/// backend's retry on a reconnected pool meets the same fault.
+fn spawn_rogue_edge() -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rogue edge");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
-        for _ in 0..connections {
-            let Ok((mut stream, _)) = listener.accept() else { return };
+        while let Ok((mut stream, _)) = listener.accept() {
             let mut header = [0u8; 4];
             let _ = stream.read_exact(&mut header);
             // Drop mid-message: the device's receiver sees a protocol
@@ -144,64 +145,73 @@ fn spawn_rogue_edge(connections: usize) -> std::net::SocketAddr {
 
 /// A rogue edge that *replies* well-formed frames, but with frame ids the
 /// device never sent — those must surface as a protocol error, never a
-/// panic or a silent prediction misalignment.
-fn spawn_bad_frame_id_edge(replies: usize) -> std::net::SocketAddr {
+/// panic or a silent prediction misalignment. Every connection gets the
+/// same treatment: a double that served only its first connection would
+/// leave the retry's reconnect parked in the listen backlog forever.
+fn spawn_bad_frame_id_edge(replies: usize) -> SocketAddr {
     use gcode::engine::{encode_frame, write_message, Frame, WireState};
     use gcode::tensor::Matrix;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind rogue edge");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
-        let Ok((mut stream, _)) = listener.accept() else { return };
-        for _ in 0..replies {
-            let reply = WireState {
-                frame_id: 999,
-                features: Matrix::from_rows(&[&[1.0, 0.0]]),
-                graph: None,
-                label: 0,
-            };
-            if write_message(&mut stream, &encode_frame(&Frame::State(reply))).is_err() {
-                return;
+        while let Ok((mut stream, _)) = listener.accept() {
+            for _ in 0..replies {
+                let reply = WireState {
+                    frame_id: 999,
+                    features: Matrix::from_rows(&[&[1.0, 0.0]]),
+                    graph: None,
+                    label: 0,
+                };
+                if write_message(&mut stream, &encode_frame(&Frame::State(reply))).is_err() {
+                    break;
+                }
             }
+            // Keep the socket open until the client has sent something.
+            let _ = stream.read_exact(&mut [0u8; 1]);
         }
-        // Keep the socket open until the client gives up on its own.
-        let _ = stream.read_exact(&mut [0u8; 1]);
     });
     addr
 }
 
+/// A backend whose whole fleet is the one remote edge at `addr`.
+fn backend_against(addr: SocketAddr) -> EngineBackend<fn(&Architecture) -> f64> {
+    let ds = PointCloudDataset::generate(4, 16, 2, 5);
+    EngineBackend::new(
+        ds.samples().to_vec(),
+        2,
+        SystemConfig::tx2_to_i7(40.0),
+        accuracy as fn(&Architecture) -> f64,
+    )
+    .with_frames(2)
+    .with_fleet(addr.to_string().parse().expect("remote fleet spec"))
+}
+
 #[test]
 fn engine_backend_rejects_rogue_frame_ids_as_contained_failure() {
-    let rogue = spawn_bad_frame_id_edge(2);
-    let ds = PointCloudDataset::generate(4, 16, 2, 5);
-    let backend =
-        EngineBackend::new(ds.samples().to_vec(), 2, SystemConfig::tx2_to_i7(40.0), accuracy)
-            .with_frames(2)
-            .with_remote_edge(rogue);
+    let backend = backend_against(spawn_bad_frame_id_edge(2));
     let arch = Architecture::new(vec![
         Op::Combine { dim: 8 },
         Op::Communicate,
         Op::GlobalPool(PoolMode::Max),
     ]);
+    // The call returns — first try and retry both rejected — never hangs.
     let m = backend.evaluate(&arch);
     assert_eq!(m.latency_s, DEPLOY_FAILURE_SENTINEL);
-    assert_eq!(backend.measured_profile().errors, 1);
+    assert_eq!(backend.measured_profile().errors, 1, "one error per candidate, retry included");
+    assert_eq!(backend.deployments(), 0);
 }
 
 #[test]
 fn engine_backend_contains_protocol_failures_and_stays_usable() {
-    let rogue = spawn_rogue_edge(2);
-    let ds = PointCloudDataset::generate(4, 16, 2, 5);
-    let backend =
-        EngineBackend::new(ds.samples().to_vec(), 2, SystemConfig::tx2_to_i7(40.0), accuracy)
-            .with_frames(2)
-            .with_remote_edge(rogue);
+    let backend = backend_against(spawn_rogue_edge());
     let arch = Architecture::new(vec![
         Op::Combine { dim: 8 },
         Op::Communicate,
         Op::GlobalPool(PoolMode::Max),
     ]);
-    // Two consecutive failures: both contained, both sentinel-priced, and
-    // the call returns (threads torn down) instead of hanging.
+    // Two consecutive failures (each a first try plus its retry on a
+    // reconnected pool): both contained, both sentinel-priced, one error
+    // per `evaluate`, and the call returns instead of hanging.
     for round in 1..=2u64 {
         let m = backend.evaluate(&arch);
         assert_eq!(m.latency_s, DEPLOY_FAILURE_SENTINEL, "round {round}");
@@ -219,6 +229,7 @@ fn engine_backend_contains_protocol_failures_and_stays_usable() {
 
     // The same backend configuration against a healthy (self-spawned)
     // edge works — failures poisoned nothing global.
+    let ds = PointCloudDataset::generate(4, 16, 2, 5);
     let healthy =
         EngineBackend::new(ds.samples().to_vec(), 2, SystemConfig::tx2_to_i7(40.0), accuracy)
             .with_frames(2);

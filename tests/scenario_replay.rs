@@ -328,18 +328,14 @@ fn a_fully_cached_measured_batch_spawns_no_pool() {
     let path = tmp_cache("warm-pool.gclg");
     let archs = [measured_arch(8), measured_arch(16), measured_arch(24)];
 
-    let cold = measured_backend(0)
-        .with_persistent_edge()
-        .with_cache_log(open_shared(&path).expect("log opens"));
+    let cold = measured_backend(0).with_cache_log(open_shared(&path).expect("log opens"));
     let cold_metrics: Vec<_> = archs.iter().map(|a| cold.evaluate(a)).collect();
-    assert_eq!(cold.pool_spawns(), 1, "the cold pass warms exactly one pool");
+    assert_eq!(cold.fleet_stats().spawns(), 1, "the cold pass warms exactly one pool");
 
-    let warm = measured_backend(0)
-        .with_persistent_edge()
-        .with_cache_log(open_shared(&path).expect("log opens"));
+    let warm = measured_backend(0).with_cache_log(open_shared(&path).expect("log opens"));
     let warm_metrics: Vec<_> = archs.iter().map(|a| warm.evaluate(a)).collect();
     assert_eq!(warm.log_hits(), archs.len() as u64, "every candidate replays from the log");
-    assert_eq!(warm.pool_spawns(), 0, "a fully-cached batch must never spawn a pool");
+    assert_eq!(warm.fleet_stats().spawns(), 0, "a fully-cached batch must never spawn a pool");
     assert_eq!(warm.deployments(), 0, "…or deploy anything");
     assert_eq!(warm_metrics, cold_metrics, "replayed metrics are bit-identical");
 }
