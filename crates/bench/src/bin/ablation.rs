@@ -62,9 +62,9 @@ use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_core::zoo::ArchitectureZoo;
 use gcode_engine::{
-    encode_frame, latency_percentiles, lower_and_optimize, DeviceClient, EdgeFleet, EdgePool,
-    EdgeServer, EngineBackend, EngineDispatcher, ExecutionPlan, FleetSpec, Frame, OptimizeOptions,
-    ScenarioRunner, SessionSpec, SessionTask,
+    encode_frame, latency_percentiles, lower_and_optimize, replay_on_fleet, DeviceClient,
+    EdgeFleet, EdgePool, EdgeServer, EngineBackend, EngineDispatcher, ExecutionPlan, FleetSpec,
+    Frame, OptimizeOptions, SessionSpec, SessionTask,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample};
 use gcode_hardware::SystemConfig;
@@ -749,15 +749,15 @@ fn run_scenario_ablation(quick: bool) -> ScenarioAblation {
         entry(0.010, 0.90, false), // fast local design
     ]);
     let ds = PointCloudDataset::generate(8, 24, 4, 47);
-    let mut dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 12));
-    dispatcher.attach_pool(34).expect("scenario pool spawns");
+    let dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 12));
+    let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 12, 34);
 
     // Probe the warm pair's real service time on the plan the trace
     // opens with; a 16-frame median rides out spawn-adjacent jitter.
-    dispatcher.dispatch_live(RuntimeConstraint::none()).expect("probe deploy");
+    let (plan, _) = dispatcher.dispatch(RuntimeConstraint::none()).expect("non-empty zoo");
     let probe: Vec<Sample> =
         (0..16).map(|i| ds.samples()[i % ds.samples().len()].clone()).collect();
-    let (_, stats) = dispatcher.run_live(&probe).expect("probe stream");
+    let (_, stats) = fleet.run_batch(&[plan], &probe).remove(0).expect("probe stream");
     let mut lat = stats.frame_latencies_s.clone();
     lat.sort_by(f64::total_cmp);
     let service_p50_s = lat[lat.len() / 2].max(50e-6);
@@ -804,8 +804,8 @@ fn run_scenario_ablation(quick: bool) -> ScenarioAblation {
         );
 
     let reports =
-        ScenarioRunner::new(&mut dispatcher, ds.samples()).run(&trace).expect("trace replays");
-    dispatcher.detach_pool().expect("scenario pool shuts down");
+        replay_on_fleet(dispatcher.zoo(), &mut fleet, ds.samples(), &trace).expect("trace replays");
+    fleet.shutdown().expect("scenario pool shuts down");
 
     let hit = |label: &str| {
         reports

@@ -12,7 +12,7 @@
 //! segment is judged against.
 //!
 //! Traces are plain JSON (see `examples/scenario_trace.json` at the
-//! repository root) and are replayed by `gcode_engine::ScenarioRunner`,
+//! repository root) and are replayed by `gcode_engine::replay_on_fleet`,
 //! which emits one [`ScenarioReport`] per segment; a full run's reports
 //! ride in [`SearchReport::scenarios`](crate::eval::SearchReport).
 //!
@@ -270,7 +270,7 @@ impl ScenarioTrace {
 
 /// One segment's replay outcome: what the live engine did while that
 /// stretch of the timeline was driven through it. Emitted by
-/// `gcode_engine::ScenarioRunner`, carried in
+/// `gcode_engine::replay_on_fleet`, carried in
 /// [`SearchReport::scenarios`](crate::eval::SearchReport).
 ///
 /// Two kinds of fields coexist: *prediction-derived* numbers (`frames`,
@@ -286,8 +286,11 @@ pub struct ScenarioReport {
     pub start_s: f64,
     /// Frames replayed in this segment.
     pub frames: u64,
-    /// Plan hot-swaps applied at this segment's boundary (0 when the
-    /// constraint kept admitting the deployed plan).
+    /// Changes of plan at this segment's boundary: 1 when dispatch
+    /// admitted a different zoo entry than the previous segment ran (the
+    /// initial deploy included), 0 when the constraint kept admitting the
+    /// deployed plan. The fleet re-sends `SwapPlan` with every segment's
+    /// batch either way; this counts the picks that changed.
     pub swaps: u64,
     /// Measured stream hit rate over this segment's frames: the fraction
     /// of deployed-engine predictions matching the held-out labels.

@@ -11,7 +11,7 @@
 //! cheaper tiers promote, so every search winner carries live-runtime
 //! metrics.
 
-use crate::fleet::{EdgeFleet, FleetSpec};
+use crate::fleet::{EdgeFleet, FleetOutcome, FleetSpec};
 use crate::optimizer::{lower_and_optimize, OptimizeOptions, PassManager};
 use crate::plan::ExecutionPlan;
 use crate::proto::PROTOCOL_VERSION;
@@ -23,26 +23,122 @@ use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics, Optimize
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;
 use parking_lot::Mutex;
+use std::convert::Infallible;
 
 /// Latency/energy assigned to a candidate whose deployment failed
 /// (socket or protocol error): large but finite so it serializes cleanly
 /// and can never pass a sane constraint.
 pub const DEPLOY_FAILURE_SENTINEL: f64 = 1e9;
 
-/// Accumulated live-measurement telemetry across every candidate this
-/// backend has deployed. Warmup frames appear nowhere in here: only the
-/// measured window contributes latencies, bytes and stream hits.
+/// What [`measure_cached`] answers: one outcome per key in input order,
+/// and the input positions that had to be measured.
+type Merged<T, E> = (Vec<Result<T, E>>, Vec<usize>);
+
+/// The one cache-partition routine of the Measured tier: price `keys`
+/// from `lookup` where it answers and from `measure` where it does not.
+/// It owns the invariants every caller relies on:
+///
+/// * `lookup` is consulted once per key, in input order, and a hit never
+///   reaches `measure`;
+/// * `measure` receives the input positions of the misses, in order, and
+///   answers one outcome per position — it is not invoked at all for a
+///   fully cached batch, so such a batch never builds or spawns a fleet;
+/// * `store` sees each fresh `Ok` outcome exactly once; an `Err` outcome
+///   is returned but never stored, so a transient failure is retried on
+///   the next run rather than cached forever;
+/// * hits and fresh outcomes merge at input positions, and the positions
+///   that were measured come back alongside (everything else was a hit).
+///
+/// The measuring step is passed in because its callers reach their
+/// fleets differently — [`EngineBackend`] owns one, the serve daemon
+/// talks to its executor thread — and may fail as a whole (`X`).
+///
+/// # Errors
+///
+/// Returns `measure`'s error; nothing is stored in that case.
+///
+/// # Panics
+///
+/// Panics if `measure` answers fewer outcomes than it was given positions.
+pub fn measure_cached<K, T, E, X>(
+    keys: &[K],
+    mut lookup: impl FnMut(&K) -> Option<T>,
+    measure: impl FnOnce(&[usize]) -> Result<Vec<Result<T, E>>, X>,
+    mut store: impl FnMut(&K, &T),
+) -> Result<Merged<T, E>, X> {
+    let mut results: Vec<Option<Result<T, E>>> = keys.iter().map(|k| lookup(k).map(Ok)).collect();
+    let uncached: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
+    if !uncached.is_empty() {
+        for (&i, outcome) in uncached.iter().zip(measure(&uncached)?) {
+            if let Ok(value) = &outcome {
+                store(&keys[i], value);
+            }
+            results[i] = Some(outcome);
+        }
+    }
+    Ok((results.into_iter().map(|r| r.expect("every batch slot was filled")).collect(), uncached))
+}
+
+/// The post-warmup window of one run: where it starts, its per-frame
+/// latencies, and its wire bytes. Warmup frames primed the pipeline and
+/// must not leak into latency, traffic, energy or hit rates.
+fn measured_window(stats: &EngineStats, warmup: usize) -> (usize, &[f64], usize) {
+    let cut = warmup.min(stats.frame_latencies_s.len());
+    (cut, &stats.frame_latencies_s[cut..], stats.frame_bytes.iter().skip(cut).sum())
+}
+
+/// The one accumulator that folds deployment outcomes into a
+/// [`MeasuredProfile`] — the backend's search-wide telemetry and a served
+/// session's zoo measurement are both this fold.
+#[derive(Debug, Default)]
+pub struct ProfileFold {
+    /// Post-warmup per-frame latencies of every successful outcome.
+    latencies_s: Vec<f64>,
+    /// Compressed device→edge bytes of those same frames.
+    bytes_sent: u64,
+    errors: u64,
+    deployed: u64,
+    cached: u64,
+}
+
+impl ProfileFold {
+    /// Folds one candidate's outcome. A success contributes the frames
+    /// past `warmup` and counts as served `from_cache` or deployed; a
+    /// failure counts as an error.
+    pub fn absorb(&mut self, outcome: &FleetOutcome, warmup: usize, from_cache: bool) {
+        match outcome {
+            Ok((_, stats)) => {
+                let (_, measured, bytes) = measured_window(stats, warmup);
+                self.latencies_s.extend_from_slice(measured);
+                self.bytes_sent += bytes as u64;
+                *(if from_cache { &mut self.cached } else { &mut self.deployed }) += 1;
+            }
+            Err(_) => self.errors += 1,
+        }
+    }
+
+    /// Percentiles, traffic and counters over everything absorbed so far.
+    pub fn profile(&self) -> MeasuredProfile {
+        let (p50_s, p95_s, p99_s) = latency_percentiles(&self.latencies_s);
+        MeasuredProfile {
+            frames: self.latencies_s.len() as u64,
+            p50_s,
+            p95_s,
+            p99_s,
+            bytes_sent: self.bytes_sent,
+            errors: self.errors,
+            deployed: self.deployed,
+            cached: self.cached,
+        }
+    }
+}
+
+/// Live-measurement telemetry across every candidate this backend has
+/// priced: the shared [`ProfileFold`] plus the stream hit counts only the
+/// backend (which holds the labels) can keep.
 #[derive(Default)]
 struct Telemetry {
-    /// Post-warmup per-frame latencies from every successful deployment.
-    latencies_s: Vec<f64>,
-    /// Compressed device→edge bytes across deployments, measured frames
-    /// only (warmup traffic is excluded).
-    bytes_sent: u64,
-    /// Deployments that errored and were priced with the sentinel.
-    errors: u64,
-    /// Successful deployments.
-    deployments: u64,
+    profile: ProfileFold,
     /// Measured-window frames whose live prediction matched the label.
     stream_correct: u64,
     /// Stream hits of the most recent deployment only — assigned, not
@@ -50,9 +146,6 @@ struct Telemetry {
     last_correct: u64,
     /// Measured frames of the most recent deployment only.
     last_frames: u64,
-    /// Candidates priced from the persistent cache log instead of a live
-    /// deployment — non-zero only on warm restarts.
-    log_hits: u64,
 }
 
 /// [`EvalBackend`] that measures candidates on the live TCP engine —
@@ -377,19 +470,12 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Consults the cache log for a candidate's stored metrics.
     fn log_lookup(&self, arch: &Architecture) -> Option<Metrics> {
         let log = self.cache_log.as_ref()?;
-        let m = log.lock().ok()?.get(cachelog::arch_key(arch), self.fidelity_tag(), 0);
-        if m.is_some() {
-            self.telemetry.lock().log_hits += 1;
-        }
-        m
+        log.lock().ok()?.get(cachelog::arch_key(arch), self.fidelity_tag(), 0)
     }
 
-    /// Writes a fresh successful measurement through to the cache log.
-    /// Sentinel-priced failures are deliberately not persisted.
+    /// Writes a fresh successful measurement through to the cache log
+    /// ([`measure_cached`] never hands a failed one over).
     fn log_store(&self, arch: &Architecture, m: Metrics) {
-        if m.latency_s >= DEPLOY_FAILURE_SENTINEL {
-            return;
-        }
         if let Some(log) = &self.cache_log {
             if let Ok(mut log) = log.lock() {
                 log.put(cachelog::arch_key(arch), self.fidelity_tag(), 0, m);
@@ -400,7 +486,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Candidates priced from the persistent cache log instead of a live
     /// deployment.
     pub fn log_hits(&self) -> u64 {
-        self.telemetry.lock().log_hits
+        self.telemetry.lock().profile.cached
     }
 
     /// Percentiles and traffic accumulated over every *measured* frame so
@@ -408,23 +494,12 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Warmup frames contribute nothing here: their latencies, bytes and
     /// hit/miss outcomes are all dropped before accumulation.
     pub fn measured_profile(&self) -> MeasuredProfile {
-        let t = self.telemetry.lock();
-        let (p50_s, p95_s, p99_s) = latency_percentiles(&t.latencies_s);
-        MeasuredProfile {
-            frames: t.latencies_s.len() as u64,
-            p50_s,
-            p95_s,
-            p99_s,
-            bytes_sent: t.bytes_sent,
-            errors: t.errors,
-            deployed: t.deployments,
-            cached: t.log_hits,
-        }
+        self.telemetry.lock().profile.profile()
     }
 
     /// Successful deployments so far.
     pub fn deployments(&self) -> u64 {
-        self.telemetry.lock().deployments
+        self.telemetry.lock().profile.deployed
     }
 
     /// The fleet every deployment runs on, built from the configured spec,
@@ -468,7 +543,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// want the whole-search aggregate rather than a per-candidate rate.
     pub fn lifetime_stream_accuracy(&self) -> f64 {
         let t = self.telemetry.lock();
-        t.stream_correct as f64 / (t.latencies_s.len().max(1)) as f64
+        t.stream_correct as f64 / (t.profile.latencies_s.len().max(1)) as f64
     }
 
     /// The warmup+measured frame stream for one candidate.
@@ -478,26 +553,23 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             .collect()
     }
 
-    /// Converts one successful deployment's raw predictions and
-    /// [`EngineStats`] into [`Metrics`], accumulating the measured window
-    /// into the telemetry. Everything priced here comes from the measured
-    /// window only: warmup frames primed the pipeline and must not leak
-    /// into latency, traffic, energy or the live hit rate.
-    fn price_measured(
-        &self,
-        arch: &Architecture,
-        predictions: &[usize],
-        stats: &EngineStats,
-    ) -> Metrics {
-        let cut = self.warmup.min(stats.frames);
-        let measured = &stats.frame_latencies_s[cut..];
+    /// Folds one fleet outcome into the telemetry and, for a successful
+    /// deployment, converts its raw predictions and [`EngineStats`] into
+    /// [`Metrics`]. Everything priced here comes from the measured window
+    /// only: warmup frames primed the pipeline and must not leak into
+    /// latency, traffic, energy or the live hit rate.
+    fn price(&self, arch: &Architecture, outcome: &FleetOutcome) -> Option<Metrics> {
+        let mut t = self.telemetry.lock();
+        t.profile.absorb(outcome, self.warmup, false);
+        let (predictions, stats) = outcome.as_ref().ok()?;
+        let (cut, measured, measured_bytes) = measured_window(stats, self.warmup);
         let mean_s = if measured.is_empty() {
             stats.wall_s / stats.frames.max(1) as f64
         } else {
             measured.iter().sum::<f64>() / measured.len() as f64
         };
-        let measured_bytes: usize = stats.frame_bytes[cut..].iter().sum();
-        let bytes_per_frame = measured_bytes / (stats.frames - cut).max(1);
+        let measured_frames = measured.len().max(1);
+        let bytes_per_frame = measured_bytes / measured_frames;
         let energy_j = self.sys.device.run_power_w * mean_s
             + self.sys.power.device_comm_energy(&self.sys.link, bytes_per_frame, 0);
         let correct = predictions
@@ -506,11 +578,6 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             .skip(cut)
             .filter(|&(i, &p)| p == self.samples[i % self.samples.len()].label)
             .count();
-        let measured_frames = (stats.frames - cut).max(1);
-        let mut t = self.telemetry.lock();
-        t.latencies_s.extend_from_slice(measured);
-        t.bytes_sent += measured_bytes as u64;
-        t.deployments += 1;
         t.stream_correct += correct as u64;
         t.last_correct = correct as u64;
         t.last_frames = measured_frames as u64;
@@ -520,52 +587,42 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         } else {
             (self.accuracy_fn)(arch)
         };
-        Metrics { accuracy, latency_s: mean_s, energy_j }
+        Some(Metrics { accuracy, latency_s: mean_s, energy_j })
     }
 
-    /// Sentinel metrics for a candidate whose deployment failed, with the
-    /// error counted in the telemetry.
-    fn price_failure(&self) -> Metrics {
-        self.telemetry.lock().errors += 1;
-        Metrics {
+    /// The one deployment path: [`measure_cached`] prices what the cache
+    /// log holds; the rest of the batch is lowered to plans, pulled off the
+    /// shared morsel queue by the [`EdgeFleet`]'s pools (the fleet is built
+    /// lazily on first use) and priced. Fleet-internal recoveries are
+    /// invisible here — only candidates the fleet definitively gave up on
+    /// come back as errors, and those get the sentinel.
+    fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
+        let Ok((priced, fresh)) = measure_cached(
+            archs,
+            |arch| self.log_lookup(arch),
+            |uncached| {
+                let plans: Vec<ExecutionPlan> =
+                    uncached.iter().map(|&i| self.lower_plan(&archs[i])).collect();
+                let stream = self.stream();
+                let outcomes = self
+                    .fleet
+                    .lock()
+                    .get_or_insert_with(|| self.new_fleet())
+                    .run_batch(&plans, &stream);
+                let measured = uncached.iter().zip(&outcomes);
+                Ok::<_, Infallible>(
+                    measured.map(|(&i, o)| self.price(&archs[i], o).ok_or(())).collect(),
+                )
+            },
+            |arch, &m| self.log_store(arch, m),
+        );
+        self.telemetry.lock().profile.cached += (archs.len() - fresh.len()) as u64;
+        let failed = Metrics {
             accuracy: 0.0,
             latency_s: DEPLOY_FAILURE_SENTINEL,
             energy_j: DEPLOY_FAILURE_SENTINEL,
-        }
-    }
-
-    /// The one deployment path: lower the whole batch to plans, let the
-    /// [`EdgeFleet`]'s pools pull them off the shared morsel queue
-    /// (building the fleet lazily on first use), and price each outcome.
-    /// Fleet-internal recoveries are invisible here — only candidates the
-    /// fleet definitively gave up on come back as errors.
-    fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
-        // Cache-log partition: candidates with stored metrics never reach
-        // the morsel queue, and a fully-cached batch never even spawns the
-        // fleet — a warm restart deploys nothing.
-        let mut results: Vec<Option<Metrics>> = archs.iter().map(|a| self.log_lookup(a)).collect();
-        let uncached: Vec<usize> = (0..archs.len()).filter(|&i| results[i].is_none()).collect();
-        if !uncached.is_empty() {
-            let plans: Vec<ExecutionPlan> =
-                uncached.iter().map(|&i| self.lower_plan(&archs[i])).collect();
-            let stream = self.stream();
-            let outcomes = self
-                .fleet
-                .lock()
-                .get_or_insert_with(|| self.new_fleet())
-                .run_batch(&plans, &stream);
-            for (&i, outcome) in uncached.iter().zip(outcomes) {
-                let m = match outcome {
-                    Ok((predictions, stats)) => {
-                        self.price_measured(&archs[i], &predictions, &stats)
-                    }
-                    Err(_) => self.price_failure(),
-                };
-                self.log_store(&archs[i], m);
-                results[i] = Some(m);
-            }
-        }
-        results.into_iter().map(|m| m.expect("every batch slot was filled")).collect()
+        };
+        priced.into_iter().map(|m| m.unwrap_or(failed)).collect()
     }
 }
 
@@ -645,6 +702,105 @@ mod tests {
             SystemConfig::tx2_to_i7(40.0),
             |a: &Architecture| 0.8 + 0.001 * a.len() as f64,
         )
+    }
+
+    #[test]
+    fn measure_cached_partitions_merges_and_stores_only_successes() {
+        // (case, keys the cache already holds, keys whose measurement fails)
+        let cases: [(&str, &[u32], &[u32]); 4] = [
+            ("all hits", &[1, 2, 3, 4, 5], &[]),
+            ("all misses", &[], &[]),
+            ("interleaved", &[2, 4], &[]),
+            ("a failed outcome", &[1], &[3, 5]),
+        ];
+        let keys = [1u32, 2, 3, 4, 5];
+        for (case, held, failing) in cases {
+            let mut measured: Option<Vec<usize>> = None;
+            let mut stored = Vec::new();
+            let outcomes = measure_cached(
+                &keys,
+                |k| held.contains(k).then_some(*k * 10),
+                |uncached| {
+                    measured = Some(uncached.to_vec());
+                    let fresh = uncached.iter().map(|&i| keys[i]);
+                    Ok::<_, Infallible>(
+                        fresh
+                            .map(|k| if failing.contains(&k) { Err(k) } else { Ok(k * 100) })
+                            .collect(),
+                    )
+                },
+                |k, v| stored.push((*k, *v)),
+            );
+            let Ok((outcomes, fresh)) = outcomes;
+
+            // Hits and fresh outcomes land at their input positions…
+            let expected: Vec<Result<u32, u32>> = keys
+                .iter()
+                .map(|k| match (held.contains(k), failing.contains(k)) {
+                    (true, _) => Ok(k * 10),
+                    (false, false) => Ok(k * 100),
+                    (false, true) => Err(*k),
+                })
+                .collect();
+            assert_eq!(outcomes, expected, "{case}");
+            // …a hit never reaches the measuring step, which is not even
+            // invoked for a fully cached batch…
+            let misses: Vec<usize> =
+                (0..keys.len()).filter(|&i| !held.contains(&keys[i])).collect();
+            assert_eq!(fresh, misses, "{case}");
+            assert_eq!(measured, (!misses.is_empty()).then_some(misses), "{case}");
+            // …and exactly the fresh successes are stored.
+            let fresh_ok: Vec<(u32, u32)> = keys
+                .iter()
+                .filter(|k| !held.contains(k) && !failing.contains(k))
+                .map(|&k| (k, k * 100))
+                .collect();
+            assert_eq!(stored, fresh_ok, "{case}");
+        }
+    }
+
+    #[test]
+    fn measure_cached_stores_nothing_when_the_measuring_step_fails_as_a_whole() {
+        let mut stored = 0;
+        let outcome = measure_cached(
+            &[1u32, 2],
+            |k| (*k == 1).then_some(10u32),
+            |_| Err::<Vec<Result<u32, ()>>, _>("executor gone"),
+            |_, _| stored += 1,
+        );
+        assert_eq!(outcome, Err("executor gone"));
+        assert_eq!(stored, 0);
+    }
+
+    #[test]
+    fn profile_fold_cuts_warmup_and_splits_deployed_from_cached() {
+        let run = |latencies: &[f64], bytes: &[usize]| -> FleetOutcome {
+            Ok((
+                vec![0; latencies.len()],
+                EngineStats {
+                    frames: latencies.len(),
+                    wall_s: 1.0,
+                    fps: 1.0,
+                    bytes_sent: bytes.iter().sum(),
+                    frame_bytes: bytes.to_vec(),
+                    accuracy: 0.0,
+                    p50_s: 0.0,
+                    p95_s: 0.0,
+                    p99_s: 0.0,
+                    frame_latencies_s: latencies.to_vec(),
+                },
+            ))
+        };
+        let mut fold = ProfileFold::default();
+        assert_eq!(fold.profile().frames, 0, "an empty fold is an all-zero profile");
+        fold.absorb(&run(&[9.0, 0.1, 0.2], &[900, 10, 20]), 1, false);
+        fold.absorb(&run(&[9.0, 0.3], &[900, 30]), 1, true);
+        fold.absorb(&run(&[9.0], &[900]), 4, false); // all warmup: nothing measured
+        fold.absorb(&Err(crate::EngineError::Protocol("dead pool".to_string())), 1, false);
+        let p = fold.profile();
+        assert_eq!((p.frames, p.bytes_sent), (3, 60), "warmup frames contribute nothing");
+        assert_eq!((p.deployed, p.cached, p.errors), (2, 1, 1));
+        assert_eq!((p.p50_s, p.p99_s), (0.2, 0.3));
     }
 
     #[test]

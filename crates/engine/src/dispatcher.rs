@@ -8,23 +8,18 @@
 //! [`WeightBank`], one bank serves every dispatched plan — switching
 //! architectures at runtime costs no weight transfer.
 //!
-//! With a live [`EdgePool`] attached ([`EngineDispatcher::attach_pool`]),
-//! that claim is executed literally: a constraint switch hot-swaps the
-//! picked plan onto the warm pair via one `SwapPlan` control frame — the
-//! edge process, TCP connection and weights all survive the switch.
+//! Handed to a warm [`EdgeFleet`](crate::EdgeFleet) — the one owner of a
+//! deployed pair — that claim is executed literally: each dispatched plan
+//! is hot-swapped onto the warm pair via one `SwapPlan` control frame, and
+//! the edge process, TCP connection and weights all survive the switch.
 
 use crate::optimizer::{lower_and_optimize, OptimizeOptions};
 use crate::plan::ExecutionPlan;
-use crate::pool::EdgePool;
-use crate::runtime::EngineStats;
-use crate::EngineError;
 use gcode_core::search::ScoredArch;
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
 
-/// A zoo bound to the shared weights that can serve it, optionally wired
-/// to a live deployed pair.
+/// A zoo bound to the shared weights that can serve it.
 ///
 /// # Example
 ///
@@ -68,31 +63,13 @@ use gcode_nn::seq::WeightBank;
 pub struct EngineDispatcher {
     zoo: ArchitectureZoo,
     bank: WeightBank,
-    pool: Option<EdgePool>,
 }
 
 impl EngineDispatcher {
     /// Couples a searched zoo with the supernet weight bank its members
     /// were trained in.
     pub fn new(zoo: ArchitectureZoo, bank: WeightBank) -> Self {
-        Self { zoo, bank, pool: None }
-    }
-
-    /// Spawns a persistent [`EdgePool`] over the shared bank and attaches
-    /// it, so [`dispatch_live`](Self::dispatch_live) can hot-swap plans on
-    /// a warm deployed pair instead of merely returning them.
-    ///
-    /// # Errors
-    ///
-    /// Returns bind/connect errors from the pool spawn.
-    pub fn attach_pool(&mut self, seed: u64) -> Result<(), EngineError> {
-        self.pool = Some(EdgePool::spawn(self.bank.clone(), seed)?);
-        Ok(())
-    }
-
-    /// Whether a live pool is currently attached.
-    pub fn has_pool(&self) -> bool {
-        self.pool.is_some()
+        Self { zoo, bank }
     }
 
     /// The underlying zoo.
@@ -118,79 +95,6 @@ impl EngineDispatcher {
     pub fn dispatch(&self, constraint: RuntimeConstraint) -> Option<(ExecutionPlan, &ScoredArch)> {
         let entry = self.zoo.dispatch(constraint)?;
         Some((Self::lower(&entry.arch), entry))
-    }
-
-    /// Picks the architecture for `constraint` and hot-swaps its plan onto
-    /// the attached live pool — the runtime dispatcher acting on a
-    /// deployed pair: one `SwapPlan` control frame, no redeployment, no
-    /// weight transfer. Returns the chosen zoo entry, or `Ok(None)` for an
-    /// empty zoo (the live plan is left untouched).
-    ///
-    /// # Errors
-    ///
-    /// Errors if no pool is attached ([`attach_pool`](Self::attach_pool)
-    /// first) or the swap fails on the wire.
-    pub fn dispatch_live(
-        &mut self,
-        constraint: RuntimeConstraint,
-    ) -> Result<Option<ScoredArch>, EngineError> {
-        let pool = self.pool.as_mut().ok_or_else(|| {
-            EngineError::Protocol("no live pool attached; call attach_pool first".to_string())
-        })?;
-        let Some(entry) = self.zoo.dispatch(constraint) else {
-            return Ok(None);
-        };
-        pool.deploy(Self::lower(&entry.arch))?;
-        Ok(Some(entry.clone()))
-    }
-
-    /// Streams `samples` through the currently dispatched plan on the live
-    /// pool.
-    ///
-    /// # Errors
-    ///
-    /// Errors if no pool is attached or the run fails.
-    pub fn run_live(
-        &mut self,
-        samples: &[Sample],
-    ) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let pool = self.pool.as_mut().ok_or_else(|| {
-            EngineError::Protocol("no live pool attached; call attach_pool first".to_string())
-        })?;
-        pool.run(samples)
-    }
-
-    /// Re-caps the live pool's device uplink at `mbps` — the scenario
-    /// runner's per-segment link degradation. Takes effect on the next
-    /// [`run_live`](Self::run_live).
-    ///
-    /// # Errors
-    ///
-    /// Errors if no pool is attached ([`attach_pool`](Self::attach_pool)
-    /// first).
-    pub fn set_uplink_mbps(&mut self, mbps: f64) -> Result<(), EngineError> {
-        let pool = self.pool.as_mut().ok_or_else(|| {
-            EngineError::Protocol("no live pool attached; call attach_pool first".to_string())
-        })?;
-        pool.set_uplink_mbps(mbps);
-        Ok(())
-    }
-
-    /// Plans hot-swapped onto the live pool so far (0 with no pool).
-    pub fn live_swaps(&self) -> u64 {
-        self.pool.as_ref().map_or(0, EdgePool::swaps)
-    }
-
-    /// Detaches and cleanly shuts down the live pool, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serve-thread errors from the pool teardown.
-    pub fn detach_pool(&mut self) -> Result<(), EngineError> {
-        match self.pool.take() {
-            Some(pool) => pool.shutdown(),
-            None => Ok(()),
-        }
     }
 }
 
@@ -251,41 +155,34 @@ mod tests {
     }
 
     #[test]
-    fn live_dispatch_requires_a_pool() {
-        let mut d = dispatcher();
-        assert!(!d.has_pool());
-        assert!(d.dispatch_live(RuntimeConstraint::none()).is_err());
-        assert_eq!(d.live_swaps(), 0);
-        d.detach_pool().expect("detaching nothing is fine");
-    }
-
-    #[test]
-    fn constraint_switches_hot_swap_the_live_pair() {
+    fn constraint_switches_hot_swap_one_warm_fleet_pair() {
+        use crate::fleet::{EdgeFleet, FleetSpec};
         use gcode_graph::datasets::PointCloudDataset;
         let ds = PointCloudDataset::generate(3, 14, 3, 17);
-        let mut d = dispatcher();
-        d.attach_pool(5).expect("pool up");
-        assert!(d.has_pool());
+        let d = dispatcher();
+        let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 1, 5);
+        let mut serve = |constraint| {
+            let (plan, pick) = d.dispatch(constraint).expect("non-empty zoo");
+            let (preds, stats) = fleet.run_batch(&[plan], ds.samples()).remove(0).expect("stream");
+            assert_eq!(preds.len(), 3);
+            (pick.accuracy, stats.bytes_sent)
+        };
 
-        // Relaxed constraint → offloaded pick; run frames through it.
-        let relaxed =
-            d.dispatch_live(RuntimeConstraint::none()).expect("swap").expect("non-empty zoo");
-        assert_eq!(relaxed.accuracy, 0.93);
-        let (preds, stats) = d.run_live(ds.samples()).expect("stream");
-        assert_eq!(preds.len(), 3);
-        assert!(stats.bytes_sent > 0, "offloaded pick ships traffic");
+        // Relaxed constraint → offloaded pick; tight latency → local pick,
+        // served by the same warm pair.
+        let (accuracy, bytes_sent) = serve(RuntimeConstraint::none());
+        assert_eq!(accuracy, 0.93);
+        assert!(bytes_sent > 0, "offloaded pick ships traffic");
+        let (accuracy, bytes_sent) = serve(RuntimeConstraint::latency(0.020));
+        assert_eq!(accuracy, 0.90);
+        assert_eq!(bytes_sent, 0, "local pick stays on-device");
 
-        // Tight latency → local pick; the same warm pair serves it.
-        let tight = d
-            .dispatch_live(RuntimeConstraint::latency(0.020))
-            .expect("swap")
-            .expect("non-empty zoo");
-        assert_eq!(tight.accuracy, 0.90);
-        let (preds, stats) = d.run_live(ds.samples()).expect("stream");
-        assert_eq!(preds.len(), 3);
-        assert_eq!(stats.bytes_sent, 0, "local pick stays on-device");
-
-        assert_eq!(d.live_swaps(), 2, "two constraint switches, two swaps, one pair");
-        d.detach_pool().expect("clean pool shutdown");
+        let stats = fleet.stats();
+        assert_eq!(
+            (stats.deployments(), stats.spawns()),
+            (2, 1),
+            "two constraint switches, two swaps, one pair"
+        );
+        fleet.shutdown().expect("clean fleet shutdown");
     }
 }

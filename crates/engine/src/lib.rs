@@ -12,7 +12,7 @@
 //!
 //! Architectures typically arrive from a `gcode_core::eval::SearchSession`
 //! run: the zoo's winners lower to an [`ExecutionPlan`] here, and the
-//! [`EngineDispatcher`] swaps deployed plans as runtime constraints move.
+//! [`EngineDispatcher`] picks the plan to deploy as runtime constraints move.
 //! The loop closes in the other direction too: [`EngineBackend`] registers
 //! this runtime as a `Measured`-fidelity evaluation backend, so a search
 //! can price its most promising candidates on the deployed engine itself
@@ -67,7 +67,7 @@ pub mod runtime;
 pub mod scenario;
 pub mod throttle;
 
-pub use backend::{EngineBackend, DEPLOY_FAILURE_SENTINEL};
+pub use backend::{measure_cached, EngineBackend, ProfileFold, DEPLOY_FAILURE_SENTINEL};
 pub use dispatcher::EngineDispatcher;
 pub use fleet::{
     EdgeFleet, FleetEndpoint, FleetOutcome, FleetSpec, DEFAULT_REMOTE_CONNECT_TIMEOUT,
@@ -85,7 +85,7 @@ pub use proto::{
     PROTOCOL_VERSION,
 };
 pub use runtime::{latency_percentiles, DeviceClient, EdgeServer, EngineStats};
-pub use scenario::{replay_on_fleet, ScenarioRunner};
+pub use scenario::replay_on_fleet;
 pub use throttle::Throttle;
 
 /// Errors surfaced by the engine.

@@ -173,11 +173,6 @@ impl EdgePool {
         self.swaps
     }
 
-    /// Address of the edge this pool talks to.
-    pub fn addr(&self) -> Option<SocketAddr> {
-        self.server.as_ref().map(EdgeServer::addr)
-    }
-
     /// Cleanly ends the pool. For a pool that spawned its own edge, a
     /// `Shutdown` control frame stops the serve loop and the serve thread
     /// is joined — no thread outlives the pool. A pool that connected to a

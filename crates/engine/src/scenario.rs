@@ -5,16 +5,16 @@
 //! The paper's runtime dispatcher (Sec. 3.6) is pitched at *changing*
 //! conditions — bursty arrivals, shrinking uplinks, constraint flips —
 //! and this module is where those conditions are actually replayed
-//! against a deployed zoo. A [`ScenarioRunner`] walks a normalized
-//! trace's segments in timeline order over a warm
-//! [`EngineDispatcher`] pool (or, via
-//! [`replay_on_fleet`], an [`EdgeFleet`]):
+//! against a deployed zoo. [`replay_on_fleet`] — the one replay loop —
+//! walks a normalized trace's segments in timeline order over a warm
+//! [`EdgeFleet`]:
 //!
 //! 1. **Segment boundary.** An `uplink_mbps` change re-caps the device
-//!    throttle on the warm pair; a `constraint` flip re-runs zoo dispatch
-//!    and — only if the admitted entry actually changed — hot-swaps the
-//!    new plan with one `SwapPlan` frame (counted in
-//!    [`ScenarioReport::swaps`]).
+//!    throttle on the warm pairs; a `constraint` flip re-runs zoo
+//!    dispatch. The segment's pick is deployed as a single-plan batch
+//!    (one `SwapPlan` frame onto whichever warm pair pulls it), and
+//!    [`ScenarioReport::swaps`] counts the segments whose pick differs
+//!    from the previous one.
 //! 2. **Frames.** The segment's frames are real held-out dataset samples
 //!    streamed through the deployed plan, continuing round-robin from the
 //!    previous segment (the trace `seed` rotates the starting offset), so
@@ -42,78 +42,12 @@ use gcode_core::eval::scenario::{ScenarioReport, ScenarioSegment, ScenarioTrace}
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
 use gcode_graph::datasets::Sample;
 
-/// Replays [`ScenarioTrace`]s through one warm
-/// [`EngineDispatcher`] pool. See the module docs for the segment
-/// lifecycle.
-///
-/// The runner borrows the dispatcher, so a caller can keep dispatching
-/// (or replay further traces on the same warm pair) afterwards.
-pub struct ScenarioRunner<'a> {
-    dispatcher: &'a mut EngineDispatcher,
-    samples: &'a [Sample],
-}
-
-impl<'a> ScenarioRunner<'a> {
-    /// Couples a dispatcher (with a live pool attached) to the held-out
-    /// `samples` whose labels score measured accuracy.
-    pub fn new(dispatcher: &'a mut EngineDispatcher, samples: &'a [Sample]) -> Self {
-        Self { dispatcher, samples }
-    }
-
-    /// Replays `trace` (normalized first) and returns one
-    /// [`ScenarioReport`] per segment, in timeline order.
-    ///
-    /// # Errors
-    ///
-    /// Errors on an invalid trace, an empty zoo, a missing pool
-    /// ([`EngineDispatcher::attach_pool`] first), or any wire failure
-    /// mid-replay.
-    pub fn run(&mut self, trace: &ScenarioTrace) -> Result<Vec<ScenarioReport>, EngineError> {
-        let trace = trace.clone().normalized();
-        trace.validate().map_err(EngineError::Protocol)?;
-        if self.samples.is_empty() {
-            return Err(EngineError::Protocol("scenario replay needs samples".to_string()));
-        }
-        let mut reports = Vec::with_capacity(trace.segments.len());
-        let mut constraint = RuntimeConstraint::none();
-        let mut deployed: Option<Architecture> = None;
-        let mut offset = trace.seed as usize % self.samples.len();
-        for seg in &trace.segments {
-            if let Some(mbps) = seg.uplink_mbps {
-                self.dispatcher.set_uplink_mbps(mbps)?;
-            }
-            if let Some(flip) = seg.constraint {
-                constraint = flip;
-            }
-            let pick = self
-                .dispatcher
-                .zoo()
-                .dispatch(constraint)
-                .ok_or_else(|| {
-                    EngineError::Protocol("scenario replay needs a non-empty zoo".to_string())
-                })?
-                .arch
-                .clone();
-            let mut swaps = 0;
-            if deployed.as_ref() != Some(&pick) {
-                self.dispatcher.dispatch_live(constraint)?;
-                deployed = Some(pick);
-                swaps = 1;
-            }
-            let stream = segment_stream(self.samples, offset, seg.frames);
-            let (preds, stats) = self.dispatcher.run_live(&stream)?;
-            reports.push(segment_report(seg, &preds, &stream, &stats, swaps));
-            offset = (offset + seg.frames) % self.samples.len();
-        }
-        Ok(reports)
-    }
-}
-
-/// Replays `trace` against `zoo` on an [`EdgeFleet`] instead of a
-/// dispatcher-owned pool: each segment runs as a single-plan batch
-/// through the fleet's morsel queue. Which pool serves a segment is
-/// timing-dependent; the predictions (and therefore every
-/// prediction-derived report field) are not — the fleet's per-slot
+/// Replays `trace` (normalized first) against `zoo` on an [`EdgeFleet`]
+/// and returns one [`ScenarioReport`] per segment, in timeline order:
+/// each segment runs as a single-plan batch through the fleet's morsel
+/// queue (see the module docs for the segment lifecycle). Which pool
+/// serves a segment is timing-dependent; the predictions (and therefore
+/// every prediction-derived report field) are not — the fleet's per-slot
 /// seeding contract makes the reports' deterministic views bit-identical
 /// for any pool count, which is exactly what the scenario determinism
 /// suite asserts.
@@ -155,9 +89,7 @@ pub fn replay_on_fleet(
         let plan = EngineDispatcher::lower(&pick);
         deployed = Some(pick);
         let stream = segment_stream(samples, offset, seg.frames);
-        let streams: Vec<&[Sample]> = vec![&stream];
-        let outcome = fleet.run_batch_streams(std::slice::from_ref(&plan), &streams).remove(0);
-        let (preds, stats) = outcome?;
+        let (preds, stats) = fleet.run_batch(&[plan], &stream).remove(0)?;
         reports.push(segment_report(seg, &preds, &stream, &stats, swaps));
         offset = (offset + seg.frames) % samples.len();
     }

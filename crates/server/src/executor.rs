@@ -23,7 +23,7 @@
 //! pool serves it (the same guarantee that makes them independent of
 //! pool count).
 
-use crate::session::{SERVE_BANK_SEED, SERVE_NUM_CLASSES, SERVE_RUN_SEED};
+use crate::session::serve_fleet;
 use gcode_core::eval::FleetStats;
 use gcode_engine::{EdgeFleet, ExecutionPlan, FleetOutcome, FleetSpec};
 use gcode_graph::datasets::Sample;
@@ -163,7 +163,7 @@ impl FleetExecutor {
 /// pool, round-robin across sessions — through the fleet's shared
 /// morsel queue.
 fn run_executor(spec: FleetSpec, rx: &Receiver<FleetCommand>) {
-    let mut fleet = EdgeFleet::new(spec, SERVE_NUM_CLASSES, SERVE_BANK_SEED, SERVE_RUN_SEED);
+    let mut fleet = serve_fleet(spec);
     let mut scheduler: Scheduler<std::ops::Range<usize>> = Scheduler::new();
     let mut jobs: HashMap<u64, PendingJob> = HashMap::new();
     'serve: loop {

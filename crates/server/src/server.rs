@@ -20,17 +20,13 @@
 //! dropped connection or an unbounded queue.
 
 use crate::executor::{FleetCommand, FleetExecutor, MeasureJob};
-use crate::session::{
-    decode_measurement, encode_measurement, measurement_context, run_scenario_stage, run_search,
-    session_measurements, stream_of, zoo_plans, MAX_SESSION_ITERATIONS,
-};
+use crate::session::{run_pipeline, MAX_SESSION_ITERATIONS};
 use crate::ServerError;
 use gcode_core::cachelog::{open_shared, SharedCacheLog};
 use gcode_core::eval::FleetStats;
 use gcode_engine::{
-    decode_frame, encode_frame, frame_name, plan_wire_id, read_message, write_message,
-    FleetOutcome, FleetSpec, Frame, SessionOutcome, SessionProgress, SessionSpec, SessionState,
-    PROTOCOL_VERSION,
+    decode_frame, encode_frame, frame_name, read_message, write_message, FleetSpec, Frame,
+    SessionOutcome, SessionProgress, SessionSpec, SessionState, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -176,10 +172,11 @@ struct Shared {
     /// Self-shutdown trigger (admin `Shutdown` frame, sessions limit).
     trigger: Mutex<Sender<()>>,
     shutting_down: AtomicBool,
-    /// Clones of every accepted connection, for forced unblock at
-    /// shutdown.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Live handler threads, joined at shutdown.
+    /// A clone of every live connection by connection id, for forced
+    /// unblock at shutdown; a handler drops its own when it returns.
+    conns: Mutex<HashMap<usize, TcpStream>>,
+    /// Handler threads not yet seen finished, joined at shutdown; the
+    /// accept loop reaps the finished ones.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -228,7 +225,7 @@ impl SearchServer {
             work_tx: Mutex::new(Some(work_tx)),
             trigger: Mutex::new(trigger_tx),
             shutting_down: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
         });
         let workers = (0..config.max_sessions)
@@ -287,7 +284,7 @@ impl SearchServer {
         let _ = TcpStream::connect(self.addr);
         let _ = self.accept.join();
         // Force every handler out of its blocking read.
-        for conn in self.shared.conns.lock().expect("conns lock").iter() {
+        for conn in self.shared.conns.lock().expect("conns lock").values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handlers lock"));
@@ -306,21 +303,29 @@ impl SearchServer {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
+    for (conn, stream) in listener.incoming().enumerate() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").push(clone);
+            shared.conns.lock().expect("conns lock").insert(conn, clone);
         }
         let handler_shared = Arc::clone(shared);
-        if let Ok(handle) = std::thread::Builder::new()
+        match std::thread::Builder::new()
             .name("gcode-serve-conn".to_string())
-            .spawn(move || handle_connection(stream, &handler_shared))
+            .spawn(move || handle_connection(stream, conn, &handler_shared))
         {
-            shared.handlers.lock().expect("handlers lock").push(handle);
+            Ok(handle) => {
+                // A resident server holds handles for its live connections
+                // only, not one per connection ever made.
+                let mut handlers = shared.handlers.lock().expect("handlers lock");
+                handlers.retain(|h| !h.is_finished());
+                handlers.push(handle);
+            }
+            // No handler will ever drop this connection's clone.
+            Err(_) => drop(shared.conns.lock().expect("conns lock").remove(&conn)),
         }
     }
 }
@@ -331,15 +336,25 @@ fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
     write_message(&mut *stream, &encode_frame(frame)).is_ok()
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    drive_connection(&mut stream, shared);
-    // The accept loop holds a clone of this stream (for forced unblock at
-    // server shutdown), so dropping ours would not close the connection —
-    // shut the socket down explicitly so the client sees a clean EOF.
+fn handle_connection(mut stream: TcpStream, conn: usize, shared: &Arc<Shared>) {
+    let mut opened = Vec::new();
+    drive_connection(&mut stream, shared, &mut opened);
+    // However the client left: a session it opened and never submitted has
+    // no worker to account for it, so its admission slot goes back here.
+    for id in opened {
+        if lookup(shared, id).is_some_and(|entry| release_unsubmitted(&entry, shared)) {
+            shared.registry.lock().expect("registry lock").remove(&id);
+        }
+    }
+    // Drop the accept loop's clone of this stream before closing ours, so
+    // a client that sees EOF knows the server tracks it no longer.
+    shared.conns.lock().expect("conns lock").remove(&conn);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn drive_connection(mut stream: &mut TcpStream, shared: &Arc<Shared>) {
+/// Serves one client until it leaves, recording in `opened` the id of every
+/// session it opens.
+fn drive_connection(mut stream: &mut TcpStream, shared: &Arc<Shared>, opened: &mut Vec<u64>) {
     // Handshake: the first frame must be a Hello with our protocol
     // version. Anything else gets a clean Error frame, never a silent
     // drop or a decode failure on the client.
@@ -393,6 +408,9 @@ fn drive_connection(mut stream: &mut TcpStream, shared: &Arc<Shared>) {
             Err(_) => return,   // truncated frame / reset: nothing to answer
         };
         let (reply, trigger) = handle_request(frame, shared);
+        if let Frame::SessionOpened(id) = reply {
+            opened.push(id);
+        }
         let sent = send(stream, &reply);
         // Shutdown is triggered only after the reply frame is on the
         // wire, so the peer that caused it (an explicit Shutdown, or the
@@ -424,12 +442,7 @@ fn handle_request(frame: Frame, shared: &Arc<Shared>) -> (Frame, bool) {
             let entry = shared.registry.lock().expect("registry lock").remove(&id);
             match entry {
                 Some(entry) => {
-                    // A session closed before ever being submitted gives
-                    // its admission slot back here; a submitted one is
-                    // accounted by its worker when it finishes.
-                    if matches!(*entry.phase.lock().expect("phase lock"), SessionPhase::Open) {
-                        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    release_unsubmitted(&entry, shared);
                     (Frame::CloseSession(id), false)
                 }
                 None => (unknown_session(id), false),
@@ -441,6 +454,21 @@ fn handle_request(frame: Frame, shared: &Arc<Shared>) -> (Frame, bool) {
             false,
         ),
     }
+}
+
+/// Gives back the admission slot of a session that was never submitted —
+/// a submitted one is accounted by its worker when it finishes — and
+/// reports whether it did. The session turns terminal under its phase
+/// lock, so a `Submit` racing in on another connection cannot queue a
+/// session whose slot is already returned.
+fn release_unsubmitted(entry: &SessionEntry, shared: &Shared) -> bool {
+    let mut phase = entry.phase.lock().expect("phase lock");
+    let unsubmitted = matches!(*phase, SessionPhase::Open);
+    if unsubmitted {
+        *phase = SessionPhase::Failed("closed before it was submitted".to_string());
+        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+    unsubmitted
 }
 
 fn lookup(shared: &Shared, id: u64) -> Option<Arc<SessionEntry>> {
@@ -546,79 +574,74 @@ fn worker_loop(
     }
 }
 
-/// Runs one session's pipeline and returns its terminal phase.
+/// Runs one session's pipeline and returns its terminal phase. The zoo's
+/// uncached plans become one [`MeasureJob`] on the shared fleet; a fully
+/// cached zoo skips the Measuring queue outright.
 fn run_session(
     entry: &Arc<SessionEntry>,
     fleet_tx: &Sender<FleetCommand>,
     cache: Option<&SharedCacheLog>,
 ) -> SessionPhase {
     *entry.phase.lock().expect("phase lock") = SessionPhase::Searching;
-    let (mut report, result) = run_search(&entry.spec, &entry.evaluated);
-    let mut winner_predictions = Vec::new();
-    if entry.spec.measure_zoo && !result.zoo.is_empty() {
+    let outcome = run_pipeline(&entry.spec, entry.id, &entry.evaluated, cache, |plans, stream| {
         *entry.phase.lock().expect("phase lock") = SessionPhase::Measuring;
-        let plans = zoo_plans(&result, entry.spec.task);
-        // Measurement cache: a plan whose deployment is already on record
-        // (same wire id, same task fixtures) never reaches the fleet; only
-        // the rest become a MeasureJob — a fully-cached zoo skips the
-        // Measuring queue outright.
-        let context = measurement_context(entry.spec.task);
-        let mut outcomes: Vec<Option<FleetOutcome>> = plans
-            .iter()
-            .map(|plan| {
-                let log = cache?.lock().ok()?;
-                let blob = log.get_blob((plan_wire_id(plan), context))?;
-                decode_measurement(blob).map(|(preds, stats)| Ok((preds, stats)))
-            })
-            .collect();
-        let cached = outcomes.iter().filter(|o| o.is_some()).count() as u64;
-        let uncached: Vec<usize> = (0..plans.len()).filter(|&i| outcomes[i].is_none()).collect();
-        if !uncached.is_empty() {
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-            let job = MeasureJob {
-                session: entry.id,
-                plans: uncached.iter().map(|&i| plans[i].clone()).collect(),
-                stream: Arc::new(stream_of(entry.spec.task)),
-                reply: reply_tx,
-            };
-            if fleet_tx.send(FleetCommand::Measure(job)).is_err() {
-                return SessionPhase::Failed("fleet executor is shut down".to_string());
-            }
-            let Ok(fresh) = reply_rx.recv() else {
-                return SessionPhase::Failed(
-                    "fleet executor shut down mid-measurement".to_string(),
-                );
-            };
-            for (&i, outcome) in uncached.iter().zip(fresh) {
-                if let (Some(log), Ok((preds, stats))) = (cache, &outcome) {
-                    if let Ok(mut log) = log.lock() {
-                        log.put_blob(
-                            (plan_wire_id(&plans[i]), context),
-                            &encode_measurement(preds, stats),
-                        );
-                    }
-                }
-                outcomes[i] = Some(outcome);
-            }
+        let (reply, reply_rx) = std::sync::mpsc::channel();
+        let job = MeasureJob { session: entry.id, plans, stream: Arc::new(stream), reply };
+        fleet_tx
+            .send(FleetCommand::Measure(job))
+            .map_err(|_| "fleet executor is shut down".to_string())?;
+        reply_rx.recv().map_err(|_| "fleet executor shut down mid-measurement".to_string())
+    });
+    outcome.map_or_else(SessionPhase::Failed, |outcome| SessionPhase::Done(Box::new(outcome)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServerClient;
+    use gcode_core::eval::Objective;
+    use gcode_core::search::SearchConfig;
+    use gcode_engine::SessionTask;
+    use std::time::Duration;
+
+    #[test]
+    fn connections_are_untracked_and_their_handlers_reaped_as_clients_leave() {
+        let server = SearchServer::start("127.0.0.1:0", ServerConfig::new(FleetSpec::loopback(1)))
+            .expect("server starts");
+        const CYCLES: usize = 64;
+        for _ in 0..CYCLES {
+            let mut raw = TcpStream::connect(server.addr()).expect("connect");
+            write_message(&mut raw, &encode_frame(&Frame::Hello(PROTOCOL_VERSION))).expect("send");
+            let reply = read_message(&mut raw).expect("read").expect("handshake answered");
+            assert!(matches!(decode_frame(&reply), Ok(Frame::Hello(_))));
+            // Half-close and read to EOF: the handler closes its end only
+            // after it has dropped the server's clone of this connection.
+            raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+            assert!(read_message(&mut raw).expect("clean close").is_none());
         }
-        let outcomes: Vec<FleetOutcome> =
-            outcomes.into_iter().map(|o| o.expect("every zoo slot measured")).collect();
-        let (mut measured, preds) = session_measurements(&outcomes);
-        measured.deployed -= cached;
-        measured.cached = cached;
-        report = report.with_measured(measured);
-        winner_predictions = preds;
+        assert_eq!(
+            server.shared.conns.lock().expect("conns lock").len(),
+            0,
+            "a departed client leaves no duplicated fd behind"
+        );
+
+        // One more client still gets a whole session out of the daemon…
+        let spec = SessionSpec {
+            config: SearchConfig { iterations: 8, zoo_size: 1, seed: 3, ..SearchConfig::default() },
+            objective: Objective::new(0.25, 1.0, 5.0),
+            task: SessionTask::ModelNet40,
+            measure_zoo: false,
+            scenario: None,
+        };
+        let mut client = ServerClient::connect(server.addr()).expect("handshake");
+        let id = client.open_session_retry(&spec, 10, Duration::from_millis(10)).expect("admitted");
+        client.submit(id).expect("submitted");
+        client.wait_result(id, Duration::from_millis(5), Duration::from_secs(60)).expect("done");
+        // …and accepting it reaped the departed clients' handler threads:
+        // each had nothing left to do but return once its client saw EOF.
+        let handlers = server.shared.handlers.lock().expect("handlers lock").len();
+        assert!(handlers < CYCLES, "{handlers} handles held for 1 live connection");
+        assert_eq!(server.shared.conns.lock().expect("conns lock").len(), 1);
+        server.shutdown().expect("clean shutdown");
     }
-    // Scenario stage: replayed on a session-private pool (it re-caps
-    // uplinks and swaps plans mid-trace — state no shared-fleet tenant
-    // may ever observe), so it bypasses the executor entirely.
-    if let Some(scenarios) = run_scenario_stage(&entry.spec, &result) {
-        report = report.with_scenarios(scenarios);
-    }
-    SessionPhase::Done(Box::new(SessionOutcome {
-        session: entry.id,
-        report,
-        result,
-        winner_predictions,
-    }))
 }

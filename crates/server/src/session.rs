@@ -13,7 +13,9 @@
 //!
 //! [`run_standalone`] runs both stages without any server, over a private
 //! one-pool fleet: the reference a served session is asserted
-//! bit-identical against in the session-isolation tests.
+//! bit-identical against in the session-isolation tests. The two differ
+//! only in how they obtain the zoo's fleet outcomes; the rest of the
+//! pipeline is one function (`run_pipeline`).
 //!
 //! The server owns all workload fixtures (datasets, streams, system
 //! config, fleet seeds): a client ships a [`SessionSpec`], never data, so
@@ -21,13 +23,13 @@
 
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::eval::backend::{AnalyticBackend, CascadeBackend};
-use gcode_core::eval::{Evaluator, MeasuredProfile, Metrics, SearchReport, SearchSession};
+use gcode_core::eval::{Evaluator, Metrics, SearchReport, SearchSession};
 use gcode_core::search::{RandomSearch, SearchResult};
 use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_engine::{
-    EdgeFleet, EngineStats, ExecutionPlan, FleetOutcome, FleetSpec, SessionOutcome, SessionSpec,
-    SessionTask, PROTOCOL_VERSION,
+    measure_cached, plan_wire_id, EdgeFleet, EngineStats, ExecutionPlan, FleetOutcome, FleetSpec,
+    ProfileFold, SessionOutcome, SessionSpec, SessionTask, PROTOCOL_VERSION,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
 use gcode_hardware::SystemConfig;
@@ -46,6 +48,14 @@ pub const SERVE_BANK_SEED: u64 = 0x5EED_BA2C;
 
 /// Per-deployment RNG seed on every serve-side fleet.
 pub const SERVE_RUN_SEED: u64 = 0x5EED_0123;
+
+/// The one serve-side fleet constructor: the daemon's shared fleet, a
+/// standalone run's private pool and a scenario's private pool all serve
+/// the same bank with the same seeds, which is what makes their
+/// predictions interchangeable.
+pub(crate) fn serve_fleet(spec: FleetSpec) -> EdgeFleet {
+    EdgeFleet::new(spec, SERVE_NUM_CLASSES, SERVE_BANK_SEED, SERVE_RUN_SEED)
+}
 
 /// Seed of the per-task measurement streams.
 const SERVE_STREAM_SEED: u64 = 47;
@@ -170,39 +180,6 @@ pub(crate) fn zoo_plans(result: &SearchResult, task: SessionTask) -> Vec<Executi
     result.zoo.iter().map(|z| gcode_engine::lower_and_optimize(&z.arch, &opts).0).collect()
 }
 
-/// Folds a session's fleet outcomes (its zoo deployments, winner first)
-/// into the aggregate [`MeasuredProfile`] attached to its report, plus
-/// the winner's predictions.
-pub(crate) fn session_measurements(outcomes: &[FleetOutcome]) -> (MeasuredProfile, Vec<usize>) {
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut frames = 0u64;
-    let mut bytes_sent = 0u64;
-    let mut errors = 0u64;
-    let mut deployed = 0u64;
-    let mut winner_predictions = Vec::new();
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Ok((preds, stats)) => {
-                if i == 0 {
-                    winner_predictions = preds.clone();
-                }
-                deployed += 1;
-                frames += stats.frames as u64;
-                bytes_sent += stats.bytes_sent as u64;
-                latencies.extend_from_slice(&stats.frame_latencies_s);
-            }
-            Err(_) => errors += 1,
-        }
-    }
-    let (p50_s, p95_s, p99_s) = gcode_engine::latency_percentiles(&latencies);
-    // `deployed` counts every successful outcome here; a caller that
-    // served some outcomes from a measurement cache moves those counts
-    // from `deployed` to `cached` afterwards.
-    let profile =
-        MeasuredProfile { frames, p50_s, p95_s, p99_s, bytes_sent, errors, deployed, cached: 0 };
-    (profile, winner_predictions)
-}
-
 /// The measurement-cache namespace of one task: everything that pins what
 /// a plan's deployment on the serve fleet produces — the task's stream,
 /// the fleet seeds, the bank width, and the wire protocol version (the
@@ -210,7 +187,7 @@ pub(crate) fn session_measurements(outcomes: &[FleetOutcome]) -> (MeasuredProfil
 /// `State` codec's doing). Two servers whose fixtures agree may share a
 /// cache file; any constant change above, or a build speaking another
 /// wire version, starts a fresh namespace.
-pub(crate) fn measurement_context(task: SessionTask) -> u64 {
+fn measurement_context(task: SessionTask) -> u64 {
     measurement_context_under(task, PROTOCOL_VERSION)
 }
 
@@ -224,13 +201,13 @@ fn measurement_context_under(task: SessionTask, wire_version: u8) -> u64 {
 
 /// Serializes one successful plan measurement for a cache-log blob
 /// record.
-pub(crate) fn encode_measurement(predictions: &[usize], stats: &EngineStats) -> Vec<u8> {
+fn encode_measurement(predictions: &[usize], stats: &EngineStats) -> Vec<u8> {
     serde_json::to_string(&(predictions, stats)).expect("measurement serializes").into_bytes()
 }
 
 /// Deserializes a cached plan measurement; `None` on any decode failure
 /// (e.g. a blob written by an older build), which simply re-measures.
-pub(crate) fn decode_measurement(blob: &[u8]) -> Option<(Vec<usize>, EngineStats)> {
+fn decode_measurement(blob: &[u8]) -> Option<(Vec<usize>, EngineStats)> {
     serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()
 }
 
@@ -243,24 +220,76 @@ pub(crate) fn decode_measurement(blob: &[u8]) -> Option<(Vec<usize>, EngineStats
 /// reports' prediction-derived fields bit-identical between a served
 /// session and [`run_standalone`], for any pool count.
 ///
-/// Returns `None` when the spec has no trace, the zoo is empty, or the
-/// replay failed (a scenario is a best-effort addendum to the report —
-/// it never fails the session that carried it).
-pub(crate) fn run_scenario_stage(
+/// Returns `None` when the spec has no trace or the replay failed — an
+/// empty zoo fails it before anything is spawned (a scenario is a
+/// best-effort addendum to the report: it never fails the session that
+/// carried it).
+fn run_scenario_stage(
     spec: &SessionSpec,
     result: &SearchResult,
 ) -> Option<Vec<gcode_core::eval::scenario::ScenarioReport>> {
     let trace = spec.scenario.as_ref()?;
-    if result.zoo.is_empty() {
-        return None;
-    }
     let zoo = gcode_core::zoo::ArchitectureZoo::new(result.zoo.clone());
-    let stream = stream_of(spec.task);
-    let mut fleet =
-        EdgeFleet::new(FleetSpec::loopback(1), SERVE_NUM_CLASSES, SERVE_BANK_SEED, SERVE_RUN_SEED);
-    let reports = gcode_engine::replay_on_fleet(&zoo, &mut fleet, &stream, trace).ok();
+    let mut fleet = serve_fleet(FleetSpec::loopback(1));
+    let reports =
+        gcode_engine::replay_on_fleet(&zoo, &mut fleet, &stream_of(spec.task), trace).ok();
     let _ = fleet.shutdown();
     reports
+}
+
+/// The whole session pipeline, shared by a served session and
+/// [`run_standalone`]: search (bumping `evaluated` per candidate), measure
+/// the zoo (when `measure_zoo` is set) through [`measure_cached`] — a plan
+/// whose deployment is already on record under the same wire id and task
+/// fixtures never reaches `measure`, and a fully cached zoo never invokes
+/// it — fold the outcomes into the report's `MeasuredProfile`, then replay
+/// the spec's scenario trace, if any. `measure` is the one thing the two
+/// callers do differently: it deploys the given plans (zoo order, winner
+/// first) against the given stream and answers one outcome per plan.
+///
+/// # Errors
+///
+/// Returns `measure`'s error when the measuring step failed as a whole.
+pub(crate) fn run_pipeline(
+    spec: &SessionSpec,
+    session: u64,
+    evaluated: &AtomicU64,
+    cache: Option<&gcode_core::cachelog::SharedCacheLog>,
+    measure: impl FnOnce(Vec<ExecutionPlan>, Vec<Sample>) -> Result<Vec<FleetOutcome>, String>,
+) -> Result<SessionOutcome, String> {
+    let (mut report, result) = run_search(spec, evaluated);
+    let mut winner_predictions = Vec::new();
+    if spec.measure_zoo && !result.zoo.is_empty() {
+        let plans = zoo_plans(&result, spec.task);
+        let context = measurement_context(spec.task);
+        let (outcomes, fresh) = measure_cached(
+            &plans,
+            |plan| {
+                let log = cache?.lock().ok()?;
+                decode_measurement(log.get_blob((plan_wire_id(plan), context))?)
+            },
+            |uncached| {
+                measure(uncached.iter().map(|&i| plans[i].clone()).collect(), stream_of(spec.task))
+            },
+            |plan, (preds, stats)| {
+                if let Some(Ok(mut log)) = cache.map(|log| log.lock()) {
+                    log.put_blob((plan_wire_id(plan), context), &encode_measurement(preds, stats));
+                }
+            },
+        )?;
+        let mut fold = ProfileFold::default();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            fold.absorb(outcome, 0, !fresh.contains(&i));
+        }
+        report = report.with_measured(fold.profile());
+        if let Some(Ok((preds, _))) = outcomes.into_iter().next() {
+            winner_predictions = preds;
+        }
+    }
+    if let Some(scenarios) = run_scenario_stage(spec, &result) {
+        report = report.with_scenarios(scenarios);
+    }
+    Ok(SessionOutcome { session, report, result, winner_predictions })
 }
 
 /// Runs a session spec to completion without any server: the identical
@@ -273,27 +302,13 @@ pub(crate) fn run_scenario_stage(
 /// wall-clock side of the measured profile may differ, which is exactly
 /// what the session-isolation tests mask out before comparing.
 pub fn run_standalone(spec: &SessionSpec) -> SessionOutcome {
-    let evaluated = AtomicU64::new(0);
-    let (mut report, result) = run_search(spec, &evaluated);
-    let mut winner_predictions = Vec::new();
-    if spec.measure_zoo && !result.zoo.is_empty() {
-        let stream = stream_of(spec.task);
-        let mut fleet = EdgeFleet::new(
-            FleetSpec::loopback(1),
-            SERVE_NUM_CLASSES,
-            SERVE_BANK_SEED,
-            SERVE_RUN_SEED,
-        );
-        let outcomes = fleet.run_batch(&zoo_plans(&result, spec.task), &stream);
-        let (measured, preds) = session_measurements(&outcomes);
-        report = report.with_measured(measured);
-        winner_predictions = preds;
+    run_pipeline(spec, 0, &AtomicU64::new(0), None, |plans, stream| {
+        let mut fleet = serve_fleet(FleetSpec::loopback(1));
+        let outcomes = fleet.run_batch(&plans, &stream);
         let _ = fleet.shutdown();
-    }
-    if let Some(scenarios) = run_scenario_stage(spec, &result) {
-        report = report.with_scenarios(scenarios);
-    }
-    SessionOutcome { session: 0, report, result, winner_predictions }
+        Ok(outcomes)
+    })
+    .expect("a private fleet answers every plan")
 }
 
 #[cfg(test)]
@@ -365,18 +380,6 @@ mod tests {
             n >= s.config.iterations as u64,
             "stage 1 + stage 2 evaluate at least the trial budget, got {n}"
         );
-    }
-
-    #[test]
-    fn measurement_aggregation_handles_empty_and_errors() {
-        let (profile, preds) = session_measurements(&[]);
-        assert_eq!(profile.frames, 0);
-        assert!(preds.is_empty());
-        let outcomes: Vec<FleetOutcome> =
-            vec![Err(gcode_engine::EngineError::Protocol("dead pool".to_string()))];
-        let (profile, preds) = session_measurements(&outcomes);
-        assert_eq!(profile.errors, 1);
-        assert!(preds.is_empty());
     }
 
     #[test]

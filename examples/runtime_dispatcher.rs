@@ -1,9 +1,9 @@
 //! Runtime dispatching from the architecture zoo: one search produces a zoo
 //! of optima; as runtime constraints fluctuate (battery sag, latency SLO
 //! changes, congested link), the dispatcher swaps the deployed design —
-//! and with a persistent edge pool attached, the swap happens *live* on a
-//! warm TCP pair via one `SwapPlan` control frame (no redeploy, no weight
-//! transfer: every zoo member shares the supernet `WeightBank`).
+//! and on a one-pool `EdgeFleet` the swap happens *live* on a warm TCP
+//! pair via one `SwapPlan` control frame (no redeploy, no weight transfer:
+//! every zoo member shares the supernet `WeightBank`).
 //!
 //! ```sh
 //! cargo run --release --example runtime_dispatcher
@@ -15,7 +15,7 @@ use gcode::core::search::{random_search, SearchConfig};
 use gcode::core::space::DesignSpace;
 use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::EngineDispatcher;
+use gcode::engine::{EdgeFleet, EngineDispatcher, FleetSpec};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::hardware::SystemConfig;
 use gcode::nn::seq::WeightBank;
@@ -74,15 +74,17 @@ fn main() {
 
     // Now do it live: one persistent device/edge pair, and every
     // constraint switch hot-swaps the deployed plan in place.
-    let mut dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 7));
-    dispatcher.attach_pool(7).expect("persistent edge pool up");
+    // The fleet serves the same supernet bank the dispatcher holds:
+    // 4 classes, seed 7.
+    let dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 7));
+    let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 7, 7);
     let frames = PointCloudDataset::generate(4, 24, 4, 3);
     println!("\nlive hot-swaps on one warm pair:");
     for (label, constraint) in &scenarios {
-        let Some(pick) = dispatcher.dispatch_live(*constraint).expect("swap") else {
+        let Some((plan, pick)) = dispatcher.dispatch(*constraint) else {
             continue;
         };
-        let (_, stats) = dispatcher.run_live(frames.samples()).expect("stream");
+        let (_, stats) = fleet.run_batch(&[plan], frames.samples()).remove(0).expect("stream");
         println!(
             "  {label:<28} -> {:.1}% acc promised, measured p50 {:.2} ms, {} bytes shipped",
             pick.accuracy * 100.0,
@@ -90,10 +92,12 @@ fn main() {
             stats.bytes_sent
         );
     }
+    let served = fleet.stats();
     println!(
-        "{} constraint switches served by 1 edge process ({} plan swaps, 0 redeployments)",
+        "{} constraint switches served by {} edge process ({} plan swaps, 0 redeployments)",
         scenarios.len(),
-        dispatcher.live_swaps()
+        served.spawns(),
+        served.deployments()
     );
-    dispatcher.detach_pool().expect("clean shutdown");
+    fleet.shutdown().expect("clean shutdown");
 }

@@ -35,8 +35,8 @@
 //!
 //! `gcode replay` replays a serialized scenario trace (arrival bursts,
 //! uplink degradations, runtime-constraint flips at absolute timestamps)
-//! against a zoo on a warm deployed pair — or, with `--pools N`, an
-//! [`engine::EdgeFleet`](gcode::engine::EdgeFleet) — and prints one
+//! against a zoo on an [`engine::EdgeFleet`](gcode::engine::EdgeFleet)
+//! of `--pools N` warm deployed pairs (default one) and prints one
 //! measured report per segment. The same trace rides `gcode submit
 //! --trace` to be replayed server-side against the freshly searched zoo.
 //!
@@ -774,8 +774,7 @@ fn builtin_replay_zoo() -> ArchitectureZoo {
 }
 
 fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), String> {
-    use gcode::engine::{replay_on_fleet, EdgeFleet, EngineDispatcher};
-    use gcode::nn::seq::WeightBank;
+    use gcode::engine::{replay_on_fleet, EdgeFleet};
 
     let trace = load_trace(opts.get("trace").ok_or("--trace is required")?)?;
     let zoo = match opts.get("zoo") {
@@ -783,6 +782,8 @@ fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), String> {
         None => builtin_replay_zoo(),
     };
     let pools = get_usize(opts, "pools", 1)?;
+    let fleet_spec: FleetSpec =
+        format!("loopback:{pools}").parse().map_err(|e| format!("--pools: {e}"))?;
     let seed = get_usize(opts, "seed", 0)? as u64;
     let num_classes = 4;
     let ds = PointCloudDataset::generate(8, 24, num_classes, seed ^ 0xF4);
@@ -794,20 +795,10 @@ fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), String> {
         trace.total_frames(),
         zoo.len(),
     );
-    let reports = if pools <= 1 {
-        let mut dispatcher = EngineDispatcher::new(zoo, WeightBank::new(num_classes, seed));
-        dispatcher.attach_pool(seed).map_err(|e| e.to_string())?;
-        let mut runner = gcode::engine::ScenarioRunner::new(&mut dispatcher, ds.samples());
-        let reports = runner.run(&trace).map_err(|e| e.to_string())?;
-        dispatcher.detach_pool().map_err(|e| e.to_string())?;
-        reports
-    } else {
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(pools), num_classes, seed, seed);
-        let reports =
-            replay_on_fleet(&zoo, &mut fleet, ds.samples(), &trace).map_err(|e| e.to_string())?;
-        fleet.shutdown().map_err(|e| e.to_string())?;
-        reports
-    };
+    let mut fleet = EdgeFleet::new(fleet_spec, num_classes, seed, seed);
+    let reports =
+        replay_on_fleet(&zoo, &mut fleet, ds.samples(), &trace).map_err(|e| e.to_string())?;
+    fleet.shutdown().map_err(|e| e.to_string())?;
 
     for r in &reports {
         println!(

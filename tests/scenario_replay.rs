@@ -1,8 +1,8 @@
 //! Trace-driven scenario replay and measured-accuracy pricing,
 //! end-to-end: the committed golden trace must replay bit-identically
-//! (in deterministic view) across repeated runs, fleet widths, and the
-//! dispatcher-vs-fleet split; a mid-trace constraint flip must hot-swap
-//! to a plan whose predictions match a fresh deployment bit-for-bit;
+//! (in deterministic view) across repeated runs and fleet widths; a
+//! mid-trace constraint flip must hot-swap to a plan whose predictions
+//! match a fresh deployment bit-for-bit;
 //! and `with_measured_accuracy` must price the exact stream hit rate
 //! under a cache-log tag that never collides with modeled pricing.
 
@@ -14,8 +14,7 @@ use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::ScoredArch;
 use gcode::core::zoo::ArchitectureZoo;
 use gcode::engine::{
-    replay_on_fleet, DeviceClient, EdgeFleet, EdgeServer, EngineBackend, EngineDispatcher,
-    ExecutionPlan, FleetSpec, ScenarioRunner,
+    replay_on_fleet, DeviceClient, EdgeFleet, EdgeServer, EngineBackend, ExecutionPlan, FleetSpec,
 };
 use gcode::graph::datasets::{PointCloudDataset, Sample};
 use gcode::hardware::SystemConfig;
@@ -70,13 +69,13 @@ fn views(reports: &[ScenarioReport]) -> Vec<ScenarioReport> {
     reports.iter().map(ScenarioReport::deterministic_view).collect()
 }
 
-/// Replays the golden trace on a dispatcher-owned pool seeded exactly
-/// like `EdgeFleet::new(_, CLASSES, BANK_SEED, RUN_SEED)`.
+/// Replays the golden trace on the dispatcher's deployment: one warm
+/// pair, i.e. a fresh 1-pool fleet.
 fn replay_on_dispatcher(trace: &ScenarioTrace, samples: &[Sample]) -> Vec<ScenarioReport> {
-    let mut dispatcher = EngineDispatcher::new(replay_zoo(), WeightBank::new(CLASSES, BANK_SEED));
-    dispatcher.attach_pool(RUN_SEED).expect("pool spawns");
-    let reports = ScenarioRunner::new(&mut dispatcher, samples).run(trace).expect("trace replays");
-    dispatcher.detach_pool().expect("clean shutdown");
+    let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), CLASSES, BANK_SEED, RUN_SEED);
+    let reports =
+        replay_on_fleet(&replay_zoo(), &mut fleet, samples, trace).expect("trace replays");
+    fleet.shutdown().expect("clean shutdown");
     reports
 }
 
@@ -87,7 +86,7 @@ fn golden_trace_replays_bit_identically_across_runs_and_fleet_widths() {
 
     let first = views(&replay_on_dispatcher(&trace, ds.samples()));
     let second = views(&replay_on_dispatcher(&trace, ds.samples()));
-    assert_eq!(first, second, "two dispatcher replays of the golden trace must agree");
+    assert_eq!(first, second, "two independent 1-pool replays of the golden trace must agree");
 
     for pools in [1usize, 2, 4] {
         let mut fleet = EdgeFleet::new(FleetSpec::loopback(pools), CLASSES, BANK_SEED, RUN_SEED);
@@ -97,7 +96,7 @@ fn golden_trace_replays_bit_identically_across_runs_and_fleet_widths() {
         assert_eq!(
             views(&reports),
             first,
-            "a {pools}-pool fleet replay must be bit-identical to the dispatcher replay"
+            "a {pools}-pool fleet replay must be bit-identical to the 1-pool replay"
         );
     }
 }

@@ -190,6 +190,45 @@ fn admission_answers_busy_and_recovers_when_a_slot_frees() {
 }
 
 #[test]
+fn a_client_that_opens_and_vanishes_gives_its_admission_slot_back() {
+    let server = SearchServer::start(
+        "127.0.0.1:0",
+        ServerConfig::new(FleetSpec::loopback(1)).with_max_sessions(1).with_queue_limit(0),
+    )
+    .expect("server starts");
+    let spec = spec(1, SessionTask::ModelNet40);
+
+    // Client A takes the one admission slot, then disconnects without ever
+    // submitting. It half-closes and reads to EOF, which the server sends
+    // only once its handler is done with the connection — so what follows
+    // is ordered after the server's cleanup, with no sleep.
+    let mut vanisher = TcpStream::connect(server.addr()).expect("connect");
+    let mut call = |frame: &Frame| {
+        write_message(&mut vanisher, &encode_frame(frame)).expect("send");
+        decode_frame(&read_message(&mut vanisher).expect("read").expect("reply")).expect("decode")
+    };
+    assert!(matches!(call(&Frame::Hello(PROTOCOL_VERSION)), Frame::Hello(_)));
+    assert!(
+        matches!(call(&Frame::OpenSession(Box::new(spec.clone()))), Frame::SessionOpened(_)),
+        "an idle server must admit the first session"
+    );
+    vanisher.shutdown(std::net::Shutdown::Write).expect("half-close");
+    assert!(read_message(&mut vanisher).expect("clean close").is_none());
+
+    // Client B must find the slot free again, not a daemon that answers
+    // `Busy` for the rest of its life.
+    let mut client = ServerClient::connect(server.addr()).expect("handshake");
+    match client.open_session(&spec).expect("open") {
+        Admission::Opened(_) => {}
+        Admission::Busy { running, queued } => panic!(
+            "the vanished client's unsubmitted session still holds the slot \
+             ({running} running, {queued} queued)"
+        ),
+    }
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn version_mismatch_is_answered_with_a_clean_error_frame() {
     let server = SearchServer::start("127.0.0.1:0", ServerConfig::new(FleetSpec::loopback(1)))
         .expect("server starts");
