@@ -475,13 +475,13 @@ impl EdgeFleet {
             parking_lot::Mutex::new((0..total).collect());
         let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
         let mut filled = 0usize;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             // One worker per live pool, but never more workers than
             // candidates — an excess pool stays warm in its slot.
             let spawn_worker = |slot: usize, mut pool: EdgePool| {
                 let tx = tx.clone();
                 let queue = &queue;
-                s.spawn(move |_| {
+                let worker = move || {
                     loop {
                         // Pop a chunk while the queue is deep enough that
                         // every pool keeps at least one chunk of work;
@@ -556,7 +556,11 @@ impl EdgeFleet {
                         }
                     }
                     let _ = tx.send(WorkerEvent::Exited { slot, pool: Some(Box::new(pool)) });
-                });
+                };
+                std::thread::Builder::new()
+                    .name(format!("gcode-fleet-{slot}"))
+                    .spawn_scoped(s, worker)
+                    .expect("spawn a fleet worker thread");
             };
             let mut running = 0usize;
             for idx in 0..self.slots.len() {
@@ -652,8 +656,7 @@ impl EdgeFleet {
                     }
                 }
             }
-        })
-        .expect("fleet scope");
+        });
         out.into_iter()
             .map(|o| {
                 o.unwrap_or_else(|| {

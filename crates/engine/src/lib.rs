@@ -130,3 +130,20 @@ impl From<gcode_compress::DecodeError> for EngineError {
         EngineError::Decode(e)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `perf/` — a package of its own that no workspace build compiles —
+    /// shares `&EdgePool` across scoped threads, and the daemon moves whole
+    /// fleets between them. A field that is not `Send + Sync` (one
+    /// `mpsc::Receiver` is enough) has to fail here, not there.
+    #[test]
+    fn pools_fleets_and_clients_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<EdgePool>();
+        assert_send_sync::<EdgeFleet>();
+        assert_send_sync::<DeviceClient>();
+    }
+}

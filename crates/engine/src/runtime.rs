@@ -120,7 +120,7 @@ impl EdgeServer {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let one_shot = plan.is_some();
-        let handle = std::thread::spawn(move || -> Result<(), EngineError> {
+        let serve = move || -> Result<(), EngineError> {
             loop {
                 let (stream, _) = listener.accept()?;
                 let outcome = serve_frames(stream, plan.take(), &mut bank, seed)?;
@@ -128,7 +128,8 @@ impl EdgeServer {
                     return Ok(());
                 }
             }
-        });
+        };
+        let handle = std::thread::Builder::new().name("gcode-edge".to_string()).spawn(serve)?;
         Ok(Self { addr, handle: Some(handle) })
     }
 
@@ -599,7 +600,7 @@ impl DeviceClient {
 
         let (send_q, send_rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = unbounded();
         let mut throttle = self.uplink_mbps.map(crate::Throttle::mbps);
-        let sender = std::thread::spawn(move || -> Result<Vec<usize>, EngineError> {
+        let send = move || -> Result<Vec<usize>, EngineError> {
             // Frames leave in frame order (a single queue feeds a single
             // sender), so the per-frame byte log indexes by frame id.
             let mut frame_bytes = Vec::new();
@@ -611,14 +612,15 @@ impl DeviceClient {
                 write_message(&mut writer, &body)?;
             }
             Ok(frame_bytes)
-        });
+        };
+        let sender = std::thread::Builder::new().name("gcode-uplink".to_string()).spawn(send)?;
 
         // One collected result: `(frame_id, prediction, label, done_s)`;
         // the receiver hands the socket back for session reuse.
         type Collected = (Vec<(u64, usize, u32, f64)>, TcpStream);
         let expected = samples.len();
         let epoch = start;
-        let receiver = std::thread::spawn(move || -> Result<Collected, EngineError> {
+        let receive = move || -> Result<Collected, EngineError> {
             let mut results = Vec::with_capacity(expected);
             while results.len() < expected {
                 let Some(body) = read_message(&mut reader)? else {
@@ -636,7 +638,9 @@ impl DeviceClient {
             }
             // Hand the socket back so a session client can reuse it.
             Ok((results, reader))
-        });
+        };
+        let receiver =
+            std::thread::Builder::new().name("gcode-results".to_string()).spawn(receive)?;
 
         // Main thread: device prefix per frame; never blocks on results.
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xDE71CE);

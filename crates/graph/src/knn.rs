@@ -7,7 +7,7 @@
 //! and transposed for the machine, not approximated.
 
 use crate::CsrGraph;
-use gcode_tensor::Matrix;
+use gcode_tensor::{rows, Matrix};
 use rand::Rng;
 
 /// Query rows whose distance rows are accumulated together: each column of
@@ -41,6 +41,18 @@ const QUERY_BLOCK: usize = 4;
 /// ```
 pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
     let (n, d) = features.shape();
+    // Per target of a query: a subtract, a multiply and an add per
+    // coordinate, and a visit by each of the selector's two passes.
+    let ops_per_block = (QUERY_BLOCK * n).saturating_mul(3 * d + 2);
+    knn_graph_banded(features, k, rows::split_count(n.div_ceil(QUERY_BLOCK), ops_per_block))
+}
+
+/// [`knn_graph`] with the query nodes cut into at most `bands` runs of whole
+/// query blocks, whatever the host. A band has its own distance rows and
+/// [`Selector`] and writes the neighbor lists of its own nodes, so no list
+/// can tell how many bands there were.
+fn knn_graph_banded(features: &Matrix, k: usize, bands: usize) -> CsrGraph {
+    let (n, d) = features.shape();
     assert!(u32::try_from(n).is_ok(), "node indices are u32");
     let kk = k.min(n.saturating_sub(1));
     if kk == 0 {
@@ -50,26 +62,33 @@ pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
     // contiguous run and the distance loop below is lane-parallel over `v`
     // with no change to any pair's summation order.
     let coords = features.transpose();
-    let mut dist = vec![0.0f32; QUERY_BLOCK * n];
-    let mut select = Selector::new(n, kk);
-    let mut targets = Vec::with_capacity(n * kk);
-    for u0 in (0..n).step_by(QUERY_BLOCK) {
-        let block = &mut dist[..QUERY_BLOCK.min(n - u0) * n];
-        block.fill(0.0);
-        for j in 0..d {
-            let coord = coords.row(j);
-            for (r, acc) in block.chunks_exact_mut(n).enumerate() {
-                let q = coord[u0 + r];
-                for (a, &c) in acc.iter_mut().zip(coord) {
-                    let t = q - c;
-                    *a += t * t;
+    let mut targets = vec![0u32; n * kk];
+    rows::for_each_split(bands, &mut targets, QUERY_BLOCK * kk, |first_block, lists| {
+        let mut dist = vec![0.0f32; QUERY_BLOCK * n];
+        let mut select = Selector::new(n, kk);
+        let blocks = (first_block * QUERY_BLOCK..n).step_by(QUERY_BLOCK);
+        for (u0, lists) in blocks.zip(lists.chunks_mut(QUERY_BLOCK * kk)) {
+            let block = &mut dist[..lists.len() / kk * n];
+            block.fill(0.0);
+            for j in 0..d {
+                let coord = coords.row(j);
+                for (r, acc) in block.chunks_exact_mut(n).enumerate() {
+                    let q = coord[u0 + r];
+                    for (a, &c) in acc.iter_mut().zip(coord) {
+                        let t = q - c;
+                        *a += t * t;
+                    }
+                }
+            }
+            for (r, (row, list)) in
+                block.chunks_exact(n).zip(lists.chunks_exact_mut(kk)).enumerate()
+            {
+                for (target, &key) in list.iter_mut().zip(select.nearest(row, u0 + r)) {
+                    *target = key as u32;
                 }
             }
         }
-        for (r, row) in block.chunks_exact(n).enumerate() {
-            targets.extend(select.nearest(row, u0 + r).iter().map(|&key| key as u32));
-        }
-    }
+    });
     CsrGraph::from_degrees(std::iter::repeat_n(kk, n), targets)
 }
 
@@ -289,6 +308,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One band; bands that cut the query blocks evenly and unevenly; (for
+    /// small `n`) more bands than blocks; and one more than there are blocks.
+    fn band_counts(n: usize) -> [usize; 5] {
+        [1, 2, 3, 5, n.div_ceil(QUERY_BLOCK) + 1]
+    }
+
+    fn assert_every_band_count_matches_the_reference(pts: &Matrix, k: usize, case: &str) {
+        let want = knn_graph_reference(pts, k);
+        for bands in band_counts(pts.rows()) {
+            assert_eq!(knn_graph_banded(pts, k, bands), want, "{case} k {k} in {bands} bands");
+        }
+    }
+
+    #[test]
+    fn every_band_count_matches_the_brute_force_edge_for_edge() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBA2D);
+        let k = 20;
+        // The blocked suite's sizes, plus block counts on every side of a
+        // band edge: one block, fewer blocks than bands, a block count no
+        // band count divides, a short last block in the last band.
+        for n in [0usize, 1, 2, 3, 5, 9, 17, k, k + 1, k + 2, 47, 133, 257] {
+            for d in [1usize, 3, 16, 64] {
+                for cells in [2, 5, 1000] {
+                    let pts = grid_cloud(n, d, cells, &mut rng);
+                    for k in [1, 4, k, 64, 1000] {
+                        let case = format!("n {n} d {d} cells {cells}");
+                        assert_every_band_count_matches_the_reference(&pts, k, &case);
+                    }
+                }
+            }
+        }
+        assert_every_band_count_matches_the_reference(&Matrix::zeros(9, 0), 2, "zero width");
+    }
+
+    #[test]
+    fn every_band_count_ranks_non_finite_distances_like_the_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBAD5);
+        for n in [2usize, 9, 47, 133] {
+            for d in [1usize, 3, 16] {
+                for share in [0.02, 0.3, 1.0] {
+                    let mut pts = grid_cloud(n, d, 4, &mut rng);
+                    for x in pts.as_mut_slice() {
+                        if rng.gen_bool(share) {
+                            *x = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3)];
+                        }
+                    }
+                    for k in [1, 8, 20] {
+                        let case = format!("n {n} d {d} share {share}");
+                        assert_every_band_count_matches_the_reference(&pts, k, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn four_threads_at_once_get_the_one_band_answers() {
+        // Both shapes are above the band floor, so on a multi-core host every
+        // call below spawns bands of its own while three others do the same.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC0);
+        let pts = grid_cloud(1024, 3, 50, &mut rng);
+        let x = grid_cloud(1024, 64, 7, &mut rng);
+        let w = grid_cloud(64, 128, 9, &mut rng);
+        let graph = knn_graph_banded(&pts, 20, 1);
+        // The i-k-j product: the order `Matrix::matmul` keeps, on one thread.
+        let mut product = Matrix::zeros(1024, 128);
+        for i in 0..1024 {
+            for k in 0..64 {
+                let a = x[(i, k)];
+                if a != 0.0 {
+                    for (o, b) in product.row_mut(i).iter_mut().zip(w.row(k)) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..3 {
+                        assert_eq!(knn_graph(&pts, 20), graph);
+                        assert_eq!(x.matmul(&w), product);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

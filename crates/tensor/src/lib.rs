@@ -21,6 +21,10 @@ pub mod loss;
 mod matrix;
 pub mod ops;
 pub mod optim;
+// `pub` only because `gcode-graph`'s kNN shares it: how many bands a kernel
+// runs in is not an option of this crate.
+#[doc(hidden)]
+pub mod rows;
 
 pub use matrix::Matrix;
 

@@ -163,10 +163,21 @@ impl Matrix {
     /// (a compacted `(k, a)` list) instead of once per row and panel, where
     /// ReLU-sparse activations made it an unpredictable branch.
     ///
+    /// Output rows are independent, so a large product is filled in row
+    /// bands on the host's cores ([`crate::rows`]); a band is a run of
+    /// whole rows, so no `out[i][j]` can tell how many there were.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        // One multiply and one add per inner element of an output row.
+        let ops_per_row = 2 * self.cols.saturating_mul(rhs.cols);
+        self.matmul_banded(rhs, crate::rows::split_count(self.rows, ops_per_row))
+    }
+
+    /// [`Matrix::matmul`] in at most `bands` row bands, whatever the host.
+    fn matmul_banded(&self, rhs: &Matrix, bands: usize) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
@@ -176,12 +187,15 @@ impl Matrix {
         if self.data.is_empty() || rhs.cols == 0 {
             return out;
         }
-        let lhs = NonZeroRows::of(self);
-        // Widest tile first; each narrower one takes what the last left over.
-        let next = lhs.mul_columns::<64>(rhs, &mut out, 0);
-        let next = lhs.mul_columns::<16>(rhs, &mut out, next);
-        let next = lhs.mul_columns::<4>(rhs, &mut out, next);
-        lhs.mul_columns::<1>(rhs, &mut out, next);
+        crate::rows::for_each_split(bands, &mut out.data, rhs.cols, |first_row, band| {
+            let lhs = &self.data[first_row * self.cols..][..band.len() / rhs.cols * self.cols];
+            let lhs = NonZeroRows::of(lhs, self.cols);
+            // Widest tile first; each narrower one takes what the last left over.
+            let next = lhs.mul_columns::<64>(rhs, band, 0);
+            let next = lhs.mul_columns::<16>(rhs, band, next);
+            let next = lhs.mul_columns::<4>(rhs, band, next);
+            lhs.mul_columns::<1>(rhs, band, next);
+        });
         out
     }
 
@@ -407,8 +421,9 @@ impl Matrix {
     }
 }
 
-/// The non-zero entries of a matrix, row by row, columns ascending: the
-/// left operand of [`Matrix::matmul`] with its zero-skip already applied.
+/// The non-zero entries of a run of matrix rows, row by row, columns
+/// ascending: the left operand of [`Matrix::matmul`] with its zero-skip
+/// already applied.
 struct NonZeroRows {
     /// `(column, value)` of every non-zero entry, rows concatenated.
     entries: Vec<(u32, f32)>,
@@ -417,11 +432,12 @@ struct NonZeroRows {
 }
 
 impl NonZeroRows {
-    fn of(m: &Matrix) -> Self {
-        assert!(u32::try_from(m.cols).is_ok(), "matmul inner dimension exceeds u32");
-        let mut entries = Vec::with_capacity(m.data.len());
-        let mut row_ends = Vec::with_capacity(m.rows);
-        for row in m.data.chunks_exact(m.cols) {
+    /// Of the whole rows of `cols > 0` elements in `data`.
+    fn of(data: &[f32], cols: usize) -> Self {
+        assert!(u32::try_from(cols).is_ok(), "matmul inner dimension exceeds u32");
+        let mut entries = Vec::with_capacity(data.len());
+        let mut row_ends = Vec::with_capacity(data.len() / cols);
+        for row in data.chunks_exact(cols) {
             entries.extend(
                 row.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(k, &a)| (k as u32, a)),
             );
@@ -430,9 +446,10 @@ impl NonZeroRows {
         Self { entries, row_ends }
     }
 
-    /// Fills output columns `from..` in tiles of `T` for as long as a whole
-    /// tile fits, and returns the first column left over.
-    fn mul_columns<const T: usize>(&self, rhs: &Matrix, out: &mut Matrix, from: usize) -> usize {
+    /// Fills columns `from..` of these rows' output rows `out` in tiles of
+    /// `T` for as long as a whole tile fits, and returns the first column
+    /// left over.
+    fn mul_columns<const T: usize>(&self, rhs: &Matrix, out: &mut [f32], from: usize) -> usize {
         let n = rhs.cols;
         let mut j0 = from;
         if n - j0 < T {
@@ -444,7 +461,7 @@ impl NonZeroRows {
                 packed.copy_from_slice(&row[j0..j0 + T]);
             }
             let mut start = 0;
-            for (orow, &end) in out.data.chunks_exact_mut(n).zip(&self.row_ends) {
+            for (orow, &end) in out.chunks_exact_mut(n).zip(&self.row_ends) {
                 let mut acc = [0.0f32; T];
                 for &(k, a) in &self.entries[start..end] {
                     let k = k as usize;
@@ -580,7 +597,7 @@ mod matmul_equivalence {
 
     /// The i-k-j product [`Matrix::matmul`] replaced, kept as the reference
     /// its tiling must match bit for bit.
-    fn matmul_reference(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+    pub(super) fn matmul_reference(lhs: &Matrix, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(lhs.rows, rhs.cols);
         for i in 0..lhs.rows {
             for k in 0..lhs.cols {
@@ -600,7 +617,7 @@ mod matmul_equivalence {
 
     /// Values from a coarse signed grid, a `zero_share` of them exactly zero
     /// (what a ReLU leaves behind).
-    fn grid(rows: usize, cols: usize, zero_share: f64, rng: &mut ChaCha8Rng) -> Matrix {
+    pub(super) fn grid(rows: usize, cols: usize, zero_share: f64, rng: &mut ChaCha8Rng) -> Matrix {
         let data = (0..rows * cols)
             .map(|_| {
                 if rng.gen_bool(zero_share) {
@@ -613,7 +630,7 @@ mod matmul_equivalence {
         Matrix::from_vec(rows, cols, data)
     }
 
-    fn bits(m: &Matrix) -> Vec<u32> {
+    pub(super) fn bits(m: &Matrix) -> Vec<u32> {
         m.data.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -646,6 +663,97 @@ mod matmul_equivalence {
         assert_eq!(bits(&got), bits(&matmul_reference(&lhs, &rhs)));
         assert_eq!(got[(0, 0)], 6.0);
         assert_eq!(got[(1, 0)], f32::INFINITY);
+    }
+}
+
+/// [`Matrix::matmul`] in forced band counts against the same i-k-j
+/// reference: the answer must not depend on how the rows were cut.
+#[cfg(test)]
+mod matmul_bands {
+    use super::matmul_equivalence::{bits, grid, matmul_reference};
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// One band; bands that cut `rows` evenly and unevenly; (for small
+    /// `rows`) more bands than rows; and one more than there are rows.
+    fn band_counts(rows: usize) -> [usize; 5] {
+        [1, 2, 3, 5, rows + 1]
+    }
+
+    #[test]
+    fn every_band_count_is_bit_identical_to_the_ikj_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBA2D);
+        // The tiling suite's table, plus rows on every side of a band edge:
+        // fewer rows than bands, rows no band count divides, one row a band.
+        for rows in [0usize, 1, 2, 3, 4, 7, 21, 133] {
+            for inner in [0usize, 1, 3, 16, 64] {
+                for cols in [0usize, 1, 3, 4, 5, 16, 19, 40, 64, 85, 150] {
+                    for zero_share in [0.0, 0.5, 1.0] {
+                        let lhs = grid(rows, inner, zero_share, &mut rng);
+                        let rhs = grid(inner, cols, 0.1, &mut rng);
+                        let want = matmul_reference(&lhs, &rhs);
+                        for bands in band_counts(rows) {
+                            let got = lhs.matmul_banded(&rhs, bands);
+                            assert_eq!(got.shape(), want.shape());
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{rows}x{inner} · {inner}x{cols} in {bands} bands"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_operands_and_the_zero_skip_survive_banding() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1F);
+        let wild = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for rows in [1usize, 2, 5, 21] {
+            for share in [0.05, 0.5] {
+                // Zeros on the left meet infinities on the right: `0 · inf`
+                // must stay out of every band's sums, as it does out of one.
+                let mut lhs = grid(rows, 16, 0.5, &mut rng);
+                let mut rhs = grid(16, 19, 0.1, &mut rng);
+                for x in lhs.data.iter_mut().filter(|x| **x != 0.0).chain(&mut rhs.data) {
+                    if rng.gen_bool(share) {
+                        *x = wild[rng.gen_range(0..3)];
+                    }
+                }
+                // Which NaN a sum of NaNs is depends on the instructions
+                // chosen, not on the order of the adds: against the
+                // reference any NaN is a NaN, between band counts — one
+                // code, one order — not a bit may move.
+                let any_nan = |m: &Matrix| bits(&m.map(|x| if x.is_nan() { f32::NAN } else { x }));
+                let want = matmul_reference(&lhs, &rhs);
+                let one_band = lhs.matmul_banded(&rhs, 1);
+                assert_eq!(any_nan(&one_band), any_nan(&want));
+                for bands in band_counts(rows) {
+                    assert_eq!(
+                        bits(&lhs.matmul_banded(&rhs, bands)),
+                        bits(&one_band),
+                        "{bands} bands"
+                    );
+                }
+            }
+        }
+        let lhs = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 0.0]]);
+        let rhs = Matrix::from_rows(&[&[f32::INFINITY, 1.0], &[3.0, f32::NAN]]);
+        let got = lhs.matmul_banded(&rhs, 2);
+        assert_eq!(bits(&got), bits(&matmul_reference(&lhs, &rhs)));
+        assert_eq!((got[(0, 0)], got[(1, 0)]), (6.0, f32::INFINITY));
+    }
+
+    #[test]
+    fn the_public_product_is_the_one_band_product_above_the_floor() {
+        // 2 · 96 · 96 · 512 = 9.4 M operations: two bands on a two-core host.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF100);
+        let lhs = grid(512, 96, 0.5, &mut rng);
+        let rhs = grid(96, 96, 0.1, &mut rng);
+        assert_eq!(bits(&lhs.matmul(&rhs)), bits(&lhs.matmul_banded(&rhs, 1)));
     }
 }
 
