@@ -63,8 +63,10 @@ use crate::EngineError;
 use gcode_core::eval::{FleetStats, PoolStats};
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
+use std::io;
 use std::net::SocketAddr;
 use std::str::FromStr;
+use std::thread::{self, Scope};
 
 /// Where one fleet pool points: a loopback [`crate::EdgeServer`] the pool
 /// spawns (and respawns) itself, or an already-running remote edge it
@@ -238,6 +240,16 @@ struct PoolSlot {
     /// Spawn/connect attempts that failed since the last success; at
     /// [`MAX_SPAWN_FAILURES`] the slot is excluded for good.
     spawn_failures_in_a_row: u8,
+}
+
+impl PoolSlot {
+    /// Books the outcome of spawning this slot's worker thread and returns
+    /// how many workers that added: a refused thread took the pool handed
+    /// to it down with it, which is one failure and no worker.
+    fn started(&mut self, spawned: io::Result<()>) -> usize {
+        self.stats.failures += u64::from(spawned.is_err());
+        usize::from(spawned.is_ok())
+    }
 }
 
 /// Consecutive failed spawn/connect attempts after which a slot is
@@ -450,6 +462,29 @@ impl EdgeFleet {
         plans: &[ExecutionPlan],
         streams: &[&[Sample]],
     ) -> Vec<FleetOutcome> {
+        self.run_batch_streams_with(plans, streams, |scope, slot, worker| {
+            thread::Builder::new()
+                .name(format!("gcode-fleet-{slot}"))
+                .spawn_scoped(scope, worker)
+                .map(drop)
+        })
+    }
+
+    /// [`run_batch_streams`](Self::run_batch_streams) with the worker-thread
+    /// spawner as an argument, so a test can hand in one that fails. A
+    /// worker the OS refuses is a pool death like any other: its pool drops
+    /// with it, the slot counts one failure, and its candidates stay on the
+    /// queue for the workers that did start.
+    fn run_batch_streams_with(
+        &mut self,
+        plans: &[ExecutionPlan],
+        streams: &[&[Sample]],
+        spawn: impl for<'scope> Fn(
+            &'scope Scope<'scope, '_>,
+            usize,
+            Box<dyn FnOnce() + Send + 'scope>,
+        ) -> io::Result<()>,
+    ) -> Vec<FleetOutcome> {
         assert_eq!(plans.len(), streams.len(), "one stream per plan");
         let total = plans.len();
         let mut out: Vec<Option<FleetOutcome>> = (0..total).map(|_| None).collect();
@@ -475,7 +510,7 @@ impl EdgeFleet {
             parking_lot::Mutex::new((0..total).collect());
         let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
         let mut filled = 0usize;
-        std::thread::scope(|s| {
+        thread::scope(|s| {
             // One worker per live pool, but never more workers than
             // candidates — an excess pool stays warm in its slot.
             let spawn_worker = |slot: usize, mut pool: EdgePool| {
@@ -557,10 +592,7 @@ impl EdgeFleet {
                     }
                     let _ = tx.send(WorkerEvent::Exited { slot, pool: Some(Box::new(pool)) });
                 };
-                std::thread::Builder::new()
-                    .name(format!("gcode-fleet-{slot}"))
-                    .spawn_scoped(s, worker)
-                    .expect("spawn a fleet worker thread");
+                spawn(s, slot, Box::new(worker))
             };
             let mut running = 0usize;
             for idx in 0..self.slots.len() {
@@ -568,8 +600,7 @@ impl EdgeFleet {
                     break;
                 }
                 if let Some(pool) = self.slots[idx].pool.take() {
-                    spawn_worker(idx, pool);
-                    running += 1;
+                    running += self.slots[idx].started(spawn_worker(idx, pool));
                 }
             }
             // Coordinator: merge results, requeue the victims of pool
@@ -598,8 +629,7 @@ impl EdgeFleet {
                             break;
                         }
                         if let Some(pool) = self.slots[idx].pool.take() {
-                            spawn_worker(idx, pool);
-                            running += 1;
+                            running += self.slots[idx].started(spawn_worker(idx, pool));
                         }
                     }
                     if running == 0 {
@@ -636,8 +666,7 @@ impl EdgeFleet {
                         // put the warm pool straight back to work.
                         if filled < total && !queue.lock().is_empty() {
                             let pool = self.slots[slot].pool.take().expect("just returned");
-                            spawn_worker(slot, pool);
-                            running += 1;
+                            running += self.slots[slot].started(spawn_worker(slot, pool));
                         }
                     }
                     WorkerEvent::Exited { slot, pool: None } => {
@@ -649,8 +678,7 @@ impl EdgeFleet {
                         if filled < total && !queue.lock().is_empty() {
                             self.ensure_pool(slot);
                             if let Some(pool) = self.slots[slot].pool.take() {
-                                spawn_worker(slot, pool);
-                                running += 1;
+                                running += self.slots[slot].started(spawn_worker(slot, pool));
                             }
                         }
                     }
@@ -795,6 +823,35 @@ mod tests {
         assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(fleet.spawns(), 3, "two more slots spawned for a 3-candidate batch");
         fleet.shutdown().expect("all pools join");
+    }
+
+    #[test]
+    fn a_refused_worker_thread_is_a_counted_failure_never_a_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ds = PointCloudDataset::generate(2, 10, 2, 3);
+        let plans: Vec<ExecutionPlan> = [8, 16, 24].iter().map(|&d| split_plan(d)).collect();
+        let streams = vec![ds.samples(); plans.len()];
+        // The OS refuses the first worker thread, or every one.
+        for refused in [1usize, usize::MAX] {
+            let asked = AtomicUsize::new(0);
+            let mut fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
+            let outcomes = fleet.run_batch_streams_with(&plans, &streams, |scope, _, worker| {
+                if asked.fetch_add(1, Ordering::Relaxed) < refused {
+                    Err(io::Error::from(io::ErrorKind::WouldBlock))
+                } else {
+                    thread::Builder::new().spawn_scoped(scope, worker).map(drop)
+                }
+            });
+            if refused == 1 {
+                assert!(outcomes.iter().all(Result::is_ok), "the worker that started drains it");
+                assert_eq!(fleet.stats().failures(), 1);
+                assert_eq!(fleet.stats().deployments(), 3);
+            } else {
+                assert!(outcomes.iter().all(Result::is_err), "no worker, no measurement");
+                assert_eq!(fleet.stats().deployments(), 0);
+            }
+            fleet.shutdown().expect("whatever is still warm joins");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Throughput/latency statistics from one engine run. Alongside the
 /// aggregates, every run records its full per-frame latency distribution:
@@ -78,7 +78,7 @@ pub fn latency_percentiles(latencies: &[f64]) -> (f64, f64, f64) {
 /// socket and shared supernet [`WeightBank`] all survive a plan switch.
 pub struct EdgeServer {
     addr: SocketAddr,
-    handle: Option<JoinHandle<Result<(), EngineError>>>,
+    handle: Option<ServeHandle>,
 }
 
 impl EdgeServer {
@@ -146,12 +146,7 @@ impl EdgeServer {
     ///
     /// Propagates any error the serving thread hit.
     pub fn join(mut self) -> Result<(), EngineError> {
-        match self.handle.take() {
-            Some(h) => {
-                h.join().map_err(|_| EngineError::Protocol("edge thread panicked".to_string()))?
-            }
-            None => Ok(()),
-        }
+        self.handle.take().map_or(Ok(()), joined)
     }
 
     /// Ends the serving thread cleanly and joins it, even when no device
@@ -165,23 +160,17 @@ impl EdgeServer {
     /// Propagates any error the serving thread hit (a `Shutdown`-triggered
     /// exit itself is clean). If a peer still holds a live connection the
     /// serve thread cannot be woken; rather than hanging the caller, the
-    /// wait is bounded (~2 s) and an error is returned, leaving the thread
-    /// to finish when that peer disconnects (a `Shutdown` nudge stays
-    /// queued for it).
+    /// wait is bounded (2 s by the clock) and an error is returned, leaving
+    /// the thread to finish when that peer disconnects (the `Shutdown`
+    /// nudge stays queued for it).
     pub fn shutdown(mut self) -> Result<(), EngineError> {
         let Some(handle) = self.handle.take() else { return Ok(()) };
-        for _ in 0..4000 {
-            if handle.is_finished() {
-                return handle
-                    .join()
-                    .map_err(|_| EngineError::Protocol("edge thread panicked".to_string()))?;
-            }
-            nudge_shutdown(self.addr);
-            std::thread::sleep(std::time::Duration::from_micros(500));
-        }
-        Err(EngineError::Protocol(
-            "edge still serving a live connection; disconnect clients before shutdown".to_string(),
-        ))
+        join_within(handle, self.addr, Duration::from_secs(2)).unwrap_or_else(|| {
+            Err(EngineError::Protocol(
+                "edge still serving a live connection; disconnect clients before shutdown"
+                    .to_string(),
+            ))
+        })
     }
 
     /// Whether the serving thread has exited (joined or finished running).
@@ -190,35 +179,53 @@ impl EdgeServer {
     }
 }
 
-/// Wakes a (possibly accept-blocked) edge thread with a `Shutdown` frame.
-/// The timeout matters: connecting to a listener whose backlog is full (or
-/// that stopped accepting) would otherwise block indefinitely.
-fn nudge_shutdown(addr: SocketAddr) {
-    if let Ok(mut stream) = TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(50))
-    {
-        let _ = write_message(&mut stream, &encode_frame(&Frame::Shutdown));
+type ServeHandle = JoinHandle<Result<(), EngineError>>;
+
+/// The serve thread's own result, a panic in it reported as an error.
+fn joined(handle: ServeHandle) -> Result<(), EngineError> {
+    handle.join().map_err(|_| EngineError::Protocol("edge thread panicked".to_string()))?
+}
+
+/// Queues a `Shutdown` frame for a (possibly accept-blocked) edge thread
+/// and says whether it got there. The timeout matters: connecting to a
+/// listener whose backlog is full (or that stopped accepting) would
+/// otherwise block indefinitely.
+fn nudge_shutdown(addr: SocketAddr) -> bool {
+    TcpStream::connect_timeout(&addr, Duration::from_millis(50))
+        .is_ok_and(|mut stream| write_message(&mut stream, &encode_frame(&Frame::Shutdown)).is_ok())
+}
+
+/// The one bounded wait [`EdgeServer::shutdown`] and `Drop` share: joins
+/// the serve thread if it ends within `limit` of the clock, `None` (thread
+/// left to finish by itself) otherwise. One queued nudge is enough — it
+/// ends the thread now if the edge is accept-blocked, or as soon as the
+/// current peer disconnects — so another is sent only if the last one
+/// failed to connect or write.
+fn join_within(
+    handle: ServeHandle,
+    addr: SocketAddr,
+    limit: Duration,
+) -> Option<Result<(), EngineError>> {
+    let deadline = Instant::now() + limit;
+    let mut nudged = false;
+    while !handle.is_finished() {
+        if Instant::now() >= deadline {
+            return None;
+        }
+        nudged = nudged || nudge_shutdown(addr);
+        std::thread::sleep(Duration::from_micros(500));
     }
+    Some(joined(handle))
 }
 
 impl Drop for EdgeServer {
     /// Best-effort clean teardown for servers that were never joined —
     /// including ones whose device never managed to connect, which would
-    /// otherwise strand the accept thread forever. One `Shutdown` nudge is
-    /// queued (it ends the thread now if the edge is accept-blocked, or as
-    /// soon as the current peer disconnects otherwise), then the wait is
-    /// bounded: a peer that keeps its connection open must not block drop.
+    /// otherwise strand the accept thread forever. The wait is bounded
+    /// (100 ms): a peer that keeps its connection open must not block drop.
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
-            if !handle.is_finished() {
-                nudge_shutdown(self.addr);
-            }
-            for _ in 0..200 {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(500));
-            }
+            let _ = join_within(handle, self.addr, Duration::from_millis(100));
         }
     }
 }
@@ -841,6 +848,27 @@ mod tests {
     fn shutdown_terminates_an_uncontacted_persistent_server() {
         let server = EdgeServer::spawn_persistent(WeightBank::new(2, 1), 7).expect("spawn");
         server.shutdown().expect("clean shutdown without any client");
+    }
+
+    #[test]
+    fn shutdown_with_a_live_peer_is_bounded_by_the_clock_and_the_queued_nudge_ends_the_edge() {
+        let server = EdgeServer::spawn_persistent(WeightBank::new(2, 1), 7).expect("spawn");
+        let addr = server.addr();
+        // Accepted first (the backlog is FIFO), so the edge sits in this
+        // peer's read while the shutdown nudge waits behind it.
+        let peer = TcpStream::connect(addr).expect("peer connects");
+        let start = Instant::now();
+        let err = server.shutdown().expect_err("a live peer keeps the edge serving");
+        assert!(start.elapsed() < Duration::from_secs(3), "took {:?}", start.elapsed());
+        assert!(err.to_string().contains("still serving a live connection"), "{err}");
+        // The peer leaves, the edge returns to `accept`, reads the one
+        // queued nudge and exits: its listener closes with it.
+        drop(peer);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while TcpStream::connect_timeout(&addr, Duration::from_millis(50)).is_ok() {
+            assert!(Instant::now() < deadline, "the edge never exited on the queued nudge");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]
