@@ -91,6 +91,76 @@ impl std::fmt::Display for ValidityError {
 
 impl std::error::Error for ValidityError {}
 
+/// Sec. 3.4's `Check` as a state machine: everything the rules remember
+/// about the ops seen so far. It is the only definition of validity —
+/// [`Architecture::validate`] folds it over an op sequence and
+/// [`crate::space::DesignSpace::sample_valid`] counts and unranks its
+/// accepting paths — so the two cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Validity {
+    has_graph: bool,
+    pooled: bool,
+    prev_comm: bool,
+}
+
+impl Validity {
+    /// Number of distinct states (three bits).
+    pub(crate) const STATES: usize = 8;
+
+    /// The state before the first op.
+    pub(crate) fn start(profile: &WorkloadProfile) -> Self {
+        Self { has_graph: profile.provides_graph, pooled: false, prev_comm: false }
+    }
+
+    /// Dense index in `0..STATES`, for tables keyed by state.
+    pub(crate) fn index(self) -> usize {
+        usize::from(self.has_graph)
+            | usize::from(self.pooled) << 1
+            | usize::from(self.prev_comm) << 2
+    }
+
+    /// Inverse of [`Validity::index`].
+    pub(crate) fn from_index(index: usize) -> Self {
+        Self { has_graph: index & 1 != 0, pooled: index & 2 != 0, prev_comm: index & 4 != 0 }
+    }
+
+    /// Consumes the op at position `index` (reported in the error).
+    pub(crate) fn step(self, index: usize, op: &Op) -> Result<Self, ValidityError> {
+        let is_comm = op.kind() == OpKind::Communicate;
+        if is_comm && self.prev_comm {
+            return Err(ValidityError::ConsecutiveCommunicate);
+        }
+        if self.pooled && op.needs_nodes() {
+            // A second pool is reported as MultiplePools, not as a
+            // generic node-op violation.
+            return Err(match op {
+                Op::GlobalPool(_) => ValidityError::MultiplePools,
+                _ => ValidityError::NodeOpAfterPool(index),
+            });
+        }
+        let mut next = Self { prev_comm: is_comm, ..self };
+        match op {
+            Op::Sample(_) => next.has_graph = true,
+            Op::Aggregate(_) | Op::EdgeCombine { .. } if !self.has_graph => {
+                return Err(ValidityError::AggregateWithoutGraph(index));
+            }
+            Op::GlobalPool(_) => next.pooled = true,
+            _ => {}
+        }
+        Ok(next)
+    }
+
+    /// Whether the sequence may end here: exactly one pool was seen (a
+    /// second one is already a `step` error).
+    pub(crate) fn finish(self) -> Result<(), ValidityError> {
+        if self.pooled {
+            Ok(())
+        } else {
+            Err(ValidityError::MissingPool)
+        }
+    }
+}
+
 /// A GNN co-inference architecture: an operation sequence in which
 /// `Communicate` ops encode the device/edge mapping.
 ///
@@ -180,43 +250,11 @@ impl Architecture {
         if self.ops.is_empty() {
             return Err(ValidityError::Empty);
         }
-        let mut pooled = false;
-        let mut has_graph = profile.provides_graph;
-        let mut pool_count = 0usize;
-        let mut prev_comm = false;
+        let mut state = Validity::start(profile);
         for (i, op) in self.ops.iter().enumerate() {
-            let is_comm = op.kind() == OpKind::Communicate;
-            if is_comm && prev_comm {
-                return Err(ValidityError::ConsecutiveCommunicate);
-            }
-            prev_comm = is_comm;
-            if pooled && op.needs_nodes() {
-                // A second pool is reported as MultiplePools, not as a
-                // generic node-op violation.
-                if matches!(op, Op::GlobalPool(_)) {
-                    return Err(ValidityError::MultiplePools);
-                }
-                return Err(ValidityError::NodeOpAfterPool(i));
-            }
-            match op {
-                Op::Sample(_) => has_graph = true,
-                Op::Aggregate(_) | Op::EdgeCombine { .. } if !has_graph => {
-                    return Err(ValidityError::AggregateWithoutGraph(i));
-                }
-                Op::GlobalPool(_) => {
-                    pool_count += 1;
-                    if pool_count > 1 {
-                        return Err(ValidityError::MultiplePools);
-                    }
-                    pooled = true;
-                }
-                _ => {}
-            }
+            state = state.step(i, op)?;
         }
-        if pool_count == 0 {
-            return Err(ValidityError::MissingPool);
-        }
-        Ok(())
+        state.finish()
     }
 
     /// Lowers to runnable [`LayerSpec`]s for the supernet executor.

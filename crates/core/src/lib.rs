@@ -43,8 +43,10 @@
 //!     .with_objective(Objective::new(0.1, 0.2, 1.0));
 //! let result = session.run(&RandomSearch::new(cfg));
 //! assert!(result.best().is_some());
-//! // Duplicate samples were served from the session's memo cache.
-//! assert_eq!(session.cache_stats().lookups(), 50);
+//! // Every evaluation went through the session's memo cache: one lookup
+//! // per stage-1 sample, plus one per stage-2 scale-down the winner allowed.
+//! let lookups = session.cache_stats().lookups();
+//! assert!((50..=50 + cfg.tuning_iterations as u64).contains(&lookups));
 //! ```
 
 pub mod arch;

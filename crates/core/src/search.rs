@@ -66,7 +66,8 @@ pub struct SearchResult {
     pub history: Vec<f64>,
     /// Trials that failed the performance constraints.
     pub constraint_misses: usize,
-    /// Total resampling draws spent inside the validity check.
+    /// Candidates drawn by [`DesignSpace::sample_valid`], one draw each;
+    /// kept because it is in the session-outcome JSON.
     pub validity_draws: usize,
 }
 

@@ -1,12 +1,12 @@
 //! The searchable co-inference design space: sampling, mutation and
 //! function scale-down.
 
-use crate::arch::{Architecture, WorkloadProfile};
+use crate::arch::{Architecture, Validity, WorkloadProfile};
 use crate::op::{Op, SampleFn};
 use gcode_nn::agg::AggMode;
 use gcode_nn::pool::PoolMode;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// The GNN co-inference design space `A` (Fig. 6): a supernet of
@@ -49,7 +49,14 @@ impl DesignSpace {
 
     /// Uniformly samples one op for slot construction.
     pub fn sample_op(&self, rng: &mut impl Rng) -> Op {
-        match rng.gen_range(0..6) {
+        let choice = rng.gen_range(0..CHOICES);
+        self.choice_op(choice, rng)
+    }
+
+    /// The op behind one of the `CHOICES` equally likely slot choices, its
+    /// function setting drawn from `rng` — the only copy of the table.
+    fn choice_op(&self, choice: usize, rng: &mut impl Rng) -> Op {
+        match choice {
             0 => {
                 let k = *self.sample_ks.choose(rng).expect("non-empty ks");
                 if rng.gen_bool(0.5) {
@@ -77,21 +84,26 @@ impl DesignSpace {
         Architecture::new((0..self.num_layers).map(|_| self.sample_op(rng)).collect())
     }
 
-    /// Samples until the validity check passes — the `while Check(Ops)` loop
-    /// of Alg. 1. Returns the architecture and how many draws it took.
+    /// Samples one valid architecture, uniformly over the valid *choice*
+    /// sequences with each op's function drawn independently — the
+    /// distribution Alg. 1's `while Check(Ops)` loop over
+    /// [`DesignSpace::sample_ops`] produces, without the loop: one rank is
+    /// drawn below the number of valid sequences and unranked through a
+    /// count table over the validity rules' state machine.
+    ///
+    /// `max_tries` is ignored and the returned draw count is always 1; both
+    /// remain only because the frozen `perf/` package calls this signature.
     ///
     /// # Panics
     ///
-    /// Panics if no valid architecture is found within `max_tries` draws
-    /// (with the paper's space this effectively never happens).
-    pub fn sample_valid(&self, rng: &mut impl Rng, max_tries: usize) -> (Architecture, usize) {
-        for attempt in 1..=max_tries {
-            let arch = self.sample_ops(rng);
-            if arch.validate(&self.profile).is_ok() {
-                return (arch, attempt);
-            }
-        }
-        panic!("no valid architecture within {max_tries} draws");
+    /// Panics if the space holds no valid architecture (`num_layers` 0,
+    /// say), or more than a `u64` can count (beyond 24 layers).
+    pub fn sample_valid(&self, rng: &mut impl Rng, _max_tries: usize) -> (Architecture, usize) {
+        let table = ValidCounts::new(self);
+        assert!(table.total() > 0, "no valid architecture in {self:?}");
+        let rank = rng.gen_range(0..table.total());
+        let ops = table.unrank(rank).map(|choice| self.choice_op(choice, rng)).collect();
+        (Architecture::new(ops), 1)
     }
 
     /// Mutates one random slot to a random op — the EA baseline's mutation
@@ -158,6 +170,93 @@ impl DesignSpace {
             other => other,
         };
         Some(Architecture::new(ops))
+    }
+}
+
+/// Equally likely op choices per slot (the arms of `choice_op`).
+const CHOICES: usize = 6;
+
+/// An RNG of constant words, for a representative op per choice:
+/// `choice_op` draws *some* function setting from it, and any will do —
+/// validity sees the choice, never the function.
+struct AnyFunction;
+
+impl RngCore for AnyFunction {
+    fn next_u32(&mut self) -> u32 {
+        0
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        0
+    }
+}
+
+/// One op per choice, in `choice_op`'s order.
+fn representative_ops(space: &DesignSpace) -> [Op; CHOICES] {
+    std::array::from_fn(|choice| space.choice_op(choice, &mut AnyFunction))
+}
+
+/// How many valid choice sequences complete each prefix of a space: the
+/// [`Validity`] automaton's transitions per choice, and a backward count
+/// of its accepting paths. Uniform sampling is then one draw below
+/// [`ValidCounts::total`] and a walk down the table.
+struct ValidCounts {
+    /// `next[state][choice]`: the state index after that choice, `None`
+    /// where `Validity::step` refuses it.
+    next: [[Option<usize>; CHOICES]; Validity::STATES],
+    /// `completions[slot][state]`: valid ways to fill slots `slot..` from
+    /// `state`; row `num_layers` is 1 where `Validity::finish` accepts.
+    completions: Vec<[u64; Validity::STATES]>,
+    start: usize,
+}
+
+impl ValidCounts {
+    fn new(space: &DesignSpace) -> Self {
+        let ops = representative_ops(space);
+        let mut next = [[None; CHOICES]; Validity::STATES];
+        for (state, row) in next.iter_mut().enumerate() {
+            for (to, op) in row.iter_mut().zip(&ops) {
+                *to = Validity::from_index(state).step(0, op).ok().map(Validity::index);
+            }
+        }
+        let mut completions = vec![[0u64; Validity::STATES]; space.num_layers + 1];
+        for (state, count) in completions[space.num_layers].iter_mut().enumerate() {
+            *count = u64::from(Validity::from_index(state).finish().is_ok());
+        }
+        for slot in (0..space.num_layers).rev() {
+            for state in 0..Validity::STATES {
+                completions[slot][state] = next[state]
+                    .iter()
+                    .flatten()
+                    .try_fold(0u64, |sum, &to| sum.checked_add(completions[slot + 1][to]))
+                    .unwrap_or_else(|| panic!("valid architectures of {space:?} overflow u64"));
+            }
+        }
+        Self { next, completions, start: Validity::start(&space.profile).index() }
+    }
+
+    /// Number of valid choice sequences (0 for an empty space: the start
+    /// state has seen no pool).
+    fn total(&self) -> u64 {
+        self.completions[0][self.start]
+    }
+
+    /// The `rank`-th valid choice sequence in lexicographic order, one
+    /// choice per slot.
+    fn unrank(&self, mut rank: u64) -> impl Iterator<Item = usize> + '_ {
+        assert!(rank < self.total(), "rank {rank} of {}", self.total());
+        let mut state = self.start;
+        self.completions[1..].iter().map(move |after| {
+            for (choice, to) in self.next[state].iter().enumerate() {
+                let Some(to) = *to else { continue };
+                if rank < after[to] {
+                    state = to;
+                    return choice;
+                }
+                rank -= after[to];
+            }
+            unreachable!("rank below the completions of a state selects one of its choices")
+        })
     }
 }
 
@@ -283,5 +382,140 @@ mod single_device_tests {
         let with_comm =
             (0..100).filter(|_| s.sample_valid(&mut rng, 100_000).0.num_communicates() > 0).count();
         assert!(with_comm > 20, "expected frequent splits, got {with_comm}/100");
+    }
+}
+
+#[cfg(test)]
+mod exact_sampler_tests {
+    use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
+
+    /// `provides_graph` × `allow_communicate`, in the order of the paper
+    /// space's totals below.
+    fn configurations(num_layers: usize) -> [DesignSpace; 4] {
+        let space = |profile, allow_communicate| DesignSpace {
+            num_layers,
+            allow_communicate,
+            ..DesignSpace::paper(profile)
+        };
+        let (cloud, text) = (WorkloadProfile::modelnet40(), WorkloadProfile::mr());
+        [space(cloud, true), space(cloud, false), space(text, true), space(text, false)]
+    }
+
+    /// Alg. 1's `while Check(Ops)` loop — what `sample_valid` was, kept as
+    /// the reference for its distribution.
+    fn sample_by_rejection(space: &DesignSpace, rng: &mut impl Rng) -> Architecture {
+        loop {
+            let arch = space.sample_ops(rng);
+            if arch.validate(&space.profile).is_ok() {
+                return arch;
+            }
+        }
+    }
+
+    /// A choice sequence as a base-`CHOICES` number, slot 0 most
+    /// significant, so numeric order is lexicographic order.
+    fn code(choices: impl Iterator<Item = usize>) -> u32 {
+        choices.fold(0, |code, choice| code * CHOICES as u32 + choice as u32)
+    }
+
+    /// Codes of every choice sequence whose ops pass `validate`, ascending.
+    fn brute_force_valid(space: &DesignSpace) -> Vec<u32> {
+        let ops = representative_ops(space);
+        let sequences = (CHOICES as u32).pow(space.num_layers as u32);
+        (0..sequences)
+            .filter(|&sequence| {
+                let mut rest = sequence;
+                let mut arch = vec![Op::Identity; space.num_layers];
+                for slot in arch.iter_mut().rev() {
+                    *slot = ops[(rest % CHOICES as u32) as usize];
+                    rest /= CHOICES as u32;
+                }
+                Architecture::new(arch).validate(&space.profile).is_ok()
+            })
+            .collect()
+    }
+
+    /// The table's total is the brute-force count and unranking
+    /// `0..total` enumerates exactly the brute-force set, in order.
+    fn assert_unranking_is_the_valid_set(space: &DesignSpace) -> u64 {
+        let table = ValidCounts::new(space);
+        let unranked: Vec<u32> = (0..table.total()).map(|rank| code(table.unrank(rank))).collect();
+        assert!(unranked == brute_force_valid(space), "{space:?}");
+        table.total()
+    }
+
+    #[test]
+    fn paper_space_counts_and_unranking_match_brute_force() {
+        let totals = configurations(8).map(|space| assert_unranking_is_the_valid_set(&space));
+        assert_eq!(totals, [80_460, 104_764, 150_520, 192_032]);
+    }
+
+    #[test]
+    fn small_spaces_counts_and_unranking_match_brute_force() {
+        for num_layers in 1..=5 {
+            for space in configurations(num_layers) {
+                assert!(assert_unranking_is_the_valid_set(&space) > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn distribution_matches_the_rejection_loop() {
+        // Frequencies from two independent runs of SAMPLES draws differ by
+        // sqrt(2 p (1 - p) / SAMPLES) <= 0.0016 (one sigma); 0.006 is past
+        // 3.7 sigma for every one of the ~170 cells compared.
+        const SAMPLES: usize = 200_000;
+        const TOLERANCE: f64 = 0.006;
+        #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+        enum Cell {
+            OpAtSlot(usize, Op),
+            Communicates(usize),
+        }
+        let space = DesignSpace::paper(WorkloadProfile::modelnet40());
+        let tally = |sample: &mut dyn FnMut() -> Architecture| {
+            let mut cells: BTreeMap<Cell, usize> = BTreeMap::new();
+            for _ in 0..SAMPLES {
+                let arch = sample();
+                for (slot, &op) in arch.ops().iter().enumerate() {
+                    *cells.entry(Cell::OpAtSlot(slot, op)).or_default() += 1;
+                }
+                *cells.entry(Cell::Communicates(arch.num_communicates())).or_default() += 1;
+            }
+            cells
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let exact = tally(&mut || space.sample_valid(&mut rng, 0).0);
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let reference = tally(&mut || sample_by_rejection(&space, &mut rng));
+        assert_eq!(exact.keys().collect::<Vec<_>>(), reference.keys().collect::<Vec<_>>());
+        for (cell, &count) in &exact {
+            let diff = (count as f64 - reference[cell] as f64).abs() / SAMPLES as f64;
+            assert!(diff < TOLERANCE, "{cell:?}: {count} vs {} of {SAMPLES}", reference[cell]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no valid architecture in DesignSpace { num_layers: 0")]
+    fn empty_space_panics_at_once() {
+        let space = DesignSpace { num_layers: 0, ..DesignSpace::paper(WorkloadProfile::mr()) };
+        space.sample_valid(&mut ChaCha8Rng::seed_from_u64(1), 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow u64")]
+    fn a_space_too_wide_to_count_panics_instead_of_wrapping() {
+        let space = DesignSpace { num_layers: 40, ..DesignSpace::paper(WorkloadProfile::mr()) };
+        space.sample_valid(&mut ChaCha8Rng::seed_from_u64(1), 0);
+    }
+
+    #[test]
+    fn twenty_four_layers_are_counted_exactly() {
+        let space = DesignSpace { num_layers: 24, ..DesignSpace::paper(WorkloadProfile::mr()) };
+        let (arch, _) = space.sample_valid(&mut ChaCha8Rng::seed_from_u64(1), 0);
+        assert_eq!(arch.len(), 24);
+        assert!(arch.validate(&space.profile).is_ok());
     }
 }

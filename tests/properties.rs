@@ -42,6 +42,44 @@ fn sampled_architectures_always_validate() {
     });
 }
 
+/// The paper's space and its single-device variant, with and without a
+/// dataset-provided graph: the four shapes the validity rules distinguish.
+fn space_configurations() -> [DesignSpace; 4] {
+    let (cloud, text) = (WorkloadProfile::modelnet40(), WorkloadProfile::mr());
+    [
+        DesignSpace::paper(cloud),
+        DesignSpace::single_device(cloud),
+        DesignSpace::paper(text),
+        DesignSpace::single_device(text),
+    ]
+}
+
+#[test]
+fn every_sample_of_every_space_configuration_validates() {
+    for space in space_configurations() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for _ in 0..500 {
+            let (arch, draws) = space.sample_valid(&mut rng, 100_000);
+            assert!(arch.validate(&space.profile).is_ok(), "{arch}");
+            assert_eq!(arch.len(), space.num_layers);
+            assert_eq!(draws, 1);
+            assert!(space.allow_communicate || arch.num_communicates() == 0, "{arch}");
+        }
+    }
+}
+
+#[test]
+fn same_seed_samples_the_same_candidates() {
+    for space in space_configurations() {
+        let run = |seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            (0..50).map(|_| space.sample_valid(&mut rng, 100_000).0).collect::<Vec<_>>()
+        };
+        assert_eq!(run(23), run(23));
+        assert_ne!(run(23), run(24));
+    }
+}
+
 #[test]
 fn placement_flips_exactly_at_communicates() {
     for_each_case(|_, arch| {
