@@ -15,17 +15,14 @@
 //! 8. edge fleet: the same candidate batch pulled off the shared morsel
 //!    queue by 1 vs 4 loopback pools (`EdgeFleet`) under a 10 Mbps uplink
 //!    cap, uniform and with a 10× per-candidate frame-count skew;
-//! 11. the plan-optimizer pipeline on the live engine under the same cap:
-//!     per-pass counters, and wire bytes per plan against raw lowerings
-//!     (optimized plans must never be larger);
 //! 12. trace-driven scenario replay: a four-segment `ScenarioTrace`
 //!     (steady → 10× arrival burst → 10→1 Mbps uplink degrade →
 //!     mid-stream constraint flip) replayed on one warm pool, deadlines
 //!     and arrival rates derived from a probed per-frame service time.
 //!
-//! (7, 9 and 10 timed what `perf/` now measures with spreads and are gone;
-//! `docs/BENCHMARKS.md` maps every retired key to the metric that replaced
-//! it.) [`SECTIONS`] is the one table `main` walks. A section owns the
+//! (7, 9 and 10 timed what `perf/` now measures with spreads and are gone,
+//! and 11 counted the passes of the plan optimizer PR 24 retired;
+//! `docs/BENCHMARKS.md` maps every retired key to what replaced it.) [`SECTIONS`] is the one table `main` walks. A section owns the
 //! `BENCH_eval.json` keys it returns, and a key is admitted by one rule: it
 //! is a count, a byte size, or a ratio or ordering of two quantities taken
 //! in the same run in a regime that is host-independent by construction
@@ -48,8 +45,7 @@ use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
 use gcode_engine::{
-    encode_frame, lower_and_optimize, replay_on_fleet, EdgeFleet, EngineBackend, EngineDispatcher,
-    ExecutionPlan, FleetSpec, Frame, OptimizeOptions,
+    replay_on_fleet, EdgeFleet, EngineBackend, EngineDispatcher, ExecutionPlan, FleetSpec,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample};
 use gcode_hardware::SystemConfig;
@@ -125,13 +121,6 @@ const SECTIONS: &[Section] = &[
         keys: &["fleet_speedup_4v1", "fleet_skew_speedup_4v1", "fleet_pool_failures"],
         quick: true,
         run: fleet,
-    },
-    Section {
-        id: 11,
-        title: "plan optimizer passes on the live engine (10 Mbps uplink)",
-        keys: &["opt_ops_elided", "opt_ops_fused", "opt_splits_moved", "opt_modeled_bytes_saved"],
-        quick: true,
-        run: optimizer,
     },
     Section {
         id: 12,
@@ -520,81 +509,6 @@ fn fleet(quick: bool) -> Vec<Key> {
         ("fleet_speedup_4v1", uniform),
         ("fleet_skew_speedup_4v1", skew),
         ("fleet_pool_failures", failures as f64),
-    ]
-}
-
-/// Candidates the optimizer can visibly bite on: an `Identity` op to
-/// elide, an adjacent same-side `Aggregate`+`Combine` pair per side to
-/// fuse (the pair straddling the split must be left alone), and a split
-/// the cost model may re-place.
-fn optimizer_candidates(n: usize) -> Vec<Architecture> {
-    (0..n)
-        .map(|i| {
-            Architecture::new(vec![
-                Op::Sample(SampleFn::Knn { k: 4 + i % 3 }),
-                Op::Identity,
-                Op::Aggregate(AggMode::Max),
-                Op::Combine { dim: 8 + 8 * (i % 4) },
-                Op::Communicate,
-                Op::Aggregate(AggMode::Mean),
-                Op::Combine { dim: 16 },
-                Op::GlobalPool(PoolMode::Max),
-            ])
-        })
-        .collect()
-}
-
-/// Section 11: one candidate list priced on the default (optimizing)
-/// `EngineBackend` under the [`UPLINK_MBPS`] cap, the per-pass counters
-/// read back from it. The wire-size comparison is static: the same
-/// candidates lowered both ways and framed.
-fn optimizer(quick: bool) -> Vec<Key> {
-    let (candidates, frames) = if quick { (6, 2) } else { (16, 4) };
-    let archs = optimizer_candidates(candidates);
-    let framed =
-        |plan: &ExecutionPlan| encode_frame(&Frame::SwapPlan(Box::new(plan.clone()))).len() + 4;
-    let (mut on_bytes, mut off_bytes) = (0usize, 0usize);
-    for a in &archs {
-        on_bytes += framed(&lower_and_optimize(a, &OptimizeOptions::default()).0);
-        off_bytes += framed(&ExecutionPlan::from_architecture(a));
-    }
-
-    let ds = PointCloudDataset::generate(6, 20, 4, 47);
-    let backend = EngineBackend::new(
-        ds.samples().to_vec(),
-        4,
-        SystemConfig::tx2_to_1060(UPLINK_MBPS),
-        |a: &Architecture| 0.8 + 0.001 * a.len() as f64,
-    )
-    .with_frames(frames)
-    .with_warmup(1)
-    .with_uplink_mbps(UPLINK_MBPS);
-    for a in &archs {
-        backend.evaluate(a);
-    }
-    let stats = backend.optimizer_stats();
-    println!(
-        "  {candidates} candidates: {} ops elided, {} fused, {} splits moved, {} modeled bytes saved",
-        stats.ops_elided(),
-        stats.ops_fused(),
-        stats.splits_moved(),
-        stats.modeled_bytes_saved()
-    );
-    println!(
-        "  framed wire bytes per plan: {:.1} optimized, {:.1} raw",
-        on_bytes as f64 / candidates as f64,
-        off_bytes as f64 / candidates as f64
-    );
-    assert!(stats.ops_elided() > 0, "the candidates carry Identity ops the pipeline must elide");
-    assert!(
-        on_bytes <= off_bytes,
-        "optimized plans must never be larger on the wire: {on_bytes} vs {off_bytes} bytes"
-    );
-    vec![
-        ("opt_ops_elided", stats.ops_elided() as f64),
-        ("opt_ops_fused", stats.ops_fused() as f64),
-        ("opt_splits_moved", stats.splits_moved() as f64),
-        ("opt_modeled_bytes_saved", stats.modeled_bytes_saved() as f64),
     ]
 }
 

@@ -411,7 +411,6 @@ impl<'a> SearchSession<'a> {
             trials: result.history.len(),
             measured: None,
             fleet: None,
-            optimizer: None,
             scenarios: None,
         }
     }
@@ -504,75 +503,6 @@ impl FleetStats {
     }
 }
 
-/// Counters for one rewrite pass of the plan-optimizer pipeline
-/// (`gcode_engine::optimizer`): what the pass removed, fused or moved
-/// across every plan it saw, plus the bytes its rewrites are modeled to
-/// save (wire bytes for elision/fusion, per-frame transfer bytes for
-/// split moves).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PassStats {
-    /// Pass name, e.g. `"elide-identity"`.
-    pub pass: String,
-    /// Ops removed from plans by this pass.
-    pub ops_elided: u64,
-    /// Adjacent op pairs fused into one kernel by this pass.
-    pub ops_fused: u64,
-    /// Plans whose split point this pass re-chose.
-    pub splits_moved: u64,
-    /// Modeled bytes saved by this pass's rewrites.
-    pub modeled_bytes_saved: u64,
-}
-
-/// Aggregate plan-optimizer telemetry across every lowering of a run:
-/// per-pass counters plus the number of plans that went through the
-/// pipeline. Produced by `gcode_engine::optimizer::PlanOptimizer` and
-/// attached to a [`SearchReport`] via [`SearchReport::with_optimizer`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OptimizerStats {
-    /// Plans lowered through the optimizer pipeline.
-    pub plans_optimized: u64,
-    /// One entry per pipeline pass, in execution order.
-    pub passes: Vec<PassStats>,
-}
-
-impl OptimizerStats {
-    /// Total ops removed across all passes.
-    pub fn ops_elided(&self) -> u64 {
-        self.passes.iter().map(|p| p.ops_elided).sum()
-    }
-
-    /// Total op pairs fused across all passes.
-    pub fn ops_fused(&self) -> u64 {
-        self.passes.iter().map(|p| p.ops_fused).sum()
-    }
-
-    /// Total split points re-chosen across all passes.
-    pub fn splits_moved(&self) -> u64 {
-        self.passes.iter().map(|p| p.splits_moved).sum()
-    }
-
-    /// Total modeled bytes saved across all passes.
-    pub fn modeled_bytes_saved(&self) -> u64 {
-        self.passes.iter().map(|p| p.modeled_bytes_saved).sum()
-    }
-
-    /// Folds another run's counters into this one, matching passes by name
-    /// (unknown passes are appended in the other run's order).
-    pub fn absorb(&mut self, other: &OptimizerStats) {
-        self.plans_optimized += other.plans_optimized;
-        for theirs in &other.passes {
-            if let Some(mine) = self.passes.iter_mut().find(|p| p.pass == theirs.pass) {
-                mine.ops_elided += theirs.ops_elided;
-                mine.ops_fused += theirs.ops_fused;
-                mine.splits_moved += theirs.splits_moved;
-                mine.modeled_bytes_saved += theirs.modeled_bytes_saved;
-            } else {
-                self.passes.push(theirs.clone());
-            }
-        }
-    }
-}
-
 /// Serializable summary of one search run: which backend priced the
 /// candidates, how the parallel driver was configured, and how effective
 /// the memo cache was — the numbers the CLI and the bench/ablation
@@ -602,9 +532,6 @@ pub struct SearchReport {
     /// Per-pool fleet telemetry, present only when the Measured tier ran
     /// on an edge fleet (`--fleet`).
     pub fleet: Option<FleetStats>,
-    /// Plan-optimizer pass telemetry, present only when the Measured tier
-    /// lowered plans through the optimizer pipeline (`--optimize on`).
-    pub optimizer: Option<OptimizerStats>,
     /// Per-segment scenario-replay outcomes, present only when a
     /// [`scenario::ScenarioTrace`] was replayed against the run's zoo
     /// (`gcode replay --trace`, or a `Submit`ted session carrying one).
@@ -623,13 +550,6 @@ impl SearchReport {
     #[must_use]
     pub fn with_fleet(mut self, fleet: FleetStats) -> Self {
         self.fleet = Some(fleet);
-        self
-    }
-
-    /// Attaches plan-optimizer pass telemetry to the report.
-    #[must_use]
-    pub fn with_optimizer(mut self, optimizer: OptimizerStats) -> Self {
-        self.optimizer = Some(optimizer);
         self
     }
 

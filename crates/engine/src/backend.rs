@@ -12,14 +12,13 @@
 //! metrics.
 
 use crate::fleet::{EdgeFleet, FleetOutcome, FleetSpec};
-use crate::optimizer::{lower_and_optimize, OptimizeOptions, PassManager};
 use crate::plan::ExecutionPlan;
 use crate::proto::PROTOCOL_VERSION;
 use crate::runtime::{latency_percentiles, EngineStats};
-use gcode_core::arch::{Architecture, WorkloadProfile};
+use gcode_core::arch::Architecture;
 use gcode_core::cachelog::{self, SharedCacheLog};
 use gcode_core::eval::backend::{EvalBackend, Fidelity};
-use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics, OptimizerStats};
+use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics};
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;
 use parking_lot::Mutex;
@@ -227,12 +226,10 @@ pub struct EngineBackend<F: Fn(&Architecture) -> f64 + Sync> {
     bank_seed: u64,
     run_seed: u64,
     fleet_spec: FleetSpec,
-    optimize: bool,
     measured_accuracy: bool,
     accuracy_fn: F,
     cache_log: Option<SharedCacheLog>,
     telemetry: Mutex<Telemetry>,
-    optimizer_stats: Mutex<OptimizerStats>,
     fleet: Mutex<Option<EdgeFleet>>,
 }
 
@@ -267,25 +264,12 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             bank_seed: 0x5EED,
             run_seed: 0xE261,
             fleet_spec: FleetSpec::default(),
-            optimize: true,
             measured_accuracy: false,
             accuracy_fn,
             cache_log: None,
             telemetry: Mutex::new(Telemetry::default()),
-            optimizer_stats: Mutex::new(OptimizerStats::default()),
             fleet: Mutex::new(None),
         }
-    }
-
-    /// Switches the plan-optimizer pipeline on or off (on by default).
-    /// Optimized plans are bit-identical in output to raw lowerings —
-    /// every pass preserves slot-keyed weights and per-kernel float-op
-    /// order — but carry a nonzero fingerprint, so optimized and raw
-    /// measurements never collide in a shared cache log.
-    #[must_use]
-    pub fn with_optimize(mut self, enabled: bool) -> Self {
-        self.optimize = enabled;
-        self
     }
 
     /// Switches accuracy pricing from the modeled `accuracy_fn` to the
@@ -378,64 +362,10 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         self
     }
 
-    /// The workload shape the optimizer's cost-guided split rewrite prices
-    /// against, derived from the frame stream this backend actually drives.
-    fn workload_profile(&self) -> WorkloadProfile {
-        let s = &self.samples[0];
-        let (provides_graph, provided_degree) = match &s.graph {
-            Some(g) => (true, (g.num_edges() / g.num_nodes().max(1)).max(1)),
-            None => (false, 0),
-        };
-        WorkloadProfile {
-            num_nodes: s.features.rows(),
-            in_dim: s.features.cols(),
-            provides_graph,
-            provided_degree,
-            num_classes: self.num_classes,
-        }
-    }
-
-    fn optimize_options(&self) -> OptimizeOptions {
-        OptimizeOptions {
-            enabled: self.optimize,
-            profile: Some(self.workload_profile()),
-            uplink_mbps: self.uplink_mbps.unwrap_or(self.sys.link.bandwidth_mbps),
-        }
-    }
-
-    /// The single lower-and-optimize entry point: every candidate this
-    /// backend deploys passes through here, so pass counters accumulate.
-    fn lower_plan(&self, arch: &Architecture) -> ExecutionPlan {
-        let (plan, stats) = lower_and_optimize(arch, &self.optimize_options());
-        if self.optimize {
-            self.optimizer_stats.lock().absorb(&stats);
-        }
-        plan
-    }
-
-    /// Fingerprint stamped on emitted plans: the standard pipeline's hash
-    /// when optimization is on, `0` (raw) when off.
-    fn optimizer_fingerprint(&self) -> u64 {
-        if self.optimize {
-            PassManager::standard().fingerprint()
-        } else {
-            0
-        }
-    }
-
-    /// Accumulated per-pass optimizer counters across every candidate this
-    /// backend has lowered. All-zero when
-    /// [`with_optimize`](Self::with_optimize)`(false)` disabled the pipeline.
-    pub fn optimizer_stats(&self) -> OptimizerStats {
-        self.optimizer_stats.lock().clone()
-    }
-
-    /// The log-key fidelity tag for this configuration, computed per
-    /// lookup so builder-method order never matters. Covers every knob
-    /// that shapes the measured numbers plus a shape/label fingerprint of
-    /// the frame stream and the optimizer fingerprint — optimized and raw
-    /// plans execute the same logits but different wire bytes and op
-    /// counts, so their measurements must never collide in a shared log.
+    /// The log-key fidelity tag for this configuration, computed once per
+    /// batch (not per backend, so builder-method order never matters).
+    /// Covers every knob that shapes the measured numbers plus a
+    /// shape/label fingerprint of the frame stream.
     /// The fleet is tagged by its endpoint list, not its width: two specs
     /// of one length can name different machines.
     /// The wire protocol version is in it for the same reason: latency,
@@ -461,24 +391,24 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         };
         let acc = if self.measured_accuracy { "measured" } else { "modeled" };
         cachelog::tag_key(&format!(
-            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|fleet:{}|data{fingerprint:#x}|opt{:#x}|acc:{acc}|wire{wire_version}",
+            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|fleet:{}|data{fingerprint:#x}|acc:{acc}|wire{wire_version}",
             self.num_classes, self.bank_seed, self.run_seed, self.frames, self.warmup,
-            self.fleet_spec, self.optimizer_fingerprint(),
+            self.fleet_spec,
         ))
     }
 
-    /// Consults the cache log for a candidate's stored metrics.
-    fn log_lookup(&self, arch: &Architecture) -> Option<Metrics> {
+    /// Consults the cache log for a candidate's stored metrics under `tag`.
+    fn log_lookup(&self, arch: &Architecture, tag: u64) -> Option<Metrics> {
         let log = self.cache_log.as_ref()?;
-        log.lock().ok()?.get(cachelog::arch_key(arch), self.fidelity_tag(), 0)
+        log.lock().ok()?.get(cachelog::arch_key(arch), tag, 0)
     }
 
     /// Writes a fresh successful measurement through to the cache log
     /// ([`measure_cached`] never hands a failed one over).
-    fn log_store(&self, arch: &Architecture, m: Metrics) {
+    fn log_store(&self, arch: &Architecture, tag: u64, m: Metrics) {
         if let Some(log) = &self.cache_log {
             if let Ok(mut log) = log.lock() {
-                log.put(cachelog::arch_key(arch), self.fidelity_tag(), 0, m);
+                log.put(cachelog::arch_key(arch), tag, 0, m);
             }
         }
     }
@@ -591,18 +521,20 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     }
 
     /// The one deployment path: [`measure_cached`] prices what the cache
-    /// log holds; the rest of the batch is lowered to plans, pulled off the
+    /// log holds; the rest of the batch is lowered to plans — the one
+    /// lowering, the cut the candidate itself carries — pulled off the
     /// shared morsel queue by the [`EdgeFleet`]'s pools (the fleet is built
     /// lazily on first use) and priced. Fleet-internal recoveries are
     /// invisible here — only candidates the fleet definitively gave up on
     /// come back as errors, and those get the sentinel.
     fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
+        let tag = self.fidelity_tag();
         let Ok((priced, fresh)) = measure_cached(
             archs,
-            |arch| self.log_lookup(arch),
+            |arch| self.log_lookup(arch, tag),
             |uncached| {
                 let plans: Vec<ExecutionPlan> =
-                    uncached.iter().map(|&i| self.lower_plan(&archs[i])).collect();
+                    uncached.iter().map(|&i| ExecutionPlan::from_architecture(&archs[i])).collect();
                 let stream = self.stream();
                 let outcomes = self
                     .fleet
@@ -614,7 +546,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
                     measured.map(|(&i, o)| self.price(&archs[i], o).ok_or(())).collect(),
                 )
             },
-            |arch, &m| self.log_store(arch, m),
+            |arch, &m| self.log_store(arch, tag, m),
         );
         self.telemetry.lock().profile.cached += (archs.len() - fresh.len()) as u64;
         let failed = Metrics {
@@ -881,10 +813,32 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_on_and_off_disagree_only_on_fidelity_tag() {
-        // Same configuration, optimizer toggled: the live predictions are
-        // bit-identical (the optimizer's contract), but the cache-log tags
-        // must differ so shared-log measurements never collide.
+    fn backend_deploys_the_plan_the_dispatcher_picks() {
+        use crate::proto::{decode_frame, plan_wire_id, read_message, Frame};
+        use gcode_core::search::ScoredArch;
+        use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
+        // A remote "edge" that records the id of every plan shipped to it
+        // and hangs up: the measurement fails, the deployed plan is known.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (seen, deployed) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().flatten() {
+                while let Ok(Some(body)) = read_message(&mut stream) {
+                    let plans = match decode_frame(&body) {
+                        Ok(Frame::SwapPlan(plan)) => vec![*plan],
+                        Ok(Frame::SwapPlanBatch(batch)) => batch.plans,
+                        _ => continue,
+                    };
+                    for plan in &plans {
+                        let _ = seen.send(plan_wire_id(plan));
+                    }
+                    break;
+                }
+            }
+        });
+        // An identity, a fusable pair and a late cut: everything the retired
+        // optimizer rewrote for the backend and left alone for the dispatcher.
         let arch = Architecture::new(vec![
             Op::Sample(SampleFn::Knn { k: 4 }),
             Op::Identity,
@@ -893,22 +847,25 @@ mod tests {
             Op::Communicate,
             Op::GlobalPool(PoolMode::Max),
         ]);
-        let on = backend().with_frames(3);
-        let off = backend().with_frames(3).with_optimize(false);
-        assert_ne!(on.fidelity_tag(), off.fidelity_tag());
+        let b = backend().with_fleet(addr.to_string().parse().expect("fleet spec"));
+        assert_eq!(b.evaluate(&arch).latency_s, DEPLOY_FAILURE_SENTINEL, "the edge hung up");
 
-        // Each backend's own lowering, deployed on the fleet it would build.
-        let plans = [on.lower_plan(&arch), off.lower_plan(&arch)];
-        assert_ne!(plans[0], plans[1], "the optimizer must have rewritten the plan");
-        let mut fleet = on.new_fleet();
-        let mut preds = fleet
-            .run_batch(&plans, &on.stream())
-            .into_iter()
-            .map(|outcome| outcome.expect("both lowerings deploy").0);
-        assert_eq!(preds.next(), preds.next(), "optimized predictions must equal raw ones");
-        fleet.shutdown().expect("clean");
-        assert!(on.optimizer_stats().ops_elided() > 0, "the Identity op must be elided");
-        assert_eq!(off.optimizer_stats(), Default::default());
+        let entry = ScoredArch {
+            arch: arch.clone(),
+            score: 0.9,
+            accuracy: 0.9,
+            latency_s: 0.1,
+            energy_j: 0.1,
+        };
+        let dispatcher = crate::EngineDispatcher::new(
+            ArchitectureZoo::new(vec![entry]),
+            gcode_nn::seq::WeightBank::new(2, 0),
+        );
+        let (picked, _) = dispatcher.dispatch(RuntimeConstraint::none()).expect("one entry");
+        let deployed: Vec<u64> = deployed.try_iter().collect();
+        assert!(!deployed.is_empty(), "the backend shipped a plan before the edge hung up");
+        assert!(deployed.iter().all(|&id| id == plan_wire_id(&picked)), "{deployed:x?}");
+        assert_eq!(picked, ExecutionPlan::from_architecture(&arch));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! is hot-swapped onto the warm pair via one `SwapPlan` control frame, and
 //! the edge process, TCP connection and weights all survive the switch.
 
-use crate::optimizer::{lower_and_optimize, OptimizeOptions};
 use crate::plan::ExecutionPlan;
 use gcode_core::search::ScoredArch;
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
@@ -82,19 +81,12 @@ impl EngineDispatcher {
         self.bank.clone()
     }
 
-    /// Lowers one zoo pick through the optimizer pipeline. The dispatcher
-    /// has no workload profile at hand, so the cost-guided split rewrite
-    /// self-skips; the elision and fusion passes still shrink the deployed
-    /// plan without touching its logits.
-    pub(crate) fn lower(arch: &gcode_core::arch::Architecture) -> ExecutionPlan {
-        lower_and_optimize(arch, &OptimizeOptions { profile: None, ..OptimizeOptions::default() }).0
-    }
-
     /// Picks the architecture for `constraint` and returns its deployment
-    /// plan together with the zoo entry, or `None` for an empty zoo.
+    /// plan — the plan the search measured it under — together with the
+    /// zoo entry, or `None` for an empty zoo.
     pub fn dispatch(&self, constraint: RuntimeConstraint) -> Option<(ExecutionPlan, &ScoredArch)> {
         let entry = self.zoo.dispatch(constraint)?;
-        Some((Self::lower(&entry.arch), entry))
+        Some((ExecutionPlan::from_architecture(&entry.arch), entry))
     }
 }
 

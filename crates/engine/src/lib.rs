@@ -59,7 +59,6 @@
 pub mod backend;
 pub mod dispatcher;
 pub mod fleet;
-pub mod optimizer;
 pub mod plan;
 pub mod pool;
 pub mod proto;
@@ -73,10 +72,9 @@ pub use fleet::{
     EdgeFleet, FleetEndpoint, FleetOutcome, FleetSpec, DEFAULT_REMOTE_CONNECT_TIMEOUT,
     MAX_FLEET_POOLS,
 };
-pub use optimizer::{
-    lower_and_optimize, OptimizeOptions, PassManager, PlanIr, PlanOptimizer, OPTIMIZER_VERSION,
-};
 pub use plan::ExecutionPlan;
+#[doc(hidden)]
+pub use plan::{lower_and_optimize, OptimizeOptions};
 pub use pool::EdgePool;
 pub use proto::{
     decode_frame, decode_plan, decode_state, encode_frame, encode_plan, encode_state, frame_name,

@@ -13,15 +13,11 @@ use serde::{Deserialize, Serialize};
 /// keeps every op at its original slot index so split execution shares the
 /// exact weights a monolithic forward would use.
 ///
-/// Every op carries its **explicit weight slot** (`device_slots`/
-/// `edge_slots`): a raw lowering uses the contiguous range `0..n`, while
-/// the plan optimizer (`crate::optimizer`) may elide or fuse ops, leaving
-/// gaps — surviving ops keep the slot they held in the unoptimized
-/// lowering, which is what keeps optimized logits bit-identical to raw
-/// ones. `optimizer_fingerprint` records which pass pipeline produced the
-/// plan (`0` = raw lowering) and is folded into the wire identity
-/// (`crate::proto::plan_wire_id`) so optimized and raw measurements never
-/// collide in a shared cache.
+/// This is the only lowering: the search chose the mapping when it placed
+/// `Communicate` in the sequence, so nothing between the search and the
+/// deploy moves the cut, drops an op or merges two. Every op also carries
+/// its weight slot (`device_slots`/`edge_slots`) — always its position in
+/// the lowered architecture.
 ///
 /// Serializable so a `SwapPlan` control frame can carry the next plan to a
 /// persistent edge over the wire (`crate::proto::Frame::SwapPlan`).
@@ -31,9 +27,9 @@ pub struct ExecutionPlan {
     pub device_specs: Vec<LayerSpec>,
     /// Layers executed on the edge after reception.
     pub edge_specs: Vec<LayerSpec>,
-    /// Weight slot of each device op in the unoptimized lowering.
+    /// Weight slot of each device op: its position, `0..device ops`.
     pub device_slots: Vec<usize>,
-    /// Weight slot of each edge op in the unoptimized lowering.
+    /// Weight slot of each edge op: its position, from `edge_slot_offset`.
     pub edge_slots: Vec<usize>,
     /// Slot index where the edge part starts in the full lowered
     /// architecture (the wire/split semantics; individual ops execute by
@@ -41,14 +37,10 @@ pub struct ExecutionPlan {
     pub edge_slot_offset: usize,
     /// Whether anything is offloaded at all.
     pub offloaded: bool,
-    /// Hash of the optimizer pass list + version that produced this plan;
-    /// `0` for a raw lowering.
-    pub optimizer_fingerprint: u64,
 }
 
 impl ExecutionPlan {
-    /// Assembles a raw (unoptimized) plan: contiguous weight slots on both
-    /// sides, fingerprint `0`.
+    /// Assembles a plan with positional weight slots on both sides.
     pub fn raw(
         device_specs: Vec<LayerSpec>,
         edge_specs: Vec<LayerSpec>,
@@ -57,15 +49,7 @@ impl ExecutionPlan {
     ) -> Self {
         let device_slots = (0..device_specs.len()).collect();
         let edge_slots = (edge_slot_offset..edge_slot_offset + edge_specs.len()).collect();
-        Self {
-            device_specs,
-            edge_specs,
-            device_slots,
-            edge_slots,
-            edge_slot_offset,
-            offloaded,
-            optimizer_fingerprint: 0,
-        }
+        Self { device_specs, edge_specs, device_slots, edge_slots, edge_slot_offset, offloaded }
     }
 
     /// Builds a plan by splitting at the first `Communicate` op.
@@ -100,6 +84,36 @@ impl ExecutionPlan {
             Placement::Edge
         }
     }
+}
+
+// For the frozen `perf/` package only (`perf/src/measure.rs`, `serve.rs`),
+// which still names the retired plan optimizer: options ignored, counts 0,
+// the plan is `from_architecture`. Nothing else may call it (CI greps);
+// ROADMAP 4(c) has the next `benchmark` PR drop it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct OptimizeOptions {
+    pub enabled: bool,
+    pub profile: Option<gcode_core::arch::WorkloadProfile>,
+    pub uplink_mbps: f64,
+}
+#[doc(hidden)]
+pub struct NoRewrites;
+#[doc(hidden)]
+impl NoRewrites {
+    pub fn ops_elided(&self) -> u64 {
+        0
+    }
+    pub fn ops_fused(&self) -> u64 {
+        0
+    }
+    pub fn splits_moved(&self) -> u64 {
+        0
+    }
+}
+#[doc(hidden)]
+pub fn lower_and_optimize(arch: &Architecture, _: &OptimizeOptions) -> (ExecutionPlan, NoRewrites) {
+    (ExecutionPlan::from_architecture(arch), NoRewrites)
 }
 
 #[cfg(test)]
@@ -167,11 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_plans_carry_contiguous_slots_and_zero_fingerprint() {
+    fn plans_carry_positional_slots() {
         let plan = ExecutionPlan::from_architecture(&split_arch());
         assert_eq!(plan.device_slots, vec![0]);
         assert_eq!(plan.edge_slots, vec![2, 3]);
-        assert_eq!(plan.optimizer_fingerprint, 0);
         let local = ExecutionPlan::device_only(&Architecture::new(vec![
             Op::Sample(SampleFn::Knn { k: 4 }),
             Op::GlobalPool(PoolMode::Max),

@@ -14,10 +14,10 @@
 //!
 //! Since protocol v2 a `SwapPlan` body is the binary columnar plan
 //! encoding ([`encode_plan`]) rather than JSON — a fixed header (codec
-//! version, FNV-1a integrity id, op counts, slot offset, flags,
-//! optimizer fingerprint) followed by one contiguous tag column, one
-//! contiguous parameter column and one contiguous weight-slot column
-//! across all ops — and deploys can be batched:
+//! version, FNV-1a integrity id, op counts, slot offset, flags) followed
+//! by one contiguous tag column, one contiguous parameter column and one
+//! contiguous weight-slot column across all ops — and deploys can be
+//! batched:
 //! [`Frame::SwapPlanBatch`] ships up to [`MAX_BATCH_PLANS`] plans per
 //! round-trip, answered by one [`Frame::AckBatch`], with the edge
 //! auto-advancing through the queue as each plan's declared `State`
@@ -325,24 +325,28 @@ pub fn decode_state(body: &[u8]) -> Result<WireState, EngineError> {
 /// closed and kind 1 is now rejected. v3 changed the `State` body: the
 /// byte-plane-shuffled LZ77 streams (which shipped post-ReLU activations
 /// 2–3 % *larger* than raw) gave way to the zero-bitmap float blob and the
-/// narrow-id graph blob laid out at [`encode_state`].
+/// narrow-id graph blob laid out at [`encode_state`]. v4 carries plan
+/// codec v3 in `SwapPlan`/`SwapPlanBatch` bodies (see
+/// [`PLAN_WIRE_VERSION`]) and a `Result` report without the retired plan
+/// optimizer's counters.
 ///
 /// Frame sizes depend on it, so the measurement-cache keys of
 /// `EngineBackend` and `gcode-serve` fold this byte in: a cache file
 /// written under another version re-measures instead of replaying.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Version byte leading every binary-encoded plan (and the
 /// `SwapPlanBatch` body). Independent of [`PROTOCOL_VERSION`]: it gates
 /// the *plan codec* layout, so a decoder can reject a plan blob from a
 /// future layout with a clean error instead of misreading columns.
 ///
-/// History: plan codec v1 carried two columns (tag, parameter) and no
-/// optimizer metadata; v2 adds the per-op weight-slot column and the
-/// `optimizer_fingerprint` header field, both inside the hashed region,
-/// so optimized and raw encodings of the same architecture get distinct
-/// [`plan_wire_id`]s.
-pub const PLAN_WIRE_VERSION: u8 = 2;
+/// History: plan codec v1 carried two columns (tag, parameter); v2 added
+/// the per-op weight-slot column, a fused-kernel tag (6) and an 8-byte
+/// pipeline fingerprint in the header for the plan optimizer; v3 drops
+/// the fingerprint and tag 6 with the optimizer itself. The version byte
+/// is the first byte [`decode_plan`] checks, so a v2 blob is refused, not
+/// misread, and no v2 id can be taken for a v3 one.
+pub const PLAN_WIRE_VERSION: u8 = 3;
 
 /// Most plans one [`Frame::SwapPlanBatch`] may carry. Bounds the decode
 /// allocation on the edge (a corrupted count cannot drive a huge
@@ -536,25 +540,18 @@ const KIND_ACK_BATCH: u8 = 15;
 
 /// Columnar [`LayerSpec`] tags, one byte per op. The parameter column
 /// holds `k` / `out_dim` for the parameterized ops and the mode index
-/// (design-space order) for `Aggregate`/`GlobalPool`; a fused
-/// aggregate+combine kernel packs its aggregation-mode index into the
-/// parameter's top byte and `out_dim` into the low 24 bits.
+/// (design-space order) for `Aggregate`/`GlobalPool`.
 const TAG_BUILD_KNN: u8 = 0;
 const TAG_BUILD_RANDOM: u8 = 1;
 const TAG_AGGREGATE: u8 = 2;
 const TAG_COMBINE: u8 = 3;
 const TAG_GLOBAL_POOL: u8 = 4;
 const TAG_IDENTITY: u8 = 5;
-const TAG_FUSED_AGGREGATE_COMBINE: u8 = 6;
-
-/// Widest `out_dim` the fused-kernel parameter packing can carry.
-const FUSED_OUT_DIM_MAX: u32 = (1 << 24) - 1;
 
 /// Fixed-header bytes of a binary plan: version byte, integrity id, op
-/// counts, slot offset, flags, optimizer fingerprint. The three columns
-/// (one tag byte + one u32 parameter + one u32 weight slot per op)
-/// follow.
-const PLAN_HEADER_LEN: usize = 1 + 8 + 2 + 2 + 4 + 1 + 8;
+/// counts, slot offset, flags. The three columns (one tag byte + one u32
+/// parameter + one u32 weight slot per op) follow.
+const PLAN_HEADER_LEN: usize = 1 + 8 + 2 + 2 + 4 + 1;
 
 fn agg_mode_index(mode: AggMode) -> u32 {
     match mode {
@@ -588,13 +585,6 @@ fn spec_column_entry(spec: &LayerSpec) -> (u8, u32) {
             (TAG_GLOBAL_POOL, idx)
         }
         LayerSpec::Identity => (TAG_IDENTITY, 0),
-        LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-            assert!(
-                (*out_dim as u32) <= FUSED_OUT_DIM_MAX,
-                "fused out_dim {out_dim} exceeds the 24-bit parameter packing"
-            );
-            (TAG_FUSED_AGGREGATE_COMBINE, (agg_mode_index(*mode) << 24) | *out_dim as u32)
-        }
     }
 }
 
@@ -617,10 +607,6 @@ fn spec_from_column(tag: u8, param: u32) -> Result<LayerSpec, EngineError> {
                 Err(EngineError::Protocol(format!("identity op carries parameter {param}")))
             }
         }
-        TAG_FUSED_AGGREGATE_COMBINE => Ok(LayerSpec::FusedAggregateCombine {
-            mode: agg_mode_from_index(param >> 24)?,
-            out_dim: (param & FUSED_OUT_DIM_MAX) as usize,
-        }),
         other => Err(EngineError::Protocol(format!("unknown layer-spec tag {other}"))),
     }
 }
@@ -637,11 +623,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes the non-id portion of a binary plan: counts, offset,
-/// flags, optimizer fingerprint, then the tag column, the parameter
-/// column and the weight-slot column (device ops first, edge ops after —
-/// one contiguous array per field across all ops). The fingerprint and
-/// the slots live inside this hashed region, so optimized and raw
-/// lowerings of the same architecture can never share a wire id.
+/// flags, then the tag column, the parameter column and the weight-slot
+/// column (device ops first, edge ops after — one contiguous array per
+/// field across all ops). All of it is hashed into the wire id.
 fn encode_plan_columns(plan: &ExecutionPlan) -> BytesMut {
     let ops = plan.device_specs.len() + plan.edge_specs.len();
     let mut cols = BytesMut::with_capacity(PLAN_HEADER_LEN - 9 + 9 * ops);
@@ -649,7 +633,6 @@ fn encode_plan_columns(plan: &ExecutionPlan) -> BytesMut {
     cols.put_u16_le(plan.edge_specs.len() as u16);
     cols.put_u32_le(plan.edge_slot_offset as u32);
     cols.put_u8(u8::from(plan.offloaded));
-    cols.put_u64_le(plan.optimizer_fingerprint);
     for spec in plan.device_specs.iter().chain(&plan.edge_specs) {
         cols.put_u8(spec_column_entry(spec).0);
     }
@@ -676,7 +659,6 @@ pub fn plan_wire_id(plan: &ExecutionPlan) -> u64 {
 /// ```text
 /// [u8 PLAN_WIRE_VERSION][u64 plan id][u16 device ops][u16 edge ops]
 /// [u32 edge_slot_offset][u8 flags (bit0 = offloaded)]
-/// [u64 optimizer_fingerprint]
 /// [u8 tag × ops][u32 param × ops][u32 slot × ops]   (device, then edge)
 /// ```
 ///
@@ -728,8 +710,6 @@ pub fn decode_plan(buf: &[u8]) -> Result<ExecutionPlan, EngineError> {
         return Err(EngineError::Protocol(format!("unknown plan flag bits {flags:#04x}")));
     }
     pos += 1;
-    let optimizer_fingerprint = u64::from_le_bytes(cols[pos..pos + 8].try_into().expect("8 bytes"));
-    pos += 8;
     let ops = device_ops + edge_ops;
     if cols.len() != pos + 9 * ops {
         return Err(EngineError::Protocol(format!(
@@ -758,7 +738,6 @@ pub fn decode_plan(buf: &[u8]) -> Result<ExecutionPlan, EngineError> {
         edge_slots,
         edge_slot_offset,
         offloaded: flags & 1 == 1,
-        optimizer_fingerprint,
     })
 }
 
@@ -1208,7 +1187,6 @@ mod tests {
             trials: 24,
             measured: None,
             fleet: None,
-            optimizer: None,
             scenarios: None,
         };
         let outcome = SessionOutcome {
@@ -1275,26 +1253,6 @@ mod tests {
         )
     }
 
-    /// An optimizer-shaped plan: gapped slots, a fused op, and a nonzero
-    /// fingerprint — everything the v2 columns exist to carry.
-    fn optimized_plan() -> ExecutionPlan {
-        ExecutionPlan {
-            device_specs: vec![
-                LayerSpec::BuildKnn { k: 20 },
-                LayerSpec::FusedAggregateCombine { mode: AggMode::Max, out_dim: 64 },
-            ],
-            edge_specs: vec![
-                LayerSpec::FusedAggregateCombine { mode: AggMode::Mean, out_dim: 40 },
-                LayerSpec::GlobalPool(PoolMode::Mean),
-            ],
-            device_slots: vec![0, 2],
-            edge_slots: vec![6, 7],
-            edge_slot_offset: 6,
-            offloaded: true,
-            optimizer_fingerprint: 0xBEEF_CAFE_F00D_1234,
-        }
-    }
-
     #[test]
     fn binary_plan_beats_json_size() {
         for plan in [split_plan(), local_plan()] {
@@ -1322,23 +1280,61 @@ mod tests {
     }
 
     #[test]
-    fn optimized_plan_round_trips_with_slots_and_fingerprint() {
-        let plan = optimized_plan();
+    fn gapped_plan_round_trips_with_its_slots() {
+        // The lowering never emits non-contiguous slots, but the slot
+        // column is on the wire and must carry what it is given.
+        let plan = ExecutionPlan {
+            device_specs: vec![LayerSpec::BuildKnn { k: 20 }, LayerSpec::Combine { out_dim: 64 }],
+            edge_specs: vec![
+                LayerSpec::Combine { out_dim: 40 },
+                LayerSpec::GlobalPool(PoolMode::Mean),
+            ],
+            device_slots: vec![0, 2],
+            edge_slots: vec![6, 7],
+            edge_slot_offset: 6,
+            offloaded: true,
+        };
         let blob = encode_plan(&plan);
         let back = decode_plan(&blob).expect("round trip");
         assert_eq!(back, plan);
         assert_eq!(back.device_slots, vec![0, 2]);
         assert_eq!(back.edge_slots, vec![6, 7]);
-        assert_eq!(back.optimizer_fingerprint, 0xBEEF_CAFE_F00D_1234);
-
-        // The fingerprint lives in the hashed column region: an otherwise
-        // identical raw plan must get a different wire id, so optimized
-        // and raw measurements never collide in a shared cache.
-        let raw = ExecutionPlan { optimizer_fingerprint: 0, ..plan.clone() };
-        assert_ne!(plan_wire_id(&plan), plan_wire_id(&raw));
-        // Slot assignments are identity-bearing too.
+        // Slot assignments are identity-bearing.
         let shifted = ExecutionPlan { device_slots: vec![0, 3], ..plan.clone() };
         assert_ne!(plan_wire_id(&plan), plan_wire_id(&shifted));
+    }
+
+    /// A blob whose integrity id matches its columns, as a peer speaking
+    /// plan codec `version` would frame them.
+    fn framed_plan(version: u8, cols: &[u8]) -> Vec<u8> {
+        let mut blob = vec![version];
+        blob.extend_from_slice(&fnv1a(cols).to_le_bytes());
+        blob.extend_from_slice(cols);
+        blob
+    }
+
+    #[test]
+    fn a_well_formed_v2_plan_blob_is_refused() {
+        // What the previous build shipped for `split_plan()`: the v3
+        // columns with the 8-byte optimizer fingerprint after the flags.
+        let v3 = encode_plan_columns(&split_plan());
+        let mut cols = v3[..9].to_vec();
+        cols.extend_from_slice(&0xBEEF_CAFE_F00D_1234u64.to_le_bytes());
+        cols.extend_from_slice(&v3[9..]);
+        let err = decode_plan(&framed_plan(2, &cols)).expect_err("v2 must be refused");
+        assert!(matches!(&err, EngineError::Protocol(m) if m.contains("blob is v2")), "{err}");
+    }
+
+    #[test]
+    fn the_retired_fused_tag_is_refused_as_unknown() {
+        let plan = split_plan();
+        let mut cols = encode_plan_columns(&plan).to_vec();
+        cols[9 + 1] = 6; // the tag column follows the 9 header bytes
+        let err = decode_plan(&framed_plan(PLAN_WIRE_VERSION, &cols)).expect_err("tag 6");
+        assert!(
+            matches!(&err, EngineError::Protocol(m) if m.contains("unknown layer-spec tag 6")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! fields inherit scheduler noise — see
 //! [`ScenarioReport::deterministic_view`].
 
-use crate::dispatcher::EngineDispatcher;
 use crate::fleet::EdgeFleet;
+use crate::plan::ExecutionPlan;
 use crate::runtime::EngineStats;
 use crate::EngineError;
 use gcode_core::arch::Architecture;
@@ -86,7 +86,7 @@ pub fn replay_on_fleet(
             .arch
             .clone();
         let swaps = u64::from(deployed.as_ref() != Some(&pick));
-        let plan = EngineDispatcher::lower(&pick);
+        let plan = ExecutionPlan::from_architecture(&pick);
         deployed = Some(pick);
         let stream = segment_stream(samples, offset, seg.frames);
         let (preds, stats) = fleet.run_batch(&[plan], &stream).remove(0)?;

@@ -45,18 +45,6 @@ pub enum LayerSpec {
     GlobalPool(PoolMode),
     /// Pass-through (`Identity`; also how `Communicate` lowers).
     Identity,
-    /// An `Aggregate` immediately followed by a `Combine`, fused into one
-    /// executable step by the plan optimizer. Executes the exact float-op
-    /// sequence of the unfused pair — aggregate over the live (or default
-    /// k-NN) graph, then linear + ReLU — and keys its weights by the
-    /// *Combine's* original slot, so fused and unfused plans share weights
-    /// bit-for-bit.
-    FusedAggregateCombine {
-        /// Neighbor aggregation of the fused `Aggregate` half.
-        mode: AggMode,
-        /// Output feature width of the fused `Combine` half.
-        out_dim: usize,
-    },
 }
 
 /// Shared weight store for the supernet.
@@ -170,12 +158,11 @@ pub fn forward_features(
 }
 
 /// [`forward_features`] with an explicit weight slot per op instead of a
-/// contiguous range. This is what optimized plans execute: rewrite passes
-/// may remove or fuse ops, leaving gaps in the slot sequence, and every
-/// surviving op must keep the slot it held in the *unoptimized* lowering
-/// so it resolves the exact same [`WeightBank`] weights. A
-/// [`LayerSpec::FusedAggregateCombine`] op carries its Combine half's
-/// original slot.
+/// contiguous range — what a deployed `ExecutionPlan` executes, reading
+/// its slot columns. The one lowering emits positional slots only, so the
+/// columns say nothing `slot_offset` does not; the frozen `perf/` harness
+/// calls this by name (ROADMAP 4(c) folds it back into
+/// [`forward_features`]).
 ///
 /// # Panics
 ///
@@ -205,12 +192,6 @@ pub fn forward_features_slotted(
                 graph = None;
             }
             LayerSpec::Identity => {}
-            LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-                // Same float-op order as the unfused Aggregate + Combine
-                // pair, with the Combine's slot keying the weights.
-                h = aggregate_forward(live_graph(&mut graph, &h), &h, mode);
-                h = bank.combine_mut(slot, h.cols(), out_dim).forward_relu(&h);
-            }
         }
     }
     (h, graph)
@@ -290,9 +271,18 @@ fn run(
         match *spec {
             LayerSpec::BuildKnn { k } => graph = Some(knn_graph(&h, k)),
             LayerSpec::BuildRandom { k } => graph = Some(random_graph(h.rows(), k, rng)),
-            LayerSpec::Aggregate(mode) => h = recorded_aggregate(&h, &mut graph, mode, &mut caches),
+            LayerSpec::Aggregate(mode) => {
+                let g = live_graph(&mut graph, &h);
+                let (out, cache) = aggregate(g, &h, mode);
+                caches.push(StepCache::Agg { graph: g.clone(), cache });
+                h = out;
+            }
             LayerSpec::Combine { out_dim } => {
-                h = recorded_combine(h, bank, slot, out_dim, &mut caches);
+                let key = (slot, h.cols(), out_dim);
+                let pre = bank.combine_mut(key.0, key.1, key.2).forward(&h);
+                let out = ops::relu(&pre);
+                caches.push(StepCache::Combine { key, x: h, pre });
+                h = out;
             }
             LayerSpec::GlobalPool(mode) => {
                 let (out, cache) = global_pool(&h, mode);
@@ -303,13 +293,6 @@ fn run(
                 caches.push(StepCache::Pool(cache));
             }
             LayerSpec::Identity => {}
-            LayerSpec::FusedAggregateCombine { mode, out_dim } => {
-                // Training never sees fused ops (only the plan optimizer
-                // emits them), but stays total: aggregate then combine at
-                // this positional slot, two caches.
-                h = recorded_aggregate(&h, &mut graph, mode, &mut caches);
-                h = recorded_combine(h, bank, slot, out_dim, &mut caches);
-            }
         }
     }
 
@@ -321,32 +304,6 @@ fn run(
 
     let logits = bank.classifier_mut(h.cols()).forward(&h);
     (logits, caches, h)
-}
-
-fn recorded_aggregate(
-    h: &Matrix,
-    graph: &mut Option<CsrGraph>,
-    mode: AggMode,
-    caches: &mut Vec<StepCache>,
-) -> Matrix {
-    let g = live_graph(graph, h);
-    let (out, cache) = aggregate(g, h, mode);
-    caches.push(StepCache::Agg { graph: g.clone(), cache });
-    out
-}
-
-fn recorded_combine(
-    h: Matrix,
-    bank: &mut WeightBank,
-    slot: usize,
-    out_dim: usize,
-    caches: &mut Vec<StepCache>,
-) -> Matrix {
-    let key = (slot, h.cols(), out_dim);
-    let pre = bank.combine_mut(key.0, key.1, key.2).forward(&h);
-    let out = ops::relu(&pre);
-    caches.push(StepCache::Combine { key, x: h, pre });
-    out
 }
 
 fn default_k(n: usize) -> usize {
@@ -562,43 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_aggregate_combine_is_bit_exact_with_the_pair() {
-        let ds = PointCloudDataset::generate(1, 14, 2, 9);
-        let s = &ds.samples()[0];
-        let unfused = vec![
-            LayerSpec::BuildKnn { k: 4 },
-            LayerSpec::Aggregate(AggMode::Mean),
-            LayerSpec::Combine { out_dim: 12 },
-            LayerSpec::GlobalPool(PoolMode::Max),
-        ];
-        // Fused op carries the Combine's slot (2); the pool keeps slot 3.
-        let fused = vec![
-            LayerSpec::BuildKnn { k: 4 },
-            LayerSpec::FusedAggregateCombine { mode: AggMode::Mean, out_dim: 12 },
-            LayerSpec::GlobalPool(PoolMode::Max),
-        ];
-        let mut bank1 = WeightBank::new(2, 13);
-        let mut bank2 = WeightBank::new(2, 13);
-        let (h1, g1) = forward_features(
-            &unfused,
-            0,
-            GraphInput { features: &s.features, graph: None },
-            &mut bank1,
-            &mut rng(),
-        );
-        let (h2, g2) = forward_features_slotted(
-            &fused,
-            &[0, 2, 3],
-            GraphInput { features: &s.features, graph: None },
-            &mut bank2,
-            &mut rng(),
-        );
-        assert_eq!(h1, h2, "fusion must preserve the float-op order exactly");
-        assert_eq!(g1.is_some(), g2.is_some());
-        assert_eq!(classify(&h1, &mut bank1), classify(&h2, &mut bank2));
-    }
-
-    #[test]
     fn training_pass_and_inference_pass_compute_the_same_logits() {
         use crate::test_util::bits;
         let clouds = PointCloudDataset::generate(2, 18, 3, 6);
@@ -610,7 +530,8 @@ mod tests {
             // No Sample op: both build the default k-NN, once.
             vec![
                 LayerSpec::Aggregate(AggMode::Max),
-                LayerSpec::FusedAggregateCombine { mode: AggMode::Mean, out_dim: 8 },
+                LayerSpec::Aggregate(AggMode::Mean),
+                LayerSpec::Combine { out_dim: 8 },
                 LayerSpec::BuildRandom { k: 3 },
                 LayerSpec::Aggregate(AggMode::Max),
                 LayerSpec::GlobalPool(PoolMode::Sum),

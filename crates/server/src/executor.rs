@@ -331,7 +331,7 @@ mod tests {
             scenario: None,
         };
         let (_, result) = run_search(&spec, &AtomicU64::new(0));
-        let plans = zoo_plans(&result, SessionTask::ModelNet40);
+        let plans = zoo_plans(&result);
         assert!(!plans.is_empty());
 
         let executor = FleetExecutor::spawn(FleetSpec::loopback(1)).expect("executor spawns");
@@ -377,7 +377,7 @@ mod tests {
             scenario: None,
         };
         let (_, result) = run_search(&spec, &AtomicU64::new(0));
-        let plans = zoo_plans(&result, SessionTask::ModelNet40);
+        let plans = zoo_plans(&result);
         assert!(!plans.is_empty());
         let giant: Vec<ExecutionPlan> =
             plans.iter().cycle().take(8 * CHUNK_PLANS).cloned().collect();

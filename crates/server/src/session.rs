@@ -167,17 +167,11 @@ pub(crate) fn run_search(
     (report, result)
 }
 
-/// Lowers every zoo entry to its runnable plan, winner first, through the
-/// optimizer pipeline (`gcode_engine::lower_and_optimize`): the task's
-/// workload profile prices the cost-guided split rewrite, and the emitted
-/// plans carry the pipeline fingerprint, so cached measurements of
-/// optimized plans can never be confused with raw ones.
-pub(crate) fn zoo_plans(result: &SearchResult, task: SessionTask) -> Vec<ExecutionPlan> {
-    let opts = gcode_engine::OptimizeOptions {
-        profile: Some(profile_of(task)),
-        ..gcode_engine::OptimizeOptions::default()
-    };
-    result.zoo.iter().map(|z| gcode_engine::lower_and_optimize(&z.arch, &opts).0).collect()
+/// Lowers every zoo entry to its runnable plan, winner first: the one
+/// lowering, so the plan measured and cached here is the plan the backend
+/// priced during the search and the plan a dispatcher deploys.
+pub(crate) fn zoo_plans(result: &SearchResult) -> Vec<ExecutionPlan> {
+    result.zoo.iter().map(|z| ExecutionPlan::from_architecture(&z.arch)).collect()
 }
 
 /// The measurement-cache namespace of one task: everything that pins what
@@ -260,7 +254,7 @@ pub(crate) fn run_pipeline(
     let (mut report, result) = run_search(spec, evaluated);
     let mut winner_predictions = Vec::new();
     if spec.measure_zoo && !result.zoo.is_empty() {
-        let plans = zoo_plans(&result, spec.task);
+        let plans = zoo_plans(&result);
         let context = measurement_context(spec.task);
         let (outcomes, fresh) = measure_cached(
             &plans,
@@ -336,6 +330,24 @@ mod tests {
         assert_eq!(r1, r2, "same seed, same report");
         let (_, c) = run_search(&spec(8, SessionTask::ModelNet40), &scratch);
         assert_ne!(a.history, c.history, "different seed, different trajectory");
+    }
+
+    #[test]
+    fn zoo_plans_are_the_plans_the_search_and_the_dispatcher_lower() {
+        // One architecture, one plan, one wire id: what this server measures
+        // and caches is what `EngineBackend` priced and what
+        // `EngineDispatcher::dispatch` deploys (gcode-engine's
+        // `backend_deploys_the_plan_the_dispatcher_picks` is the other half).
+        let scratch = AtomicU64::new(0);
+        for task in [SessionTask::ModelNet40, SessionTask::Mr] {
+            let (_, result) = run_search(&spec(7, task), &scratch);
+            let plans = zoo_plans(&result);
+            assert_eq!(plans.len(), result.zoo.len());
+            for (entry, plan) in result.zoo.iter().zip(&plans) {
+                let lowered = ExecutionPlan::from_architecture(&entry.arch);
+                assert_eq!(plan_wire_id(plan), plan_wire_id(&lowered), "{task:?}: {}", entry.arch);
+            }
+        }
     }
 
     #[test]

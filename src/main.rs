@@ -75,14 +75,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
+    let result = parse_opts(command, rest).and_then(|opts| match command.as_str() {
         "search" => cmd_search(&opts),
         "serve" => cmd_serve(&opts),
         "submit" => cmd_submit(&opts),
@@ -90,8 +83,8 @@ fn main() -> ExitCode {
         "describe" => cmd_describe(&opts),
         "dispatch" => cmd_dispatch(&opts),
         "replay" => cmd_replay(&opts),
-        other => Err(format!("unknown command `{other}`")),
-    };
+        other => unreachable!("`{other}` has a flag table but no handler"),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -105,7 +98,7 @@ const USAGE: &str = "usage:
   gcode search   --device <tx2|pi> --edge <i7|1060> [--mbps F] [--task <modelnet40|mr>]
                  [--backend <analytic|sim|cascade|engine|ladder>]
                  [--tiers <analytic,predictor,sim,engine>] [--adaptive-keep <true|false>]
-                 [--frames N] [--warmup N] [--optimize <on|off>]
+                 [--frames N] [--warmup N]
                  [--fleet <loopback:N|host:port,...>]
                  [--workers N] [--keep-frac F[,F...]]
                  [--iterations N] [--lambda F] [--latency-ms F] [--energy-j F]
@@ -116,19 +109,65 @@ const USAGE: &str = "usage:
   gcode submit   --server ADDR [--task <modelnet40|mr>] [--iterations N]
                  [--zoo-size N] [--seed N] [--lambda F] [--latency-ms F]
                  [--energy-j F] [--measure <true|false>] [--timeout-s N]
-                 [--shutdown <true|false>] [--trace FILE]
+                 [--shutdown <true|false>] [--trace FILE] [--zoo-out FILE]
   gcode replay   --trace FILE [--zoo FILE] [--pools N] [--seed N] [--report-out FILE]
   gcode systems
   gcode describe --zoo FILE [--index N]
   gcode dispatch --zoo FILE [--latency-ms F] [--energy-j F]";
 
-fn parse_opts(rest: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand accepts — the names [`USAGE`] prints for it
+/// (a unit test holds the two together). Anything else is refused before
+/// the command runs, so a misspelt or retired flag is never silently
+/// ignored.
+#[rustfmt::skip] // one row per `USAGE` row
+const SEARCH_FLAGS: &[&str] = &[
+    "device", "edge", "mbps", "task",
+    "backend",
+    "tiers", "adaptive-keep",
+    "frames", "warmup",
+    "fleet",
+    "workers", "keep-frac",
+    "iterations", "lambda", "latency-ms", "energy-j",
+    "seed", "cache-file", "zoo-out", "report-out",
+];
+const SERVE_FLAGS: &[&str] =
+    &["listen", "fleet", "max-sessions", "queue", "sessions-limit", "cache-file"];
+#[rustfmt::skip] // one row per `USAGE` row
+const SUBMIT_FLAGS: &[&str] = &[
+    "server", "task", "iterations",
+    "zoo-size", "seed", "lambda", "latency-ms",
+    "energy-j", "measure", "timeout-s",
+    "shutdown", "trace", "zoo-out",
+];
+const REPLAY_FLAGS: &[&str] = &["trace", "zoo", "pools", "seed", "report-out"];
+const SYSTEMS_FLAGS: &[&str] = &[];
+const DESCRIBE_FLAGS: &[&str] = &["zoo", "index"];
+const DISPATCH_FLAGS: &[&str] = &["zoo", "latency-ms", "energy-j"];
+
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "search" => SEARCH_FLAGS,
+        "serve" => SERVE_FLAGS,
+        "submit" => SUBMIT_FLAGS,
+        "replay" => REPLAY_FLAGS,
+        "systems" => SYSTEMS_FLAGS,
+        "describe" => DESCRIBE_FLAGS,
+        "dispatch" => DISPATCH_FLAGS,
+        _ => return None,
+    })
+}
+
+fn parse_opts(command: &str, rest: &[String]) -> Result<HashMap<String, String>, String> {
+    let accepted = accepted_flags(command).ok_or_else(|| format!("unknown command `{command}`"))?;
     let mut opts = HashMap::new();
     let mut it = rest.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{key}`"));
         };
+        if !accepted.contains(&name) {
+            return Err(format!("unknown flag --{name} for {command}"));
+        }
         let value = it.next().ok_or_else(|| format!("flag --{name} needs a value"))?;
         opts.insert(name.to_string(), value.clone());
     }
@@ -228,11 +267,6 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     );
     let frames = get_usize(opts, "frames", 8)?.max(1);
     let warmup = get_usize(opts, "warmup", 2)?;
-    let optimize = match opts.get("optimize").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("--optimize: `{other}` (on|off)")),
-    };
     let tiers = tier_names(opts)?;
     if opts.contains_key("fleet") && !tiers.iter().any(|t| t == "engine") {
         return Err("--fleet drives the Measured tier; add the `engine` tier (e.g. \
@@ -333,7 +367,6 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
                     .with_frames(frames)
                     .with_warmup(warmup)
                     .with_uplink_mbps(mbps)
-                    .with_optimize(optimize)
                     .with_fleet(fleet_spec.clone());
                 if let Some(log) = &cache_log {
                     engine = engine.with_cache_log(log.clone());
@@ -399,7 +432,7 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
         // the batch composition — hence the whole run configuration —
         // matches the one that wrote the records.
         let tag = format!(
-            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|adaptive{adaptive}|optimize{optimize}|fleet:{fleet_spec}",
+            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|adaptive{adaptive}|fleet:{fleet_spec}",
             tiers.join(","),
             sys.label(),
             cfg.seed,
@@ -467,26 +500,6 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
             );
         }
         report = report.with_fleet(fleet);
-        if optimize {
-            let opt = e.optimizer_stats();
-            println!(
-                "plan optimizer: {} plans through the pipeline ({} ops elided, {} fused, {} splits moved, {} modeled bytes saved)",
-                opt.plans_optimized,
-                opt.ops_elided(),
-                opt.ops_fused(),
-                opt.splits_moved(),
-                opt.modeled_bytes_saved()
-            );
-            for p in &opt.passes {
-                println!(
-                    "  {:<24} elided {:>4}  fused {:>4}  splits moved {:>4}  modeled bytes saved {}",
-                    p.pass, p.ops_elided, p.ops_fused, p.splits_moved, p.modeled_bytes_saved
-                );
-            }
-            report = report.with_optimizer(opt);
-        } else {
-            println!("plan optimizer: off (raw lowerings, fingerprint 0)");
-        }
     }
     if let Some(path) = opts.get("report-out") {
         let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
@@ -821,4 +834,50 @@ fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("segment reports written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` names `USAGE` prints under each `gcode <command>` line.
+    fn usage_flags() -> Vec<(String, Vec<String>)> {
+        let mut commands: Vec<(String, Vec<String>)> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            let mut words = line.split_whitespace().peekable();
+            if words.next_if_eq(&"gcode").is_some() {
+                commands.push((words.next().expect("command name").to_string(), Vec::new()));
+            }
+            let flags = &mut commands.last_mut().expect("usage opens with a command line").1;
+            flags.extend(
+                words
+                    .filter_map(|w| w.trim_start_matches('[').strip_prefix("--"))
+                    .map(str::to_string),
+            );
+        }
+        commands
+    }
+
+    #[test]
+    fn flag_tables_and_usage_name_the_same_flags() {
+        let usage = usage_flags();
+        assert_eq!(usage.len(), 7, "every command has a usage line");
+        for (command, printed) in &usage {
+            let table = accepted_flags(command).expect("a printed command has a flag table");
+            assert_eq!(printed, table, "`gcode {command}`: USAGE and its flag table differ");
+        }
+        assert_eq!(SEARCH_FLAGS.len(), 20);
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_refused_by_name() {
+        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let err = parse_opts("search", &args(&["--device", "tx2", "--optimize", "off"]));
+        assert_eq!(err, Err("unknown flag --optimize for search".to_string()));
+        let err = parse_opts("dispatch", &args(&["--zoo", "z.json", "--pools", "2"]));
+        assert_eq!(err, Err("unknown flag --pools for dispatch".to_string()));
+        assert_eq!(parse_opts("bogus", &[]), Err("unknown command `bogus`".to_string()));
+        let ok = parse_opts("replay", &args(&["--trace", "t.json", "--pools", "2"])).expect("ok");
+        assert_eq!(ok.len(), 2);
+    }
 }

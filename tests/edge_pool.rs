@@ -137,7 +137,6 @@ fn default_backend_keeps_one_warm_pool_whatever_the_worker_count() {
         accuracy as Accuracy,
     )
     .with_bank_seed(BANK_SEED)
-    .with_optimize(false)
     .with_measured_accuracy(ds.samples().to_vec());
     let metrics = backend.evaluate_batch_workers(&archs, 4);
 
@@ -240,11 +239,7 @@ fn warmup_frames_are_excluded_from_telemetry_energy_and_accuracy() {
     )
     .with_frames(frames)
     .with_warmup(warmup)
-    .with_bank_seed(BANK_SEED)
-    // The byte-for-byte reference above deployed the raw lowering; keep
-    // the backend on raw plans so the comparison stays apples-to-apples
-    // (optimizer bit-exactness has its own suite in plan_optimizer.rs).
-    .with_optimize(false);
+    .with_bank_seed(BANK_SEED);
     let m = backend.evaluate(&arch);
     assert!(m.latency_s > 0.0 && m.latency_s < DEPLOY_FAILURE_SENTINEL);
     let profile = backend.measured_profile();

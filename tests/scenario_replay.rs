@@ -202,7 +202,6 @@ fn measured_backend(warmup: usize) -> EngineBackend<fn(&Architecture) -> f64> {
     .with_measured_accuracy(ds.samples().to_vec())
     .with_warmup(warmup)
     .with_bank_seed(BANK_SEED)
-    .with_optimize(false)
 }
 
 /// The backend's default-seeded fresh-spawn reference: same stream, same
@@ -300,7 +299,6 @@ fn measured_and_modeled_pricing_never_share_cache_entries() {
         modeled as fn(&Architecture) -> f64,
     )
     .with_bank_seed(BANK_SEED)
-    .with_optimize(false)
     .with_cache_log(open_shared(&path).expect("log opens"));
     let modeled_metrics = modeled_backend.evaluate(&arch);
     assert_eq!(modeled_metrics.accuracy, MODELED_ACCURACY);
