@@ -194,6 +194,7 @@ mod tests {
     use super::*;
     use gcode_core::arch::WorkloadProfile;
     use gcode_core::estimate::estimate_latency;
+    use gcode_core::op::OpKind;
     use gcode_hardware::{Processor, SystemConfig};
 
     fn pc() -> WorkloadProfile {
@@ -262,35 +263,35 @@ mod tests {
     }
 
     /// Share of DGCNN latency attributable to a kind of op on a platform.
-    fn op_share(proc: Processor, needle: &str) -> f64 {
+    fn op_share(proc: Processor, kind: OpKind) -> f64 {
         let sys =
             SystemConfig::new(proc, Processor::intel_i7_7700(), gcode_hardware::Link::mbps(40.0));
         let b = estimate_latency(&dgcnn().arch, &pc(), &sys);
         let total = b.total_s();
         let part: f64 =
-            b.per_op.iter().filter(|(name, _, _)| name.contains(needle)).map(|&(_, _, s)| s).sum();
+            b.per_op.iter().filter(|(op, _, _)| op.kind() == kind).map(|&(_, _, s)| s).sum();
         part / total
     }
 
     #[test]
     fn fig3_knn_dominates_gpus() {
-        assert!(op_share(Processor::jetson_tx2(), "Sample") > 0.4, "TX2 KNN share");
-        assert!(op_share(Processor::nvidia_gtx_1060(), "Sample") > 0.5, "1060 KNN share");
+        assert!(op_share(Processor::jetson_tx2(), OpKind::Sample) > 0.4, "TX2 KNN share");
+        assert!(op_share(Processor::nvidia_gtx_1060(), OpKind::Sample) > 0.5, "1060 KNN share");
     }
 
     #[test]
     fn fig3_aggregate_dominates_i7() {
-        let agg = op_share(Processor::intel_i7_7700(), "Aggregate");
-        let knn = op_share(Processor::intel_i7_7700(), "Sample");
+        let agg = op_share(Processor::intel_i7_7700(), OpKind::Aggregate);
+        let knn = op_share(Processor::intel_i7_7700(), OpKind::Sample);
         assert!(agg > knn, "i7: Aggregate ({agg:.2}) should top KNN ({knn:.2})");
     }
 
     #[test]
     fn fig3_pi_is_balanced() {
         // No single op class takes more than ~65% on the Pi.
-        for needle in ["Sample", "Aggregate", "Combine"] {
-            let share = op_share(Processor::raspberry_pi_4b(), needle);
-            assert!(share < 0.65, "Pi {needle} share {share:.2} too dominant");
+        for kind in [OpKind::Sample, OpKind::Aggregate, OpKind::Combine] {
+            let share = op_share(Processor::raspberry_pi_4b(), kind);
+            assert!(share < 0.65, "Pi {kind:?} share {share:.2} too dominant");
         }
     }
 

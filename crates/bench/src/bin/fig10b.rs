@@ -28,12 +28,13 @@ fn main() {
         &widths,
     );
     let mut lut_pairwise_all = Vec::new();
+    let sampler = space.sampler();
     for (idx, sys) in SystemConfig::paper_systems(40.0).into_iter().enumerate() {
         let mut rng = ChaCha8Rng::seed_from_u64(200 + idx as u64);
         let sim = SimConfig::single_frame();
         let data: Vec<(Architecture, f64)> = (0..train_n + val_n)
             .map(|_| {
-                let (arch, _) = space.sample_valid(&mut rng, 100_000);
+                let arch = sampler.sample(&mut rng);
                 let lat = simulate(&arch, &profile, &sys, &sim).frame_latency_s;
                 (arch, lat)
             })

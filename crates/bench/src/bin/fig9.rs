@@ -24,9 +24,10 @@ fn sample_dataset(
 ) -> Vec<(Architecture, f64)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let sim = SimConfig::single_frame();
+    let sampler = space.sampler();
     (0..n)
         .map(|_| {
-            let (arch, _) = space.sample_valid(&mut rng, 100_000);
+            let arch = sampler.sample(&mut rng);
             let lat = simulate(&arch, &space.profile, sys, &sim).frame_latency_s;
             (arch, lat)
         })

@@ -109,13 +109,14 @@ impl SearchStrategy for Ea {
         let mut validity_draws = 0usize;
         let init_len = ea.population.min(budget);
         let mut initial = Vec::with_capacity(init_len);
+        let sampler = ea.valid_init.then(|| session.space().sampler());
         for _ in 0..init_len {
-            let arch = if ea.valid_init {
-                let (a, draws) = session.space().sample_valid(&mut rng, 100_000);
-                validity_draws += draws;
-                a
-            } else {
-                session.space().sample_ops(&mut rng)
+            let arch = match &sampler {
+                Some(sampler) => {
+                    validity_draws += 1;
+                    sampler.sample(&mut rng)
+                }
+                None => session.space().sample_ops(&mut rng),
             };
             initial.push(arch);
         }

@@ -4,7 +4,7 @@
 
 use crate::arch::{Architecture, WorkloadProfile};
 use crate::cost::{trace, TracedOp};
-use crate::op::{OpKind, Placement};
+use crate::op::{Op, OpKind, Placement};
 use gcode_hardware::SystemConfig;
 use serde::{Deserialize, Serialize};
 
@@ -17,8 +17,12 @@ pub struct LatencyBreakdown {
     pub edge_s: f64,
     /// Seconds spent transferring (all `Communicate` ops + output return).
     pub comm_s: f64,
-    /// Per-op `(label, placement, seconds)` rows in execution order.
-    pub per_op: Vec<(String, Placement, f64)>,
+    /// Per-op `(op, placement, seconds)` rows in execution order. Rows
+    /// carry the op itself; a printer formats it with its `Display`.
+    pub per_op: Vec<(Op, Placement, f64)>,
+    /// Seconds returning the classifier output to the device — `Some` only
+    /// when the output lands on the edge. Already counted in `comm_s`.
+    pub return_s: Option<f64>,
 }
 
 impl LatencyBreakdown {
@@ -72,7 +76,7 @@ pub fn breakdown_from_trace(
     let mut device_s = 0.0;
     let mut edge_s = 0.0;
     let mut comm_s = 0.0;
-    let mut per_op = Vec::with_capacity(traced.len() + 1);
+    let mut per_op = Vec::with_capacity(traced.len());
     for t in traced {
         let seconds = if t.op.kind() == OpKind::Communicate {
             let s = sys.link.transfer_time(t.transfer_bytes);
@@ -90,16 +94,16 @@ pub fn breakdown_from_trace(
             }
             s
         };
-        per_op.push((t.op.to_string(), t.placement, seconds));
+        per_op.push((t.op, t.placement, seconds));
     }
     // If the classifier output lands on the edge, the (tiny) result returns
     // to the device.
-    if arch.output_placement() == Placement::Edge {
+    let return_s = (arch.output_placement() == Placement::Edge).then(|| {
         let s = sys.link.transfer_time(16);
         comm_s += s;
-        per_op.push(("ReturnOutput".to_string(), Placement::Edge, s));
-    }
-    LatencyBreakdown { device_s, edge_s, comm_s, per_op }
+        s
+    });
+    LatencyBreakdown { device_s, edge_s, comm_s, per_op, return_s }
 }
 
 /// On-device energy estimate per frame (Sec. 3.5):
@@ -203,12 +207,18 @@ mod tests {
     }
 
     #[test]
-    fn output_on_edge_adds_return_row() {
+    fn output_on_edge_adds_return_time() {
         let sys = SystemConfig::tx2_to_i7(40.0);
         let b = estimate_latency(&split_arch(), &pc(), &sys);
-        assert!(b.per_op.iter().any(|(n, _, _)| n == "ReturnOutput"));
+        assert_eq!(b.return_s, Some(sys.link.transfer_time(16)));
         let b2 = estimate_latency(&device_only(), &pc(), &sys);
-        assert!(!b2.per_op.iter().any(|(n, _, _)| n == "ReturnOutput"));
+        assert_eq!(b2.return_s, None);
+        // The rows and the return sum to the total.
+        for b in [b, b2] {
+            let rows: f64 = b.per_op.iter().map(|&(_, _, s)| s).sum();
+            let return_s = b.return_s.unwrap_or(0.0);
+            assert!((rows + return_s - b.total_s()).abs() <= 1e-12 * b.total_s());
+        }
     }
 
     #[test]
@@ -263,6 +273,9 @@ mod tests {
     fn analytic_backend_wires_through() {
         use crate::eval::backend::AnalyticBackend;
         use crate::eval::Evaluator;
+        use crate::space::DesignSpace;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
 
         let eval = AnalyticBackend {
             profile: pc(),
@@ -274,12 +287,25 @@ mod tests {
         assert!(m.latency_s > 0.0);
         assert!(m.energy_j > 0.0);
         assert_eq!(m.accuracy, 0.9);
-        // The single-trace fast path must agree with the standalone
-        // estimators exactly.
-        assert_eq!(m.latency_s, estimate_latency(&arch, &pc(), &eval.sys).total_s());
-        assert_eq!(m.energy_j, estimate_device_energy(&arch, &pc(), &eval.sys));
         // Batch evaluation is the same computation.
         let batch = eval.evaluate_batch(&[arch.clone(), split_arch()]);
         assert_eq!(batch[0], m);
+        // The single-trace path must agree with the standalone estimators
+        // to the bit, over sampled candidates of every served profile.
+        for profile in [pc(), WorkloadProfile::mr(), WorkloadProfile::modelnet40_mini(24, 4)] {
+            let eval =
+                AnalyticBackend { profile, sys: eval.sys.clone(), accuracy_fn: eval.accuracy_fn };
+            let space = DesignSpace::paper(profile);
+            let sampler = space.sampler();
+            let mut rng = ChaCha8Rng::seed_from_u64(27);
+            for _ in 0..2000 {
+                let arch = sampler.sample(&mut rng);
+                let m = eval.evaluate(&arch);
+                let latency = estimate_latency(&arch, &profile, &eval.sys).total_s();
+                let energy = estimate_device_energy(&arch, &profile, &eval.sys);
+                assert_eq!(m.latency_s.to_bits(), latency.to_bits(), "{arch}");
+                assert_eq!(m.energy_j.to_bits(), energy.to_bits(), "{arch}");
+            }
+        }
     }
 }

@@ -55,7 +55,8 @@ use crate::cachelog::{self, SharedCacheLog};
 use crate::search::{ScoredArch, SearchResult};
 use crate::space::DesignSpace;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The measured qualities of one candidate architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -197,6 +198,44 @@ impl CacheStats {
     }
 }
 
+/// FxHash-style hasher of the memo cache: one rotate, xor and multiply per
+/// word where SipHash runs its rounds. It resists no adversary and need
+/// not: its keys are architectures this process sampled itself, never
+/// bytes from a peer, and the map is never iterated (only its `len` is
+/// read), so the hasher cannot move any result.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// The memo cache: evaluated architecture → its metrics.
+type Memo = HashMap<Architecture, Metrics, BuildHasherDefault<MemoHasher>>;
+
+/// Where one batch member's metrics come from in
+/// [`SearchSession::evaluate_batch`].
+enum Slot {
+    /// Already known: from the memo or the cache log.
+    Known(Metrics),
+    /// The `i`-th candidate handed to the evaluator.
+    Fresh(usize),
+}
+
 /// A search algorithm driven through a [`SearchSession`].
 pub trait SearchStrategy {
     /// Runs the strategy to completion against the session's space,
@@ -222,7 +261,7 @@ pub struct SearchSession<'a> {
     objective: Objective,
     memoize: bool,
     workers: usize,
-    cache: HashMap<Architecture, Metrics>,
+    cache: Memo,
     stats: CacheStats,
     log: Option<(SharedCacheLog, u64)>,
 }
@@ -237,7 +276,7 @@ impl<'a> SearchSession<'a> {
             objective: Objective::default(),
             memoize: true,
             workers: 1,
-            cache: HashMap::new(),
+            cache: Memo::default(),
             stats: CacheStats::default(),
             log: None,
         }
@@ -358,37 +397,60 @@ impl<'a> SearchSession<'a> {
     /// in-batch duplicates are evaluated once, and only the remaining
     /// unique candidates reach the evaluator — sharded across the
     /// session's workers via [`Evaluator::evaluate_batch_workers`].
+    ///
+    /// Each member costs one memo lookup; an in-batch duplicate is found
+    /// by scanning the batch's fresh candidates instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the evaluator breaks the [`Evaluator`] contract by
+    /// returning other than one [`Metrics`] per candidate.
     pub fn evaluate_batch(&mut self, archs: &[Architecture]) -> Vec<Metrics> {
         if !self.memoize {
             self.stats.misses += archs.len() as u64;
             return self.evaluator.evaluate_batch_workers(archs, self.workers);
         }
         let mut fresh: Vec<Architecture> = Vec::new();
-        let mut pending: HashSet<&Architecture> = HashSet::new();
+        let mut slots = Vec::with_capacity(archs.len());
         for arch in archs {
-            if self.cache.contains_key(arch) || pending.contains(arch) {
+            let slot = if let Some(&m) = self.cache.get(arch) {
                 self.stats.hits += 1;
+                Slot::Known(m)
+            } else if let Some(i) = fresh.iter().position(|f| f == arch) {
+                self.stats.hits += 1;
+                Slot::Fresh(i)
             } else if let Some(m) = self.log_lookup(arch) {
                 self.stats.hits += 1;
                 self.stats.log_hits += 1;
                 self.cache.insert(arch.clone(), m);
+                Slot::Known(m)
             } else {
                 self.stats.misses += 1;
-                pending.insert(arch);
                 fresh.push(arch.clone());
-            }
+                Slot::Fresh(fresh.len() - 1)
+            };
+            slots.push(slot);
         }
-        if !fresh.is_empty() {
-            let metrics = self.evaluator.evaluate_batch_workers(&fresh, self.workers);
-            debug_assert_eq!(metrics.len(), fresh.len(), "evaluator broke batch contract");
-            for (arch, m) in fresh.into_iter().zip(metrics) {
-                self.log_store(&arch, m);
-                self.cache.insert(arch, m);
-            }
+        let metrics = if fresh.is_empty() {
+            Vec::new()
+        } else {
+            self.evaluator.evaluate_batch_workers(&fresh, self.workers)
+        };
+        assert_eq!(
+            metrics.len(),
+            fresh.len(),
+            "Evaluator contract broken: evaluate_batch_workers must return one Metrics per candidate"
+        );
+        for (arch, &m) in fresh.into_iter().zip(&metrics) {
+            self.log_store(&arch, m);
+            self.cache.insert(arch, m);
         }
-        archs
-            .iter()
-            .map(|a| *self.cache.get(a).expect("every batch member was just cached"))
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Known(m) => m,
+                Slot::Fresh(i) => metrics[i],
+            })
             .collect()
     }
 
@@ -651,6 +713,29 @@ mod tests {
         assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
         // Duplicates receive identical metrics.
         assert_eq!(metrics[1], metrics[2]);
+    }
+
+    /// Evaluator that answers every batch with one `Metrics` too few.
+    struct ShortBatch;
+
+    impl Evaluator for ShortBatch {
+        fn evaluate(&self, _arch: &Architecture) -> Metrics {
+            Metrics { accuracy: 0.9, latency_s: 0.01, energy_j: 0.1 }
+        }
+
+        fn evaluate_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
+            archs[1..].iter().map(|a| self.evaluate(a)).collect()
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Evaluator contract broken: evaluate_batch_workers must return one Metrics per candidate"
+    )]
+    fn a_short_batch_names_the_evaluator_contract() {
+        let space = crate::space::DesignSpace::paper(WorkloadProfile::modelnet40());
+        let mut session = SearchSession::new(&space, &ShortBatch);
+        session.evaluate_batch(&[arch(16), arch(32)]);
     }
 
     #[test]

@@ -220,8 +220,9 @@ mod tests {
         let (space, sys) = setup();
         let lut = OperationLut::build(&space, &sys);
         let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let sampler = space.sampler();
         for _ in 0..30 {
-            let (arch, _) = space.sample_valid(&mut rng, 100_000);
+            let arch = sampler.sample(&mut rng);
             let via_lut = lut.estimate(&arch, &space.profile, &sys);
             let analytic = estimate_latency(&arch, &space.profile, &sys).total_s();
             assert!(

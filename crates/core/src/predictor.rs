@@ -381,9 +381,10 @@ mod tests {
         let space = DesignSpace::paper(profile);
         let sys = SystemConfig::tx2_to_i7(40.0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sampler = space.sampler();
         let data = (0..n)
             .map(|_| {
-                let (arch, _) = space.sample_valid(&mut rng, 100_000);
+                let arch = sampler.sample(&mut rng);
                 let lat = estimate_latency(&arch, &profile, &sys).total_s();
                 (arch, lat)
             })
@@ -516,9 +517,10 @@ mod persistence_tests {
         let space = DesignSpace::paper(profile);
         let sys = SystemConfig::tx2_to_i7(40.0);
         let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let sampler = space.sampler();
         let data: Vec<(Architecture, f64)> = (0..20)
             .map(|_| {
-                let (arch, _) = space.sample_valid(&mut rng, 100_000);
+                let arch = sampler.sample(&mut rng);
                 let lat = estimate_latency(&arch, &profile, &sys).total_s();
                 (arch, lat)
             })

@@ -66,7 +66,7 @@ pub struct SearchResult {
     pub history: Vec<f64>,
     /// Trials that failed the performance constraints.
     pub constraint_misses: usize,
-    /// Candidates drawn by [`DesignSpace::sample_valid`], one draw each;
+    /// Candidates drawn by [`DesignSpace::sampler`], one draw each;
     /// kept because it is in the session-outcome JSON.
     pub validity_draws: usize,
 }
@@ -119,6 +119,7 @@ impl SearchStrategy for RandomSearch {
         let mut best_so_far = f64::NEG_INFINITY;
         let mut constraint_misses = 0usize;
         let mut validity_draws = 0usize;
+        let sampler = session.space().sampler();
 
         // Stage 1: operation search, in evaluation batches.
         let mut remaining = cfg.iterations;
@@ -126,10 +127,9 @@ impl SearchStrategy for RandomSearch {
             let batch_len = remaining.min(cfg.batch_size.max(1));
             let mut batch = Vec::with_capacity(batch_len);
             for _ in 0..batch_len {
-                let (arch, draws) = session.space().sample_valid(&mut rng, 100_000);
-                validity_draws += draws;
-                batch.push(arch);
+                batch.push(sampler.sample(&mut rng));
             }
+            validity_draws += batch_len;
             let metrics = session.evaluate_batch(&batch);
             for (arch, m) in batch.into_iter().zip(metrics) {
                 if !objective.feasible(&m) {

@@ -84,26 +84,31 @@ impl DesignSpace {
         Architecture::new((0..self.num_layers).map(|_| self.sample_op(rng)).collect())
     }
 
-    /// Samples one valid architecture, uniformly over the valid *choice*
-    /// sequences with each op's function drawn independently — the
-    /// distribution Alg. 1's `while Check(Ops)` loop over
-    /// [`DesignSpace::sample_ops`] produces, without the loop: one rank is
-    /// drawn below the number of valid sequences and unranked through a
-    /// count table over the validity rules' state machine.
+    /// The exact sampler of this space's valid architectures. It builds
+    /// the count table once, so a caller that draws in a loop builds one
+    /// sampler and pays for the table once, not per draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space holds no valid architecture (`num_layers` 0,
+    /// say), or more than a `u64` can count (beyond 24 layers).
+    pub fn sampler(&self) -> ValidSampler<'_> {
+        let table = ValidCounts::new(self);
+        assert!(table.total() > 0, "no valid architecture in {self:?}");
+        ValidSampler { space: self, table }
+    }
+
+    /// Samples one valid architecture: one [`ValidSampler::sample`] draw
+    /// from a fresh [`DesignSpace::sampler`].
     ///
     /// `max_tries` is ignored and the returned draw count is always 1; both
     /// remain only because the frozen `perf/` package calls this signature.
     ///
     /// # Panics
     ///
-    /// Panics if the space holds no valid architecture (`num_layers` 0,
-    /// say), or more than a `u64` can count (beyond 24 layers).
+    /// As [`DesignSpace::sampler`].
     pub fn sample_valid(&self, rng: &mut impl Rng, _max_tries: usize) -> (Architecture, usize) {
-        let table = ValidCounts::new(self);
-        assert!(table.total() > 0, "no valid architecture in {self:?}");
-        let rank = rng.gen_range(0..table.total());
-        let ops = table.unrank(rank).map(|choice| self.choice_op(choice, rng)).collect();
-        (Architecture::new(ops), 1)
+        (self.sampler().sample(rng), 1)
     }
 
     /// Mutates one random slot to a random op — the EA baseline's mutation
@@ -196,10 +201,33 @@ fn representative_ops(space: &DesignSpace) -> [Op; CHOICES] {
     std::array::from_fn(|choice| space.choice_op(choice, &mut AnyFunction))
 }
 
+/// Draws valid architectures of one [`DesignSpace`] off a count table
+/// built once by [`DesignSpace::sampler`].
+#[derive(Debug)]
+pub struct ValidSampler<'a> {
+    space: &'a DesignSpace,
+    table: ValidCounts,
+}
+
+impl ValidSampler<'_> {
+    /// Samples one valid architecture, uniformly over the valid *choice*
+    /// sequences with each op's function drawn independently — the
+    /// distribution Alg. 1's `while Check(Ops)` loop over
+    /// [`DesignSpace::sample_ops`] produces, without the loop: one rank is
+    /// drawn below the number of valid sequences and unranked through a
+    /// count table over the validity rules' state machine.
+    pub fn sample(&self, rng: &mut impl Rng) -> Architecture {
+        let rank = rng.gen_range(0..self.table.total());
+        let ops = self.table.unrank(rank).map(|choice| self.space.choice_op(choice, rng)).collect();
+        Architecture::new(ops)
+    }
+}
+
 /// How many valid choice sequences complete each prefix of a space: the
 /// [`Validity`] automaton's transitions per choice, and a backward count
 /// of its accepting paths. Uniform sampling is then one draw below
 /// [`ValidCounts::total`] and a walk down the table.
+#[derive(Debug)]
 struct ValidCounts {
     /// `next[state][choice]`: the state index after that choice, `None`
     /// where `Validity::step` refuses it.
@@ -494,6 +522,17 @@ mod exact_sampler_tests {
         for (cell, &count) in &exact {
             let diff = (count as f64 - reference[cell] as f64).abs() / SAMPLES as f64;
             assert!(diff < TOLERANCE, "{cell:?}: {count} vs {} of {SAMPLES}", reference[cell]);
+        }
+    }
+
+    #[test]
+    fn one_sampler_draws_what_repeated_sample_valid_draws() {
+        for space in configurations(8) {
+            let sampler = space.sampler();
+            let (mut a, mut b) = (ChaCha8Rng::seed_from_u64(21), ChaCha8Rng::seed_from_u64(21));
+            for _ in 0..1000 {
+                assert_eq!(sampler.sample(&mut a), space.sample_valid(&mut b, 0).0);
+            }
         }
     }
 

@@ -41,9 +41,12 @@ impl SuperNet {
     /// run one SGD epoch of that path over `train`). Returns the final
     /// round's mean loss.
     pub fn pretrain(&mut self, train: &[Sample], steps: usize, lr: f32) -> f32 {
+        // The sampler borrows a copy of the space: training borrows `self`.
+        let space = self.space.clone();
+        let sampler = space.sampler();
         let mut last = 0.0;
         for _ in 0..steps {
-            let (arch, _) = self.space.sample_valid(&mut self.rng, 100_000);
+            let arch = sampler.sample(&mut self.rng);
             last = self.train_arch(&arch, train, 1, lr);
         }
         last

@@ -34,9 +34,10 @@ fn main() {
     // seed population — the training-data pipeline inside the search loop.
     println!("training the predictor tier on 48 sim-priced samples …");
     let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let sampler = space.sampler();
     let data: Vec<(Architecture, f64)> = (0..48)
         .map(|_| {
-            let a = space.sample_valid(&mut rng, 100_000).0;
+            let a = sampler.sample(&mut rng);
             let lat = simulate(&a, &profile, &sys, &SimConfig::single_frame()).frame_latency_s;
             (a, lat)
         })

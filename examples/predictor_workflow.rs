@@ -30,9 +30,10 @@ fn main() {
     println!("labelling 600 sampled architectures with the simulator…");
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let sim = SimConfig::single_frame();
+    let sampler = space.sampler();
     let data: Vec<(Architecture, f64)> = (0..600)
         .map(|_| {
-            let (arch, _) = space.sample_valid(&mut rng, 100_000);
+            let arch = sampler.sample(&mut rng);
             let lat = simulate(&arch, &profile, &sys, &sim).frame_latency_s;
             (arch, lat)
         })

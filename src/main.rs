@@ -325,9 +325,10 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
                 const TRAIN_SAMPLES: usize = 48;
                 println!("training predictor tier on {TRAIN_SAMPLES} sim-priced samples …");
                 let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x9D1C70);
+                let sampler = space.sampler();
                 let data: Vec<(Architecture, f64)> = (0..TRAIN_SAMPLES)
                     .map(|_| {
-                        let a = space.sample_valid(&mut rng, 100_000).0;
+                        let a = sampler.sample(&mut rng);
                         let lat = simulate(&a, &profile, &sys, &SimConfig::single_frame())
                             .frame_latency_s;
                         (a, lat)
