@@ -321,22 +321,23 @@ fn cascade(_quick: bool) -> Vec<Key> {
     let space = DesignSpace::paper(profile);
     let cheap = analytic_tier(profile, &sys);
     let expensive = sim_tier(profile, &sys);
-    let cascade = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.25);
+    let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], objective);
     let mut session = SearchSession::new(&space, &cascade).with_objective(objective);
     let result = session.run(&RandomSearch::new(cfg));
     let report = session.report(cascade.name(), &result);
-    let stats = cascade.stats();
+    let tiers = cascade.tier_stats();
+    let (cheap_evals, sim_evals) = (tiers[0].evals, tiers[1].evals);
     println!(
         "  cascade:   best score {:6.3}  sim evals {:5}  (screened {} cheaply, {:4.1}% escalated)  cache hit rate {:4.1}%",
         result.best().map_or(-1.0, |b| b.score),
-        stats.expensive_evals,
-        stats.cheap_evals,
-        stats.escalation_rate() * 100.0,
+        sim_evals,
+        cheap_evals,
+        sim_evals as f64 / cheap_evals.max(1) as f64 * 100.0,
         report.cache.hit_rate() * 100.0
     );
     println!(
         "  sim evaluations saved vs pure sim: {} of {}",
-        pure_report.cache.misses.saturating_sub(stats.expensive_evals),
+        pure_report.cache.misses.saturating_sub(sim_evals),
         pure_report.cache.misses
     );
     println!(
@@ -345,7 +346,7 @@ fn cascade(_quick: bool) -> Vec<Key> {
     );
     vec![
         ("pure_sim_evals", pure_report.cache.misses as f64),
-        ("cascade_sim_evals", stats.expensive_evals as f64),
+        ("cascade_sim_evals", sim_evals as f64),
     ]
 }
 

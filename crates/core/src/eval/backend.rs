@@ -36,7 +36,6 @@ use crate::eval::{Evaluator, Metrics, Objective};
 use gcode_hardware::SystemConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// How trustworthy (and how expensive) a backend's numbers are, ordered
 /// from cheapest estimate to ground truth.
@@ -141,33 +140,8 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EvalBackend for AnalyticBackend<F> {
     }
 }
 
-/// How many evaluations the bottom and top tiers of a [`CascadeBackend`]
-/// have performed — the two ends of the ladder, which is all a two-tier
-/// cascade has. For the per-tier breakdown of a taller ladder see
-/// [`CascadeBackend::tier_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CascadeStats {
-    /// Candidates priced by the cheapest (screening) tier.
-    pub cheap_evals: u64,
-    /// Candidates re-priced by the most expensive (top) tier.
-    pub expensive_evals: u64,
-}
-
-impl CascadeStats {
-    /// Fraction of screened candidates that were re-priced expensively
-    /// (0 when nothing was screened).
-    pub fn escalation_rate(&self) -> f64 {
-        if self.cheap_evals == 0 {
-            0.0
-        } else {
-            self.expensive_evals as f64 / self.cheap_evals as f64
-        }
-    }
-}
-
 /// One rung of a ladder's per-tier breakdown: identity, configured
-/// escalation fraction (the *current* value when adaptive escalation is
-/// on) and how many candidates the tier has priced so far.
+/// escalation fraction and how many candidates the tier has priced so far.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TierStats {
     /// The tier backend's [`EvalBackend::name`].
@@ -184,15 +158,14 @@ pub struct TierStats {
 }
 
 /// Multi-fidelity backend: an ordered *ladder* of [`EvalBackend`] tiers,
-/// cheapest first. Every batch is priced by the bottom tier; each higher
-/// tier then re-prices only the top `keep_frac` fraction (by the screening
-/// [`Objective`] score) of the candidates that reached the tier below it.
-/// Whatever a candidate's last-visited tier produced is what it keeps —
-/// exactly the paper's "estimate thousands, measure the promising few"
-/// economy, packaged as just another backend so strategies stay oblivious.
-/// The classic two-tier cascade is [`CascadeBackend::new`]; taller ladders
-/// (`analytic → predictor → sim → engine`) come from
-/// [`CascadeBackend::ladder`].
+/// cheapest first (`analytic → predictor → sim → engine`, or any prefix
+/// of at least two rungs). Every batch is priced by the bottom tier; each
+/// higher tier then re-prices only the top `keep_frac` fraction (by the
+/// screening [`Objective`] score) of the candidates that reached the tier
+/// below it — at least one candidate per step. Whatever a candidate's
+/// last-visited tier produced is what it keeps — exactly the paper's
+/// "estimate thousands, measure the promising few" economy, packaged as
+/// just another backend so strategies stay oblivious.
 ///
 /// Because cheap tiers are optimistic (they miss the runtime overheads the
 /// expensive tiers charge), a fixed top-k cut would systematically leave a
@@ -203,18 +176,15 @@ pub struct TierStats {
 /// batch's winner (and hence the search winner, which is some batch's
 /// argmax) always carries top-tier metrics. Candidates that never led
 /// their batch may retain lower-tier metrics; only escalation order, not
-/// results, depends on the tiers' relative bias. Setting `keep_frac` to 0
-/// with [`CascadeBackend::with_min_keep`] 0 disables escalation entirely
-/// (pure-cheap screening mode).
+/// results, depends on the tiers' relative bias.
 ///
 /// Determinism: ranking sorts by screening score with the batch index as
 /// tie-break, and every tier runs through
 /// [`Evaluator::evaluate_batch_workers`] — so results never depend on
-/// worker count. They do depend on batch composition (screening is
+/// worker count. The ladder holds no cross-batch state beyond its
+/// counters: a batch's metrics depend only on that batch (screening is
 /// batch-scoped by design), so runs are reproducible for a fixed
-/// `SearchConfig::batch_size`. With
-/// [`CascadeBackend::with_adaptive_keep`] the per-step fractions also
-/// evolve deterministically from the observed batches.
+/// `SearchConfig::batch_size`.
 ///
 /// Single-candidate lookups ([`Evaluator::evaluate`], e.g. Alg. 1's
 /// stage-2 tuning probes) always go straight to the top tier: screening a
@@ -223,27 +193,21 @@ pub struct CascadeBackend<'a> {
     tiers: Vec<&'a dyn EvalBackend>,
     objective: Objective,
     /// One escalation fraction per step `tiers[t-1] → tiers[t]`
-    /// (`tiers.len() - 1` entries). Behind a mutex so adaptive escalation
-    /// can retune it from `&self` (the `Evaluator` methods all take
-    /// `&self`); contention is nil — one lock per batch.
-    keep_fracs: Mutex<Vec<f64>>,
-    min_keep: usize,
-    adaptive: bool,
-    nominal_batch: usize,
+    /// (`tiers.len() - 1` entries).
+    keep_fracs: Vec<f64>,
     name: String,
     evals: Vec<AtomicU64>,
 }
 
-/// Escalation fractions stay in this band under adaptive tuning.
-const ADAPTIVE_FRAC_MIN: f64 = 0.05;
-/// Rank correlation at which the screen is considered trustworthy; above
-/// it the escalated fraction shrinks, below it the fraction grows.
-const ADAPTIVE_RHO_TARGET: f64 = 0.9;
+/// How many of `n` candidates survive a step screening at `keep_frac`:
+/// `ceil(keep_frac · n)`, at least one and at most `n`.
+fn keep_of(keep_frac: f64, n: usize) -> usize {
+    ((keep_frac * n as f64).ceil() as usize).clamp(1, n)
+}
 
 impl<'a> CascadeBackend<'a> {
     /// Builds a fidelity ladder from `tiers`, cheapest first. Every
-    /// escalation step starts at the default `keep_frac` 0.25 and
-    /// `min_keep` 1.
+    /// escalation step starts at the default `keep_frac` 0.25.
     ///
     /// # Panics
     ///
@@ -265,36 +229,13 @@ impl<'a> CascadeBackend<'a> {
         }
         let name =
             format!("cascade({})", tiers.iter().map(|t| t.name()).collect::<Vec<_>>().join("->"));
-        let steps = tiers.len() - 1;
         Self {
             name,
             evals: (0..tiers.len()).map(|_| AtomicU64::new(0)).collect(),
-            keep_fracs: Mutex::new(vec![0.25; steps]),
-            min_keep: 1,
-            adaptive: false,
-            nominal_batch: 16,
+            keep_fracs: vec![0.25; tiers.len() - 1],
             tiers,
             objective,
         }
-    }
-
-    /// Builds the classic two-tier cascade: screen with `cheap`, re-price
-    /// the top quarter of each batch (by `objective` score) with
-    /// `expensive`. Equivalent to a two-rung [`CascadeBackend::ladder`].
-    pub fn new(
-        cheap: &'a dyn EvalBackend,
-        expensive: &'a dyn EvalBackend,
-        objective: Objective,
-    ) -> Self {
-        Self::ladder(vec![cheap, expensive], objective)
-    }
-
-    /// Sets every escalation step's fraction (clamped to `[0, 1]`; at
-    /// least `min_keep` candidates are always re-priced per step).
-    #[must_use]
-    pub fn with_keep_frac(self, keep_frac: f64) -> Self {
-        let steps = self.tiers.len() - 1;
-        self.with_keep_fracs(&vec![keep_frac; steps])
     }
 
     /// Sets each escalation step's fraction individually, bottom step
@@ -304,61 +245,19 @@ impl<'a> CascadeBackend<'a> {
     ///
     /// Panics unless exactly `tiers.len() - 1` fractions are given.
     #[must_use]
-    pub fn with_keep_fracs(self, keep_fracs: &[f64]) -> Self {
+    pub fn with_keep_fracs(mut self, keep_fracs: &[f64]) -> Self {
         assert_eq!(
             keep_fracs.len(),
             self.tiers.len() - 1,
             "need one keep_frac per escalation step"
         );
-        *self.keep_fracs.lock().expect("keep_fracs lock") =
-            keep_fracs.iter().map(|f| f.clamp(0.0, 1.0)).collect();
+        self.keep_fracs = keep_fracs.iter().map(|f| f.clamp(0.0, 1.0)).collect();
         self
     }
 
-    /// Sets the minimum number of candidates re-priced per step
-    /// (default 1; 0 allows pure-cheap batches at `keep_frac` 0).
-    #[must_use]
-    pub fn with_min_keep(mut self, min_keep: usize) -> Self {
-        self.min_keep = min_keep;
-        self
-    }
-
-    /// Sets the batch size [`EvalBackend::cost_hint`] assumes when folding
-    /// `min_keep` into the per-candidate cost estimate (default 16, the
-    /// default `SearchConfig::batch_size`).
-    #[must_use]
-    pub fn with_nominal_batch(mut self, nominal_batch: usize) -> Self {
-        self.nominal_batch = nominal_batch.max(1);
-        self
-    }
-
-    /// Enables cross-batch adaptive escalation: after each batch, every
-    /// step's `keep_frac` is retuned from the observed rank correlation
-    /// between the screening scores and the re-priced scores of the
-    /// candidates it escalated. A screen whose ranking the tier above
-    /// keeps confirming (Spearman ρ above the internal target, 0.9) earns a
-    /// smaller escalated fraction; a screen that keeps being re-ranked
-    /// pays with a larger one. The update is a pure function of the batch
-    /// stream, so searches stay deterministic and worker-invariant.
-    #[must_use]
-    pub fn with_adaptive_keep(mut self) -> Self {
-        self.adaptive = true;
-        self
-    }
-
-    /// Bottom- and top-tier evaluation counters so far (the full ladder
-    /// breakdown is [`CascadeBackend::tier_stats`]).
-    pub fn stats(&self) -> CascadeStats {
-        CascadeStats {
-            cheap_evals: self.evals[0].load(Ordering::Relaxed),
-            expensive_evals: self.evals[self.tiers.len() - 1].load(Ordering::Relaxed),
-        }
-    }
-
-    /// Per-tier identity, current escalation fraction and evaluation
-    /// count, bottom tier first.
+    /// Per-tier identity, escalation fraction and evaluation count,
+    /// bottom tier first.
     pub fn tier_stats(&self) -> Vec<TierStats> {
-        let fracs = self.keep_fracs.lock().expect("keep_fracs lock");
         self.tiers
             .iter()
             .enumerate()
@@ -366,22 +265,10 @@ impl<'a> CascadeBackend<'a> {
                 name: tier.name().to_string(),
                 fidelity: tier.fidelity(),
                 cost_hint: tier.cost_hint(),
-                keep_frac: if t == 0 { 1.0 } else { fracs[t - 1] },
+                keep_frac: if t == 0 { 1.0 } else { self.keep_fracs[t - 1] },
                 evals: self.evals[t].load(Ordering::Relaxed),
             })
             .collect()
-    }
-
-    /// The escalation fractions currently in force, bottom step first —
-    /// the configured values, or the adapted ones once
-    /// [`CascadeBackend::with_adaptive_keep`] has seen batches.
-    pub fn keep_fracs(&self) -> Vec<f64> {
-        self.keep_fracs.lock().expect("keep_fracs lock").clone()
-    }
-
-    /// How many of `n` candidates survive a step screening at `keep_frac`.
-    fn keep_of(&self, keep_frac: f64, n: usize) -> usize {
-        ((keep_frac * n as f64).ceil() as usize).max(self.min_keep).min(n)
     }
 
     /// Screening rank: feasible candidates by score, infeasible ones at
@@ -403,25 +290,14 @@ impl<'a> CascadeBackend<'a> {
         let top_tier = self.tiers.len() - 1;
         let mut metrics = self.tiers[0].evaluate_batch_workers(archs, workers);
         self.evals[0].fetch_add(archs.len() as u64, Ordering::Relaxed);
-        let fracs = self.keep_fracs.lock().expect("keep_fracs lock").clone();
 
         // Tier sweep: each step re-prices the top fraction of the
         // candidates that reached the tier below it.
         let mut pool: Vec<usize> = (0..archs.len()).collect();
         let mut reached = vec![0usize; archs.len()];
-        let mut rho_observed: Vec<Option<f64>> = vec![None; fracs.len()];
-        for (step, &frac) in fracs.iter().enumerate() {
+        for (step, &frac) in self.keep_fracs.iter().enumerate() {
             let tier = step + 1;
-            let keep = self.keep_of(frac, pool.len());
-            if keep == 0 {
-                // Escalation disabled from this step on. If nothing ever
-                // left the bottom tier this is pure-cheap screening mode —
-                // no honest-winner pass either.
-                if tier == 1 {
-                    return metrics;
-                }
-                break;
-            }
+            let keep = keep_of(frac, pool.len());
             pool.sort_by(|&i, &j| {
                 self.screen_score(&metrics[j])
                     .total_cmp(&self.screen_score(&metrics[i]))
@@ -435,18 +311,9 @@ impl<'a> CascadeBackend<'a> {
                 chosen.iter().map(|&i| archs[i].clone()).collect();
             let refined = self.tiers[tier].evaluate_batch_workers(&chosen_archs, workers);
             self.evals[tier].fetch_add(chosen.len() as u64, Ordering::Relaxed);
-            // Snapshot the screening scores before they are overwritten —
-            // only when adaptive escalation will actually consume them.
-            let before: Option<Vec<f64>> = (self.adaptive && chosen.len() >= 3)
-                .then(|| chosen.iter().map(|&i| self.screen_score(&metrics[i])).collect());
             for (&i, m) in chosen.iter().zip(refined) {
                 metrics[i] = m;
                 reached[i] = tier;
-            }
-            if let Some(before) = before {
-                let after: Vec<f64> =
-                    chosen.iter().map(|&i| self.screen_score(&metrics[i])).collect();
-                rho_observed[step] = Some(spearman_rho(&before, &after));
             }
             pool = chosen;
         }
@@ -469,53 +336,8 @@ impl<'a> CascadeBackend<'a> {
             reached[top] = top_tier;
             self.evals[top_tier].fetch_add(1, Ordering::Relaxed);
         }
-        if self.adaptive {
-            self.adapt_keep_fracs(&rho_observed);
-        }
         metrics
     }
-
-    /// Applies the cross-batch adaptive update: per step, nudge the
-    /// fraction down when the observed rank correlation beat the target
-    /// and up when it fell short, clamped to `[ADAPTIVE_FRAC_MIN, 1]`.
-    fn adapt_keep_fracs(&self, rho_observed: &[Option<f64>]) {
-        let mut fracs = self.keep_fracs.lock().expect("keep_fracs lock");
-        for (step, rho) in rho_observed.iter().enumerate() {
-            if let Some(rho) = rho {
-                let factor = (1.0 + 0.5 * (ADAPTIVE_RHO_TARGET - rho)).clamp(0.75, 1.5);
-                fracs[step] = (fracs[step] * factor).clamp(ADAPTIVE_FRAC_MIN, 1.0);
-            }
-        }
-    }
-}
-
-/// Spearman rank correlation of two equally long samples; index order
-/// breaks ties so the result is deterministic.
-fn spearman_rho(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let rank = |xs: &[f64]| -> Vec<usize> {
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        order.sort_by(|&i, &j| xs[i].total_cmp(&xs[j]).then(i.cmp(&j)));
-        let mut ranks = vec![0usize; xs.len()];
-        for (r, &i) in order.iter().enumerate() {
-            ranks[i] = r;
-        }
-        ranks
-    };
-    let (ra, rb) = (rank(a), rank(b));
-    let d2: f64 = ra
-        .iter()
-        .zip(&rb)
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum();
-    1.0 - 6.0 * d2 / (n as f64 * (n as f64 * n as f64 - 1.0))
 }
 
 impl Evaluator for CascadeBackend<'_> {
@@ -541,20 +363,17 @@ impl EvalBackend for CascadeBackend<'_> {
         self.tiers[self.tiers.len() - 1].fidelity()
     }
 
-    /// Expected per-candidate cost at the nominal batch size, with
-    /// `min_keep` folded in: each step's effective escalated fraction is
-    /// `keep_of(survivors)/nominal`, which exceeds the raw `keep_frac`
-    /// whenever the floor binds (small batches, tiny fractions).
+    /// Expected per-candidate cost at the default
+    /// [`SearchConfig::batch_size`](crate::search::SearchConfig), with the
+    /// one-candidate floor folded in: each step's effective escalated
+    /// fraction is `keep_of(survivors)/nominal`, which exceeds the raw
+    /// `keep_frac` whenever the floor binds (tiny fractions).
     fn cost_hint(&self) -> f64 {
-        let fracs = self.keep_fracs.lock().expect("keep_fracs lock");
-        let nominal = self.nominal_batch;
+        let nominal = crate::search::SearchConfig::default().batch_size;
         let mut total = self.tiers[0].cost_hint();
         let mut survivors = nominal;
-        for (step, &frac) in fracs.iter().enumerate() {
-            let keep = self.keep_of(frac, survivors);
-            if keep == 0 {
-                break;
-            }
+        for (step, &frac) in self.keep_fracs.iter().enumerate() {
+            let keep = keep_of(frac, survivors);
             total += keep as f64 / nominal as f64 * self.tiers[step + 1].cost_hint();
             survivors = keep;
         }
@@ -676,15 +495,15 @@ mod tests {
         let cheap = analytic();
         let expensive = Marked::new();
         let objective = Objective::new(0.1, 10.0, 100.0);
-        let cascade = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.25);
+        let cascade =
+            CascadeBackend::ladder(vec![&cheap, &expensive], objective).with_keep_fracs(&[0.25]);
         let archs = batch(16);
         let metrics = cascade.evaluate_batch(&archs);
         assert_eq!(metrics.len(), 16);
-        let stats = cascade.stats();
-        assert_eq!(stats.cheap_evals, 16);
-        assert_eq!(stats.expensive_evals, 4, "ceil(0.25 * 16)");
+        let tiers = cascade.tier_stats();
+        assert_eq!(tiers[0].evals, 16);
+        assert_eq!(tiers[1].evals, 4, "ceil(0.25 * 16)");
         assert_eq!(expensive.calls.load(Ordering::Relaxed), 4);
-        assert!((stats.escalation_rate() - 0.25).abs() < 1e-12);
         // Exactly the re-priced candidates carry the expensive (inflated)
         // latency.
         let cheap_metrics = cheap.evaluate_batch(&archs);
@@ -698,7 +517,8 @@ mod tests {
         let cheap = analytic();
         let expensive = Marked::new();
         let objective = Objective::new(0.1, 10.0, 100.0);
-        let cascade = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.3);
+        let cascade =
+            CascadeBackend::ladder(vec![&cheap, &expensive], objective).with_keep_fracs(&[0.3]);
         let archs = batch(11);
         let serial = cascade.evaluate_batch_workers(&archs, 1);
         for workers in [2usize, 4, 8] {
@@ -745,7 +565,7 @@ mod tests {
         let cheap = analytic();
         let expensive = Inflating { inner: analytic() };
         let objective = Objective::new(0.1, 10.0, 100.0);
-        let cascade = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.25);
+        let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], objective);
         let archs = batch(16);
         let metrics = cascade.evaluate_batch(&archs);
         // The argmax by screening score carries the 50x-inflated
@@ -765,42 +585,36 @@ mod tests {
         let honest = expensive.evaluate(&archs[top]);
         assert_eq!(metrics[top].latency_s.to_bits(), honest.latency_s.to_bits());
         // Escalation went beyond the initial top-k but stayed counted.
-        let stats = cascade.stats();
-        assert!(stats.expensive_evals > 4, "fixpoint must escalate past the top-k cut");
-        assert!(stats.expensive_evals <= 16);
+        let top_evals = cascade.tier_stats()[1].evals;
+        assert!(top_evals > 4, "fixpoint must escalate past the top-k cut");
+        assert!(top_evals <= 16);
     }
 
     #[test]
     fn cascade_single_lookups_are_full_fidelity() {
         let cheap = analytic();
         let expensive = Marked::new();
-        let cascade = CascadeBackend::new(&cheap, &expensive, Objective::default());
+        let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], Objective::default());
         let m = cascade.evaluate(&arch(16));
         assert_eq!(m.latency_s.to_bits(), expensive.evaluate(&arch(16)).latency_s.to_bits());
-        assert_eq!(cascade.stats().expensive_evals, 1);
-        assert_eq!(cascade.stats().cheap_evals, 0);
+        let tiers = cascade.tier_stats();
+        assert_eq!(tiers[1].evals, 1);
+        assert_eq!(tiers[0].evals, 0);
     }
 
     #[test]
     fn cascade_keep_bounds() {
-        let cheap = analytic();
-        let expensive = Marked::new();
-        let objective = Objective::default();
-        let c = CascadeBackend::new(&cheap, &expensive, objective);
-        assert_eq!(c.keep_of(0.25, 16), 4);
-        assert_eq!(c.keep_of(0.25, 1), 1, "min_keep floors the escalation");
-        let none =
-            CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.0).with_min_keep(0);
-        assert_eq!(none.keep_of(0.0, 16), 0, "keep_frac 0 + min_keep 0 = pure cheap");
-        let all = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(1.0);
-        assert_eq!(all.keep_of(1.0, 7), 7);
+        assert_eq!(keep_of(0.25, 16), 4);
+        assert_eq!(keep_of(0.25, 1), 1, "at least one candidate escalates");
+        assert_eq!(keep_of(0.0, 16), 1, "keep_frac 0 still escalates one");
+        assert_eq!(keep_of(1.0, 7), 7);
     }
 
     #[test]
     fn cascade_reports_top_tier_identity() {
         let cheap = analytic();
         let expensive = Marked::new();
-        let c = CascadeBackend::new(&cheap, &expensive, Objective::default());
+        let c = CascadeBackend::ladder(vec![&cheap, &expensive], Objective::default());
         assert_eq!(c.fidelity(), Fidelity::Simulated);
         assert_eq!(c.name(), "cascade(analytic->marked)");
         assert!(c.cost_hint() < expensive.cost_hint());
@@ -811,9 +625,9 @@ mod tests {
     fn cascade_empty_batch_is_empty() {
         let cheap = analytic();
         let expensive = Marked::new();
-        let c = CascadeBackend::new(&cheap, &expensive, Objective::default());
+        let c = CascadeBackend::ladder(vec![&cheap, &expensive], Objective::default());
         assert!(c.evaluate_batch(&[]).is_empty());
-        assert_eq!(c.stats(), CascadeStats::default());
+        assert!(c.tier_stats().iter().all(|t| t.evals == 0));
     }
 
     /// A middle tier for three-rung ladders: analytic numbers with a
@@ -871,10 +685,6 @@ mod tests {
         assert!((4..=16).contains(&(tiers[2].evals as usize)));
         assert!(tiers[1].evals > tiers[2].evals, "each rung must narrow");
         assert_eq!(mid.calls.load(Ordering::Relaxed), 8);
-        // The two-ended compat view matches the ladder's ends.
-        let stats = ladder.stats();
-        assert_eq!(stats.cheap_evals, tiers[0].evals);
-        assert_eq!(stats.expensive_evals, tiers[2].evals);
     }
 
     #[test]
@@ -929,80 +739,23 @@ mod tests {
     }
 
     #[test]
-    fn cost_hint_folds_min_keep() {
+    fn cost_hint_folds_the_one_candidate_floor() {
         let cheap = analytic();
         let expensive = Marked::new();
         let objective = Objective::default();
-        // keep_frac 0.01 on a nominal batch of 16 would suggest ~0.16
-        // escalations per batch, but min_keep = 1 floors it at one: the
-        // effective fraction is 1/16, not 0.01.
-        let c = CascadeBackend::new(&cheap, &expensive, objective)
-            .with_keep_frac(0.01)
-            .with_nominal_batch(16);
+        // keep_frac 0.01 on the default batch of 16 would suggest ~0.16
+        // escalations per batch, but at least one candidate always
+        // escalates: the effective fraction is 1/16, not 0.01.
+        assert_eq!(crate::search::SearchConfig::default().batch_size, 16);
+        let c =
+            CascadeBackend::ladder(vec![&cheap, &expensive], objective).with_keep_fracs(&[0.01]);
         let expected = 1.0 + (1.0 / 16.0) * expensive.cost_hint();
         assert!((c.cost_hint() - expected).abs() < 1e-12, "got {}", c.cost_hint());
         // A naive keep_frac-only estimate under-reports.
         assert!(c.cost_hint() > 1.0 + 0.01 * expensive.cost_hint());
-        // min_keep 4 floors harder still.
-        let floored = CascadeBackend::new(&cheap, &expensive, objective)
-            .with_keep_frac(0.01)
-            .with_min_keep(4)
-            .with_nominal_batch(16);
-        let expected = 1.0 + (4.0 / 16.0) * expensive.cost_hint();
-        assert!((floored.cost_hint() - expected).abs() < 1e-12);
-        // min_keep 0 + keep_frac 0 = pure screening: only the cheap cost.
-        let none =
-            CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.0).with_min_keep(0);
-        assert_eq!(none.cost_hint(), cheap.cost_hint());
-    }
-
-    #[test]
-    fn adaptive_keep_is_deterministic_and_bounded() {
-        let objective = Objective::new(0.1, 10.0, 100.0);
-        let run = || {
-            let cheap = analytic();
-            let expensive = Marked::new();
-            let cascade = CascadeBackend::new(&cheap, &expensive, objective)
-                .with_keep_frac(0.5)
-                .with_adaptive_keep();
-            let mut out = Vec::new();
-            for round in 0..6 {
-                let archs: Vec<Architecture> =
-                    (0..12).map(|i| arch(8 * (i + round % 3 + 1))).collect();
-                out.push(cascade.evaluate_batch(&archs));
-            }
-            (out, cascade.keep_fracs(), cascade.stats())
-        };
-        let (m1, fracs1, stats1) = run();
-        let (m2, fracs2, stats2) = run();
-        assert_eq!(stats1, stats2);
-        assert_eq!(fracs1, fracs2, "adaptation must be a pure function of the batches");
-        for (a, b) in m1.iter().flatten().zip(m2.iter().flatten()) {
-            assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
-        }
-        // Marked's tiny inflation preserves ranks, so the screen keeps
-        // being confirmed and the fraction anneals downward within bounds.
-        assert!(fracs1[0] < 0.5, "confirmed screen must shrink the fraction: {fracs1:?}");
-        assert!(fracs1[0] >= ADAPTIVE_FRAC_MIN);
-    }
-
-    #[test]
-    fn non_adaptive_keep_fracs_never_move() {
-        let cheap = analytic();
-        let expensive = Marked::new();
-        let objective = Objective::new(0.1, 10.0, 100.0);
-        let cascade = CascadeBackend::new(&cheap, &expensive, objective).with_keep_frac(0.5);
-        for _ in 0..3 {
-            cascade.evaluate_batch(&batch(12));
-        }
-        assert_eq!(cascade.keep_fracs(), vec![0.5]);
-    }
-
-    #[test]
-    fn spearman_rho_agrees_with_hand_values() {
-        assert!((spearman_rho(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]) - 1.0).abs() < 1e-12);
-        assert!((spearman_rho(&[1.0, 2.0, 3.0], &[30.0, 20.0, 10.0]) + 1.0).abs() < 1e-12);
-        let mixed = spearman_rho(&[1.0, 2.0, 3.0, 4.0], &[2.0, 1.0, 4.0, 3.0]);
-        assert!((mixed - 0.6).abs() < 1e-12);
+        // keep_frac 0 prices the same: the floor, not the fraction, binds.
+        let zero =
+            CascadeBackend::ladder(vec![&cheap, &expensive], objective).with_keep_fracs(&[0.0]);
+        assert_eq!(zero.cost_hint(), c.cost_hint());
     }
 }

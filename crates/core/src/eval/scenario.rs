@@ -16,11 +16,10 @@
 //! which emits one [`ScenarioReport`] per segment; a full run's reports
 //! ride in [`SearchReport::scenarios`](crate::eval::SearchReport).
 //!
-//! Core cannot depend on the sim crate, so [`ArrivalSpec`] mirrors
-//! `gcode_sim::ArrivalProcess` (Periodic/Poisson, seeded, deterministic);
-//! the sim crate provides lossless `From` conversions in both directions
-//! and property-tests that a converted Poisson spec reproduces
-//! `simulate_open_loop` statistics exactly.
+//! [`ArrivalSpec`] (Periodic/Poisson, seeded, deterministic) is the one
+//! arrival model: the engine's replay and the simulator's
+//! `gcode_sim::simulate_open_loop` both time frames with
+//! [`ArrivalSpec::arrival_times`].
 //!
 //! # Example
 //!
@@ -49,9 +48,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// How frames arrive within one scenario segment — the serializable
-/// mirror of `gcode_sim::ArrivalProcess` (which converts losslessly in
-/// both directions via `From`).
+/// How frames arrive — within one scenario segment, or into
+/// `gcode_sim::simulate_open_loop`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalSpec {
     /// Fixed-rate camera: one frame every `1/fps` seconds.
@@ -78,9 +76,8 @@ impl ArrivalSpec {
         }
     }
 
-    /// Deterministic arrival offsets (seconds since segment start) for
-    /// `frames` frames — the exact gap algorithm of
-    /// `gcode_sim::simulate_open_loop`: periodic arrivals land every
+    /// Deterministic arrival offsets (seconds since segment start, the
+    /// first at 0) for `frames` frames: periodic arrivals land every
     /// `1/fps`, Poisson gaps are `-ln(u)/fps` drawn from
     /// `ChaCha8Rng::seed_from_u64(seed)`.
     pub fn arrival_times(&self, frames: usize) -> Vec<f64> {

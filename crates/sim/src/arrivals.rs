@@ -12,59 +12,7 @@ use crate::{build_stages, SimConfig, Stage};
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::eval::scenario::ArrivalSpec;
 use gcode_hardware::SystemConfig;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-/// Frame arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalProcess {
-    /// Fixed inter-arrival time (a sensor at `fps`).
-    Periodic {
-        /// Frames per second.
-        fps: f64,
-    },
-    /// Poisson arrivals with mean rate `fps` (bursty upstream).
-    Poisson {
-        /// Mean frames per second.
-        fps: f64,
-        /// RNG seed for the exponential draws.
-        seed: u64,
-    },
-}
-
-impl ArrivalProcess {
-    fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Periodic { fps } | ArrivalProcess::Poisson { fps, .. } => fps,
-        }
-    }
-}
-
-// The scenario-trace format (`gcode_core::eval::scenario`) carries its
-// own arrival enum because core cannot depend on this crate; the two
-// mirror each other field-for-field, so conversion is lossless in both
-// directions and a converted Poisson process reproduces
-// [`simulate_open_loop`] statistics exactly (property-tested below).
-
-impl From<ArrivalProcess> for ArrivalSpec {
-    fn from(p: ArrivalProcess) -> Self {
-        match p {
-            ArrivalProcess::Periodic { fps } => ArrivalSpec::Periodic { fps },
-            ArrivalProcess::Poisson { fps, seed } => ArrivalSpec::Poisson { fps, seed },
-        }
-    }
-}
-
-impl From<ArrivalSpec> for ArrivalProcess {
-    fn from(s: ArrivalSpec) -> Self {
-        match s {
-            ArrivalSpec::Periodic { fps } => ArrivalProcess::Periodic { fps },
-            ArrivalSpec::Poisson { fps, seed } => ArrivalProcess::Poisson { fps, seed },
-        }
-    }
-}
 
 /// Result of an open-loop run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,7 +29,9 @@ pub struct OpenLoopReport {
     pub stable: bool,
 }
 
-/// Simulates `num_frames` arrivals through the architecture's stage graph.
+/// Simulates `num_frames` arrivals, timed by
+/// [`ArrivalSpec::arrival_times`] (the first at t = 0), through the
+/// architecture's stage graph.
 ///
 /// Stability in the queueing sense: the pipeline keeps up iff the
 /// bottleneck stage's service time is below the mean inter-arrival time;
@@ -92,31 +42,12 @@ pub fn simulate_open_loop(
     profile: &WorkloadProfile,
     sys: &SystemConfig,
     cfg: &SimConfig,
-    arrivals: ArrivalProcess,
+    arrivals: ArrivalSpec,
     num_frames: usize,
 ) -> OpenLoopReport {
     let stages: Vec<Stage> = build_stages(arch, profile, sys, cfg);
     let num_stages = stages.len();
-    let mut rng = ChaCha8Rng::seed_from_u64(match arrivals {
-        ArrivalProcess::Poisson { seed, .. } => seed,
-        ArrivalProcess::Periodic { .. } => 0,
-    });
-
-    // Arrival times.
-    let mut arrival_times = Vec::with_capacity(num_frames);
-    let mut t = 0.0;
-    for _ in 0..num_frames {
-        let gap = match arrivals {
-            ArrivalProcess::Periodic { fps } => 1.0 / fps,
-            ArrivalProcess::Poisson { fps, .. } => {
-                // Inverse-CDF exponential draw.
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                -u.ln() / fps
-            }
-        };
-        t += gap;
-        arrival_times.push(t);
-    }
+    let arrival_times = arrivals.arrival_times(num_frames);
 
     // Pipeline recurrence with release = arrival time.
     let mut stage_free = vec![0.0f64; num_stages];
@@ -153,7 +84,7 @@ pub fn simulate_open_loop(
         mean_sojourn_s: sojourns.iter().sum::<f64>() / num_frames.max(1) as f64,
         p95_sojourn_s: p95,
         max_queue_depth,
-        stable: bottleneck < 1.0 / arrivals.mean_rate(),
+        stable: bottleneck < 1.0 / arrivals.mean_fps(),
     }
 }
 
@@ -165,6 +96,8 @@ mod tests {
     use gcode_core::zoo::RuntimeConstraint;
     use gcode_nn::agg::AggMode;
     use gcode_nn::pool::PoolMode;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn pc() -> WorkloadProfile {
         WorkloadProfile::modelnet40()
@@ -188,7 +121,7 @@ mod tests {
             &pc(),
             &sys,
             &SimConfig::default(),
-            ArrivalProcess::Periodic { fps: 2.0 },
+            ArrivalSpec::Periodic { fps: 2.0 },
             100,
         );
         assert!(r.stable);
@@ -206,7 +139,7 @@ mod tests {
             &pc(),
             &sys,
             &SimConfig::default(),
-            ArrivalProcess::Periodic { fps: 1000.0 },
+            ArrivalSpec::Periodic { fps: 1000.0 },
             200,
         );
         assert!(!r.stable);
@@ -223,7 +156,7 @@ mod tests {
                 &pc(),
                 &sys,
                 &SimConfig::default(),
-                ArrivalProcess::Poisson { fps: 15.0, seed },
+                ArrivalSpec::Poisson { fps: 15.0, seed },
                 300,
             )
         };
@@ -233,7 +166,7 @@ mod tests {
             &pc(),
             &sys,
             &SimConfig::default(),
-            ArrivalProcess::Periodic { fps: 15.0 },
+            ArrivalSpec::Periodic { fps: 15.0 },
             300,
         );
         let poisson = run(2);
@@ -301,42 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn converted_poisson_segments_reproduce_open_loop_statistics() {
-        let sys = SystemConfig::tx2_to_i7(40.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(0x0155);
-        for _ in 0..8 {
-            let process = ArrivalProcess::Poisson {
-                fps: rng.gen_range(5.0..200.0),
-                seed: rng.gen_range(0..u64::MAX),
-            };
-            let spec: ArrivalSpec = process.into();
-            let back: ArrivalProcess = spec.into();
-            assert_eq!(back, process, "conversion must be lossless");
-            let direct =
-                simulate_open_loop(&arch(), &pc(), &sys, &SimConfig::default(), process, 200);
-            let converted =
-                simulate_open_loop(&arch(), &pc(), &sys, &SimConfig::default(), back, 200);
-            assert_eq!(direct, converted, "converted process changed open-loop statistics");
-        }
-    }
-
-    #[test]
-    fn spec_gap_stream_matches_open_loop_arrival_gaps() {
-        // `ArrivalSpec::arrival_times` documents the same gap algorithm as
-        // `simulate_open_loop`; offsets start at the segment boundary, so
-        // spec arrival `i + 1` equals the simulator's arrival `i`.
-        let spec = ArrivalSpec::Poisson { fps: 30.0, seed: 99 };
-        let times = spec.arrival_times(64);
-        let mut sim_rng = ChaCha8Rng::seed_from_u64(99);
-        let mut t = 0.0;
-        for i in 0..63 {
-            let u: f64 = sim_rng.gen_range(f64::EPSILON..1.0);
-            t += -u.ln() / 30.0;
-            assert_eq!(times[i + 1], t, "gap {i} diverged from the simulator's draw");
-        }
-    }
-
-    #[test]
     fn stability_threshold_matches_bottleneck() {
         let sys = SystemConfig::tx2_to_i7(40.0);
         let closed = crate::simulate(&arch(), &pc(), &sys, &SimConfig::default());
@@ -346,7 +243,7 @@ mod tests {
             &pc(),
             &sys,
             &SimConfig::default(),
-            ArrivalProcess::Periodic { fps: max_fps * 0.9 },
+            ArrivalSpec::Periodic { fps: max_fps * 0.9 },
             50,
         );
         let just_over = simulate_open_loop(
@@ -354,7 +251,7 @@ mod tests {
             &pc(),
             &sys,
             &SimConfig::default(),
-            ArrivalProcess::Periodic { fps: max_fps * 1.1 },
+            ArrivalSpec::Periodic { fps: max_fps * 1.1 },
             50,
         );
         assert!(just_under.stable);

@@ -39,7 +39,7 @@
 mod arrivals;
 mod dynamic;
 
-pub use arrivals::{simulate_open_loop, ArrivalProcess, OpenLoopReport};
+pub use arrivals::{simulate_open_loop, OpenLoopReport};
 pub use dynamic::{simulate_adaptive, AdaptiveReport, BandwidthTrace, DispatchedFrame};
 
 use gcode_core::arch::{Architecture, WorkloadProfile};

@@ -1,12 +1,10 @@
 //! Three-rung fidelity ladder with a trained middle tier:
-//! `analytic → predictor → sim`, with cross-batch adaptive escalation.
+//! `analytic → predictor → sim`.
 //!
 //! The bottom rung screens every batch with the LUT cost model, the GIN
 //! latency predictor re-ranks the promising quarter, and the discrete-event
-//! simulator prices only the finalists — with the batch winner always
-//! escalated to simulator fidelity (honest-winner escalation). Adaptive
-//! escalation then tunes each rung's keep fraction from the observed rank
-//! correlation between neighbouring tiers.
+//! simulator prices half of those — with the batch winner always
+//! escalated to simulator fidelity (honest-winner escalation).
 //!
 //! ```sh
 //! cargo run --release --example fidelity_ladder
@@ -69,8 +67,7 @@ fn main() {
     };
 
     let ladder = CascadeBackend::ladder(vec![&analytic, &predicted, &sim], objective)
-        .with_keep_fracs(&[0.25, 0.5])
-        .with_adaptive_keep();
+        .with_keep_fracs(&[0.25, 0.5]);
     println!("searching through `{}` …", ladder.name());
     let cfg = SearchConfig { iterations: 600, seed: 7, ..SearchConfig::default() };
     let mut session = SearchSession::new(&space, &ladder).with_objective(objective);
@@ -83,7 +80,6 @@ fn main() {
             t.name, t.fidelity, t.cost_hint, t.keep_frac, t.evals
         );
     }
-    println!("adapted keep fractions: {:?}", ladder.keep_fracs());
     let best = result.best().expect("search finds a winner");
     println!(
         "\nbest (score {:.3}, {:.1}% acc, {:.1} ms, {:.3} J):\n{}",

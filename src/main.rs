@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! gcode search   --device tx2 --edge i7 --mbps 40 --task modelnet40 \
-//!                [--backend analytic|sim|cascade|engine|ladder]
-//!                [--tiers analytic,predictor,sim,engine] [--adaptive-keep true]
+//!                [--tiers analytic,predictor,sim,engine]
 //!                [--frames N] [--warmup N]
 //!                [--fleet loopback:N|host:port,host:port,…]
 //!                [--workers N] [--keep-frac F[,F…]]
@@ -18,10 +17,13 @@
 //! gcode replay   --trace FILE [--zoo FILE] [--pools N] [--report-out FILE]
 //! ```
 //!
-//! `--tiers` builds a fidelity ladder (implies `--backend ladder`); the
-//! `engine` tier prices each escalated candidate on the live pipelined
-//! runtime: one warm loopback TCP device/edge pair serves the whole
-//! search, each candidate's plan hot-swapped onto it (`SwapPlan` control
+//! `--tiers` names what prices candidates, cheapest first: one name
+//! (default `sim`) is a single backend; two or more build a fidelity
+//! ladder that escalates the top `--keep-frac` of each rung, at least one
+//! candidate per step, to the next. The `engine` tier prices each
+//! escalated candidate on the live pipelined runtime: one warm loopback
+//! TCP device/edge pair serves the whole search, each candidate's plan
+//! hot-swapped onto it (`SwapPlan` control
 //! frames). `--fleet` widens that to N warm pairs (spawned loopback pools
 //! and/or remote pre-deployed edges) that pull each escalated batch's
 //! candidates off a shared morsel queue, with results merged at input
@@ -96,8 +98,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   gcode search   --device <tx2|pi> --edge <i7|1060> [--mbps F] [--task <modelnet40|mr>]
-                 [--backend <analytic|sim|cascade|engine|ladder>]
-                 [--tiers <analytic,predictor,sim,engine>] [--adaptive-keep <true|false>]
+                 [--tiers <analytic,predictor,sim,engine>]
                  [--frames N] [--warmup N]
                  [--fleet <loopback:N|host:port,...>]
                  [--workers N] [--keep-frac F[,F...]]
@@ -122,8 +123,7 @@ const USAGE: &str = "usage:
 #[rustfmt::skip] // one row per `USAGE` row
 const SEARCH_FLAGS: &[&str] = &[
     "device", "edge", "mbps", "task",
-    "backend",
-    "tiers", "adaptive-keep",
+    "tiers",
     "frames", "warmup",
     "fleet",
     "workers", "keep-frac",
@@ -208,29 +208,19 @@ fn cmd_systems() -> Result<(), String> {
     Ok(())
 }
 
-/// Which fidelity ladder a `--backend`/`--tiers` combination asks for.
-fn tier_names(opts: &HashMap<String, String>) -> Result<Vec<String>, String> {
-    let backend_name = opts.get("backend").map(String::as_str);
-    if let Some(tiers) = opts.get("tiers") {
-        let names: Vec<String> = tiers.split(',').map(|t| t.trim().to_string()).collect();
-        if let Some(b) = backend_name {
-            if b != "ladder" {
-                return Err(format!("--tiers implies --backend ladder, not `{b}`"));
+/// Parses `--keep-frac`: one escalation fraction for every step, or one
+/// per step, each a finite number in `[0, 1]`.
+fn parse_keep_fracs(list: &str) -> Result<Vec<f64>, String> {
+    list.split(',')
+        .map(|f| {
+            let f = f.trim();
+            match f.parse::<f64>() {
+                Ok(v) if (0.0..=1.0).contains(&v) => Ok(v),
+                Ok(_) => Err(format!("--keep-frac: `{f}` is not a fraction in [0, 1]")),
+                Err(_) => Err(format!("--keep-frac: bad number `{f}`")),
             }
-        }
-        if names.len() < 2 {
-            return Err("--tiers needs at least two comma-separated tiers".into());
-        }
-        return Ok(names);
-    }
-    match backend_name.unwrap_or("sim") {
-        "analytic" => Ok(vec!["analytic".into()]),
-        "sim" => Ok(vec!["sim".into()]),
-        "engine" => Ok(vec!["engine".into()]),
-        "cascade" => Ok(vec!["analytic".into(), "sim".into()]),
-        "ladder" => Err("--backend ladder needs --tiers a,b[,c…]".into()),
-        other => Err(format!("unknown backend `{other}` (analytic|sim|cascade|engine|ladder)")),
-    }
+        })
+        .collect()
 }
 
 fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -254,23 +244,14 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
         get_f64(opts, "energy-j", 3.0)?,
     );
     let workers = get_usize(opts, "workers", 1)?;
-    let keep_fracs: Vec<f64> = opts
-        .get("keep-frac")
-        .map(String::as_str)
-        .unwrap_or("0.25")
-        .split(',')
-        .map(|f| f.trim().parse::<f64>().map_err(|_| format!("--keep-frac: bad number `{f}`")))
-        .collect::<Result<_, _>>()?;
-    let adaptive = matches!(
-        opts.get("adaptive-keep").map(String::as_str),
-        Some("true") | Some("1") | Some("yes")
-    );
+    let keep_fracs = parse_keep_fracs(opts.get("keep-frac").map_or("0.25", String::as_str))?;
     let frames = get_usize(opts, "frames", 8)?.max(1);
     let warmup = get_usize(opts, "warmup", 2)?;
-    let tiers = tier_names(opts)?;
-    if opts.contains_key("fleet") && !tiers.iter().any(|t| t == "engine") {
+    let tiers: Vec<&str> =
+        opts.get("tiers").map_or("sim", String::as_str).split(',').map(str::trim).collect();
+    if opts.contains_key("fleet") && !tiers.contains(&"engine") {
         return Err("--fleet drives the Measured tier; add the `engine` tier (e.g. \
-                    --backend engine or --tiers analytic,sim,engine)"
+                    --tiers engine or --tiers analytic,sim,engine)"
             .into());
     }
     let fleet_spec = opts
@@ -293,7 +274,7 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     // be read back after the search.
     let mut boxed: HashMap<&str, Box<dyn EvalBackend>> = HashMap::new();
     let mut engine_backend = None;
-    for name in tiers.iter().map(String::as_str) {
+    for &name in &tiers {
         match name {
             "analytic" => {
                 let s = SurrogateAccuracy::new(task);
@@ -379,7 +360,7 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let tier_refs: Vec<&dyn EvalBackend> = tiers
         .iter()
-        .map(|name| match name.as_str() {
+        .map(|&name| match name {
             "engine" => engine_backend.as_ref().expect("engine tier built") as &dyn EvalBackend,
             other => boxed[other].as_ref(),
         })
@@ -407,11 +388,7 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
                 tier_refs.len()
             ));
         };
-        let mut c = CascadeBackend::ladder(tier_refs.clone(), objective).with_keep_fracs(&fracs);
-        if adaptive {
-            c = c.with_adaptive_keep();
-        }
-        Some(c)
+        Some(CascadeBackend::ladder(tier_refs.clone(), objective).with_keep_fracs(&fracs))
     };
     let backend: &dyn EvalBackend = ladder.as_ref().map_or(tier_refs[0], |l| l as &dyn EvalBackend);
 
@@ -433,7 +410,7 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
         // the batch composition — hence the whole run configuration —
         // matches the one that wrote the records.
         let tag = format!(
-            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|adaptive{adaptive}|fleet:{fleet_spec}",
+            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|fleet:{fleet_spec}",
             tiers.join(","),
             sys.label(),
             cfg.seed,
@@ -867,18 +844,33 @@ mod tests {
             let table = accepted_flags(command).expect("a printed command has a flag table");
             assert_eq!(printed, table, "`gcode {command}`: USAGE and its flag table differ");
         }
-        assert_eq!(SEARCH_FLAGS.len(), 20);
+        assert_eq!(SEARCH_FLAGS.len(), 18);
     }
 
     #[test]
     fn unknown_and_retired_flags_are_refused_by_name() {
         let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
-        let err = parse_opts("search", &args(&["--device", "tx2", "--optimize", "off"]));
-        assert_eq!(err, Err("unknown flag --optimize for search".to_string()));
+        // Retired search flags are unknown flags like any other.
+        for flag in ["optimize", "backend", "adaptive-keep"] {
+            let err = parse_opts("search", &args(&["--device", "tx2", &format!("--{flag}"), "on"]));
+            assert_eq!(err, Err(format!("unknown flag --{flag} for search")));
+        }
         let err = parse_opts("dispatch", &args(&["--zoo", "z.json", "--pools", "2"]));
         assert_eq!(err, Err("unknown flag --pools for dispatch".to_string()));
         assert_eq!(parse_opts("bogus", &[]), Err("unknown command `bogus`".to_string()));
         let ok = parse_opts("replay", &args(&["--trace", "t.json", "--pools", "2"])).expect("ok");
         assert_eq!(ok.len(), 2);
+    }
+
+    #[test]
+    fn keep_fracs_outside_the_unit_interval_are_refused_by_value() {
+        for bad in ["nan", "-0.1", "1.5", "inf", "0.25,7"] {
+            let err = parse_keep_fracs(bad).expect_err(bad);
+            let value = bad.rsplit(',').next().expect("a value");
+            assert_eq!(err, format!("--keep-frac: `{value}` is not a fraction in [0, 1]"));
+        }
+        assert_eq!(parse_keep_fracs("x"), Err("--keep-frac: bad number `x`".to_string()));
+        assert_eq!(parse_keep_fracs("0.25,0.5"), Ok(vec![0.25, 0.5]));
+        assert_eq!(parse_keep_fracs(" 0 , 1 "), Ok(vec![0.0, 1.0]));
     }
 }

@@ -58,22 +58,23 @@ fn cascade_issues_strictly_fewer_sim_evaluations_than_pure_sim() {
     // tier re-prices only the top quarter of each deduplicated batch.
     let cheap = analytic();
     let expensive = sim();
-    let cascade = CascadeBackend::new(&cheap, &expensive, objective()).with_keep_frac(0.25);
+    let cascade =
+        CascadeBackend::ladder(vec![&cheap, &expensive], objective()).with_keep_fracs(&[0.25]);
     let mut session = SearchSession::new(&space, &cascade).with_objective(objective());
     let result = session.run(&RandomSearch::new(cfg()));
-    let stats = cascade.stats();
+    let tiers = cascade.tier_stats();
 
     assert!(
-        stats.expensive_evals < pure_sim_evals,
+        tiers[1].evals < pure_sim_evals,
         "cascade must issue strictly fewer sim evaluations: {} vs {}",
-        stats.expensive_evals,
+        tiers[1].evals,
         pure_sim_evals
     );
     // Batched candidates were screened cheaply; only stage-2 tuning
     // probes (single lookups) bypass the screen, so the cheap tier covers
     // at most — and almost all of — the session's unique evaluations.
-    assert!(stats.cheap_evals > 0);
-    assert!(stats.cheap_evals <= session.cache_stats().misses);
+    assert!(tiers[0].evals > 0);
+    assert!(tiers[0].evals <= session.cache_stats().misses);
     // Both searches found feasible designs.
     assert!(pure_result.best().is_some());
     assert!(result.best().is_some());
@@ -87,17 +88,18 @@ fn cascade_search_is_deterministic_and_worker_invariant() {
         .map(|workers| {
             let cheap = analytic();
             let expensive = sim();
-            let cascade = CascadeBackend::new(&cheap, &expensive, objective()).with_keep_frac(0.25);
+            let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], objective())
+                .with_keep_fracs(&[0.25]);
             let mut session = SearchSession::new(&space, &cascade)
                 .with_objective(objective())
                 .with_workers(workers);
             let result = session.run(&RandomSearch::new(cfg()));
-            (result, cascade.stats())
+            (result, cascade.tier_stats())
         })
         .collect();
-    let (baseline, baseline_stats) = &runs[0];
-    for (result, stats) in &runs[1..] {
-        assert_eq!(stats, baseline_stats, "tier counters must not depend on workers");
+    let (baseline, baseline_tiers) = &runs[0];
+    for (result, tiers) in &runs[1..] {
+        assert_eq!(tiers, baseline_tiers, "tier counters must not depend on workers");
         assert_eq!(result.history.len(), baseline.history.len());
         for (a, b) in result.history.iter().zip(&baseline.history) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -119,7 +121,8 @@ fn cascade_winner_carries_sim_fidelity_metrics() {
     let space = DesignSpace::paper(profile());
     let cheap = analytic();
     let expensive = sim();
-    let cascade = CascadeBackend::new(&cheap, &expensive, objective()).with_keep_frac(0.25);
+    let cascade =
+        CascadeBackend::ladder(vec![&cheap, &expensive], objective()).with_keep_fracs(&[0.25]);
     let mut session = SearchSession::new(&space, &cascade).with_objective(objective());
     let result = session.run(&RandomSearch::new(cfg()));
     let best = result.best().expect("found");
@@ -149,7 +152,8 @@ fn full_escalation_reduces_the_cascade_to_pure_sim() {
 
     let cheap = analytic();
     let expensive = sim();
-    let cascade = CascadeBackend::new(&cheap, &expensive, objective()).with_keep_frac(1.0);
+    let cascade =
+        CascadeBackend::ladder(vec![&cheap, &expensive], objective()).with_keep_fracs(&[1.0]);
     assert_eq!(cascade.fidelity(), Fidelity::Simulated);
     let mut session = SearchSession::new(&space, &cascade).with_objective(objective());
     let result = session.run(&RandomSearch::new(cfg()));
@@ -165,8 +169,7 @@ fn full_escalation_reduces_the_cascade_to_pure_sim() {
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
         assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
     }
-    let stats = cascade.stats();
-    assert_eq!(stats.expensive_evals, pure_session.cache_stats().misses);
+    assert_eq!(cascade.tier_stats()[1].evals, pure_session.cache_stats().misses);
 }
 
 #[test]
@@ -174,7 +177,7 @@ fn cascade_report_names_the_backend_stack() {
     let space = DesignSpace::paper(profile());
     let cheap = analytic();
     let expensive = sim();
-    let cascade = CascadeBackend::new(&cheap, &expensive, objective());
+    let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], objective());
     let mut session = SearchSession::new(&space, &cascade).with_objective(objective());
     let result = session.run(&RandomSearch::new(SearchConfig {
         iterations: 40,
