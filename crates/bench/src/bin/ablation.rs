@@ -1,11 +1,12 @@
-//! Ablations beyond the paper's figures (DESIGN.md §5 extension hooks).
+//! Ablations beyond the paper's figures.
 //! This binary records paper-ablation *facts*; how fast anything runs is
 //! measured by `perf/` against `BENCHMARK.json` and nowhere else.
 //!
 //! 1. pipelined engine vs frame-serial execution (simulated throughput);
 //! 2. transfer compression on/off (simulated latency of a split design);
 //! 3. λ sweep quantified by Pareto hypervolume (Fig. 8's knob, scalarized);
-//! 4. adaptive runtime dispatch vs a pinned design under a fluctuating link;
+//! 4. adaptive runtime dispatch vs a pinned design under a fluctuating link:
+//!    a square-wave `ScenarioTrace` replayed at simulator fidelity;
 //! 5. multi-fidelity search: the analytic→sim cascade vs a pure
 //!    simulator-in-the-loop search — expensive evaluations saved,
 //!    memo-cache effectiveness, end score;
@@ -52,7 +53,7 @@ use gcode_hardware::SystemConfig;
 use gcode_nn::agg::AggMode;
 use gcode_nn::pool::PoolMode;
 use gcode_nn::seq::WeightBank;
-use gcode_sim::{simulate, simulate_adaptive, BandwidthTrace, SimBackend, SimConfig, SimReport};
+use gcode_sim::{simulate, SimBackend, SimConfig, SimReport};
 use std::time::Instant;
 
 /// One `BENCH_eval.json` entry (counts are exact in an `f64` at any budget
@@ -96,7 +97,7 @@ const SECTIONS: &[Section] = &[
     },
     Section {
         id: 4,
-        title: "runtime dispatcher under a fluctuating link (40↔2 Mbps)",
+        title: "runtime dispatcher: simulated scenario replay on a 40↔2 Mbps square wave",
         keys: &[],
         quick: false,
         run: adaptive_dispatch,
@@ -246,7 +247,7 @@ fn lambda_sweep(_quick: bool) -> Vec<Key> {
 fn adaptive_dispatch(_quick: bool) -> Vec<Key> {
     let (profile, sys, anchor) = anchored_system();
     // The zoo pairs the winners of two searches run for the two link
-    // regimes — the dispatcher's job is to pick per-frame between them.
+    // regimes — the dispatcher's job is to pick per segment between them.
     let (cfg40, obj40) = table_search_config(anchor.frame_latency_s, anchor.device_energy_j, 19);
     let win40 = run_gcode_search(profile, SurrogateTask::ModelNet40, &sys, &cfg40, &obj40);
     let mut congested = sys.clone();
@@ -255,22 +256,40 @@ fn adaptive_dispatch(_quick: bool) -> Vec<Key> {
     let win2 = run_gcode_search(profile, SurrogateTask::ModelNet40, &congested, &cfg2, &obj2);
     let mut entries: Vec<_> = win40.zoo.iter().take(3).cloned().collect();
     entries.extend(win2.zoo.iter().take(3).cloned());
-    let zoo = ArchitectureZoo::new(entries);
-    let trace = BandwidthTrace::square_wave(40.0, 2.0, 0.25, 120.0);
+    let adaptive = ArchitectureZoo::new(entries);
+    // "Pinned" is the same replay with nothing to switch to.
+    let pinned = ArchitectureZoo::new(vec![adaptive.entries()[0].clone()]);
+    // A square wave: 8 segments of 8 frames at 10 fps, alternating 40 and
+    // 2 Mbps, all judged against the SLO the first segment sets.
     let slo = 0.020;
-    let adaptive = simulate_adaptive(&zoo, &profile, &sys, &trace, 64, slo, false);
-    let pinned = simulate_adaptive(&zoo, &profile, &sys, &trace, 64, slo, true);
-    println!(
-        "  adaptive: SLO hit {:5.1}%  mean {:5.1} ms  switches {}",
-        adaptive.slo_hit_rate * 100.0,
-        adaptive.mean_latency_s * 1e3,
-        adaptive.switches
-    );
-    println!(
-        "  pinned:   SLO hit {:5.1}%  mean {:5.1} ms",
-        pinned.slo_hit_rate * 100.0,
-        pinned.mean_latency_s * 1e3
-    );
+    let trace = (0..8).fold(ScenarioTrace::new("ablation-4", 4), |trace, i| {
+        let seg = ScenarioSegment::new(
+            format!("seg-{i}"),
+            f64::from(i) * 0.8,
+            8,
+            ArrivalSpec::Periodic { fps: 10.0 },
+            slo,
+        )
+        .with_uplink_mbps(if i % 2 == 0 { 40.0 } else { 2.0 });
+        trace.with_segment(if i == 0 {
+            seg.with_constraint(RuntimeConstraint::latency(slo))
+        } else {
+            seg
+        })
+    });
+    // Per-trace deadline hit rate, and the swaps after the first deploy.
+    let replay = |name: &str, zoo: &ArchitectureZoo| {
+        let reports = gcode_sim::replay(&trace, zoo, &profile, &sys).expect("valid trace");
+        let frames: u64 = reports.iter().map(|r| r.frames).sum();
+        let hit_rate = 1.0 - reports.iter().map(|r| r.drops).sum::<u64>() as f64 / frames as f64;
+        let swaps: Vec<u64> = reports.iter().map(|r| r.swaps).collect();
+        println!("  {name:<9} deadline hit {:5.1}%  swaps {swaps:?}", hit_rate * 100.0);
+        (hit_rate, swaps[1..].iter().sum::<u64>())
+    };
+    let (adaptive_hit, adaptive_reswaps) = replay("adaptive", &adaptive);
+    let (pinned_hit, _) = replay("pinned", &pinned);
+    assert!(adaptive_hit >= pinned_hit, "adaptive {adaptive_hit} vs pinned {pinned_hit}");
+    assert!(adaptive_reswaps > 0, "the link swing must move the dispatcher off its first pick");
     Vec::new()
 }
 

@@ -1,9 +1,10 @@
 //! Shared harness for the table/figure generators.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library holds the pieces they
-//! share: running a GCoDE search on a system, evaluating baselines in each
-//! collaboration mode, and plain-text table formatting.
+//! (the README's "Paper artifacts and benchmarks" lists them). This library
+//! holds the pieces they share: running a GCoDE search on a system,
+//! evaluating baselines in each collaboration mode, and plain-text table
+//! formatting.
 
 use gcode_baselines::models::{as_edge_only, Baseline};
 use gcode_core::arch::{Architecture, WorkloadProfile};

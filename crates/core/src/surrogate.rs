@@ -7,8 +7,8 @@
 //! architecture capacity to an accuracy in the paper's reported range. The
 //! search only needs the *ordering* it induces (more capacity → higher
 //! accuracy, saturating), which matches how one-shot accuracy behaves.
-//! DESIGN.md §2 records this substitution; the real-training path
-//! ([`crate::supernet`]) remains available and is used by the examples.
+//! The real-training path ([`crate::supernet`]) remains available and is
+//! used by the examples.
 
 use crate::arch::Architecture;
 use crate::op::Op;

@@ -95,6 +95,21 @@ impl ArchitectureZoo {
         qualified.or_else(|| self.entries.iter().min_by(|a, b| a.latency_s.total_cmp(&b.latency_s)))
     }
 
+    /// The zoo with each entry's `(latency_s, energy_j)` replaced by
+    /// `price(entry)`, entry order kept — what scenario replay dispatches
+    /// on at the current conditions.
+    pub(crate) fn repriced(&self, mut price: impl FnMut(&ScoredArch) -> (f64, f64)) -> Self {
+        let entries = self
+            .entries
+            .iter()
+            .map(|e| {
+                let (latency_s, energy_j) = price(e);
+                ScoredArch { latency_s, energy_j, ..e.clone() }
+            })
+            .collect();
+        Self { entries }
+    }
+
     /// Serializes the zoo to JSON (deployment artifact).
     ///
     /// # Errors

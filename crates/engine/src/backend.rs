@@ -14,10 +14,11 @@
 use crate::fleet::{EdgeFleet, FleetOutcome, FleetSpec};
 use crate::plan::ExecutionPlan;
 use crate::proto::PROTOCOL_VERSION;
-use crate::runtime::{latency_percentiles, EngineStats};
+use crate::runtime::EngineStats;
 use gcode_core::arch::Architecture;
 use gcode_core::cachelog::{self, SharedCacheLog};
 use gcode_core::eval::backend::{EvalBackend, Fidelity};
+use gcode_core::eval::scenario::latency_percentiles;
 use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics};
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;

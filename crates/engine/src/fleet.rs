@@ -60,6 +60,7 @@ use crate::plan::ExecutionPlan;
 use crate::pool::EdgePool;
 use crate::runtime::EngineStats;
 use crate::EngineError;
+use gcode_core::eval::scenario::latency_percentiles;
 use gcode_core::eval::{FleetStats, PoolStats};
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
@@ -375,8 +376,7 @@ impl EdgeFleet {
                 .slots
                 .iter()
                 .map(|s| {
-                    let (p50_s, p95_s, _) =
-                        crate::runtime::latency_percentiles(&s.candidate_walls_s);
+                    let (p50_s, p95_s, _) = latency_percentiles(&s.candidate_walls_s);
                     PoolStats { p50_s, p95_s, ..s.stats.clone() }
                 })
                 .collect(),

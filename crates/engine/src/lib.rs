@@ -82,7 +82,7 @@ pub use proto::{
     SessionSpec, SessionState, SessionTask, WireState, MAX_BATCH_PLANS, PLAN_WIRE_VERSION,
     PROTOCOL_VERSION,
 };
-pub use runtime::{latency_percentiles, DeviceClient, EdgeServer, EngineStats};
+pub use runtime::{DeviceClient, EdgeServer, EngineStats};
 pub use scenario::replay_on_fleet;
 pub use throttle::Throttle;
 
@@ -120,6 +120,14 @@ impl std::error::Error for EngineError {
 impl From<std::io::Error> for EngineError {
     fn from(e: std::io::Error) -> Self {
         EngineError::Io(e)
+    }
+}
+
+/// A caller-side refusal (an invalid scenario trace, an empty zoo) is a
+/// protocol error.
+impl From<String> for EngineError {
+    fn from(m: String) -> Self {
+        EngineError::Protocol(m)
     }
 }
 

@@ -7,6 +7,7 @@ use crate::proto::{
 };
 use crate::EngineError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use gcode_core::eval::scenario::latency_percentiles;
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::{classify, forward_features_slotted, GraphInput, WeightBank};
 use rand::SeedableRng;
@@ -48,26 +49,6 @@ pub struct EngineStats {
     pub p99_s: f64,
     /// Per-frame latencies in frame order, seconds.
     pub frame_latencies_s: Vec<f64>,
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample (0 when empty):
-/// the smallest element with at least `p`% of the sample at or below it,
-/// i.e. the element at rank `⌈p/100 · n⌉` (1-based, clamped to `1..=n`).
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// `(p50, p95, p99)` of an unsorted latency sample, by nearest rank (all
-/// 0 when empty) — the one percentile definition every engine, fleet,
-/// backend and served-session report uses.
-pub fn latency_percentiles(latencies: &[f64]) -> (f64, f64, f64) {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    (percentile(&sorted, 50.0), percentile(&sorted, 95.0), percentile(&sorted, 99.0))
 }
 
 /// The edge half: accepts device connections and serves edge-side
@@ -913,27 +894,6 @@ mod tests {
         }
         client.shutdown().expect("shutdown frame sent");
         server.join().expect("persistent edge exits on Shutdown");
-    }
-
-    #[test]
-    fn nearest_rank_percentile_boundaries() {
-        // 1-element sample: every percentile is that element.
-        assert_eq!(percentile(&[4.0], 0.0), 4.0);
-        assert_eq!(percentile(&[4.0], 50.0), 4.0);
-        assert_eq!(percentile(&[4.0], 99.0), 4.0);
-        // 2-element sample: p50 is the *first* element under nearest-rank
-        // (⌈0.5·2⌉ = rank 1), anything above 50% is the second.
-        assert_eq!(percentile(&[1.0, 9.0], 50.0), 1.0);
-        assert_eq!(percentile(&[1.0, 9.0], 51.0), 9.0);
-        assert_eq!(percentile(&[1.0, 9.0], 100.0), 9.0);
-        // Small samples: p99 over n=10 is rank ⌈9.9⌉ = 10 → the maximum.
-        let v: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(percentile(&v, 99.0), 10.0);
-        assert_eq!(percentile(&v, 90.0), 9.0);
-        assert_eq!(percentile(&v, 91.0), 10.0);
-        assert_eq!(percentile(&v, 10.0), 1.0);
-        // Empty sample stays 0.
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! available offline, so we generate parametric datasets with the *same
 //! graph statistics* (node count, feature width, class count) — these are
 //! the quantities that drive every latency/communication trade-off in the
-//! paper. See DESIGN.md §2 for the substitution table.
+//! paper.
 
 use crate::knn::knn_graph;
 use crate::CsrGraph;

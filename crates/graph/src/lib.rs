@@ -12,7 +12,7 @@
 //! [`datasets::PointCloudDataset`] and [`datasets::TextGraphDataset`]
 //! reproduce exactly those statistics with parametric generators, so every
 //! computation/communication trade-off the paper measures has the same shape
-//! here (see DESIGN.md §2 for the substitution argument).
+//! here.
 //!
 //! # Example
 //!
@@ -26,7 +26,6 @@
 //! assert_eq!(g.degree(0), 1);
 //! ```
 
-pub mod augment;
 mod csr;
 pub mod datasets;
 pub mod knn;

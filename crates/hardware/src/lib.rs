@@ -8,7 +8,6 @@
 //! overhead — calibrated so that DGCNN's total latency and per-op breakdown
 //! reproduce the paper's Figs. 2–3 and Table 2 anchors (TX2 ≈ 242 ms,
 //! Pi ≈ 1122 ms, i7 ≈ 340 ms, GTX 1060 ≈ 100 ms on ModelNet40-scale input).
-//! See DESIGN.md §2.
 //!
 //! # Example
 //!

@@ -15,6 +15,12 @@
 //! training (Sec. 3.5: cost estimation "may not include potential runtime
 //! overheads compared to measured latency").
 //!
+//! [`replay`] is the simulator's fidelity of the one scenario walk,
+//! [`gcode_core::eval::scenario::replay`]: a `ScenarioTrace` replayed
+//! against a zoo, every entry re-priced by [`simulate`] at each segment's
+//! uplink before the runtime dispatcher picks — the paper's Sec. 3.6
+//! dispatcher adapting to a fluctuating link, deterministically.
+//!
 //! # Example
 //!
 //! ```
@@ -36,17 +42,13 @@
 //! assert!(report.fps > 0.0);
 //! ```
 
-mod arrivals;
-mod dynamic;
-
-pub use arrivals::{simulate_open_loop, OpenLoopReport};
-pub use dynamic::{simulate_adaptive, AdaptiveReport, BandwidthTrace, DispatchedFrame};
-
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::cost::trace;
 use gcode_core::eval::backend::{EvalBackend, Fidelity};
+use gcode_core::eval::scenario::{self, ScenarioReport, ScenarioTrace};
 use gcode_core::eval::{Evaluator, Metrics};
 use gcode_core::op::{OpKind, Placement};
+use gcode_core::zoo::ArchitectureZoo;
 use gcode_hardware::SystemConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -275,6 +277,36 @@ pub fn simulate(
     }
 }
 
+/// Replays `trace` against `zoo` at simulator fidelity and returns one
+/// [`ScenarioReport`] per segment. Each segment prices every entry with a
+/// single-frame [`simulate`] on `sys` with its link set to the segment's
+/// uplink (`sys`'s own link until a segment sets one); dispatch picks on
+/// those prices, every frame's service time is the pick's simulated
+/// latency, and the reported accuracy is the entry's modeled `accuracy`.
+/// The result is a pure function of its inputs — no wall clock.
+///
+/// # Errors
+///
+/// Refuses an invalid trace or an empty zoo.
+pub fn replay(
+    trace: &ScenarioTrace,
+    zoo: &ArchitectureZoo,
+    profile: &WorkloadProfile,
+    sys: &SystemConfig,
+) -> Result<Vec<ScenarioReport>, String> {
+    scenario::replay(
+        trace,
+        zoo,
+        |entry, uplink_mbps| {
+            let mut sys = sys.clone();
+            sys.link.bandwidth_mbps = uplink_mbps.unwrap_or(sys.link.bandwidth_mbps);
+            let r = simulate(&entry.arch, profile, &sys, &SimConfig::single_frame());
+            (r.frame_latency_s, r.device_energy_j)
+        },
+        |seg, pick, _| Ok((pick.accuracy, vec![pick.latency_s; seg.frames])),
+    )
+}
+
 /// Deterministic per-architecture perturbation in `[-1, 1]`.
 fn arch_noise(arch: &Architecture) -> f64 {
     let mut h = DefaultHasher::new();
@@ -331,7 +363,10 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EvalBackend for SimBackend<F> {
 mod tests {
     use super::*;
     use gcode_core::estimate::estimate_latency;
+    use gcode_core::eval::scenario::{ArrivalSpec, ScenarioSegment};
     use gcode_core::op::{Op, SampleFn};
+    use gcode_core::search::ScoredArch;
+    use gcode_core::zoo::RuntimeConstraint;
     use gcode_nn::agg::AggMode;
     use gcode_nn::pool::PoolMode;
 
@@ -497,6 +532,83 @@ mod tests {
         let report = simulate(&arch, &pc(), &eval.sys, &eval.sim);
         assert_eq!(m.latency_s, report.frame_latency_s);
         assert_eq!(m.energy_j, report.device_energy_j);
+    }
+
+    /// Zoo with one accurate-but-chatty design and one frugal local design.
+    fn chatty_local_zoo() -> ArchitectureZoo {
+        let chatty = Architecture::new(vec![
+            Op::Combine { dim: 64 },
+            Op::Communicate, // ships 1024×64 features: bandwidth-sensitive
+            Op::Sample(SampleFn::Knn { k: 10 }),
+            Op::Aggregate(AggMode::Max),
+            Op::GlobalPool(PoolMode::Max),
+        ]);
+        let local = Architecture::new(vec![
+            Op::Sample(SampleFn::Knn { k: 10 }),
+            Op::Aggregate(AggMode::Max),
+            Op::Combine { dim: 16 },
+            Op::GlobalPool(PoolMode::Max),
+        ]);
+        ArchitectureZoo::new(vec![
+            ScoredArch {
+                arch: chatty,
+                score: 0.93,
+                accuracy: 0.93,
+                latency_s: 0.05,
+                energy_j: 0.1,
+            },
+            ScoredArch { arch: local, score: 0.91, accuracy: 0.91, latency_s: 0.02, energy_j: 0.2 },
+        ])
+    }
+
+    /// `uplinks.len()` segments of 8 frames at 10 fps under a 120 ms SLO
+    /// set by the first segment, one uplink each.
+    fn link_trace(uplinks: &[f64]) -> ScenarioTrace {
+        let slo = 0.12;
+        uplinks.iter().enumerate().fold(ScenarioTrace::new("link", 1), |trace, (i, &mbps)| {
+            let seg = ScenarioSegment::new(
+                format!("seg-{i}"),
+                i as f64,
+                8,
+                ArrivalSpec::Periodic { fps: 10.0 },
+                slo,
+            )
+            .with_uplink_mbps(mbps);
+            trace.with_segment(if i == 0 {
+                seg.with_constraint(RuntimeConstraint::latency(slo))
+            } else {
+                seg
+            })
+        })
+    }
+
+    #[test]
+    fn replay_moves_off_a_congested_link() {
+        let sys = SystemConfig::tx2_to_i7(40.0);
+        let reports = replay(&link_trace(&[40.0, 2.0, 40.0]), &chatty_local_zoo(), &pc(), &sys)
+            .expect("valid trace");
+        let picks: Vec<f64> = reports.iter().map(|r| r.measured_accuracy).collect();
+        assert_eq!(picks, [0.93, 0.91, 0.93], "2 Mbps must switch the chatty pick to local");
+        let swaps: Vec<u64> = reports.iter().map(|r| r.swaps).collect();
+        assert_eq!(swaps, [1, 1, 1]);
+        assert!(reports.iter().all(|r| r.deadline_hit_rate == 1.0));
+    }
+
+    #[test]
+    fn replay_on_a_constant_link_swaps_only_on_the_initial_deploy() {
+        let sys = SystemConfig::tx2_to_i7(40.0);
+        let reports =
+            replay(&link_trace(&[40.0; 4]), &chatty_local_zoo(), &pc(), &sys).expect("valid trace");
+        let swaps: Vec<u64> = reports.iter().map(|r| r.swaps).collect();
+        assert_eq!(swaps, [1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn replay_is_deterministic() {
+        let sys = SystemConfig::pi_to_1060(40.0);
+        let trace = link_trace(&[40.0, 2.0, 10.0, 2.0]);
+        let run = || replay(&trace, &chatty_local_zoo(), &pc(), &sys).expect("valid trace");
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -223,10 +223,19 @@ fn parse_keep_fracs(list: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
+/// Parses `--mbps`: an uplink bandwidth, finite and positive.
+fn parse_mbps(v: &str) -> Result<f64, String> {
+    match v.trim().parse::<f64>() {
+        Ok(mbps) if mbps.is_finite() && mbps > 0.0 => Ok(mbps),
+        Ok(_) => Err(format!("--mbps: `{v}` is not a finite positive bandwidth")),
+        Err(_) => Err(format!("--mbps: bad number `{v}`")),
+    }
+}
+
 fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     let dev = device(opts.get("device").ok_or("--device is required")?)?;
     let edg = edge(opts.get("edge").ok_or("--edge is required")?)?;
-    let mbps = get_f64(opts, "mbps", 40.0)?;
+    let mbps = opts.get("mbps").map_or(Ok(40.0), |v| parse_mbps(v))?;
     let sys = SystemConfig::new(dev, edg, Link::mbps(mbps));
     let (profile, task) = match opts.get("task").map(String::as_str).unwrap_or("modelnet40") {
         "modelnet40" => (WorkloadProfile::modelnet40(), SurrogateTask::ModelNet40),
@@ -872,5 +881,15 @@ mod tests {
         assert_eq!(parse_keep_fracs("x"), Err("--keep-frac: bad number `x`".to_string()));
         assert_eq!(parse_keep_fracs("0.25,0.5"), Ok(vec![0.25, 0.5]));
         assert_eq!(parse_keep_fracs(" 0 , 1 "), Ok(vec![0.0, 1.0]));
+    }
+
+    #[test]
+    fn uplinks_that_are_not_finite_and_positive_are_refused_by_value() {
+        for bad in ["0", "-1", "NaN", "inf"] {
+            let err = parse_mbps(bad).expect_err(bad);
+            assert_eq!(err, format!("--mbps: `{bad}` is not a finite positive bandwidth"));
+        }
+        assert_eq!(parse_mbps("x"), Err("--mbps: bad number `x`".to_string()));
+        assert_eq!(parse_mbps("2.5"), Ok(2.5));
     }
 }
