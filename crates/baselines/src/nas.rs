@@ -1,7 +1,8 @@
-//! HGNAS-style single-device NAS — the strongest baseline *pipeline* the
-//! paper compares against: search an efficient architecture for one device
-//! (no mapping awareness), then optionally bolt on the best partition
-//! afterwards ("HGNAS + Partition").
+//! HGNAS-style single-device NAS — the first stage of the strongest
+//! baseline *pipeline* the paper compares against: search an efficient
+//! architecture for one device (no mapping awareness), then bolt on the
+//! best partition afterwards with [`crate::partition::best_partition`]
+//! ("HGNAS + Partition").
 //!
 //! The contrast with GCoDE is the whole point of Motivation ❸: the same
 //! search machinery over the same space, minus the fused `Communicate`
@@ -10,7 +11,6 @@
 //! same [`SearchSession`] driver, so the comparison isolates the space and
 //! the evaluator, not the plumbing.
 
-use crate::partition::{best_partition, PartitionObjective, PartitionResult};
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::eval::backend::{EvalBackend, Fidelity};
 use gcode_core::eval::{Evaluator, Metrics, Objective, SearchSession, SearchStrategy};
@@ -21,7 +21,7 @@ use gcode_sim::{simulate, SimConfig};
 
 /// [`Evaluator`] pricing candidates on a *single device* — how a
 /// device-focused NAS like HGNAS sees the world (no edge, no link).
-pub struct SingleDeviceEvaluator<F: Fn(&Architecture) -> f64 + Sync> {
+struct SingleDeviceEvaluator<F: Fn(&Architecture) -> f64 + Sync> {
     /// Workload being optimized.
     pub profile: WorkloadProfile,
     /// The device everything runs on.
@@ -67,7 +67,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EvalBackend for SingleDeviceEvaluator<F
 /// The single-device NAS baseline as a [`SearchStrategy`]: identical
 /// search machinery to GCoDE's Alg. 1, expected to run against a
 /// mapping-free ([`DesignSpace::single_device`]) space and a
-/// [`SingleDeviceEvaluator`].
+/// `SingleDeviceEvaluator`.
 #[derive(Debug, Clone, Copy)]
 pub struct SingleDeviceNas {
     /// Search hyper-parameters.
@@ -100,30 +100,9 @@ pub fn hgnas_search(
     SearchSession::new(&space, &eval).with_objective(*objective).run(&SingleDeviceNas::new(*cfg))
 }
 
-/// The full separation pipeline: single-device NAS, then best partition of
-/// the winner on the actual co-inference system.
-pub fn hgnas_then_partition(
-    profile: WorkloadProfile,
-    sys: &SystemConfig,
-    cfg: &SearchConfig,
-    objective: &Objective,
-    accuracy_fn: impl Fn(&Architecture) -> f64 + Sync,
-) -> Option<PartitionResult> {
-    let result = hgnas_search(profile, sys.device.clone(), cfg, objective, accuracy_fn);
-    let best = result.best()?;
-    Some(best_partition(
-        &best.arch,
-        &profile,
-        sys,
-        &SimConfig::single_frame(),
-        PartitionObjective::Latency,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcode_core::search::random_search;
     use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 
     fn cfg() -> SearchConfig {
@@ -151,43 +130,6 @@ mod tests {
         let best = r.best().expect("found");
         assert_eq!(best.arch.num_communicates(), 0);
         assert!(best.latency_s < 1.5);
-    }
-
-    #[test]
-    fn separation_pipeline_produces_valid_partitioned_design() {
-        let sys = SystemConfig::pi_to_1060(40.0);
-        let part =
-            hgnas_then_partition(WorkloadProfile::modelnet40(), &sys, &cfg(), &objective(), acc())
-                .expect("pipeline result");
-        assert!(part.arch.validate(&WorkloadProfile::modelnet40()).is_ok());
-        assert!(part.report.frame_latency_s.is_finite());
-    }
-
-    #[test]
-    fn codesign_beats_the_separation_pipeline() {
-        // The central comparison: same budget, same accuracy model — the
-        // fused search must match or beat search-then-partition.
-        let profile = WorkloadProfile::modelnet40();
-        let sys = SystemConfig::tx2_to_i7(40.0);
-        let part =
-            hgnas_then_partition(profile, &sys, &cfg(), &objective(), acc()).expect("separation");
-
-        let space = DesignSpace::paper(profile);
-        let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-        let eval = gcode_sim::SimBackend {
-            profile,
-            sys: sys.clone(),
-            sim: SimConfig::single_frame(),
-            accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-        };
-        let fused = random_search(&space, &cfg(), &objective(), &eval);
-        let fused_best_latency =
-            fused.best_latency().expect("fused search found candidates").latency_s;
-        assert!(
-            fused_best_latency <= part.report.frame_latency_s * 1.05,
-            "co-design {fused_best_latency:.4}s should not lose to separation {:.4}s",
-            part.report.frame_latency_s
-        );
     }
 
     #[test]

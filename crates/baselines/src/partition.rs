@@ -36,7 +36,7 @@ pub struct PartitionResult {
 /// Enumerates every valid single-split variant of `arch` (which must not
 /// already contain `Communicate` ops), including edge-only (split at 0) and
 /// device-only (no split).
-pub fn enumerate_partitions(
+fn enumerate_partitions(
     arch: &Architecture,
     profile: &WorkloadProfile,
 ) -> Vec<(Option<usize>, Architecture)> {

@@ -134,16 +134,6 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
     println!("{}", line.join("  "));
 }
 
-/// Formats a latency with its speedup annotation, e.g. `"31.9 (7.6x)"`.
-pub fn fmt_speedup(ms: f64, baseline_ms: f64) -> String {
-    format!("{ms:8.1} ({:4.1}x)", baseline_ms / ms)
-}
-
-/// Formats an energy with its saving annotation, e.g. `"0.3 (88%)"`.
-pub fn fmt_saving(j: f64, baseline_j: f64) -> String {
-    format!("{j:6.2} ({:4.1}%)", (1.0 - j / baseline_j) * 100.0)
-}
-
 /// Section header for the generators' stdout.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");

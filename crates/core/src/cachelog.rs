@@ -245,11 +245,6 @@ impl CacheLog {
         self.metrics.is_empty()
     }
 
-    /// Number of distinct blob entries.
-    pub fn blobs_len(&self) -> usize {
-        self.blobs.len()
-    }
-
     /// Appends that failed (I/O errors are swallowed so a full disk can
     /// never kill a search — the cache just stops growing).
     pub fn append_errors(&self) -> u64 {

@@ -44,7 +44,7 @@ impl ShapeState {
 
     /// Bytes of the feature tensor at this point (f32 payload). Edge
     /// features count `nodes × degree` rows.
-    pub fn feature_bytes(&self) -> usize {
+    fn feature_bytes(&self) -> usize {
         let rows = if self.edge_features { self.nodes * self.degree.max(1) } else { self.nodes };
         rows * self.dim * 4
     }

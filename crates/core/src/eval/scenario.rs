@@ -20,7 +20,7 @@
 //! across segments, picks each segment's plan with
 //! [`ArchitectureZoo::dispatch`] over the zoo priced at the current
 //! uplink, counts swaps, and folds the per-frame service times a segment
-//! run hands back into sojourns by [`ArrivalSpec::arrival_times`]. Two
+//! run hands back into sojourns by `ArrivalSpec::arrival_times`. Two
 //! fidelities plug into it through two closures — what an entry costs at
 //! an uplink, and what running a segment measured:
 //! `gcode_engine::replay_on_fleet` streams real samples through a live
@@ -75,7 +75,7 @@ pub enum ArrivalSpec {
 
 impl ArrivalSpec {
     /// Mean arrival rate in frames per second.
-    pub fn mean_fps(&self) -> f64 {
+    fn mean_fps(&self) -> f64 {
         match *self {
             ArrivalSpec::Periodic { fps } | ArrivalSpec::Poisson { fps, .. } => fps,
         }
@@ -85,7 +85,7 @@ impl ArrivalSpec {
     /// first at 0) for `frames` frames: periodic arrivals land every
     /// `1/fps`, Poisson gaps are `-ln(u)/fps` drawn from
     /// `ChaCha8Rng::seed_from_u64(seed)`.
-    pub fn arrival_times(&self, frames: usize) -> Vec<f64> {
+    fn arrival_times(&self, frames: usize) -> Vec<f64> {
         match *self {
             ArrivalSpec::Periodic { fps } => {
                 (0..frames).map(|i| i as f64 / fps.max(f64::EPSILON)).collect()
@@ -213,11 +213,6 @@ impl ScenarioTrace {
         self.segments
             .sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap_or(std::cmp::Ordering::Equal));
         self
-    }
-
-    /// Whether segment timestamps are already monotone non-decreasing.
-    pub fn is_normalized(&self) -> bool {
-        self.segments.windows(2).all(|w| w[0].start_s <= w[1].start_s)
     }
 
     /// Total frames across every segment.
@@ -525,9 +520,11 @@ mod tests {
                 ArrivalSpec::Periodic { fps: 1.0 },
                 1.0,
             ));
-        assert!(!shuffled.is_normalized());
+        let monotone =
+            |t: &ScenarioTrace| t.segments.windows(2).all(|w| w[0].start_s <= w[1].start_s);
+        assert!(!monotone(&shuffled));
         let n = shuffled.normalized();
-        assert!(n.is_normalized());
+        assert!(monotone(&n));
         let labels: Vec<&str> = n.segments.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, ["a", "b", "c"]);
         assert_eq!(n.segments[0].start_s, 0.0, "negative start clamped");
@@ -848,7 +845,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0xB057);
         for i in 0..64 {
             let trace = random_trace(&mut rng, i).normalized();
-            assert!(trace.is_normalized(), "trace {i} not monotone after normalization");
             assert!(
                 trace.segments.windows(2).all(|w| w[0].start_s <= w[1].start_s),
                 "trace {i} segments out of order"

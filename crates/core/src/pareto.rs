@@ -34,21 +34,7 @@ impl From<&ScoredArch> for ParetoPoint {
 }
 
 /// Extracts the non-dominated subset, sorted by ascending latency.
-///
-/// # Example
-///
-/// ```
-/// use gcode_core::pareto::{pareto_front, ParetoPoint};
-///
-/// let pts = vec![
-///     ParetoPoint { accuracy: 0.90, latency_s: 0.010 },
-///     ParetoPoint { accuracy: 0.92, latency_s: 0.020 },
-///     ParetoPoint { accuracy: 0.91, latency_s: 0.030 }, // dominated
-/// ];
-/// let front = pareto_front(&pts);
-/// assert_eq!(front.len(), 2);
-/// ```
-pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
+fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
     let mut front: Vec<ParetoPoint> = Vec::new();
     for &p in points {
         if points.iter().any(|q| q.dominates(&p)) {
@@ -68,6 +54,20 @@ pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
 /// front inside the reference box. Larger is better.
 ///
 /// Points outside the box contribute only their clipped part.
+///
+/// # Example
+///
+/// ```
+/// use gcode_core::pareto::{hypervolume, ParetoPoint};
+///
+/// let pts = vec![
+///     ParetoPoint { accuracy: 0.90, latency_s: 0.010 },
+///     ParetoPoint { accuracy: 0.92, latency_s: 0.020 },
+///     ParetoPoint { accuracy: 0.91, latency_s: 0.025 }, // dominated: adds nothing
+/// ];
+/// let hv = hypervolume(&pts, 0.85, 0.030);
+/// assert!((hv - (0.020 * 0.05 + 0.010 * 0.02)).abs() < 1e-12);
+/// ```
 pub fn hypervolume(front: &[ParetoPoint], ref_accuracy: f64, ref_latency_s: f64) -> f64 {
     let mut pts = pareto_front(front);
     pts.retain(|p| p.accuracy > ref_accuracy && p.latency_s < ref_latency_s);

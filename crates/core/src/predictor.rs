@@ -67,7 +67,7 @@ impl Default for PredictorConfig {
 }
 
 /// Number of one-hot node-type channels: Input, Output, Global + 6 op kinds.
-pub const NODE_TYPE_CHANNELS: usize = 9;
+const NODE_TYPE_CHANNELS: usize = 9;
 
 /// Total feature width (one-hot ⊕ latency channel).
 pub const FEATURE_DIM: usize = NODE_TYPE_CHANNELS + 1;
@@ -80,7 +80,7 @@ pub const FEATURE_DIM: usize = NODE_TYPE_CHANNELS + 1;
 /// operation-latency LUT, not of one architecture, so absolute magnitude
 /// survives and global sum pooling can recover the total latency.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyNorm {
+struct LatencyNorm {
     /// Mean op latency, milliseconds.
     pub mean_ms: f64,
     /// Standard deviation, milliseconds.
@@ -96,7 +96,7 @@ impl Default for LatencyNorm {
 
 impl LatencyNorm {
     /// Fits the normalization to a population of per-op latencies (ms).
-    pub fn fit(values_ms: &[f64]) -> Self {
+    fn fit(values_ms: &[f64]) -> Self {
         if values_ms.is_empty() {
             return Self::default();
         }
@@ -107,7 +107,7 @@ impl LatencyNorm {
     }
 
     /// Normalizes one latency value.
-    pub fn apply(&self, ms: f64) -> f64 {
+    fn apply(&self, ms: f64) -> f64 {
         (ms - self.mean_ms) / self.std_ms
     }
 }
@@ -142,7 +142,7 @@ pub fn abstract_architecture(
 /// [`abstract_architecture`] with explicit latency normalization — used by
 /// a trained [`LatencyPredictor`], which fits the normalization on its
 /// training population.
-pub fn abstract_architecture_with_norm(
+fn abstract_architecture_with_norm(
     arch: &Architecture,
     profile: &WorkloadProfile,
     sys: &SystemConfig,
@@ -218,7 +218,7 @@ enum Model {
 
 /// Serializable snapshot of a trained predictor (deployment artifact).
 #[derive(Serialize, Deserialize)]
-pub struct PredictorSnapshot {
+struct PredictorSnapshot {
     cfg: PredictorConfig,
     profile: WorkloadProfile,
     sys: SystemConfig,

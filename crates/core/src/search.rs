@@ -81,11 +81,6 @@ impl SearchResult {
     pub fn best_latency(&self) -> Option<&ScoredArch> {
         self.zoo.iter().min_by(|a, b| a.latency_s.total_cmp(&b.latency_s))
     }
-
-    /// Candidate with the lowest device energy in the zoo.
-    pub fn best_energy(&self) -> Option<&ScoredArch> {
-        self.zoo.iter().min_by(|a, b| a.energy_j.total_cmp(&b.energy_j))
-    }
 }
 
 /// The two-stage constraint-based random search of Alg. 1.
@@ -314,17 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn best_latency_and_energy_selectors() {
+    fn best_latency_selector() {
         let (space, cfg, objective) = setup();
         let eval = evaluator(SystemConfig::tx2_to_i7(40.0));
         let result = random_search(&space, &cfg, &objective, &eval);
         let bl = result.best_latency().expect("non-empty zoo");
         for z in &result.zoo {
             assert!(bl.latency_s <= z.latency_s);
-        }
-        let be = result.best_energy().expect("non-empty zoo");
-        for z in &result.zoo {
-            assert!(be.energy_j <= z.energy_j);
         }
     }
 

@@ -48,7 +48,7 @@ impl DesignSpace {
     }
 
     /// Uniformly samples one op for slot construction.
-    pub fn sample_op(&self, rng: &mut impl Rng) -> Op {
+    fn sample_op(&self, rng: &mut impl Rng) -> Op {
         let choice = rng.gen_range(0..CHOICES);
         self.choice_op(choice, rng)
     }

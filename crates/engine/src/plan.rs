@@ -1,7 +1,7 @@
 //! Splitting an architecture into device- and edge-side executable parts.
 
 use gcode_core::arch::Architecture;
-use gcode_core::op::{OpKind, Placement};
+use gcode_core::op::OpKind;
 use gcode_nn::seq::LayerSpec;
 use serde::{Deserialize, Serialize};
 
@@ -75,15 +75,6 @@ impl ExecutionPlan {
     pub fn op_counts(&self) -> (usize, usize) {
         (self.device_specs.len(), self.edge_specs.len())
     }
-
-    /// Which side evaluates the classifier (the side holding the last op).
-    pub fn classifier_side(&self) -> Placement {
-        if self.edge_specs.is_empty() {
-            Placement::Device
-        } else {
-            Placement::Edge
-        }
-    }
 }
 
 // For the frozen `perf/` package only (`perf/src/measure.rs`, `serve.rs`),
@@ -138,7 +129,7 @@ mod tests {
         assert!(plan.offloaded);
         assert_eq!(plan.op_counts(), (1, 2));
         assert_eq!(plan.edge_slot_offset, 2);
-        assert_eq!(plan.classifier_side(), Placement::Edge);
+        assert!(!plan.edge_specs.is_empty(), "the edge holds the classifier");
     }
 
     #[test]
@@ -150,7 +141,7 @@ mod tests {
         let plan = ExecutionPlan::from_architecture(&arch);
         assert!(!plan.offloaded);
         assert_eq!(plan.op_counts(), (2, 0));
-        assert_eq!(plan.classifier_side(), Placement::Device);
+        assert!(plan.edge_specs.is_empty(), "the device holds the classifier");
     }
 
     #[test]

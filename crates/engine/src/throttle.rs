@@ -45,11 +45,6 @@ impl Throttle {
         Self { bytes_per_sec, capacity_bytes, tokens: capacity_bytes, last_refill: Instant::now() }
     }
 
-    /// Configured rate in megabits per second.
-    pub fn rate_mbps(&self) -> f64 {
-        self.bytes_per_sec * 8.0 / 1e6
-    }
-
     /// Accounts for `bytes` leaving now and returns how long the caller
     /// should sleep before actually writing them. This function does not
     /// sleep itself so it stays testable; use [`Throttle::pace`] in the
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn rate_round_trips() {
         let t = Throttle::mbps(40.0);
-        assert!((t.rate_mbps() - 40.0).abs() < 1e-9);
+        assert!((t.bytes_per_sec * 8.0 / 1e6 - 40.0).abs() < 1e-9);
     }
 
     #[test]

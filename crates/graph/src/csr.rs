@@ -120,15 +120,6 @@ impl CsrGraph {
         self.offsets[u + 1] - self.offsets[u]
     }
 
-    /// Mean out-degree, 0 for an empty graph.
-    pub fn mean_degree(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / self.num_nodes() as f64
-        }
-    }
-
     /// Iterates over all `(u, v)` edges in CSR order.
     pub fn iter_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.num_nodes())
@@ -149,15 +140,6 @@ impl CsrGraph {
             edges.push((u, u));
         }
         CsrGraph::from_edges(self.num_nodes(), &edges)
-    }
-
-    /// Serialized size in bytes of the adjacency structure, as it would be
-    /// transmitted between device and edge (u32 per target + u32 per offset).
-    ///
-    /// Fig. 2 of the paper tracks exactly this quantity: a KNN op creates
-    /// graph data that inflates the transfer size of any following split.
-    pub fn wire_size_bytes(&self) -> usize {
-        4 * (self.targets.len() + self.offsets.len())
     }
 }
 
@@ -204,7 +186,6 @@ mod tests {
         let g = CsrGraph::empty(5);
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.mean_degree(), 0.0);
     }
 
     #[test]
@@ -235,12 +216,6 @@ mod tests {
         for u in 0..3 {
             assert!(s.neighbors(u).contains(&(u as u32)));
         }
-    }
-
-    #[test]
-    fn wire_size_counts_offsets_and_targets() {
-        let g = CsrGraph::from_edges(2, &[(0, 1)]);
-        assert_eq!(g.wire_size_bytes(), 4 * (1 + 3));
     }
 
     #[test]

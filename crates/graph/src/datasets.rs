@@ -6,7 +6,6 @@
 //! the quantities that drive every latency/communication trade-off in the
 //! paper.
 
-use crate::knn::knn_graph;
 use crate::CsrGraph;
 use gcode_tensor::Matrix;
 use rand::Rng;
@@ -275,12 +274,6 @@ fn torus_point(rng: &mut impl Rng, minor: f32) -> [f32; 3] {
     [r * u.cos(), r * u.sin(), minor * v.sin()]
 }
 
-/// Builds the per-layer KNN graph for a point-cloud sample, the helper most
-/// models in `gcode-baselines` use.
-pub fn pointcloud_knn(sample: &Sample, k: usize) -> CsrGraph {
-    knn_graph(&sample.features, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,13 +362,5 @@ mod tests {
             }
         }
         assert!(score0 > score1, "class directions should separate means");
-    }
-
-    #[test]
-    fn pointcloud_knn_helper() {
-        let ds = PointCloudDataset::generate(1, 20, 2, 9);
-        let g = pointcloud_knn(&ds.samples()[0], 5);
-        assert_eq!(g.num_nodes(), 20);
-        assert!(g.iter_edges().count() == 100);
     }
 }

@@ -45,11 +45,6 @@ impl Link {
         Self::mbps(40.0)
     }
 
-    /// The paper's constrained-network condition (≤ 10 Mbps).
-    pub fn wifi_10mbps() -> Self {
-        Self::mbps(10.0)
-    }
-
     /// Bytes actually sent on the wire after compression.
     pub fn wire_bytes(&self, payload_bytes: usize) -> f64 {
         payload_bytes as f64 / self.compression_ratio.max(1e-9)
@@ -68,7 +63,7 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_inverse_with_bandwidth() {
-        let t10 = Link::wifi_10mbps().transfer_time(4_000_000);
+        let t10 = Link::mbps(10.0).transfer_time(4_000_000);
         let t40 = Link::wifi_40mbps().transfer_time(4_000_000);
         // Payload-dominated: close to 4x apart.
         assert!(t10 / t40 > 3.5 && t10 / t40 < 4.1);

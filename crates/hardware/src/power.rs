@@ -8,16 +8,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// Huang et al. fit this linear form for LTE/WiFi radios; the paper plugs it
 /// into `E_total = E_idle + E_run + E_comm` (Sec. 3.5).
-///
-/// # Example
-///
-/// ```
-/// use gcode_hardware::PowerModel;
-///
-/// let pm = PowerModel::wifi();
-/// let e = pm.comm_energy(1_000_000.0 * 8.0, 40.0);
-/// assert!(e > 0.0);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
     /// Throughput-proportional transmit power coefficient, W per Mbps.
@@ -35,12 +25,12 @@ impl PowerModel {
     }
 
     /// Transmit power at a given throughput.
-    pub fn tx_power(&self, throughput_mbps: f64) -> f64 {
+    fn tx_power(&self, throughput_mbps: f64) -> f64 {
         self.alpha_w_per_mbps * throughput_mbps + self.beta_w
     }
 
     /// Energy to transmit `bits` at `throughput_mbps`.
-    pub fn comm_energy(&self, bits: f64, throughput_mbps: f64) -> f64 {
+    fn comm_energy(&self, bits: f64, throughput_mbps: f64) -> f64 {
         if bits <= 0.0 {
             return 0.0;
         }
@@ -50,6 +40,16 @@ impl PowerModel {
 
     /// Energy for the device to *send* `payload_bytes` over `link`
     /// (compression included) and then *receive* `recv_bytes` back.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gcode_hardware::{Link, PowerModel};
+    ///
+    /// let pm = PowerModel::wifi();
+    /// let e = pm.device_comm_energy(&Link::wifi_40mbps(), 1_000_000, 0);
+    /// assert!(e > 0.0);
+    /// ```
     pub fn device_comm_energy(&self, link: &Link, sent_bytes: usize, recv_bytes: usize) -> f64 {
         let tx_bits = link.wire_bytes(sent_bytes) * 8.0;
         let rx_bits = link.wire_bytes(recv_bytes) * 8.0;

@@ -148,7 +148,7 @@ impl Processor {
     }
 
     /// Bandwidth penalty multiplier applying to `pattern`.
-    pub fn mem_penalty(&self, pattern: AccessPattern) -> f64 {
+    fn mem_penalty(&self, pattern: AccessPattern) -> f64 {
         match pattern {
             AccessPattern::Regular => 1.0,
             AccessPattern::Gather => self.gather_mem_penalty,
@@ -164,12 +164,6 @@ impl Processor {
         let compute = cost.flops as f64 / (self.gflops * 1e9 / self.penalty(cost.pattern));
         let memory = cost.bytes as f64 / (self.mem_bw_gbs * 1e9 / self.mem_penalty(cost.pattern));
         self.op_overhead_s + compute.max(memory)
-    }
-
-    /// Energy in joules of running an op for `seconds` at active power,
-    /// *excluding* idle baseline (the energy estimator composes the parts).
-    pub fn run_energy(&self, seconds: f64) -> f64 {
-        self.run_power_w * seconds
     }
 }
 
@@ -234,11 +228,5 @@ mod tests {
         let small = OpCost::regular(1_000_000, 0);
         let large = OpCost::regular(2_000_000, 0);
         assert!(p.latency(&small) < p.latency(&large));
-    }
-
-    #[test]
-    fn run_energy_scales_with_time() {
-        let p = Processor::raspberry_pi_4b();
-        assert!((p.run_energy(2.0) - 2.0 * p.run_power_w).abs() < 1e-12);
     }
 }

@@ -17,13 +17,13 @@ use serde::{Deserialize, Serialize};
 
 /// One GCN layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GcnLayer {
+struct GcnLayer {
     lin: Linear,
 }
 
 /// Forward cache for one GCN layer.
 #[derive(Debug, Clone)]
-pub struct GcnLayerCache {
+struct GcnLayerCache {
     agg_cache: AggCache,
     agg: Matrix,
     pre: Matrix,

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// One GIN layer: `ReLU(MLP((1+ε)·h + mean_agg(h)))` with a two-layer MLP.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GinLayer {
+struct GinLayer {
     lin1: Linear,
     lin2: Linear,
     /// GIN's ε; 0 is the common fixed choice.
@@ -24,7 +24,7 @@ pub struct GinLayer {
 
 /// Forward cache for one GIN layer.
 #[derive(Debug, Clone)]
-pub struct GinLayerCache {
+struct GinLayerCache {
     agg_cache: AggCache,
     z: Matrix,
     a: Matrix,

@@ -1,5 +1,5 @@
 //! The fleet executor: one thread owning the shared warm [`EdgeFleet`],
-//! fed by a fair round-robin [`Scheduler`].
+//! fed by a fair round-robin `Scheduler`.
 //!
 //! Every measurement in the server flows through here — the fleet is the
 //! one piece of state tenants genuinely share, and funneling it through a
@@ -42,7 +42,7 @@ const CHUNK_PLANS: usize = 2;
 ///
 /// Generic over the chunk payload so the unit tests can drive it with
 /// plain integers; the executor instantiates it with plan-range chunks.
-pub struct Scheduler<T> {
+struct Scheduler<T> {
     /// Sessions with work left, in service order (front is next).
     rotation: VecDeque<u64>,
     /// Per-session queue of chunks still to run.
@@ -51,13 +51,13 @@ pub struct Scheduler<T> {
 
 impl<T> Scheduler<T> {
     /// An empty scheduler.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self { rotation: VecDeque::new(), chunks: HashMap::new() }
     }
 
     /// Adds a session's chunk list at the back of the rotation. A session
     /// already in rotation keeps its position and appends the new chunks.
-    pub fn enqueue(&mut self, session: u64, chunks: impl IntoIterator<Item = T>) {
+    fn enqueue(&mut self, session: u64, chunks: impl IntoIterator<Item = T>) {
         let queue = self.chunks.entry(session).or_default();
         let was_empty = queue.is_empty();
         queue.extend(chunks);
@@ -69,7 +69,7 @@ impl<T> Scheduler<T> {
     /// The next `(session, chunk)` pair in round-robin order: the front
     /// session's front chunk; the session re-enters at the back of the
     /// rotation if it still has chunks left.
-    pub fn next_chunk(&mut self) -> Option<(u64, T)> {
+    fn next_chunk(&mut self) -> Option<(u64, T)> {
         let session = self.rotation.pop_front()?;
         let queue = self.chunks.get_mut(&session).expect("rotated session has a queue");
         let chunk = queue.pop_front().expect("rotated session has a chunk");
@@ -82,14 +82,8 @@ impl<T> Scheduler<T> {
     }
 
     /// Whether no session has work queued.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rotation.is_empty()
-    }
-}
-
-impl<T> Default for Scheduler<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -16,7 +16,7 @@
 //!   answered with a `Busy` frame carrying the running/queued counts) and
 //!   the worker pool that runs admitted sessions;
 //! * [`executor`] — the fleet executor thread that owns the shared
-//!   [`gcode_engine::EdgeFleet`] plus the fair round-robin [`Scheduler`]
+//!   [`gcode_engine::EdgeFleet`] plus the fair round-robin `Scheduler`
 //!   that interleaves measurement chunks across tenants so one giant zoo
 //!   cannot starve a small one;
 //! * [`session`] — the deterministic per-session pipeline (analytic→sim
@@ -69,7 +69,6 @@ pub mod server;
 pub mod session;
 
 pub use client::{Admission, PollReply, ServerClient};
-pub use executor::Scheduler;
 pub use server::{SearchServer, ServerConfig};
 pub use session::{run_standalone, MAX_SESSION_ITERATIONS, SERVE_BANK_SEED, SERVE_RUN_SEED};
 

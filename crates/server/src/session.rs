@@ -63,7 +63,8 @@ const SERVE_STREAM_SEED: u64 = 47;
 /// Frames per zoo deployment (stream length).
 const SERVE_STREAM_LEN: usize = 4;
 
-/// Hard cap on a client's stage-1 trial budget — admission control for
+/// Hard cap on a client's trial budget in both search stages (stage-1
+/// `iterations` and stage-2 `tuning_iterations`) — admission control for
 /// the search stage itself: one tenant must not park a worker slot on a
 /// year-long search.
 pub const MAX_SESSION_ITERATIONS: usize = 20_000;
@@ -162,6 +163,7 @@ pub(crate) fn run_search(
     let mut session = SearchSession::new(&space, &counting).with_objective(spec.objective);
     let mut config = spec.config;
     config.iterations = config.iterations.min(MAX_SESSION_ITERATIONS);
+    config.tuning_iterations = config.tuning_iterations.min(MAX_SESSION_ITERATIONS);
     let result = session.run(&RandomSearch::new(config));
     let report = session.report("serve:analytic-sim", &result);
     (report, result)
@@ -392,6 +394,24 @@ mod tests {
             n >= s.config.iterations as u64,
             "stage 1 + stage 2 evaluate at least the trial budget, got {n}"
         );
+    }
+
+    #[test]
+    fn stage_two_budget_is_capped_like_stage_one() {
+        // Stage 2 only stops early when no scale-down is left; a client's
+        // `usize::MAX` must not park a worker for good.
+        let mut capped = spec(9, SessionTask::ModelNet40);
+        capped.config.tuning_iterations = MAX_SESSION_ITERATIONS;
+        let mut unbounded = capped.clone();
+        unbounded.config.tuning_iterations = usize::MAX;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_standalone(&unbounded));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a usize::MAX stage-2 budget finishes within 60 s");
+        assert_eq!(outcome, run_standalone(&capped));
     }
 
     #[test]

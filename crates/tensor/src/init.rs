@@ -25,16 +25,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matr
     m
 }
 
-/// Kaiming/He uniform initialization, appropriate before ReLU.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let a = (6.0 / fan_in.max(1) as f32).sqrt();
-    let mut m = Matrix::zeros(fan_in, fan_out);
-    for x in m.as_mut_slice() {
-        *x = rng.gen_range(-a..=a);
-    }
-    m
-}
-
 /// Uniform initialization in `[-scale, scale]`.
 pub fn uniform(rows: usize, cols: usize, scale: f32, rng: &mut impl Rng) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
@@ -55,14 +45,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let w = xavier_uniform(16, 16, &mut rng);
         let a = (6.0f32 / 32.0).sqrt();
-        assert!(w.as_slice().iter().all(|&x| x.abs() <= a));
-    }
-
-    #[test]
-    fn kaiming_within_bound() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let w = kaiming_uniform(9, 5, &mut rng);
-        let a = (6.0f32 / 9.0).sqrt();
         assert!(w.as_slice().iter().all(|&x| x.abs() <= a));
     }
 

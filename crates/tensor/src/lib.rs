@@ -2,7 +2,7 @@
 //!
 //! The GNN layers, the supernet trainer and the GIN latency predictor are all
 //! built on the small row-major [`Matrix`] type defined here, together with a
-//! handful of elementwise kernels, losses and first-order optimizers. The
+//! handful of elementwise kernels, initializers and losses. The
 //! crate is deliberately dependency-light: everything is plain Rust so the
 //! whole reproduction runs on any machine without BLAS.
 //!
@@ -20,30 +20,9 @@ pub mod init;
 pub mod loss;
 mod matrix;
 pub mod ops;
-pub mod optim;
 // `pub` only because `gcode-graph`'s kNN shares it: how many bands a kernel
 // runs in is not an option of this crate.
 #[doc(hidden)]
 pub mod rows;
 
 pub use matrix::Matrix;
-
-/// Error type for shape mismatches and invalid tensor arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeError {
-    msg: String,
-}
-
-impl ShapeError {
-    pub(crate) fn new(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
-    }
-}
-
-impl std::fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shape error: {}", self.msg)
-    }
-}
-
-impl std::error::Error for ShapeError {}

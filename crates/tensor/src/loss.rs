@@ -57,24 +57,6 @@ pub fn mape(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
     (total / n, grad)
 }
 
-/// Mean squared error and its gradient with respect to predictions.
-///
-/// # Panics
-///
-/// Panics if the two slices differ in length.
-pub fn mse(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
-    assert_eq!(pred.len(), target.len(), "pred/target length mismatch");
-    let n = pred.len().max(1) as f32;
-    let mut total = 0.0;
-    let mut grad = vec![0.0; pred.len()];
-    for i in 0..pred.len() {
-        let d = pred[i] - target[i];
-        total += d * d;
-        grad[i] = 2.0 * d / n;
-    }
-    (total / n, grad)
-}
-
 /// Fraction of rows whose argmax equals the label (classification accuracy).
 ///
 /// # Panics
@@ -165,13 +147,6 @@ mod tests {
         let (m, g) = mape(&[5.0, 1.0], &[0.0, 1.0]);
         assert_eq!(m, 0.0);
         assert_eq!(g[0], 0.0);
-    }
-
-    #[test]
-    fn mse_quadratic() {
-        let (m, g) = mse(&[2.0], &[0.0]);
-        assert_eq!(m, 4.0);
-        assert_eq!(g[0], 4.0);
     }
 
     #[test]

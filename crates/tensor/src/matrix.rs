@@ -71,26 +71,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Fallible variant of [`Matrix::from_vec`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::ShapeError`] if `data.len() != rows * cols`.
-    pub fn try_from_vec(
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-    ) -> Result<Self, crate::ShapeError> {
-        if data.len() != rows * cols {
-            return Err(crate::ShapeError::new(format!(
-                "expected {rows}x{cols} = {} values, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        Ok(Self { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -301,13 +281,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Adds `row` (a `1 × cols` bias) to every row of `self`.
     ///
     /// # Panics
@@ -359,34 +332,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Concatenates `self` and `rhs` horizontally (`rows` must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn hcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "hcat row mismatch");
-        let cols = self.cols + rhs.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(rhs.row(i));
-        }
-        Matrix { rows: self.rows, cols, data }
-    }
-
-    /// Concatenates `self` and `rhs` vertically (`cols` must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ.
-    pub fn vcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "vcat column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&rhs.data);
-        Matrix { rows: self.rows + rhs.rows, cols: self.cols, data }
     }
 
     /// Frobenius norm.
@@ -556,15 +501,6 @@ mod tests {
         assert_eq!(a.sum_rows(), Matrix::zeros(1, 3));
         assert_eq!(a.mean_rows(), Matrix::zeros(1, 3));
         assert_eq!(a.max_rows(), Matrix::zeros(1, 3));
-    }
-
-    #[test]
-    fn hcat_vcat_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 2);
-        assert_eq!(a.hcat(&b).shape(), (2, 5));
-        let c = Matrix::zeros(4, 3);
-        assert_eq!(a.vcat(&c).shape(), (6, 3));
     }
 
     #[test]
@@ -754,22 +690,5 @@ mod matmul_bands {
         let lhs = grid(512, 96, 0.5, &mut rng);
         let rhs = grid(96, 96, 0.1, &mut rng);
         assert_eq!(bits(&lhs.matmul(&rhs)), bits(&lhs.matmul_banded(&rhs, 1)));
-    }
-}
-
-#[cfg(test)]
-mod try_from_tests {
-    use super::*;
-
-    #[test]
-    fn try_from_vec_accepts_matching_length() {
-        let m = Matrix::try_from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).expect("fits");
-        assert_eq!(m[(1, 1)], 4.0);
-    }
-
-    #[test]
-    fn try_from_vec_rejects_mismatch() {
-        let err = Matrix::try_from_vec(2, 2, vec![1.0]).expect_err("mismatch");
-        assert!(err.to_string().contains("expected"));
     }
 }

@@ -1,4 +1,4 @@
-//! Elementwise activations and row-wise normalizations.
+//! Elementwise activations and the row-wise softmax.
 
 use crate::Matrix;
 
@@ -18,21 +18,6 @@ pub fn relu(m: &Matrix) -> Matrix {
 /// Gradient mask of ReLU: 1 where the forward input was positive, else 0.
 pub fn relu_grad_mask(forward_input: &Matrix) -> Matrix {
     forward_input.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
-}
-
-/// Leaky ReLU with negative slope `alpha`.
-pub fn leaky_relu(m: &Matrix, alpha: f32) -> Matrix {
-    m.map(|x| if x > 0.0 { x } else { alpha * x })
-}
-
-/// Hyperbolic tangent, elementwise.
-pub fn tanh(m: &Matrix) -> Matrix {
-    m.map(f32::tanh)
-}
-
-/// Logistic sigmoid, elementwise.
-pub fn sigmoid(m: &Matrix) -> Matrix {
-    m.map(|x| 1.0 / (1.0 + (-x).exp()))
 }
 
 /// Numerically stable row-wise softmax.
@@ -63,40 +48,6 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Row-wise L2 normalization; zero rows are left untouched.
-pub fn l2_normalize_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
-        let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for x in row.iter_mut() {
-                *x /= norm;
-            }
-        }
-    }
-    out
-}
-
-/// Z-score normalization over a slice: `(x - mean) / std`.
-///
-/// A constant slice (std = 0) maps to all zeros. This is the normalization
-/// the paper applies to LUT latencies before concatenating them into the
-/// predictor's node features (Sec. 3.5, "Enhanced node features").
-pub fn zscore(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    let std = var.sqrt();
-    if std == 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|v| (v - mean) / std).collect()
 }
 
 #[cfg(test)]
@@ -130,38 +81,5 @@ mod tests {
         let m = Matrix::from_rows(&[&[1000.0, 1000.0]]);
         let p = softmax_rows(&m);
         assert!((p[(0, 0)] - 0.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn l2_normalize_unit_length() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let n = l2_normalize_rows(&m);
-        assert!((n[(0, 0)] - 0.6).abs() < 1e-6);
-        assert!((n[(0, 1)] - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn l2_normalize_keeps_zero_rows() {
-        let m = Matrix::zeros(1, 4);
-        assert_eq!(l2_normalize_rows(&m), m);
-    }
-
-    #[test]
-    fn zscore_zero_mean_unit_std() {
-        let z = zscore(&[1.0, 2.0, 3.0, 4.0]);
-        let mean: f64 = z.iter().sum::<f64>() / z.len() as f64;
-        assert!(mean.abs() < 1e-12);
-        let var: f64 = z.iter().map(|v| v * v).sum::<f64>() / z.len() as f64;
-        assert!((var - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zscore_constant_input_is_zero() {
-        assert_eq!(zscore(&[7.0, 7.0, 7.0]), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn zscore_empty_is_empty() {
-        assert!(zscore(&[]).is_empty());
     }
 }

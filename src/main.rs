@@ -232,6 +232,15 @@ fn parse_mbps(v: &str) -> Result<f64, String> {
     }
 }
 
+/// Parses a boolean flag: `true|1|yes` or `false|0|no`, nothing else.
+fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
+    match v {
+        "true" | "1" | "yes" => Ok(true),
+        "false" | "0" | "no" => Ok(false),
+        _ => Err(format!("--{key}: `{v}` is not a boolean (true|false|1|0|yes|no)")),
+    }
+}
+
 fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
     let dev = device(opts.get("device").ok_or("--device is required")?)?;
     let edg = edge(opts.get("edge").ok_or("--edge is required")?)?;
@@ -578,13 +587,11 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
             get_f64(opts, "energy-j", 5.0)?,
         ),
         task,
-        measure_zoo: opts
-            .get("measure")
-            .map(String::as_str)
-            .is_none_or(|v| matches!(v, "true" | "1" | "yes")),
+        measure_zoo: opts.get("measure").map_or(Ok(true), |v| parse_bool("measure", v))?,
         scenario: opts.get("trace").map(|path| load_trace(path)).transpose()?,
     };
     let timeout = Duration::from_secs(get_usize(opts, "timeout-s", 600)? as u64);
+    let shutdown = opts.get("shutdown").map_or(Ok(false), |v| parse_bool("shutdown", v))?;
 
     let mut client = ServerClient::connect(addr).map_err(|e| e.to_string())?;
     let id = client
@@ -669,7 +676,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
     // Best-effort: the result is already in hand, and a server started
     // with --sessions-limit may tear down right after delivering it.
     let _ = client.close_session(id);
-    if matches!(opts.get("shutdown").map(String::as_str), Some("true") | Some("1") | Some("yes")) {
+    if shutdown {
         let _ = client.request_shutdown();
         println!("server shutdown requested");
     }
@@ -891,5 +898,21 @@ mod tests {
         }
         assert_eq!(parse_mbps("x"), Err("--mbps: bad number `x`".to_string()));
         assert_eq!(parse_mbps("2.5"), Ok(2.5));
+    }
+
+    #[test]
+    fn boolean_flags_refuse_anything_but_a_boolean_by_name_and_value() {
+        for (v, want) in [("true", true), ("1", true), ("yes", true)] {
+            assert_eq!(parse_bool("measure", v), Ok(want), "{v}");
+        }
+        for (v, want) in [("false", false), ("0", false), ("no", false)] {
+            assert_eq!(parse_bool("shutdown", v), Ok(want), "{v}");
+        }
+        for bad in ["ture", "", "TRUE", "on", "2"] {
+            assert_eq!(
+                parse_bool("measure", bad),
+                Err(format!("--measure: `{bad}` is not a boolean (true|false|1|0|yes|no)"))
+            );
+        }
     }
 }

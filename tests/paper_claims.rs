@@ -2,7 +2,10 @@
 //! budgets — the "shape" of every major result.
 
 use gcode::baselines::models;
-use gcode::baselines::partition::{best_partition, fig4_schemes, PartitionObjective};
+use gcode::baselines::nas::hgnas_search;
+use gcode::baselines::partition::{
+    best_partition, fig4_schemes, PartitionObjective, PartitionResult,
+};
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::ea::{evolutionary_search, EaConfig};
 use gcode::core::eval::Objective;
@@ -196,4 +199,69 @@ fn gcode_keeps_winning_under_degraded_bandwidth() {
             );
         }
     }
+}
+
+/// The separation pipeline the abstract argues against, on ModelNet40: a
+/// single-device NAS for the system's device (300 trials, seed 5), then
+/// the best latency partition of its winner on the real co-inference
+/// system.
+fn separation_pipeline(sys: &SystemConfig) -> PartitionResult {
+    let profile = WorkloadProfile::modelnet40();
+    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
+    let result = hgnas_search(
+        profile,
+        sys.device.clone(),
+        &separation_cfg(),
+        &separation_objective(),
+        move |a: &Architecture| surrogate.overall_accuracy(a),
+    );
+    let best = result.best().expect("single-device search found candidates");
+    best_partition(
+        &best.arch,
+        &profile,
+        sys,
+        &SimConfig::single_frame(),
+        PartitionObjective::Latency,
+    )
+}
+
+fn separation_cfg() -> SearchConfig {
+    SearchConfig { iterations: 300, seed: 5, ..SearchConfig::default() }
+}
+
+fn separation_objective() -> Objective {
+    Objective::new(0.25, 1.5, 8.0)
+}
+
+#[test]
+fn separation_pipeline_produces_valid_partitioned_design() {
+    let sys = SystemConfig::pi_to_1060(40.0);
+    let part = separation_pipeline(&sys);
+    assert!(part.arch.validate(&WorkloadProfile::modelnet40()).is_ok());
+    assert!(part.report.frame_latency_s.is_finite());
+}
+
+#[test]
+fn codesign_beats_the_separation_pipeline() {
+    // The central comparison: same budget, same accuracy model — the
+    // fused search must match or beat search-then-partition.
+    let profile = WorkloadProfile::modelnet40();
+    let sys = SystemConfig::tx2_to_i7(40.0);
+    let part = separation_pipeline(&sys);
+
+    let space = DesignSpace::paper(profile);
+    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
+    let eval = SimBackend {
+        profile,
+        sys: sys.clone(),
+        sim: SimConfig::single_frame(),
+        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
+    };
+    let fused = random_search(&space, &separation_cfg(), &separation_objective(), &eval);
+    let fused_best_latency = fused.best_latency().expect("fused search found candidates").latency_s;
+    assert!(
+        fused_best_latency <= part.report.frame_latency_s * 1.05,
+        "co-design {fused_best_latency:.4}s should not lose to separation {:.4}s",
+        part.report.frame_latency_s
+    );
 }
