@@ -20,6 +20,8 @@
 //! Efficiency comes from `gcode-sim` on our calibrated hardware models; the
 //! calibration tests in this crate pin the DGCNN anchors from Tab. 2/Fig. 3.
 
+#![deny(unsafe_code)]
+
 pub mod models;
 pub mod nas;
 pub mod partition;

@@ -6,6 +6,8 @@
 //! evaluating baselines in each collaboration mode, and plain-text table
 //! formatting.
 
+#![deny(unsafe_code)]
+
 use gcode_baselines::models::{as_edge_only, Baseline};
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::eval::{Objective, SearchReport, SearchSession};

@@ -28,6 +28,8 @@
 //! # Ok::<(), gcode_compress::DecodeError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 use bytes::{BufMut, BytesMut};
 
 /// Error returned when a compressed stream is malformed.

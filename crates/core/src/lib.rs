@@ -49,6 +49,8 @@
 //! assert!((50..=50 + cfg.tuning_iterations as u64).contains(&lookups));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod arch;
 pub mod cachelog;
 pub mod cost;

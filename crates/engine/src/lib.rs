@@ -56,6 +56,8 @@
 //! # Ok::<(), gcode_engine::EngineError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod dispatcher;
 pub mod fleet;

@@ -4,16 +4,21 @@
 //! convolution; this is the `KNN` operation whose cost dominates GPU
 //! execution in the paper's Fig. 3. The brute-force `O(n²·d)` scan here is
 //! faithful to what PyG's `knn_graph` does for these sizes; it is blocked
-//! and transposed for the machine, not approximated.
+//! and register-tiled for the machine, not approximated.
 
 use crate::CsrGraph;
-use gcode_tensor::{rows, Matrix};
+use gcode_tensor::rows::{self, Job};
+use gcode_tensor::Matrix;
 use rand::Rng;
 
-/// Query rows whose distance rows are accumulated together: each column of
-/// the transposed features is loaded once per block, and the block's
-/// distance rows (`QUERY_BLOCK · n` floats) stay in L1 while it is swept.
+/// Query rows whose distances are accumulated together: each packed
+/// coordinate of a target tile is loaded once per block.
 const QUERY_BLOCK: usize = 4;
+
+/// Target nodes whose distances to one query block are summed together:
+/// the block's `QUERY_BLOCK × TILE` partial sums stay in registers over
+/// every coordinate, and are stored once.
+const TILE: usize = 8;
 
 /// Builds the directed k-NN graph of the rows of `features` under squared
 /// Euclidean distance. Node `u` points to its `k` nearest *other* nodes,
@@ -26,7 +31,8 @@ const QUERY_BLOCK: usize = 4;
 /// input; the edge runs this on activations that arrived over a socket.
 ///
 /// Each distance is the sum `((0 + t₀²) + t₁²) + …` over the coordinates in
-/// order, `tⱼ = features[u][j] - features[v][j]`, whatever the blocking.
+/// order, `tⱼ = features[u][j] - features[v][j]`, whatever the blocking,
+/// the row bands or the build of the band body ([`rows`]).
 ///
 /// # Example
 ///
@@ -44,52 +50,123 @@ pub fn knn_graph(features: &Matrix, k: usize) -> CsrGraph {
     // Per target of a query: a subtract, a multiply and an add per
     // coordinate, and a visit by each of the selector's two passes.
     let ops_per_block = (QUERY_BLOCK * n).saturating_mul(3 * d + 2);
-    knn_graph_banded(features, k, rows::split_count(n.div_ceil(QUERY_BLOCK), ops_per_block))
+    knn_graph_as(features, k, Job::new(n.div_ceil(QUERY_BLOCK), ops_per_block))
 }
 
 /// [`knn_graph`] with the query nodes cut into at most `bands` runs of whole
-/// query blocks, whatever the host. A band has its own distance rows and
-/// [`Selector`] and writes the neighbor lists of its own nodes, so no list
-/// can tell how many bands there were.
+/// query blocks, whatever the host's cores, by the build the host runs
+/// every kNN with.
+#[cfg(test)]
 fn knn_graph_banded(features: &Matrix, k: usize, bands: usize) -> CsrGraph {
-    let (n, d) = features.shape();
+    knn_graph_as(features, k, Job { bands, avx2: rows::avx2() })
+}
+
+/// [`knn_graph`] as `job` says: the query nodes cut into at most
+/// `job.bands` runs of whole query blocks, filled by the build it names. A
+/// band has its own distance rows and [`Selector`] and writes the neighbor
+/// lists of its own nodes, so no list can tell how many bands there were.
+fn knn_graph_as(features: &Matrix, k: usize, job: Job) -> CsrGraph {
+    let n = features.rows();
     assert!(u32::try_from(n).is_ok(), "node indices are u32");
     let kk = k.min(n.saturating_sub(1));
     if kk == 0 {
         return CsrGraph::empty(n);
     }
-    // One transposed copy, so that coordinate `j` of every node is one
-    // contiguous run and the distance loop below is lane-parallel over `v`
-    // with no change to any pair's summation order.
-    let coords = features.transpose();
+    let tiles = pack_tiles(features);
     let mut targets = vec![0u32; n * kk];
-    rows::for_each_split(bands, &mut targets, QUERY_BLOCK * kk, |first_block, lists| {
-        let mut dist = vec![0.0f32; QUERY_BLOCK * n];
-        let mut select = Selector::new(n, kk);
-        let blocks = (first_block * QUERY_BLOCK..n).step_by(QUERY_BLOCK);
-        for (u0, lists) in blocks.zip(lists.chunks_mut(QUERY_BLOCK * kk)) {
-            let block = &mut dist[..lists.len() / kk * n];
-            block.fill(0.0);
-            for j in 0..d {
-                let coord = coords.row(j);
-                for (r, acc) in block.chunks_exact_mut(n).enumerate() {
-                    let q = coord[u0 + r];
-                    for (a, &c) in acc.iter_mut().zip(coord) {
-                        let t = q - c;
-                        *a += t * t;
-                    }
-                }
-            }
-            for (r, (row, list)) in
-                block.chunks_exact(n).zip(lists.chunks_exact_mut(kk)).enumerate()
-            {
-                for (target, &key) in list.iter_mut().zip(select.nearest(row, u0 + r)) {
-                    *target = key as u32;
-                }
-            }
+    rows::for_each_split(job.bands, &mut targets, QUERY_BLOCK * kk, |first_block, lists| {
+        match job.avx2 {
+            // SAFETY: an `Avx2` exists only where `rows::avx2()` found AVX2
+            // on this CPU at run time.
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            #[allow(unsafe_code)]
+            Some(_) => unsafe { knn_band_avx2(features, &tiles, first_block, lists, kk) },
+            _ => knn_band(features, &tiles, first_block, lists, kk),
         }
     });
     CsrGraph::from_degrees(std::iter::repeat_n(kk, n), targets)
+}
+
+/// The coordinates of `features` in tiles of `TILE` nodes: tile `t` holds
+/// coordinate `j` of nodes `t·TILE..` as the contiguous run
+/// `[(t·d + j)·TILE..][..TILE]`. The last tile is padded with zeros, whose
+/// distances are computed and never stored.
+fn pack_tiles(features: &Matrix) -> Vec<f32> {
+    let (n, d) = features.shape();
+    let mut tiles = vec![0.0f32; n.div_ceil(TILE) * TILE * d];
+    for v in 0..n {
+        let tile = &mut tiles[v / TILE * TILE * d..][..TILE * d];
+        for (j, &x) in features.row(v).iter().enumerate() {
+            tile[j * TILE + v % TILE] = x;
+        }
+    }
+    tiles
+}
+
+/// Fills `lists`, the neighbor lists of the query blocks from
+/// `first_block` on, `kk` targets a node: one band of [`knn_graph`].
+/// Inlined into both builds, [`knn_band_avx2`] and the baseline.
+#[inline(always)]
+fn knn_band(features: &Matrix, tiles: &[f32], first_block: usize, lists: &mut [u32], kk: usize) {
+    let (n, d) = features.shape();
+    let mut dist = vec![0.0f32; QUERY_BLOCK * n];
+    let mut query = vec![[0.0f32; QUERY_BLOCK]; d];
+    let mut select = Selector::new(n, kk);
+    let blocks = (first_block * QUERY_BLOCK..n).step_by(QUERY_BLOCK);
+    for (u0, lists) in blocks.zip(lists.chunks_mut(QUERY_BLOCK * kk)) {
+        // A short last block repeats its last node; the repeats' rows are
+        // computed and never read.
+        for r in 0..QUERY_BLOCK {
+            for (q, &x) in query.iter_mut().zip(features.row((u0 + r).min(n - 1))) {
+                q[r] = x;
+            }
+        }
+        distances(&query, tiles, n, &mut dist);
+        for (r, (row, list)) in dist.chunks_exact(n).zip(lists.chunks_exact_mut(kk)).enumerate() {
+            for (target, &key) in list.iter_mut().zip(select.nearest(row, u0 + r)) {
+                *target = key as u32;
+            }
+        }
+    }
+}
+
+/// [`knn_band`] compiled with AVX2: eight `f32` lanes where the baseline
+/// has four, the same subtracts, multiplies and adds in the same order.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn knn_band_avx2(
+    features: &Matrix,
+    tiles: &[f32],
+    first_block: usize,
+    lists: &mut [u32],
+    kk: usize,
+) {
+    knn_band(features, tiles, first_block, lists, kk);
+}
+
+/// Writes into row `r` of `dist` (`QUERY_BLOCK` rows of `n`) the squared
+/// distance of query `r` to every node, from the queries' coordinates
+/// (`query[j][r]`) and the packed target tiles. Every sum runs over `j` in
+/// order from `0.0`; the tile only decides which sums share registers.
+#[inline(always)]
+fn distances(query: &[[f32; QUERY_BLOCK]], tiles: &[f32], n: usize, dist: &mut [f32]) {
+    let d = query.len();
+    for v0 in (0..n).step_by(TILE) {
+        let tile = &tiles[v0 * d..][..TILE * d];
+        let mut acc = [[0.0f32; TILE]; QUERY_BLOCK];
+        for (coord, q) in tile.chunks_exact(TILE).zip(query) {
+            for (acc, &q) in acc.iter_mut().zip(q) {
+                for (a, &c) in acc.iter_mut().zip(coord) {
+                    let t = q - c;
+                    *a += t * t;
+                }
+            }
+        }
+        let width = TILE.min(n - v0);
+        for (row, acc) in dist.chunks_exact_mut(n).zip(&acc) {
+            row[v0..v0 + width].copy_from_slice(&acc[..width]);
+        }
+    }
 }
 
 /// Sort key of candidate `v` at distance `d`: distance in the high half,
@@ -114,7 +191,10 @@ fn rank(d: f32, v: usize) -> u64 {
 /// on a typical row — and only those are ranked and sorted. NaN entries are
 /// always collected; they sort last and are cut off again unless the row
 /// has too few others, which is also when the bound is `+inf` and the pass
-/// collects everything.
+/// collects everything. The second pass decides 64 entries at a time into a
+/// bit mask of `!(d > bound)` — the same set as `d <= bound || d.is_nan()`,
+/// since the bound is never NaN — with no branch per entry, and visits the
+/// set bits.
 struct Selector {
     kk: usize,
     lane_min: Vec<f32>,
@@ -130,6 +210,8 @@ impl Selector {
 
     /// Rank keys of the `kk` nearest nodes of `row` other than `u`, nearest
     /// first. `row.len() > kk` and `row.len() >= lanes`.
+    #[inline(always)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(d > bound)` admits NaN on purpose
     fn nearest(&mut self, row: &[f32], u: usize) -> &[u64] {
         self.lane_min.fill(f32::INFINITY);
         for chunk in row.chunks(self.lane_min.len()) {
@@ -139,9 +221,18 @@ impl Selector {
         }
         let (_, &mut bound, _) = self.lane_min.select_nth_unstable_by(self.kk, f32::total_cmp);
         self.ranked.clear();
-        for (v, &d) in row.iter().enumerate() {
-            if (d <= bound || d.is_nan()) && v != u {
-                self.ranked.push(rank(d, v));
+        for (v0, chunk) in (0..).step_by(64).zip(row.chunks(64)) {
+            let mut near = 0u64;
+            for (i, &d) in chunk.iter().enumerate() {
+                near |= u64::from(!(d > bound)) << i;
+            }
+            if let Some(own) = u.checked_sub(v0).filter(|&i| i < chunk.len()) {
+                near &= !(1 << own);
+            }
+            while near != 0 {
+                let i = near.trailing_zeros() as usize;
+                self.ranked.push(rank(chunk[i], v0 + i));
+                near &= near - 1;
             }
         }
         self.ranked.sort_unstable();
@@ -363,6 +454,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that both builds of the band body give `pts` the same
+    /// neighbor lists in every band count, and returns how many graphs it
+    /// compared.
+    fn assert_builds_agree(avx2: rows::Avx2, pts: &Matrix, k: usize, case: &str) -> usize {
+        let counts = band_counts(pts.rows());
+        for bands in counts {
+            let baseline = knn_graph_as(pts, k, Job { bands, avx2: None });
+            let wide = knn_graph_as(pts, k, Job { bands, avx2: Some(avx2) });
+            assert_eq!(wide, baseline, "{case} k {k} in {bands} bands");
+        }
+        counts.len()
+    }
+
+    #[test]
+    fn cross_build_graphs_are_identical_on_every_block_tile_and_lane() {
+        let Some(avx2) = rows::avx2() else {
+            println!("cross-build knn: this CPU has no AVX2; nothing compared");
+            return;
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA5C2);
+        let mut compared = 0;
+        // Every remainder of the query block, the target tile, the
+        // selector's lanes and its 64-entry masks; few grid cells, so most
+        // distances tie and one moved bit reorders a list.
+        for n in [0usize, 1, 2, 3, 5, 8, 9, 17, 20, 21, 22, 47, 63, 64, 65, 133, 257] {
+            for d in [0usize, 1, 3, 16, 64] {
+                for cells in [2, 5, 1000] {
+                    let pts = grid_cloud(n, d, cells, &mut rng);
+                    for k in [1, 4, 20, 64, 1000] {
+                        let case = format!("n {n} d {d} cells {cells}");
+                        compared += assert_builds_agree(avx2, &pts, k, &case);
+                    }
+                }
+            }
+        }
+        // The stream's two kNNs, over the band floor.
+        for d in [3, 64] {
+            let pts = grid_cloud(1024, d, 7, &mut rng);
+            compared += assert_builds_agree(avx2, &pts, 20, &format!("n 1024 d {d}"));
+        }
+        println!("cross-build knn: {compared} graphs compared edge for edge");
+    }
+
+    #[test]
+    fn cross_build_non_finite_coordinates_give_identical_graphs() {
+        let Some(avx2) = rows::avx2() else {
+            println!("cross-build knn: this CPU has no AVX2; nothing compared");
+            return;
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBAD2);
+        let mut compared = 0;
+        for n in [2usize, 9, 47, 65, 133] {
+            for d in [1usize, 3, 16] {
+                for share in [0.02, 0.3, 1.0] {
+                    let mut pts = grid_cloud(n, d, 4, &mut rng);
+                    for x in pts.as_mut_slice() {
+                        if rng.gen_bool(share) {
+                            *x = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3)];
+                        }
+                    }
+                    for k in [1, 8, 20] {
+                        let case = format!("n {n} d {d} share {share}");
+                        compared += assert_builds_agree(avx2, &pts, k, &case);
+                    }
+                }
+            }
+        }
+        println!("cross-build knn: {compared} non-finite graphs compared edge for edge");
     }
 
     #[test]

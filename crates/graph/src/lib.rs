@@ -26,6 +26,8 @@
 //! assert_eq!(g.degree(0), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod csr;
 pub mod datasets;
 pub mod knn;

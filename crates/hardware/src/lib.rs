@@ -20,6 +20,8 @@
 //! assert!(tx2.latency(&cost) < pi.latency(&cost));
 //! ```
 
+#![deny(unsafe_code)]
+
 mod cost;
 mod link;
 mod power;

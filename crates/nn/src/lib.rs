@@ -25,6 +25,8 @@
 //! assert_eq!(lin.forward(&x).shape(), (3, 2));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod agg;
 pub mod gcn;
 pub mod gin;

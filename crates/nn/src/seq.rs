@@ -161,7 +161,7 @@ pub fn forward_features(
 /// contiguous range — what a deployed `ExecutionPlan` executes, reading
 /// its slot columns. The one lowering emits positional slots only, so the
 /// columns say nothing `slot_offset` does not; the frozen `perf/` harness
-/// calls this by name (ROADMAP 4(c) folds it back into
+/// calls this by name (ROADMAP item 2 folds it back into
 /// [`forward_features`]).
 ///
 /// # Panics

@@ -63,6 +63,8 @@
 //! # Ok::<(), gcode_server::ServerError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod executor;
 pub mod server;

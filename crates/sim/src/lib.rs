@@ -42,6 +42,8 @@
 //! assert!(report.fps > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::cost::trace;
 use gcode_core::eval::backend::{EvalBackend, Fidelity};

@@ -16,12 +16,14 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod init;
 pub mod loss;
 mod matrix;
 pub mod ops;
 // `pub` only because `gcode-graph`'s kNN shares it: how many bands a kernel
-// runs in is not an option of this crate.
+// runs in, and which build fills them, is not an option of this crate.
 #[doc(hidden)]
 pub mod rows;
 

@@ -1,5 +1,6 @@
 //! Row-major dense matrix.
 
+use crate::rows::Job;
 use serde::{Deserialize, Serialize};
 
 /// A row-major dense `f32` matrix.
@@ -144,8 +145,10 @@ impl Matrix {
     /// ReLU-sparse activations made it an unpredictable branch.
     ///
     /// Output rows are independent, so a large product is filled in row
-    /// bands on the host's cores ([`crate::rows`]); a band is a run of
-    /// whole rows, so no `out[i][j]` can tell how many there were.
+    /// bands on the host's cores, by the AVX2 build of the band body where
+    /// the host has one ([`crate::rows`]); a band is a run of whole rows,
+    /// and both builds run the one source, so no `out[i][j]` can tell how
+    /// many bands there were or which build filled them.
     ///
     /// # Panics
     ///
@@ -153,11 +156,19 @@ impl Matrix {
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         // One multiply and one add per inner element of an output row.
         let ops_per_row = 2 * self.cols.saturating_mul(rhs.cols);
-        self.matmul_banded(rhs, crate::rows::split_count(self.rows, ops_per_row))
+        self.matmul_as(rhs, Job::new(self.rows, ops_per_row))
     }
 
-    /// [`Matrix::matmul`] in at most `bands` row bands, whatever the host.
+    /// [`Matrix::matmul`] in at most `bands` row bands, whatever the host's
+    /// cores, by the build the host runs every product with.
+    #[cfg(test)]
     fn matmul_banded(&self, rhs: &Matrix, bands: usize) -> Matrix {
+        self.matmul_as(rhs, Job { bands, avx2: crate::rows::avx2() })
+    }
+
+    /// [`Matrix::matmul`] as `job` says — in at most `job.bands` row bands,
+    /// by the build it names — whatever the host.
+    fn matmul_as(&self, rhs: &Matrix, job: Job) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
@@ -167,14 +178,16 @@ impl Matrix {
         if self.data.is_empty() || rhs.cols == 0 {
             return out;
         }
-        crate::rows::for_each_split(bands, &mut out.data, rhs.cols, |first_row, band| {
+        crate::rows::for_each_split(job.bands, &mut out.data, rhs.cols, |first_row, band| {
             let lhs = &self.data[first_row * self.cols..][..band.len() / rhs.cols * self.cols];
-            let lhs = NonZeroRows::of(lhs, self.cols);
-            // Widest tile first; each narrower one takes what the last left over.
-            let next = lhs.mul_columns::<64>(rhs, band, 0);
-            let next = lhs.mul_columns::<16>(rhs, band, next);
-            let next = lhs.mul_columns::<4>(rhs, band, next);
-            lhs.mul_columns::<1>(rhs, band, next);
+            match job.avx2 {
+                // SAFETY: an `Avx2` exists only where `rows::avx2()` found
+                // AVX2 on this CPU at run time.
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                #[allow(unsafe_code)]
+                Some(_) => unsafe { matmul_band_avx2(lhs, self.cols, rhs, band) },
+                _ => matmul_band(lhs, self.cols, rhs, band),
+            }
         });
         out
     }
@@ -366,6 +379,27 @@ impl Matrix {
     }
 }
 
+/// Fills `out`, the output rows of the whole rows of `cols > 0` elements
+/// in `lhs`, with their products by `rhs`: one band of [`Matrix::matmul`].
+/// Inlined into both builds, [`matmul_band_avx2`] and the baseline.
+#[inline(always)]
+fn matmul_band(lhs: &[f32], cols: usize, rhs: &Matrix, out: &mut [f32]) {
+    let lhs = NonZeroRows::of(lhs, cols);
+    // Widest tile first; each narrower one takes what the last left over.
+    let next = lhs.mul_columns::<64>(rhs, out, 0);
+    let next = lhs.mul_columns::<16>(rhs, out, next);
+    let next = lhs.mul_columns::<4>(rhs, out, next);
+    lhs.mul_columns::<1>(rhs, out, next);
+}
+
+/// [`matmul_band`] compiled with AVX2: eight `f32` lanes where the
+/// baseline has four, the same adds and multiplies in the same order.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn matmul_band_avx2(lhs: &[f32], cols: usize, rhs: &Matrix, out: &mut [f32]) {
+    matmul_band(lhs, cols, rhs, out);
+}
+
 /// The non-zero entries of a run of matrix rows, row by row, columns
 /// ascending: the left operand of [`Matrix::matmul`] with its zero-skip
 /// already applied.
@@ -378,6 +412,7 @@ struct NonZeroRows {
 
 impl NonZeroRows {
     /// Of the whole rows of `cols > 0` elements in `data`.
+    #[inline(always)]
     fn of(data: &[f32], cols: usize) -> Self {
         assert!(u32::try_from(cols).is_ok(), "matmul inner dimension exceeds u32");
         let mut entries = Vec::with_capacity(data.len());
@@ -394,6 +429,7 @@ impl NonZeroRows {
     /// Fills columns `from..` of these rows' output rows `out` in tiles of
     /// `T` for as long as a whole tile fits, and returns the first column
     /// left over.
+    #[inline(always)]
     fn mul_columns<const T: usize>(&self, rhs: &Matrix, out: &mut [f32], from: usize) -> usize {
         let n = rhs.cols;
         let mut j0 = from;
@@ -613,7 +649,7 @@ mod matmul_bands {
 
     /// One band; bands that cut `rows` evenly and unevenly; (for small
     /// `rows`) more bands than rows; and one more than there are rows.
-    fn band_counts(rows: usize) -> [usize; 5] {
+    pub(super) fn band_counts(rows: usize) -> [usize; 5] {
         [1, 2, 3, 5, rows + 1]
     }
 
@@ -690,5 +726,122 @@ mod matmul_bands {
         let lhs = grid(512, 96, 0.5, &mut rng);
         let rhs = grid(96, 96, 0.1, &mut rng);
         assert_eq!(bits(&lhs.matmul(&rhs)), bits(&lhs.matmul_banded(&rhs, 1)));
+    }
+}
+
+/// The two builds of [`Matrix::matmul`]'s band body against each other,
+/// bit for bit, over the tiling and banding suites' shapes, sparsities,
+/// non-finite operands and band counts. On a CPU without AVX2 there is
+/// one build, and the tests say they compared nothing.
+#[cfg(test)]
+mod matmul_cross_build {
+    use super::matmul_bands::band_counts;
+    use super::matmul_equivalence::{bits, grid};
+    use super::*;
+    use crate::rows::Avx2;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Asserts that both builds give `lhs · rhs` the same bits in every
+    /// band count — with every NaN read as one NaN, if `any_nan` — and
+    /// returns how many products it compared.
+    fn assert_builds_agree(avx2: Avx2, lhs: &Matrix, rhs: &Matrix, any_nan: bool) -> usize {
+        let seen = |m: Matrix| {
+            if any_nan {
+                bits(&m.map(|x| if x.is_nan() { f32::NAN } else { x }))
+            } else {
+                bits(&m)
+            }
+        };
+        let counts = band_counts(lhs.rows);
+        for bands in counts {
+            let baseline = lhs.matmul_as(rhs, Job { bands, avx2: None });
+            let wide = lhs.matmul_as(rhs, Job { bands, avx2: Some(avx2) });
+            assert_eq!(wide.shape(), baseline.shape());
+            assert_eq!(
+                seen(wide),
+                seen(baseline),
+                "{}x{} · {}x{} in {bands} bands",
+                lhs.rows,
+                lhs.cols,
+                rhs.rows,
+                rhs.cols
+            );
+        }
+        counts.len()
+    }
+
+    #[test]
+    fn cross_build_products_are_bit_identical_on_every_tile_and_band() {
+        let Some(avx2) = crate::rows::avx2() else {
+            println!("cross-build matmul: this CPU has no AVX2; nothing compared");
+            return;
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA5C2);
+        let mut compared = 0;
+        // Widths on both sides of every tile (64 + 16 + 4 + 1 and their
+        // remainders), rows on every side of a band edge, ReLU-sparse and
+        // dense left operands.
+        for rows in [0usize, 1, 2, 3, 4, 7, 21, 133] {
+            for inner in [0usize, 1, 3, 16, 64] {
+                for cols in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 19, 40, 64, 85, 150] {
+                    for zero_share in [0.0, 0.5, 1.0] {
+                        let lhs = grid(rows, inner, zero_share, &mut rng);
+                        let rhs = grid(inner, cols, 0.1, &mut rng);
+                        compared += assert_builds_agree(avx2, &lhs, &rhs, false);
+                    }
+                }
+            }
+        }
+        // The two stream shapes over the band floor, ReLU-sparse.
+        for (rows, inner, cols) in [(1024usize, 64usize, 128usize), (1024, 128, 1024)] {
+            let lhs = grid(rows, inner, 0.5, &mut rng);
+            let rhs = grid(inner, cols, 0.0, &mut rng);
+            compared += assert_builds_agree(avx2, &lhs, &rhs, false);
+        }
+        println!("cross-build matmul: {compared} products compared bit for bit");
+    }
+
+    #[test]
+    fn cross_build_non_finite_operands_and_the_zero_skip_are_bit_identical() {
+        let Some(avx2) = crate::rows::avx2() else {
+            println!("cross-build matmul: this CPU has no AVX2; nothing compared");
+            return;
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1F2);
+        let mut compared = 0;
+        for (wild, any_nan) in [
+            (&[f32::INFINITY, f32::NEG_INFINITY][..], false),
+            (&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY][..], true),
+        ] {
+            for rows in [1usize, 2, 5, 21, 133] {
+                for cols in [1usize, 3, 19, 64, 85] {
+                    for share in [0.05, 0.5] {
+                        // Zeros on the left meet infinities on the right,
+                        // and `inf - inf` makes NaNs of its own.
+                        let mut lhs = grid(rows, 16, 0.5, &mut rng);
+                        let mut rhs = grid(16, cols, 0.1, &mut rng);
+                        for x in lhs.data.iter_mut().filter(|x| **x != 0.0).chain(&mut rhs.data) {
+                            if rng.gen_bool(share) {
+                                *x = wild[rng.gen_range(0..wild.len())];
+                            }
+                        }
+                        // Without NaN operands every NaN is the one the CPU
+                        // makes, and every bit must match. Where an input
+                        // NaN meets that one in an add, the sum is the NaN
+                        // the compiler put first; there, every other bit
+                        // and where the NaNs are must match.
+                        compared += assert_builds_agree(avx2, &lhs, &rhs, any_nan);
+                    }
+                }
+            }
+        }
+        // `0 · inf` stays out of the sums in both builds.
+        let lhs = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 0.0]]);
+        let rhs = Matrix::from_rows(&[&[f32::INFINITY, 1.0], &[3.0, f32::NAN]]);
+        compared += assert_builds_agree(avx2, &lhs, &rhs, false);
+        let wide = lhs.matmul_as(&rhs, Job { bands: 1, avx2: Some(avx2) });
+        assert_eq!((wide[(0, 0)], wide[(1, 0)]), (6.0, f32::INFINITY));
+        println!("cross-build matmul: {compared} non-finite products compared (NaNs as one NaN)");
     }
 }

@@ -6,31 +6,82 @@
 //! rows, every band is filled by that one closure — so each row is computed
 //! by the code, and in the `f32` order, it would be with a single band — and
 //! the bands are disjoint `&mut` slices, so which thread fills which is
-//! invisible in the output. [`split_count`] picks the number of bands from
-//! the host's cores and the size of the job; nothing else does, and no
-//! caller can.
+//! invisible in the output.
+//!
+//! A kernel writes its band body once, `#[inline(always)]`, and compiles
+//! it twice: as it is, for the target's baseline (SSE2 on x86_64), and
+//! inside a `#[target_feature(enable = "avx2")]` wrapper. Every job on a
+//! host with AVX2 takes the AVX2 build; every job elsewhere the baseline
+//! one. Neither build contracts a multiply and an add into an FMA or
+//! reorders a float sum, so the two differ only in how many lanes one
+//! instruction covers: every bit of the output agrees, except which NaN a
+//! sum returns where a NaN from the input meets another NaN. [`Job::new`]
+//! decides the bands from the host's cores and the size of the job, and
+//! the build from the host's ISA; nothing else does, and no caller can.
 
 use std::io;
 use std::sync::{Mutex, OnceLock};
 use std::thread::{self, Scope};
 
 /// Scalar operations a band must hold before it is worth a thread of its
-/// own. Measured on the build host (2-core Xeon @ 2.1 GHz, KVM): one
-/// `Builder::spawn_scoped` + join is 16 µs back to back, 19–44 µs when the
-/// thread allocates, ~60 µs at a noisy hour, and the kernels below retire
-/// 4 M operations in 0.3–0.7 ms (`knn_graph` 1024×3: 11.5 M in 1.9 ms;
-/// `matmul` 1024×64·64×128: 16.8 M in 0.6 ms), so a band at the floor pays
-/// a twentieth of its time for its thread, a fifth at worst, to save all
-/// of it. Every op of a 1024-point frame that matters is above twice
-/// this; every op of a 24-point search candidate is 20× below it.
+/// own. Measured on a 2-core Xeon @ 2.1 GHz (KVM) with AVX2: one
+/// `Builder::spawn_scoped` + join is 14–16 µs back to back, 19–44 µs when
+/// the thread allocates, ~60 µs at a noisy hour. On one core the AVX2
+/// builds retire 4 M operations in 0.06–0.54 ms (`knn_graph` 1024×3:
+/// 11.5 M in 1.55 ms, 1024×64: 203 M in 4.6 ms; `matmul` 1024×64·64×128:
+/// 16.8 M in 0.77 ms, 1024×128·128×1024: 268 M in 3.95 ms). Only the slow
+/// two sit near the floor, so a band of any of these pays at most a ninth
+/// of its time for its thread (a sixth at a noisy hour), a fiftieth on the
+/// large two, to save all of it. Every op of a 1024-point frame that
+/// matters is above twice this and every op of a 24-point search candidate
+/// is 20× below it. The floor counts operations, not time, so no shape is
+/// on a different side of it in the AVX2 build than in the baseline one.
 const BAND_FLOOR: usize = 4 << 20;
 
-/// Number of bands for a job of `rows` independent rows costing
-/// `ops_per_row` scalar operations each: one per core, never more than
-/// there are rows, never so many that a band falls under the floor — and
-/// one, which spawns nothing, for everything small.
-pub fn split_count(rows: usize, ops_per_row: usize) -> usize {
-    cores().min(rows).min(rows.saturating_mul(ops_per_row) / BAND_FLOOR).max(1)
+/// How a kernel runs a job of independent output rows: in how many row
+/// bands, and which build of its band body fills them.
+#[derive(Clone, Copy, Debug)]
+pub struct Job {
+    /// Row bands to cut the output into ([`for_each_split`]'s `parts`).
+    pub bands: usize,
+    /// `Some` fills every band with the AVX2 build, `None` with the
+    /// baseline build.
+    pub avx2: Option<Avx2>,
+}
+
+impl Job {
+    /// The job of `rows` independent rows costing `ops_per_row` scalar
+    /// operations each. Bands: one per core, never more than there are
+    /// rows, never so many that a band falls under the floor — and one,
+    /// which spawns nothing, for everything small. Build: AVX2 when the
+    /// host has it, whatever the size.
+    pub fn new(rows: usize, ops_per_row: usize) -> Self {
+        let bands = cores().min(rows).min(rows.saturating_mul(ops_per_row) / BAND_FLOOR).max(1);
+        Self { bands, avx2: avx2() }
+    }
+}
+
+/// Proof that the host runs AVX2, which calling a band body's AVX2 build
+/// needs: only [`avx2`] makes one, and only after the runtime check found
+/// the feature.
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2(());
+
+/// The host's [`Avx2`] proof, or `None` on a CPU or target without AVX2;
+/// asked once.
+pub fn avx2() -> Option<Avx2> {
+    static AVX2: OnceLock<bool> = OnceLock::new();
+    AVX2.get_or_init(host_has_avx2).then_some(Avx2(()))
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn host_has_avx2() -> bool {
+    is_x86_feature_detected!("avx2")
+}
+
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+fn host_has_avx2() -> bool {
+    false
 }
 
 /// Cores this process may run on (affinity and cgroup quota honoured),
@@ -184,6 +235,10 @@ mod tests {
         });
     }
 
+    fn split_count(rows: usize, ops_per_row: usize) -> usize {
+        Job::new(rows, ops_per_row).bands
+    }
+
     #[test]
     fn count_is_one_under_the_floor_and_bounded_by_rows_and_cores() {
         let cores = cores();
@@ -194,5 +249,14 @@ mod tests {
         assert_eq!(split_count(1, usize::MAX), 1, "one row cannot be split");
         assert_eq!(split_count(1 << 20, 1 << 20), cores);
         assert_eq!(split_count(usize::MAX, usize::MAX), cores, "the product saturates");
+    }
+
+    #[test]
+    fn every_job_takes_the_avx2_build_exactly_on_an_avx2_host() {
+        let host = avx2().is_some();
+        assert_eq!(host_has_avx2(), host, "the cached answer is the host's");
+        for (rows, ops_per_row) in [(0, 0), (24, 24 * 11), (1024, BAND_FLOOR), (usize::MAX, 1)] {
+            assert_eq!(Job::new(rows, ops_per_row).avx2.is_some(), host, "{rows} x {ops_per_row}");
+        }
     }
 }

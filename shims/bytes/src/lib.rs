@@ -1,6 +1,8 @@
 //! Offline stand-in for `bytes`: the `BytesMut` + `BufMut` surface the
 //! compression codec uses, backed by a plain `Vec<u8>`.
 
+#![deny(unsafe_code)]
+
 /// Append-only byte-writing operations.
 pub trait BufMut {
     /// Appends one byte.

@@ -3,6 +3,8 @@
 //! implemented over `std::sync::mpsc`, plus the `thread::scope` surface the
 //! parallel evaluation driver uses, implemented over `std::thread::scope`.
 
+#![deny(unsafe_code)]
+
 /// Scoped threads, mirroring `crossbeam::thread`.
 ///
 /// The real crate predates `std::thread::scope`; this shim keeps its

@@ -4,6 +4,8 @@
 //! matching real parking_lot semantics where a panic in one critical
 //! section never poisons the lock for later users.
 
+#![deny(unsafe_code)]
+
 use std::sync;
 
 /// Mutual exclusion with parking_lot's unpoisoned `lock()` signature.

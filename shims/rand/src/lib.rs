@@ -3,6 +3,8 @@
 //! [`seq::SliceRandom`]. Deterministic by construction; the only generator
 //! in the workspace is the vendored `rand_chacha::ChaCha8Rng`.
 
+#![deny(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Raw generator interface.

@@ -3,6 +3,8 @@
 //! deterministic per seed, which is all the workspace relies on (it does
 //! not depend on matching crates.io `rand_chacha` bit streams).
 
+#![deny(unsafe_code)]
+
 use rand::{RngCore, SeedableRng};
 
 /// ChaCha with 8 rounds, seeded from a `u64` via SplitMix64 key expansion.

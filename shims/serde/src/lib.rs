@@ -12,6 +12,8 @@
 //! single-entry maps, `Option::None` becomes null, and non-finite floats
 //! serialize as null.
 
+#![deny(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;

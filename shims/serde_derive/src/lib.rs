@@ -11,6 +11,8 @@
 //! Generic types are rejected with a compile error; none of the workspace
 //! types that derive serde are generic.
 
+#![deny(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]

@@ -3,6 +3,8 @@
 //! entry points this workspace calls: [`to_string`], [`to_string_pretty`]
 //! and [`from_str`].
 
+#![deny(unsafe_code)]
+
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
 

@@ -38,6 +38,8 @@
 //! assert!(result.best().is_some());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use gcode_baselines as baselines;
 pub use gcode_compress as compress;
 pub use gcode_core as core;
