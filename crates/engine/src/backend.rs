@@ -158,8 +158,8 @@ struct Telemetry {
 /// [`with_fleet`](Self::with_fleet) widens it to N pools and/or points it
 /// at remote pre-deployed edges — and stream `warmup + frames` real
 /// samples through the pipelined runtime. Each candidate hot-swaps its
-/// plan onto a warm pair via `SwapPlan`/`SwapPlanBatch` control frames: no
-/// process spawn, TCP handshake or teardown per candidate, exactly the
+/// plan onto a warm pair via one `SwapPlan` control frame (none for a
+/// local plan, which the edge never serves): no process spawn, TCP handshake or teardown per candidate, exactly the
 /// paper's Sec. 3.6 dispatcher move (the shared supernet `WeightBank`
 /// makes a swap weight-transfer-free). Weights are keyed and seeded per
 /// slot and the edge RNG restarts on every swap, so predictions are
@@ -826,15 +826,10 @@ mod tests {
         std::thread::spawn(move || {
             for mut stream in listener.incoming().flatten() {
                 while let Ok(Some(body)) = read_message(&mut stream) {
-                    let plans = match decode_frame(&body) {
-                        Ok(Frame::SwapPlan(plan)) => vec![*plan],
-                        Ok(Frame::SwapPlanBatch(batch)) => batch.plans,
-                        _ => continue,
-                    };
-                    for plan in &plans {
-                        let _ = seen.send(plan_wire_id(plan));
+                    if let Ok(Frame::SwapPlan(plan)) = decode_frame(&body) {
+                        let _ = seen.send(plan_wire_id(&plan));
+                        break;
                     }
-                    break;
                 }
             }
         });

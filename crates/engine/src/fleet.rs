@@ -20,14 +20,17 @@
 //! any pool count — mirroring the worker-sharding guarantee of the
 //! parallel batch driver.
 //!
+//! Each morsel is one candidate: the worker deploys its plan (one
+//! `SwapPlan` frame, none for a local plan) and runs its stream.
 //! Failures stay contained per pool, and recovery is incremental: a pool
-//! that dies mid-morsel is discarded, its candidate goes back on the
-//! queue for whichever pool frees up next (counted in
-//! [`FleetStats::resharded`]), and the dead endpoint is respawned
-//! (loopback) or reconnected (remote, bounded by the spec's connect
-//! timeout) *while the surviving workers keep draining the queue*. A
-//! candidate only gets the deploy-failure sentinel when it has killed
-//! pools repeatedly ([`MAX_TRIES_PER_CANDIDATE`]) or no pool is left.
+//! that dies mid-morsel (an error or a panic in its worker) is discarded,
+//! its candidate goes back on the queue for whichever pool frees up next
+//! (counted in [`FleetStats::resharded`]), and the dead endpoint is
+//! respawned (loopback) or reconnected (remote, bounded by the spec's
+//! connect timeout) *while the surviving workers keep draining the
+//! queue*. A candidate only gets the deploy-failure sentinel when it has
+//! killed pools repeatedly ([`MAX_TRIES_PER_CANDIDATE`]) or no pool is
+//! left.
 //!
 //! # Example
 //!
@@ -66,6 +69,7 @@ use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::str::FromStr;
 use std::thread::{self, Scope};
 
@@ -263,14 +267,6 @@ const MAX_SPAWN_FAILURES: u8 = 3;
 /// candidate whose plan keeps killing pools must not chew through the
 /// whole fleet.
 pub const MAX_TRIES_PER_CANDIDATE: u8 = 2;
-
-/// Morsel chunk a worker pops per batched deploy while the queue is deep.
-/// Chunking amortizes the deploy control traffic (one `SwapPlanBatch`
-/// round-trip per chunk instead of one `SwapPlan` per candidate), but near
-/// the tail of the queue workers fall back to single-candidate morsels —
-/// otherwise one pool could hoard the last stragglers while its
-/// fleet-mates idle, exactly the skew the morsel queue exists to absorb.
-const DEPLOY_CHUNK: usize = 2;
 
 /// What one pool worker reports back to the coordinating thread while it
 /// drains the morsel queue.
@@ -505,7 +501,6 @@ impl EdgeFleet {
                 live += usize::from(self.slots[idx].pool.is_some());
             }
         }
-        let fleet_width = self.slots.iter().filter(|s| s.pool.is_some()).count().max(1);
         let queue: parking_lot::Mutex<std::collections::VecDeque<usize>> =
             parking_lot::Mutex::new((0..total).collect());
         let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
@@ -518,76 +513,31 @@ impl EdgeFleet {
                 let queue = &queue;
                 let worker = move || {
                     loop {
-                        // Pop a chunk while the queue is deep enough that
-                        // every pool keeps at least one chunk of work;
-                        // near the tail, fall back to single morsels.
-                        let chunk: Vec<usize> = {
-                            let mut q = queue.lock();
-                            let take =
-                                if q.len() > fleet_width * DEPLOY_CHUNK { DEPLOY_CHUNK } else { 1 };
-                            (0..take).filter_map(|_| q.pop_front()).collect()
-                        };
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        if chunk.len() > 1 {
-                            // One SwapPlanBatch round-trip deploys the
-                            // whole chunk; each run pops its queued plan.
-                            let entries: Vec<(ExecutionPlan, u32)> = chunk
-                                .iter()
-                                .map(|&cand| {
-                                    let plan = plans[cand].clone();
-                                    let frames =
-                                        if plan.offloaded { streams[cand].len() as u32 } else { 0 };
-                                    (plan, frames)
-                                })
-                                .collect();
-                            let start = std::time::Instant::now();
-                            if let Err(e) = pool.deploy_batch(entries) {
-                                // Charge the failure to the chunk's first
-                                // candidate; its mates go back to the
-                                // front of the queue untainted.
-                                let mut q = queue.lock();
-                                for &cand in chunk[1..].iter().rev() {
-                                    q.push_front(cand);
-                                }
-                                drop(q);
-                                let wall_s = start.elapsed().as_secs_f64();
-                                let _ = tx.send(WorkerEvent::Measured {
-                                    slot,
-                                    cand: chunk[0],
-                                    wall_s,
-                                    result: Err(e),
-                                });
-                                let _ = tx.send(WorkerEvent::Exited { slot, pool: None });
-                                return;
-                            }
-                        }
-                        for (i, &cand) in chunk.iter().enumerate() {
-                            let start = std::time::Instant::now();
-                            let result = if chunk.len() > 1 {
-                                pool.run(streams[cand])
-                            } else {
-                                pool.deploy(plans[cand].clone())
-                                    .and_then(|()| pool.run(streams[cand]))
-                            };
-                            let wall_s = start.elapsed().as_secs_f64();
-                            let died = result.is_err();
-                            let _ = tx.send(WorkerEvent::Measured { slot, cand, wall_s, result });
-                            if died {
-                                // The broken pool drops here; unfinished
-                                // chunk-mates return to the queue for
-                                // whichever pool frees up next, and the
-                                // coordinator requeues the victim and
-                                // respawns the slot.
-                                let mut q = queue.lock();
-                                for &mate in chunk[i + 1..].iter().rev() {
-                                    q.push_front(mate);
-                                }
-                                drop(q);
-                                let _ = tx.send(WorkerEvent::Exited { slot, pool: None });
-                                return;
-                            }
+                        let Some(cand) = queue.lock().pop_front() else { break };
+                        let start = std::time::Instant::now();
+                        // A panic in the deploy or the run (a protocol
+                        // invariant, a bad pacing rate) is a pool death
+                        // like any error: the fleet recovers instead of
+                        // waiting forever for this worker's report.
+                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                            pool.deploy(plans[cand].clone()).and_then(|()| pool.run(streams[cand]))
+                        }))
+                        .unwrap_or_else(|payload| {
+                            let why = payload
+                                .downcast_ref::<String>()
+                                .map(String::as_str)
+                                .or_else(|| payload.downcast_ref::<&str>().copied())
+                                .unwrap_or("no message");
+                            Err(EngineError::Protocol(format!("fleet worker panicked: {why}")))
+                        });
+                        let wall_s = start.elapsed().as_secs_f64();
+                        let died = result.is_err();
+                        let _ = tx.send(WorkerEvent::Measured { slot, cand, wall_s, result });
+                        if died {
+                            // The broken pool drops here; the coordinator
+                            // requeues the candidate and respawns the slot.
+                            let _ = tx.send(WorkerEvent::Exited { slot, pool: None });
+                            return;
                         }
                     }
                     let _ = tx.send(WorkerEvent::Exited { slot, pool: Some(Box::new(pool)) });
@@ -852,6 +802,27 @@ mod tests {
             }
             fleet.shutdown().expect("whatever is still warm joins");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_is_a_pool_death_never_a_hang() {
+        // A zero-Mbps uplink makes the deploy's control-frame pacing panic
+        // inside the worker (an infinite sleep is not a `Duration`).
+        let (done, outcome) = std::sync::mpsc::channel();
+        let caller = thread::spawn(move || {
+            let ds = PointCloudDataset::generate(2, 10, 2, 3);
+            let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 2, 9, 5).with_uplink_mbps(0.0);
+            let outcomes = fleet.run_batch(&[split_plan(8)], ds.samples());
+            let _ = done.send((outcomes, fleet.stats().failures()));
+        });
+        let (outcomes, failures) = outcome
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a panicking worker must not hang the fleet");
+        caller.join().expect("the caller returned");
+        assert_eq!(outcomes.len(), 1);
+        let err = outcomes[0].as_ref().expect_err("nothing was measured");
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert!(failures >= 1, "each panic is a counted pool death");
     }
 
     #[test]

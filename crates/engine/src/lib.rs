@@ -80,9 +80,8 @@ pub use plan::{lower_and_optimize, OptimizeOptions};
 pub use pool::EdgePool;
 pub use proto::{
     decode_frame, decode_plan, decode_state, encode_frame, encode_plan, encode_state, frame_name,
-    plan_wire_id, read_message, write_message, Frame, PlanBatch, SessionOutcome, SessionProgress,
-    SessionSpec, SessionState, SessionTask, WireState, MAX_BATCH_PLANS, PLAN_WIRE_VERSION,
-    PROTOCOL_VERSION,
+    plan_wire_id, read_message, write_message, Frame, SessionOutcome, SessionProgress, SessionSpec,
+    SessionState, SessionTask, WireState, PLAN_WIRE_VERSION, PROTOCOL_VERSION,
 };
 pub use runtime::{DeviceClient, EdgeServer, EngineStats};
 pub use scenario::replay_on_fleet;

@@ -12,11 +12,11 @@
 //! spawned pair would.
 
 use crate::plan::ExecutionPlan;
-use crate::proto::{PlanBatch, MAX_BATCH_PLANS};
 use crate::runtime::{DeviceClient, EdgeServer, EngineStats};
 use crate::EngineError;
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 
 /// A warm device/edge pair serving an arbitrary sequence of plans.
@@ -64,6 +64,7 @@ pub struct EdgePool {
     client: DeviceClient,
     server: Option<EdgeServer>,
     swaps: u64,
+    queued: VecDeque<(ExecutionPlan, u32)>,
 }
 
 /// An inert plan for the moment between connecting and the first
@@ -84,7 +85,7 @@ impl EdgePool {
         let server = EdgeServer::spawn_persistent(bank.clone(), seed)?;
         let client =
             DeviceClient::connect(server.addr(), placeholder_plan(), bank, seed)?.with_session();
-        Ok(Self { server: Some(server), client, swaps: 0 })
+        Ok(Self { server: Some(server), client, swaps: 0, queued: VecDeque::new() })
     }
 
     /// Connects a session-mode client to an already-running persistent
@@ -105,7 +106,7 @@ impl EdgePool {
     ) -> Result<Self, EngineError> {
         let client = DeviceClient::connect_timeout(addr, placeholder_plan(), bank, seed, timeout)?
             .with_session();
-        Ok(Self { server: None, client, swaps: 0 })
+        Ok(Self { server: None, client, swaps: 0, queued: VecDeque::new() })
     }
 
     /// Caps the device uplink at `mbps` for every subsequent run.
@@ -122,49 +123,56 @@ impl EdgePool {
         self.client.set_uplink_mbps(mbps);
     }
 
-    /// Hot-swaps `plan` onto the warm pair (one `SwapPlan` control frame;
-    /// no reconnect, no weight transfer).
+    /// Hot-swaps `plan` onto the warm pair (one `SwapPlan` control frame
+    /// for an offloaded plan, nothing on the wire for a local one; no
+    /// reconnect, no weight transfer). Drops any plans still queued by
+    /// [`deploy_batch`](Self::deploy_batch).
     ///
     /// # Errors
     ///
     /// Returns an error if the connection is gone.
     pub fn deploy(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
+        self.queued.clear();
         self.client.swap_plan(plan)?;
         self.swaps += 1;
         Ok(())
     }
 
-    /// Deploys a whole queue of `(plan, declared state frames)` entries
-    /// with one control round-trip per [`MAX_BATCH_PLANS`]-sized chunk
-    /// instead of one `SwapPlan` frame per candidate — the following
-    /// [`run`](Self::run) calls pop the queue in order. See
-    /// [`DeviceClient::deploy_batch`] for the frame-budget contract.
+    /// Queues `(plan, declared state frames)` entries locally; each later
+    /// [`run`](Self::run) pops one, checks that it streams the declared
+    /// number of frames (`0` for a local plan) and deploys it. Kept for
+    /// the benchmark harness, which times this call; nothing is sent here.
     ///
     /// # Errors
     ///
-    /// Returns an error if the connection is gone or the edge rejects a
-    /// chunk; entries past the failed chunk are not deployed.
+    /// Never fails; the budget check happens in [`run`](Self::run).
+    #[doc(hidden)]
     pub fn deploy_batch(&mut self, entries: Vec<(ExecutionPlan, u32)>) -> Result<(), EngineError> {
-        let mut entries = entries.into_iter().peekable();
-        while entries.peek().is_some() {
-            let mut batch = PlanBatch::default();
-            for (plan, frames) in entries.by_ref().take(MAX_BATCH_PLANS) {
-                batch.plans.push(plan);
-                batch.frames.push(frames);
-            }
-            self.swaps += batch.plans.len() as u64;
-            self.client.deploy_batch(batch)?;
-        }
+        self.queued.extend(entries);
         Ok(())
     }
 
-    /// Streams `samples` through the currently deployed plan.
+    /// Streams `samples` through the currently deployed plan, after
+    /// deploying the next queued plan if there is one.
     ///
     /// # Errors
     ///
-    /// Propagates socket and protocol errors; after an error the pool
-    /// should be discarded (the caller respawns a fresh one).
+    /// Propagates socket and protocol errors, and refuses a queued plan
+    /// whose declared frame count disagrees with `samples`; after an
+    /// error the pool should be discarded (the caller respawns a fresh
+    /// one).
     pub fn run(&mut self, samples: &[Sample]) -> Result<(Vec<usize>, EngineStats), EngineError> {
+        if let Some((plan, declared)) = self.queued.pop_front() {
+            let streamed = if plan.offloaded { samples.len() } else { 0 };
+            if declared as usize != streamed {
+                self.queued.clear();
+                return Err(EngineError::Protocol(format!(
+                    "queued plan declared {declared} state frames but this run streams {streamed}"
+                )));
+            }
+            self.client.swap_plan(plan)?;
+            self.swaps += 1;
+        }
         self.client.run_pipelined(samples)
     }
 
@@ -269,8 +277,8 @@ mod tests {
         }
         pool.shutdown().expect("clean");
 
-        // Batched: one SwapPlanBatch round-trip, then three runs popping
-        // the queue — predictions must be bit-identical.
+        // Queued: three runs popping the queue, each deploying its plan —
+        // predictions must be bit-identical.
         let mut pool = EdgePool::spawn(WeightBank::new(2, 5), 9).expect("pool");
         let entries: Vec<(ExecutionPlan, u32)> = dims
             .iter()
@@ -296,7 +304,7 @@ mod tests {
         ]);
         let mut pool = EdgePool::spawn(WeightBank::new(2, 5), 9).expect("pool");
         // Offloaded, local (zero declared frames), offloaded again: the
-        // edge must skip the local entry when auto-advancing.
+        // local entry never reaches the edge.
         pool.deploy_batch(vec![
             (ExecutionPlan::from_architecture(&arch(8)), 3),
             (ExecutionPlan::from_architecture(&local), 0),

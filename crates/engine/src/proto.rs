@@ -16,13 +16,11 @@
 //! encoding ([`encode_plan`]) rather than JSON — a fixed header (codec
 //! version, FNV-1a integrity id, op counts, slot offset, flags) followed
 //! by one contiguous tag column, one contiguous parameter column and one
-//! contiguous weight-slot column across all ops — and deploys can be
-//! batched:
-//! [`Frame::SwapPlanBatch`] ships up to [`MAX_BATCH_PLANS`] plans per
-//! round-trip, answered by one [`Frame::AckBatch`], with the edge
-//! auto-advancing through the queue as each plan's declared `State`
-//! frames are served. The legacy JSON kind (1) shipped by protocol v1 is
-//! no longer decoded — its one-release compatibility window has closed.
+//! contiguous weight-slot column across all ops. One `SwapPlan` per
+//! deploy is the only way a plan reaches an edge, and only an offloaded
+//! plan is shipped: a local plan never serves an edge frame. The legacy
+//! JSON kind (1) of protocol v1 and the batched-deploy kinds (14, 15) are
+//! no longer decoded; their bytes stay reserved and are refused by name.
 //!
 //! The remaining kinds are the search-as-a-service session protocol spoken
 //! by `gcode_server`: a [`Frame::Hello`] handshake carrying
@@ -320,25 +318,27 @@ pub fn decode_state(body: &[u8]) -> Result<WireState, EngineError> {
 ///
 /// History: v1 shipped `SwapPlan` as JSON (kind 1); v2 switched plan
 /// deploys to the binary columnar encoding (kind 13) and added batched
-/// deploys (`SwapPlanBatch`/`AckBatch`, kinds 14/15). The legacy JSON
+/// deploys (kinds 14/15, one plan queue per round-trip). The legacy JSON
 /// kind was decoded for one release after the switch; that window has
 /// closed and kind 1 is now rejected. v3 changed the `State` body: the
 /// byte-plane-shuffled LZ77 streams (which shipped post-ReLU activations
 /// 2–3 % *larger* than raw) gave way to the zero-bitmap float blob and the
 /// narrow-id graph blob laid out at [`encode_state`]. v4 carries plan
-/// codec v3 in `SwapPlan`/`SwapPlanBatch` bodies (see
-/// [`PLAN_WIRE_VERSION`]) and a `Result` report without the retired plan
-/// optimizer's counters.
+/// codec v3 in `SwapPlan` bodies (see [`PLAN_WIRE_VERSION`]) and a
+/// `Result` report without the retired plan optimizer's counters. Still
+/// v4 after kinds 14 and 15 were retired: no remaining frame's bytes
+/// changed, so measurement-cache tags and cache files stay valid, and a
+/// peer that still sends a batch gets a typed refusal naming the kind.
 ///
 /// Frame sizes depend on it, so the measurement-cache keys of
 /// `EngineBackend` and `gcode-serve` fold this byte in: a cache file
 /// written under another version re-measures instead of replaying.
 pub const PROTOCOL_VERSION: u8 = 4;
 
-/// Version byte leading every binary-encoded plan (and the
-/// `SwapPlanBatch` body). Independent of [`PROTOCOL_VERSION`]: it gates
-/// the *plan codec* layout, so a decoder can reject a plan blob from a
-/// future layout with a clean error instead of misreading columns.
+/// Version byte leading every binary-encoded plan. Independent of
+/// [`PROTOCOL_VERSION`]: it gates the *plan codec* layout, so a decoder
+/// can reject a plan blob from a future layout with a clean error
+/// instead of misreading columns.
 ///
 /// History: plan codec v1 carried two columns (tag, parameter); v2 added
 /// the per-op weight-slot column, a fused-kernel tag (6) and an 8-byte
@@ -347,13 +347,6 @@ pub const PROTOCOL_VERSION: u8 = 4;
 /// is the first byte [`decode_plan`] checks, so a v2 blob is refused, not
 /// misread, and no v2 id can be taken for a v3 one.
 pub const PLAN_WIRE_VERSION: u8 = 3;
-
-/// Most plans one [`Frame::SwapPlanBatch`] may carry. Bounds the decode
-/// allocation on the edge (a corrupted count cannot drive a huge
-/// reservation) and keeps one batch comfortably under
-/// [`MAX_MESSAGE_LEN`]; [`crate::EdgePool::deploy_batch`] chunks longer
-/// deploy lists transparently.
-pub const MAX_BATCH_PLANS: usize = 64;
 
 /// Which built-in workload a served search session runs on. The server
 /// owns the dataset/space fixtures for each task so that every client
@@ -441,27 +434,6 @@ pub struct SessionOutcome {
     pub winner_predictions: Vec<usize>,
 }
 
-/// A batched deploy: up to [`MAX_BATCH_PLANS`] plans shipped in one
-/// frame, each annotated with the number of `State` frames the device
-/// will stream for it. The edge acks the whole batch once
-/// ([`Frame::AckBatch`]) and then auto-advances through the queue: after
-/// serving `frames[i]` data frames under plan `i` it activates plan
-/// `i + 1` (resetting its RNG exactly as a single `SwapPlan` would), so
-/// `K` candidate deploys cost one control round-trip instead of `K`
-/// control frames.
-///
-/// A `frames` entry of `0` marks a plan that generates no edge traffic
-/// (a non-offloaded candidate the device prices locally); the edge skips
-/// it when advancing.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PlanBatch {
-    /// Plans in deploy order.
-    pub plans: Vec<ExecutionPlan>,
-    /// `State` frames the device will send for each plan (same length as
-    /// `plans`).
-    pub frames: Vec<u32>,
-}
-
 /// One framed message on the wire: a data frame (an intermediate
 /// [`WireState`] crossing the split, in both directions), one of the
 /// control frames that drive a persistent edge, or one of the session
@@ -510,12 +482,6 @@ pub enum Frame {
     Result(Box<SessionOutcome>),
     /// Client → server: drop the session's server-side state.
     CloseSession(u64),
-    /// Device → edge: deploy a queue of plans in one round-trip; the edge
-    /// answers with one [`Frame::AckBatch`] and auto-advances through the
-    /// queue as each plan's declared `State` frames are served.
-    SwapPlanBatch(Box<PlanBatch>),
-    /// Edge → device: the batch landed; body is the accepted plan count.
-    AckBatch(u32),
 }
 
 const KIND_STATE: u8 = 0;
@@ -535,8 +501,11 @@ const KIND_PROGRESS: u8 = 10;
 const KIND_RESULT: u8 = 11;
 const KIND_CLOSE_SESSION: u8 = 12;
 const KIND_SWAP_PLAN_BINARY: u8 = 13;
-const KIND_SWAP_PLAN_BATCH: u8 = 14;
-const KIND_ACK_BATCH: u8 = 15;
+/// Reserved: protocol v2–v4's batched deploy (a plan queue with per-plan
+/// frame budgets) and its acknowledgement. Retired for one `SwapPlan` per
+/// deploy; refused by name like kind 1, and never reassigned.
+const KIND_SWAP_PLAN_BATCH_RETIRED: u8 = 14;
+const KIND_ACK_BATCH_RETIRED: u8 = 15;
 
 /// Columnar [`LayerSpec`] tags, one byte per op. The parameter column
 /// holds `k` / `out_dim` for the parameterized ops and the mode index
@@ -754,34 +723,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             body.extend_from_slice(&encode_plan(plan));
             body
         }
-        Frame::SwapPlanBatch(batch) => {
-            assert_eq!(
-                batch.plans.len(),
-                batch.frames.len(),
-                "PlanBatch plans/frames must be parallel arrays"
-            );
-            assert!(
-                batch.plans.len() <= MAX_BATCH_PLANS,
-                "batch of {} plans exceeds MAX_BATCH_PLANS ({MAX_BATCH_PLANS})",
-                batch.plans.len()
-            );
-            let mut buf = BytesMut::new();
-            buf.put_u8(KIND_SWAP_PLAN_BATCH);
-            buf.put_u8(PLAN_WIRE_VERSION);
-            buf.put_u16_le(batch.plans.len() as u16);
-            for (plan, frames) in batch.plans.iter().zip(&batch.frames) {
-                let blob = encode_plan(plan);
-                buf.put_u32_le(*frames);
-                buf.put_u32_le(blob.len() as u32);
-                buf.put_slice(&blob);
-            }
-            buf.into_vec()
-        }
-        Frame::AckBatch(count) => {
-            let mut body = vec![KIND_ACK_BATCH];
-            body.extend_from_slice(&count.to_le_bytes());
-            body
-        }
         Frame::Shutdown => vec![KIND_SHUTDOWN],
         Frame::Hello(version) => vec![KIND_HELLO, *version],
         Frame::Error(msg) => {
@@ -821,8 +762,6 @@ pub fn frame_name(frame: &Frame) -> &'static str {
         Frame::Progress(_) => "progress",
         Frame::Result(_) => "result",
         Frame::CloseSession(_) => "close-session",
-        Frame::SwapPlanBatch(_) => "swap-plan-batch",
-        Frame::AckBatch(_) => "ack-batch",
     }
 }
 
@@ -921,51 +860,11 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, EngineError> {
         KIND_RESULT => Ok(Frame::Result(Box::new(decode_json_frame(rest, "result")?))),
         KIND_CLOSE_SESSION => Ok(Frame::CloseSession(decode_session_id(rest, "close-session")?)),
         KIND_SWAP_PLAN_BINARY => Ok(Frame::SwapPlan(Box::new(decode_plan(rest)?))),
-        KIND_SWAP_PLAN_BATCH => {
-            if rest.len() < 3 {
-                return Err(EngineError::Protocol(
-                    "swap-plan-batch frame shorter than its header".to_string(),
-                ));
-            }
-            if rest[0] != PLAN_WIRE_VERSION {
-                return Err(EngineError::Protocol(format!(
-                    "plan codec version mismatch: decoder speaks v{PLAN_WIRE_VERSION}, batch is v{}",
-                    rest[0]
-                )));
-            }
-            let count = u16::from_le_bytes(rest[1..3].try_into().expect("2 bytes")) as usize;
-            if count > MAX_BATCH_PLANS {
-                return Err(EngineError::Protocol(format!(
-                    "batch of {count} plans exceeds the {MAX_BATCH_PLANS}-plan cap"
-                )));
-            }
-            let mut pos = 3usize;
-            let mut batch =
-                PlanBatch { plans: Vec::with_capacity(count), frames: Vec::with_capacity(count) };
-            for _ in 0..count {
-                let frames = read_u32(rest, &mut pos)?;
-                let plan_len = read_u32(rest, &mut pos)? as usize;
-                let end = pos + plan_len;
-                if end > rest.len() {
-                    return Err(EngineError::Protocol("truncated batched plan".to_string()));
-                }
-                batch.plans.push(decode_plan(&rest[pos..end])?);
-                batch.frames.push(frames);
-                pos = end;
-            }
-            if pos != rest.len() {
-                return Err(EngineError::Protocol(format!(
-                    "swap-plan-batch frame carries {} trailing bytes",
-                    rest.len() - pos
-                )));
-            }
-            Ok(Frame::SwapPlanBatch(Box::new(batch)))
-        }
-        KIND_ACK_BATCH => {
-            let bytes: [u8; 4] = rest.try_into().map_err(|_| {
-                EngineError::Protocol("ack-batch frame body must be exactly 4 bytes".to_string())
-            })?;
-            Ok(Frame::AckBatch(u32::from_le_bytes(bytes)))
+        KIND_SWAP_PLAN_BATCH_RETIRED | KIND_ACK_BATCH_RETIRED => {
+            let name = if kind == KIND_ACK_BATCH_RETIRED { "ack-batch" } else { "swap-plan-batch" };
+            Err(EngineError::Protocol(format!(
+                "{name} (kind {kind}) is retired; deploy each plan with one swap-plan (kind 13)"
+            )))
         }
         other => Err(EngineError::Protocol(format!("unknown frame kind {other}"))),
     }
@@ -1350,38 +1249,6 @@ mod tests {
         }
         assert!(decode_plan(&blob[..blob.len() - 1]).is_err(), "truncated blob");
         assert!(decode_plan(&[]).is_err(), "empty blob");
-    }
-
-    #[test]
-    fn batch_frame_round_trips() {
-        let batch = PlanBatch { plans: vec![split_plan(), local_plan()], frames: vec![8, 0] };
-        let frame = Frame::SwapPlanBatch(Box::new(batch));
-        assert_eq!(decode_frame(&encode_frame(&frame)).expect("batch"), frame);
-
-        let ack = Frame::AckBatch(2);
-        assert_eq!(decode_frame(&encode_frame(&ack)).expect("ack"), ack);
-    }
-
-    #[test]
-    fn malformed_batch_frames_rejected() {
-        let frame = Frame::SwapPlanBatch(Box::new(PlanBatch {
-            plans: vec![split_plan()],
-            frames: vec![4],
-        }));
-        let body = encode_frame(&frame);
-        assert!(decode_frame(&body[..body.len() - 2]).is_err(), "truncated batched plan");
-        assert!(decode_frame(&[KIND_SWAP_PLAN_BATCH]).is_err(), "missing batch header");
-
-        // A count past the cap must be rejected before any allocation.
-        let mut oversized = vec![KIND_SWAP_PLAN_BATCH, PLAN_WIRE_VERSION];
-        oversized.extend_from_slice(&(MAX_BATCH_PLANS as u16 + 1).to_le_bytes());
-        assert!(decode_frame(&oversized).is_err(), "oversized batch count");
-
-        let mut trailing = body.clone();
-        trailing.push(0);
-        assert!(decode_frame(&trailing).is_err(), "trailing batch bytes");
-
-        assert!(decode_frame(&[KIND_ACK_BATCH, 1, 2]).is_err(), "short ack body");
     }
 
     /// What `stream_wire` ships: the `Combine { dim: 64 }` output of the

@@ -2,8 +2,7 @@
 
 use crate::plan::ExecutionPlan;
 use crate::proto::{
-    decode_frame, encode_frame, frame_name, read_message, write_message, Frame, PlanBatch,
-    WireState, MAX_BATCH_PLANS,
+    decode_frame, encode_frame, frame_name, read_message, write_message, Frame, WireState,
 };
 use crate::EngineError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -13,7 +12,6 @@ use gcode_nn::seq::{classify, forward_features_slotted, GraphInput, WeightBank};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -219,37 +217,11 @@ enum ServeOutcome {
     Shutdown,
 }
 
-/// Activates the next batched plan owing edge traffic: entries declaring
-/// zero `State` frames (non-offloaded candidates the device prices
-/// locally) are skipped, and the RNG stream restarts exactly as a single
-/// `SwapPlan` would, so a batched deploy computes bit-for-bit what K
-/// individual swaps would.
-fn advance_batch(
-    plan: &mut Option<ExecutionPlan>,
-    pending: &mut VecDeque<(ExecutionPlan, u32)>,
-    remaining: &mut Option<u32>,
-    rng: &mut ChaCha8Rng,
-    seed: u64,
-) {
-    while let Some((next, frames)) = pending.pop_front() {
-        if frames == 0 {
-            continue;
-        }
-        *plan = Some(next);
-        *remaining = Some(frames);
-        *rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
-        return;
-    }
-    *remaining = Some(0);
-}
-
 /// Serves one device connection frame by frame. `plan` is the initially
 /// active plan (`None` for a persistent edge awaiting its first
 /// `SwapPlan`); a `SwapPlan` frame replaces it in place and restarts the
 /// edge RNG stream, so a swapped-in candidate computes exactly what a
-/// freshly spawned edge would. A `SwapPlanBatch` queues several plans at
-/// once: the edge acks the whole batch, then auto-advances through the
-/// queue as each plan's declared frame budget drains.
+/// freshly spawned edge would.
 fn serve_frames(
     stream: TcpStream,
     mut plan: Option<ExecutionPlan>,
@@ -257,11 +229,6 @@ fn serve_frames(
     seed: u64,
 ) -> Result<ServeOutcome, EngineError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
-    // Batched deploys still queued behind the active plan, plus how many
-    // `State` frames the active plan may still serve before advancing
-    // (`None` = unbounded, the single-`SwapPlan` mode).
-    let mut pending: VecDeque<(ExecutionPlan, u32)> = VecDeque::new();
-    let mut remaining: Option<u32> = None;
     stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
@@ -271,27 +238,8 @@ fn serve_frames(
             Frame::SwapPlan(next) => {
                 plan = Some(*next);
                 rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
-                pending.clear();
-                remaining = None;
-            }
-            Frame::SwapPlanBatch(batch) => {
-                write_message(
-                    &mut writer,
-                    &encode_frame(&Frame::AckBatch(batch.plans.len() as u32)),
-                )?;
-                // Append, don't replace: a deploy longer than one batch
-                // frame arrives as consecutive chunks.
-                pending.extend(batch.plans.into_iter().zip(batch.frames));
-                if remaining.is_none() || remaining == Some(0) {
-                    advance_batch(&mut plan, &mut pending, &mut remaining, &mut rng, seed);
-                }
             }
             Frame::State(state) => {
-                if remaining == Some(0) {
-                    return Err(EngineError::Protocol(
-                        "state frame arrived beyond the batch's declared frame budget".to_string(),
-                    ));
-                }
                 let active = plan.as_ref().ok_or_else(|| {
                     EngineError::Protocol(
                         "state frame arrived before any plan was deployed".to_string(),
@@ -312,12 +260,6 @@ fn serve_frames(
                     label: state.label,
                 };
                 write_message(&mut writer, &encode_frame(&Frame::State(reply)))?;
-                if let Some(rem) = remaining.as_mut() {
-                    *rem -= 1;
-                    if *rem == 0 {
-                        advance_batch(&mut plan, &mut pending, &mut remaining, &mut rng, seed);
-                    }
-                }
             }
             // Session frames belong to the gcode-serve daemon, not a raw
             // edge — rejecting them here keeps a client that dialed the
@@ -341,9 +283,6 @@ pub struct DeviceClient {
     seed: u64,
     uplink_mbps: Option<f64>,
     session: bool,
-    // Local mirror of a batched deploy: each run pops the next
-    // `(plan, declared frames)` entry instead of sending a SwapPlan.
-    pending_plans: VecDeque<(ExecutionPlan, u32)>,
 }
 
 impl DeviceClient {
@@ -389,15 +328,7 @@ impl DeviceClient {
         seed: u64,
     ) -> Result<Self, EngineError> {
         stream.set_nodelay(true)?;
-        Ok(Self {
-            plan,
-            bank,
-            stream: Some(stream),
-            seed,
-            uplink_mbps: None,
-            session: false,
-            pending_plans: VecDeque::new(),
-        })
+        Ok(Self { plan, bank, stream: Some(stream), seed, uplink_mbps: None, session: false })
     }
 
     /// Caps the uplink at `mbps`, emulating the paper's router bandwidth
@@ -431,8 +362,8 @@ impl DeviceClient {
         self
     }
 
-    /// Paces a control frame against the emulated uplink: swap and batch
-    /// frames cross the same capped router as data frames, so their bytes
+    /// Paces a control frame against the emulated uplink: swap frames
+    /// cross the same capped router as data frames, so their bytes
     /// must cost wire time too — that is exactly the saving the binary
     /// encoding buys.
     fn pace_control(&self, wire_bytes: usize) {
@@ -448,12 +379,19 @@ impl DeviceClient {
     /// shared [`WeightBank`], restarting only its RNG stream) and adopts
     /// the plan locally. The shared supernet bank means no weight transfer
     /// accompanies the switch — the paper's Sec. 3.6 dispatcher claim.
-    /// Any queued batched deploy is discarded on both halves.
+    ///
+    /// A plan that is not offloaded ships nothing: the edge never serves
+    /// one, and the next offloaded plan's `SwapPlan` replaces whatever the
+    /// edge holds and restarts its RNG stream anyway.
     ///
     /// # Errors
     ///
     /// Returns an error if the connection is gone or the send fails.
     pub fn swap_plan(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
+        if !plan.offloaded {
+            self.plan = plan;
+            return Ok(());
+        }
         let body = encode_frame(&Frame::SwapPlan(Box::new(plan.clone())));
         self.pace_control(body.len() + 4);
         let stream = self
@@ -462,72 +400,6 @@ impl DeviceClient {
             .ok_or_else(|| EngineError::Protocol("client connection closed".to_string()))?;
         write_message(stream, &body)?;
         self.plan = plan;
-        self.pending_plans.clear();
-        Ok(())
-    }
-
-    /// Deploys a whole queue of plans in one control round-trip: ships a
-    /// `SwapPlanBatch` frame, blocks for the edge's `AckBatch` (the socket
-    /// is quiescent between runs, so the next message is the ack), and
-    /// mirrors the queue locally — each following
-    /// [`run_pipelined`](Self::run_pipelined) pops the next entry instead
-    /// of sending its own `SwapPlan`. Each entry declares how many `State`
-    /// frames its run will stream (`0` for a non-offloaded plan); the edge
-    /// uses the budgets to auto-advance, and a run whose sample count
-    /// disagrees with its declaration fails locally before desynchronizing
-    /// the edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on a malformed batch (mismatched arrays, more than
-    /// [`MAX_BATCH_PLANS`] plans), a lost connection, or an unexpected
-    /// reply.
-    pub fn deploy_batch(&mut self, batch: PlanBatch) -> Result<(), EngineError> {
-        if batch.plans.len() != batch.frames.len() {
-            return Err(EngineError::Protocol(format!(
-                "batch ships {} plans but {} frame budgets",
-                batch.plans.len(),
-                batch.frames.len()
-            )));
-        }
-        if batch.plans.is_empty() {
-            return Ok(());
-        }
-        if batch.plans.len() > MAX_BATCH_PLANS {
-            return Err(EngineError::Protocol(format!(
-                "batch of {} plans exceeds the {MAX_BATCH_PLANS}-plan cap; chunk the deploy",
-                batch.plans.len()
-            )));
-        }
-        let expected = batch.plans.len();
-        let frame = Frame::SwapPlanBatch(Box::new(batch));
-        let body = encode_frame(&frame);
-        self.pace_control(body.len() + 4);
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| EngineError::Protocol("client connection closed".to_string()))?;
-        write_message(&mut *stream, &body)?;
-        let reply = read_message(stream)?.ok_or_else(|| {
-            EngineError::Protocol("edge closed before acking the batch".to_string())
-        })?;
-        match decode_frame(&reply)? {
-            Frame::AckBatch(n) if n as usize == expected => {}
-            Frame::AckBatch(n) => {
-                return Err(EngineError::Protocol(format!(
-                    "edge acked {n} of {expected} batched plans"
-                )))
-            }
-            Frame::Error(msg) => return Err(EngineError::Protocol(msg)),
-            other => {
-                return Err(EngineError::Protocol(format!(
-                    "expected an ack-batch reply, got a {} frame",
-                    frame_name(&other)
-                )))
-            }
-        }
-        let Frame::SwapPlanBatch(batch) = frame else { unreachable!("constructed above") };
-        self.pending_plans.extend(batch.plans.into_iter().zip(batch.frames));
         Ok(())
     }
 
@@ -566,16 +438,6 @@ impl DeviceClient {
         samples: &[Sample],
     ) -> Result<(Vec<usize>, EngineStats), EngineError> {
         let start = Instant::now();
-        if let Some((plan, declared)) = self.pending_plans.pop_front() {
-            let expected = if plan.offloaded { samples.len() as u32 } else { 0 };
-            if declared != expected {
-                self.pending_plans.clear();
-                return Err(EngineError::Protocol(format!(
-                    "batched plan declared {declared} state frames but this run streams {expected}"
-                )));
-            }
-            self.plan = plan;
-        }
         if !self.plan.offloaded {
             return self.run_local(samples, start);
         }
@@ -894,6 +756,35 @@ mod tests {
         }
         client.shutdown().expect("shutdown frame sent");
         server.join().expect("persistent edge exits on Shutdown");
+    }
+
+    #[test]
+    fn local_plans_ship_no_frame() {
+        // A peer that records every frame until the device hangs up.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut frames = Vec::new();
+            while let Some(body) = read_message(&mut stream).expect("read") {
+                frames.push(decode_frame(&body).expect("decode"));
+            }
+            frames
+        });
+        let local = ExecutionPlan::from_architecture(&Architecture::new(vec![
+            Op::Sample(SampleFn::Knn { k: 4 }),
+            Op::Aggregate(AggMode::Max),
+            Op::GlobalPool(PoolMode::Max),
+        ]));
+        let offloaded = ExecutionPlan::from_architecture(&split_arch());
+        let mut client = DeviceClient::connect(addr, local.clone(), WeightBank::new(2, 1), 7)
+            .expect("connect")
+            .with_session();
+        client.swap_plan(local).expect("local swap");
+        client.swap_plan(offloaded.clone()).expect("offloaded swap");
+        client.shutdown().expect("shutdown");
+        let frames = peer.join().expect("peer");
+        assert_eq!(frames, vec![Frame::SwapPlan(Box::new(offloaded)), Frame::Shutdown]);
     }
 
     #[test]

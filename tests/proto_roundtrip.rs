@@ -1,17 +1,17 @@
 //! Round-trip tests for the engine wire protocol (`gcode_engine::proto`):
 //! state encode/decode, message framing over in-memory and socket
 //! transports, session control frames with their protocol-version
-//! handshake, binary columnar plan frames (including batched deploys),
-//! and truncated-payload error paths.
+//! handshake, binary columnar plan frames, retired frame kinds, and
+//! truncated-payload error paths.
 
 use gcode::core::arch::WorkloadProfile;
 use gcode::core::eval::Objective;
 use gcode::core::search::SearchConfig;
 use gcode::core::space::DesignSpace;
 use gcode::engine::{
-    decode_frame, decode_state, encode_frame, encode_state, read_message, write_message,
-    ExecutionPlan, Frame, PlanBatch, SessionSpec, SessionTask, WireState, MAX_BATCH_PLANS,
-    PROTOCOL_VERSION,
+    decode_frame, decode_state, encode_frame, encode_plan, encode_state, read_message,
+    write_message, EngineError, ExecutionPlan, Frame, SessionSpec, SessionTask, WireState,
+    PLAN_WIRE_VERSION, PROTOCOL_VERSION,
 };
 use gcode::graph::CsrGraph;
 use gcode::tensor::Matrix;
@@ -234,6 +234,32 @@ fn legacy_json_swap_plan_kind_is_rejected() {
 }
 
 #[test]
+fn retired_batch_kinds_are_refused_by_name() {
+    // Kinds 14 and 15 carried the batched deploy and its ack until one
+    // `SwapPlan` per deploy replaced them. Well-formed bodies as a v4 peer
+    // built them must be refused with a typed error naming the kind.
+    let plans = sampled_plans(0xBA7C4, 2);
+    let mut batch = vec![14u8, PLAN_WIRE_VERSION];
+    batch.extend_from_slice(&(plans.len() as u16).to_le_bytes());
+    for plan in &plans {
+        let blob = encode_plan(plan);
+        batch.extend_from_slice(&4u32.to_le_bytes());
+        batch.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        batch.extend_from_slice(&blob);
+    }
+    let mut ack = vec![15u8];
+    ack.extend_from_slice(&(plans.len() as u32).to_le_bytes());
+    for (body, name) in [(batch, "swap-plan-batch (kind 14)"), (ack, "ack-batch (kind 15)")] {
+        match decode_frame(&body) {
+            Err(EngineError::Protocol(msg)) => {
+                assert!(msg.contains(name) && msg.contains("retired"), "got: {msg}");
+            }
+            other => panic!("{name} must be refused as retired, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn every_truncation_of_a_binary_plan_frame_errors() {
     let plan = sampled_plans(7, 1).remove(0);
     let body = encode_frame(&Frame::SwapPlan(Box::new(plan)));
@@ -260,73 +286,6 @@ fn corrupted_binary_plan_bytes_are_rejected_not_misread() {
             assert_eq!(*decoded, plan, "byte {i}: corruption decoded to a different plan");
         }
     }
-}
-
-#[test]
-fn plan_batches_survive_framing_round_trip() {
-    let plans = sampled_plans(0xBA7C4, 5);
-    let frames: Vec<u32> = (0..plans.len() as u32).map(|i| i % 3).collect();
-    let batch = PlanBatch { plans, frames };
-    let frame = Frame::SwapPlanBatch(Box::new(batch.clone()));
-    let mut wire = Vec::new();
-    write_message(&mut wire, &encode_frame(&frame)).expect("write");
-    write_message(&mut wire, &encode_frame(&Frame::AckBatch(5))).expect("write");
-    let mut cursor = Cursor::new(wire);
-    let body = read_message(&mut cursor).expect("read").expect("batch present");
-    assert_eq!(decode_frame(&body).expect("decode"), frame);
-    let body = read_message(&mut cursor).expect("read").expect("ack present");
-    assert_eq!(decode_frame(&body).expect("decode"), Frame::AckBatch(5));
-}
-
-#[test]
-fn every_truncation_of_a_plan_batch_errors() {
-    let plans = sampled_plans(0x72C, 2);
-    let batch = PlanBatch { frames: vec![1; plans.len()], plans };
-    let body = encode_frame(&Frame::SwapPlanBatch(Box::new(batch)));
-    for cut in 1..body.len() {
-        assert!(
-            decode_frame(&body[..cut]).is_err(),
-            "truncation at byte {cut}/{} must be rejected",
-            body.len()
-        );
-    }
-    let ack = encode_frame(&Frame::AckBatch(9));
-    for cut in 1..ack.len() {
-        assert!(decode_frame(&ack[..cut]).is_err(), "truncated AckBatch must be rejected");
-    }
-}
-
-#[test]
-fn oversized_and_garbage_plan_batches_are_refused_at_decode() {
-    // MAX_BATCH_PLANS bounds the edge-side allocation; a count past it in
-    // a decoded header must error before any plan bytes are trusted. The
-    // encoder refuses such batches outright (it panics on a programming
-    // error), so the hostile header is crafted by hand here.
-    let mut wire = sampled_plans(13, 1)
-        .first()
-        .map(|p| {
-            encode_frame(&Frame::SwapPlanBatch(Box::new(PlanBatch {
-                plans: vec![p.clone()],
-                frames: vec![1],
-            })))
-        })
-        .expect("one plan");
-    wire[2..4].copy_from_slice(&((MAX_BATCH_PLANS as u16) + 1).to_le_bytes());
-    assert!(
-        decode_frame(&wire).is_err(),
-        "a batch past MAX_BATCH_PLANS must be rejected at decode"
-    );
-
-    // A future plan-codec version byte is a clean error, not a misread.
-    let mut versioned = wire.clone();
-    versioned[2..4].copy_from_slice(&1u16.to_le_bytes());
-    versioned[1] = 99;
-    assert!(decode_frame(&versioned).is_err(), "future codec version must be rejected");
-
-    // Pure garbage after the kind byte never decodes.
-    let mut garbage = vec![wire[0]];
-    garbage.extend((0..64u8).map(|i| i.wrapping_mul(37).wrapping_add(11)));
-    assert!(decode_frame(&garbage).is_err(), "garbage batch body must be rejected");
 }
 
 #[test]
