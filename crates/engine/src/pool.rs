@@ -6,10 +6,10 @@
 //! supernet `WeightBank`. The pool is that idea applied to *search-time
 //! measurement*: instead of a fresh process + TCP handshake + teardown per
 //! candidate, spawn once, then ship a `SwapPlan` control frame per
-//! candidate — the connection, serve thread and lazily materialized
-//! weights all stay warm, and each weight tensor is keyed and seeded by
-//! slot, so a swapped-in candidate computes bit-for-bit what a freshly
-//! spawned pair would.
+//! candidate — the connection, serve thread, the client's uplink and
+//! results threads and lazily materialized weights all stay warm, and
+//! each weight tensor is keyed and seeded by slot, so a swapped-in
+//! candidate computes bit-for-bit what a freshly spawned pair would.
 
 use crate::plan::ExecutionPlan;
 use crate::runtime::{DeviceClient, EdgeServer, EngineStats};
@@ -24,6 +24,9 @@ use std::net::SocketAddr;
 /// Deploy a candidate with [`deploy`](Self::deploy), stream frames with
 /// [`run`](Self::run), repeat; [`shutdown`](Self::shutdown) (or drop)
 /// ends the serve thread cleanly via the `Shutdown` control frame. A pool
+/// runs a fixed set of threads however many candidates it serves: the
+/// edge's serve thread, and the client's uplink and results threads from
+/// its first offloaded run on (see [`DeviceClient::run_pipelined`]). A pool
 /// holds at most one spawned [`EdgeServer`] for its whole lifetime; an
 /// `EdgeFleet` of such pools is what `EngineBackend` routes every
 /// `Measured`-tier candidate through.
@@ -160,7 +163,8 @@ impl EdgePool {
     /// Propagates socket and protocol errors, and refuses a queued plan
     /// whose declared frame count disagrees with `samples`; after an
     /// error the pool should be discarded (the caller respawns a fresh
-    /// one).
+    /// one). A failed run has already closed the client's connection and
+    /// joined its I/O threads.
     pub fn run(&mut self, samples: &[Sample]) -> Result<(Vec<usize>, EngineStats), EngineError> {
         if let Some((plan, declared)) = self.queued.pop_front() {
             let streamed = if plan.offloaded { samples.len() } else { 0 };
@@ -181,9 +185,10 @@ impl EdgePool {
         self.swaps
     }
 
-    /// Cleanly ends the pool. For a pool that spawned its own edge, a
-    /// `Shutdown` control frame stops the serve loop and the serve thread
-    /// is joined — no thread outlives the pool. A pool that connected to a
+    /// Cleanly ends the pool. The client's uplink and results threads are
+    /// joined. For a pool that spawned its own edge, a `Shutdown` control
+    /// frame stops the serve loop and the serve thread is joined — no
+    /// thread outlives the pool. A pool that connected to a
     /// remote edge ([`connect_with_timeout`](Self::connect_with_timeout))
     /// does *not* own it: it only closes its session (the remote
     /// persistent edge sees a clean disconnect and loops back to `accept`

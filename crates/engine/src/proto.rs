@@ -925,12 +925,26 @@ const MAX_EAGER_RESERVE: usize = 1 << 20;
 /// that ends partway through the 4-byte length prefix, which is corruption,
 /// not a clean shutdown — and rejects length prefixes beyond
 /// [`MAX_MESSAGE_LEN`] before allocating.
-pub fn read_message<R: Read>(mut r: R) -> Result<Option<Vec<u8>>, EngineError> {
+pub fn read_message<R: Read>(r: R) -> Result<Option<Vec<u8>>, EngineError> {
+    let mut body = Vec::new();
+    Ok(read_message_into(r, &mut body)?.then_some(body))
+}
+
+/// [`read_message`] into a buffer the caller keeps across messages;
+/// returns `false` on a clean EOF at a message boundary. A loop that
+/// reads every frame of a connection this way allocates its buffer once,
+/// not once per frame. A buffer an earlier message grew past the eager
+/// reserve is released first, so one large message is not held for the
+/// rest of the connection.
+pub(crate) fn read_message_into<R: Read>(
+    mut r: R,
+    body: &mut Vec<u8>,
+) -> Result<bool, EngineError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0usize;
     while filled < len_buf.len() {
         match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
                 return Err(EngineError::Protocol(
                     "stream truncated inside a message length prefix".to_string(),
@@ -947,14 +961,18 @@ pub fn read_message<R: Read>(mut r: R) -> Result<Option<Vec<u8>>, EngineError> {
             "message length {len} exceeds the {MAX_MESSAGE_LEN}-byte cap"
         )));
     }
-    let mut body = Vec::with_capacity(len.min(MAX_EAGER_RESERVE));
-    let arrived = r.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.capacity() > MAX_EAGER_RESERVE {
+        *body = Vec::new();
+    }
+    body.clear();
+    body.reserve(len.min(MAX_EAGER_RESERVE));
+    let arrived = r.by_ref().take(len as u64).read_to_end(body)?;
     if arrived < len {
         return Err(EngineError::Protocol(format!(
             "stream truncated inside a message body: {arrived} of {len} bytes arrived"
         )));
     }
-    Ok(Some(body))
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 
 use crate::plan::ExecutionPlan;
 use crate::proto::{
-    decode_frame, encode_frame, frame_name, read_message, write_message, Frame, WireState,
+    decode_frame, encode_frame, frame_name, read_message, read_message_into, write_message, Frame,
+    WireState,
 };
+use crate::throttle::Throttle;
 use crate::EngineError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gcode_core::eval::scenario::latency_percentiles;
@@ -12,7 +14,7 @@ use gcode_nn::seq::{classify, forward_features_slotted, GraphInput, WeightBank};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -232,7 +234,14 @@ fn serve_frames(
     stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
-    while let Some(body) = read_message(&mut reader)? {
+    // One receive buffer for the connection, not one per frame: a fresh
+    // buffer freed beside the decoded features puts two same-sized
+    // transient allocations (256 KiB each for a 1024 × 64 activation) at
+    // glibc's dynamic trim threshold, where a few KiB of heap layout
+    // decide whether every frame hands its memory back to the OS and
+    // faults it in again.
+    let mut body = Vec::new();
+    while read_message_into(&mut reader, &mut body)? {
         match decode_frame(&body)? {
             Frame::Shutdown => return Ok(ServeOutcome::Shutdown),
             Frame::SwapPlan(next) => {
@@ -276,10 +285,17 @@ fn serve_frames(
 }
 
 /// The device half: runs prefixes, streams intermediates, collects results.
+///
+/// A connection has one uplink thread and one results thread for its
+/// whole life, not one pair per run: the first offloaded run starts them,
+/// every run hands them its work over message queues, and they are joined
+/// when the client shuts down, is dropped, a run fails or a one-shot run
+/// ends.
 pub struct DeviceClient {
     plan: ExecutionPlan,
     bank: WeightBank,
     stream: Option<TcpStream>,
+    io: Option<IoThreads>,
     seed: u64,
     uplink_mbps: Option<f64>,
     session: bool,
@@ -328,11 +344,19 @@ impl DeviceClient {
         seed: u64,
     ) -> Result<Self, EngineError> {
         stream.set_nodelay(true)?;
-        Ok(Self { plan, bank, stream: Some(stream), seed, uplink_mbps: None, session: false })
+        Ok(Self {
+            plan,
+            bank,
+            stream: Some(stream),
+            io: None,
+            seed,
+            uplink_mbps: None,
+            session: false,
+        })
     }
 
     /// Caps the uplink at `mbps`, emulating the paper's router bandwidth
-    /// limits (10/40 Mbps) on loopback. The pacing runs inside the sender
+    /// limits (10/40 Mbps) on loopback. The pacing runs inside the uplink
     /// thread so device compute stays unthrottled. The throttle is rebuilt
     /// per run, so every run (session or one-shot) starts with a full
     /// token bucket.
@@ -356,6 +380,10 @@ impl DeviceClient {
     /// [`swap_plan`](Self::swap_plan) between runs, and
     /// [`shutdown`](Self::shutdown) (or drop) when done. Pair with
     /// [`EdgeServer::spawn_persistent`].
+    ///
+    /// The connection's uplink and results threads stay up with it: a
+    /// session spawns them once, on its first offloaded run, however many
+    /// candidates it serves.
     #[must_use]
     pub fn with_session(mut self) -> Self {
         self.session = true;
@@ -403,32 +431,39 @@ impl DeviceClient {
         Ok(())
     }
 
-    /// Tells the edge to end its serve loop (a `Shutdown` control frame)
-    /// and closes the connection.
+    /// Tells the edge to end its serve loop (a `Shutdown` control frame),
+    /// joins the connection's I/O threads and closes the connection.
     ///
     /// # Errors
     ///
-    /// Returns an error if the send fails; the connection is dropped
-    /// either way.
+    /// Returns an error if the send fails; the threads are joined and the
+    /// connection is dropped either way.
     pub fn shutdown(mut self) -> Result<(), EngineError> {
-        match self.stream.take() {
-            Some(mut stream) => write_message(&mut stream, &encode_frame(&Frame::Shutdown)),
+        let sent = match self.stream.as_mut() {
+            Some(stream) => write_message(stream, &encode_frame(&Frame::Shutdown)),
             None => Ok(()),
-        }
+        };
+        self.close();
+        sent
     }
 
     /// Processes `samples` through the co-inference pipeline and returns
     /// `(predictions, stats)`.
     ///
-    /// Pipelined mode: the main thread runs device prefixes and hands
-    /// encoded frames to a dedicated sender thread; a dedicated receiver
-    /// thread collects results — the paper's separate send/recv threads
-    /// with message queues. The device never waits for frame `f`'s result
-    /// before starting frame `f+1`.
+    /// Pipelined mode: the calling thread runs device prefixes and hands
+    /// encoded frames to the connection's uplink thread; its results
+    /// thread collects the edge's replies — the paper's separate send/recv
+    /// threads with message queues. The device never waits for frame `f`'s
+    /// result before starting frame `f+1`. Both threads belong to the
+    /// connection, not to the call: the first offloaded run starts them,
+    /// and each run after it only queues its frames and a request for its
+    /// results.
     ///
-    /// One-shot clients close the connection when the run completes;
-    /// session clients ([`with_session`](Self::with_session)) keep it open
-    /// for the next [`swap_plan`](Self::swap_plan)/run cycle.
+    /// One-shot clients join the threads and close the connection when
+    /// the run completes; session clients ([`with_session`](Self::with_session))
+    /// keep both for the next [`swap_plan`](Self::swap_plan)/run cycle. A
+    /// failed run shuts the connection down and joins the threads, so
+    /// neither the client nor the edge is left blocked on the socket.
     ///
     /// # Errors
     ///
@@ -441,58 +476,42 @@ impl DeviceClient {
         if !self.plan.offloaded {
             return self.run_local(samples, start);
         }
+        let run = self.run_offloaded(samples, start);
+        if run.is_err() || !self.session {
+            self.close();
+        }
+        run
+    }
+
+    fn run_offloaded(
+        &mut self,
+        samples: &[Sample],
+        start: Instant,
+    ) -> Result<(Vec<usize>, EngineStats), EngineError> {
         let stream = self
             .stream
-            .take()
+            .as_ref()
             .ok_or_else(|| EngineError::Protocol("client already consumed".to_string()))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = stream;
-
-        let (send_q, send_rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = unbounded();
-        let mut throttle = self.uplink_mbps.map(crate::Throttle::mbps);
-        let send = move || -> Result<Vec<usize>, EngineError> {
-            // Frames leave in frame order (a single queue feeds a single
-            // sender), so the per-frame byte log indexes by frame id.
-            let mut frame_bytes = Vec::new();
-            for body in send_rx.iter() {
-                if let Some(t) = throttle.as_mut() {
-                    t.pace(body.len() + 4);
-                }
-                frame_bytes.push(body.len() + 4);
-                write_message(&mut writer, &body)?;
-            }
-            Ok(frame_bytes)
+        let io = match &self.io {
+            Some(io) => io,
+            None => self.io.insert(IoThreads::start(stream)?),
         };
-        let sender = std::thread::Builder::new().name("gcode-uplink".to_string()).spawn(send)?;
 
-        // One collected result: `(frame_id, prediction, label, done_s)`;
-        // the receiver hands the socket back for session reuse.
-        type Collected = (Vec<(u64, usize, u32, f64)>, TcpStream);
+        // The results thread is asked first, so it is reading before the
+        // edge can have anything to reply.
         let expected = samples.len();
-        let epoch = start;
-        let receive = move || -> Result<Collected, EngineError> {
-            let mut results = Vec::with_capacity(expected);
-            while results.len() < expected {
-                let Some(body) = read_message(&mut reader)? else {
-                    return Err(EngineError::Protocol(
-                        "edge closed before all results arrived".to_string(),
-                    ));
-                };
-                let Frame::State(state) = decode_frame(&body)? else {
-                    return Err(EngineError::Protocol(
-                        "edge sent a control frame where a result was expected".to_string(),
-                    ));
-                };
-                let done_s = epoch.elapsed().as_secs_f64();
-                results.push((state.frame_id, state.features.argmax_row(0), state.label, done_s));
-            }
-            // Hand the socket back so a session client can reuse it.
-            Ok((results, reader))
-        };
-        let receiver =
-            std::thread::Builder::new().name("gcode-results".to_string()).spawn(receive)?;
+        let (collected_tx, collected) = unbounded();
+        io.results
+            .send(CollectRun { frames: expected, epoch: start, reply: collected_tx })
+            .map_err(|_| io_thread_died("results"))?;
+        let (frames_tx, frames) = unbounded();
+        let (sent_tx, sent) = unbounded();
+        let throttle = self.uplink_mbps.map(Throttle::mbps);
+        io.uplink
+            .send(UplinkRun { frames, throttle, reply: sent_tx })
+            .map_err(|_| io_thread_died("uplink"))?;
 
-        // Main thread: device prefix per frame; never blocks on results.
+        // This thread: device prefix per frame; never blocks on results.
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xDE71CE);
         let mut starts_s = Vec::with_capacity(samples.len());
         for (frame_id, sample) in samples.iter().enumerate() {
@@ -510,22 +529,15 @@ impl DeviceClient {
                 graph,
                 label: sample.label as u32,
             };
-            send_q
-                .send(encode_frame(&Frame::State(state)))
-                .map_err(|_| EngineError::Protocol("sender thread died".to_string()))?;
+            // A closed queue means the uplink thread failed; its reply
+            // says why.
+            if frames_tx.send(encode_frame(&Frame::State(state))).is_err() {
+                break;
+            }
         }
-        drop(send_q);
-        let frame_bytes =
-            sender.join().map_err(|_| EngineError::Protocol("sender panicked".to_string()))??;
-        let (mut results, reader) = receiver
-            .join()
-            .map_err(|_| EngineError::Protocol("receiver panicked".to_string()))??;
-        if self.session {
-            // Keep the warm connection: the next candidate swaps its plan
-            // in over the same socket. One-shot clients drop it here,
-            // which the edge sees as a clean end of stream.
-            self.stream = Some(reader);
-        }
+        drop(frames_tx);
+        let frame_bytes = sent.recv().ok_or_else(|| io_thread_died("uplink"))??;
+        let mut results = collected.recv().ok_or_else(|| io_thread_died("results"))??;
         results.sort_by_key(|&(frame_id, _, _, _)| frame_id);
         // Exactly the ids we sent, each once — a duplicate or out-of-range
         // id from a rogue edge must be a protocol error, not a panic or a
@@ -559,6 +571,21 @@ impl DeviceClient {
             frame_latencies_s,
         };
         Ok((predictions, stats))
+    }
+
+    /// Shuts the socket down, then joins the I/O threads and drops the
+    /// connection. The shutdown returns a thread blocked mid-run in a read
+    /// or write (a failed or unwound run) and lets the edge see the
+    /// connection end; between runs both threads wait on their queues,
+    /// which joining closes, and a `Shutdown` frame already written still
+    /// reaches the edge ahead of the FIN.
+    fn close(&mut self) {
+        if let Some(stream) = self.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        if let Some(io) = self.io.take() {
+            io.join();
+        }
     }
 
     fn run_local(
@@ -605,6 +632,154 @@ impl DeviceClient {
             },
         ))
     }
+}
+
+impl Drop for DeviceClient {
+    /// Closes a client that was never shut down, joining its I/O threads
+    /// even when a caught panic left a run unfinished. Never panics.
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// One result as the results thread collects it:
+/// `(frame_id, prediction, label, done_s)`.
+type Collected = (u64, usize, u32, f64);
+
+/// A run's work for the uplink thread: write `frames` as they arrive,
+/// paced by `throttle`, and reply with each frame's wire bytes once the
+/// run's queue closes.
+struct UplinkRun {
+    frames: Receiver<Vec<u8>>,
+    throttle: Option<Throttle>,
+    reply: Sender<Result<Vec<usize>, EngineError>>,
+}
+
+/// A run's work for the results thread: read `frames` results, stamping
+/// each with the time since `epoch`.
+struct CollectRun {
+    frames: usize,
+    epoch: Instant,
+    reply: Sender<Result<Vec<Collected>, EngineError>>,
+}
+
+/// A connection's two I/O threads, each serving one run at a time from
+/// its queue until the queue closes. A thread whose run fails replies and
+/// exits; the results thread also shuts the socket down first.
+struct IoThreads {
+    uplink: Sender<UplinkRun>,
+    results: Sender<CollectRun>,
+    handles: [JoinHandle<()>; 2],
+}
+
+impl IoThreads {
+    /// Starts both threads over their own clones of `stream`. Should the
+    /// second spawn fail, the first thread's queue is closed and the
+    /// thread joined before the error returns.
+    fn start(stream: &TcpStream) -> Result<Self, EngineError> {
+        let mut writer = stream.try_clone()?;
+        let mut reader = stream.try_clone()?;
+        let (uplink, uplink_runs) = unbounded::<UplinkRun>();
+        let (results, collect_runs) = unbounded::<CollectRun>();
+        let uplink_thread =
+            std::thread::Builder::new().name("gcode-uplink".to_string()).spawn(move || {
+                for UplinkRun { frames, throttle, reply } in uplink_runs.iter() {
+                    if !hand_back(send_run(&mut writer, frames, throttle), &reply) {
+                        return;
+                    }
+                }
+            })?;
+        let results_thread =
+            std::thread::Builder::new().name("gcode-results".to_string()).spawn(move || {
+                for CollectRun { frames, epoch, reply } in collect_runs.iter() {
+                    let collected = collect_run(&mut reader, frames, epoch);
+                    if collected.is_err() {
+                        // The device thread may be waiting on the uplink,
+                        // itself stuck writing to an edge that no longer
+                        // reads; the shutdown fails that write.
+                        let _ = reader.shutdown(Shutdown::Both);
+                    }
+                    if !hand_back(collected, &reply) {
+                        return;
+                    }
+                }
+            });
+        match results_thread {
+            Ok(results_thread) => {
+                Ok(Self { uplink, results, handles: [uplink_thread, results_thread] })
+            }
+            Err(e) => {
+                drop(uplink);
+                let _ = uplink_thread.join();
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Closes both queues and joins the threads. A thread that panicked
+    /// has already failed its run by dropping its reply queue.
+    fn join(self) {
+        let Self { uplink, results, handles } = self;
+        drop((uplink, results));
+        for handle in handles {
+            let _ = handle.join();
+        }
+    }
+}
+
+fn io_thread_died(name: &str) -> EngineError {
+    EngineError::Protocol(format!("{name} thread died"))
+}
+
+/// Writes one run's frames. They arrive in frame order (one queue feeds
+/// one thread), so the per-frame byte log indexes by frame id.
+fn send_run(
+    writer: &mut TcpStream,
+    frames: Receiver<Vec<u8>>,
+    mut throttle: Option<Throttle>,
+) -> Result<Vec<usize>, EngineError> {
+    let mut frame_bytes = Vec::new();
+    for body in frames.iter() {
+        if let Some(t) = throttle.as_mut() {
+            t.pace(body.len() + 4);
+        }
+        frame_bytes.push(body.len() + 4);
+        write_message(&mut *writer, &body)?;
+    }
+    Ok(frame_bytes)
+}
+
+/// Reads one run's `frames` results off the connection.
+fn collect_run(
+    reader: &mut TcpStream,
+    frames: usize,
+    epoch: Instant,
+) -> Result<Vec<Collected>, EngineError> {
+    let mut results = Vec::with_capacity(frames);
+    while results.len() < frames {
+        let Some(body) = read_message(&mut *reader)? else {
+            return Err(EngineError::Protocol(
+                "edge closed before all results arrived".to_string(),
+            ));
+        };
+        let Frame::State(state) = decode_frame(&body)? else {
+            return Err(EngineError::Protocol(
+                "edge sent a control frame where a result was expected".to_string(),
+            ));
+        };
+        let done_s = epoch.elapsed().as_secs_f64();
+        results.push((state.frame_id, state.features.argmax_row(0), state.label, done_s));
+    }
+    Ok(results)
+}
+
+/// Hands a run's outcome back to the device thread and says whether the
+/// I/O thread serves on. The device thread may already have stopped
+/// listening (the other thread failed first); the outcome is then dropped.
+fn hand_back<T>(outcome: Result<T, EngineError>, reply: &Sender<Result<T, EngineError>>) -> bool {
+    let ok = outcome.is_ok();
+    let _ = reply.send(outcome);
+    ok
 }
 
 #[cfg(test)]
@@ -825,6 +1000,58 @@ mod tests {
         server.join().expect("clean");
         assert_eq!(preds.len(), 3);
         assert!(stats.bytes_sent > 0);
+    }
+
+    #[test]
+    fn a_failed_run_releases_the_edge() {
+        // An edge-only plan ships its raw input: 4.2 M points of four
+        // non-zero floats pack in stored mode to just over the 64 MiB
+        // message cap, so the uplink thread refuses the frame.
+        let plan = ExecutionPlan::from_architecture(&Architecture::new(vec![
+            Op::Communicate,
+            Op::GlobalPool(PoolMode::Max),
+        ]));
+        let (rows, cols) = (4_200_000, 4);
+        let sample = Sample {
+            features: gcode_tensor::Matrix::from_vec(rows, cols, vec![1.0; rows * cols]),
+            label: 0,
+            graph: None,
+        };
+        let bank = WeightBank::new(2, 3);
+        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 5).expect("spawn");
+        let mut client = DeviceClient::connect(server.addr(), plan, bank, 5).expect("connect");
+        let err = client.run_pipelined(&[sample]).expect_err("the frame is over the cap");
+        assert!(err.to_string().contains("-byte cap"), "{err}");
+        // The failed run shut the connection down and joined its threads:
+        // the edge's read returned, so the edge is not left serving it.
+        server.shutdown().expect("the edge is released");
+        drop(client);
+    }
+
+    #[test]
+    fn a_client_dropped_after_a_caught_panic_mid_run_releases_the_edge() {
+        let plan = ExecutionPlan::from_architecture(&split_arch());
+        let ds = PointCloudDataset::generate(2, 16, 3, 8);
+        let bank = WeightBank::new(3, 2);
+        let server = EdgeServer::spawn_persistent(bank.clone(), 6).expect("spawn");
+        let addr = server.addr();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client =
+                DeviceClient::connect(addr, plan.clone(), bank, 6).expect("connect").with_session();
+            client.swap_plan(plan).expect("swap");
+            // A zero rate makes the run panic after it has asked the
+            // results thread for replies the edge will never send.
+            client.set_uplink_mbps(0.0);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                client.run_pipelined(ds.samples())
+            }));
+            assert!(run.is_err(), "a zero-rate throttle panics");
+            drop(client);
+            let _ = done_tx.send(());
+        });
+        done.recv_timeout(Duration::from_secs(10)).expect("dropping the client returns");
+        server.shutdown().expect("the edge is released");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Token-bucket bandwidth throttle for the device's sender thread.
+//! Token-bucket bandwidth throttle for the device's uplink thread.
 //!
 //! The paper evaluates under network conditions "simulated by setting upload
 //! bandwidth limits at 10 Mbps and 40 Mbps" on the router. On loopback we
@@ -48,7 +48,7 @@ impl Throttle {
     /// Accounts for `bytes` leaving now and returns how long the caller
     /// should sleep before actually writing them. This function does not
     /// sleep itself so it stays testable; use [`Throttle::pace`] in the
-    /// sender thread.
+    /// uplink thread.
     pub fn consume(&mut self, bytes: usize) -> Duration {
         let now = Instant::now();
         let elapsed = now.duration_since(self.last_refill).as_secs_f64();

@@ -1,0 +1,107 @@
+//! A warm pool's thread count does not grow with candidates: a
+//! `DeviceClient` keeps one uplink and one results thread for the life of
+//! its connection, and shutting the pool down (or dropping a client)
+//! joins them.
+//!
+//! Counts come from `/proc/self/task`, so this file holds a single test:
+//! no other test may share the process while it counts.
+#![cfg(target_os = "linux")]
+
+use gcode::core::arch::Architecture;
+use gcode::core::op::{Op, SampleFn};
+use gcode::engine::{DeviceClient, EdgePool, EdgeServer, ExecutionPlan};
+use gcode::graph::datasets::PointCloudDataset;
+use gcode::nn::agg::AggMode;
+use gcode::nn::pool::PoolMode;
+use gcode::nn::seq::WeightBank;
+use std::time::{Duration, Instant};
+
+/// The names of this process's threads, sorted.
+fn threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+/// This process's threads once they number `expected`. A joined thread
+/// may still be listed for a moment after `join` returns, so the count is
+/// read again for up to a second before the last reading is returned.
+fn threads_settled_at(expected: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let names = threads();
+        if names.len() == expected || Instant::now() >= deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn offloaded(dim: usize) -> ExecutionPlan {
+    ExecutionPlan::from_architecture(&Architecture::new(vec![
+        Op::Sample(SampleFn::Knn { k: 4 }),
+        Op::Aggregate(AggMode::Max),
+        Op::Combine { dim },
+        Op::Communicate,
+        Op::GlobalPool(PoolMode::Max),
+    ]))
+}
+
+fn local() -> ExecutionPlan {
+    ExecutionPlan::from_architecture(&Architecture::new(vec![
+        Op::Sample(SampleFn::Knn { k: 4 }),
+        Op::Aggregate(AggMode::Max),
+        Op::GlobalPool(PoolMode::Max),
+    ]))
+}
+
+#[test]
+fn a_warm_pool_spawns_no_thread_per_candidate_and_joins_all_of_them() {
+    let ds = PointCloudDataset::generate(3, 16, 2, 5);
+    let before = threads();
+
+    // Pool: the edge's serve thread, then the client's two I/O threads on
+    // its first offloaded run.
+    let mut pool = EdgePool::spawn(WeightBank::new(2, 7), 11).expect("pool");
+    pool.deploy(offloaded(8)).expect("deploy");
+    pool.run(ds.samples()).expect("first offloaded run");
+    let warm = threads();
+    for name in ["gcode-edge", "gcode-uplink", "gcode-results"] {
+        assert_eq!(warm.iter().filter(|n| *n == name).count(), 1, "one {name}: {warm:?}");
+    }
+    assert_eq!(warm.len(), before.len() + 3, "{before:?} → {warm:?}");
+
+    // 200 more candidates, offloaded and local mixed: no thread comes or
+    // stays.
+    for i in 0..200 {
+        let plan = if i % 3 == 2 { local() } else { offloaded(8 + 8 * (i % 4)) };
+        let offloads = plan.offloaded;
+        pool.deploy(plan).expect("deploy");
+        let (_, stats) = pool.run(ds.samples()).expect("run");
+        assert_eq!(stats.bytes_sent > 0, offloads);
+    }
+    assert_eq!(threads_settled_at(warm.len()), warm, "threads after 200 candidates");
+
+    pool.shutdown().expect("clean pool shutdown");
+    assert_eq!(threads_settled_at(before.len()), before, "threads after pool shutdown");
+
+    // A client dropped without `shutdown` joins its threads too.
+    let server = EdgeServer::spawn_persistent(WeightBank::new(2, 7), 11).expect("edge");
+    let mut client = DeviceClient::connect(server.addr(), local(), WeightBank::new(2, 7), 11)
+        .expect("connect")
+        .with_session();
+    client.swap_plan(offloaded(16)).expect("swap");
+    client.run_pipelined(ds.samples()).expect("offloaded run");
+    assert_eq!(threads().len(), before.len() + 3, "edge plus the client's two I/O threads");
+    drop(client);
+    let mut edge_only = before.clone();
+    edge_only.push("gcode-edge".to_string());
+    edge_only.sort();
+    assert_eq!(threads_settled_at(edge_only.len()), edge_only, "threads after dropping the client");
+    server.shutdown().expect("clean edge shutdown");
+    assert_eq!(threads_settled_at(before.len()), before, "threads after edge shutdown");
+}
