@@ -45,14 +45,11 @@ use gcode_core::search::{RandomSearch, ScoredArch, SearchConfig};
 use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode_engine::{
-    replay_on_fleet, EdgeFleet, EngineBackend, EngineDispatcher, ExecutionPlan, FleetSpec,
-};
+use gcode_engine::{replay_on_fleet, EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec};
 use gcode_graph::datasets::{PointCloudDataset, Sample};
 use gcode_hardware::SystemConfig;
 use gcode_nn::agg::AggMode;
 use gcode_nn::pool::PoolMode;
-use gcode_nn::seq::WeightBank;
 use gcode_sim::{simulate, SimBackend, SimConfig, SimReport};
 use std::time::Instant;
 
@@ -494,7 +491,7 @@ fn fleet(quick: bool) -> Vec<Key> {
         .collect();
     let streams: Vec<&[Sample]> = streams_owned.iter().map(Vec::as_slice).collect();
     let skew_walls = [1usize, 4].map(|pools| {
-        let mut fleet =
+        let fleet =
             EdgeFleet::new(FleetSpec::loopback(pools), 4, 71, 23).with_uplink_mbps(UPLINK_MBPS);
         let warmed = fleet.run_batch_streams(&plans[..pools], &streams[..pools]);
         assert!(warmed.iter().all(Result::is_ok), "skew warm pass deploys");
@@ -564,12 +561,12 @@ fn scenario(quick: bool) -> Vec<Key> {
         entry(0.010, 0.90, false), // fast local design
     ]);
     let ds = PointCloudDataset::generate(8, 24, 4, 47);
-    let dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 12));
     let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 12, 34);
 
     // Probe the warm pair's real service time on the plan the trace
     // opens with; a 16-frame median rides out spawn-adjacent jitter.
-    let (plan, _) = dispatcher.dispatch(RuntimeConstraint::none()).expect("non-empty zoo");
+    let pick = zoo.dispatch(RuntimeConstraint::none()).expect("non-empty zoo");
+    let plan = ExecutionPlan::from_architecture(&pick.arch);
     let probe: Vec<Sample> =
         (0..16).map(|i| ds.samples()[i % ds.samples().len()].clone()).collect();
     let (_, stats) = fleet.run_batch(&[plan], &probe).remove(0).expect("probe stream");
@@ -592,8 +589,7 @@ fn scenario(quick: bool) -> Vec<Key> {
             segment("constraint-flip", 30.0, steady_frames, steady_fps)
                 .with_constraint(RuntimeConstraint::latency(0.020)),
         );
-    let reports =
-        replay_on_fleet(dispatcher.zoo(), &mut fleet, ds.samples(), &trace).expect("trace replays");
+    let reports = replay_on_fleet(&zoo, &mut fleet, ds.samples(), &trace).expect("trace replays");
     fleet.shutdown().expect("scenario pool shuts down");
 
     println!(

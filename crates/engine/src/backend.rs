@@ -23,7 +23,7 @@ use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics};
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;
 use parking_lot::Mutex;
-use std::convert::Infallible;
+use std::sync::OnceLock;
 
 /// Latency/energy assigned to a candidate whose deployment failed
 /// (socket or protocol error): large but finite so it serializes cleanly
@@ -49,34 +49,30 @@ type Merged<T, E> = (Vec<Result<T, E>>, Vec<usize>);
 /// * hits and fresh outcomes merge at input positions, and the positions
 ///   that were measured come back alongside (everything else was a hit).
 ///
-/// The measuring step is passed in because its callers reach their
-/// fleets differently — [`EngineBackend`] owns one, the serve daemon
-/// talks to its executor thread — and may fail as a whole (`X`).
-///
-/// # Errors
-///
-/// Returns `measure`'s error; nothing is stored in that case.
+/// The measuring step is passed in because its callers build their
+/// batches differently — [`EngineBackend`] prices metrics, a served
+/// session keeps raw predictions.
 ///
 /// # Panics
 ///
 /// Panics if `measure` answers fewer outcomes than it was given positions.
-pub fn measure_cached<K, T, E, X>(
+pub fn measure_cached<K, T, E>(
     keys: &[K],
     mut lookup: impl FnMut(&K) -> Option<T>,
-    measure: impl FnOnce(&[usize]) -> Result<Vec<Result<T, E>>, X>,
+    measure: impl FnOnce(&[usize]) -> Vec<Result<T, E>>,
     mut store: impl FnMut(&K, &T),
-) -> Result<Merged<T, E>, X> {
+) -> Merged<T, E> {
     let mut results: Vec<Option<Result<T, E>>> = keys.iter().map(|k| lookup(k).map(Ok)).collect();
     let uncached: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
     if !uncached.is_empty() {
-        for (&i, outcome) in uncached.iter().zip(measure(&uncached)?) {
+        for (&i, outcome) in uncached.iter().zip(measure(&uncached)) {
             if let Ok(value) = &outcome {
                 store(&keys[i], value);
             }
             results[i] = Some(outcome);
         }
     }
-    Ok((results.into_iter().map(|r| r.expect("every batch slot was filled")).collect(), uncached))
+    (results.into_iter().map(|r| r.expect("every batch slot was filled")).collect(), uncached)
 }
 
 /// The post-warmup window of one run: where it starts, its per-frame
@@ -231,7 +227,7 @@ pub struct EngineBackend<F: Fn(&Architecture) -> f64 + Sync> {
     accuracy_fn: F,
     cache_log: Option<SharedCacheLog>,
     telemetry: Mutex<Telemetry>,
-    fleet: Mutex<Option<EdgeFleet>>,
+    fleet: OnceLock<EdgeFleet>,
 }
 
 impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
@@ -269,7 +265,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             accuracy_fn,
             cache_log: None,
             telemetry: Mutex::new(Telemetry::default()),
-            fleet: Mutex::new(None),
+            fleet: OnceLock::new(),
         }
     }
 
@@ -453,7 +449,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// and per-candidate latency percentiles per endpoint. All-zero
     /// counters until the first uncached candidate spawns a pool.
     pub fn fleet_stats(&self) -> FleetStats {
-        self.fleet.lock().as_ref().map_or_else(|| self.new_fleet().stats(), EdgeFleet::stats)
+        self.fleet.get().map_or_else(|| self.new_fleet().stats(), EdgeFleet::stats)
     }
 
     /// Fraction of measured frames whose live prediction matched its
@@ -530,22 +526,17 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// come back as errors, and those get the sentinel.
     fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
         let tag = self.fidelity_tag();
-        let Ok((priced, fresh)) = measure_cached(
+        let (priced, fresh) = measure_cached(
             archs,
             |arch| self.log_lookup(arch, tag),
             |uncached| {
                 let plans: Vec<ExecutionPlan> =
                     uncached.iter().map(|&i| ExecutionPlan::from_architecture(&archs[i])).collect();
                 let stream = self.stream();
-                let outcomes = self
-                    .fleet
-                    .lock()
-                    .get_or_insert_with(|| self.new_fleet())
-                    .run_batch(&plans, &stream);
+                let outcomes =
+                    self.fleet.get_or_init(|| self.new_fleet()).run_batch(&plans, &stream);
                 let measured = uncached.iter().zip(&outcomes);
-                Ok::<_, Infallible>(
-                    measured.map(|(&i, o)| self.price(&archs[i], o).ok_or(())).collect(),
-                )
+                measured.map(|(&i, o)| self.price(&archs[i], o).ok_or(())).collect()
             },
             |arch, &m| self.log_store(arch, tag, m),
         );
@@ -564,7 +555,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> Drop for EngineBackend<F> {
     /// control frames, then join — so no serve thread outlives the
     /// backend.
     fn drop(&mut self) {
-        if let Some(fleet) = self.fleet.lock().take() {
+        if let Some(fleet) = self.fleet.take() {
             let _ = fleet.shutdown();
         }
     }
@@ -650,21 +641,16 @@ mod tests {
         for (case, held, failing) in cases {
             let mut measured: Option<Vec<usize>> = None;
             let mut stored = Vec::new();
-            let outcomes = measure_cached(
+            let (outcomes, fresh) = measure_cached(
                 &keys,
                 |k| held.contains(k).then_some(*k * 10),
                 |uncached| {
                     measured = Some(uncached.to_vec());
                     let fresh = uncached.iter().map(|&i| keys[i]);
-                    Ok::<_, Infallible>(
-                        fresh
-                            .map(|k| if failing.contains(&k) { Err(k) } else { Ok(k * 100) })
-                            .collect(),
-                    )
+                    fresh.map(|k| if failing.contains(&k) { Err(k) } else { Ok(k * 100) }).collect()
                 },
                 |k, v| stored.push((*k, *v)),
             );
-            let Ok((outcomes, fresh)) = outcomes;
 
             // Hits and fresh outcomes land at their input positions…
             let expected: Vec<Result<u32, u32>> = keys
@@ -690,19 +676,6 @@ mod tests {
                 .collect();
             assert_eq!(stored, fresh_ok, "{case}");
         }
-    }
-
-    #[test]
-    fn measure_cached_stores_nothing_when_the_measuring_step_fails_as_a_whole() {
-        let mut stored = 0;
-        let outcome = measure_cached(
-            &[1u32, 2],
-            |k| (*k == 1).then_some(10u32),
-            |_| Err::<Vec<Result<u32, ()>>, _>("executor gone"),
-            |_, _| stored += 1,
-        );
-        assert_eq!(outcome, Err("executor gone"));
-        assert_eq!(stored, 0);
     }
 
     #[test]
@@ -853,11 +826,9 @@ mod tests {
             latency_s: 0.1,
             energy_j: 0.1,
         };
-        let dispatcher = crate::EngineDispatcher::new(
-            ArchitectureZoo::new(vec![entry]),
-            gcode_nn::seq::WeightBank::new(2, 0),
-        );
-        let (picked, _) = dispatcher.dispatch(RuntimeConstraint::none()).expect("one entry");
+        let zoo = ArchitectureZoo::new(vec![entry]);
+        let pick = zoo.dispatch(RuntimeConstraint::none()).expect("one entry");
+        let picked = ExecutionPlan::from_architecture(&pick.arch);
         let deployed: Vec<u64> = deployed.try_iter().collect();
         assert!(!deployed.is_empty(), "the backend shipped a plan before the edge hung up");
         assert!(deployed.iter().all(|&id| id == plan_wire_id(&picked)), "{deployed:x?}");

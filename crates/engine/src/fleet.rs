@@ -1,36 +1,44 @@
-//! Fleet Measured tier: N warm [`EdgePool`]s draining one shared morsel
-//! queue of candidates.
+//! Fleet Measured tier: N warm [`EdgePool`]s draining a morsel queue of
+//! candidates, and the one scheduler of measurement work.
 //!
 //! One persistent pool (PR 4) removed the per-candidate deploy cost; the
 //! fleet removes the *serialization*: an [`EdgeFleet`] owns one pool per
 //! configured endpoint ([`FleetSpec`] — spawned loopback edges, remote
 //! pre-deployed edges, or a mix) and runs each batch with a pull model.
-//! The batch becomes a queue of `(index, candidate)` morsels in input
-//! order; one worker thread per live pool pops the front morsel, measures
-//! it, and immediately pops the next — so a pool that finishes early keeps
+//! The batch becomes a queue of candidate indices in input order; each of
+//! the call's workers (one per pool, never more than candidates) pops the
+//! front candidate, checks a warm pool out, measures, checks the pool
+//! back in and pops the next — so a pool that finishes early keeps
 //! working instead of idling at a barrier, and a single slow candidate
 //! delays only the pool that holds it. This is the work-stealing shape of
 //! partition-pipeline schedulers (pipelines as schedulable tasks pulled
 //! from a shared queue), not statically sharded work.
 //!
+//! Concurrent callers (the serve daemon's sessions) share the fleet
+//! through `&self`. Pool checkout is first come, first served across
+//! every caller's waiting workers: a worker that hands a pool back and
+//! wants another queues behind those already waiting, so callers
+//! alternate candidate by candidate and a giant batch never gates a small
+//! one.
+//!
 //! Which pool measures a candidate is timing-dependent, but it cannot
 //! change the candidate's *predictions*: every endpoint serves the same
 //! per-slot-seeded supernet `WeightBank` and each deployment restarts its
 //! RNG stream, so results merged at input positions are bit-identical for
-//! any pool count — mirroring the worker-sharding guarantee of the
-//! parallel batch driver.
+//! any pool count and any set of concurrent callers — mirroring the
+//! worker-sharding guarantee of the parallel batch driver.
 //!
 //! Each morsel is one candidate: the worker deploys its plan (one
 //! `SwapPlan` frame, none for a local plan) and runs its stream.
 //! Failures stay contained per pool, and recovery is incremental: a pool
 //! that dies mid-morsel (an error or a panic in its worker) is discarded,
-//! its candidate goes back on the queue for whichever pool frees up next
-//! (counted in [`FleetStats::resharded`]), and the dead endpoint is
-//! respawned (loopback) or reconnected (remote, bounded by the spec's
-//! connect timeout) *while the surviving workers keep draining the
-//! queue*. A candidate only gets the deploy-failure sentinel when it has
-//! killed pools repeatedly ([`MAX_TRIES_PER_CANDIDATE`]) or no pool is
-//! left.
+//! its candidate goes back on the queue (counted in
+//! [`FleetStats::resharded`]), and the next worker that finds no idle pool
+//! respawns (loopback) or reconnects (remote, bounded by the spec's
+//! connect timeout) the dead endpoint *while the surviving workers keep
+//! draining the queue*. A candidate only gets the deploy-failure sentinel
+//! when it has killed pools repeatedly ([`MAX_TRIES_PER_CANDIDATE`]) or no
+//! pool is left.
 //!
 //! # Example
 //!
@@ -52,7 +60,7 @@
 //!
 //! // Two loopback pools pull the four candidates off the shared queue.
 //! let spec: FleetSpec = "loopback:2".parse().expect("spec");
-//! let mut fleet = EdgeFleet::new(spec, 2, 0x5EED, 0xE261);
+//! let fleet = EdgeFleet::new(spec, 2, 0x5EED, 0xE261);
 //! let outcomes = fleet.run_batch(&plans, ds.samples());
 //! assert!(outcomes.iter().all(Result::is_ok));
 //! assert_eq!(fleet.stats().deployments(), 4);
@@ -67,10 +75,13 @@ use gcode_core::eval::scenario::latency_percentiles;
 use gcode_core::eval::{FleetStats, PoolStats};
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::panic::{self, AssertUnwindSafe};
 use std::str::FromStr;
+use std::sync::{Condvar, PoisonError};
 use std::thread::{self, Scope};
 
 /// Where one fleet pool points: a loopback [`crate::EdgeServer`] the pool
@@ -234,10 +245,12 @@ impl FromStr for FleetSpec {
     }
 }
 
-/// One fleet slot: a (possibly currently dead) pool plus its counters.
+/// One fleet slot: its endpoint, whether a pool stands behind it, and its
+/// counters.
 struct PoolSlot {
     endpoint: FleetEndpoint,
-    pool: Option<EdgePool>,
+    /// A pool stands behind this slot: idle, checked out, or being spawned.
+    up: bool,
     stats: PoolStats,
     /// Wall time of every successful candidate measurement (deploy + run)
     /// this slot served, for the [`PoolStats`] latency percentiles.
@@ -248,12 +261,10 @@ struct PoolSlot {
 }
 
 impl PoolSlot {
-    /// Books the outcome of spawning this slot's worker thread and returns
-    /// how many workers that added: a refused thread took the pool handed
-    /// to it down with it, which is one failure and no worker.
-    fn started(&mut self, spawned: io::Result<()>) -> usize {
-        self.stats.failures += u64::from(spawned.is_err());
-        usize::from(spawned.is_ok())
+    /// Whether a pool may be spawned/connected for this slot now: none
+    /// stands behind it and the endpoint is not excluded.
+    fn respawnable(&self) -> bool {
+        !self.up && self.spawn_failures_in_a_row < MAX_SPAWN_FAILURES
     }
 }
 
@@ -268,27 +279,35 @@ const MAX_SPAWN_FAILURES: u8 = 3;
 /// whole fleet.
 pub const MAX_TRIES_PER_CANDIDATE: u8 = 2;
 
-/// What one pool worker reports back to the coordinating thread while it
-/// drains the morsel queue.
-enum WorkerEvent {
-    /// One candidate's measurement attempt finished (either way).
-    Measured {
-        slot: usize,
-        cand: usize,
-        wall_s: f64,
-        result: Result<(Vec<usize>, EngineStats), EngineError>,
-    },
-    /// The worker stopped: queue empty (pool handed back warm) or pool
-    /// death (`None` — the broken pool was dropped in the worker).
-    Exited { slot: usize, pool: Option<Box<EdgePool>> },
-}
-
 /// One candidate's measurement through the fleet: predictions plus the
 /// run's [`EngineStats`], or the error that exhausted its retries.
 pub type FleetOutcome = Result<(Vec<usize>, EngineStats), EngineError>;
 
-/// N warm [`EdgePool`]s draining candidate batches from a shared morsel
-/// queue — the Measured tier at fleet scale.
+/// The fleet state every caller shares, behind one lock.
+struct Slots {
+    slots: Vec<PoolSlot>,
+    /// Warm pools no worker holds, with their slot. A stack, so a lone
+    /// caller's worker gets back the pool it just returned.
+    idle: Vec<(usize, EdgePool)>,
+    uplink_mbps: Option<f64>,
+    resharded: u64,
+    /// FIFO checkout: the ticket the next waiting worker draws, and the
+    /// ticket whose turn it is.
+    next_ticket: u64,
+    serving: u64,
+}
+
+/// One call's candidates: the morsel queue its workers pull from, the
+/// outcomes merged at input positions, and each candidate's tries.
+struct Batch {
+    queue: VecDeque<usize>,
+    out: Vec<Option<FleetOutcome>>,
+    tries: Vec<u8>,
+}
+
+/// N warm [`EdgePool`]s measuring candidate batches — the Measured tier at
+/// fleet scale, and the one scheduler of measurement work: concurrent
+/// callers share it through `&self`.
 ///
 /// Construction does no I/O: each slot's pool is spawned (loopback) or
 /// connected (remote) lazily on the first [`run_batch`](Self::run_batch)
@@ -296,13 +315,14 @@ pub type FleetOutcome = Result<(Vec<usize>, EngineStats), EngineError>;
 /// scheme, so *which* pool measures a candidate never changes its
 /// predictions — see the module docs for the determinism argument.
 pub struct EdgeFleet {
-    slots: Vec<PoolSlot>,
+    state: Mutex<Slots>,
+    /// Signalled when a pool is checked in, a slot goes down, or the
+    /// checkout line moves.
+    changed: Condvar,
     num_classes: usize,
     bank_seed: u64,
     run_seed: u64,
-    uplink_mbps: Option<f64>,
     connect_timeout: std::time::Duration,
-    resharded: u64,
 }
 
 impl EdgeFleet {
@@ -317,58 +337,60 @@ impl EdgeFleet {
             .into_iter()
             .map(|endpoint| PoolSlot {
                 endpoint,
-                pool: None,
+                up: false,
                 stats: PoolStats { endpoint: endpoint.to_string(), ..PoolStats::default() },
                 candidate_walls_s: Vec::new(),
                 spawn_failures_in_a_row: 0,
             })
             .collect();
         Self {
-            slots,
+            state: Mutex::new(Slots {
+                slots,
+                idle: Vec::new(),
+                uplink_mbps: None,
+                resharded: 0,
+                next_ticket: 0,
+                serving: 0,
+            }),
+            changed: Condvar::new(),
             num_classes,
             bank_seed,
             run_seed,
-            uplink_mbps: None,
             connect_timeout,
-            resharded: 0,
         }
     }
 
     /// Caps every pool's device uplink at `mbps`.
     #[must_use]
     pub fn with_uplink_mbps(mut self, mbps: f64) -> Self {
-        self.uplink_mbps = Some(mbps);
+        self.set_uplink_mbps(mbps);
         self
     }
 
     /// Re-caps the fleet's device uplink at `mbps` — scenario replay's
-    /// per-segment link degradation. Live pools pick the cap up on their
-    /// next run; pools spawned later inherit it.
+    /// per-segment link degradation. Every pool picks the cap up when it
+    /// is next checked out for a candidate.
     pub fn set_uplink_mbps(&mut self, mbps: f64) {
-        self.uplink_mbps = Some(mbps);
-        for slot in &mut self.slots {
-            if let Some(pool) = slot.pool.as_mut() {
-                pool.set_uplink_mbps(mbps);
-            }
-        }
+        self.state.lock().uplink_mbps = Some(mbps);
     }
 
     /// Number of configured pool slots (live or not).
     pub fn pools(&self) -> usize {
-        self.slots.len()
+        self.state.lock().slots.len()
     }
 
     /// Total pool spawns/connects so far, across every slot.
     pub fn spawns(&self) -> u64 {
-        self.slots.iter().map(|s| s.stats.spawns).sum()
+        self.state.lock().slots.iter().map(|s| s.stats.spawns).sum()
     }
 
     /// Per-pool counters plus the fleet-level recovery tally. The
     /// per-candidate latency percentiles are computed here from each
     /// slot's full measurement-wall sample.
     pub fn stats(&self) -> FleetStats {
+        let state = self.state.lock();
         FleetStats {
-            pools: self
+            pools: state
                 .slots
                 .iter()
                 .map(|s| {
@@ -376,77 +398,141 @@ impl EdgeFleet {
                     PoolStats { p50_s, p95_s, ..s.stats.clone() }
                 })
                 .collect(),
-            resharded: self.resharded,
+            resharded: state.resharded,
         }
     }
 
-    /// Spawns/connects the slot's pool if it is currently dead. A failed
-    /// attempt counts against the slot and leaves it excluded for the
-    /// round; [`MAX_SPAWN_FAILURES`] failures in a row exclude it for
-    /// good (a later successful respawn after a mid-shard death resets
-    /// the count). Remote connects are bounded by the spec's
-    /// [`FleetSpec::connect_timeout`] so a dead machine cannot stall the
-    /// fleet.
-    fn ensure_pool(&mut self, idx: usize) {
-        if self.slots[idx].pool.is_some()
-            || self.slots[idx].spawn_failures_in_a_row >= MAX_SPAWN_FAILURES
-        {
-            return;
-        }
+    /// Spawns/connects a pool for `slot`, which the caller has marked up,
+    /// outside the lock: a remote connect can take the spec's
+    /// [`FleetSpec::connect_timeout`]. A failed attempt counts against the
+    /// slot and marks it down again; [`MAX_SPAWN_FAILURES`] failures in a
+    /// row exclude it for good (a later successful respawn after a death
+    /// resets the count).
+    fn stand_up(&self, slot: usize, endpoint: FleetEndpoint) -> Option<EdgePool> {
         let bank = WeightBank::new(self.num_classes, self.bank_seed);
-        let spawned = match self.slots[idx].endpoint {
+        let spawned = match endpoint {
             FleetEndpoint::Loopback => EdgePool::spawn(bank, self.run_seed),
             FleetEndpoint::Remote(addr) => {
                 EdgePool::connect_with_timeout(addr, bank, self.run_seed, self.connect_timeout)
             }
         };
-        let slot = &mut self.slots[idx];
+        let mut state = self.state.lock();
+        let s = &mut state.slots[slot];
         match spawned {
-            Ok(mut pool) => {
-                if let Some(mbps) = self.uplink_mbps {
-                    pool = pool.with_uplink_mbps(mbps);
-                }
-                slot.stats.spawns += 1;
-                slot.spawn_failures_in_a_row = 0;
-                slot.pool = Some(pool);
+            Ok(pool) => {
+                s.stats.spawns += 1;
+                s.spawn_failures_in_a_row = 0;
+                Some(pool)
             }
             Err(_) => {
-                slot.stats.failures += 1;
-                slot.spawn_failures_in_a_row += 1;
+                s.stats.failures += 1;
+                s.spawn_failures_in_a_row += 1;
+                s.up = false;
+                self.changed.notify_all();
+                None
             }
         }
     }
 
+    /// Checks a pool out for one candidate, applying the current uplink
+    /// cap. Waiting workers are served first come, first served across
+    /// every caller, so a worker that hands a pool back and wants another
+    /// queues behind those already waiting — the round-robin between
+    /// concurrent callers. The head of the line takes an idle pool, or
+    /// else respawns a slot whose pool is down; `None` once no slot has a
+    /// pool or can get one.
+    fn check_out(&self) -> Option<(usize, EdgePool)> {
+        let mut state = self.state.lock();
+        loop {
+            let ticket = state.next_ticket;
+            state.next_ticket += 1;
+            while state.serving != ticket
+                || (state.idle.is_empty()
+                    && !state.slots.iter().any(PoolSlot::respawnable)
+                    && state.slots.iter().any(|s| s.up))
+            {
+                state = self.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            state.serving += 1;
+            self.changed.notify_all();
+            let cap = state.uplink_mbps;
+            let (slot, mut pool) = match state.idle.pop() {
+                Some(idle) => idle,
+                None => {
+                    let (slot, s) =
+                        state.slots.iter_mut().enumerate().find(|(_, s)| s.respawnable())?;
+                    s.up = true;
+                    let endpoint = s.endpoint;
+                    drop(state);
+                    let Some(pool) = self.stand_up(slot, endpoint) else {
+                        state = self.state.lock();
+                        continue;
+                    };
+                    (slot, pool)
+                }
+            };
+            if let Some(mbps) = cap {
+                pool.set_uplink_mbps(mbps);
+            }
+            return Some((slot, pool));
+        }
+    }
+
+    /// Books one measurement on `slot` and hands its pool back, or — when
+    /// the measurement killed it (`None`) — marks the slot down for the
+    /// next waiter to respawn.
+    fn check_in(&self, slot: usize, pool: Option<EdgePool>, wall_s: f64, requeued: bool) {
+        let mut state = self.state.lock();
+        state.resharded += u64::from(requeued);
+        let s = &mut state.slots[slot];
+        s.stats.busy_s += wall_s;
+        match pool {
+            Some(pool) => {
+                s.stats.deployments += 1;
+                s.candidate_walls_s.push(wall_s);
+                state.idle.push((slot, pool));
+            }
+            None => {
+                s.stats.failures += 1;
+                s.up = false;
+            }
+        }
+        self.changed.notify_all();
+    }
+
     /// Deploys and measures every plan in `plans`, streaming `stream`
-    /// through each, with the fleet's live pools pulling candidates off a
-    /// shared morsel queue. See [`run_batch_streams`](Self::run_batch_streams)
+    /// through each. See [`run_batch_streams`](Self::run_batch_streams)
     /// (which this delegates to with one shared stream) for the
     /// scheduling, determinism and failure contract.
-    pub fn run_batch(&mut self, plans: &[ExecutionPlan], stream: &[Sample]) -> Vec<FleetOutcome> {
+    pub fn run_batch(&self, plans: &[ExecutionPlan], stream: &[Sample]) -> Vec<FleetOutcome> {
         let streams: Vec<&[Sample]> = vec![stream; plans.len()];
         self.run_batch_streams(plans, &streams)
     }
 
     /// Deploys and measures every plan in `plans`, streaming `streams[i]`
     /// through `plans[i]` — the per-candidate-stream variant that skewed
-    /// workloads (and multi-tenant callers whose sessions carry their own
-    /// frame streams) feed.
+    /// workloads feed.
     ///
-    /// Scheduling is a pull model: candidate indices queue up in input
-    /// order and one worker thread per live pool pops the next index the
-    /// moment its previous measurement finishes, so pools never idle at a
-    /// barrier while a slow shard-mate drags on. Which pool serves which
-    /// candidate is timing-dependent; predictions are not — every pool
-    /// computes bit-identical predictions for a given candidate (shared
+    /// Scheduling is a pull model: the call stands up as many pools as it
+    /// has candidates (in spec order, up to the fleet's width), then runs
+    /// as many `gcode-fleet-N` workers over a morsel queue of candidate
+    /// indices in input order. A worker pops a candidate, checks a pool
+    /// out, measures, checks the pool back in and pops the next — so
+    /// pools never idle at a barrier while a slow shard-mate drags on.
+    /// Concurrent calls share the pools: checkout is first come, first
+    /// served across every call's workers, so a small call is never gated
+    /// by a giant one. Which pool serves which candidate is
+    /// timing-dependent; predictions are not — every pool computes
+    /// bit-identical predictions for a given candidate (shared
     /// per-slot-seeded `WeightBank`, per-deployment RNG restart), and
     /// results are merged at input positions, so the outcome vector is
-    /// bit-identical for any pool count.
+    /// bit-identical for any pool count and any concurrent caller.
     ///
     /// Failure recovery is incremental: a pool that dies mid-morsel drops,
     /// its candidate returns to the queue (counted in
-    /// [`FleetStats::resharded`]) for whichever pool frees up next, and
-    /// the dead endpoint respawns/reconnects immediately — without the
-    /// surviving workers stopping. Only a candidate that has killed
+    /// [`FleetStats::resharded`]), and the next worker that finds no idle
+    /// pool respawns/reconnects the dead endpoint — without the surviving
+    /// workers stopping. Only a candidate that has killed
     /// [`MAX_TRIES_PER_CANDIDATE`] pools, or outlives every pool, comes
     /// back as an `Err`.
     ///
@@ -454,13 +540,13 @@ impl EdgeFleet {
     ///
     /// Panics if `plans` and `streams` have different lengths.
     pub fn run_batch_streams(
-        &mut self,
+        &self,
         plans: &[ExecutionPlan],
         streams: &[&[Sample]],
     ) -> Vec<FleetOutcome> {
-        self.run_batch_streams_with(plans, streams, |scope, slot, worker| {
+        self.run_batch_streams_with(plans, streams, |scope, n, worker| {
             thread::Builder::new()
-                .name(format!("gcode-fleet-{slot}"))
+                .name(format!("gcode-fleet-{n}"))
                 .spawn_scoped(scope, worker)
                 .map(drop)
         })
@@ -468,11 +554,10 @@ impl EdgeFleet {
 
     /// [`run_batch_streams`](Self::run_batch_streams) with the worker-thread
     /// spawner as an argument, so a test can hand in one that fails. A
-    /// worker the OS refuses is a pool death like any other: its pool drops
-    /// with it, the slot counts one failure, and its candidates stay on the
-    /// queue for the workers that did start.
+    /// worker the OS refuses counts one failure on its slot; its
+    /// candidates stay on the queue for the workers that did start.
     fn run_batch_streams_with(
-        &mut self,
+        &self,
         plans: &[ExecutionPlan],
         streams: &[&[Sample]],
         spawn: impl for<'scope> Fn(
@@ -483,159 +568,87 @@ impl EdgeFleet {
     ) -> Vec<FleetOutcome> {
         assert_eq!(plans.len(), streams.len(), "one stream per plan");
         let total = plans.len();
-        let mut out: Vec<Option<FleetOutcome>> = (0..total).map(|_| None).collect();
         if total == 0 {
             return Vec::new();
         }
-        let mut tries = vec![0u8; total];
-        // Spawn/connect only as many pools as there are candidates to
-        // measure: a batch of one on a 64-slot fleet must not stand up 64
-        // edges. Slots are ensured lazily in spec order.
-        let mut live = self.slots.iter().filter(|s| s.pool.is_some()).count();
-        for idx in 0..self.slots.len() {
-            if live >= total {
-                break;
+        // Stand up only as many pools as there are candidates to measure:
+        // a batch of one on a 64-slot fleet must not stand up 64 edges.
+        let wanted: Vec<(usize, FleetEndpoint)> = {
+            let mut state = self.state.lock();
+            let mut up = state.slots.iter().filter(|s| s.up).count();
+            let mut wanted = Vec::new();
+            for (slot, s) in state.slots.iter_mut().enumerate() {
+                if up < total && s.respawnable() {
+                    s.up = true;
+                    up += 1;
+                    wanted.push((slot, s.endpoint));
+                }
             }
-            if self.slots[idx].pool.is_none() {
-                self.ensure_pool(idx);
-                live += usize::from(self.slots[idx].pool.is_some());
+            wanted
+        };
+        for (slot, endpoint) in wanted {
+            if let Some(pool) = self.stand_up(slot, endpoint) {
+                self.state.lock().idle.push((slot, pool));
+                self.changed.notify_all();
             }
         }
-        let queue: parking_lot::Mutex<std::collections::VecDeque<usize>> =
-            parking_lot::Mutex::new((0..total).collect());
-        let (tx, rx) = std::sync::mpsc::channel::<WorkerEvent>();
-        let mut filled = 0usize;
-        thread::scope(|s| {
-            // One worker per live pool, but never more workers than
-            // candidates — an excess pool stays warm in its slot.
-            let spawn_worker = |slot: usize, mut pool: EdgePool| {
-                let tx = tx.clone();
-                let queue = &queue;
-                let worker = move || {
-                    loop {
-                        let Some(cand) = queue.lock().pop_front() else { break };
-                        let start = std::time::Instant::now();
-                        // A panic in the deploy or the run (a protocol
-                        // invariant, a bad pacing rate) is a pool death
-                        // like any error: the fleet recovers instead of
-                        // waiting forever for this worker's report.
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                            pool.deploy(plans[cand].clone()).and_then(|()| pool.run(streams[cand]))
-                        }))
-                        .unwrap_or_else(|payload| {
-                            let why = payload
-                                .downcast_ref::<String>()
-                                .map(String::as_str)
-                                .or_else(|| payload.downcast_ref::<&str>().copied())
-                                .unwrap_or("no message");
-                            Err(EngineError::Protocol(format!("fleet worker panicked: {why}")))
-                        });
-                        let wall_s = start.elapsed().as_secs_f64();
-                        let died = result.is_err();
-                        let _ = tx.send(WorkerEvent::Measured { slot, cand, wall_s, result });
-                        if died {
-                            // The broken pool drops here; the coordinator
-                            // requeues the candidate and respawns the slot.
-                            let _ = tx.send(WorkerEvent::Exited { slot, pool: None });
-                            return;
-                        }
+        let batch = Mutex::new(Batch {
+            queue: (0..total).collect(),
+            out: (0..total).map(|_| None).collect(),
+            tries: vec![0; total],
+        });
+        let work = || loop {
+            let Some(cand) = batch.lock().queue.pop_front() else { break };
+            let Some((slot, mut pool)) = self.check_out() else { break };
+            let start = std::time::Instant::now();
+            // A panic in the deploy or the run (a protocol invariant, a
+            // bad pacing rate) is a pool death like any error.
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.deploy(plans[cand].clone()).and_then(|()| pool.run(streams[cand]))
+            }))
+            .unwrap_or_else(|payload| {
+                let why = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("no message");
+                Err(EngineError::Protocol(format!("fleet worker panicked: {why}")))
+            });
+            let wall_s = start.elapsed().as_secs_f64();
+            let alive = result.is_ok();
+            let mut b = batch.lock();
+            let requeued = match result {
+                Ok(ok) => {
+                    b.out[cand] = Some(Ok(ok));
+                    false
+                }
+                Err(e) => {
+                    b.tries[cand] += 1;
+                    let retry = b.tries[cand] < MAX_TRIES_PER_CANDIDATE;
+                    if retry {
+                        b.queue.push_back(cand);
+                    } else {
+                        b.out[cand] = Some(Err(e));
                     }
-                    let _ = tx.send(WorkerEvent::Exited { slot, pool: Some(Box::new(pool)) });
-                };
-                spawn(s, slot, Box::new(worker))
+                    retry
+                }
             };
-            let mut running = 0usize;
-            for idx in 0..self.slots.len() {
-                if running >= total {
-                    break;
-                }
-                if let Some(pool) = self.slots[idx].pool.take() {
-                    running += self.slots[idx].started(spawn_worker(idx, pool));
-                }
-            }
-            // Coordinator: merge results, requeue the victims of pool
-            // deaths, and bring replacement workers up while the rest of
-            // the fleet keeps draining the queue. Runs until every
-            // candidate is resolved AND every worker has handed its pool
-            // back (a warm pool must never be dropped on the floor).
-            while running > 0 || filled < total {
-                if running == 0 {
-                    // Queued work but no workers: every pool died at once.
-                    // Respawn what this batch still needs; if nothing
-                    // comes back the leftovers become deploy failures.
-                    let pending = total - filled;
-                    let mut revived = self.slots.iter().filter(|s| s.pool.is_some()).count();
-                    for idx in 0..self.slots.len() {
-                        if revived >= pending {
-                            break;
-                        }
-                        if self.slots[idx].pool.is_none() {
-                            self.ensure_pool(idx);
-                            revived += usize::from(self.slots[idx].pool.is_some());
-                        }
-                    }
-                    for idx in 0..self.slots.len() {
-                        if running >= pending {
-                            break;
-                        }
-                        if let Some(pool) = self.slots[idx].pool.take() {
-                            running += self.slots[idx].started(spawn_worker(idx, pool));
-                        }
-                    }
-                    if running == 0 {
-                        break; // every endpoint is dead and would not come back
-                    }
-                }
-                match rx.recv().expect("coordinator holds a sender") {
-                    WorkerEvent::Measured { slot, cand, wall_s, result } => {
-                        self.slots[slot].stats.busy_s += wall_s;
-                        match result {
-                            Ok(ok) => {
-                                self.slots[slot].stats.deployments += 1;
-                                self.slots[slot].candidate_walls_s.push(wall_s);
-                                out[cand] = Some(Ok(ok));
-                                filled += 1;
-                            }
-                            Err(e) => {
-                                tries[cand] += 1;
-                                if tries[cand] >= MAX_TRIES_PER_CANDIDATE {
-                                    out[cand] = Some(Err(e));
-                                    filled += 1;
-                                } else {
-                                    self.resharded += 1;
-                                    queue.lock().push_back(cand);
-                                }
-                            }
-                        }
-                    }
-                    WorkerEvent::Exited { slot, pool: Some(pool) } => {
-                        running -= 1;
-                        self.slots[slot].pool = Some(*pool);
-                        // The queue can refill after a worker saw it empty
-                        // (a death elsewhere requeued its candidate) —
-                        // put the warm pool straight back to work.
-                        if filled < total && !queue.lock().is_empty() {
-                            let pool = self.slots[slot].pool.take().expect("just returned");
-                            running += self.slots[slot].started(spawn_worker(slot, pool));
-                        }
-                    }
-                    WorkerEvent::Exited { slot, pool: None } => {
-                        running -= 1;
-                        self.slots[slot].stats.failures += 1;
-                        // Incremental recovery: respawn/reconnect the dead
-                        // endpoint now — survivors keep draining while the
-                        // spawn (bounded by the connect timeout) runs.
-                        if filled < total && !queue.lock().is_empty() {
-                            self.ensure_pool(slot);
-                            if let Some(pool) = self.slots[slot].pool.take() {
-                                running += self.slots[slot].started(spawn_worker(slot, pool));
-                            }
-                        }
-                    }
+            drop(b);
+            // A broken pool drops here, before the lock is taken.
+            self.check_in(slot, alive.then_some(pool), wall_s, requeued);
+        };
+        let workers = total.min(self.pools());
+        thread::scope(|s| {
+            for worker in 0..workers {
+                if spawn(s, worker, Box::new(&work)).is_err() {
+                    self.state.lock().slots[worker].stats.failures += 1;
                 }
             }
         });
-        out.into_iter()
+        batch
+            .into_inner()
+            .out
+            .into_iter()
             .map(|o| {
                 o.unwrap_or_else(|| {
                     Err(EngineError::Protocol(
@@ -655,11 +668,9 @@ impl EdgeFleet {
     /// Returns the first pool-teardown error after attempting all pools.
     pub fn shutdown(self) -> Result<(), EngineError> {
         let mut first_err = None;
-        for slot in self.slots {
-            if let Some(pool) = slot.pool {
-                if let Err(e) = pool.shutdown() {
-                    first_err.get_or_insert(e);
-                }
+        for (_, pool) in self.state.into_inner().idle {
+            if let Err(e) = pool.shutdown() {
+                first_err.get_or_insert(e);
             }
         }
         match first_err {
@@ -738,7 +749,7 @@ mod tests {
     fn batch_shards_across_loopback_pools_and_merges_in_input_order() {
         let ds = PointCloudDataset::generate(3, 12, 2, 7);
         let plans: Vec<ExecutionPlan> = [8, 16, 8, 32, 16].iter().map(|&d| split_plan(d)).collect();
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
         let outcomes = fleet.run_batch(&plans, ds.samples());
         assert_eq!(outcomes.len(), 5);
         for o in &outcomes {
@@ -758,7 +769,7 @@ mod tests {
     #[test]
     fn small_batches_leave_excess_pools_unspawned_threads_unleaked() {
         let ds = PointCloudDataset::generate(2, 10, 2, 3);
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(4), 2, 9, 5);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(4), 2, 9, 5);
         let outcomes = fleet.run_batch(&[split_plan(8)], ds.samples());
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].is_ok());
@@ -784,7 +795,7 @@ mod tests {
         // The OS refuses the first worker thread, or every one.
         for refused in [1usize, usize::MAX] {
             let asked = AtomicUsize::new(0);
-            let mut fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
+            let fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
             let outcomes = fleet.run_batch_streams_with(&plans, &streams, |scope, _, worker| {
                 if asked.fetch_add(1, Ordering::Relaxed) < refused {
                     Err(io::Error::from(io::ErrorKind::WouldBlock))
@@ -811,7 +822,7 @@ mod tests {
         let (done, outcome) = std::sync::mpsc::channel();
         let caller = thread::spawn(move || {
             let ds = PointCloudDataset::generate(2, 10, 2, 3);
-            let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 2, 9, 5).with_uplink_mbps(0.0);
+            let fleet = EdgeFleet::new(FleetSpec::loopback(1), 2, 9, 5).with_uplink_mbps(0.0);
             let outcomes = fleet.run_batch(&[split_plan(8)], ds.samples());
             let _ = done.send((outcomes, fleet.stats().failures()));
         });
@@ -828,7 +839,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let ds = PointCloudDataset::generate(2, 10, 2, 3);
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 9, 5);
         assert!(fleet.run_batch(&[], ds.samples()).is_empty());
         assert_eq!(fleet.spawns(), 0, "no batch, no spawns");
         fleet.shutdown().expect("nothing to tear down");
@@ -839,7 +850,7 @@ mod tests {
         let ds = PointCloudDataset::generate(2, 10, 2, 3);
         // Port 1 on loopback: nothing listens, every connect fails fast.
         let spec: FleetSpec = "127.0.0.1:1".parse().expect("spec");
-        let mut fleet = EdgeFleet::new(spec, 2, 9, 5);
+        let fleet = EdgeFleet::new(spec, 2, 9, 5);
         for _ in 0..5 {
             let outcomes = fleet.run_batch(&[split_plan(8)], ds.samples());
             assert!(outcomes[0].is_err(), "no pool can ever measure");
@@ -857,7 +868,7 @@ mod tests {
         let ds = PointCloudDataset::generate(2, 10, 2, 3);
         // Port 1 on loopback: nothing listens, connect fails fast.
         let spec: FleetSpec = "loopback:1,127.0.0.1:1".parse().expect("spec");
-        let mut fleet = EdgeFleet::new(spec, 2, 9, 5);
+        let fleet = EdgeFleet::new(spec, 2, 9, 5);
         let outcomes = fleet.run_batch(&[split_plan(8), split_plan(16)], ds.samples());
         assert!(outcomes.iter().all(Result::is_ok), "the loopback pool covers the batch");
         let stats = fleet.stats();

@@ -11,8 +11,9 @@
 //! LAN deployment — only the socket address differs.
 //!
 //! Architectures typically arrive from a `gcode_core::eval::SearchSession`
-//! run: the zoo's winners lower to an [`ExecutionPlan`] here, and the
-//! [`EngineDispatcher`] picks the plan to deploy as runtime constraints move.
+//! run: the zoo's winners lower to an [`ExecutionPlan`] here, the one
+//! lowering of whatever `ArchitectureZoo::dispatch` picks as runtime
+//! constraints move.
 //! The loop closes in the other direction too: [`EngineBackend`] registers
 //! this runtime as a `Measured`-fidelity evaluation backend, so a search
 //! can price its most promising candidates on the deployed engine itself
@@ -59,7 +60,6 @@
 #![deny(unsafe_code)]
 
 pub mod backend;
-pub mod dispatcher;
 pub mod fleet;
 pub mod plan;
 pub mod pool;
@@ -69,7 +69,6 @@ pub mod scenario;
 pub mod throttle;
 
 pub use backend::{measure_cached, EngineBackend, ProfileFold, DEPLOY_FAILURE_SENTINEL};
-pub use dispatcher::EngineDispatcher;
 pub use fleet::{
     EdgeFleet, FleetEndpoint, FleetOutcome, FleetSpec, DEFAULT_REMOTE_CONNECT_TIMEOUT,
     MAX_FLEET_POOLS,
@@ -143,8 +142,8 @@ mod tests {
     use super::*;
 
     /// `perf/` — a package of its own that no workspace build compiles —
-    /// shares `&EdgePool` across scoped threads, and the daemon moves whole
-    /// fleets between them. A field that is not `Send + Sync` (one
+    /// shares `&EdgePool` across scoped threads, and the daemon shares one
+    /// fleet between its session workers. A field that is not `Send + Sync` (one
     /// `mpsc::Receiver` is enough) has to fail here, not there.
     #[test]
     fn pools_fleets_and_clients_are_send_and_sync() {

@@ -76,3 +76,67 @@ pub fn replay_on_fleet(
         },
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::fleet::{EdgeFleet, FleetSpec};
+    use crate::plan::ExecutionPlan;
+    use gcode_core::arch::Architecture;
+    use gcode_core::op::{Op, SampleFn};
+    use gcode_core::search::ScoredArch;
+    use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
+    use gcode_graph::datasets::PointCloudDataset;
+    use gcode_nn::agg::AggMode;
+    use gcode_nn::pool::PoolMode;
+
+    fn entry(latency_s: f64, accuracy: f64, split: bool) -> ScoredArch {
+        let mut ops = vec![Op::Sample(SampleFn::Knn { k: 8 }), Op::Aggregate(AggMode::Max)];
+        if split {
+            ops.push(Op::Communicate);
+        }
+        ops.push(Op::Combine { dim: 16 });
+        ops.push(Op::GlobalPool(PoolMode::Max));
+        ScoredArch {
+            arch: Architecture::new(ops),
+            score: accuracy,
+            accuracy,
+            latency_s,
+            energy_j: latency_s,
+        }
+    }
+
+    #[test]
+    fn constraint_switches_hot_swap_one_warm_fleet_pair() {
+        let ds = PointCloudDataset::generate(3, 14, 3, 17);
+        let zoo = ArchitectureZoo::new(vec![
+            entry(0.080, 0.93, true),  // accurate co-inference design
+            entry(0.010, 0.90, false), // fast local design
+        ]);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 1, 5);
+        let serve = |constraint| {
+            let pick = zoo.dispatch(constraint).expect("non-empty zoo");
+            let plan = ExecutionPlan::from_architecture(&pick.arch);
+            let offloaded = plan.offloaded;
+            let (preds, stats) = fleet.run_batch(&[plan], ds.samples()).remove(0).expect("stream");
+            assert_eq!(preds.len(), 3);
+            (pick.accuracy, offloaded, stats.bytes_sent)
+        };
+
+        // Relaxed constraint → offloaded pick; tight latency → local pick,
+        // served by the same warm pair.
+        let (accuracy, offloaded, bytes_sent) = serve(RuntimeConstraint::none());
+        assert_eq!(accuracy, 0.93);
+        assert!(offloaded && bytes_sent > 0, "accuracy-first pick offloads and ships traffic");
+        let (accuracy, offloaded, bytes_sent) = serve(RuntimeConstraint::latency(0.020));
+        assert_eq!(accuracy, 0.90);
+        assert!(!offloaded && bytes_sent == 0, "latency-first pick stays on-device");
+
+        let stats = fleet.stats();
+        assert_eq!(
+            (stats.deployments(), stats.spawns()),
+            (2, 1),
+            "two constraint switches, two swaps, one pair"
+        );
+        fleet.shutdown().expect("clean fleet shutdown");
+    }
+}

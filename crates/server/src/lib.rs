@@ -14,11 +14,10 @@
 //! * [`server::SearchServer`] — accept loop, per-connection handlers, the
 //!   admission controller (bounded in-flight sessions; a full house is
 //!   answered with a `Busy` frame carrying the running/queued counts) and
-//!   the worker pool that runs admitted sessions;
-//! * [`executor`] — the fleet executor thread that owns the shared
-//!   [`gcode_engine::EdgeFleet`] plus the fair round-robin `Scheduler`
-//!   that interleaves measurement chunks across tenants so one giant zoo
-//!   cannot starve a small one;
+//!   the worker pool that runs admitted sessions, each worker calling the
+//!   shared [`gcode_engine::EdgeFleet`] directly — the fleet's first come,
+//!   first served pool checkout interleaves tenants candidate by
+//!   candidate, so one giant zoo cannot starve a small one;
 //! * [`session`] — the deterministic per-session pipeline (analytic→sim
 //!   fidelity ladder seeded by the client's `SearchConfig`, then zoo
 //!   deployment on the fleet) and [`run_standalone`], the same pipeline
@@ -29,8 +28,8 @@
 //!
 //! Determinism contract: a session's zoo, scores and winner predictions
 //! depend only on its [`gcode_engine::SessionSpec`] (task, config,
-//! objective, seed) — never on which tenants share the fleet, how the
-//! scheduler interleaves their chunks, or how many pools the fleet runs.
+//! objective, seed) — never on which tenants share the fleet, how their
+//! candidates interleave on its pools, or how many pools the fleet runs.
 //! The session-isolation integration tests assert this bit-for-bit.
 //!
 //! # Example
@@ -66,7 +65,6 @@
 #![deny(unsafe_code)]
 
 pub mod client;
-pub mod executor;
 pub mod server;
 pub mod session;
 

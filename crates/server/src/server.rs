@@ -8,10 +8,11 @@
 //! * N handler threads (`gcode-serve-conn`) — one per live client, pure
 //!   request/response over the session frames;
 //! * W worker threads (`gcode-serve-worker`) — pull admitted sessions off
-//!   one shared queue and run the deterministic search pipeline;
-//! * 1 fleet executor thread (`gcode-serve-fleet`) — owns the shared warm
-//!   [`gcode_engine::EdgeFleet`], interleaving tenants' measurement
-//!   chunks round-robin (see [`crate::executor`]).
+//!   one shared queue and run the deterministic search pipeline, measuring
+//!   each zoo by calling the shared warm [`gcode_engine::EdgeFleet`]
+//!   directly; while a zoo is measured, its call runs up to one
+//!   `gcode-fleet-N` thread per pool, and the fleet's first come, first
+//!   served pool checkout interleaves tenants candidate by candidate.
 //!
 //! Admission: at most `max_sessions + queue_limit` sessions may be
 //! in flight (admitted, not yet finished). An `OpenSession` beyond that
@@ -19,14 +20,13 @@
 //! counts — backpressure the client can see and retry on — never with a
 //! dropped connection or an unbounded queue.
 
-use crate::executor::{FleetCommand, FleetExecutor, MeasureJob};
-use crate::session::{run_pipeline, MAX_SESSION_ITERATIONS};
+use crate::session::{run_pipeline, serve_fleet, MAX_SESSION_ITERATIONS};
 use crate::ServerError;
 use gcode_core::cachelog::{open_shared, SharedCacheLog};
 use gcode_core::eval::FleetStats;
 use gcode_engine::{
-    decode_frame, encode_frame, frame_name, read_message, write_message, FleetSpec, Frame,
-    SessionOutcome, SessionProgress, SessionSpec, SessionState, PROTOCOL_VERSION,
+    decode_frame, encode_frame, frame_name, read_message, write_message, EdgeFleet, FleetSpec,
+    Frame, SessionOutcome, SessionProgress, SessionSpec, SessionState, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -195,21 +195,19 @@ pub struct SearchServer {
     shared: Arc<Shared>,
     accept: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    executor: FleetExecutor,
-    executor_tx: Sender<FleetCommand>,
+    fleet: Arc<EdgeFleet>,
     trigger_rx: Receiver<()>,
 }
 
 impl SearchServer {
     /// Binds `listen` (e.g. `"127.0.0.1:0"` for an ephemeral port),
-    /// spawns the fleet executor and the worker pool, and starts
-    /// accepting clients.
+    /// builds the shared fleet (no pool spawns before the first zoo is
+    /// measured), spawns the worker pool, and starts accepting clients.
     pub fn start(listen: &str, config: ServerConfig) -> Result<Self, ServerError> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         let cache = config.cache_file.as_ref().map(open_shared).transpose()?;
-        let executor = FleetExecutor::spawn(config.fleet.clone())?;
-        let executor_tx = executor.sender();
+        let fleet = Arc::new(serve_fleet(config.fleet.clone()));
         let (work_tx, work_rx) = std::sync::mpsc::channel::<Arc<SessionEntry>>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let (trigger_tx, trigger_rx) = std::sync::mpsc::channel::<()>();
@@ -232,11 +230,11 @@ impl SearchServer {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let work_rx = Arc::clone(&work_rx);
-                let fleet_tx = executor.sender();
+                let fleet = Arc::clone(&fleet);
                 let cache = cache.clone();
                 std::thread::Builder::new()
                     .name(format!("gcode-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &work_rx, &fleet_tx, cache.as_ref()))
+                    .spawn(move || worker_loop(&shared, &work_rx, &fleet, cache.as_ref()))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         let accept = {
@@ -245,7 +243,7 @@ impl SearchServer {
                 .name("gcode-serve-accept".to_string())
                 .spawn(move || accept_loop(&listener, &shared))?
         };
-        Ok(Self { addr, shared, accept, workers, executor, executor_tx, trigger_rx })
+        Ok(Self { addr, shared, accept, workers, fleet, trigger_rx })
     }
 
     /// The bound listen address (resolves `:0` to the actual port).
@@ -254,12 +252,12 @@ impl SearchServer {
     }
 
     /// Live per-pool counters of the shared fleet.
+    ///
+    /// # Errors
+    ///
+    /// None: the fleet is read directly, so this always answers `Ok`.
     pub fn fleet_stats(&self) -> Result<FleetStats, ServerError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.executor_tx
-            .send(FleetCommand::Stats(tx))
-            .map_err(|_| ServerError::Protocol("fleet executor is gone".to_string()))?;
-        rx.recv().map_err(|_| ServerError::Protocol("fleet executor is gone".to_string()))
+        Ok(self.fleet.stats())
     }
 
     /// Blocks until the server triggers its own shutdown (admin
@@ -271,8 +269,8 @@ impl SearchServer {
     }
 
     /// Shuts the server down now: stops accepting, closes every client
-    /// connection, drains the worker pool and the fleet executor, and
-    /// joins every thread.
+    /// connection, drains the worker pool, shuts the fleet down, and joins
+    /// every thread.
     pub fn shutdown(self) -> Result<(), ServerError> {
         self.shared.trigger_shutdown();
         self.teardown()
@@ -297,7 +295,10 @@ impl SearchServer {
         for w in self.workers {
             let _ = w.join();
         }
-        self.executor.shutdown();
+        // The joined workers dropped their handles: the fleet is ours alone.
+        if let Some(fleet) = Arc::into_inner(self.fleet) {
+            let _ = fleet.shutdown();
+        }
         Ok(())
     }
 }
@@ -553,7 +554,7 @@ fn poll(entry: &Arc<SessionEntry>, shared: &Shared) -> (Frame, bool) {
 fn worker_loop(
     shared: &Arc<Shared>,
     work_rx: &Arc<Mutex<Receiver<Arc<SessionEntry>>>>,
-    fleet_tx: &Sender<FleetCommand>,
+    fleet: &EdgeFleet,
     cache: Option<&SharedCacheLog>,
 ) {
     loop {
@@ -567,7 +568,7 @@ fn worker_loop(
             }
         };
         shared.active.fetch_add(1, Ordering::SeqCst);
-        let terminal = run_session(&entry, fleet_tx, cache);
+        let terminal = run_session(&entry, fleet, cache);
         *entry.phase.lock().expect("phase lock") = terminal;
         shared.active.fetch_sub(1, Ordering::SeqCst);
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -575,24 +576,19 @@ fn worker_loop(
 }
 
 /// Runs one session's pipeline and returns its terminal phase. The zoo's
-/// uncached plans become one [`MeasureJob`] on the shared fleet; a fully
-/// cached zoo skips the Measuring queue outright.
+/// uncached plans are one batch on the shared fleet; a fully cached zoo
+/// skips the Measuring phase outright.
 fn run_session(
     entry: &Arc<SessionEntry>,
-    fleet_tx: &Sender<FleetCommand>,
+    fleet: &EdgeFleet,
     cache: Option<&SharedCacheLog>,
 ) -> SessionPhase {
     *entry.phase.lock().expect("phase lock") = SessionPhase::Searching;
     let outcome = run_pipeline(&entry.spec, entry.id, &entry.evaluated, cache, |plans, stream| {
         *entry.phase.lock().expect("phase lock") = SessionPhase::Measuring;
-        let (reply, reply_rx) = std::sync::mpsc::channel();
-        let job = MeasureJob { session: entry.id, plans, stream: Arc::new(stream), reply };
-        fleet_tx
-            .send(FleetCommand::Measure(job))
-            .map_err(|_| "fleet executor is shut down".to_string())?;
-        reply_rx.recv().map_err(|_| "fleet executor shut down mid-measurement".to_string())
+        fleet.run_batch(plans, stream)
     });
-    outcome.map_or_else(SessionPhase::Failed, |outcome| SessionPhase::Done(Box::new(outcome)))
+    SessionPhase::Done(Box::new(outcome))
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! `measure_zoo` is set) deploys the finished zoo on an edge fleet and
 //! records the live measurements; predictions there are pinned by the
 //! fleet's per-slot-seeded supernet `WeightBank`, so *which* fleet
-//! measures the zoo — the server's shared one, chunk-interleaved with
-//! other tenants, or a private single pool — never changes them.
+//! measures the zoo — the server's shared one, interleaved candidate by
+//! candidate with other tenants, or a private single pool — never changes
+//! them.
 //!
 //! [`run_standalone`] runs both stages without any server, over a private
 //! one-pool fleet: the reference a served session is asserted
@@ -95,7 +96,7 @@ fn surrogate_of(task: SessionTask) -> SurrogateTask {
 /// The fixed measurement stream zoo winners of this task deploy against.
 /// Regenerated per call (cheap at this size) and seeded by server
 /// constants, so every session of a task measures the identical frames.
-pub(crate) fn stream_of(task: SessionTask) -> Vec<Sample> {
+fn stream_of(task: SessionTask) -> Vec<Sample> {
     match task {
         SessionTask::ModelNet40 => {
             PointCloudDataset::generate(SERVE_STREAM_LEN, 24, 4, SERVE_STREAM_SEED)
@@ -137,10 +138,7 @@ impl Evaluator for CountingEval<'_> {
 /// Stage one: the deterministic search. `evaluated` is bumped per
 /// candidate so the server can answer `Poll` with live progress; pass a
 /// scratch counter when running standalone.
-pub(crate) fn run_search(
-    spec: &SessionSpec,
-    evaluated: &AtomicU64,
-) -> (SearchReport, SearchResult) {
+fn run_search(spec: &SessionSpec, evaluated: &AtomicU64) -> (SearchReport, SearchResult) {
     let profile = profile_of(spec.task);
     let sys = SystemConfig::tx2_to_i7(40.0);
     let space = DesignSpace::paper(profile);
@@ -172,7 +170,7 @@ pub(crate) fn run_search(
 /// Lowers every zoo entry to its runnable plan, winner first: the one
 /// lowering, so the plan measured and cached here is the plan the backend
 /// priced during the search and the plan a dispatcher deploys.
-pub(crate) fn zoo_plans(result: &SearchResult) -> Vec<ExecutionPlan> {
+fn zoo_plans(result: &SearchResult) -> Vec<ExecutionPlan> {
     result.zoo.iter().map(|z| ExecutionPlan::from_architecture(&z.arch)).collect()
 }
 
@@ -242,17 +240,13 @@ fn run_scenario_stage(
 /// the spec's scenario trace, if any. `measure` is the one thing the two
 /// callers do differently: it deploys the given plans (zoo order, winner
 /// first) against the given stream and answers one outcome per plan.
-///
-/// # Errors
-///
-/// Returns `measure`'s error when the measuring step failed as a whole.
 pub(crate) fn run_pipeline(
     spec: &SessionSpec,
     session: u64,
     evaluated: &AtomicU64,
     cache: Option<&gcode_core::cachelog::SharedCacheLog>,
-    measure: impl FnOnce(Vec<ExecutionPlan>, Vec<Sample>) -> Result<Vec<FleetOutcome>, String>,
-) -> Result<SessionOutcome, String> {
+    measure: impl FnOnce(&[ExecutionPlan], &[Sample]) -> Vec<FleetOutcome>,
+) -> SessionOutcome {
     let (mut report, result) = run_search(spec, evaluated);
     let mut winner_predictions = Vec::new();
     if spec.measure_zoo && !result.zoo.is_empty() {
@@ -265,14 +259,16 @@ pub(crate) fn run_pipeline(
                 decode_measurement(log.get_blob((plan_wire_id(plan), context))?)
             },
             |uncached| {
-                measure(uncached.iter().map(|&i| plans[i].clone()).collect(), stream_of(spec.task))
+                let uncached: Vec<ExecutionPlan> =
+                    uncached.iter().map(|&i| plans[i].clone()).collect();
+                measure(&uncached, &stream_of(spec.task))
             },
             |plan, (preds, stats)| {
                 if let Some(Ok(mut log)) = cache.map(|log| log.lock()) {
                     log.put_blob((plan_wire_id(plan), context), &encode_measurement(preds, stats));
                 }
             },
-        )?;
+        );
         let mut fold = ProfileFold::default();
         for (i, outcome) in outcomes.iter().enumerate() {
             fold.absorb(outcome, 0, !fresh.contains(&i));
@@ -285,7 +281,7 @@ pub(crate) fn run_pipeline(
     if let Some(scenarios) = run_scenario_stage(spec, &result) {
         report = report.with_scenarios(scenarios);
     }
-    Ok(SessionOutcome { session, report, result, winner_predictions })
+    SessionOutcome { session, report, result, winner_predictions }
 }
 
 /// Runs a session spec to completion without any server: the identical
@@ -299,12 +295,11 @@ pub(crate) fn run_pipeline(
 /// what the session-isolation tests mask out before comparing.
 pub fn run_standalone(spec: &SessionSpec) -> SessionOutcome {
     run_pipeline(spec, 0, &AtomicU64::new(0), None, |plans, stream| {
-        let mut fleet = serve_fleet(FleetSpec::loopback(1));
-        let outcomes = fleet.run_batch(&plans, &stream);
+        let fleet = serve_fleet(FleetSpec::loopback(1));
+        let outcomes = fleet.run_batch(plans, stream);
         let _ = fleet.shutdown();
-        Ok(outcomes)
+        outcomes
     })
-    .expect("a private fleet answers every plan")
 }
 
 #[cfg(test)]
@@ -337,8 +332,8 @@ mod tests {
     #[test]
     fn zoo_plans_are_the_plans_the_search_and_the_dispatcher_lower() {
         // One architecture, one plan, one wire id: what this server measures
-        // and caches is what `EngineBackend` priced and what
-        // `EngineDispatcher::dispatch` deploys (gcode-engine's
+        // and caches is what `EngineBackend` priced and what a dispatcher
+        // deploys for `ArchitectureZoo::dispatch`'s pick (gcode-engine's
         // `backend_deploys_the_plan_the_dispatcher_picks` is the other half).
         let scratch = AtomicU64::new(0);
         for task in [SessionTask::ModelNet40, SessionTask::Mr] {

@@ -15,10 +15,9 @@ use gcode::core::search::{random_search, SearchConfig};
 use gcode::core::space::DesignSpace;
 use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::{EdgeFleet, EngineDispatcher, FleetSpec};
+use gcode::engine::{EdgeFleet, ExecutionPlan, FleetSpec};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::hardware::SystemConfig;
-use gcode::nn::seq::WeightBank;
 use gcode::sim::{SimBackend, SimConfig};
 
 fn main() {
@@ -74,16 +73,15 @@ fn main() {
 
     // Now do it live: one persistent device/edge pair, and every
     // constraint switch hot-swaps the deployed plan in place.
-    // The fleet serves the same supernet bank the dispatcher holds:
-    // 4 classes, seed 7.
-    let dispatcher = EngineDispatcher::new(zoo, WeightBank::new(4, 7));
-    let mut fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 7, 7);
+    // Every zoo member shares the fleet's supernet bank: 4 classes, seed 7.
+    let fleet = EdgeFleet::new(FleetSpec::loopback(1), 4, 7, 7);
     let frames = PointCloudDataset::generate(4, 24, 4, 3);
     println!("\nlive hot-swaps on one warm pair:");
     for (label, constraint) in &scenarios {
-        let Some((plan, pick)) = dispatcher.dispatch(*constraint) else {
+        let Some(pick) = zoo.dispatch(*constraint) else {
             continue;
         };
+        let plan = ExecutionPlan::from_architecture(&pick.arch);
         let (_, stats) = fleet.run_batch(&[plan], frames.samples()).remove(0).expect("stream");
         println!(
             "  {label:<28} -> {:.1}% acc promised, measured p50 {:.2} ms, {} bytes shipped",

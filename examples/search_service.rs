@@ -4,9 +4,9 @@
 //! Both tenants run the full loop — versioned `Hello` handshake, admitted
 //! session, deterministic analytic→sim cascade search, zoo measurement on
 //! the shared fleet — at the same time, yet each result is bit-identical
-//! to what a standalone run of the same `SessionSpec` produces: the fair
-//! round-robin scheduler interleaves their measurement chunks without
-//! letting either tenant observe the other.
+//! to what a standalone run of the same `SessionSpec` produces: the fleet's
+//! first come, first served pool checkout interleaves their candidates
+//! without letting either tenant observe the other.
 //!
 //! ```sh
 //! cargo run --release --example search_service

@@ -31,7 +31,8 @@
 //!
 //! `gcode serve` keeps that fleet resident: a daemon that multiplexes
 //! concurrent search sessions over one warm fleet, with admission
-//! control and fair round-robin measurement scheduling. `gcode submit`
+//! control, and the fleet's first come, first served pool checkout
+//! interleaving the sessions' measurements. `gcode submit`
 //! is the matching client — open a session, follow its progress, print
 //! the winner.
 //!

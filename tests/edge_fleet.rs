@@ -63,7 +63,7 @@ fn fleet_predictions_are_bit_identical_for_any_pool_count() {
     let fresh: Vec<Vec<usize>> = archs.iter().map(|a| run_fresh(a, 4, ds.samples())).collect();
 
     for pools in [1usize, 2, 3, 4] {
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
         let outcomes = fleet.run_batch(&plans, ds.samples());
         for (i, outcome) in outcomes.iter().enumerate() {
             let (preds, _) = outcome.as_ref().expect("healthy fleet measures everything");
@@ -99,7 +99,7 @@ fn fleet_predictions_are_bit_identical_under_skewed_streams_for_any_pool_count()
         archs.iter().zip(&streams).map(|(a, s)| run_fresh(a, 4, s)).collect();
 
     for pools in [1usize, 2, 3, 4] {
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
         let outcomes = fleet.run_batch_streams(&plans, &streams);
         for (i, outcome) in outcomes.iter().enumerate() {
             let (preds, stats) = outcome.as_ref().expect("healthy fleet measures everything");
@@ -173,7 +173,7 @@ fn fleet_ladder_search_shards_the_measured_tier_and_matches_fresh_winner() {
     let fresh = run_fresh(&best.arch, 4, ds.samples());
     let winner_plan = vec![ExecutionPlan::from_architecture(&best.arch)];
     for pools in [1usize, 3] {
-        let mut fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
+        let fleet = EdgeFleet::new(FleetSpec::loopback(pools), 4, BANK_SEED, RUN_SEED);
         let (preds, _) = fleet.run_batch(&winner_plan, ds.samples())[0]
             .as_ref()
             .expect("winner deploys")
@@ -218,4 +218,60 @@ fn fleet_survives_a_pool_death_mid_batch_by_resharding_its_candidates() {
     assert!(stats.failures() >= 1, "the dead pool is counted");
     assert!(stats.resharded >= 1, "its candidates were re-sharded");
     assert_eq!(stats.deployments(), 4);
+}
+
+#[test]
+fn a_giant_caller_does_not_gate_a_small_one_and_concurrency_changes_no_bit() {
+    let ds = PointCloudDataset::generate(8, 64, 4, 13);
+    let giant: Vec<ExecutionPlan> = [8, 16, 24, 32]
+        .iter()
+        .cycle()
+        .take(16)
+        .map(|&d| ExecutionPlan::from_architecture(&split_arch(d)))
+        .collect();
+    let small: Vec<ExecutionPlan> =
+        [48, 40].iter().map(|&d| ExecutionPlan::from_architecture(&split_arch(d))).collect();
+    // What a serial one-pool fleet measures: predictions, frames and wire
+    // bytes, everything but the wall clock.
+    let bits = |outcomes: &[gcode::engine::FleetOutcome]| -> Vec<(Vec<usize>, usize, Vec<usize>)> {
+        outcomes
+            .iter()
+            .map(|o| {
+                let (preds, stats) = o.as_ref().expect("healthy fleet measures everything");
+                (preds.clone(), stats.frames, stats.frame_bytes.clone())
+            })
+            .collect()
+    };
+    let serial = EdgeFleet::new(FleetSpec::loopback(1), 4, BANK_SEED, RUN_SEED);
+    let (giant_serial, small_serial) = (
+        bits(&serial.run_batch(&giant, ds.samples())),
+        bits(&serial.run_batch(&small, ds.samples())),
+    );
+    serial.shutdown().expect("clean");
+
+    let fleet = EdgeFleet::new(FleetSpec::loopback(2), 4, BANK_SEED, RUN_SEED);
+    let (done, finished) = std::sync::mpsc::channel();
+    let (giant_out, small_out) = std::thread::scope(|scope| {
+        let giant_call = scope.spawn(|| {
+            let outcomes = fleet.run_batch(&giant, ds.samples());
+            done.send("giant").expect("recorded");
+            outcomes
+        });
+        // The small call starts once the giant one is under way.
+        while fleet.stats().deployments() < 1 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let small_call = scope.spawn(|| {
+            let outcomes = fleet.run_batch(&small, ds.samples());
+            done.send("small").expect("recorded");
+            outcomes
+        });
+        (giant_call.join().expect("giant call"), small_call.join().expect("small call"))
+    });
+    let order: Vec<&str> = finished.try_iter().collect();
+    assert_eq!(order, ["small", "giant"], "the small call returns while the giant one runs");
+    assert_eq!(bits(&giant_out), giant_serial, "the giant call's outcomes are the serial fleet's");
+    assert_eq!(bits(&small_out), small_serial, "the small call's outcomes are the serial fleet's");
+    assert_eq!(fleet.spawns(), 2, "both callers share the fleet's two pools");
+    fleet.shutdown().expect("every pool joins cleanly");
 }

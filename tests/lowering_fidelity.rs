@@ -9,7 +9,7 @@ use gcode::core::op::{Op, OpKind, SampleFn};
 use gcode::core::search::ScoredArch;
 use gcode::core::space::DesignSpace;
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::{plan_wire_id, DeviceClient, EdgeServer, EngineDispatcher, ExecutionPlan};
+use gcode::engine::{plan_wire_id, DeviceClient, EdgeServer, ExecutionPlan};
 use gcode::graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
 use gcode::nn::seq::{classify, forward, forward_features_slotted, GraphInput, WeightBank};
 use gcode::tensor::Matrix;
@@ -123,11 +123,9 @@ fn check_profile(profile: WorkloadProfile, samples: &[Sample]) {
             latency_s: 0.1,
             energy_j: 0.1,
         };
-        let dispatcher = EngineDispatcher::new(
-            ArchitectureZoo::new(vec![entry]),
-            WeightBank::new(classes, BANK_SEED),
-        );
-        let (picked, _) = dispatcher.dispatch(RuntimeConstraint::none()).expect("one entry");
+        let zoo = ArchitectureZoo::new(vec![entry]);
+        let pick = zoo.dispatch(RuntimeConstraint::none()).expect("one entry");
+        let picked = ExecutionPlan::from_architecture(&pick.arch);
         assert_eq!(plan_wire_id(&picked), plan_wire_id(&plan), "seed {seed}: {arch}");
     }
     // The sweep must reach the cases the invariant is about.

@@ -1,7 +1,8 @@
 //! A warm pool's thread count does not grow with candidates: a
 //! `DeviceClient` keeps one uplink and one results thread for the life of
 //! its connection, and shutting the pool down (or dropping a client)
-//! joins them.
+//! joins them. A fleet's workers live for one batch: none is left once it
+//! returns, whoever else is calling.
 //!
 //! Counts come from `/proc/self/task`, so this file holds a single test:
 //! no other test may share the process while it counts.
@@ -9,7 +10,7 @@
 
 use gcode::core::arch::Architecture;
 use gcode::core::op::{Op, SampleFn};
-use gcode::engine::{DeviceClient, EdgePool, EdgeServer, ExecutionPlan};
+use gcode::engine::{DeviceClient, EdgeFleet, EdgePool, EdgeServer, ExecutionPlan, FleetSpec};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::nn::agg::AggMode;
 use gcode::nn::pool::PoolMode;
@@ -104,4 +105,28 @@ fn a_warm_pool_spawns_no_thread_per_candidate_and_joins_all_of_them() {
     assert_eq!(threads_settled_at(edge_only.len()), edge_only, "threads after dropping the client");
     server.shutdown().expect("clean edge shutdown");
     assert_eq!(threads_settled_at(before.len()), before, "threads after edge shutdown");
+
+    // A two-pool fleet serving 50 rounds of two concurrent callers: each
+    // pool keeps its edge and I/O threads, and every `gcode-fleet-N`
+    // worker is joined when its batch returns.
+    let fleet = EdgeFleet::new(FleetSpec::loopback(2), 2, 7, 11);
+    let plans: Vec<ExecutionPlan> = (0..4).map(|i| offloaded(8 + 8 * i)).collect();
+    for round in 0..50 {
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let outcomes = fleet.run_batch(&plans, ds.samples());
+                    assert!(outcomes.iter().all(Result::is_ok), "round {round}");
+                });
+            }
+        });
+        let names = threads_settled_at(before.len() + 6);
+        assert!(!names.iter().any(|n| n.starts_with("gcode-fleet")), "round {round}: {names:?}");
+        let edges = names.iter().filter(|n| *n == "gcode-edge").count();
+        assert_eq!(edges, 2, "round {round}: {names:?}");
+        assert_eq!(names.len(), before.len() + 6, "round {round}: {names:?}");
+    }
+    assert_eq!(fleet.spawns(), 2, "the fleet's pools outlive every batch");
+    fleet.shutdown().expect("clean fleet shutdown");
+    assert_eq!(threads_settled_at(before.len()), before, "threads after fleet shutdown");
 }
