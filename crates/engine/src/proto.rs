@@ -1370,6 +1370,29 @@ mod tests {
         assert_eq!(with - without, 8 + 2 * 1024 * 20);
     }
 
+    #[test]
+    fn a_stream_state_encodes_to_the_bytes_its_protocol_version_pins() {
+        // A seeded 1024 × 64 post-ReLU activation (half its words +0.0,
+        // sparse mode) over a 20-regular graph (two-byte ids): both blobs
+        // a `State` frame carries. A codec edit that moves one byte fails
+        // here until it bumps `PROTOCOL_VERSION` and repins the digest —
+        // the measurement-cache keys fold the version in.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x57A7E);
+        let data = (0..1024 * 64).map(|_| rng.gen_range(-1.0f32..1.0).max(0.0)).collect();
+        let state = WireState {
+            frame_id: 7,
+            features: Matrix::from_vec(1024, 64, data),
+            graph: Some(scattered_graph(1024, |_| 20)),
+            label: 3,
+        };
+        let body = encode_state(&state);
+        assert_eq!(
+            (PROTOCOL_VERSION, body.len(), fnv1a(&body)),
+            (4, 179_530, 0xD662_885D_0F3C_C300)
+        );
+    }
+
     /// `[n][d]` + payload behind a graphless 0x0 state's flag byte.
     fn state_with_graph_blob(n: u32, d: u32, payload: &[u8]) -> Vec<u8> {
         let empty = WireState { frame_id: 0, features: Matrix::zeros(0, 0), graph: None, label: 0 };

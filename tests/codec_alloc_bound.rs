@@ -2,8 +2,10 @@
 //! decoder asks the allocator for no block larger than 32× the bytes it
 //! was handed (the all-zero tensor, one bit a word, is what sets 32), and
 //! `read_message` for no more than its eager-reserve cap on the word of a
-//! length prefix. Lives in a binary of its own because it swaps the global
-//! allocator for one that records the largest request of the test thread.
+//! length prefix. The encoder's half: `compress_floats` asks for one block
+//! of exactly the blob's size, in the build the host runs. Lives in a
+//! binary of its own because it swaps the global allocator for one that
+//! records the requests of the test thread.
 
 use gcode::compress::{compress_floats, decompress_floats};
 use gcode::engine::{decode_state, encode_state, read_message, WireState};
@@ -13,10 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Largest single request this thread made since the last reset.
-    /// `const`-initialised and without a destructor, so touching it from
-    /// inside the allocator allocates nothing.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Requests this thread made since the last reset, and the largest
+    /// one. `const`-initialised and without a destructor, so touching it
+    /// from inside the allocator allocates nothing.
+    static REQUESTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 struct Recording;
@@ -55,14 +57,23 @@ static ALLOCATOR: Recording = Recording;
 fn note(size: usize) {
     // `try_with`: the allocator may run while the thread's locals are
     // being torn down.
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = REQUESTS.try_with(|seen| {
+        let (count, largest) = seen.get();
+        seen.set((count + 1, largest.max(size)));
+    });
+}
+
+/// Runs `f` and returns how many blocks it asked for and the largest.
+fn requests<T>(f: impl FnOnce() -> T) -> (T, (usize, usize)) {
+    REQUESTS.with(|seen| seen.set((0, 0)));
+    let out = f();
+    (out, REQUESTS.with(Cell::get))
 }
 
 /// Runs `f` and returns the largest block it asked for.
 fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|largest| largest.set(0));
-    let out = f();
-    (out, LARGEST.with(Cell::get))
+    let (out, (_, largest)) = requests(f);
+    (out, largest)
 }
 
 /// An error message is the one allocation a rejection may make.
@@ -85,6 +96,27 @@ fn xorshift(state: &mut u64) -> u64 {
 #[test]
 fn no_decoder_allocates_beyond_what_arrived() {
     let mut rng = 0x5EED_0A11u64;
+
+    // The encoder: one block, the header and the shorter payload exactly.
+    for n in [0usize, 1, 7, 8, 31, 64, 1000, 4097, 65536] {
+        for zero_share in [0u64, 1, 2, 4] {
+            let values: Vec<f32> = (0..n)
+                .map(|_| {
+                    let r = xorshift(&mut rng);
+                    if r % 4 < zero_share {
+                        0.0
+                    } else {
+                        f32::from_bits((r >> 32) as u32 | 1)
+                    }
+                })
+                .collect();
+            let present = values.iter().filter(|v| v.to_bits() != 0).count();
+            let payload = (n.div_ceil(8) + 4 * present).min(4 * n);
+            let (packed, blocks) = requests(|| compress_floats(&values));
+            assert_eq!(packed.len(), 5 + payload, "{n} words, {present} present");
+            assert_eq!(blocks, (1, 5 + payload), "{n} words, {present} present: (blocks, bytes)");
+        }
+    }
 
     // Float blobs: headers that claim up to 4 Gi words over a few bytes.
     for mode in 0..=2u8 {
