@@ -37,7 +37,9 @@ use gcode_bench::{
 };
 use gcode_core::arch::{Architecture, WorkloadProfile};
 use gcode_core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
-use gcode_core::eval::scenario::{ArrivalSpec, ScenarioSegment, ScenarioTrace};
+use gcode_core::eval::scenario::{
+    latency_percentiles, ArrivalSpec, ScenarioSegment, ScenarioTrace,
+};
 use gcode_core::eval::{Evaluator, Objective, SearchSession};
 use gcode_core::op::{Op, SampleFn};
 use gcode_core::pareto::{front_of, hypervolume};
@@ -570,7 +572,7 @@ fn scenario(quick: bool) -> Vec<Key> {
     let probe: Vec<Sample> =
         (0..16).map(|i| ds.samples()[i % ds.samples().len()].clone()).collect();
     let (_, stats) = fleet.run_batch(&[plan], &probe).remove(0).expect("probe stream");
-    let service_p50_s = stats.p50_s.max(50e-6);
+    let service_p50_s = latency_percentiles(&stats.frame_latencies_s).0.max(50e-6);
 
     let deadline_s = 12.5 * service_p50_s;
     let steady_fps = 1.0 / (5.0 * service_p50_s);

@@ -129,21 +129,6 @@ impl ProfileFold {
     }
 }
 
-/// Live-measurement telemetry across every candidate this backend has
-/// priced: the shared [`ProfileFold`] plus the stream hit counts only the
-/// backend (which holds the labels) can keep.
-#[derive(Default)]
-struct Telemetry {
-    profile: ProfileFold,
-    /// Measured-window frames whose live prediction matched the label.
-    stream_correct: u64,
-    /// Stream hits of the most recent deployment only — assigned, not
-    /// accumulated, so per-candidate hit rates never blur together.
-    last_correct: u64,
-    /// Measured frames of the most recent deployment only.
-    last_frames: u64,
-}
-
 /// [`EvalBackend`] that measures candidates on the live TCP engine —
 /// [`Fidelity::Measured`], the ground truth every cheaper tier
 /// approximates.
@@ -165,8 +150,9 @@ struct Telemetry {
 /// telemetry: latency is the mean *post-warmup* per-frame latency, energy
 /// prices the measured window's own traffic (run power over the measured
 /// frame latency plus link energy for measured bytes per measured frame —
-/// the busy/idle split is not observable from wall clock), and the live
-/// stream hit rate in the telemetry counts measured frames only.
+/// the busy/idle split is not observable from wall clock), and a measured
+/// accuracy ([`with_measured_accuracy`](Self::with_measured_accuracy))
+/// counts measured frames only.
 ///
 /// Deployment failures never poison a search. A pool that dies under a
 /// candidate is discarded and respawned (loopback) or reconnected
@@ -226,7 +212,7 @@ pub struct EngineBackend<F: Fn(&Architecture) -> f64 + Sync> {
     measured_accuracy: bool,
     accuracy_fn: F,
     cache_log: Option<SharedCacheLog>,
-    telemetry: Mutex<Telemetry>,
+    profile: Mutex<ProfileFold>,
     fleet: OnceLock<EdgeFleet>,
 }
 
@@ -235,8 +221,9 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// each candidate's deployed pipeline. `num_classes` sizes the shared
     /// supernet `WeightBank`; `sys` supplies the power/link model used to
     /// convert measured times and bytes into energy; `accuracy_fn` prices
-    /// accuracy (surrogate or supernet — the synthetic frame stream's own
-    /// hit rate stays available in the telemetry).
+    /// accuracy (surrogate or supernet; see
+    /// [`with_measured_accuracy`](Self::with_measured_accuracy) to price
+    /// the frame stream's own hit rate instead).
     ///
     /// Defaults: measure every sample once, no warmup, no uplink throttle,
     /// one loopback pool.
@@ -264,7 +251,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             measured_accuracy: false,
             accuracy_fn,
             cache_log: None,
-            telemetry: Mutex::new(Telemetry::default()),
+            profile: Mutex::new(ProfileFold::default()),
             fleet: OnceLock::new(),
         }
     }
@@ -413,7 +400,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Candidates priced from the persistent cache log instead of a live
     /// deployment.
     pub fn log_hits(&self) -> u64 {
-        self.telemetry.lock().profile.cached
+        self.profile.lock().cached
     }
 
     /// Percentiles and traffic accumulated over every *measured* frame so
@@ -421,12 +408,12 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Warmup frames contribute nothing here: their latencies, bytes and
     /// hit/miss outcomes are all dropped before accumulation.
     pub fn measured_profile(&self) -> MeasuredProfile {
-        self.telemetry.lock().profile.profile()
+        self.profile.lock().profile()
     }
 
     /// Successful deployments so far.
     pub fn deployments(&self) -> u64 {
-        self.telemetry.lock().profile.deployed
+        self.profile.lock().deployed
     }
 
     /// The fleet every deployment runs on, built from the configured spec,
@@ -452,27 +439,6 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         self.fleet.get().map_or_else(|| self.new_fleet().stats(), EdgeFleet::stats)
     }
 
-    /// Fraction of measured frames whose live prediction matched its
-    /// label for the *most recent* deployment (warmup excluded). This is
-    /// per-candidate by construction — the counters are reset on every
-    /// deployment, so a weak candidate's hit rate is never averaged into
-    /// a strong one's. (The lifetime aggregate across all deployments is
-    /// still available as
-    /// [`lifetime_stream_accuracy`](Self::lifetime_stream_accuracy).)
-    pub fn stream_accuracy(&self) -> f64 {
-        let t = self.telemetry.lock();
-        t.last_correct as f64 / t.last_frames.max(1) as f64
-    }
-
-    /// Stream hit rate accumulated over every deployment this backend has
-    /// measured — the old (pre-fix) meaning of
-    /// [`stream_accuracy`](Self::stream_accuracy), kept for callers that
-    /// want the whole-search aggregate rather than a per-candidate rate.
-    pub fn lifetime_stream_accuracy(&self) -> f64 {
-        let t = self.telemetry.lock();
-        t.stream_correct as f64 / (t.profile.latencies_s.len().max(1)) as f64
-    }
-
     /// The warmup+measured frame stream for one candidate.
     fn stream(&self) -> Vec<Sample> {
         (0..self.warmup + self.frames)
@@ -483,34 +449,25 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Folds one fleet outcome into the telemetry and, for a successful
     /// deployment, converts its raw predictions and [`EngineStats`] into
     /// [`Metrics`]. Everything priced here comes from the measured window
-    /// only: warmup frames primed the pipeline and must not leak into
-    /// latency, traffic, energy or the live hit rate.
+    /// only — never empty, since a candidate streams at least one frame
+    /// past its warmup: warmup frames primed the pipeline and must not leak
+    /// into latency, traffic, energy or a measured hit rate.
     fn price(&self, arch: &Architecture, outcome: &FleetOutcome) -> Option<Metrics> {
-        let mut t = self.telemetry.lock();
-        t.profile.absorb(outcome, self.warmup, false);
+        self.profile.lock().absorb(outcome, self.warmup, false);
         let (predictions, stats) = outcome.as_ref().ok()?;
         let (cut, measured, measured_bytes) = measured_window(stats, self.warmup);
-        let mean_s = if measured.is_empty() {
-            stats.wall_s / stats.frames.max(1) as f64
-        } else {
-            measured.iter().sum::<f64>() / measured.len() as f64
-        };
-        let measured_frames = measured.len().max(1);
-        let bytes_per_frame = measured_bytes / measured_frames;
+        let mean_s = measured.iter().sum::<f64>() / measured.len() as f64;
+        let bytes_per_frame = measured_bytes / measured.len();
         let energy_j = self.sys.device.run_power_w * mean_s
             + self.sys.power.device_comm_energy(&self.sys.link, bytes_per_frame, 0);
-        let correct = predictions
-            .iter()
-            .enumerate()
-            .skip(cut)
-            .filter(|&(i, &p)| p == self.samples[i % self.samples.len()].label)
-            .count();
-        t.stream_correct += correct as u64;
-        t.last_correct = correct as u64;
-        t.last_frames = measured_frames as u64;
-        drop(t);
         let accuracy = if self.measured_accuracy {
-            correct as f64 / measured_frames as f64
+            let correct = predictions
+                .iter()
+                .enumerate()
+                .skip(cut)
+                .filter(|&(i, &p)| p == self.samples[i % self.samples.len()].label)
+                .count();
+            correct as f64 / measured.len() as f64
         } else {
             (self.accuracy_fn)(arch)
         };
@@ -540,7 +497,7 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             },
             |arch, &m| self.log_store(arch, tag, m),
         );
-        self.telemetry.lock().profile.cached += (archs.len() - fresh.len()) as u64;
+        self.profile.lock().cached += (archs.len() - fresh.len()) as u64;
         let failed = Metrics {
             accuracy: 0.0,
             latency_s: DEPLOY_FAILURE_SENTINEL,
@@ -684,15 +641,9 @@ mod tests {
             Ok((
                 vec![0; latencies.len()],
                 EngineStats {
-                    frames: latencies.len(),
                     wall_s: 1.0,
-                    fps: 1.0,
                     bytes_sent: bytes.iter().sum(),
                     frame_bytes: bytes.to_vec(),
-                    accuracy: 0.0,
-                    p50_s: 0.0,
-                    p95_s: 0.0,
-                    p99_s: 0.0,
                     frame_latencies_s: latencies.to_vec(),
                 },
             ))

@@ -84,9 +84,8 @@ use std::str::FromStr;
 use std::sync::{Condvar, PoisonError};
 use std::thread::{self, Scope};
 
-/// Where one fleet pool points: a loopback [`crate::EdgeServer`] the pool
-/// spawns (and respawns) itself, or an already-running remote edge it
-/// connects to.
+/// Where one fleet pool points: a loopback edge the pool spawns (and
+/// respawns) itself, or an already-running remote edge it connects to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEndpoint {
     /// Spawn a private loopback edge for this pool.

@@ -7,8 +7,9 @@
 //! separate threads with their own message queues, and every transmitted
 //! payload is compressed (the paper uses zlib; we use `gcode-compress`).
 //!
-//! The loopback deployment here exercises the identical code path as a
-//! LAN deployment — only the socket address differs.
+//! A pool connected to a remote endpoint that speaks the same persistent
+//! edge protocol runs the identical device-side code path — only the
+//! socket address differs.
 //!
 //! Architectures typically arrive from a `gcode_core::eval::SearchSession`
 //! run: the zoo's winners lower to an [`ExecutionPlan`] here, the one
@@ -22,14 +23,14 @@
 //!
 //! Deployment is cheap to repeat: the wire protocol carries control
 //! frames (`SwapPlan`, `Shutdown`) alongside data frames, so an
-//! [`EdgePool`] — one persistent [`EdgeServer`] plus a session-mode
-//! [`DeviceClient`] — serves an arbitrary sequence of plans over one warm
-//! TCP connection and the shared supernet `WeightBank`, with no process
-//! spawn or weight transfer per switch (the paper's Sec. 3.6 runtime
-//! dispatcher, applied to search-time measurement as well). At fleet
-//! scale, an [`EdgeFleet`] runs each escalated batch as a shared morsel
-//! queue drained by N such pools — spawned loopback edges or remote
-//! machines, per a parsed [`FleetSpec`] — concurrently and
+//! [`EdgePool`] — the engine's one device/edge pair: a persistent edge
+//! plus a device connected to it — serves an arbitrary sequence of plans
+//! over one warm TCP connection and the shared supernet `WeightBank`,
+//! with no process spawn or weight transfer per switch (the paper's
+//! Sec. 3.6 runtime dispatcher, applied to search-time measurement as
+//! well). At fleet scale, an [`EdgeFleet`] runs each escalated batch as a
+//! shared morsel queue drained by N such pools — spawned loopback edges
+//! or remote machines, per a parsed [`FleetSpec`] — concurrently and
 //! deterministically.
 //!
 //! The byte-level wire format and the full pool/fleet lifecycle are
@@ -40,7 +41,8 @@
 //! ```no_run
 //! use gcode_core::arch::Architecture;
 //! use gcode_core::op::{Op, SampleFn};
-//! use gcode_engine::{EdgeServer, DeviceClient, ExecutionPlan};
+//! use gcode_engine::{EdgePool, ExecutionPlan};
+//! use gcode_graph::datasets::PointCloudDataset;
 //! use gcode_nn::seq::WeightBank;
 //! use gcode_nn::{agg::AggMode, pool::PoolMode};
 //!
@@ -50,10 +52,11 @@
 //!     Op::Aggregate(AggMode::Max),
 //!     Op::GlobalPool(PoolMode::Max),
 //! ]);
-//! let plan = ExecutionPlan::from_architecture(&arch);
-//! let bank = WeightBank::new(4, 0);
-//! let server = EdgeServer::spawn(plan.clone(), bank.clone(), 4)?;
-//! let client = DeviceClient::connect(server.addr(), plan, bank, 4)?;
+//! let ds = PointCloudDataset::generate(4, 32, 4, 1);
+//! let mut pool = EdgePool::spawn(WeightBank::new(4, 0), 4)?;
+//! pool.deploy(ExecutionPlan::from_architecture(&arch))?;
+//! let (predictions, stats) = pool.run(ds.samples())?;
+//! pool.shutdown()?;
 //! # Ok::<(), gcode_engine::EngineError>(())
 //! ```
 
@@ -82,7 +85,7 @@ pub use proto::{
     plan_wire_id, read_message, write_message, Frame, SessionOutcome, SessionProgress, SessionSpec,
     SessionState, SessionTask, WireState, PLAN_WIRE_VERSION, PROTOCOL_VERSION,
 };
-pub use runtime::{DeviceClient, EdgeServer, EngineStats};
+pub use runtime::EngineStats;
 pub use scenario::replay_on_fleet;
 pub use throttle::Throttle;
 
@@ -146,10 +149,9 @@ mod tests {
     /// fleet between its session workers. A field that is not `Send + Sync` (one
     /// `mpsc::Receiver` is enough) has to fail here, not there.
     #[test]
-    fn pools_fleets_and_clients_are_send_and_sync() {
+    fn pools_and_fleets_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EdgePool>();
         assert_send_sync::<EdgeFleet>();
-        assert_send_sync::<DeviceClient>();
     }
 }

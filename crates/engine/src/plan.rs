@@ -66,11 +66,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// Device-only plan for an unsplit architecture.
-    pub fn device_only(arch: &Architecture) -> Self {
-        Self::raw(arch.lower(), Vec::new(), arch.len(), false)
-    }
-
     /// Number of ops on each side, `(device, edge)`.
     pub fn op_counts(&self) -> (usize, usize) {
         (self.device_specs.len(), self.edge_specs.len())
@@ -176,7 +171,7 @@ mod tests {
         let plan = ExecutionPlan::from_architecture(&split_arch());
         assert_eq!(plan.device_slots, vec![0]);
         assert_eq!(plan.edge_slots, vec![2, 3]);
-        let local = ExecutionPlan::device_only(&Architecture::new(vec![
+        let local = ExecutionPlan::from_architecture(&Architecture::new(vec![
             Op::Sample(SampleFn::Knn { k: 4 }),
             Op::GlobalPool(PoolMode::Max),
         ]));

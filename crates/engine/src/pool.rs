@@ -1,5 +1,5 @@
-//! Persistent edge pool: one warm [`EdgeServer`]/[`DeviceClient`] pair
-//! reused across candidates via plan hot-swap.
+//! Persistent edge pool: one warm device/edge pair reused across
+//! candidates via plan hot-swap — the engine's only way to build a pair.
 //!
 //! The paper's runtime dispatcher (Sec. 3.6) switches architectures
 //! without redeploying the edge because every zoo member shares the one
@@ -11,6 +11,7 @@
 //! each weight tensor is keyed and seeded by slot, so a swapped-in
 //! candidate computes bit-for-bit what a freshly spawned pair would.
 
+use crate::fleet::DEFAULT_REMOTE_CONNECT_TIMEOUT;
 use crate::plan::ExecutionPlan;
 use crate::runtime::{DeviceClient, EdgeServer, EngineStats};
 use crate::EngineError;
@@ -24,12 +25,14 @@ use std::net::SocketAddr;
 /// Deploy a candidate with [`deploy`](Self::deploy), stream frames with
 /// [`run`](Self::run), repeat; [`shutdown`](Self::shutdown) (or drop)
 /// ends the serve thread cleanly via the `Shutdown` control frame. A pool
-/// runs a fixed set of threads however many candidates it serves: the
-/// edge's serve thread, and the client's uplink and results threads from
-/// its first offloaded run on (see [`DeviceClient::run_pipelined`]). A pool
-/// holds at most one spawned [`EdgeServer`] for its whole lifetime; an
-/// `EdgeFleet` of such pools is what `EngineBackend` routes every
-/// `Measured`-tier candidate through.
+/// starts with no plan: a [`run`](Self::run) before the first deploy is
+/// refused. It runs a fixed set of threads however many candidates it
+/// serves: the edge's serve thread, and the device's uplink and results
+/// threads from its first offloaded run on. A pool holds at most one
+/// spawned edge for its whole lifetime; an `EdgeFleet` of such pools is
+/// what `EngineBackend` routes every `Measured`-tier candidate through,
+/// and a fresh pool per candidate is the reference the bit-identity
+/// suites hold a warm one to.
 ///
 /// # Example
 ///
@@ -70,33 +73,27 @@ pub struct EdgePool {
     queued: VecDeque<(ExecutionPlan, u32)>,
 }
 
-/// An inert plan for the moment between connecting and the first
-/// [`EdgePool::deploy`]: nothing offloaded, nothing executed.
-fn placeholder_plan() -> ExecutionPlan {
-    ExecutionPlan::raw(Vec::new(), Vec::new(), 0, false)
-}
-
 impl EdgePool {
-    /// Spawns a persistent loopback [`EdgeServer`] over `bank` and
-    /// connects a session-mode [`DeviceClient`] to it. The pair stays
-    /// warm until [`shutdown`](Self::shutdown) or drop.
+    /// Spawns a persistent loopback edge over `bank` and connects a
+    /// device to it. The pair stays warm until
+    /// [`shutdown`](Self::shutdown) or drop.
     ///
     /// # Errors
     ///
     /// Returns bind/connect errors.
     pub fn spawn(bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        let server = EdgeServer::spawn_persistent(bank.clone(), seed)?;
-        let client =
-            DeviceClient::connect(server.addr(), placeholder_plan(), bank, seed)?.with_session();
-        Ok(Self { server: Some(server), client, swaps: 0, queued: VecDeque::new() })
+        let server = EdgeServer::spawn(bank.clone(), seed)?;
+        let pool =
+            Self::connect_with_timeout(server.addr(), bank, seed, DEFAULT_REMOTE_CONNECT_TIMEOUT)?;
+        Ok(Self { server: Some(server), ..pool })
     }
 
-    /// Connects a session-mode client to an already-running persistent
-    /// edge at `addr` (a pre-deployed LAN edge, or a test double) instead
-    /// of spawning one. The TCP connect may block for at most `timeout` — a
-    /// machine that silently drops SYNs then costs `timeout`, not the OS
-    /// default of minutes — so a dead endpoint cannot stall an `EdgeFleet`'s
-    /// coordinating thread.
+    /// Connects a device to an already-running peer at `addr` that speaks
+    /// the persistent edge protocol (a remote endpoint, or a test double)
+    /// instead of spawning one. The TCP connect may block for at most
+    /// `timeout` — a machine that silently drops SYNs then costs
+    /// `timeout`, not the OS default of minutes — so a dead endpoint
+    /// cannot stall an `EdgeFleet`'s coordinating thread.
     ///
     /// # Errors
     ///
@@ -107,15 +104,14 @@ impl EdgePool {
         seed: u64,
         timeout: std::time::Duration,
     ) -> Result<Self, EngineError> {
-        let client = DeviceClient::connect_timeout(addr, placeholder_plan(), bank, seed, timeout)?
-            .with_session();
+        let client = DeviceClient::connect(addr, bank, seed, timeout)?;
         Ok(Self { server: None, client, swaps: 0, queued: VecDeque::new() })
     }
 
     /// Caps the device uplink at `mbps` for every subsequent run.
     #[must_use]
     pub fn with_uplink_mbps(mut self, mbps: f64) -> Self {
-        self.client = self.client.with_uplink_mbps(mbps);
+        self.client.set_uplink_mbps(mbps);
         self
     }
 
@@ -160,8 +156,9 @@ impl EdgePool {
     ///
     /// # Errors
     ///
-    /// Propagates socket and protocol errors, and refuses a queued plan
-    /// whose declared frame count disagrees with `samples`; after an
+    /// Refuses a run before any plan was deployed, propagates socket and
+    /// protocol errors, and refuses a queued plan whose declared frame
+    /// count disagrees with `samples`; after an
     /// error the pool should be discarded (the caller respawns a fresh
     /// one). A failed run has already closed the client's connection and
     /// joined its I/O threads.
@@ -337,5 +334,18 @@ mod tests {
     fn dropping_an_unused_pool_leaks_nothing() {
         let pool = EdgePool::spawn(WeightBank::new(2, 5), 9).expect("pool");
         drop(pool); // EdgeServer::drop nudges + joins the serve thread
+    }
+
+    #[test]
+    fn a_run_before_any_deploy_is_refused_and_the_edge_still_shuts_down() {
+        let ds = PointCloudDataset::generate(2, 12, 2, 7);
+        let mut pool = EdgePool::spawn(WeightBank::new(2, 5), 9).expect("pool");
+        let err = pool.run(ds.samples()).expect_err("nothing is deployed yet");
+        assert!(
+            matches!(&err, EngineError::Protocol(m) if m.contains("no plan deployed")),
+            "{err}"
+        );
+        assert_eq!(pool.swaps(), 0);
+        pool.shutdown().expect("the refusal leaves the edge shutting down cleanly");
     }
 }

@@ -8,7 +8,6 @@ use crate::proto::{
 use crate::throttle::Throttle;
 use crate::EngineError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use gcode_core::eval::scenario::latency_percentiles;
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::{classify, forward_features_slotted, GraphInput, WeightBank};
 use rand::SeedableRng;
@@ -18,94 +17,55 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Throughput/latency statistics from one engine run. Alongside the
-/// aggregates, every run records its full per-frame latency distribution:
-/// frame `f`'s latency runs from the moment its device prefix starts to
-/// the moment its result arrives back — queueing included, which is what a
-/// deployed client experiences.
+/// What one engine run measured: its wall clock, its wire bytes and its
+/// full per-frame latency distribution. Frame `f`'s latency runs from the
+/// moment its device prefix starts to the moment its result arrives back
+/// — queueing included, which is what a deployed client experiences.
+/// Frame counts, rates, percentiles and hit rates all derive from these
+/// and the run's predictions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Frames processed.
-    pub frames: usize,
     /// Wall-clock for the whole stream, seconds.
     pub wall_s: f64,
-    /// Achieved frames per second.
-    pub fps: f64,
     /// Application bytes sent device→edge (after compression).
     pub bytes_sent: usize,
     /// Wire bytes per frame in frame order (length prefix included; all
     /// zeros for a non-offloaded plan). Callers that prepend warmup frames
     /// to the stream slice this to price only the measured window.
     pub frame_bytes: Vec<usize>,
-    /// Fraction of frames whose prediction matched the label — over the
-    /// *whole* stream; a caller that prepended warmup frames must
-    /// recompute from its predictions to exclude them.
-    pub accuracy: f64,
-    /// Median per-frame latency, seconds.
-    pub p50_s: f64,
-    /// 95th-percentile per-frame latency, seconds.
-    pub p95_s: f64,
-    /// 99th-percentile per-frame latency, seconds.
-    pub p99_s: f64,
     /// Per-frame latencies in frame order, seconds.
     pub frame_latencies_s: Vec<f64>,
 }
 
 /// The edge half: accepts device connections and serves edge-side
-/// inference for every incoming frame. [`spawn`](Self::spawn) serves one
-/// connection for one fixed plan; [`spawn_persistent`](Self::spawn_persistent)
-/// keeps serving across connections and hot-swaps its active plan on
-/// `SwapPlan` control frames — the paper's runtime dispatcher: the process,
-/// socket and shared supernet [`WeightBank`] all survive a plan switch.
-pub struct EdgeServer {
+/// inference for every incoming frame. It keeps serving across
+/// connections and hot-swaps its active plan on `SwapPlan` control frames
+/// — the paper's runtime dispatcher: the process, socket and shared
+/// supernet [`WeightBank`] all survive a plan switch.
+pub(crate) struct EdgeServer {
     addr: SocketAddr,
     handle: Option<ServeHandle>,
 }
 
 impl EdgeServer {
-    /// Binds to an ephemeral loopback port and spawns the serving thread:
-    /// one connection, one fixed `plan`, then exit — the fresh pair the
-    /// bit-identity suites use as their reference.
+    /// Binds to an ephemeral loopback port and serves until shut down:
+    /// no plan at first — the first `SwapPlan` control frame deploys one,
+    /// later swaps replace it in place (same shared `bank`, so no weight
+    /// transfer), and a client disconnect loops back to `accept`. Only a
+    /// `Shutdown` control frame (see [`shutdown`](Self::shutdown)) or a
+    /// connection error ends the serve thread. A reconnecting client must
+    /// re-send `SwapPlan` before its first data frame.
     ///
     /// # Errors
     ///
     /// Returns an error if the listener cannot bind.
-    pub fn spawn(plan: ExecutionPlan, bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        Self::spawn_serving(Some(plan), bank, seed)
-    }
-
-    /// Binds to an ephemeral loopback port and serves *indefinitely*: no
-    /// initial plan — the first `SwapPlan` control frame deploys one, later
-    /// swaps replace it in place (same shared `bank`, so no weight
-    /// transfer), and a client disconnect loops back to `accept` instead of
-    /// exiting. Only a `Shutdown` control frame (see
-    /// [`shutdown`](Self::shutdown)) or a connection error ends the serve
-    /// thread. A reconnecting client must re-send `SwapPlan` before its
-    /// first data frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot bind.
-    pub fn spawn_persistent(bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
-        Self::spawn_serving(None, bank, seed)
-    }
-
-    /// The one accept loop. With an initial `plan` the edge is one-shot —
-    /// it serves a single connection under that plan; without one it is
-    /// persistent and keeps accepting until a `Shutdown` frame.
-    fn spawn_serving(
-        mut plan: Option<ExecutionPlan>,
-        mut bank: WeightBank,
-        seed: u64,
-    ) -> Result<Self, EngineError> {
+    pub(crate) fn spawn(mut bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let one_shot = plan.is_some();
         let serve = move || -> Result<(), EngineError> {
             loop {
                 let (stream, _) = listener.accept()?;
-                let outcome = serve_frames(stream, plan.take(), &mut bank, seed)?;
-                if one_shot || matches!(outcome, ServeOutcome::Shutdown) {
+                if let ServeOutcome::Shutdown = serve_frames(stream, &mut bank, seed)? {
                     return Ok(());
                 }
             }
@@ -115,19 +75,8 @@ impl EdgeServer {
     }
 
     /// The address the device should connect to.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Waits for the serving thread to finish (the device closing its
-    /// connection ends a one-shot loop; persistent servers finish on
-    /// `Shutdown`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error the serving thread hit.
-    pub fn join(mut self) -> Result<(), EngineError> {
-        self.handle.take().map_or(Ok(()), joined)
     }
 
     /// Ends the serving thread cleanly and joins it, even when no device
@@ -144,7 +93,7 @@ impl EdgeServer {
     /// wait is bounded (2 s by the clock) and an error is returned, leaving
     /// the thread to finish when that peer disconnects (the `Shutdown`
     /// nudge stays queued for it).
-    pub fn shutdown(mut self) -> Result<(), EngineError> {
+    pub(crate) fn shutdown(mut self) -> Result<(), EngineError> {
         let Some(handle) = self.handle.take() else { return Ok(()) };
         join_within(handle, self.addr, Duration::from_secs(2)).unwrap_or_else(|| {
             Err(EngineError::Protocol(
@@ -152,11 +101,6 @@ impl EdgeServer {
                     .to_string(),
             ))
         })
-    }
-
-    /// Whether the serving thread has exited (joined or finished running).
-    pub fn is_finished(&self) -> bool {
-        self.handle.as_ref().is_none_or(JoinHandle::is_finished)
     }
 }
 
@@ -219,17 +163,16 @@ enum ServeOutcome {
     Shutdown,
 }
 
-/// Serves one device connection frame by frame. `plan` is the initially
-/// active plan (`None` for a persistent edge awaiting its first
-/// `SwapPlan`); a `SwapPlan` frame replaces it in place and restarts the
+/// Serves one device connection frame by frame. The connection starts
+/// with no plan; a `SwapPlan` frame deploys one in place and restarts the
 /// edge RNG stream, so a swapped-in candidate computes exactly what a
 /// freshly spawned edge would.
 fn serve_frames(
     stream: TcpStream,
-    mut plan: Option<ExecutionPlan>,
     bank: &mut WeightBank,
     seed: u64,
 ) -> Result<ServeOutcome, EngineError> {
+    let mut plan: Option<ExecutionPlan> = None;
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
     stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
@@ -289,105 +232,46 @@ fn serve_frames(
 /// A connection has one uplink thread and one results thread for its
 /// whole life, not one pair per run: the first offloaded run starts them,
 /// every run hands them its work over message queues, and they are joined
-/// when the client shuts down, is dropped, a run fails or a one-shot run
-/// ends.
-pub struct DeviceClient {
-    plan: ExecutionPlan,
+/// when the client shuts down, is dropped or a run fails.
+pub(crate) struct DeviceClient {
+    plan: Option<ExecutionPlan>,
     bank: WeightBank,
     stream: Option<TcpStream>,
     io: Option<IoThreads>,
     seed: u64,
     uplink_mbps: Option<f64>,
-    session: bool,
 }
 
 impl DeviceClient {
-    /// Connects to an [`EdgeServer`]. For a non-offloaded plan the
-    /// connection is still established but unused.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors.
-    pub fn connect(
-        addr: SocketAddr,
-        plan: ExecutionPlan,
-        bank: WeightBank,
-        seed: u64,
-    ) -> Result<Self, EngineError> {
-        Self::over(TcpStream::connect(addr)?, plan, bank, seed)
-    }
-
-    /// Like [`connect`](Self::connect), but gives up after `timeout`
-    /// instead of blocking for the OS default (minutes against a host
-    /// that silently drops SYNs) — for callers that must stay responsive
-    /// when an edge machine is down, like a fleet reconnecting a dead
-    /// endpoint.
+    /// Connects to a persistent edge at `addr` with no plan deployed yet,
+    /// giving up after `timeout` instead of blocking for the OS default
+    /// (minutes against a host that silently drops SYNs). The connection
+    /// stays open across [`swap_plan`](Self::swap_plan)/run cycles until
+    /// [`shutdown`](Self::shutdown), drop or a failed run.
     ///
     /// # Errors
     ///
     /// Returns connection errors, including the timeout.
-    pub fn connect_timeout(
+    pub(crate) fn connect(
         addr: SocketAddr,
-        plan: ExecutionPlan,
         bank: WeightBank,
         seed: u64,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> Result<Self, EngineError> {
-        Self::over(TcpStream::connect_timeout(&addr, timeout)?, plan, bank, seed)
-    }
-
-    /// A one-shot, unthrottled client over an established connection.
-    fn over(
-        stream: TcpStream,
-        plan: ExecutionPlan,
-        bank: WeightBank,
-        seed: u64,
-    ) -> Result<Self, EngineError> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
-        Ok(Self {
-            plan,
-            bank,
-            stream: Some(stream),
-            io: None,
-            seed,
-            uplink_mbps: None,
-            session: false,
-        })
+        Ok(Self { plan: None, bank, stream: Some(stream), io: None, seed, uplink_mbps: None })
     }
 
     /// Caps the uplink at `mbps`, emulating the paper's router bandwidth
-    /// limits (10/40 Mbps) on loopback. The pacing runs inside the uplink
-    /// thread so device compute stays unthrottled. The throttle is rebuilt
-    /// per run, so every run (session or one-shot) starts with a full
-    /// token bucket.
-    pub fn with_uplink_mbps(mut self, mbps: f64) -> Self {
+    /// limits (10/40 Mbps) on loopback; scenario replay re-caps it between
+    /// segments. The pacing runs inside the uplink thread so device
+    /// compute stays unthrottled, and the token bucket is rebuilt from
+    /// this field at the start of every
+    /// [`run_pipelined`](Self::run_pipelined), so every run starts with a
+    /// full bucket; control-frame pacing reads it live.
+    pub(crate) fn set_uplink_mbps(&mut self, mbps: f64) {
         self.uplink_mbps = Some(mbps);
-        self
-    }
-
-    /// Re-caps the uplink mid-session (scenario replay's per-segment
-    /// degradation). Safe between runs because the token bucket is rebuilt
-    /// from this field at the start of every
-    /// [`run_pipelined`](Self::run_pipelined); control-frame pacing reads
-    /// it live.
-    pub fn set_uplink_mbps(&mut self, mbps: f64) {
-        self.uplink_mbps = Some(mbps);
-    }
-
-    /// Switches to session mode: [`run_pipelined`](Self::run_pipelined)
-    /// keeps the connection open afterwards instead of closing it, so one
-    /// warm device/edge pair serves many candidates —
-    /// [`swap_plan`](Self::swap_plan) between runs, and
-    /// [`shutdown`](Self::shutdown) (or drop) when done. Pair with
-    /// [`EdgeServer::spawn_persistent`].
-    ///
-    /// The connection's uplink and results threads stay up with it: a
-    /// session spawns them once, on its first offloaded run, however many
-    /// candidates it serves.
-    #[must_use]
-    pub fn with_session(mut self) -> Self {
-        self.session = true;
-        self
     }
 
     /// Paces a control frame against the emulated uplink: swap frames
@@ -396,9 +280,7 @@ impl DeviceClient {
     /// encoding buys.
     fn pace_control(&self, wire_bytes: usize) {
         if let Some(mbps) = self.uplink_mbps {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                wire_bytes as f64 * 8.0 / (mbps * 1e6),
-            ));
+            std::thread::sleep(Duration::from_secs_f64(wire_bytes as f64 * 8.0 / (mbps * 1e6)));
         }
     }
 
@@ -415,19 +297,17 @@ impl DeviceClient {
     /// # Errors
     ///
     /// Returns an error if the connection is gone or the send fails.
-    pub fn swap_plan(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
-        if !plan.offloaded {
-            self.plan = plan;
-            return Ok(());
+    pub(crate) fn swap_plan(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
+        if plan.offloaded {
+            let body = encode_frame(&Frame::SwapPlan(Box::new(plan.clone())));
+            self.pace_control(body.len() + 4);
+            let stream = self
+                .stream
+                .as_mut()
+                .ok_or_else(|| EngineError::Protocol("client connection closed".to_string()))?;
+            write_message(stream, &body)?;
         }
-        let body = encode_frame(&Frame::SwapPlan(Box::new(plan.clone())));
-        self.pace_control(body.len() + 4);
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| EngineError::Protocol("client connection closed".to_string()))?;
-        write_message(stream, &body)?;
-        self.plan = plan;
+        self.plan = Some(plan);
         Ok(())
     }
 
@@ -438,7 +318,7 @@ impl DeviceClient {
     ///
     /// Returns an error if the send fails; the threads are joined and the
     /// connection is dropped either way.
-    pub fn shutdown(mut self) -> Result<(), EngineError> {
+    pub(crate) fn shutdown(mut self) -> Result<(), EngineError> {
         let sent = match self.stream.as_mut() {
             Some(stream) => write_message(stream, &encode_frame(&Frame::Shutdown)),
             None => Ok(()),
@@ -447,7 +327,7 @@ impl DeviceClient {
         sent
     }
 
-    /// Processes `samples` through the co-inference pipeline and returns
+    /// Processes `samples` through the deployed plan and returns
     /// `(predictions, stats)`.
     ///
     /// Pipelined mode: the calling thread runs device prefixes and hands
@@ -457,27 +337,29 @@ impl DeviceClient {
     /// result before starting frame `f+1`. Both threads belong to the
     /// connection, not to the call: the first offloaded run starts them,
     /// and each run after it only queues its frames and a request for its
-    /// results.
-    ///
-    /// One-shot clients join the threads and close the connection when
-    /// the run completes; session clients ([`with_session`](Self::with_session))
-    /// keep both for the next [`swap_plan`](Self::swap_plan)/run cycle. A
-    /// failed run shuts the connection down and joins the threads, so
-    /// neither the client nor the edge is left blocked on the socket.
+    /// results. A failed run shuts the connection down and joins the
+    /// threads, so neither the client nor the edge is left blocked on the
+    /// socket.
     ///
     /// # Errors
     ///
-    /// Propagates socket and protocol errors from either thread.
-    pub fn run_pipelined(
+    /// Refuses a run before the first [`swap_plan`](Self::swap_plan), and
+    /// propagates socket and protocol errors from either thread.
+    pub(crate) fn run_pipelined(
         &mut self,
         samples: &[Sample],
     ) -> Result<(Vec<usize>, EngineStats), EngineError> {
         let start = Instant::now();
-        if !self.plan.offloaded {
-            return self.run_local(samples, start);
+        let Some(plan) = &self.plan else {
+            return Err(EngineError::Protocol(
+                "no plan deployed: deploy one before the first run".to_string(),
+            ));
+        };
+        if !plan.offloaded {
+            return Ok(run_local(plan, &mut self.bank, self.seed, samples, start));
         }
         let run = self.run_offloaded(samples, start);
-        if run.is_err() || !self.session {
+        if run.is_err() {
             self.close();
         }
         run
@@ -488,13 +370,13 @@ impl DeviceClient {
         samples: &[Sample],
         start: Instant,
     ) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let stream = self
-            .stream
-            .as_ref()
-            .ok_or_else(|| EngineError::Protocol("client already consumed".to_string()))?;
-        let io = match &self.io {
+        let Self { plan: Some(plan), bank, stream: Some(stream), io, seed, uplink_mbps } = self
+        else {
+            return Err(EngineError::Protocol("client connection closed".to_string()));
+        };
+        let io = match io {
             Some(io) => io,
-            None => self.io.insert(IoThreads::start(stream)?),
+            None => io.insert(IoThreads::start(stream)?),
         };
 
         // The results thread is asked first, so it is reading before the
@@ -506,21 +388,21 @@ impl DeviceClient {
             .map_err(|_| io_thread_died("results"))?;
         let (frames_tx, frames) = unbounded();
         let (sent_tx, sent) = unbounded();
-        let throttle = self.uplink_mbps.map(Throttle::mbps);
+        let throttle = uplink_mbps.map(Throttle::mbps);
         io.uplink
             .send(UplinkRun { frames, throttle, reply: sent_tx })
             .map_err(|_| io_thread_died("uplink"))?;
 
         // This thread: device prefix per frame; never blocks on results.
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xDE71CE);
+        let mut rng = ChaCha8Rng::seed_from_u64(*seed ^ 0xDE71CE);
         let mut starts_s = Vec::with_capacity(samples.len());
         for (frame_id, sample) in samples.iter().enumerate() {
             starts_s.push(start.elapsed().as_secs_f64());
             let (h, graph) = forward_features_slotted(
-                &self.plan.device_specs,
-                &self.plan.device_slots,
+                &plan.device_specs,
+                &plan.device_slots,
                 GraphInput { features: &sample.features, graph: sample.graph.as_ref() },
-                &mut self.bank,
+                bank,
                 &mut rng,
             );
             let state = WireState {
@@ -538,7 +420,7 @@ impl DeviceClient {
         drop(frames_tx);
         let frame_bytes = sent.recv().ok_or_else(|| io_thread_died("uplink"))??;
         let mut results = collected.recv().ok_or_else(|| io_thread_died("results"))??;
-        results.sort_by_key(|&(frame_id, _, _, _)| frame_id);
+        results.sort_by_key(|&(frame_id, _, _)| frame_id);
         // Exactly the ids we sent, each once — a duplicate or out-of-range
         // id from a rogue edge must be a protocol error, not a panic or a
         // silent prediction/latency misalignment.
@@ -550,24 +432,15 @@ impl DeviceClient {
             )));
         }
 
-        let predictions: Vec<usize> = results.iter().map(|&(_, p, _, _)| p).collect();
-        let correct = results.iter().filter(|&&(_, p, l, _)| p == l as usize).count();
+        let predictions: Vec<usize> = results.iter().map(|&(_, p, _)| p).collect();
         let frame_latencies_s: Vec<f64> = results
             .iter()
-            .map(|&(frame_id, _, _, done_s)| (done_s - starts_s[frame_id as usize]).max(0.0))
+            .map(|&(frame_id, _, done_s)| (done_s - starts_s[frame_id as usize]).max(0.0))
             .collect();
-        let (p50_s, p95_s, p99_s) = latency_percentiles(&frame_latencies_s);
-        let wall_s = start.elapsed().as_secs_f64();
         let stats = EngineStats {
-            frames: samples.len(),
-            wall_s,
-            fps: samples.len() as f64 / wall_s.max(1e-12),
+            wall_s: start.elapsed().as_secs_f64(),
             bytes_sent: frame_bytes.iter().sum(),
             frame_bytes,
-            accuracy: correct as f64 / samples.len().max(1) as f64,
-            p50_s,
-            p95_s,
-            p99_s,
             frame_latencies_s,
         };
         Ok((predictions, stats))
@@ -587,51 +460,39 @@ impl DeviceClient {
             io.join();
         }
     }
+}
 
-    fn run_local(
-        &mut self,
-        samples: &[Sample],
-        start: Instant,
-    ) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xDE71CE);
-        let mut predictions = Vec::with_capacity(samples.len());
-        let mut frame_latencies_s = Vec::with_capacity(samples.len());
-        let mut correct = 0usize;
-        for sample in samples {
-            let frame_start = start.elapsed().as_secs_f64();
-            let (h, _) = forward_features_slotted(
-                &self.plan.device_specs,
-                &self.plan.device_slots,
-                GraphInput { features: &sample.features, graph: sample.graph.as_ref() },
-                &mut self.bank,
-                &mut rng,
-            );
-            let logits = classify(&h, &mut self.bank);
-            let pred = logits.argmax_row(0);
-            if pred == sample.label {
-                correct += 1;
-            }
-            predictions.push(pred);
-            frame_latencies_s.push((start.elapsed().as_secs_f64() - frame_start).max(0.0));
-        }
-        let (p50_s, p95_s, p99_s) = latency_percentiles(&frame_latencies_s);
-        let wall_s = start.elapsed().as_secs_f64();
-        Ok((
-            predictions,
-            EngineStats {
-                frames: samples.len(),
-                wall_s,
-                fps: samples.len() as f64 / wall_s.max(1e-12),
-                bytes_sent: 0,
-                frame_bytes: vec![0; samples.len()],
-                accuracy: correct as f64 / samples.len().max(1) as f64,
-                p50_s,
-                p95_s,
-                p99_s,
-                frame_latencies_s,
-            },
-        ))
+/// Runs a plan that is not offloaded: every frame on the device, nothing
+/// on the wire.
+fn run_local(
+    plan: &ExecutionPlan,
+    bank: &mut WeightBank,
+    seed: u64,
+    samples: &[Sample],
+    start: Instant,
+) -> (Vec<usize>, EngineStats) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xDE71CE);
+    let mut predictions = Vec::with_capacity(samples.len());
+    let mut frame_latencies_s = Vec::with_capacity(samples.len());
+    for sample in samples {
+        let frame_start = start.elapsed().as_secs_f64();
+        let (h, _) = forward_features_slotted(
+            &plan.device_specs,
+            &plan.device_slots,
+            GraphInput { features: &sample.features, graph: sample.graph.as_ref() },
+            bank,
+            &mut rng,
+        );
+        predictions.push(classify(&h, bank).argmax_row(0));
+        frame_latencies_s.push((start.elapsed().as_secs_f64() - frame_start).max(0.0));
     }
+    let stats = EngineStats {
+        wall_s: start.elapsed().as_secs_f64(),
+        bytes_sent: 0,
+        frame_bytes: vec![0; samples.len()],
+        frame_latencies_s,
+    };
+    (predictions, stats)
 }
 
 impl Drop for DeviceClient {
@@ -643,8 +504,8 @@ impl Drop for DeviceClient {
 }
 
 /// One result as the results thread collects it:
-/// `(frame_id, prediction, label, done_s)`.
-type Collected = (u64, usize, u32, f64);
+/// `(frame_id, prediction, done_s)`.
+type Collected = (u64, usize, f64);
 
 /// A run's work for the uplink thread: write `frames` as they arrive,
 /// paced by `throttle`, and reply with each frame's wire bytes once the
@@ -768,7 +629,7 @@ fn collect_run(
             ));
         };
         let done_s = epoch.elapsed().as_secs_f64();
-        results.push((state.frame_id, state.features.argmax_row(0), state.label, done_s));
+        results.push((state.frame_id, state.features.argmax_row(0), done_s));
     }
     Ok(results)
 }
@@ -785,12 +646,15 @@ fn hand_back<T>(outcome: Result<T, EngineError>, reply: &Sender<Result<T, Engine
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::EdgePool;
     use gcode_core::arch::Architecture;
     use gcode_core::op::{Op, SampleFn};
     use gcode_graph::datasets::PointCloudDataset;
     use gcode_nn::agg::AggMode;
     use gcode_nn::pool::PoolMode;
     use gcode_nn::seq::forward;
+
+    const CONNECT: Duration = Duration::from_secs(5);
 
     fn split_arch() -> Architecture {
         Architecture::new(vec![
@@ -803,17 +667,27 @@ mod tests {
         ])
     }
 
+    /// A fresh pair for one plan: deployed, streamed once, shut down.
+    fn run_fresh(
+        plan: ExecutionPlan,
+        bank: WeightBank,
+        seed: u64,
+        samples: &[Sample],
+    ) -> Result<(Vec<usize>, EngineStats), EngineError> {
+        let mut pool = EdgePool::spawn(bank, seed)?;
+        pool.deploy(plan)?;
+        let run = pool.run(samples)?;
+        pool.shutdown()?;
+        Ok(run)
+    }
+
     #[test]
     fn end_to_end_matches_local_execution() {
         let arch = split_arch();
         let ds = PointCloudDataset::generate(6, 20, 3, 17);
         let bank = WeightBank::new(3, 99);
         let plan = ExecutionPlan::from_architecture(&arch);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 1).expect("spawn");
-        let mut client =
-            DeviceClient::connect(server.addr(), plan, bank.clone(), 1).expect("connect");
-        let (preds, stats) = client.run_pipelined(ds.samples()).expect("run");
-        server.join().expect("edge clean shutdown");
+        let (preds, stats) = run_fresh(plan, bank.clone(), 1, ds.samples()).expect("run");
 
         // Reference: monolithic local forward with the same shared weights.
         let mut local_bank = bank;
@@ -828,9 +702,9 @@ mod tests {
             );
             assert_eq!(preds[i], logits.argmax_row(0), "frame {i} diverged");
         }
-        assert_eq!(stats.frames, 6);
+        assert_eq!(stats.frame_latencies_s.len(), 6);
         assert!(stats.bytes_sent > 0);
-        assert!(stats.fps > 0.0);
+        assert!(stats.wall_s > 0.0);
     }
 
     #[test]
@@ -842,35 +716,23 @@ mod tests {
             Op::GlobalPool(PoolMode::Max),
         ]);
         let ds = PointCloudDataset::generate(4, 16, 2, 23);
-        let bank = WeightBank::new(2, 5);
         let plan = ExecutionPlan::from_architecture(&arch);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 2).expect("spawn");
-        let mut client = DeviceClient::connect(server.addr(), plan, bank, 2).expect("connect");
-        let (preds, stats) = client.run_pipelined(ds.samples()).expect("run");
+        let (preds, stats) = run_fresh(plan, WeightBank::new(2, 5), 2, ds.samples()).expect("run");
         assert_eq!(preds.len(), 4);
         assert_eq!(stats.bytes_sent, 0);
-        // Never contacted with data frames: dropping nudges the accept
-        // thread with a Shutdown frame and joins it — no leak.
-        drop(server);
+        assert_eq!(stats.frame_bytes, vec![0; 4]);
     }
 
     #[test]
     fn shutdown_terminates_an_uncontacted_server() {
-        let plan = ExecutionPlan::from_architecture(&split_arch());
-        let server = EdgeServer::spawn(plan, WeightBank::new(2, 1), 7).expect("spawn");
+        let server = EdgeServer::spawn(WeightBank::new(2, 1), 7).expect("spawn");
         // No client ever connects; shutdown must still join the thread.
         server.shutdown().expect("clean shutdown without any client");
     }
 
     #[test]
-    fn shutdown_terminates_an_uncontacted_persistent_server() {
-        let server = EdgeServer::spawn_persistent(WeightBank::new(2, 1), 7).expect("spawn");
-        server.shutdown().expect("clean shutdown without any client");
-    }
-
-    #[test]
     fn shutdown_with_a_live_peer_is_bounded_by_the_clock_and_the_queued_nudge_ends_the_edge() {
-        let server = EdgeServer::spawn_persistent(WeightBank::new(2, 1), 7).expect("spawn");
+        let server = EdgeServer::spawn(WeightBank::new(2, 1), 7).expect("spawn");
         let addr = server.addr();
         // Accepted first (the backlog is FIFO), so the edge sits in this
         // peer's read while the shutdown nudge waits behind it.
@@ -903,34 +765,28 @@ mod tests {
         let bank = WeightBank::new(3, 41);
         let seed = 11;
 
-        // Reference: a fresh spawn/connect/teardown per candidate.
-        let mut fresh = Vec::new();
-        for arch in [&arch_a, &arch_b, &arch_a] {
-            let plan = ExecutionPlan::from_architecture(arch);
-            let server = EdgeServer::spawn(plan.clone(), bank.clone(), seed).expect("spawn");
-            let mut client =
-                DeviceClient::connect(server.addr(), plan, bank.clone(), seed).expect("connect");
-            let (preds, _) = client.run_pipelined(ds.samples()).expect("run");
-            drop(client);
-            server.join().expect("clean");
-            fresh.push(preds);
-        }
+        // Reference: a fresh pair per candidate.
+        let fresh: Vec<Vec<usize>> = [&arch_a, &arch_b, &arch_a]
+            .iter()
+            .map(|arch| {
+                let plan = ExecutionPlan::from_architecture(arch);
+                run_fresh(plan, bank.clone(), seed, ds.samples()).expect("run").0
+            })
+            .collect();
 
-        // One persistent pair, three hot swaps (A → B → A again).
-        let server = EdgeServer::spawn_persistent(bank.clone(), seed).expect("spawn");
-        let placeholder = ExecutionPlan::raw(Vec::new(), Vec::new(), 0, false);
-        let mut client = DeviceClient::connect(server.addr(), placeholder, bank, seed)
-            .expect("connect")
-            .with_session();
+        // One pair, three hot swaps (A → B → A again).
+        let server = EdgeServer::spawn(bank.clone(), seed).expect("spawn");
+        let mut client =
+            DeviceClient::connect(server.addr(), bank, seed, CONNECT).expect("connect");
         for (&arch, expected) in [&arch_a, &arch_b, &arch_a].iter().zip(&fresh) {
             client.swap_plan(ExecutionPlan::from_architecture(arch)).expect("swap");
             let (preds, stats) = client.run_pipelined(ds.samples()).expect("run");
-            assert_eq!(&preds, expected, "hot-swapped run must match a fresh spawn");
+            assert_eq!(&preds, expected, "hot-swapped run must match a fresh pair");
             assert_eq!(stats.frame_bytes.len(), 5);
             assert_eq!(stats.bytes_sent, stats.frame_bytes.iter().sum::<usize>());
         }
         client.shutdown().expect("shutdown frame sent");
-        server.join().expect("persistent edge exits on Shutdown");
+        server.shutdown().expect("the edge exits on Shutdown");
     }
 
     #[test]
@@ -952,9 +808,8 @@ mod tests {
             Op::GlobalPool(PoolMode::Max),
         ]));
         let offloaded = ExecutionPlan::from_architecture(&split_arch());
-        let mut client = DeviceClient::connect(addr, local.clone(), WeightBank::new(2, 1), 7)
-            .expect("connect")
-            .with_session();
+        let mut client =
+            DeviceClient::connect(addr, WeightBank::new(2, 1), 7, CONNECT).expect("connect");
         client.swap_plan(local).expect("local swap");
         client.swap_plan(offloaded.clone()).expect("offloaded swap");
         client.shutdown().expect("shutdown");
@@ -964,20 +819,12 @@ mod tests {
 
     #[test]
     fn results_arrive_in_frame_order() {
-        let arch = split_arch();
         let ds = PointCloudDataset::generate(12, 16, 4, 31);
         let bank = WeightBank::new(4, 7);
-        let plan = ExecutionPlan::from_architecture(&arch);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 3).expect("spawn");
-        let mut client =
-            DeviceClient::connect(server.addr(), plan.clone(), bank.clone(), 3).expect("connect");
-        let (preds_a, _) = client.run_pipelined(ds.samples()).expect("run");
-        server.join().expect("clean");
+        let plan = ExecutionPlan::from_architecture(&split_arch());
+        let (preds_a, _) = run_fresh(plan.clone(), bank.clone(), 3, ds.samples()).expect("run");
         // Re-running with a fresh pair must be deterministic.
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 3).expect("spawn");
-        let mut client = DeviceClient::connect(server.addr(), plan, bank, 3).expect("connect");
-        let (preds_b, _) = client.run_pipelined(ds.samples()).expect("run");
-        server.join().expect("clean");
+        let (preds_b, _) = run_fresh(plan, bank, 3, ds.samples()).expect("run");
         assert_eq!(preds_a, preds_b);
     }
 
@@ -993,11 +840,7 @@ mod tests {
         let plan = ExecutionPlan::from_architecture(&arch);
         assert_eq!(plan.op_counts().0, 0, "edge-only: empty device prefix");
         let ds = PointCloudDataset::generate(3, 16, 2, 41);
-        let bank = WeightBank::new(2, 11);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 4).expect("spawn");
-        let mut client = DeviceClient::connect(server.addr(), plan, bank, 4).expect("connect");
-        let (preds, stats) = client.run_pipelined(ds.samples()).expect("run");
-        server.join().expect("clean");
+        let (preds, stats) = run_fresh(plan, WeightBank::new(2, 11), 4, ds.samples()).expect("run");
         assert_eq!(preds.len(), 3);
         assert!(stats.bytes_sent > 0);
     }
@@ -1018,8 +861,9 @@ mod tests {
             graph: None,
         };
         let bank = WeightBank::new(2, 3);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 5).expect("spawn");
-        let mut client = DeviceClient::connect(server.addr(), plan, bank, 5).expect("connect");
+        let server = EdgeServer::spawn(bank.clone(), 5).expect("spawn");
+        let mut client = DeviceClient::connect(server.addr(), bank, 5, CONNECT).expect("connect");
+        client.swap_plan(plan).expect("swap");
         let err = client.run_pipelined(&[sample]).expect_err("the frame is over the cap");
         assert!(err.to_string().contains("-byte cap"), "{err}");
         // The failed run shut the connection down and joined its threads:
@@ -1033,12 +877,11 @@ mod tests {
         let plan = ExecutionPlan::from_architecture(&split_arch());
         let ds = PointCloudDataset::generate(2, 16, 3, 8);
         let bank = WeightBank::new(3, 2);
-        let server = EdgeServer::spawn_persistent(bank.clone(), 6).expect("spawn");
+        let server = EdgeServer::spawn(bank.clone(), 6).expect("spawn");
         let addr = server.addr();
         let (done_tx, done) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let mut client =
-                DeviceClient::connect(addr, plan.clone(), bank, 6).expect("connect").with_session();
+            let mut client = DeviceClient::connect(addr, bank, 6, CONNECT).expect("connect");
             client.swap_plan(plan).expect("swap");
             // A zero rate makes the run panic after it has asked the
             // results thread for replies the edge will never send.
@@ -1062,14 +905,12 @@ mod tests {
             Op::GlobalPool(PoolMode::Max),
         ]);
         let plan = ExecutionPlan::from_architecture(&arch);
-        let bank = WeightBank::new(2, 9);
-        let server = EdgeServer::spawn(plan.clone(), bank.clone(), 4).expect("edge");
         let ds = PointCloudDataset::generate(4, 12, 2, 5);
-        let mut client = DeviceClient::connect(server.addr(), plan, bank, 4)
-            .expect("device")
-            .with_uplink_mbps(5.0);
-        let (preds, stats) = client.run_pipelined(ds.samples()).expect("stream");
-        server.join().expect("clean");
+        let mut pool =
+            EdgePool::spawn(WeightBank::new(2, 9), 4).expect("pool").with_uplink_mbps(5.0);
+        pool.deploy(plan).expect("deploy");
+        let (preds, stats) = pool.run(ds.samples()).expect("stream");
+        pool.shutdown().expect("clean");
         assert_eq!(preds.len(), 4);
         // 5 Mbps on a few KB: the wall time reflects pacing but finishes.
         assert!(stats.wall_s < 10.0);

@@ -425,4 +425,26 @@ mod tests {
             "one prediction per stream frame"
         );
     }
+
+    #[test]
+    fn a_measurement_cached_with_the_ten_field_stats_still_decodes() {
+        // A cache file outlives the build that wrote it: a blob holding
+        // the derived columns (frames, fps, accuracy, percentiles) that
+        // `EngineStats` no longer keeps must still serve its predictions
+        // and its measured columns, not force a re-measure.
+        let blob = br#"[[3,0,2],{"frames":3,"wall_s":0.25,"fps":12.0,"bytes_sent":300,"frame_bytes":[100,120,80],"accuracy":0.6666666666666666,"p50_s":0.002,"p95_s":0.003,"p99_s":0.003,"frame_latencies_s":[0.001,0.002,0.003]}]"#;
+        let (predictions, stats) = decode_measurement(blob).expect("the old format decodes");
+        assert_eq!(predictions, vec![3, 0, 2]);
+        let kept = EngineStats {
+            wall_s: 0.25,
+            bytes_sent: 300,
+            frame_bytes: vec![100, 120, 80],
+            frame_latencies_s: vec![0.001, 0.002, 0.003],
+        };
+        assert_eq!(stats, kept);
+        assert_eq!(
+            decode_measurement(&encode_measurement(&predictions, &kept)),
+            Some((predictions, kept))
+        );
+    }
 }

@@ -12,7 +12,7 @@ use gcode::core::eval::Objective;
 use gcode::core::search::{RandomSearch, SearchConfig};
 use gcode::core::space::DesignSpace;
 use gcode::core::supernet::SuperNet;
-use gcode::engine::{DeviceClient, EdgeServer, ExecutionPlan};
+use gcode::engine::{EdgePool, ExecutionPlan};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::hardware::SystemConfig;
 use gcode::nn::seq::WeightBank;
@@ -97,14 +97,16 @@ fn main() {
 
     let plan = ExecutionPlan::from_architecture(&best.arch);
     println!("\ndeploying: {} device ops, {} edge ops", plan.op_counts().0, plan.op_counts().1);
-    let server = EdgeServer::spawn(plan.clone(), warm.clone(), 1).expect("edge up");
-    let mut client = DeviceClient::connect(server.addr(), plan, warm, 1).expect("device up");
-    let (_preds, stats) = client.run_pipelined(&val).expect("stream processed");
+    let mut pool = EdgePool::spawn(warm, 1).expect("edge up");
+    pool.deploy(plan).expect("plan deployed");
+    let (preds, stats) = pool.run(&val).expect("stream processed");
+    pool.shutdown().expect("clean shutdown");
+    let hits = preds.iter().zip(&val).filter(|&(&p, s)| p == s.label).count();
     println!(
         "engine: {} frames at {:.0} fps, {} bytes sent, stream accuracy {:.1}%",
-        stats.frames,
-        stats.fps,
+        preds.len(),
+        preds.len() as f64 / stats.wall_s,
         stats.bytes_sent,
-        stats.accuracy * 100.0
+        100.0 * hits as f64 / preds.len() as f64
     );
 }

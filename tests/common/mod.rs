@@ -1,15 +1,34 @@
-//! Shared harnesses for the engine integration suites: scripted remote
-//! edges built from the same public wire/nn primitives the engine uses,
-//! so fault-injection tests exercise the real protocol.
+//! Shared harnesses for the engine integration suites: the fresh-pair
+//! reference every warm deployment is held to, and scripted remote edges
+//! built from the same public wire/nn primitives the engine uses, so
+//! fault-injection tests exercise the real protocol.
 
 use gcode::engine::{
-    decode_frame, encode_frame, read_message, write_message, ExecutionPlan, Frame, WireState,
+    decode_frame, encode_frame, read_message, write_message, EdgePool, EngineStats, ExecutionPlan,
+    Frame, WireState,
 };
+use gcode::graph::datasets::Sample;
 use gcode::nn::seq::{classify, forward_features, GraphInput, WeightBank};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
+
+/// Fresh-pair reference deployment: a new edge, `bank` and RNG streams
+/// for `plan` alone — deployed, streamed once and shut down.
+#[allow(dead_code)] // each test binary uses the subset it needs
+pub fn run_fresh(
+    plan: ExecutionPlan,
+    bank: WeightBank,
+    seed: u64,
+    samples: &[Sample],
+) -> (Vec<usize>, EngineStats) {
+    let mut pool = EdgePool::spawn(bank, seed).expect("spawn");
+    pool.deploy(plan).expect("deploy");
+    let run = pool.run(samples).expect("run");
+    pool.shutdown().expect("clean");
+    run
+}
 
 /// A scripted remote edge: the first `flaky_connections` connections die
 /// mid-stream (deploy failures), every later connection serves the real

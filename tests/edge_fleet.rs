@@ -13,10 +13,7 @@ use gcode::core::eval::{Evaluator, Objective, SearchSession};
 use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::{RandomSearch, SearchConfig};
 use gcode::core::space::DesignSpace;
-use gcode::engine::{
-    DeviceClient, EdgeFleet, EdgeServer, EngineBackend, ExecutionPlan, FleetSpec,
-    DEPLOY_FAILURE_SENTINEL,
-};
+use gcode::engine::{EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec, DEPLOY_FAILURE_SENTINEL};
 use gcode::graph::datasets::{PointCloudDataset, Sample};
 use gcode::hardware::SystemConfig;
 use gcode::nn::agg::AggMode;
@@ -41,17 +38,11 @@ fn split_arch(dim: usize) -> Architecture {
     ])
 }
 
-/// Fresh-spawn reference deployment: one `EdgeServer`/`DeviceClient` pair
-/// for this candidate only.
+/// Fresh-pair reference deployment: a pool of its own for this candidate
+/// only.
 fn run_fresh(arch: &Architecture, classes: usize, samples: &[Sample]) -> Vec<usize> {
     let plan = ExecutionPlan::from_architecture(arch);
-    let bank = WeightBank::new(classes, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), RUN_SEED).expect("spawn");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, RUN_SEED).expect("connect");
-    let (preds, _) = client.run_pipelined(samples).expect("run");
-    drop(client);
-    server.join().expect("clean");
-    preds
+    common::run_fresh(plan, WeightBank::new(classes, BANK_SEED), RUN_SEED, samples).0
 }
 
 #[test]
@@ -103,7 +94,11 @@ fn fleet_predictions_are_bit_identical_under_skewed_streams_for_any_pool_count()
         let outcomes = fleet.run_batch_streams(&plans, &streams);
         for (i, outcome) in outcomes.iter().enumerate() {
             let (preds, stats) = outcome.as_ref().expect("healthy fleet measures everything");
-            assert_eq!(stats.frames, frame_counts[i], "candidate {i} ran its own stream");
+            assert_eq!(
+                stats.frame_latencies_s.len(),
+                frame_counts[i],
+                "candidate {i} ran its own stream"
+            );
             assert_eq!(
                 preds, &fresh[i],
                 "skewed candidate {i} on a {pools}-pool fleet must reproduce fresh-spawn predictions"
@@ -238,7 +233,7 @@ fn a_giant_caller_does_not_gate_a_small_one_and_concurrency_changes_no_bit() {
             .iter()
             .map(|o| {
                 let (preds, stats) = o.as_ref().expect("healthy fleet measures everything");
-                (preds.clone(), stats.frames, stats.frame_bytes.clone())
+                (preds.clone(), stats.frame_latencies_s.len(), stats.frame_bytes.clone())
             })
             .collect()
     };

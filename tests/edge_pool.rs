@@ -15,10 +15,7 @@ use gcode::core::eval::{Evaluator, Objective, SearchSession};
 use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::{RandomSearch, SearchConfig};
 use gcode::core::space::DesignSpace;
-use gcode::engine::{
-    DeviceClient, EdgePool, EdgeServer, EngineBackend, ExecutionPlan, FleetSpec,
-    DEPLOY_FAILURE_SENTINEL,
-};
+use gcode::engine::{EdgePool, EngineBackend, ExecutionPlan, FleetSpec, DEPLOY_FAILURE_SENTINEL};
 use gcode::graph::datasets::{PointCloudDataset, Sample};
 use gcode::hardware::SystemConfig;
 use gcode::nn::agg::AggMode;
@@ -48,17 +45,11 @@ fn split_arch(dim: usize) -> Architecture {
     ])
 }
 
-/// Fresh-spawn reference deployment: one `EdgeServer`/`DeviceClient` pair
-/// for this candidate only.
+/// Fresh-pair reference deployment: a pool of its own for this candidate
+/// only.
 fn run_fresh(arch: &Architecture, samples: &[Sample]) -> Vec<usize> {
     let plan = ExecutionPlan::from_architecture(arch);
-    let bank = WeightBank::new(4, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), RUN_SEED).expect("spawn");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, RUN_SEED).expect("connect");
-    let (preds, _) = client.run_pipelined(samples).expect("run");
-    drop(client);
-    server.join().expect("clean");
-    preds
+    common::run_fresh(plan, WeightBank::new(4, BANK_SEED), RUN_SEED, samples).0
 }
 
 #[test]
@@ -89,7 +80,7 @@ fn pooled_ladder_search_spawns_one_edge_and_matches_fresh_predictions() {
 
     // The whole Measured tier ran on exactly one spawned edge pair.
     assert!(engine.deployments() > 1, "several candidates escalated to the engine tier");
-    assert_eq!(engine.fleet_stats().spawns(), 1, "one EdgeServer for the whole search");
+    assert_eq!(engine.fleet_stats().spawns(), 1, "one edge for the whole search");
     assert_eq!(engine.measured_profile().errors, 0);
     assert!(best.latency_s < DEPLOY_FAILURE_SENTINEL);
     drop(ladder);
@@ -144,7 +135,7 @@ fn default_backend_keeps_one_warm_pool_whatever_the_worker_count() {
     // reshapes a Measured batch.
     let fleet = backend.fleet_stats();
     assert_eq!(fleet.pools.len(), 1, "the default fleet is one loopback pool");
-    assert_eq!(fleet.spawns(), 1, "one EdgeServer for the whole batch");
+    assert_eq!(fleet.spawns(), 1, "one edge for the whole batch");
     assert_eq!(fleet.deployments(), 4);
     assert_eq!(backend.deployments(), 4);
     assert_eq!(backend.measured_profile().errors, 0);
@@ -217,12 +208,7 @@ fn warmup_frames_are_excluded_from_telemetry_energy_and_accuracy() {
     let stream: Vec<Sample> =
         (0..warmup + frames).map(|i| ds.samples()[i % ds.samples().len()].clone()).collect();
     let plan = ExecutionPlan::from_architecture(&arch);
-    let bank = WeightBank::new(4, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), RUN_SEED).expect("spawn");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, RUN_SEED).expect("connect");
-    let (preds, stats) = client.run_pipelined(&stream).expect("run");
-    drop(client);
-    server.join().expect("clean");
+    let (preds, stats) = common::run_fresh(plan, WeightBank::new(4, BANK_SEED), RUN_SEED, &stream);
     assert_eq!(stats.frame_bytes.len(), warmup + frames, "one byte count per frame");
     assert!(stats.frame_bytes.iter().all(|&b| b > 0), "split design ships every frame");
     assert_eq!(stats.bytes_sent, stats.frame_bytes.iter().sum::<usize>());
@@ -230,13 +216,14 @@ fn warmup_frames_are_excluded_from_telemetry_energy_and_accuracy() {
     assert!(measured_bytes < stats.bytes_sent, "warmup traffic is non-trivial");
 
     // The backend must report exactly the measured window: frames, bytes
-    // and live hit rate all exclude the warmup prefix.
+    // and measured hit rate all exclude the warmup prefix.
     let backend = EngineBackend::new(
         ds.samples().to_vec(),
         4,
         SystemConfig::tx2_to_i7(40.0),
         accuracy as fn(&Architecture) -> f64,
     )
+    .with_measured_accuracy(ds.samples().to_vec())
     .with_frames(frames)
     .with_warmup(warmup)
     .with_bank_seed(BANK_SEED);
@@ -256,8 +243,8 @@ fn warmup_frames_are_excluded_from_telemetry_energy_and_accuracy() {
         .count();
     let expected_accuracy = expected_correct as f64 / frames as f64;
     assert!(
-        (backend.stream_accuracy() - expected_accuracy).abs() < 1e-12,
-        "live hit rate averages measured frames only"
+        (m.accuracy - expected_accuracy).abs() < 1e-12,
+        "measured hit rate averages measured frames only"
     );
 }
 

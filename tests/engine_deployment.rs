@@ -2,12 +2,15 @@
 //! through the TCP engine, and verify the deployed pipeline agrees with
 //! local execution.
 
+mod common;
+
+use common::run_fresh;
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::Objective;
 use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::{random_search, SearchConfig};
 use gcode::core::space::DesignSpace;
-use gcode::engine::{DeviceClient, EdgeServer, ExecutionPlan};
+use gcode::engine::ExecutionPlan;
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::nn::agg::AggMode;
 use gcode::nn::pool::PoolMode;
@@ -50,13 +53,7 @@ fn searched_design_deploys_and_matches_local_inference() {
     let ds = PointCloudDataset::generate(5, 24, 4, 3);
     let bank = WeightBank::new(4, 55);
     let plan = ExecutionPlan::from_architecture(&best);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), 9).expect("edge");
-    let mut client =
-        DeviceClient::connect(server.addr(), plan.clone(), bank.clone(), 9).expect("device");
-    let (preds, stats) = client.run_pipelined(ds.samples()).expect("stream");
-    if plan.offloaded {
-        server.join().expect("clean shutdown");
-    }
+    let (preds, _) = run_fresh(plan, bank.clone(), 9, ds.samples());
 
     let mut local_bank = bank;
     let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -70,7 +67,7 @@ fn searched_design_deploys_and_matches_local_inference() {
         );
         assert_eq!(preds[i], logits.argmax_row(0), "frame {i} diverged for {best}");
     }
-    assert_eq!(stats.frames, 5);
+    assert_eq!(preds.len(), 5);
 }
 
 #[test]
@@ -88,10 +85,7 @@ fn compression_reduces_engine_traffic() {
     let ds = PointCloudDataset::generate(8, n_points, 3, 13);
     let bank = WeightBank::new(3, 21);
     let plan = ExecutionPlan::from_architecture(&arch);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), 5).expect("edge");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, 5).expect("device");
-    let (_, stats) = client.run_pipelined(ds.samples()).expect("stream");
-    server.join().expect("clean");
+    let (_, stats) = run_fresh(plan, bank, 5, ds.samples());
     // Raw payload: 8 frames × (64×32 floats + graph 64×6 u32 + offsets).
     let raw = 8 * (n_points * 32 * 4 + (n_points * 6 + n_points + 1) * 4);
     assert!(
@@ -115,9 +109,6 @@ fn engine_handles_text_graphs_with_provided_structure() {
     let ds = TextGraphDataset::generate(6, 12, 24, 19);
     let bank = WeightBank::new(2, 31);
     let plan = ExecutionPlan::from_architecture(&arch);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), 6).expect("edge");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, 6).expect("device");
-    let (preds, _) = client.run_pipelined(ds.samples()).expect("stream");
-    server.join().expect("clean");
+    let (preds, _) = run_fresh(plan, bank, 6, ds.samples());
     assert_eq!(preds.len(), 6);
 }

@@ -4,12 +4,14 @@
 //! chose is the mapping the engine runs — and running it split, on one
 //! process or two, computes what the unsplit sequence computes.
 
+mod common;
+
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::op::{Op, OpKind, SampleFn};
 use gcode::core::search::ScoredArch;
 use gcode::core::space::DesignSpace;
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::{plan_wire_id, DeviceClient, EdgeServer, ExecutionPlan};
+use gcode::engine::{plan_wire_id, ExecutionPlan};
 use gcode::graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
 use gcode::nn::seq::{classify, forward, forward_features_slotted, GraphInput, WeightBank};
 use gcode::tensor::Matrix;
@@ -52,19 +54,10 @@ fn logits_in_process(plan: &ExecutionPlan, samples: &[Sample], classes: usize) -
         .collect()
 }
 
-/// Deploys a plan onto a fresh loopback pair and streams the samples,
-/// returning the edge-reported predictions.
+/// Deploys a plan onto a fresh loopback pool — its `SwapPlan` crossing
+/// the wire codec — and streams the samples, returning the predictions.
 fn predictions_on_loopback(plan: &ExecutionPlan, samples: &[Sample], classes: usize) -> Vec<usize> {
-    let bank = WeightBank::new(classes, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), RUN_SEED).expect("edge");
-    let mut client =
-        DeviceClient::connect(server.addr(), plan.clone(), bank, RUN_SEED).expect("device");
-    let (preds, _) = client.run_pipelined(samples).expect("stream");
-    drop(client);
-    if plan.offloaded {
-        server.join().expect("clean shutdown");
-    }
-    preds
+    common::run_fresh(plan.clone(), WeightBank::new(classes, BANK_SEED), RUN_SEED, samples).0
 }
 
 /// The unsplit sequence over the same bank: what the candidate computes

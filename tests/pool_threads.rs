@@ -1,7 +1,6 @@
-//! A warm pool's thread count does not grow with candidates: a
-//! `DeviceClient` keeps one uplink and one results thread for the life of
-//! its connection, and shutting the pool down (or dropping a client)
-//! joins them. A fleet's workers live for one batch: none is left once it
+//! A warm pool's thread count does not grow with candidates: its device
+//! keeps one uplink and one results thread for the life of its
+//! connection, and shutting the pool down (or dropping it) joins them. A fleet's workers live for one batch: none is left once it
 //! returns, whoever else is calling.
 //!
 //! Counts come from `/proc/self/task`, so this file holds a single test:
@@ -10,7 +9,7 @@
 
 use gcode::core::arch::Architecture;
 use gcode::core::op::{Op, SampleFn};
-use gcode::engine::{DeviceClient, EdgeFleet, EdgePool, EdgeServer, ExecutionPlan, FleetSpec};
+use gcode::engine::{EdgeFleet, EdgePool, ExecutionPlan, FleetSpec};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::nn::agg::AggMode;
 use gcode::nn::pool::PoolMode;
@@ -90,21 +89,13 @@ fn a_warm_pool_spawns_no_thread_per_candidate_and_joins_all_of_them() {
     pool.shutdown().expect("clean pool shutdown");
     assert_eq!(threads_settled_at(before.len()), before, "threads after pool shutdown");
 
-    // A client dropped without `shutdown` joins its threads too.
-    let server = EdgeServer::spawn_persistent(WeightBank::new(2, 7), 11).expect("edge");
-    let mut client = DeviceClient::connect(server.addr(), local(), WeightBank::new(2, 7), 11)
-        .expect("connect")
-        .with_session();
-    client.swap_plan(offloaded(16)).expect("swap");
-    client.run_pipelined(ds.samples()).expect("offloaded run");
-    assert_eq!(threads().len(), before.len() + 3, "edge plus the client's two I/O threads");
-    drop(client);
-    let mut edge_only = before.clone();
-    edge_only.push("gcode-edge".to_string());
-    edge_only.sort();
-    assert_eq!(threads_settled_at(edge_only.len()), edge_only, "threads after dropping the client");
-    server.shutdown().expect("clean edge shutdown");
-    assert_eq!(threads_settled_at(before.len()), before, "threads after edge shutdown");
+    // A pool dropped without `shutdown` joins its threads too.
+    let mut pool = EdgePool::spawn(WeightBank::new(2, 7), 11).expect("pool");
+    pool.deploy(offloaded(16)).expect("deploy");
+    pool.run(ds.samples()).expect("offloaded run");
+    assert_eq!(threads().len(), before.len() + 3, "edge plus the device's two I/O threads");
+    drop(pool);
+    assert_eq!(threads_settled_at(before.len()), before, "threads after dropping the pool");
 
     // A two-pool fleet serving 50 rounds of two concurrent callers: each
     // pool keeps its edge and I/O threads, and every `gcode-fleet-N`

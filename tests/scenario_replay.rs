@@ -6,6 +6,8 @@
 //! and `with_measured_accuracy` must price the exact stream hit rate
 //! under a cache-log tag that never collides with modeled pricing.
 
+mod common;
+
 use gcode::core::arch::Architecture;
 use gcode::core::cachelog::open_shared;
 use gcode::core::eval::scenario::{ScenarioReport, ScenarioTrace};
@@ -13,9 +15,7 @@ use gcode::core::eval::Evaluator;
 use gcode::core::op::{Op, SampleFn};
 use gcode::core::search::ScoredArch;
 use gcode::core::zoo::ArchitectureZoo;
-use gcode::engine::{
-    replay_on_fleet, DeviceClient, EdgeFleet, EdgeServer, EngineBackend, ExecutionPlan, FleetSpec,
-};
+use gcode::engine::{replay_on_fleet, EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec};
 use gcode::graph::datasets::{PointCloudDataset, Sample};
 use gcode::hardware::SystemConfig;
 use gcode::nn::agg::AggMode;
@@ -117,17 +117,11 @@ fn golden_trace_swaps_once_on_deploy_and_once_on_the_constraint_flip() {
     assert_eq!(total_frames, trace.total_frames() as u64);
 }
 
-/// Fresh-deployment reference: one `EdgeServer`/`DeviceClient` pair for
-/// this plan only, seeded like the warm pool.
+/// Fresh-deployment reference: a pool of its own for this plan only,
+/// seeded like the warm pool.
 fn run_fresh(arch: &Architecture, samples: &[Sample]) -> Vec<usize> {
     let plan = ExecutionPlan::from_architecture(arch);
-    let bank = WeightBank::new(CLASSES, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), RUN_SEED).expect("spawn");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, RUN_SEED).expect("connect");
-    let (preds, _) = client.run_pipelined(samples).expect("run");
-    drop(client);
-    server.join().expect("clean");
-    preds
+    common::run_fresh(plan, WeightBank::new(CLASSES, BANK_SEED), RUN_SEED, samples).0
 }
 
 #[test]
@@ -190,7 +184,7 @@ fn modeled(_: &Architecture) -> f64 {
 }
 
 /// A measured-accuracy backend over the held-out split, seeded like
-/// [`run_fresh_default`] so the reference hit rate is hand-computable.
+/// [`reference_hit_rate`] so the reference hit rate is hand-computable.
 fn measured_backend(warmup: usize) -> EngineBackend<fn(&Architecture) -> f64> {
     let ds = held_out();
     EngineBackend::new(
@@ -212,12 +206,7 @@ fn reference_hit_rate(arch: &Architecture, warmup: usize) -> f64 {
     let stream: Vec<Sample> =
         (0..warmup + samples.len()).map(|i| samples[i % samples.len()].clone()).collect();
     let plan = ExecutionPlan::from_architecture(arch);
-    let bank = WeightBank::new(CLASSES, BANK_SEED);
-    let server = EdgeServer::spawn(plan.clone(), bank.clone(), 0xE261).expect("spawn");
-    let mut client = DeviceClient::connect(server.addr(), plan, bank, 0xE261).expect("connect");
-    let (preds, _) = client.run_pipelined(&stream).expect("run");
-    drop(client);
-    server.join().expect("clean");
+    let (preds, _) = common::run_fresh(plan, WeightBank::new(CLASSES, BANK_SEED), 0xE261, &stream);
     let correct = preds.iter().zip(&stream).skip(warmup).filter(|&(&p, s)| p == s.label).count();
     correct as f64 / (stream.len() - warmup) as f64
 }
@@ -240,14 +229,10 @@ fn measured_accuracy_prices_the_exact_stream_hit_rate() {
         metrics.accuracy, MODELED_ACCURACY,
         "the modeled accuracy_fn must not leak into measured pricing"
     );
-    assert!(
-        (backend.stream_accuracy() - expected).abs() == 0.0,
-        "telemetry hit rate and priced accuracy are the same number"
-    );
 }
 
 #[test]
-fn stream_accuracy_is_per_candidate_not_a_lifetime_average() {
+fn measured_accuracy_is_per_candidate_not_a_lifetime_average() {
     let warmup = 0;
     let first = measured_arch(8);
     let second = measured_arch(24);
@@ -255,26 +240,11 @@ fn stream_accuracy_is_per_candidate_not_a_lifetime_average() {
     let rate_second = reference_hit_rate(&second, warmup);
     assert_ne!(rate_first, rate_second, "the regression needs candidates with different hit rates");
 
+    // Two candidates back to back on one backend: each is priced at its
+    // own reference hit rate, never at a blend with the one before it.
     let backend = measured_backend(warmup);
-    backend.evaluate(&first);
-    backend.evaluate(&second);
-
-    // Pre-fix, stream_accuracy() blurred both candidates together; it
-    // must now report the most recent deployment alone, with the blend
-    // still available under its honest lifetime name.
-    assert!(
-        (backend.stream_accuracy() - rate_second).abs() == 0.0,
-        "stream_accuracy must be the most recent candidate's rate: {} vs {}",
-        backend.stream_accuracy(),
-        rate_second
-    );
-    let lifetime = (rate_first + rate_second) / 2.0;
-    assert!(
-        (backend.lifetime_stream_accuracy() - lifetime).abs() < 1e-12,
-        "lifetime aggregate blends both equally-sized streams: {} vs {}",
-        backend.lifetime_stream_accuracy(),
-        lifetime
-    );
+    let priced = [backend.evaluate(&first).accuracy, backend.evaluate(&second).accuracy];
+    assert_eq!(priced, [rate_first, rate_second], "each candidate's own hit rate");
 }
 
 fn tmp_cache(name: &str) -> PathBuf {
