@@ -29,8 +29,8 @@
 //! affects the numbers: backend kind, seeds, frame counts, uplink), and
 //! the objective ([`objective_key`] over the exact f64 bits). Record
 //! type 1 carries an opaque blob under a caller-defined `(u64, u64)` key —
-//! `gcode-serve` uses it to persist deployed-plan measurements without
-//! this crate knowing the engine's types.
+//! the engine's Measured tier uses it to persist each deployed plan's raw
+//! run without this crate knowing the engine's types.
 //!
 //! # Example
 //!

@@ -13,16 +13,18 @@
 
 use crate::fleet::{EdgeFleet, FleetOutcome, FleetSpec};
 use crate::plan::ExecutionPlan;
-use crate::proto::PROTOCOL_VERSION;
+use crate::proto::{plan_wire_id, PROTOCOL_VERSION};
 use crate::runtime::EngineStats;
+use crate::EngineError;
 use gcode_core::arch::Architecture;
-use gcode_core::cachelog::{self, SharedCacheLog};
+use gcode_core::cachelog::SharedCacheLog;
 use gcode_core::eval::backend::{EvalBackend, Fidelity};
 use gcode_core::eval::scenario::latency_percentiles;
 use gcode_core::eval::{Evaluator, FleetStats, MeasuredProfile, Metrics};
 use gcode_graph::datasets::Sample;
 use gcode_hardware::SystemConfig;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Latency/energy assigned to a candidate whose deployment failed
@@ -30,49 +32,73 @@ use std::sync::OnceLock;
 /// and can never pass a sane constraint.
 pub const DEPLOY_FAILURE_SENTINEL: f64 = 1e9;
 
-/// What [`measure_cached`] answers: one outcome per key in input order,
-/// and the input positions that had to be measured.
-type Merged<T, E> = (Vec<Result<T, E>>, Vec<usize>);
-
-/// The one cache-partition routine of the Measured tier: price `keys`
-/// from `lookup` where it answers and from `measure` where it does not.
-/// It owns the invariants every caller relies on:
+/// The Measured tier's one cache record: runs `plans` against `stream`
+/// on `fleet`, answering each plan's raw run — predictions and
+/// [`EngineStats`] — with whether it came from `cache`. A record is keyed
+/// by `(plan_wire_id(plan), context)`, where the context hashes only what
+/// shapes the run (see `EdgeFleet::run_context`); pricing is no part of
+/// it, so every caller prices a cached run on read exactly as a fresh one.
 ///
-/// * `lookup` is consulted once per key, in input order, and a hit never
-///   reaches `measure`;
-/// * `measure` receives the input positions of the misses, in order, and
-///   answers one outcome per position — it is not invoked at all for a
-///   fully cached batch, so such a batch never builds or spawns a fleet;
-/// * `store` sees each fresh `Ok` outcome exactly once; an `Err` outcome
-///   is returned but never stored, so a transient failure is retried on
-///   the next run rather than cached forever;
-/// * hits and fresh outcomes merge at input positions, and the positions
-///   that were measured come back alongside (everything else was a hit).
-///
-/// The measuring step is passed in because its callers build their
-/// batches differently — [`EngineBackend`] prices metrics, a served
-/// session keeps raw predictions.
-///
-/// # Panics
-///
-/// Panics if `measure` answers fewer outcomes than it was given positions.
-pub fn measure_cached<K, T, E>(
-    keys: &[K],
-    mut lookup: impl FnMut(&K) -> Option<T>,
-    measure: impl FnOnce(&[usize]) -> Vec<Result<T, E>>,
-    mut store: impl FnMut(&K, &T),
-) -> Merged<T, E> {
-    let mut results: Vec<Option<Result<T, E>>> = keys.iter().map(|k| lookup(k).map(Ok)).collect();
-    let uncached: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
-    if !uncached.is_empty() {
-        for (&i, outcome) in uncached.iter().zip(measure(&uncached)) {
-            if let Ok(value) = &outcome {
-                store(&keys[i], value);
+/// * the log is consulted once per plan, and a hit never reaches the
+///   fleet;
+/// * the misses run as one fleet batch, in input order, after `on_deploy`
+///   is called — neither happens for a fully cached batch, so such a
+///   batch never spawns a pool;
+/// * misses that share a key share one run: a plan twice in a batch (two
+///   candidates can lower to one plan) runs once, and its later positions
+///   count as from the cache, exactly as in a later batch;
+/// * each fresh `Ok` run is stored exactly once; an `Err` is returned
+///   but never stored, so a transient failure is retried on the next run
+///   rather than cached forever;
+/// * cached and fresh runs merge at input positions.
+pub fn measure_cached(
+    fleet: &EdgeFleet,
+    plans: &[ExecutionPlan],
+    stream: &[Sample],
+    cache: Option<&SharedCacheLog>,
+    on_deploy: impl FnOnce(),
+) -> Vec<(FleetOutcome, bool)> {
+    let context = cache.map(|_| fleet.run_context(stream, PROTOCOL_VERSION));
+    let keys: Vec<(u64, u64)> =
+        context.map_or_else(Vec::new, |c| plans.iter().map(|p| (plan_wire_id(p), c)).collect());
+    let log = cache.and_then(|log| log.lock().ok());
+    let lookup = |i: usize| -> Option<(FleetOutcome, bool)> {
+        let blob = log.as_ref()?.get_blob(keys[i])?;
+        Some((Ok(serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()?), true))
+    };
+    let mut runs: Vec<Option<(FleetOutcome, bool)>> = (0..plans.len()).map(lookup).collect();
+    drop(log);
+    let misses: Vec<usize> = (0..plans.len()).filter(|&i| runs[i].is_none()).collect();
+    if !misses.is_empty() {
+        on_deploy();
+        // Misses that share a record share its one run, as they would
+        // across batches: a plan twice in a batch runs once.
+        let mut first = HashMap::new();
+        let fresh: Vec<usize> = (misses.iter().copied())
+            .filter(|&i| keys.get(i).is_none_or(|&key| *first.entry(key).or_insert(i) == i))
+            .collect();
+        let fresh_plans: Vec<ExecutionPlan> = fresh.iter().map(|&i| plans[i].clone()).collect();
+        let outcomes = fleet.run_batch(&fresh_plans, stream);
+        let mut log = cache.and_then(|log| log.lock().ok());
+        for (&i, outcome) in fresh.iter().zip(outcomes) {
+            if let (Some(log), Ok(run)) = (log.as_mut(), &outcome) {
+                log.put_blob(
+                    keys[i],
+                    serde_json::to_string(run).expect("a run serializes").as_bytes(),
+                );
             }
-            results[i] = Some(outcome);
+            runs[i] = Some((outcome, false));
+        }
+        for &i in &misses {
+            if runs[i].is_none() {
+                runs[i] = Some(match &runs[first[&keys[i]]] {
+                    Some((Ok(run), _)) => (Ok(run.clone()), true),
+                    _ => (Err(EngineError::Protocol("the same plan failed".to_string())), false),
+                });
+            }
         }
     }
-    (results.into_iter().map(|r| r.expect("every batch slot was filled")).collect(), uncached)
+    runs.into_iter().map(|run| run.expect("every plan has a run")).collect()
 }
 
 /// The post-warmup window of one run: where it starts, its per-frame
@@ -260,10 +286,9 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// *measured* stream hit rate: every candidate is driven with
     /// `dataset` (a held-out split, replacing the constructor's samples),
     /// and [`Metrics::accuracy`] becomes the fraction of post-warmup
-    /// frames whose live prediction matched its label. The cache-log
-    /// fidelity tag carries the pricing mode (`acc:measured` vs
-    /// `acc:modeled`), so logs shared across both modes never serve each
-    /// other's accuracy numbers.
+    /// frames whose live prediction matched its label. A run cached by a
+    /// modeled-accuracy backend over the same stream serves this one too:
+    /// the hit rate is scored from its stored predictions.
     ///
     /// # Panics
     ///
@@ -327,74 +352,24 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
 
     /// Attaches a persistent [`CacheLog`](gcode_core::cachelog::CacheLog):
     /// before deploying a candidate the backend consults the log, and every
-    /// fresh successful measurement is written through, so a later process
-    /// over the same log re-prices repeated candidates without a single
-    /// deployment — zero pool spawns, zero socket traffic, bit-exact `f64`
-    /// metrics. Failed deployments (sentinel metrics) are never stored, so
-    /// a transient socket error is retried on the next run rather than
-    /// cached forever.
+    /// fresh successful run is written through, so a later process over the
+    /// same log re-prices repeated candidates without a single deployment
+    /// — zero pool spawns, zero socket traffic, bit-exact `f64` metrics.
+    /// Failed deployments are never stored, so a transient socket error is
+    /// retried on the next run rather than cached forever.
     ///
-    /// The log key's fidelity tag is derived from the backend configuration
-    /// (seeds, frame counts, uplink cap, fleet endpoints, a dataset
-    /// fingerprint), so differently-configured backends sharing one log
-    /// file never serve each other's numbers. The accuracy function is the
-    /// one input the tag cannot see — callers swapping accuracy models
-    /// should use distinct log files.
+    /// The log holds each plan's raw run (predictions and
+    /// [`EngineStats`]), keyed by the plan's wire id and a context of
+    /// everything that shapes the run — bank and run seeds, uplink cap,
+    /// fleet endpoints, the frame stream's content, the wire version — so
+    /// differently configured fleets and streams never share a record.
+    /// Pricing happens on read: backends that differ only in
+    /// `SystemConfig`, accuracy function, warmup cut or accuracy mode share
+    /// runs and each prices them its own way.
     #[must_use]
     pub fn with_cache_log(mut self, log: SharedCacheLog) -> Self {
         self.cache_log = Some(log);
         self
-    }
-
-    /// The log-key fidelity tag for this configuration, computed once per
-    /// batch (not per backend, so builder-method order never matters).
-    /// Covers every knob that shapes the measured numbers plus a
-    /// shape/label fingerprint of the frame stream.
-    /// The fleet is tagged by its endpoint list, not its width: two specs
-    /// of one length can name different machines.
-    /// The wire protocol version is in it for the same reason: latency,
-    /// energy and `bytes_sent` are functions of the `State` codec, so a
-    /// log written by a build with another codec must re-measure.
-    fn fidelity_tag(&self) -> u64 {
-        self.fidelity_tag_under(PROTOCOL_VERSION)
-    }
-
-    /// [`fidelity_tag`](Self::fidelity_tag) as a build speaking
-    /// `wire_version` would compute it.
-    fn fidelity_tag_under(&self, wire_version: u8) -> u64 {
-        let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
-        for s in &self.samples {
-            for v in [s.features.rows() as u64, s.features.cols() as u64, s.label as u64] {
-                fingerprint ^= v;
-                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        let uplink = match self.uplink_mbps {
-            Some(mbps) => format!("{mbps}"),
-            None => "none".to_string(),
-        };
-        let acc = if self.measured_accuracy { "measured" } else { "modeled" };
-        cachelog::tag_key(&format!(
-            "engine|classes{}|bank{:#x}|run{:#x}|frames{}|warmup{}|uplink{uplink}|fleet:{}|data{fingerprint:#x}|acc:{acc}|wire{wire_version}",
-            self.num_classes, self.bank_seed, self.run_seed, self.frames, self.warmup,
-            self.fleet_spec,
-        ))
-    }
-
-    /// Consults the cache log for a candidate's stored metrics under `tag`.
-    fn log_lookup(&self, arch: &Architecture, tag: u64) -> Option<Metrics> {
-        let log = self.cache_log.as_ref()?;
-        log.lock().ok()?.get(cachelog::arch_key(arch), tag, 0)
-    }
-
-    /// Writes a fresh successful measurement through to the cache log
-    /// ([`measure_cached`] never hands a failed one over).
-    fn log_store(&self, arch: &Architecture, tag: u64, m: Metrics) {
-        if let Some(log) = &self.cache_log {
-            if let Ok(mut log) = log.lock() {
-                log.put(cachelog::arch_key(arch), tag, 0, m);
-            }
-        }
     }
 
     /// Candidates priced from the persistent cache log instead of a live
@@ -446,14 +421,14 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
             .collect()
     }
 
-    /// Folds one fleet outcome into the telemetry and, for a successful
-    /// deployment, converts its raw predictions and [`EngineStats`] into
-    /// [`Metrics`]. Everything priced here comes from the measured window
+    /// Converts one successful run's raw predictions and [`EngineStats`]
+    /// into [`Metrics`] under this backend's `SystemConfig`, accuracy
+    /// pricing and warmup cut — the same for a cached and a fresh run, so
+    /// backends sharing a log never see each other's prices. Everything priced here comes from the measured window
     /// only — never empty, since a candidate streams at least one frame
     /// past its warmup: warmup frames primed the pipeline and must not leak
     /// into latency, traffic, energy or a measured hit rate.
     fn price(&self, arch: &Architecture, outcome: &FleetOutcome) -> Option<Metrics> {
-        self.profile.lock().absorb(outcome, self.warmup, false);
         let (predictions, stats) = outcome.as_ref().ok()?;
         let (cut, measured, measured_bytes) = measured_window(stats, self.warmup);
         let mean_s = measured.iter().sum::<f64>() / measured.len() as f64;
@@ -474,36 +449,30 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
         Some(Metrics { accuracy, latency_s: mean_s, energy_j })
     }
 
-    /// The one deployment path: [`measure_cached`] prices what the cache
-    /// log holds; the rest of the batch is lowered to plans — the one
-    /// lowering, the cut the candidate itself carries — pulled off the
-    /// shared morsel queue by the [`EdgeFleet`]'s pools (the fleet is built
-    /// lazily on first use) and priced. Fleet-internal recoveries are
-    /// invisible here — only candidates the fleet definitively gave up on
-    /// come back as errors, and those get the sentinel.
+    /// The one deployment path: the batch is lowered to plans — the one
+    /// lowering, the cut the candidate itself carries — and
+    /// [`measure_cached`] answers each plan's run from the cache log or
+    /// from the [`EdgeFleet`]'s pools (the fleet is built lazily on first
+    /// use). Every run, cached or fresh, is folded into the telemetry and
+    /// priced by this backend's own [`price`](Self::price). Fleet-internal
+    /// recoveries are invisible here — only candidates the fleet
+    /// definitively gave up on come back as errors, and those get the
+    /// sentinel.
     fn run_fleet_batch(&self, archs: &[Architecture]) -> Vec<Metrics> {
-        let tag = self.fidelity_tag();
-        let (priced, fresh) = measure_cached(
-            archs,
-            |arch| self.log_lookup(arch, tag),
-            |uncached| {
-                let plans: Vec<ExecutionPlan> =
-                    uncached.iter().map(|&i| ExecutionPlan::from_architecture(&archs[i])).collect();
-                let stream = self.stream();
-                let outcomes =
-                    self.fleet.get_or_init(|| self.new_fleet()).run_batch(&plans, &stream);
-                let measured = uncached.iter().zip(&outcomes);
-                measured.map(|(&i, o)| self.price(&archs[i], o).ok_or(())).collect()
-            },
-            |arch, &m| self.log_store(arch, tag, m),
-        );
-        self.profile.lock().cached += (archs.len() - fresh.len()) as u64;
+        let plans: Vec<ExecutionPlan> =
+            archs.iter().map(ExecutionPlan::from_architecture).collect();
+        let fleet = self.fleet.get_or_init(|| self.new_fleet());
+        let runs = measure_cached(fleet, &plans, &self.stream(), self.cache_log.as_ref(), || {});
         let failed = Metrics {
             accuracy: 0.0,
             latency_s: DEPLOY_FAILURE_SENTINEL,
             energy_j: DEPLOY_FAILURE_SENTINEL,
         };
-        priced.into_iter().map(|m| m.unwrap_or(failed)).collect()
+        let priced = archs.iter().zip(&runs).map(|(arch, (outcome, from_cache))| {
+            self.profile.lock().absorb(outcome, self.warmup, *from_cache);
+            self.price(arch, outcome).unwrap_or(failed)
+        });
+        priced.collect()
     }
 }
 
@@ -585,54 +554,187 @@ mod tests {
         )
     }
 
+    fn tmp_log(name: &str) -> (std::path::PathBuf, SharedCacheLog) {
+        let dir = std::env::temp_dir().join("gcode-cachelog-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let log = gcode_core::cachelog::open_shared(&path).expect("open log");
+        (path, log)
+    }
+
+    fn split_plan(dim: usize) -> ExecutionPlan {
+        ExecutionPlan::from_architecture(&Architecture::new(vec![
+            Op::Sample(SampleFn::Knn { k: 4 }),
+            Op::Aggregate(AggMode::Max),
+            Op::Combine { dim },
+            Op::Communicate,
+            Op::GlobalPool(PoolMode::Max),
+        ]))
+    }
+
+    /// The successful run of an outcome, for comparisons (`EngineError`
+    /// has no equality).
+    fn ok(outcome: &FleetOutcome) -> Option<&(Vec<usize>, EngineStats)> {
+        outcome.as_ref().ok()
+    }
+
     #[test]
     fn measure_cached_partitions_merges_and_stores_only_successes() {
-        // (case, keys the cache already holds, keys whose measurement fails)
-        let cases: [(&str, &[u32], &[u32]); 4] = [
-            ("all hits", &[1, 2, 3, 4, 5], &[]),
-            ("all misses", &[], &[]),
-            ("interleaved", &[2, 4], &[]),
-            ("a failed outcome", &[1], &[3, 5]),
-        ];
-        let keys = [1u32, 2, 3, 4, 5];
-        for (case, held, failing) in cases {
-            let mut measured: Option<Vec<usize>> = None;
-            let mut stored = Vec::new();
-            let (outcomes, fresh) = measure_cached(
-                &keys,
-                |k| held.contains(k).then_some(*k * 10),
-                |uncached| {
-                    measured = Some(uncached.to_vec());
-                    let fresh = uncached.iter().map(|&i| keys[i]);
-                    fresh.map(|k| if failing.contains(&k) { Err(k) } else { Ok(k * 100) }).collect()
-                },
-                |k, v| stored.push((*k, *v)),
-            );
+        let (path, log) = tmp_log("measure-cached.gclg");
+        let ds = PointCloudDataset::generate(2, 12, 2, 7);
+        let stream = ds.samples();
+        // Plan 4 is plan 0 again: one record, so one run.
+        let plans: Vec<ExecutionPlan> = [8, 16, 24, 32, 8].into_iter().map(split_plan).collect();
+        let fleet = EdgeFleet::new(FleetSpec::default(), 2, 0x5EED, 0xE261);
+        let context = fleet.run_context(stream, PROTOCOL_VERSION);
 
-            // Hits and fresh outcomes land at their input positions…
-            let expected: Vec<Result<u32, u32>> = keys
-                .iter()
-                .map(|k| match (held.contains(k), failing.contains(k)) {
-                    (true, _) => Ok(k * 10),
-                    (false, false) => Ok(k * 100),
-                    (false, true) => Err(*k),
-                })
-                .collect();
-            assert_eq!(outcomes, expected, "{case}");
-            // …a hit never reaches the measuring step, which is not even
-            // invoked for a fully cached batch…
-            let misses: Vec<usize> =
-                (0..keys.len()).filter(|&i| !held.contains(&keys[i])).collect();
-            assert_eq!(fresh, misses, "{case}");
-            assert_eq!(measured, (!misses.is_empty()).then_some(misses), "{case}");
-            // …and exactly the fresh successes are stored.
-            let fresh_ok: Vec<(u32, u32)> = keys
-                .iter()
-                .filter(|k| !held.contains(k) && !failing.contains(k))
-                .map(|&k| (k, k * 100))
-                .collect();
-            assert_eq!(stored, fresh_ok, "{case}");
+        // Runs on record for plans 1 and 3: stand-ins no fleet would produce.
+        let held = |i: usize| {
+            let stats = EngineStats {
+                wall_s: i as f64,
+                bytes_sent: i,
+                frame_bytes: vec![i],
+                frame_latencies_s: vec![i as f64],
+            };
+            (vec![90 + i; stream.len()], stats)
+        };
+        for i in [1, 3] {
+            let blob = serde_json::to_string(&held(i)).expect("serializes");
+            log.lock().expect("log").put_blob((plan_wire_id(&plans[i]), context), blob.as_bytes());
         }
+
+        // Interleaved: hits stay at their positions, the distinct misses
+        // run as one batch after one `on_deploy`, a repeated plan shares its
+        // first occurrence's run, and exactly the fresh runs are stored.
+        let mut deploys = 0;
+        let runs = measure_cached(&fleet, &plans, stream, Some(&log), || deploys += 1);
+        assert_eq!(deploys, 1);
+        let from_cache: Vec<bool> = runs.iter().map(|r| r.1).collect();
+        assert_eq!(from_cache, [false, true, false, true, true]);
+        assert_eq!(ok(&runs[4].0), ok(&runs[0].0), "a repeated plan is one run");
+        for i in [1, 3] {
+            assert_eq!(ok(&runs[i].0), Some(&held(i)), "plan {i} answered from the log");
+        }
+        assert_eq!(fleet.stats().deployments(), 2, "a hit never reaches the fleet");
+        let stored = |plan: &ExecutionPlan, context| {
+            log.lock().expect("log").get_blob((plan_wire_id(plan), context)).is_some()
+        };
+        assert!(plans.iter().all(|plan| stored(plan, context)), "both fresh runs were stored");
+
+        // Fully cached: no `on_deploy`, no deployment, the stored fresh runs
+        // replay bit for bit.
+        let again = measure_cached(&fleet, &plans, stream, Some(&log), || panic!("deployed"));
+        assert!(again.iter().all(|r| r.1), "every plan answered from the log");
+        for (cold, warm) in runs.iter().zip(&again) {
+            assert_eq!(ok(&cold.0), ok(&warm.0));
+        }
+        assert_eq!(fleet.stats().deployments(), 2);
+        fleet.shutdown().expect("clean");
+
+        // A failed run is returned, never stored: nothing listens on port 1.
+        let dead = EdgeFleet::new("127.0.0.1:1".parse().expect("spec"), 2, 0x5EED, 0xE261);
+        let failed = measure_cached(&dead, &plans[..1], stream, Some(&log), || {});
+        assert!(matches!(failed[..], [(Err(_), false)]));
+        let dead_context = dead.run_context(stream, PROTOCOL_VERSION);
+        assert!(!stored(&plans[0], dead_context), "a failure is retried, not cached");
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_run_cached_with_the_ten_field_stats_still_decodes() {
+        // A cache file outlives the build that wrote it: a blob holding
+        // the derived columns (frames, fps, accuracy, percentiles) that
+        // `EngineStats` no longer keeps must still serve its predictions
+        // and its measured columns, not force a re-measure.
+        let (path, log) = tmp_log("ten-field-stats.gclg");
+        let ds = PointCloudDataset::generate(3, 12, 2, 7);
+        let plan = split_plan(8);
+        let fleet = EdgeFleet::new(FleetSpec::default(), 2, 0x5EED, 0xE261);
+        let key = (plan_wire_id(&plan), fleet.run_context(ds.samples(), PROTOCOL_VERSION));
+        let blob = br#"[[3,0,2],{"frames":3,"wall_s":0.25,"fps":12.0,"bytes_sent":300,"frame_bytes":[100,120,80],"accuracy":0.6666666666666666,"p50_s":0.002,"p95_s":0.003,"p99_s":0.003,"frame_latencies_s":[0.001,0.002,0.003]}]"#;
+        log.lock().expect("log").put_blob(key, blob);
+        let runs = measure_cached(&fleet, &[plan], ds.samples(), Some(&log), || panic!("deployed"));
+        let kept = EngineStats {
+            wall_s: 0.25,
+            bytes_sent: 300,
+            frame_bytes: vec![100, 120, 80],
+            frame_latencies_s: vec![0.001, 0.002, 0.003],
+        };
+        assert!(runs[0].1, "the old format answers from the log");
+        assert_eq!(ok(&runs[0].0), Some(&(vec![3, 0, 2], kept)));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn run_context_names_everything_that_shapes_a_run() {
+        let ds = PointCloudDataset::generate(3, 12, 2, 7);
+        let stream = ds.samples().to_vec();
+        let fleet = |spec: &str| EdgeFleet::new(spec.parse().expect("spec"), 2, 0x5EED, 0xE261);
+        let context =
+            |fleet: EdgeFleet, stream: &[Sample]| fleet.run_context(stream, PROTOCOL_VERSION);
+        let base = context(fleet("loopback"), &stream);
+        assert_eq!(base, context(fleet("loopback"), &stream), "one run, one context");
+
+        // A cache file outlives the build that wrote it: another `State`
+        // codec measures other bytes and latencies.
+        assert_ne!(base, fleet("loopback").run_context(&stream, PROTOCOL_VERSION - 1));
+        // The bank, the seeds and the uplink cap shape the run.
+        let seeded = |classes, bank, run| EdgeFleet::new(FleetSpec::default(), classes, bank, run);
+        assert_ne!(base, context(seeded(3, 0x5EED, 0xE261), &stream), "classes");
+        assert_ne!(base, context(seeded(2, 0x5EEE, 0xE261), &stream), "bank seed");
+        assert_ne!(base, context(seeded(2, 0x5EED, 0xE262), &stream), "run seed");
+        assert_ne!(base, context(fleet("loopback").with_uplink_mbps(40.0), &stream), "uplink");
+        // Same width, different endpoints: what one fleet measured says
+        // nothing about the other's machines. Width counts, spelling not.
+        let lan = |spec| context(fleet(spec), &stream);
+        assert_ne!(lan("loopback:2"), lan("10.0.0.7:9000,10.0.0.8:9000"));
+        assert_ne!(lan("10.0.0.7:9000,10.0.0.8:9000"), lan("10.0.0.7:9000,10.0.0.9:9000"));
+        assert_ne!(base, lan("loopback:2"), "width still counts");
+        assert_eq!(lan("loopback:2"), lan("loopback,loopback"), "spelling does not");
+
+        // The stream's content, not just its shape: one feature bit, one
+        // label, one graph edge, one more frame.
+        let mut feature = stream.clone();
+        feature[2].features.as_mut_slice()[5] += 1.0;
+        let mut label = stream.clone();
+        label[0].label ^= 1;
+        let graph = |edges: &[(u32, u32)]| {
+            let mut graphed = stream.clone();
+            graphed[1].graph = Some(gcode_graph::CsrGraph::from_edges(12, edges));
+            graphed
+        };
+        let longer: Vec<Sample> = stream.iter().chain(&stream[..1]).cloned().collect();
+        let contexts: Vec<u64> = [feature, label, graph(&[(0, 1)]), graph(&[(0, 2)]), longer]
+            .iter()
+            .map(|s| context(fleet("loopback"), s))
+            .chain([base])
+            .collect();
+        let distinct: std::collections::HashSet<u64> = contexts.iter().copied().collect();
+        assert_eq!(distinct.len(), contexts.len(), "{contexts:x?}");
+    }
+
+    #[test]
+    fn streams_differing_in_one_feature_value_never_share_a_record() {
+        let (path, log) = tmp_log("stream-content.gclg");
+        let ds = PointCloudDataset::generate(4, 12, 2, 7);
+        let mut tweaked = ds.samples().to_vec();
+        tweaked[1].features.as_mut_slice()[0] += 0.5;
+        let over = |samples: Vec<Sample>| {
+            EngineBackend::new(samples, 2, SystemConfig::tx2_to_i7(40.0), |_: &Architecture| 0.8)
+                .with_cache_log(log.clone())
+        };
+        let first = over(ds.samples().to_vec());
+        first.evaluate(&split_arch());
+        assert_eq!(first.deployments(), 1);
+        let second = over(tweaked);
+        second.evaluate(&split_arch());
+        assert_eq!(
+            (second.log_hits(), second.deployments()),
+            (0, 1),
+            "another dataset, another run"
+        );
+        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
@@ -732,8 +834,35 @@ mod tests {
         let log = gcode_core::cachelog::open_shared(&path).expect("reopen log");
         let other = backend().with_frames(3).with_cache_log(log);
         other.evaluate(&split_arch());
-        assert_eq!(other.log_hits(), 0, "frames count is part of the fidelity tag");
+        assert_eq!(other.log_hits(), 0, "a longer stream is another run");
         assert_eq!(other.deployments(), 1);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn candidates_lowering_to_one_plan_share_one_run_cold_and_warm() {
+        // `Combine` and `EdgeCombine` lower alike: two candidates, one plan,
+        // one record. The cold batch must already price them from one run,
+        // or its warm replay could not repeat both.
+        let (path, log) = tmp_log("one-plan-two-candidates.gclg");
+        let edge_combine = Architecture::new(vec![
+            Op::Sample(SampleFn::Knn { k: 4 }),
+            Op::Aggregate(AggMode::Max),
+            Op::EdgeCombine { dim: 8 },
+            Op::Communicate,
+            Op::GlobalPool(PoolMode::Max),
+        ]);
+        let archs = [split_arch(), edge_combine];
+        let plan = |a: &Architecture| plan_wire_id(&ExecutionPlan::from_architecture(a));
+        assert_eq!(plan(&archs[0]), plan(&archs[1]), "the premise: one plan");
+
+        let cold = backend().with_cache_log(log.clone());
+        let cold_metrics = cold.evaluate_batch(&archs);
+        assert_eq!((cold.deployments(), cold.log_hits()), (1, 1), "one plan, one run");
+        assert_eq!(cold_metrics[0].latency_s.to_bits(), cold_metrics[1].latency_s.to_bits());
+        let warm = backend().with_cache_log(log);
+        assert_eq!(warm.evaluate_batch(&archs), cold_metrics, "the warm replay repeats both");
+        assert_eq!(warm.deployments(), 0);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -784,43 +913,6 @@ mod tests {
         assert!(!deployed.is_empty(), "the backend shipped a plan before the edge hung up");
         assert!(deployed.iter().all(|&id| id == plan_wire_id(&picked)), "{deployed:x?}");
         assert_eq!(picked, ExecutionPlan::from_architecture(&arch));
-    }
-
-    #[test]
-    fn wire_versions_never_share_a_log_entry() {
-        // A cache file outlives the build that wrote it. Two builds that
-        // differ only in the wire codec measure different bytes and
-        // latencies for the same candidate, so what one stored the other
-        // must not find.
-        let b = backend().with_frames(3);
-        let (ours, theirs) = (b.fidelity_tag(), b.fidelity_tag_under(PROTOCOL_VERSION - 1));
-        assert_eq!(ours, b.fidelity_tag_under(PROTOCOL_VERSION));
-        assert_ne!(ours, theirs);
-
-        let dir = std::env::temp_dir().join("gcode-cachelog-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("backend-wire-version.gclg");
-        let _ = std::fs::remove_file(&path);
-        let arch = cachelog::arch_key(&split_arch());
-        let stored = Metrics { accuracy: 0.5, latency_s: 0.25, energy_j: 0.125 };
-        let mut log = cachelog::CacheLog::open(&path).expect("open log");
-        log.put(arch, theirs, 0, stored);
-        assert_eq!(log.get(arch, theirs, 0), Some(stored));
-        assert_eq!(log.get(arch, ours, 0), None, "another codec's entry must not replay");
-        std::fs::remove_file(&path).expect("cleanup");
-    }
-
-    #[test]
-    fn fleets_naming_different_machines_never_share_a_log_entry() {
-        // Same width, different endpoints: what one fleet measured says
-        // nothing about the other's machines.
-        let tag =
-            |spec: &str| backend().with_fleet(spec.parse().expect("fleet spec")).fidelity_tag();
-        assert_ne!(tag("loopback:2"), tag("10.0.0.7:9000,10.0.0.8:9000"));
-        assert_ne!(tag("10.0.0.7:9000,10.0.0.8:9000"), tag("10.0.0.7:9000,10.0.0.9:9000"));
-        assert_ne!(tag("loopback"), tag("loopback:2"), "width still counts");
-        assert_eq!(tag("loopback"), backend().fidelity_tag(), "the default is one loopback pool");
-        assert_eq!(tag("loopback:2"), tag("loopback,loopback"), "spelling does not");
     }
 
     #[test]

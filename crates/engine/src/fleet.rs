@@ -74,6 +74,7 @@ use crate::EngineError;
 use gcode_core::eval::scenario::latency_percentiles;
 use gcode_core::eval::{FleetStats, PoolStats};
 use gcode_graph::datasets::Sample;
+use gcode_graph::CsrGraph;
 use gcode_nn::seq::WeightBank;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -371,6 +372,44 @@ impl EdgeFleet {
     /// is next checked out for a candidate.
     pub fn set_uplink_mbps(&mut self, mbps: f64) {
         self.state.lock().uplink_mbps = Some(mbps);
+    }
+
+    /// The cache-log context of running `stream` on this fleet under wire
+    /// protocol `version`: a hash of everything that shapes the run — the
+    /// bank's classes and seed, the run seed, the uplink cap, the endpoint
+    /// list in slot order (two fleets of one width can name different
+    /// machines), the wire version (latencies and bytes are the `State`
+    /// codec's doing), and every bit of the stream, warmup frames
+    /// included: features, labels and graphs. How a run is *priced* is no
+    /// part of it: a cached run is priced on read.
+    pub(crate) fn run_context(&self, stream: &[Sample], version: u8) -> u64 {
+        let state = self.state.lock();
+        let endpoints: Vec<String> = state.slots.iter().map(|s| s.endpoint.to_string()).collect();
+        let mut hash = gcode_core::cachelog::tag_key(&format!(
+            "engine|classes{}|bank{:#x}|run{:#x}|uplink{:?}|fleet:{}|wire{version}",
+            self.num_classes,
+            self.bank_seed,
+            self.run_seed,
+            state.uplink_mbps,
+            endpoints.join(","),
+        ));
+        drop(state);
+        // Word-wise FNV-1a: each step is a bijection of the running hash,
+        // so streams that differ in one word never share a context.
+        let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+        mix(stream.len() as u64);
+        for s in stream {
+            let graph = s.graph.as_ref();
+            let (nodes, edges) = graph.map_or((0, 0), |g| (1 + g.num_nodes(), g.num_edges()));
+            for word in [s.features.rows(), s.features.cols(), s.label, nodes, edges] {
+                mix(word as u64);
+            }
+            s.features.as_slice().iter().for_each(|x| mix(u64::from(x.to_bits())));
+            for (u, v) in graph.into_iter().flat_map(CsrGraph::iter_edges) {
+                mix(u64::from(u) << 32 | u64::from(v));
+            }
+        }
+        hash
     }
 
     /// Number of configured pool slots (live or not).

@@ -82,10 +82,13 @@ impl ServerConfig {
     /// Persists zoo measurements in an append-only
     /// [`CacheLog`](gcode_core::cachelog::CacheLog) at `path`: each
     /// deployed plan's predictions and [`gcode_engine::EngineStats`] are
-    /// stored keyed by the plan's wire id and the task's fixture
-    /// namespace, so a restarted server (or a re-submitted session) serves
-    /// repeat measurements without a single fleet deployment. Sessions
-    /// report the split via `MeasuredProfile::{deployed, cached}`.
+    /// stored through [`gcode_engine::measure_cached`], the record an
+    /// `EngineBackend` keeps too — keyed by the plan's wire id and a
+    /// context of the fleet (seeds, endpoints, uplink cap), the task's
+    /// stream content and the wire version — so a restarted server (or a
+    /// re-submitted session) serves repeat measurements without a single
+    /// fleet deployment. Sessions report the split via
+    /// `MeasuredProfile::{deployed, cached}`.
     #[must_use]
     pub fn with_cache_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.cache_file = Some(path.into());
@@ -584,9 +587,8 @@ fn run_session(
     cache: Option<&SharedCacheLog>,
 ) -> SessionPhase {
     *entry.phase.lock().expect("phase lock") = SessionPhase::Searching;
-    let outcome = run_pipeline(&entry.spec, entry.id, &entry.evaluated, cache, |plans, stream| {
+    let outcome = run_pipeline(&entry.spec, entry.id, &entry.evaluated, cache, fleet, || {
         *entry.phase.lock().expect("phase lock") = SessionPhase::Measuring;
-        fleet.run_batch(plans, stream)
     });
     SessionPhase::Done(Box::new(outcome))
 }

@@ -15,8 +15,8 @@
 //! [`run_standalone`] runs both stages without any server, over a private
 //! one-pool fleet: the reference a served session is asserted
 //! bit-identical against in the session-isolation tests. The two differ
-//! only in how they obtain the zoo's fleet outcomes; the rest of the
-//! pipeline is one function (`run_pipeline`).
+//! only in the fleet the zoo runs on and the cache log, if any; the rest
+//! of the pipeline is one function (`run_pipeline`).
 //!
 //! The server owns all workload fixtures (datasets, streams, system
 //! config, fleet seeds): a client ships a [`SessionSpec`], never data, so
@@ -29,8 +29,8 @@ use gcode_core::search::{RandomSearch, SearchResult};
 use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_engine::{
-    measure_cached, plan_wire_id, EdgeFleet, EngineStats, ExecutionPlan, FleetOutcome, FleetSpec,
-    ProfileFold, SessionOutcome, SessionSpec, SessionTask, PROTOCOL_VERSION,
+    measure_cached, EdgeFleet, ExecutionPlan, FleetSpec, ProfileFold, SessionOutcome, SessionSpec,
+    SessionTask,
 };
 use gcode_graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
 use gcode_hardware::SystemConfig;
@@ -174,37 +174,6 @@ fn zoo_plans(result: &SearchResult) -> Vec<ExecutionPlan> {
     result.zoo.iter().map(|z| ExecutionPlan::from_architecture(&z.arch)).collect()
 }
 
-/// The measurement-cache namespace of one task: everything that pins what
-/// a plan's deployment on the serve fleet produces — the task's stream,
-/// the fleet seeds, the bank width, and the wire protocol version (the
-/// cached `EngineStats` carry `bytes_sent` and latencies, which are the
-/// `State` codec's doing). Two servers whose fixtures agree may share a
-/// cache file; any constant change above, or a build speaking another
-/// wire version, starts a fresh namespace.
-fn measurement_context(task: SessionTask) -> u64 {
-    measurement_context_under(task, PROTOCOL_VERSION)
-}
-
-/// [`measurement_context`] as a build speaking `wire_version` would
-/// compute it.
-fn measurement_context_under(task: SessionTask, wire_version: u8) -> u64 {
-    gcode_core::cachelog::tag_key(&format!(
-        "serve:{task:?}|classes{SERVE_NUM_CLASSES}|bank{SERVE_BANK_SEED:#x}|run{SERVE_RUN_SEED:#x}|stream{SERVE_STREAM_SEED}x{SERVE_STREAM_LEN}|wire{wire_version}"
-    ))
-}
-
-/// Serializes one successful plan measurement for a cache-log blob
-/// record.
-fn encode_measurement(predictions: &[usize], stats: &EngineStats) -> Vec<u8> {
-    serde_json::to_string(&(predictions, stats)).expect("measurement serializes").into_bytes()
-}
-
-/// Deserializes a cached plan measurement; `None` on any decode failure
-/// (e.g. a blob written by an older build), which simply re-measures.
-fn decode_measurement(blob: &[u8]) -> Option<(Vec<usize>, EngineStats)> {
-    serde_json::from_str(std::str::from_utf8(blob).ok()?).ok()
-}
-
 /// Stage three (when the spec carries a [`ScenarioTrace`]): replay the
 /// trace against the finished zoo on a *session-private* one-pool fleet
 /// seeded with the serve-side constants, driving the task's fixed
@@ -233,48 +202,31 @@ fn run_scenario_stage(
 
 /// The whole session pipeline, shared by a served session and
 /// [`run_standalone`]: search (bumping `evaluated` per candidate), measure
-/// the zoo (when `measure_zoo` is set) through [`measure_cached`] — a plan
-/// whose deployment is already on record under the same wire id and task
-/// fixtures never reaches `measure`, and a fully cached zoo never invokes
-/// it — fold the outcomes into the report's `MeasuredProfile`, then replay
-/// the spec's scenario trace, if any. `measure` is the one thing the two
-/// callers do differently: it deploys the given plans (zoo order, winner
-/// first) against the given stream and answers one outcome per plan.
+/// the zoo (when `measure_zoo` is set, zoo order, winner first) on `fleet`
+/// through [`measure_cached`] — a plan whose run is already on record for
+/// this fleet and the task's stream never reaches the fleet, and
+/// `on_deploy` is called only when some plan does — fold the runs into the
+/// report's `MeasuredProfile`, then replay the spec's scenario trace, if
+/// any.
 pub(crate) fn run_pipeline(
     spec: &SessionSpec,
     session: u64,
     evaluated: &AtomicU64,
     cache: Option<&gcode_core::cachelog::SharedCacheLog>,
-    measure: impl FnOnce(&[ExecutionPlan], &[Sample]) -> Vec<FleetOutcome>,
+    fleet: &EdgeFleet,
+    on_deploy: impl FnOnce(),
 ) -> SessionOutcome {
     let (mut report, result) = run_search(spec, evaluated);
     let mut winner_predictions = Vec::new();
     if spec.measure_zoo && !result.zoo.is_empty() {
         let plans = zoo_plans(&result);
-        let context = measurement_context(spec.task);
-        let (outcomes, fresh) = measure_cached(
-            &plans,
-            |plan| {
-                let log = cache?.lock().ok()?;
-                decode_measurement(log.get_blob((plan_wire_id(plan), context))?)
-            },
-            |uncached| {
-                let uncached: Vec<ExecutionPlan> =
-                    uncached.iter().map(|&i| plans[i].clone()).collect();
-                measure(&uncached, &stream_of(spec.task))
-            },
-            |plan, (preds, stats)| {
-                if let Some(Ok(mut log)) = cache.map(|log| log.lock()) {
-                    log.put_blob((plan_wire_id(plan), context), &encode_measurement(preds, stats));
-                }
-            },
-        );
+        let runs = measure_cached(fleet, &plans, &stream_of(spec.task), cache, on_deploy);
         let mut fold = ProfileFold::default();
-        for (i, outcome) in outcomes.iter().enumerate() {
-            fold.absorb(outcome, 0, !fresh.contains(&i));
+        for (outcome, from_cache) in &runs {
+            fold.absorb(outcome, 0, *from_cache);
         }
         report = report.with_measured(fold.profile());
-        if let Some(Ok((preds, _))) = outcomes.into_iter().next() {
+        if let Some((Ok((preds, _)), _)) = runs.into_iter().next() {
             winner_predictions = preds;
         }
     }
@@ -294,12 +246,10 @@ pub(crate) fn run_pipeline(
 /// wall-clock side of the measured profile may differ, which is exactly
 /// what the session-isolation tests mask out before comparing.
 pub fn run_standalone(spec: &SessionSpec) -> SessionOutcome {
-    run_pipeline(spec, 0, &AtomicU64::new(0), None, |plans, stream| {
-        let fleet = serve_fleet(FleetSpec::loopback(1));
-        let outcomes = fleet.run_batch(plans, stream);
-        let _ = fleet.shutdown();
-        outcomes
-    })
+    let fleet = serve_fleet(FleetSpec::loopback(1));
+    let outcome = run_pipeline(spec, 0, &AtomicU64::new(0), None, &fleet, || {});
+    let _ = fleet.shutdown();
+    outcome
 }
 
 #[cfg(test)]
@@ -307,6 +257,7 @@ mod tests {
     use super::*;
     use gcode_core::eval::Objective;
     use gcode_core::search::SearchConfig;
+    use gcode_engine::plan_wire_id;
 
     fn spec(seed: u64, task: SessionTask) -> SessionSpec {
         SessionSpec {
@@ -345,29 +296,6 @@ mod tests {
                 assert_eq!(plan_wire_id(plan), plan_wire_id(&lowered), "{task:?}: {}", entry.arch);
             }
         }
-    }
-
-    #[test]
-    fn wire_versions_never_share_a_measurement_cache_entry() {
-        // A `--cache-file` outlives the build that wrote it: a blob stored
-        // by a build with another `State` codec holds that codec's
-        // `bytes_sent` and latencies and must not replay as today's.
-        let task = SessionTask::ModelNet40;
-        let ours = measurement_context(task);
-        let theirs = measurement_context_under(task, PROTOCOL_VERSION - 1);
-        assert_eq!(ours, measurement_context_under(task, PROTOCOL_VERSION));
-        assert_ne!(ours, theirs);
-
-        let dir = std::env::temp_dir().join("gcode-cachelog-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("serve-wire-version.gclg");
-        let _ = std::fs::remove_file(&path);
-        let mut log = gcode_core::cachelog::CacheLog::open(&path).expect("open log");
-        let plan_id = 0xFEED_u64;
-        log.put_blob((plan_id, theirs), b"measured under another codec");
-        assert!(log.get_blob((plan_id, theirs)).is_some());
-        assert!(log.get_blob((plan_id, ours)).is_none(), "another codec's blob must not replay");
-        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
@@ -423,28 +351,6 @@ mod tests {
             outcome.winner_predictions.len(),
             SERVE_STREAM_LEN,
             "one prediction per stream frame"
-        );
-    }
-
-    #[test]
-    fn a_measurement_cached_with_the_ten_field_stats_still_decodes() {
-        // A cache file outlives the build that wrote it: a blob holding
-        // the derived columns (frames, fps, accuracy, percentiles) that
-        // `EngineStats` no longer keeps must still serve its predictions
-        // and its measured columns, not force a re-measure.
-        let blob = br#"[[3,0,2],{"frames":3,"wall_s":0.25,"fps":12.0,"bytes_sent":300,"frame_bytes":[100,120,80],"accuracy":0.6666666666666666,"p50_s":0.002,"p95_s":0.003,"p99_s":0.003,"frame_latencies_s":[0.001,0.002,0.003]}]"#;
-        let (predictions, stats) = decode_measurement(blob).expect("the old format decodes");
-        assert_eq!(predictions, vec![3, 0, 2]);
-        let kept = EngineStats {
-            wall_s: 0.25,
-            bytes_sent: 300,
-            frame_bytes: vec![100, 120, 80],
-            frame_latencies_s: vec![0.001, 0.002, 0.003],
-        };
-        assert_eq!(stats, kept);
-        assert_eq!(
-            decode_measurement(&encode_measurement(&predictions, &kept)),
-            Some((predictions, kept))
         );
     }
 }

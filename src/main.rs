@@ -45,11 +45,13 @@
 //!
 //! `--cache-file` makes evaluation results outlive the process: an
 //! append-only log of `candidate × fidelity-tag × objective → metrics`
-//! records. A repeated search (same seed and configuration) replays
-//! every Measured-tier price from the file — zero new deployments,
-//! bit-identical winner. Under `gcode serve` the same flag caches the
-//! per-plan fleet measurements, so a restarted daemon answers repeat
-//! sessions without touching the fleet.
+//! records, plus the Measured tier's one raw-run record per deployed
+//! plan (predictions and per-frame stats, priced when read). A repeated
+//! search (same seed and configuration) replays every Measured-tier
+//! price from the file — zero new deployments, bit-identical winner.
+//! Under `gcode serve` the same flag caches the same raw-run record, so
+//! a restarted daemon answers repeat sessions without touching the
+//! fleet.
 
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};

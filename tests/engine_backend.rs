@@ -3,6 +3,7 @@
 //! peer must cost one sentinel-priced candidate, never a hung search.
 
 use gcode::core::arch::{Architecture, WorkloadProfile};
+use gcode::core::cachelog::open_shared;
 use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend, Fidelity};
 use gcode::core::eval::{Evaluator, Objective, SearchSession};
 use gcode::core::op::{Op, SampleFn};
@@ -122,6 +123,50 @@ fn engine_run_records_per_frame_percentiles() {
     assert_eq!(profile.frames, 5);
     assert!(profile.bytes_sent > 0, "split design must ship traffic");
     assert!(profile.p50_s <= profile.p95_s && profile.p95_s <= profile.p99_s);
+}
+
+/// Two backends over one cache log that differ only in how they price a
+/// run — power model and accuracy function. The second deploys nothing:
+/// it gets the first one's run and prices it its own way.
+#[test]
+fn backends_sharing_a_log_price_a_shared_run_their_own_way() {
+    let dir = std::env::temp_dir().join("gcode-engine-backend-tests");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("shared-runs.gclg");
+    let _ = std::fs::remove_file(&path);
+    let arch = Architecture::new(vec![
+        Op::Sample(SampleFn::Knn { k: 4 }),
+        Op::Aggregate(AggMode::Max),
+        Op::Combine { dim: 8 },
+        Op::Communicate,
+        Op::GlobalPool(PoolMode::Max),
+    ]);
+    let ds = PointCloudDataset::generate(6, 24, 4, 13);
+    let over = |sys: SystemConfig, accuracy_fn: fn(&Architecture) -> f64| {
+        EngineBackend::new(ds.samples().to_vec(), 4, sys, accuracy_fn)
+            .with_frames(3)
+            .with_warmup(1)
+            .with_cache_log(open_shared(&path).expect("log opens"))
+    };
+
+    let tx2 = over(SystemConfig::tx2_to_i7(40.0), |_| 0.5);
+    let first = tx2.evaluate(&arch);
+    assert_eq!(tx2.deployments(), 1);
+    drop(tx2);
+
+    let sys = SystemConfig::pi_to_i7(40.0);
+    let pi = over(sys.clone(), |_| 0.9);
+    let second = pi.evaluate(&arch);
+    assert_eq!((pi.deployments(), pi.log_hits()), (0, 1), "the run is on record");
+    assert_eq!(second.latency_s.to_bits(), first.latency_s.to_bits(), "the same run");
+    assert_eq!(second.accuracy, 0.9, "its own accuracy_fn, not the first backend's");
+    let profile = pi.measured_profile();
+    let bytes_per_frame = (profile.bytes_sent / profile.frames) as usize;
+    let energy_j = sys.device.run_power_w * second.latency_s
+        + sys.power.device_comm_energy(&sys.link, bytes_per_frame, 0);
+    assert_eq!(second.energy_j.to_bits(), energy_j.to_bits(), "its own power model");
+    assert_ne!(second.energy_j, first.energy_j, "pi and tx2 draw different power");
+    std::fs::remove_file(&path).expect("cleanup");
 }
 
 /// A rogue edge peer: accepts every connection, reads a few bytes, then

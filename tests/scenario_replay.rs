@@ -3,8 +3,8 @@
 //! (in deterministic view) across repeated runs and fleet widths; a
 //! mid-trace constraint flip must hot-swap to a plan whose predictions
 //! match a fresh deployment bit-for-bit;
-//! and `with_measured_accuracy` must price the exact stream hit rate
-//! under a cache-log tag that never collides with modeled pricing.
+//! and `with_measured_accuracy` must price the exact stream hit rate,
+//! also for a run a modeled-accuracy backend left in the cache log.
 
 mod common;
 
@@ -256,11 +256,11 @@ fn tmp_cache(name: &str) -> PathBuf {
 }
 
 #[test]
-fn measured_and_modeled_pricing_never_share_cache_entries() {
+fn a_modeled_run_on_record_is_priced_at_the_measured_hit_rate() {
     let path = tmp_cache("fidelity-tags.gclg");
     let arch = measured_arch(8);
 
-    // Modeled pass writes its entry under the `acc:modeled` tag.
+    // The modeled pass stores its raw run and prices accuracy by model.
     let ds = held_out();
     let modeled_backend = EngineBackend::new(
         ds.samples().to_vec(),
@@ -273,21 +273,18 @@ fn measured_and_modeled_pricing_never_share_cache_entries() {
     let modeled_metrics = modeled_backend.evaluate(&arch);
     assert_eq!(modeled_metrics.accuracy, MODELED_ACCURACY);
 
-    // A measured backend over the same stream and the same log must miss
-    // that entry — the fidelity tags differ — and measure for itself.
+    // A measured backend over the same stream and the same log replays
+    // that run — the run is the same — but never its modeled accuracy: it
+    // scores the stored predictions against the stream's labels.
     let measured = measured_backend(0).with_cache_log(open_shared(&path).expect("log opens"));
     let measured_metrics = measured.evaluate(&arch);
-    assert_eq!(measured.log_hits(), 0, "a modeled entry must never answer a measured lookup");
-    assert_ne!(
-        measured_metrics.accuracy, MODELED_ACCURACY,
-        "measured pricing re-measured instead of replaying the modeled entry"
+    assert_eq!((measured.log_hits(), measured.deployments()), (1, 0), "the run is on record");
+    assert_eq!(
+        measured_metrics.accuracy,
+        reference_hit_rate(&arch, 0),
+        "a modeled accuracy never answers a measured lookup"
     );
-
-    // Same-mode warm restart: the measured entry now answers, bit-identically.
-    let warm = measured_backend(0).with_cache_log(open_shared(&path).expect("log opens"));
-    let replayed = warm.evaluate(&arch);
-    assert_eq!(warm.log_hits(), 1, "the measured entry answers its own mode");
-    assert_eq!(replayed, measured_metrics, "cache replay is bit-identical");
+    assert_eq!(measured_metrics.latency_s.to_bits(), modeled_metrics.latency_s.to_bits());
 }
 
 #[test]
