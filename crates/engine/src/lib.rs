@@ -64,6 +64,7 @@
 
 pub mod backend;
 pub mod fleet;
+pub mod frame;
 pub mod plan;
 pub mod pool;
 pub mod proto;
@@ -76,6 +77,7 @@ pub use fleet::{
     EdgeFleet, FleetEndpoint, FleetOutcome, FleetSpec, DEFAULT_REMOTE_CONNECT_TIMEOUT,
     MAX_FLEET_POOLS,
 };
+pub use frame::{EdgeCore, EdgeStep};
 pub use plan::ExecutionPlan;
 #[doc(hidden)]
 pub use plan::{lower_and_optimize, OptimizeOptions};
@@ -124,6 +126,11 @@ impl From<std::io::Error> for EngineError {
     fn from(e: std::io::Error) -> Self {
         EngineError::Io(e)
     }
+}
+
+/// A protocol error saying `message`.
+pub(crate) fn protocol(message: impl Into<String>) -> EngineError {
+    EngineError::Protocol(message.into())
 }
 
 /// A caller-side refusal (an invalid scenario trace, an empty zoo) is a

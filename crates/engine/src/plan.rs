@@ -41,7 +41,7 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// Assembles a plan with positional weight slots on both sides.
-    pub fn raw(
+    pub(crate) fn raw(
         device_specs: Vec<LayerSpec>,
         edge_specs: Vec<LayerSpec>,
         edge_slot_offset: usize,

@@ -1272,18 +1272,20 @@ mod tests {
     /// What `stream_wire` ships: the `Combine { dim: 64 }` output of the
     /// supernet bank on a 1024-point cloud — post-ReLU, half `+0.0`.
     fn relu_activation() -> Matrix {
-        use rand::SeedableRng;
+        use crate::frame::{DeviceCore, DeviceStep};
         let cloud = gcode_graph::datasets::PointCloudDataset::generate(1, 1024, 40, 1);
-        let mut bank = gcode_nn::seq::WeightBank::new(40, 0x5EED);
-        let (h, _) = gcode_nn::seq::forward_features_slotted(
-            &[LayerSpec::Combine { out_dim: 64 }],
-            &[0],
-            gcode_nn::seq::GraphInput { features: &cloud.samples()[0].features, graph: None },
-            &mut bank,
-            &mut rand_chacha::ChaCha8Rng::seed_from_u64(0),
-        );
-        assert_eq!(h.shape(), (1024, 64));
-        h
+        let mut device = DeviceCore::new(gcode_nn::seq::WeightBank::new(40, 0x5EED), 0);
+        device.deploy(ExecutionPlan::raw(
+            vec![LayerSpec::Combine { out_dim: 64 }],
+            vec![],
+            2,
+            true,
+        ));
+        let Ok(DeviceStep::Ship(state)) = device.frame(0, &cloud.samples()[0]) else {
+            panic!("an offloaded plan ships its frame")
+        };
+        assert_eq!(state.features.shape(), (1024, 64));
+        state.features
     }
 
     /// The `float_len` field of the state's encoding.

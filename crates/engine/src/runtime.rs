@@ -1,17 +1,17 @@
-//! Device client and edge server: the running halves of the engine.
+//! Device client and edge server: the running halves of the engine. They
+//! drive the socket-free cores of [`crate::frame`], which decide what each
+//! frame computes; here bytes move, the link is paced and time is stamped.
 
+use crate::frame::{DeviceCore, DeviceStep, EdgeCore, EdgeStep};
 use crate::plan::ExecutionPlan;
 use crate::proto::{
-    decode_frame, encode_frame, frame_name, read_message, read_message_into, write_message, Frame,
-    WireState,
+    decode_frame, encode_frame, read_message, read_message_into, write_message, Frame,
 };
 use crate::throttle::Throttle;
-use crate::EngineError;
+use crate::{protocol, EngineError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gcode_graph::datasets::Sample;
-use gcode_nn::seq::{classify, forward_features_slotted, GraphInput, WeightBank};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use gcode_nn::seq::WeightBank;
 use serde::{Deserialize, Serialize};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -37,6 +37,14 @@ pub struct EngineStats {
     pub frame_latencies_s: Vec<f64>,
 }
 
+impl EngineStats {
+    /// A run's stats, its wall clock read now.
+    fn since(start: Instant, frame_bytes: Vec<usize>, frame_latencies_s: Vec<f64>) -> Self {
+        let (wall_s, bytes_sent) = (start.elapsed().as_secs_f64(), frame_bytes.iter().sum());
+        Self { wall_s, bytes_sent, frame_bytes, frame_latencies_s }
+    }
+}
+
 /// The edge half: accepts device connections and serves edge-side
 /// inference for every incoming frame. It keeps serving across
 /// connections and hot-swaps its active plan on `SwapPlan` control frames
@@ -59,18 +67,12 @@ impl EdgeServer {
     /// # Errors
     ///
     /// Returns an error if the listener cannot bind.
-    pub(crate) fn spawn(mut bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
+    pub(crate) fn spawn(bank: WeightBank, seed: u64) -> Result<Self, EngineError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let serve = move || -> Result<(), EngineError> {
-            loop {
-                let (stream, _) = listener.accept()?;
-                if let ServeOutcome::Shutdown = serve_frames(stream, &mut bank, seed)? {
-                    return Ok(());
-                }
-            }
-        };
-        let handle = std::thread::Builder::new().name("gcode-edge".to_string()).spawn(serve)?;
+        let handle = std::thread::Builder::new()
+            .name("gcode-edge".to_string())
+            .spawn(move || serve(listener, EdgeCore::new(bank, seed)))?;
         Ok(Self { addr, handle: Some(handle) })
     }
 
@@ -96,20 +98,14 @@ impl EdgeServer {
     pub(crate) fn shutdown(mut self) -> Result<(), EngineError> {
         let Some(handle) = self.handle.take() else { return Ok(()) };
         join_within(handle, self.addr, Duration::from_secs(2)).unwrap_or_else(|| {
-            Err(EngineError::Protocol(
-                "edge still serving a live connection; disconnect clients before shutdown"
-                    .to_string(),
+            Err(protocol(
+                "edge still serving a live connection; disconnect clients before shutdown",
             ))
         })
     }
 }
 
 type ServeHandle = JoinHandle<Result<(), EngineError>>;
-
-/// The serve thread's own result, a panic in it reported as an error.
-fn joined(handle: ServeHandle) -> Result<(), EngineError> {
-    handle.join().map_err(|_| EngineError::Protocol("edge thread panicked".to_string()))?
-}
 
 /// Queues a `Shutdown` frame for a (possibly accept-blocked) edge thread
 /// and says whether it got there. The timeout matters: connecting to a
@@ -140,7 +136,8 @@ fn join_within(
         nudged = nudged || nudge_shutdown(addr);
         std::thread::sleep(Duration::from_micros(500));
     }
-    Some(joined(handle))
+    // The serve thread's own result, a panic in it reported as an error.
+    Some(handle.join().unwrap_or_else(|_| Err(protocol("edge thread panicked"))))
 }
 
 impl Drop for EdgeServer {
@@ -155,76 +152,33 @@ impl Drop for EdgeServer {
     }
 }
 
-/// How one served connection ended.
-enum ServeOutcome {
-    /// The peer closed its socket at a frame boundary.
-    PeerClosed,
-    /// The peer sent a `Shutdown` control frame.
-    Shutdown,
-}
-
-/// Serves one device connection frame by frame. The connection starts
-/// with no plan; a `SwapPlan` frame deploys one in place and restarts the
-/// edge RNG stream, so a swapped-in candidate computes exactly what a
-/// freshly spawned edge would.
-fn serve_frames(
-    stream: TcpStream,
-    bank: &mut WeightBank,
-    seed: u64,
-) -> Result<ServeOutcome, EngineError> {
-    let mut plan: Option<ExecutionPlan> = None;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
-    stream.set_nodelay(true)?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    // One receive buffer for the connection, not one per frame: a fresh
-    // buffer freed beside the decoded features puts two same-sized
-    // transient allocations (256 KiB each for a 1024 × 64 activation) at
-    // glibc's dynamic trim threshold, where a few KiB of heap layout
-    // decide whether every frame hands its memory back to the OS and
-    // faults it in again.
+/// Serves device connections one after another, frame by frame, through
+/// the edge core: each connection starts a session with no plan, and a
+/// `Shutdown` frame ends the loop.
+fn serve(listener: TcpListener, mut core: EdgeCore) -> Result<(), EngineError> {
+    // One receive buffer for the edge, not one per frame: a fresh buffer
+    // freed beside the decoded features puts two same-sized transient
+    // allocations (256 KiB each for a 1024 × 64 activation) at glibc's
+    // dynamic trim threshold, where a few KiB of heap layout decide
+    // whether every frame hands its memory back to the OS and faults it in
+    // again.
     let mut body = Vec::new();
-    while read_message_into(&mut reader, &mut body)? {
-        match decode_frame(&body)? {
-            Frame::Shutdown => return Ok(ServeOutcome::Shutdown),
-            Frame::SwapPlan(next) => {
-                plan = Some(*next);
-                rng = ChaCha8Rng::seed_from_u64(seed ^ 0xED6E);
-            }
-            Frame::State(state) => {
-                let active = plan.as_ref().ok_or_else(|| {
-                    EngineError::Protocol(
-                        "state frame arrived before any plan was deployed".to_string(),
-                    )
-                })?;
-                let (h, _) = forward_features_slotted(
-                    &active.edge_specs,
-                    &active.edge_slots,
-                    GraphInput { features: &state.features, graph: state.graph.as_ref() },
-                    bank,
-                    &mut rng,
-                );
-                let logits = classify(&h, bank);
-                let reply = WireState {
-                    frame_id: state.frame_id,
-                    features: logits,
-                    graph: None,
-                    label: state.label,
-                };
-                write_message(&mut writer, &encode_frame(&Frame::State(reply)))?;
-            }
-            // Session frames belong to the gcode-serve daemon, not a raw
-            // edge — rejecting them here keeps a client that dialed the
-            // wrong port from silently hanging.
-            other => {
-                return Err(EngineError::Protocol(format!(
-                    "edge serve loop cannot handle a {} frame",
-                    frame_name(&other)
-                )))
+    loop {
+        let (stream, _) = listener.accept()?;
+        core.end_session();
+        stream.set_nodelay(true)?;
+        let mut reader = stream.try_clone()?;
+        let mut writer = stream;
+        while read_message_into(&mut reader, &mut body)? {
+            match core.serve(decode_frame(&body)?)? {
+                EdgeStep::Reply(reply) => {
+                    write_message(&mut writer, &encode_frame(&Frame::State(reply)))?;
+                }
+                EdgeStep::Deployed => {}
+                EdgeStep::Shutdown => return Ok(()),
             }
         }
     }
-    Ok(ServeOutcome::PeerClosed)
 }
 
 /// The device half: runs prefixes, streams intermediates, collects results.
@@ -234,11 +188,9 @@ fn serve_frames(
 /// every run hands them its work over message queues, and they are joined
 /// when the client shuts down, is dropped or a run fails.
 pub(crate) struct DeviceClient {
-    plan: Option<ExecutionPlan>,
-    bank: WeightBank,
+    core: DeviceCore,
     stream: Option<TcpStream>,
     io: Option<IoThreads>,
-    seed: u64,
     uplink_mbps: Option<f64>,
 }
 
@@ -260,7 +212,8 @@ impl DeviceClient {
     ) -> Result<Self, EngineError> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
-        Ok(Self { plan: None, bank, stream: Some(stream), io: None, seed, uplink_mbps: None })
+        let core = DeviceCore::new(bank, seed);
+        Ok(Self { core, stream: Some(stream), io: None, uplink_mbps: None })
     }
 
     /// Caps the uplink at `mbps`, emulating the paper's router bandwidth
@@ -284,30 +237,27 @@ impl DeviceClient {
         }
     }
 
-    /// Hot-swaps the active plan on both halves: sends a `SwapPlan`
-    /// control frame to the edge (which keeps its process, socket and
-    /// shared [`WeightBank`], restarting only its RNG stream) and adopts
-    /// the plan locally. The shared supernet bank means no weight transfer
-    /// accompanies the switch — the paper's Sec. 3.6 dispatcher claim.
+    /// Hot-swaps the active plan on both halves: deploys it on the device
+    /// core and sends the `SwapPlan` control frame it returns to the edge
+    /// (which keeps its process, socket and shared [`WeightBank`]). The
+    /// shared supernet bank means no weight transfer accompanies the
+    /// switch — the paper's Sec. 3.6 dispatcher claim.
     ///
     /// A plan that is not offloaded ships nothing: the edge never serves
     /// one, and the next offloaded plan's `SwapPlan` replaces whatever the
-    /// edge holds and restarts its RNG stream anyway.
+    /// edge holds.
     ///
     /// # Errors
     ///
     /// Returns an error if the connection is gone or the send fails.
     pub(crate) fn swap_plan(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
-        if plan.offloaded {
-            let body = encode_frame(&Frame::SwapPlan(Box::new(plan.clone())));
+        if let Some(swap) = self.core.deploy(plan) {
+            let body = encode_frame(&swap);
             self.pace_control(body.len() + 4);
-            let stream = self
-                .stream
-                .as_mut()
-                .ok_or_else(|| EngineError::Protocol("client connection closed".to_string()))?;
+            let stream =
+                self.stream.as_mut().ok_or_else(|| protocol("client connection closed"))?;
             write_message(stream, &body)?;
         }
-        self.plan = Some(plan);
         Ok(())
     }
 
@@ -350,13 +300,8 @@ impl DeviceClient {
         samples: &[Sample],
     ) -> Result<(Vec<usize>, EngineStats), EngineError> {
         let start = Instant::now();
-        let Some(plan) = &self.plan else {
-            return Err(EngineError::Protocol(
-                "no plan deployed: deploy one before the first run".to_string(),
-            ));
-        };
-        if !plan.offloaded {
-            return Ok(run_local(plan, &mut self.bank, self.seed, samples, start));
+        if !self.core.offloaded()? {
+            return run_local(&mut self.core, samples, start);
         }
         let run = self.run_offloaded(samples, start);
         if run.is_err() {
@@ -370,9 +315,8 @@ impl DeviceClient {
         samples: &[Sample],
         start: Instant,
     ) -> Result<(Vec<usize>, EngineStats), EngineError> {
-        let Self { plan: Some(plan), bank, stream: Some(stream), io, seed, uplink_mbps } = self
-        else {
-            return Err(EngineError::Protocol("client connection closed".to_string()));
+        let Self { core, stream: Some(stream), io, uplink_mbps } = self else {
+            return Err(protocol("client connection closed"));
         };
         let io = match io {
             Some(io) => io,
@@ -381,10 +325,9 @@ impl DeviceClient {
 
         // The results thread is asked first, so it is reading before the
         // edge can have anything to reply.
-        let expected = samples.len();
         let (collected_tx, collected) = unbounded();
         io.results
-            .send(CollectRun { frames: expected, epoch: start, reply: collected_tx })
+            .send(CollectRun { frames: samples.len(), epoch: start, reply: collected_tx })
             .map_err(|_| io_thread_died("results"))?;
         let (frames_tx, frames) = unbounded();
         let (sent_tx, sent) = unbounded();
@@ -394,22 +337,11 @@ impl DeviceClient {
             .map_err(|_| io_thread_died("uplink"))?;
 
         // This thread: device prefix per frame; never blocks on results.
-        let mut rng = ChaCha8Rng::seed_from_u64(*seed ^ 0xDE71CE);
         let mut starts_s = Vec::with_capacity(samples.len());
-        for (frame_id, sample) in samples.iter().enumerate() {
+        for (frame_id, sample) in (0..).zip(samples) {
             starts_s.push(start.elapsed().as_secs_f64());
-            let (h, graph) = forward_features_slotted(
-                &plan.device_specs,
-                &plan.device_slots,
-                GraphInput { features: &sample.features, graph: sample.graph.as_ref() },
-                bank,
-                &mut rng,
-            );
-            let state = WireState {
-                frame_id: frame_id as u64,
-                features: h,
-                graph,
-                label: sample.label as u32,
+            let DeviceStep::Ship(state) = core.frame(frame_id, sample)? else {
+                unreachable!("an offloaded plan ships every frame")
             };
             // A closed queue means the uplink thread failed; its reply
             // says why.
@@ -419,31 +351,11 @@ impl DeviceClient {
         }
         drop(frames_tx);
         let frame_bytes = sent.recv().ok_or_else(|| io_thread_died("uplink"))??;
-        let mut results = collected.recv().ok_or_else(|| io_thread_died("results"))??;
-        results.sort_by_key(|&(frame_id, _, _)| frame_id);
-        // Exactly the ids we sent, each once — a duplicate or out-of-range
-        // id from a rogue edge must be a protocol error, not a panic or a
-        // silent prediction/latency misalignment.
-        if let Some(&(bad, ..)) =
-            results.iter().enumerate().find(|(i, &(fid, ..))| fid != *i as u64).map(|(_, r)| r)
-        {
-            return Err(EngineError::Protocol(format!(
-                "edge returned unexpected frame id {bad} (expected 0..{expected})"
-            )));
-        }
-
-        let predictions: Vec<usize> = results.iter().map(|&(_, p, _)| p).collect();
-        let frame_latencies_s: Vec<f64> = results
-            .iter()
-            .map(|&(frame_id, _, done_s)| (done_s - starts_s[frame_id as usize]).max(0.0))
-            .collect();
-        let stats = EngineStats {
-            wall_s: start.elapsed().as_secs_f64(),
-            bytes_sent: frame_bytes.iter().sum(),
-            frame_bytes,
-            frame_latencies_s,
-        };
-        Ok((predictions, stats))
+        let results = collected.recv().ok_or_else(|| io_thread_died("results"))??;
+        let predictions = results.iter().map(|&(prediction, _)| prediction).collect();
+        let frame_latencies_s =
+            results.iter().zip(starts_s).map(|(&(_, done_s), s)| (done_s - s).max(0.0)).collect();
+        Ok((predictions, EngineStats::since(start, frame_bytes, frame_latencies_s)))
     }
 
     /// Shuts the socket down, then joins the I/O threads and drops the
@@ -465,34 +377,21 @@ impl DeviceClient {
 /// Runs a plan that is not offloaded: every frame on the device, nothing
 /// on the wire.
 fn run_local(
-    plan: &ExecutionPlan,
-    bank: &mut WeightBank,
-    seed: u64,
+    core: &mut DeviceCore,
     samples: &[Sample],
     start: Instant,
-) -> (Vec<usize>, EngineStats) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xDE71CE);
+) -> Result<(Vec<usize>, EngineStats), EngineError> {
     let mut predictions = Vec::with_capacity(samples.len());
     let mut frame_latencies_s = Vec::with_capacity(samples.len());
-    for sample in samples {
+    for (frame_id, sample) in (0..).zip(samples) {
         let frame_start = start.elapsed().as_secs_f64();
-        let (h, _) = forward_features_slotted(
-            &plan.device_specs,
-            &plan.device_slots,
-            GraphInput { features: &sample.features, graph: sample.graph.as_ref() },
-            bank,
-            &mut rng,
-        );
-        predictions.push(classify(&h, bank).argmax_row(0));
+        let DeviceStep::Predicted(prediction) = core.frame(frame_id, sample)? else {
+            unreachable!("a local plan ships no frame")
+        };
+        predictions.push(prediction);
         frame_latencies_s.push((start.elapsed().as_secs_f64() - frame_start).max(0.0));
     }
-    let stats = EngineStats {
-        wall_s: start.elapsed().as_secs_f64(),
-        bytes_sent: 0,
-        frame_bytes: vec![0; samples.len()],
-        frame_latencies_s,
-    };
-    (predictions, stats)
+    Ok((predictions, EngineStats::since(start, vec![0; samples.len()], frame_latencies_s)))
 }
 
 impl Drop for DeviceClient {
@@ -503,9 +402,9 @@ impl Drop for DeviceClient {
     }
 }
 
-/// One result as the results thread collects it:
-/// `(frame_id, prediction, done_s)`.
-type Collected = (u64, usize, f64);
+/// One frame's result as the results thread collects it:
+/// `(prediction, done_s)`.
+type Collected = (usize, f64);
 
 /// A run's work for the uplink thread: write `frames` as they arrive,
 /// paced by `throttle`, and reply with each frame's wire bytes once the
@@ -589,7 +488,7 @@ impl IoThreads {
 }
 
 fn io_thread_died(name: &str) -> EngineError {
-    EngineError::Protocol(format!("{name} thread died"))
+    protocol(format!("{name} thread died"))
 }
 
 /// Writes one run's frames. They arrive in frame order (one queue feeds
@@ -610,28 +509,27 @@ fn send_run(
     Ok(frame_bytes)
 }
 
-/// Reads one run's `frames` results off the connection.
+/// Reads one run's `frames` results off the connection, in frame order.
+/// Exactly the ids sent, each once: a duplicate or out-of-range id from a
+/// rogue edge is a protocol error, not a panic or a silent
+/// prediction/latency misalignment.
 fn collect_run(
     reader: &mut TcpStream,
     frames: usize,
     epoch: Instant,
 ) -> Result<Vec<Collected>, EngineError> {
-    let mut results = Vec::with_capacity(frames);
-    while results.len() < frames {
+    let mut results = vec![None; frames];
+    for _ in 0..frames {
         let Some(body) = read_message(&mut *reader)? else {
-            return Err(EngineError::Protocol(
-                "edge closed before all results arrived".to_string(),
-            ));
+            return Err(protocol("edge closed before all results arrived"));
         };
-        let Frame::State(state) = decode_frame(&body)? else {
-            return Err(EngineError::Protocol(
-                "edge sent a control frame where a result was expected".to_string(),
-            ));
-        };
-        let done_s = epoch.elapsed().as_secs_f64();
-        results.push((state.frame_id, state.features.argmax_row(0), done_s));
+        let (frame_id, prediction) = DeviceCore::reply(decode_frame(&body)?)?;
+        let slot = results.get_mut(frame_id as usize).filter(|slot| slot.is_none());
+        *slot.ok_or_else(|| {
+            protocol(format!("edge returned unexpected frame id {frame_id} (expected 0..{frames})"))
+        })? = Some((prediction, epoch.elapsed().as_secs_f64()));
     }
-    Ok(results)
+    Ok(results.into_iter().flatten().collect())
 }
 
 /// Hands a run's outcome back to the device thread and says whether the
@@ -647,12 +545,15 @@ fn hand_back<T>(outcome: Result<T, EngineError>, reply: &Sender<Result<T, Engine
 mod tests {
     use super::*;
     use crate::pool::EdgePool;
+    use crate::proto::WireState;
     use gcode_core::arch::Architecture;
     use gcode_core::op::{Op, SampleFn};
     use gcode_graph::datasets::PointCloudDataset;
     use gcode_nn::agg::AggMode;
     use gcode_nn::pool::PoolMode;
-    use gcode_nn::seq::forward;
+    use gcode_nn::seq::{forward, GraphInput};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     const CONNECT: Duration = Duration::from_secs(5);
 
@@ -761,32 +662,87 @@ mod tests {
             Op::Combine { dim: 8 },
             Op::GlobalPool(PoolMode::Mean),
         ]);
+        // Random neighborhoods on both halves: every frame draws from the
+        // device's stream and from the edge's.
+        let arch_r = Architecture::new(vec![
+            Op::Sample(SampleFn::Random { k: 3 }),
+            Op::Aggregate(AggMode::Mean),
+            Op::Combine { dim: 8 },
+            Op::Communicate,
+            Op::Sample(SampleFn::Random { k: 3 }),
+            Op::Aggregate(AggMode::Mean),
+            Op::Combine { dim: 8 },
+            Op::GlobalPool(PoolMode::Mean),
+        ]);
         let ds = PointCloudDataset::generate(5, 18, 3, 29);
+        let twice = [ds.samples(), ds.samples()].concat();
         let bank = WeightBank::new(3, 41);
         let seed = 11;
 
-        // Reference: a fresh pair per candidate.
-        let fresh: Vec<Vec<usize>> = [&arch_a, &arch_b, &arch_a]
-            .iter()
-            .map(|arch| {
-                let plan = ExecutionPlan::from_architecture(arch);
-                run_fresh(plan, bank.clone(), seed, ds.samples()).expect("run").0
-            })
-            .collect();
-
-        // One pair, three hot swaps (A → B → A again).
+        // One pair, hot swaps A → R → B → R → A, two runs per deploy.
         let server = EdgeServer::spawn(bank.clone(), seed).expect("spawn");
         let mut client =
-            DeviceClient::connect(server.addr(), bank, seed, CONNECT).expect("connect");
-        for (&arch, expected) in [&arch_a, &arch_b, &arch_a].iter().zip(&fresh) {
-            client.swap_plan(ExecutionPlan::from_architecture(arch)).expect("swap");
-            let (preds, stats) = client.run_pipelined(ds.samples()).expect("run");
-            assert_eq!(&preds, expected, "hot-swapped run must match a fresh pair");
+            DeviceClient::connect(server.addr(), bank.clone(), seed, CONNECT).expect("connect");
+        let mut random_runs = Vec::new();
+        for arch in [&arch_a, &arch_r, &arch_b, &arch_r, &arch_a] {
+            let plan = ExecutionPlan::from_architecture(arch);
+            // References: a fresh pair, and the in-process oracle over the
+            // stream of both runs (a stream restarts on deploy only).
+            let fresh = run_fresh(plan.clone(), bank.clone(), seed, ds.samples()).expect("run").0;
+            let oracle = plan.run_in_process(bank.clone(), seed, &twice).expect("oracle");
+            client.swap_plan(plan).expect("swap");
+            let (first, stats) = client.run_pipelined(ds.samples()).expect("run");
+            assert_eq!(first, fresh, "{arch}: a deploy's first run must match a fresh pair");
+            assert_eq!(first, oracle[..5], "{arch}: …and the in-process oracle");
             assert_eq!(stats.frame_bytes.len(), 5);
             assert_eq!(stats.bytes_sent, stats.frame_bytes.iter().sum::<usize>());
+            let (second, _) = client.run_pipelined(ds.samples()).expect("run");
+            assert_eq!(second, oracle[5..], "{arch}: a second run continues both streams");
+            if std::ptr::eq(arch, &arch_r) {
+                random_runs.push((first, second));
+            }
         }
+        assert_eq!(random_runs[0], random_runs[1], "R's runs after each deploy agree");
+        assert_ne!(random_runs[0].0, random_runs[0].1, "R draws from the streams");
         client.shutdown().expect("shutdown frame sent");
         server.shutdown().expect("the edge exits on Shutdown");
+    }
+
+    #[test]
+    fn an_empty_logits_reply_is_a_typed_error_not_a_panic() {
+        // A peer that reads the deploy and every state frame, then answers
+        // each with well-formed but empty 0×4 logits.
+        let ds = PointCloudDataset::generate(3, 16, 2, 9);
+        let frames = ds.samples().len();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut states = Vec::new();
+            while states.len() < frames {
+                let body = read_message(&mut stream).expect("read").expect("a frame");
+                if let Frame::State(state) = decode_frame(&body).expect("decode") {
+                    states.push(state);
+                }
+            }
+            for state in states {
+                let empty = gcode_tensor::Matrix::zeros(0, 4);
+                let reply = Frame::State(WireState { features: empty, graph: None, ..state });
+                // The device hangs up after the first reply.
+                let _ = write_message(&mut stream, &encode_frame(&reply));
+            }
+        });
+        let plan = ExecutionPlan::from_architecture(&split_arch());
+        let mut client =
+            DeviceClient::connect(addr, WeightBank::new(2, 1), 7, CONNECT).expect("connect");
+        client.swap_plan(plan).expect("swap");
+        let err = client.run_pipelined(ds.samples()).expect_err("empty logits are refused");
+        assert!(
+            matches!(&err, EngineError::Protocol(m) if m.contains("0×4 logits are empty")),
+            "{err}"
+        );
+        drop(client);
+        peer.join().expect("the peer exits");
     }
 
     #[test]

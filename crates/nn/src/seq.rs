@@ -120,8 +120,8 @@ enum StepCache {
 }
 
 /// Executes `specs` over `input` using shared weights from `bank`,
-/// returning `1 × num_classes` logits: [`forward_features`] from slot 0,
-/// then [`classify`].
+/// returning `1 × num_classes` logits: the features from slot 0, then
+/// [`classify`].
 ///
 /// If the sequence never pools, a mean readout is applied before the
 /// classifier so the executor is total; the validity checker in
@@ -139,14 +139,9 @@ pub fn forward(
 }
 
 /// Executes `specs` **without** the trailing readout/classifier, returning
-/// the raw features and the live graph. This is what a *device-side prefix*
-/// of a split architecture runs: the intermediate state then crosses the
-/// link and the edge resumes from it (its `GraphInput.graph`).
-///
-/// `slot_offset` is the position of `specs[0]` within the *full* lowered
-/// architecture, so that split execution shares the exact weights a
-/// monolithic [`forward`] would use.
-pub fn forward_features(
+/// the raw features and the live graph, with `specs[0]` at weight slot
+/// `slot_offset`.
+fn forward_features(
     specs: &[LayerSpec],
     slot_offset: usize,
     input: GraphInput<'_>,
@@ -157,12 +152,16 @@ pub fn forward_features(
     forward_features_slotted(specs, &slots, input, bank, rng)
 }
 
-/// [`forward_features`] with an explicit weight slot per op instead of a
-/// contiguous range — what a deployed `ExecutionPlan` executes, reading
-/// its slot columns. The one lowering emits positional slots only, so the
-/// columns say nothing `slot_offset` does not; the frozen `perf/` harness
-/// calls this by name (ROADMAP item 2 folds it back into
-/// [`forward_features`]).
+/// Executes `specs` **without** the trailing readout/classifier, returning
+/// the raw features and the live graph, with an explicit weight slot per
+/// op. This is what each half of a deployed `ExecutionPlan` runs, reading
+/// its slot columns: the device prefix's state crosses the link and the
+/// edge resumes from it (its `GraphInput.graph`). Slots are positions in
+/// the *full* lowered architecture, so split execution shares the exact
+/// weights a monolithic [`forward`] would use. The one lowering emits
+/// positional slots only, so the columns say nothing a start offset does
+/// not; the frozen `perf/` harness calls this by name (ROADMAP item 2
+/// folds the two back into one).
 ///
 /// # Panics
 ///
@@ -205,7 +204,7 @@ fn live_graph<'g>(graph: &'g mut Option<CsrGraph>, h: &Matrix) -> &'g CsrGraph {
 }
 
 /// Final readout + classifier over features produced by
-/// [`forward_features`]: node-level features are mean-pooled first, a
+/// [`forward_features_slotted`]: node-level features are mean-pooled first, a
 /// pooled `1 × d` vector goes straight to the `d`-keyed classifier head.
 pub fn classify(h: &Matrix, bank: &mut WeightBank) -> Matrix {
     let pooled = if h.rows() == 1 { h.clone() } else { global_pool_forward(h, PoolMode::Mean) };

@@ -1,16 +1,14 @@
 //! Shared harnesses for the engine integration suites: the fresh-pair
 //! reference every warm deployment is held to, and scripted remote edges
-//! built from the same public wire/nn primitives the engine uses, so
-//! fault-injection tests exercise the real protocol.
+//! that serve through the engine's own edge core over the public wire
+//! codec, so fault-injection tests exercise the real protocol.
 
 use gcode::engine::{
-    decode_frame, encode_frame, read_message, write_message, EdgePool, EngineStats, ExecutionPlan,
-    Frame, WireState,
+    decode_frame, encode_frame, read_message, write_message, EdgeCore, EdgePool, EdgeStep,
+    EngineStats, ExecutionPlan, Frame,
 };
 use gcode::graph::datasets::Sample;
-use gcode::nn::seq::{classify, forward_features, GraphInput, WeightBank};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use gcode::nn::seq::WeightBank;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
 
@@ -31,10 +29,11 @@ pub fn run_fresh(
 }
 
 /// A scripted remote edge: the first `flaky_connections` connections die
-/// mid-stream (deploy failures), every later connection serves the real
-/// persistent protocol. Like a real long-lived LAN edge it keeps
-/// accepting new sessions after a client disconnects, until a `Shutdown`
-/// frame arrives.
+/// mid-stream (deploy failures), every later connection is served by an
+/// [`EdgeCore`], the engine's own. Like a real long-lived LAN edge it
+/// keeps accepting new sessions after a client disconnects, until a
+/// `Shutdown` frame arrives. Its run seed is 0, not the device's, so its
+/// predictions equal a pair's only when the plan draws no RNG word.
 #[allow(dead_code)] // each test binary uses the subset it needs
 pub fn spawn_scripted_edge(classes: usize, bank_seed: u64, flaky_connections: usize) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -48,51 +47,24 @@ pub fn spawn_scripted_edge(classes: usize, bank_seed: u64, flaky_connections: us
                 let _ = stream.read_exact(&mut header);
             }
         }
-        // Healthy phase: a faithful persistent serve loop per session.
-        let mut bank = WeightBank::new(classes, bank_seed);
+        // Healthy phase: the engine's edge core, one session per connection.
+        let mut core = EdgeCore::new(WeightBank::new(classes, bank_seed), 0);
         loop {
-            let Ok((stream, _)) = listener.accept() else { return };
+            let Ok((mut stream, _)) = listener.accept() else { return };
             stream.set_nodelay(true).expect("nodelay");
-            let mut rng = ChaCha8Rng::seed_from_u64(0);
-            let mut reader = stream.try_clone().expect("clone");
-            let mut writer = stream;
-            let mut plan: Option<ExecutionPlan> = None;
-            while let Ok(Some(body)) = read_message(&mut reader) {
-                match decode_frame(&body).expect("well-formed frame") {
-                    Frame::Shutdown => return,
-                    Frame::SwapPlan(next) => plan = Some(*next),
-                    Frame::State(state) => {
-                        let p = plan.as_ref().expect("plan deployed before data");
-                        let (h, _) = forward_features(
-                            &p.edge_specs,
-                            p.edge_slot_offset,
-                            GraphInput { features: &state.features, graph: state.graph.as_ref() },
-                            &mut bank,
-                            &mut rng,
-                        );
-                        let logits = classify(&h, &mut bank);
-                        let reply = WireState {
-                            frame_id: state.frame_id,
-                            features: logits,
-                            graph: None,
-                            label: state.label,
-                        };
-                        write_message(&mut writer, &encode_frame(&Frame::State(reply)))
-                            .expect("reply");
+            core.end_session();
+            while let Ok(Some(body)) = read_message(&mut stream) {
+                let frame = decode_frame(&body).expect("well-formed frame");
+                match core.serve(frame).expect("a device↔edge frame") {
+                    EdgeStep::Reply(reply) => {
+                        write_message(&mut stream, &encode_frame(&Frame::State(reply)))
+                            .expect("reply")
                     }
-                    // Session frames belong to the gcode-serve daemon,
-                    // not the device↔edge link this edge speaks.
-                    other => panic!("scripted edge got a session frame: {other:?}"),
+                    EdgeStep::Deployed => {}
+                    EdgeStep::Shutdown => return,
                 }
             }
         }
     });
     addr
-}
-
-/// The classic single-failure script: connection 1 dies mid-stream,
-/// connection 2 onwards serves faithfully.
-#[allow(dead_code)]
-pub fn spawn_flaky_then_healthy_edge(classes: usize, bank_seed: u64) -> SocketAddr {
-    spawn_scripted_edge(classes, bank_seed, 1)
 }

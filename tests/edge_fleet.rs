@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{spawn_flaky_then_healthy_edge, spawn_scripted_edge};
+use common::spawn_scripted_edge;
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend};
 use gcode::core::eval::{Evaluator, Objective, SearchSession};
@@ -183,7 +183,7 @@ fn fleet_survives_a_pool_death_mid_batch_by_resharding_its_candidates() {
     let ds = PointCloudDataset::generate(4, 16, 2, 5);
     // Two "remote machines": the first one's initial connection dies
     // mid-stream, the second serves faithfully from the start.
-    let flaky = spawn_flaky_then_healthy_edge(2, BANK_SEED);
+    let flaky = spawn_scripted_edge(2, BANK_SEED, 1);
     let healthy = spawn_scripted_edge(2, BANK_SEED, 0);
     let spec: FleetSpec = format!("{flaky},{healthy}").parse().expect("remote fleet spec");
     let backend = EngineBackend::new(

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{spawn_flaky_then_healthy_edge, spawn_scripted_edge};
+use common::spawn_scripted_edge;
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend};
 use gcode::core::eval::{Evaluator, Objective, SearchSession};
@@ -154,7 +154,7 @@ fn pool_survives_a_deploy_failure_mid_search_and_measures_the_next_candidate() {
 
     // One bad connection: the pool dies under candidate 1, the fleet
     // reconnects and retries it — a recovery, not an error.
-    let backend = remote_backend(&ds, spawn_flaky_then_healthy_edge(2, BANK_SEED));
+    let backend = remote_backend(&ds, spawn_scripted_edge(2, BANK_SEED, 1));
     let m1 = backend.evaluate(&split_arch(8));
     assert!(m1.latency_s > 0.0 && m1.latency_s < DEPLOY_FAILURE_SENTINEL, "retried, measured");
     assert_eq!(backend.measured_profile().errors, 0);

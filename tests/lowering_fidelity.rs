@@ -13,8 +13,7 @@ use gcode::core::space::DesignSpace;
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
 use gcode::engine::{plan_wire_id, ExecutionPlan};
 use gcode::graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
-use gcode::nn::seq::{classify, forward, forward_features_slotted, GraphInput, WeightBank};
-use gcode::tensor::Matrix;
+use gcode::nn::seq::{forward, GraphInput, WeightBank};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -23,41 +22,6 @@ const RUN_SEED: u64 = 9;
 
 fn input(s: &Sample) -> GraphInput<'_> {
     GraphInput { features: &s.features, graph: s.graph.as_ref() }
-}
-
-/// Runs a plan's full device→edge pipeline in process, with the
-/// runtime's exact RNG stream discipline (device `seed ^ 0xDE71CE`, edge
-/// `seed ^ 0xED6E`), returning the raw logits of every frame.
-fn logits_in_process(plan: &ExecutionPlan, samples: &[Sample], classes: usize) -> Vec<Matrix> {
-    let mut bank = WeightBank::new(classes, BANK_SEED);
-    let mut dev_rng = ChaCha8Rng::seed_from_u64(RUN_SEED ^ 0xDE71CE);
-    let mut edge_rng = ChaCha8Rng::seed_from_u64(RUN_SEED ^ 0xED6E);
-    samples
-        .iter()
-        .map(|s| {
-            let (h, graph) = forward_features_slotted(
-                &plan.device_specs,
-                &plan.device_slots,
-                input(s),
-                &mut bank,
-                &mut dev_rng,
-            );
-            let (h, _) = forward_features_slotted(
-                &plan.edge_specs,
-                &plan.edge_slots,
-                GraphInput { features: &h, graph: graph.as_ref() },
-                &mut bank,
-                &mut edge_rng,
-            );
-            classify(&h, &mut bank)
-        })
-        .collect()
-}
-
-/// Deploys a plan onto a fresh loopback pool — its `SwapPlan` crossing
-/// the wire codec — and streams the samples, returning the predictions.
-fn predictions_on_loopback(plan: &ExecutionPlan, samples: &[Sample], classes: usize) -> Vec<usize> {
-    common::run_fresh(plan.clone(), WeightBank::new(classes, BANK_SEED), RUN_SEED, samples).0
 }
 
 /// The unsplit sequence over the same bank: what the candidate computes
@@ -70,7 +34,7 @@ fn monolithic_predictions(arch: &Architecture, samples: &[Sample], classes: usiz
 }
 
 /// 64 seeded `sample_valid` candidates of `profile`'s paper space: the
-/// plan's shape, its split execution against the loopback pair and the
+/// plan's shape, its loopback pair against the in-process oracle and the
 /// monolithic forward, and the dispatcher's plan for the same candidate.
 fn check_profile(profile: WorkloadProfile, samples: &[Sample]) {
     let space = DesignSpace::paper(profile);
@@ -96,10 +60,13 @@ fn check_profile(profile: WorkloadProfile, samples: &[Sample]) {
         offloaded += usize::from(plan.offloaded);
         multi_comm += usize::from(comms > 1);
 
-        // One process or two, the split computes the same predictions…
-        let split: Vec<usize> =
-            logits_in_process(&plan, samples, classes).iter().map(|l| l.argmax_row(0)).collect();
-        assert_eq!(predictions_on_loopback(&plan, samples, classes), split, "seed {seed}: {arch}");
+        // One process or two, the split computes the same predictions: a
+        // fresh loopback pool (its `SwapPlan` crossing the wire codec)
+        // against the in-process oracle…
+        let bank = WeightBank::new(classes, BANK_SEED);
+        let split = plan.run_in_process(bank.clone(), RUN_SEED, samples).expect("in process");
+        let (on_loopback, _) = common::run_fresh(plan.clone(), bank, RUN_SEED, samples);
+        assert_eq!(on_loopback, split, "seed {seed}: {arch}");
         // …and, where the two sides' separate RNG streams are never drawn
         // from, exactly what the unsplit candidate predicts.
         if !arch.ops().iter().any(|op| matches!(op, Op::Sample(SampleFn::Random { .. }))) {
