@@ -10,13 +10,17 @@
 //! strict inverse ([`decompress_floats`]). It is what every `State` frame
 //! of `gcode-engine` carries.
 //!
-//! The float pack and unpack each write their body once,
-//! `#[inline(always)]`, and compile it twice: for the target's baseline
-//! (SSE2 on x86_64) and inside a `#[target_feature(enable = "avx2")]`
-//! wrapper, taken on every call on a host with AVX2. The bodies compare,
-//! count and copy integers only, so the two builds differ in how many
-//! words one instruction covers, never in a byte of the blob or a bit of a
-//! decoded word.
+//! The float pack and unpack run in one of three builds, the widest the
+//! host has, chosen once by a runtime probe. The baseline (SSE2 on
+//! x86_64) and AVX2 builds compile one `#[inline(always)]` body twice,
+//! the second inside a `#[target_feature(enable = "avx2")]` wrapper. The
+//! AVX-512 build hand-writes the sparse payload's 16-word chunks in
+//! intrinsics: `vpcompressd` packs a chunk's non-zero words and
+//! `vpexpandd` puts them back. Those two functions hold the workspace's
+//! only raw-pointer loads and stores, each under a `// SAFETY:` comment
+//! that states its bound. The bodies compare, count and copy integers
+//! only, so the builds differ in how many words one instruction covers,
+//! never in a byte of the blob or a bit of a decoded word.
 //!
 //! [`compress`] / [`decompress`] are a greedy LZ77 byte codec. Frames no
 //! longer use it (on byte-plane-shuffled activations it spent 2.6 ms a
@@ -37,9 +41,9 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use bytes::{BufMut, BytesMut};
-use std::sync::OnceLock;
 
 /// Error returned when a compressed stream is malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,32 +232,106 @@ pub fn compress_floats(values: &[f32]) -> Vec<u8> {
 /// when it is the shorter of the two, so the blob never exceeds `5 + 4n`
 /// bytes; a post-ReLU activation (half its words `+0.0`) packs to ~0.53×.
 ///
-/// On a host with AVX2 the packing runs in a build of its own
-/// (`pack_avx2`); both builds write the same bytes.
+/// The packing runs in the widest build the host has (`pack_avx512`,
+/// `pack_avx2` or the baseline); every build writes the same bytes.
 ///
 /// # Panics
 ///
 /// Panics if `values` holds more than `u32::MAX` words.
 pub fn compress_floats_into(values: &[f32], out: &mut Vec<u8>) {
-    pack_as(values, out, avx2());
+    pack_as(values, out, Build::host());
 }
 
-/// [`compress_floats_into`] by the build `avx2` names, whatever the host.
-fn pack_as(values: &[f32], out: &mut Vec<u8>, avx2: Option<Avx2>) {
-    match avx2 {
-        // SAFETY: an `Avx2` exists only where `avx2()` found AVX2 on this
-        // CPU at run time.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        #[allow(unsafe_code)]
-        Some(_) => unsafe { pack_avx2(values, out) },
-        _ => pack(values, out),
+/// A build of the float codec's pack and unpack bodies. A wide variant
+/// holds the host probe's [`probe::Found`], so it exists only where this
+/// CPU runs the instructions its build was compiled for.
+#[derive(Clone, Copy, Debug)]
+enum Build {
+    /// The target's baseline (SSE2 on x86_64).
+    Baseline,
+    /// The baseline bodies compiled with AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2(probe::Found),
+    /// The sparse bodies' full 16-word chunks in AVX-512 compress/expand
+    /// instructions, the rest in the shared bodies.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(probe::Found),
+}
+
+impl Build {
+    /// The widest build this host runs: the one every call takes.
+    fn host() -> Self {
+        *probe::builds().last().expect("the baseline runs everywhere")
     }
 }
 
-/// The body of [`compress_floats_into`], inlined into both builds,
-/// [`pack_avx2`] and the baseline.
+/// The host probe, asked once: the only maker of a wide [`Build`].
+/// `gcode_tensor::rows::avx2` asks the same of the kernels; this crate asks
+/// for itself so that it depends on nothing but `bytes`.
+mod probe {
+    use super::Build;
+    use std::sync::OnceLock;
+
+    /// Proof that the probe found on this CPU the features of the wide
+    /// [`Build`] that holds it. Its field is private to this module, so
+    /// nothing else can make one.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Found(());
+
+    /// Every build this host runs, the baseline first and the widest last.
+    /// Held in place, not in a `Vec`: the first pack allocates nothing
+    /// but its blob.
+    pub(super) fn builds() -> &'static [Build] {
+        static BUILDS: OnceLock<([Build; 3], usize)> = OnceLock::new();
+        let (builds, len) = BUILDS.get_or_init(|| {
+            let (mut builds, mut len) = ([Build::Baseline; 3], 1);
+            let mut add = |build| {
+                builds[len] = build;
+                len += 1;
+            };
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            if is_x86_feature_detected!("avx2") {
+                add(Build::Avx2(Found(())));
+            }
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt") {
+                add(Build::Avx512(Found(())));
+            }
+            (builds, len)
+        });
+        &builds[..*len]
+    }
+}
+
+/// [`compress_floats_into`] by `build`, whatever the host's widest.
+fn pack_as(values: &[f32], out: &mut Vec<u8>, build: Build) {
+    match build {
+        Build::Baseline => pack(values, out),
+        // SAFETY: a `Build::Avx2` exists only where the probe found AVX2.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        #[allow(unsafe_code)]
+        Build::Avx2(_) => unsafe { pack_avx2(values, out) },
+        // SAFETY: a `Build::Avx512` exists only where the probe found
+        // AVX-512F and POPCNT.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Build::Avx512(_) => unsafe { pack_avx512(values, out) },
+    }
+}
+
+/// The body of [`compress_floats_into`] in the baseline build and
+/// [`pack_avx2`].
 #[inline(always)]
 fn pack(values: &[f32], out: &mut Vec<u8>) {
+    pack_with(values, out, pack_sparse);
+}
+
+/// Writes the header and the payload: the stored words itself, or, when
+/// sparse is the shorter, a zeroed bitmap and word area that `fill` fills
+/// from `values`. Every build shares it, so they choose the mode
+/// and size the blob alike.
+#[inline(always)]
+fn pack_with(values: &[f32], out: &mut Vec<u8>, fill: impl FnOnce(&[f32], &mut [u8], &mut [u8])) {
     let n = u32::try_from(values.len()).expect("a float blob counts its words in a u32");
     // Summed in u32 lanes (n fits one) — twice the vector width of `count()`.
     let present = values.iter().map(|v| u32::from(v.to_bits() != 0)).sum::<u32>() as usize;
@@ -268,24 +346,28 @@ fn pack(values: &[f32], out: &mut Vec<u8>) {
     let payload = &mut out[start..];
     if sparse {
         let (bitmap, words) = payload.split_at_mut(bitmap_len);
-        let mut words = words.chunks_exact_mut(4);
-        // 64 words a step: the mask is built branch-free, and the copy
-        // loop has one data-dependent exit per 64 words, not a branch a word.
-        for (map, group) in bitmap.chunks_mut(8).zip(values.chunks(64)) {
-            let mut mask = presence_mask(group);
-            map.copy_from_slice(&mask.to_le_bytes()[..map.len()]);
-            while mask != 0 {
-                let word = group[mask.trailing_zeros() as usize].to_bits();
-                words
-                    .next()
-                    .expect("one slot per present word")
-                    .copy_from_slice(&word.to_le_bytes());
-                mask &= mask - 1;
-            }
-        }
+        fill(values, bitmap, words);
     } else {
         for (slot, v) in payload.chunks_exact_mut(4).zip(values) {
             slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Fills a sparse payload: `bitmap` with `values`' presence bits and
+/// `words`, exactly one slot per present word, with those words in order.
+#[inline(always)]
+fn pack_sparse(values: &[f32], bitmap: &mut [u8], words: &mut [u8]) {
+    let mut words = words.chunks_exact_mut(4);
+    // 64 words a step: the mask is built branch-free, and the copy loop
+    // has one data-dependent exit per 64 words, not a branch a word.
+    for (map, group) in bitmap.chunks_mut(8).zip(values.chunks(64)) {
+        let mut mask = presence_mask(group);
+        map.copy_from_slice(&mask.to_le_bytes()[..map.len()]);
+        while mask != 0 {
+            let word = group[mask.trailing_zeros() as usize].to_bits();
+            words.next().expect("one slot per present word").copy_from_slice(&word.to_le_bytes());
+            mask &= mask - 1;
         }
     }
 }
@@ -323,28 +405,41 @@ fn pack_avx2(values: &[f32], out: &mut Vec<u8>) {
     pack(values, out);
 }
 
-/// Proof that the host runs AVX2, which calling [`pack_avx2`] or
-/// [`unpack_avx2`] needs: only [`avx2`] makes one, and only after the
-/// runtime check found the feature.
-#[derive(Clone, Copy, Debug)]
-struct Avx2(());
-
-/// The host's [`Avx2`] proof, or `None` on a CPU or target without AVX2;
-/// asked once. `gcode_tensor::rows::avx2` asks the same for the kernels;
-/// this crate asks for itself so that it depends on nothing but `bytes`.
-fn avx2() -> Option<Avx2> {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    AVX2.get_or_init(host_has_avx2).then_some(Avx2(()))
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn host_has_avx2() -> bool {
-    is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-fn host_has_avx2() -> bool {
-    false
+/// [`pack`] with AVX-512: each full 16-word chunk of a sparse payload is
+/// one load, one `vptestmd` whose 16 presence bits are the chunk's two
+/// little-endian bitmap bytes, and one `vpcompressd` store of the present
+/// words, contiguous and in index order — the bytes [`pack_sparse`]
+/// writes. The last `n % 16` words go through [`pack_sparse`] itself.
+/// rustc does not turn the baseline loop into `vpcompressd`, hence the
+/// intrinsics.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+#[allow(unsafe_code)]
+fn pack_avx512(values: &[f32], out: &mut Vec<u8>) {
+    use std::arch::x86_64::{
+        _mm512_loadu_si512, _mm512_mask_compressstoreu_epi32, _mm512_test_epi32_mask,
+    };
+    pack_with(values, out, |values, bitmap, words| {
+        let full = values.len() / 16 * 16;
+        let (head, tail) = values.split_at(full);
+        let mut written = 0;
+        for (map, chunk) in bitmap.chunks_exact_mut(2).zip(head.chunks_exact(16)) {
+            // SAFETY: `chunk` is 16 words, the 64 bytes the load reads.
+            let v = unsafe { _mm512_loadu_si512(chunk.as_ptr().cast()) };
+            let mask = _mm512_test_epi32_mask(v, v);
+            map.copy_from_slice(&mask.to_le_bytes());
+            let end = written + 4 * mask.count_ones() as usize;
+            assert!(end <= words.len(), "one slot per present word");
+            // SAFETY: the store writes one 4-byte word per set bit of
+            // `mask` from byte `written` of `words`: bytes up to `end`,
+            // which the assert above holds inside `words`.
+            unsafe {
+                _mm512_mask_compressstoreu_epi32(words.as_mut_ptr().add(written).cast(), mask, v)
+            };
+            written = end;
+        }
+        pack_sparse(tail, &mut bitmap[full / 8..], &mut words[written..]);
+    });
 }
 
 fn le_word(bytes: &[u8]) -> u32 {
@@ -357,25 +452,30 @@ fn le_word(bytes: &[u8]) -> u32 {
 /// zero. The output allocation is bounded by what arrived (`4n ≤ 32 ×`
 /// the blob length, the all-zero sparse case) before it is made.
 ///
-/// On a host with AVX2 the unpacking runs in a build of its own
-/// (`unpack_avx2`); both builds return the same words or the same error.
+/// The unpacking runs in the widest build the host has (`unpack_avx512`,
+/// `unpack_avx2` or the baseline); every build returns the same words or
+/// the same error.
 ///
 /// # Errors
 ///
 /// Returns [`DecodeError`] on any violation of the above.
 pub fn decompress_floats(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
-    unpack_as(packed, avx2())
+    unpack_as(packed, Build::host())
 }
 
-/// [`decompress_floats`] by the build `avx2` names, whatever the host.
-fn unpack_as(packed: &[u8], avx2: Option<Avx2>) -> Result<Vec<f32>, DecodeError> {
-    match avx2 {
-        // SAFETY: an `Avx2` exists only where `avx2()` found AVX2 on this
-        // CPU at run time.
+/// [`decompress_floats`] by `build`, whatever the host's widest.
+fn unpack_as(packed: &[u8], build: Build) -> Result<Vec<f32>, DecodeError> {
+    match build {
+        Build::Baseline => unpack(packed),
+        // SAFETY: a `Build::Avx2` exists only where the probe found AVX2.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         #[allow(unsafe_code)]
-        Some(_) => unsafe { unpack_avx2(packed) },
-        _ => unpack(packed),
+        Build::Avx2(_) => unsafe { unpack_avx2(packed) },
+        // SAFETY: a `Build::Avx512` exists only where the probe found
+        // AVX-512F and POPCNT.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Build::Avx512(_) => unsafe { unpack_avx512(packed) },
     }
 }
 
@@ -389,10 +489,58 @@ fn unpack_avx2(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
     unpack(packed)
 }
 
-/// The body of [`decompress_floats`], inlined into both builds,
-/// [`unpack_avx2`] and the baseline.
+/// [`unpack`] with AVX-512: each full 16-word chunk of a sparse payload is
+/// one `vpexpandd` load of its present words into their lanes, the absent
+/// ones zeroed, and one store, and a masked `vptestnmd` flags a present
+/// word that is zero. The last `n % 16` words go through
+/// [`unpack_sparse`] itself; the checks before the scatter are
+/// [`unpack_with`]'s, in its order, so the value or the error cannot
+/// differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+#[allow(unsafe_code)]
+fn unpack_avx512(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
+    use std::arch::x86_64::{
+        _mm512_mask_testn_epi32_mask, _mm512_maskz_expandloadu_epi32, _mm512_storeu_si512,
+    };
+    unpack_with(packed, |out, bitmap, words| {
+        let full = out.len() / 16 * 16;
+        let (head, tail) = out.split_at_mut(full);
+        let (mut read, mut zero_word) = (0, false);
+        for (chunk, map) in head.chunks_exact_mut(16).zip(bitmap.chunks_exact(2)) {
+            let mask = u16::from_le_bytes([map[0], map[1]]);
+            let end = read + 4 * mask.count_ones() as usize;
+            assert!(end <= words.len(), "popcount checked above");
+            // SAFETY: the load reads one 4-byte word per set bit of `mask`
+            // from byte `read` of `words`: bytes up to `end`, which the
+            // assert above holds inside `words`.
+            let v =
+                unsafe { _mm512_maskz_expandloadu_epi32(mask, words.as_ptr().add(read).cast()) };
+            zero_word |= _mm512_mask_testn_epi32_mask(mask, v, v) != 0;
+            // SAFETY: `chunk` is 16 words, the 64 bytes the store writes.
+            unsafe { _mm512_storeu_si512(chunk.as_mut_ptr().cast(), v) };
+            read = end;
+        }
+        unpack_sparse(tail, &bitmap[full / 8..], &words[read..]) | zero_word
+    })
+}
+
+/// The body of [`decompress_floats`] in the baseline build and
+/// [`unpack_avx2`].
 #[inline(always)]
 fn unpack(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
+    unpack_with(packed, unpack_sparse)
+}
+
+/// Every check of [`decompress_floats`], in order, around the sparse
+/// scatter: `scatter` writes the present words of `words` into the
+/// zeroed output where `bitmap` says, and says whether one was zero.
+/// Every build shares it, so they refuse a blob alike.
+#[inline(always)]
+fn unpack_with(
+    packed: &[u8],
+    scatter: impl FnOnce(&mut [f32], &[u8], &[u8]) -> bool,
+) -> Result<Vec<f32>, DecodeError> {
     if packed.len() < FLOAT_HEADER_LEN {
         return Err(DecodeError { msg: "missing float header" });
     }
@@ -421,27 +569,34 @@ fn unpack(packed: &[u8]) -> Result<Vec<f32>, DecodeError> {
                 return Err(DecodeError { msg: "float bitmap has bits past n" });
             }
             let mut out = vec![0.0f32; n];
-            let mut words = words.chunks_exact(4);
-            let mut zero_word = false;
-            // 64 slots a step: one data-dependent loop exit per 64 words.
-            for (group, map) in out.chunks_mut(64).zip(bitmap.chunks(8)) {
-                let mut bits = [0u8; 8];
-                bits[..map.len()].copy_from_slice(map);
-                let mut bits = u64::from_le_bytes(bits);
-                while bits != 0 {
-                    let word = le_word(words.next().expect("popcount checked above"));
-                    zero_word |= word == 0;
-                    group[bits.trailing_zeros() as usize] = f32::from_bits(word);
-                    bits &= bits - 1;
-                }
-            }
-            if zero_word {
+            if scatter(&mut out, bitmap, words) {
                 return Err(DecodeError { msg: "present float word is zero" });
             }
             Ok(out)
         }
         _ => Err(DecodeError { msg: "unknown float blob mode" }),
     }
+}
+
+/// Scatters `words`, exactly one per set bit of `bitmap`, into the zeroed
+/// `out` at their bits' indices; returns whether one of them was zero.
+#[inline(always)]
+fn unpack_sparse(out: &mut [f32], bitmap: &[u8], words: &[u8]) -> bool {
+    let mut words = words.chunks_exact(4);
+    let mut zero_word = false;
+    // 64 slots a step: one data-dependent loop exit per 64 words.
+    for (group, map) in out.chunks_mut(64).zip(bitmap.chunks(8)) {
+        let mut bits = [0u8; 8];
+        bits[..map.len()].copy_from_slice(map);
+        let mut bits = u64::from_le_bytes(bits);
+        while bits != 0 {
+            let word = le_word(words.next().expect("popcount checked above"));
+            zero_word |= word == 0;
+            group[bits.trailing_zeros() as usize] = f32::from_bits(word);
+            bits &= bits - 1;
+        }
+    }
+    zero_word
 }
 
 /// Achieved compression ratio (`original / compressed`), 1.0 for empty
@@ -610,19 +765,36 @@ mod tests {
         assert_bit_exact_round_trip(&AWKWARD.map(f32::from_bits));
     }
 
-    fn pack_by(values: &[f32], avx2: Option<Avx2>) -> Vec<u8> {
+    fn pack_by(values: &[f32], build: Build) -> Vec<u8> {
         let mut out = Vec::new();
-        pack_as(values, &mut out, avx2);
+        pack_as(values, &mut out, build);
         out
     }
 
-    /// Asserts that both builds pack `values` to the same bytes and unpack
-    /// those bytes, and a few truncations and bit flips of them, to the
-    /// same words or the same error. Returns how many blobs it unpacked.
-    fn assert_builds_agree(avx2: Avx2, values: &[f32], gen: &mut ByteGen) -> usize {
-        let packed = pack_by(values, None);
-        assert_eq!(pack_by(values, Some(avx2)), packed, "{} words", values.len());
-        let unpacked_by = |blob: &[u8], avx2| unpack_as(blob, avx2).map(|w| floats_bits(&w));
+    /// The wide builds by the name their cross-build line prints, each
+    /// with the build where this CPU runs it.
+    fn wide_builds() -> [(&'static str, Option<Build>); 2] {
+        let mut wide = [("AVX2", None), ("AVX-512", None)];
+        for &build in probe::builds() {
+            match build {
+                Build::Baseline => {}
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Build::Avx2(_) => wide[0].1 = Some(build),
+                #[cfg(target_arch = "x86_64")]
+                Build::Avx512(_) => wide[1].1 = Some(build),
+            }
+        }
+        wide
+    }
+
+    /// Asserts that `build` packs `values` to the baseline's bytes and
+    /// unpacks those bytes, and a few truncations and bit flips of them,
+    /// to the baseline's words or its exact error. Returns how many blobs
+    /// it unpacked.
+    fn assert_builds_agree(build: Build, values: &[f32], gen: &mut ByteGen) -> usize {
+        let packed = pack_by(values, Build::Baseline);
+        assert_eq!(pack_by(values, build), packed, "{build:?}, {} words", values.len());
+        let unpacked_by = |blob: &[u8], build| unpack_as(blob, build).map(|w| floats_bits(&w));
         let mut blobs = vec![packed.clone()];
         for _ in 0..4 {
             let cut = (gen.next_u64() % (packed.len() as u64 + 1)) as usize;
@@ -635,13 +807,13 @@ mod tests {
         }
         for blob in &blobs {
             assert_eq!(
-                unpacked_by(blob, Some(avx2)),
-                unpacked_by(blob, None),
-                "{} words",
+                unpacked_by(blob, build),
+                unpacked_by(blob, Build::Baseline),
+                "{build:?}, {} words",
                 values.len()
             );
         }
-        assert_eq!(unpacked_by(&packed, None), Ok(floats_bits(values)));
+        assert_eq!(unpacked_by(&packed, Build::Baseline), Ok(floats_bits(values)));
         blobs.len()
     }
 
@@ -651,47 +823,52 @@ mod tests {
 
     #[test]
     fn cross_build_blobs_are_byte_identical_in_both_modes_and_at_the_boundary() {
-        let Some(avx2) = avx2() else {
-            println!("cross-build floats: this CPU has no AVX2; nothing compared");
-            return;
-        };
-        let mut gen = ByteGen(0x5EED_0005);
-        let (mut packed, mut unpacked) = (0, 0);
-        for n in (0..=200usize).chain([4095, 4096, 4097, 65536]) {
-            // The sparse/stored boundary: sparse takes over one zero word
-            // past a quarter of the bitmap's length.
-            let tie = n.div_ceil(8) / 4;
-            let shares = [0.0, 0.25, 0.5, 0.53, 1.0].map(|share| (share * n as f64) as usize);
-            for zeros in shares.into_iter().chain([tie, tie + 1]).filter(|&z| z <= n) {
-                // `zeros` words +0.0 at scattered places, the rest drawn
-                // from the awkward set (all but its trailing +0.0) and noise.
-                let mut values: Vec<f32> = (0..n)
-                    .map(|_| {
-                        let r = gen.next_u64();
-                        f32::from_bits(match r % 2 {
-                            0 => AWKWARD[(r >> 8) as usize % (AWKWARD.len() - 1)],
-                            _ => (r >> 32) as u32 | 1,
+        for (name, build) in wide_builds() {
+            let Some(build) = build else {
+                println!("cross-build floats {name}: this CPU has no {name}; nothing compared");
+                continue;
+            };
+            let mut gen = ByteGen(0x5EED_0005);
+            let (mut packed, mut unpacked) = (0, 0);
+            // Every length around the 16-word chunks and 64-word groups
+            // up to 200, a 4 096-word edge and a stretch of 4 096 chunks.
+            for n in (0..=200usize).chain([4095, 4096, 4097, 65536]) {
+                // The sparse/stored boundary: sparse takes over one zero
+                // word past a quarter of the bitmap's length.
+                let tie = n.div_ceil(8) / 4;
+                let shares = [0.0, 0.25, 0.5, 0.53, 1.0].map(|share| (share * n as f64) as usize);
+                for zeros in shares.into_iter().chain([tie, tie + 1]).filter(|&z| z <= n) {
+                    // `zeros` words +0.0 at scattered places, the rest drawn
+                    // from the awkward set (all but its trailing +0.0) and
+                    // noise.
+                    let mut values: Vec<f32> = (0..n)
+                        .map(|_| {
+                            let r = gen.next_u64();
+                            f32::from_bits(match r % 2 {
+                                0 => AWKWARD[(r >> 8) as usize % (AWKWARD.len() - 1)],
+                                _ => (r >> 32) as u32 | 1,
+                            })
                         })
-                    })
-                    .collect();
-                let mut places: Vec<usize> = (0..n).collect();
-                for i in 0..zeros {
-                    places.swap(i, i + (gen.next_u64() % (n - i) as u64) as usize);
-                    values[places[i]] = 0.0;
+                        .collect();
+                    let mut places: Vec<usize> = (0..n).collect();
+                    for i in 0..zeros {
+                        places.swap(i, i + (gen.next_u64() % (n - i) as u64) as usize);
+                        values[places[i]] = 0.0;
+                    }
+                    if zeros == tie || zeros == tie + 1 {
+                        let mode = if zeros == tie { MODE_STORED } else { MODE_SPARSE };
+                        assert_eq!(pack_by(&values, build)[0], mode, "{n} words, {zeros} zero");
+                    }
+                    unpacked += assert_builds_agree(build, &values, &mut gen);
+                    packed += 1;
                 }
-                if zeros == tie || zeros == tie + 1 {
-                    let mode = if zeros == tie { MODE_STORED } else { MODE_SPARSE };
-                    assert_eq!(pack_by(&values, None)[0], mode, "{n} words, {zeros} zero");
-                }
-                unpacked += assert_builds_agree(avx2, &values, &mut gen);
-                packed += 1;
             }
+            println!(
+                "cross-build floats {name}: {} blobs compared against the baseline: {packed} \
+                 packed byte for byte, {unpacked} unpacked bit for bit",
+                packed + unpacked
+            );
         }
-        println!(
-            "cross-build floats: {} blobs compared: {packed} packed byte for byte, \
-             {unpacked} unpacked bit for bit",
-            packed + unpacked
-        );
     }
 
     #[test]
@@ -757,36 +934,49 @@ mod tests {
 
     #[test]
     fn hostile_float_blobs_never_panic_or_over_allocate() {
-        // Every truncation and every single-bit flip of the header and
-        // bitmap (and a stretch of the words) of blobs in both modes:
-        // a typed error or a value whose size the bytes present justify.
-        let mut gen = ByteGen(0x5EED_0004);
-        for n in [1usize, 8, 9, 64, 200] {
-            for zero_share in [0u64, 2, 4] {
-                let values: Vec<f32> = (0..n)
-                    .map(|_| {
-                        let r = gen.next_u64();
-                        f32::from_bits(if r % 4 < zero_share { 0 } else { (r >> 32) as u32 | 1 })
-                    })
-                    .collect();
-                let packed = compress_floats(&values);
-                let check = |bytes: &[u8]| {
-                    if let Ok(out) = decompress_floats(bytes) {
-                        assert!(4 * out.capacity() <= 32 * bytes.len(), "allocation above 32×");
+        // Through every build this CPU runs: every truncation and every
+        // single-bit flip of the header and bitmap (and a stretch of the
+        // words) of blobs in both modes, a typed error or a value whose
+        // size the bytes present justify.
+        for &build in probe::builds() {
+            let mut gen = ByteGen(0x5EED_0004);
+            for n in [1usize, 8, 9, 15, 16, 17, 64, 200] {
+                for zero_share in [0u64, 2, 4] {
+                    let values: Vec<f32> = (0..n)
+                        .map(|_| {
+                            let r = gen.next_u64();
+                            f32::from_bits(if r % 4 < zero_share {
+                                0
+                            } else {
+                                (r >> 32) as u32 | 1
+                            })
+                        })
+                        .collect();
+                    let packed = pack_by(&values, build);
+                    let check = |bytes: &[u8]| {
+                        if let Ok(out) = unpack_as(bytes, build) {
+                            assert!(
+                                4 * out.capacity() <= 32 * bytes.len(),
+                                "{build:?}: allocation above 32×"
+                            );
+                        }
+                    };
+                    for cut in 0..packed.len() {
+                        assert!(
+                            unpack_as(&packed[..cut], build).is_err(),
+                            "{build:?}: cut {cut}/{n}"
+                        );
                     }
-                };
-                for cut in 0..packed.len() {
-                    assert!(decompress_floats(&packed[..cut]).is_err(), "cut {cut}/{n}");
-                }
-                let flippable = (5 + n.div_ceil(8) + 16).min(packed.len());
-                for bit in 0..8 * flippable {
-                    let mut bad = packed.clone();
-                    bad[bit / 8] ^= 1 << (bit % 8);
-                    check(&bad);
-                }
-                for _ in 0..64 {
-                    let len = (gen.next_u64() % 64) as usize;
-                    check(&gen.bytes(len));
+                    let flippable = (5 + n.div_ceil(8) + 16).min(packed.len());
+                    for bit in 0..8 * flippable {
+                        let mut bad = packed.clone();
+                        bad[bit / 8] ^= 1 << (bit % 8);
+                        check(&bad);
+                    }
+                    for _ in 0..64 {
+                        let len = (gen.next_u64() % 64) as usize;
+                        check(&gen.bytes(len));
+                    }
                 }
             }
         }

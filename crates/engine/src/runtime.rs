@@ -350,8 +350,24 @@ impl DeviceClient {
             }
         }
         drop(frames_tx);
-        let frame_bytes = sent.recv().ok_or_else(|| io_thread_died("uplink"))??;
-        let results = collected.recv().ok_or_else(|| io_thread_died("results"))??;
+        let sent = sent.recv().ok_or_else(|| io_thread_died("uplink")).and_then(|sent| sent);
+        if sent.is_err() {
+            // The results thread may still wait on replies to frames the
+            // edge never got; the shutdown ends its read.
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let collected =
+            collected.recv().ok_or_else(|| io_thread_died("results")).and_then(|got| got);
+        let (frame_bytes, results) = match (sent, collected) {
+            (Ok(sent), Ok(collected)) => (sent, collected),
+            // The uplink's write failed because the connection broke; the
+            // results thread says why: a reply it refused (it broke the
+            // connection then) or the edge gone.
+            (Err(EngineError::Io(_)), Err(e)) => return Err(e),
+            // A frame the uplink refused itself is the cause; what the
+            // results thread read after the shutdown is not.
+            (Err(e), _) | (_, Err(e)) => return Err(e),
+        };
         let predictions = results.iter().map(|&(prediction, _)| prediction).collect();
         let frame_latencies_s =
             results.iter().zip(starts_s).map(|(&(_, done_s), s)| (done_s - s).max(0.0)).collect();
@@ -736,6 +752,43 @@ mod tests {
         let mut client =
             DeviceClient::connect(addr, WeightBank::new(2, 1), 7, CONNECT).expect("connect");
         client.swap_plan(plan).expect("swap");
+        let err = client.run_pipelined(ds.samples()).expect_err("empty logits are refused");
+        assert!(
+            matches!(&err, EngineError::Protocol(m) if m.contains("0×4 logits are empty")),
+            "{err}"
+        );
+        drop(client);
+        peer.join().expect("the peer exits");
+    }
+
+    #[test]
+    fn a_bad_reply_mid_upload_is_the_runs_error_not_the_broken_pipe_it_causes() {
+        // A peer that answers each state frame with empty 0×4 logits as
+        // soon as it arrives, while the device is still writing: the
+        // results thread refuses the first reply and shuts the socket
+        // down under the uplink's next write.
+        let ds = PointCloudDataset::generate(64, 2048, 2, 9);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            while let Ok(Some(body)) = read_message(&mut stream) {
+                if let Ok(Frame::State(state)) = decode_frame(&body) {
+                    let empty = gcode_tensor::Matrix::zeros(0, 4);
+                    let reply = Frame::State(WireState { features: empty, graph: None, ..state });
+                    if write_message(&mut stream, &encode_frame(&reply)).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        let edge_only = ExecutionPlan::from_architecture(&Architecture::new(vec![
+            Op::Communicate,
+            Op::GlobalPool(PoolMode::Max),
+        ]));
+        let mut client =
+            DeviceClient::connect(addr, WeightBank::new(2, 1), 7, CONNECT).expect("connect");
+        client.swap_plan(edge_only).expect("swap");
         let err = client.run_pipelined(ds.samples()).expect_err("empty logits are refused");
         assert!(
             matches!(&err, EngineError::Protocol(m) if m.contains("0×4 logits are empty")),
