@@ -4,15 +4,14 @@
 
 use crate::frame::{DeviceCore, DeviceStep, EdgeCore, EdgeStep};
 use crate::plan::ExecutionPlan;
-use crate::proto::{
-    decode_frame, encode_frame, read_message, read_message_into, write_message, Frame,
-};
+use crate::proto::{decode_frame, encode_frame, read_message_into, write_message, Frame};
 use crate::throttle::Throttle;
 use crate::{protocol, EngineError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gcode_graph::datasets::Sample;
 use gcode_nn::seq::WeightBank;
 use serde::{Deserialize, Serialize};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -152,22 +151,29 @@ impl Drop for EdgeServer {
     }
 }
 
+/// Bytes a socket's reader buffers: a burst of search-scale frames or
+/// results arrives in one `read`, and a body longer than this (a
+/// 1024-point activation) is read past the buffer, straight into its
+/// message.
+const RECV_BUFFER: usize = 64 << 10;
+
 /// Serves device connections one after another, frame by frame, through
 /// the edge core: each connection starts a session with no plan, and a
 /// `Shutdown` frame ends the loop.
 fn serve(listener: TcpListener, mut core: EdgeCore) -> Result<(), EngineError> {
-    // One receive buffer for the edge, not one per frame: a fresh buffer
+    // One message body for the edge, not one per frame: a fresh buffer
     // freed beside the decoded features puts two same-sized transient
     // allocations (256 KiB each for a 1024 × 64 activation) at glibc's
     // dynamic trim threshold, where a few KiB of heap layout decide
     // whether every frame hands its memory back to the OS and faults it in
-    // again.
+    // again. The socket is read through a `RECV_BUFFER` of its own, so a
+    // small frame's prefix and body come in one `read`, not two.
     let mut body = Vec::new();
     loop {
         let (stream, _) = listener.accept()?;
         core.end_session();
         stream.set_nodelay(true)?;
-        let mut reader = stream.try_clone()?;
+        let mut reader = BufReader::with_capacity(RECV_BUFFER, stream.try_clone()?);
         let mut writer = stream;
         while read_message_into(&mut reader, &mut body)? {
             match core.serve(decode_frame(&body)?)? {
@@ -454,7 +460,7 @@ impl IoThreads {
     /// thread joined before the error returns.
     fn start(stream: &TcpStream) -> Result<Self, EngineError> {
         let mut writer = stream.try_clone()?;
-        let mut reader = stream.try_clone()?;
+        let mut reader = BufReader::with_capacity(RECV_BUFFER, stream.try_clone()?);
         let (uplink, uplink_runs) = unbounded::<UplinkRun>();
         let (results, collect_runs) = unbounded::<CollectRun>();
         let uplink_thread =
@@ -473,7 +479,7 @@ impl IoThreads {
                         // The device thread may be waiting on the uplink,
                         // itself stuck writing to an edge that no longer
                         // reads; the shutdown fails that write.
-                        let _ = reader.shutdown(Shutdown::Both);
+                        let _ = reader.get_ref().shutdown(Shutdown::Both);
                     }
                     if !hand_back(collected, &reply) {
                         return;
@@ -530,15 +536,16 @@ fn send_run(
 /// rogue edge is a protocol error, not a panic or a silent
 /// prediction/latency misalignment.
 fn collect_run(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     frames: usize,
     epoch: Instant,
 ) -> Result<Vec<Collected>, EngineError> {
     let mut results = vec![None; frames];
+    let mut body = Vec::new();
     for _ in 0..frames {
-        let Some(body) = read_message(&mut *reader)? else {
+        if !read_message_into(&mut *reader, &mut body)? {
             return Err(protocol("edge closed before all results arrived"));
-        };
+        }
         let (frame_id, prediction) = DeviceCore::reply(decode_frame(&body)?)?;
         let slot = results.get_mut(frame_id as usize).filter(|slot| slot.is_none());
         *slot.ok_or_else(|| {
@@ -561,7 +568,7 @@ fn hand_back<T>(outcome: Result<T, EngineError>, reply: &Sender<Result<T, Engine
 mod tests {
     use super::*;
     use crate::pool::EdgePool;
-    use crate::proto::WireState;
+    use crate::proto::{read_message, WireState};
     use gcode_core::arch::Architecture;
     use gcode_core::op::{Op, SampleFn};
     use gcode_graph::datasets::PointCloudDataset;

@@ -194,7 +194,9 @@ fn rank(d: f32, v: usize) -> u64 {
 /// collects everything. The second pass decides 64 entries at a time into a
 /// bit mask of `!(d > bound)` — the same set as `d <= bound || d.is_nan()`,
 /// since the bound is never NaN — with no branch per entry, and visits the
-/// set bits.
+/// set bits. Where the lanes span the whole row (`n` at most twice
+/// `kk + 1`, rounded up to 8) the first pass is skipped and every entry
+/// collected. Of what was collected, only the `kk` smallest are sorted.
 struct Selector {
     kk: usize,
     lane_min: Vec<f32>,
@@ -213,13 +215,20 @@ impl Selector {
     #[inline(always)]
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(d > bound)` admits NaN on purpose
     fn nearest(&mut self, row: &[f32], u: usize) -> &[u64] {
-        self.lane_min.fill(f32::INFINITY);
-        for chunk in row.chunks(self.lane_min.len()) {
-            for (m, &d) in self.lane_min.iter_mut().zip(chunk) {
-                *m = if d < *m { d } else { *m };
+        // Lanes that span the row are the row itself: the bound would
+        // cost a selection over the whole row, so every entry is collected
+        // instead.
+        let bound = if self.lane_min.len() == row.len() {
+            f32::INFINITY
+        } else {
+            self.lane_min.fill(f32::INFINITY);
+            for chunk in row.chunks(self.lane_min.len()) {
+                for (m, &d) in self.lane_min.iter_mut().zip(chunk) {
+                    *m = if d < *m { d } else { *m };
+                }
             }
-        }
-        let (_, &mut bound, _) = self.lane_min.select_nth_unstable_by(self.kk, f32::total_cmp);
+            *self.lane_min.select_nth_unstable_by(self.kk, f32::total_cmp).1
+        };
         self.ranked.clear();
         for (v0, chunk) in (0..).step_by(64).zip(row.chunks(64)) {
             let mut near = 0u64;
@@ -235,6 +244,12 @@ impl Selector {
                 near &= near - 1;
             }
         }
+        // Keys are distinct, so the `kk` smallest, sorted, are the first
+        // `kk` of the whole run sorted.
+        if self.ranked.len() > self.kk {
+            self.ranked.select_nth_unstable(self.kk);
+            self.ranked.truncate(self.kk);
+        }
         self.ranked.sort_unstable();
         &self.ranked[..self.kk]
     }
@@ -246,20 +261,24 @@ impl Selector {
 ///
 /// With `n <= k` nodes every other node becomes a neighbor.
 pub fn random_graph(n: usize, k: usize, rng: &mut impl Rng) -> CsrGraph {
-    let mut adj = Vec::with_capacity(n);
+    let kk = k.min(n.saturating_sub(1));
+    let mut targets = Vec::with_capacity(n * kk);
+    // `mark[v] == u + 1`: `v` is `u` itself or already one of its targets.
+    let mut mark = vec![0usize; n];
     for u in 0..n {
-        let kk = k.min(n.saturating_sub(1));
-        let mut chosen = Vec::with_capacity(kk);
+        mark[u] = u + 1;
         // Reservoir-free rejection sampling is fine at these densities.
-        while chosen.len() < kk {
-            let v = rng.gen_range(0..n) as u32;
-            if v as usize != u && !chosen.contains(&v) {
-                chosen.push(v);
+        let mut left = kk;
+        while left > 0 {
+            let v = rng.gen_range(0..n);
+            if mark[v] != u + 1 {
+                mark[v] = u + 1;
+                targets.push(v as u32);
+                left -= 1;
             }
         }
-        adj.push(chosen);
     }
-    CsrGraph::from_adjacency(adj)
+    CsrGraph::from_degrees(std::iter::repeat_n(kk, n), targets)
 }
 
 /// Number of multiply-accumulate-equivalent operations a brute-force KNN
@@ -618,6 +637,42 @@ mod tests {
             ns.sort_unstable();
             ns.dedup();
             assert_eq!(ns.len(), 4);
+        }
+    }
+
+    /// The `random_graph` the mark array replaced — one `Vec` per node,
+    /// deduplicated by `contains` — kept as the reference it must match
+    /// graph for graph and draw for draw.
+    fn random_graph_reference(n: usize, k: usize, rng: &mut impl Rng) -> CsrGraph {
+        let mut adj = Vec::with_capacity(n);
+        for u in 0..n {
+            let kk = k.min(n.saturating_sub(1));
+            let mut chosen = Vec::with_capacity(kk);
+            while chosen.len() < kk {
+                let v = rng.gen_range(0..n) as u32;
+                if v as usize != u && !chosen.contains(&v) {
+                    chosen.push(v);
+                }
+            }
+            adj.push(chosen);
+        }
+        CsrGraph::from_adjacency(adj)
+    }
+
+    #[test]
+    fn random_graph_matches_the_reference_and_draws_as_much() {
+        use rand::RngCore;
+        for n in [0usize, 1, 2, 5, 12, 23, 24, 25, 64, 300] {
+            for k in [0, 1, 3, 10, 20, n.saturating_sub(1), n, n + 5] {
+                for seed in 0..50 {
+                    let mut fast = ChaCha8Rng::seed_from_u64(seed);
+                    let mut reference = ChaCha8Rng::seed_from_u64(seed);
+                    let case = format!("n {n} k {k} seed {seed}");
+                    let want = random_graph_reference(n, k, &mut reference);
+                    assert_eq!(random_graph(n, k, &mut fast), want, "{case}");
+                    assert_eq!(fast.next_u64(), reference.next_u64(), "{case}: next draw");
+                }
+            }
         }
     }
 

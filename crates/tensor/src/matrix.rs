@@ -415,14 +415,20 @@ impl NonZeroRows {
     #[inline(always)]
     fn of(data: &[f32], cols: usize) -> Self {
         assert!(u32::try_from(cols).is_ok(), "matmul inner dimension exceeds u32");
-        let mut entries = Vec::with_capacity(data.len());
+        // Branch-free: every entry is written at the end of the kept run,
+        // and the end moves past it only if it is not zero. On ReLU output
+        // about half the entries are zero, a branch per entry a coin flip.
+        let mut entries = vec![(0u32, 0.0f32); data.len()];
         let mut row_ends = Vec::with_capacity(data.len() / cols);
+        let mut end = 0;
         for row in data.chunks_exact(cols) {
-            entries.extend(
-                row.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(k, &a)| (k as u32, a)),
-            );
-            row_ends.push(entries.len());
+            for (k, &a) in row.iter().enumerate() {
+                entries[end] = (k as u32, a);
+                end += usize::from(a != 0.0);
+            }
+            row_ends.push(end);
         }
+        entries.truncate(end);
         Self { entries, row_ends }
     }
 

@@ -16,10 +16,12 @@ pub trait RngCore {
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         (**self).next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
@@ -111,7 +113,13 @@ macro_rules! impl_int_uniform {
                     "empty gen_range"
                 );
                 let span = (high as i128 - low as i128) as u128 + extra;
-                let offset = (rng.next_u64() as u128) % span;
+                let draw = rng.next_u64();
+                // The remainder `draw as u128 % span`, by a `u64` division
+                // for every span but the one past `u64::MAX` (2⁶⁴).
+                let offset = match u64::try_from(span) {
+                    Ok(span) => u128::from(draw % span),
+                    Err(_) => u128::from(draw) % span,
+                };
                 (low as i128 + offset as i128) as $t
             }
         }
@@ -211,6 +219,74 @@ mod tests {
             let g: f32 = rng.gen_range(-0.5f32..=0.5);
             assert!((-0.5..=0.5).contains(&g));
         }
+    }
+
+    /// Hands out the words it was given, in order.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a scripted word")
+        }
+    }
+
+    /// Draws that land on every edge of a `u64` remainder.
+    const EDGE_DRAWS: [u64; 9] = [
+        0,
+        1,
+        2,
+        u64::MAX,
+        u64::MAX - 1,
+        1 << 63,
+        (1 << 63) - 1,
+        0x9E37_79B9_7F4A_7C15,
+        0xFFFF_FFFF,
+    ];
+
+    /// `gen_range(low..high)` (or `..=`) against the remainder of each
+    /// draw by the range's span in `u128`, the formula the reduction
+    /// replaced.
+    fn assert_reduces_like_u128<T>(low: T, high: T, inclusive: bool)
+    where
+        T: SampleUniform + Copy + Into<i128> + PartialEq + std::fmt::Debug,
+    {
+        let span = (high.into() - low.into()) as u128 + u128::from(inclusive);
+        for draw in EDGE_DRAWS {
+            let mut rng = Scripted(vec![draw].into_iter());
+            let got = T::sample_between(&mut rng, low, high, inclusive);
+            let want = low.into() + (u128::from(draw) % span) as i128;
+            assert_eq!(got.into(), want, "{low:?}..{high:?} inclusive {inclusive} draw {draw:#x}");
+        }
+    }
+
+    #[test]
+    fn integer_ranges_reduce_like_the_u128_remainder() {
+        // The spans of 2⁶⁴, which no `u64` holds.
+        assert_reduces_like_u128(0u64, u64::MAX, true);
+        assert_reduces_like_u128(i64::MIN, i64::MAX, true);
+        // The widest spans a `u64` holds, and one of one.
+        assert_reduces_like_u128(0u64, u64::MAX, false);
+        assert_reduces_like_u128(i64::MIN, i64::MAX, false);
+        assert_reduces_like_u128(i64::MIN + 1, i64::MAX, true);
+        assert_reduces_like_u128(u64::MAX - 1, u64::MAX, false);
+        assert_reduces_like_u128(u64::MAX - 1, u64::MAX, true);
+        // Small spans, unsigned and signed, in every width.
+        assert_reduces_like_u128(0u8, 1, false);
+        assert_reduces_like_u128(0u8, u8::MAX, true);
+        assert_reduces_like_u128(-3i16, 3, true);
+        assert_reduces_like_u128(7u32, 13, false);
+        assert_reduces_like_u128(-40i32, -2, false);
+        assert_reduces_like_u128(5i64, 5, true);
+        for n in [1usize, 2, 3, 23, 24, 300] {
+            assert_reduces_like_u128(0u64, n as u64, false);
+        }
+        let mut rng = Scripted(vec![u64::MAX, 12].into_iter());
+        assert_eq!(rng.gen_range(0..24usize), (u64::MAX % 24) as usize);
+        assert_eq!(rng.gen_range(-5..=5isize), 12 % 11 - 5);
     }
 
     #[test]
