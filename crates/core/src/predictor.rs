@@ -334,6 +334,26 @@ impl LatencyPredictor {
     }
 }
 
+/// `n` architectures drawn from `space` by a ChaCha8 stream seeded with
+/// `seed`, each labelled with `latency_s` — the training set of a
+/// predictor tier fitted inside the search loop.
+pub fn sampled_latencies(
+    space: &crate::space::DesignSpace,
+    n: usize,
+    seed: u64,
+    latency_s: impl Fn(&Architecture) -> f64,
+) -> Vec<(Architecture, f64)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let sampler = space.sampler();
+    (0..n)
+        .map(|_| {
+            let arch = sampler.sample(&mut rng);
+            let latency = latency_s(&arch);
+            (arch, latency)
+        })
+        .collect()
+}
+
 /// Fraction of predictions within `bound` relative error of the target —
 /// the Fig. 9(a) metric (`bound` = 0.05 or 0.10).
 pub fn within_bound_accuracy(preds: &[f64], targets: &[f64], bound: f64) -> f64 {

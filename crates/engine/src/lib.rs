@@ -70,6 +70,7 @@ pub mod pool;
 pub mod proto;
 pub mod runtime;
 pub mod scenario;
+pub mod spec;
 pub mod throttle;
 
 pub use backend::{measure_cached, EngineBackend, ProfileFold, DEPLOY_FAILURE_SENTINEL};
@@ -89,6 +90,7 @@ pub use proto::{
 };
 pub use runtime::EngineStats;
 pub use scenario::replay_on_fleet;
+pub use spec::{SearchSpec, MAX_SESSION_ITERATIONS};
 pub use throttle::Throttle;
 
 /// Errors surfaced by the engine.

@@ -348,17 +348,12 @@ pub const PROTOCOL_VERSION: u8 = 4;
 /// misread, and no v2 id can be taken for a v3 one.
 pub const PLAN_WIRE_VERSION: u8 = 3;
 
-/// Which built-in workload a served search session runs on. The server
-/// owns the dataset/space fixtures for each task so that every client
+/// Which built-in workload a served search session runs on: the task the
+/// accuracy surrogate is calibrated to. The server owns the dataset/space
+/// fixtures for each task (`SearchSpec::served`) so that every client
 /// submitting the same `(task, config, objective)` gets bit-identical
 /// results — a client never ships data, only the task name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SessionTask {
-    /// Point-cloud classification (ModelNet40-style mini workload).
-    ModelNet40,
-    /// Text-graph classification (MR-style mini workload).
-    Mr,
-}
+pub use gcode_core::surrogate::SurrogateTask as SessionTask;
 
 /// Everything a client ships to open a search session: the search
 /// hyper-parameters (including the per-session seed that keeps tenants

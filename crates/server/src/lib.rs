@@ -18,11 +18,12 @@
 //!   shared [`gcode_engine::EdgeFleet`] directly — the fleet's first come,
 //!   first served pool checkout interleaves tenants candidate by
 //!   candidate, so one giant zoo cannot starve a small one;
-//! * [`session`] — the deterministic per-session pipeline (analytic→sim
-//!   fidelity ladder seeded by the client's `SearchConfig`, then zoo
-//!   deployment on the fleet) and [`run_standalone`], the same pipeline
-//!   run without a server — the reference every served session is
-//!   asserted bit-identical against;
+//! * [`session`] — [`run_search`], the one search runner `gcode search`
+//!   and every served session call on a [`SearchSpec`]; the per-session
+//!   pipeline (the daemon's analytic→sim preset seeded by the client's
+//!   `SearchConfig`, then zoo deployment on the fleet); and
+//!   [`run_standalone`], the same pipeline run without a server — the
+//!   reference every served session is asserted bit-identical against;
 //! * [`client::ServerClient`] — the typed client: handshake, open with
 //!   backoff on `Busy`, submit, poll, and wait for the winner.
 //!
@@ -69,8 +70,9 @@ pub mod server;
 pub mod session;
 
 pub use client::{Admission, PollReply, ServerClient};
+pub use gcode_engine::{SearchSpec, MAX_SESSION_ITERATIONS};
 pub use server::{SearchServer, ServerConfig};
-pub use session::{run_standalone, MAX_SESSION_ITERATIONS, SERVE_BANK_SEED, SERVE_RUN_SEED};
+pub use session::{run_search, run_standalone, SERVE_BANK_SEED, SERVE_RUN_SEED};
 
 use gcode_engine::EngineError;
 

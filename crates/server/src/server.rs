@@ -20,13 +20,14 @@
 //! counts — backpressure the client can see and retry on — never with a
 //! dropped connection or an unbounded queue.
 
-use crate::session::{run_pipeline, serve_fleet, MAX_SESSION_ITERATIONS};
+use crate::session::{run_pipeline, serve_fleet};
 use crate::ServerError;
 use gcode_core::cachelog::{open_shared, SharedCacheLog};
 use gcode_core::eval::FleetStats;
 use gcode_engine::{
     decode_frame, encode_frame, frame_name, read_message, write_message, EdgeFleet, FleetSpec,
-    Frame, SessionOutcome, SessionProgress, SessionSpec, SessionState, PROTOCOL_VERSION,
+    Frame, SessionOutcome, SessionProgress, SessionSpec, SessionState, MAX_SESSION_ITERATIONS,
+    PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};

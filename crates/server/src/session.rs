@@ -1,18 +1,18 @@
-//! The deterministic per-session search pipeline, and its standalone twin.
+//! The search runner, and the per-session pipeline built on it.
 //!
-//! A served session runs in two stages. Stage one is the search itself: a
-//! two-rung analytic→sim fidelity ladder over the task's design space,
-//! driven by the client's `SearchConfig` — every source of randomness is
-//! derived from `config.seed`, so the stage is bit-reproducible and
-//! completely independent of the other tenants. Stage two (when
-//! `measure_zoo` is set) deploys the finished zoo on an edge fleet and
-//! records the live measurements; predictions there are pinned by the
-//! fleet's per-slot-seeded supernet `WeightBank`, so *which* fleet
-//! measures the zoo — the server's shared one, interleaved candidate by
-//! candidate with other tenants, or a private single pool — never changes
-//! them.
+//! [`run_search`] runs one [`SearchSpec`]: it builds the spec's tiers,
+//! checks the ladder and runs the search. `gcode search` and every served
+//! session call it — a session runs [`SearchSpec::served`] of its
+//! [`SessionSpec`], the daemon's preset, so every source of randomness is
+//! derived from `config.seed`, and the stage is bit-reproducible and
+//! independent of the other tenants. When `measure_zoo` is set, a served
+//! session then deploys the finished zoo on an edge fleet and records the
+//! live measurements; predictions there are pinned by the fleet's
+//! per-slot-seeded supernet `WeightBank`, so *which* fleet measures the
+//! zoo — the server's shared one, interleaved candidate by candidate with
+//! other tenants, or a private single pool — never changes them.
 //!
-//! [`run_standalone`] runs both stages without any server, over a private
+//! [`run_standalone`] runs a session without any server, over a private
 //! one-pool fleet: the reference a served session is asserted
 //! bit-identical against in the session-isolation tests. The two differ
 //! only in the fleet the zoo runs on and the cache log, if any; the rest
@@ -22,19 +22,24 @@
 //! config, fleet seeds): a client ships a [`SessionSpec`], never data, so
 //! two clients submitting the same spec get the same answer.
 
-use gcode_core::arch::{Architecture, WorkloadProfile};
-use gcode_core::eval::backend::{AnalyticBackend, CascadeBackend};
+use gcode_core::arch::Architecture;
+use gcode_core::cachelog::SharedCacheLog;
+use gcode_core::eval::backend::{
+    AnalyticBackend, CascadeBackend, EvalBackend, Fidelity, TierStats,
+};
 use gcode_core::eval::{Evaluator, Metrics, SearchReport, SearchSession};
+use gcode_core::predictor::{
+    sampled_latencies, LatencyPredictor, PredictorConfig, PredictorEvaluator,
+};
 use gcode_core::search::{RandomSearch, SearchResult};
 use gcode_core::space::DesignSpace;
-use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode_core::surrogate::SurrogateAccuracy;
 use gcode_engine::{
-    measure_cached, EdgeFleet, ExecutionPlan, FleetSpec, ProfileFold, SessionOutcome, SessionSpec,
-    SessionTask,
+    measure_cached, EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec, ProfileFold, SearchSpec,
+    SessionOutcome, SessionSpec,
 };
-use gcode_graph::datasets::{PointCloudDataset, Sample, TextGraphDataset};
-use gcode_hardware::SystemConfig;
-use gcode_sim::{SimBackend, SimConfig};
+use gcode_graph::datasets::Sample;
+use gcode_sim::{simulate, SimBackend, SimConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Classes in the shared supernet `WeightBank` every fleet pool serves.
@@ -56,57 +61,6 @@ pub const SERVE_RUN_SEED: u64 = 0x5EED_0123;
 /// predictions interchangeable.
 pub(crate) fn serve_fleet(spec: FleetSpec) -> EdgeFleet {
     EdgeFleet::new(spec, SERVE_NUM_CLASSES, SERVE_BANK_SEED, SERVE_RUN_SEED)
-}
-
-/// Seed of the per-task measurement streams.
-const SERVE_STREAM_SEED: u64 = 47;
-
-/// Frames per zoo deployment (stream length).
-const SERVE_STREAM_LEN: usize = 4;
-
-/// Hard cap on a client's trial budget in both search stages (stage-1
-/// `iterations` and stage-2 `tuning_iterations`) — admission control for
-/// the search stage itself: one tenant must not park a worker slot on a
-/// year-long search.
-pub const MAX_SESSION_ITERATIONS: usize = 20_000;
-
-/// The design-space profile a task's sessions search over (reduced-size
-/// mini workloads: the serve loop optimizes for session throughput, and
-/// the space/cost structure is what matters, not the node count).
-fn profile_of(task: SessionTask) -> WorkloadProfile {
-    match task {
-        SessionTask::ModelNet40 => WorkloadProfile::modelnet40_mini(24, 4),
-        SessionTask::Mr => WorkloadProfile {
-            num_nodes: 12,
-            in_dim: 24,
-            provides_graph: true,
-            provided_degree: 4,
-            num_classes: 2,
-        },
-    }
-}
-
-fn surrogate_of(task: SessionTask) -> SurrogateTask {
-    match task {
-        SessionTask::ModelNet40 => SurrogateTask::ModelNet40,
-        SessionTask::Mr => SurrogateTask::Mr,
-    }
-}
-
-/// The fixed measurement stream zoo winners of this task deploy against.
-/// Regenerated per call (cheap at this size) and seeded by server
-/// constants, so every session of a task measures the identical frames.
-fn stream_of(task: SessionTask) -> Vec<Sample> {
-    match task {
-        SessionTask::ModelNet40 => {
-            PointCloudDataset::generate(SERVE_STREAM_LEN, 24, 4, SERVE_STREAM_SEED)
-                .samples()
-                .to_vec()
-        }
-        SessionTask::Mr => TextGraphDataset::generate(SERVE_STREAM_LEN, 12, 24, SERVE_STREAM_SEED)
-            .samples()
-            .to_vec(),
-    }
 }
 
 /// Pass-through evaluator that counts candidate evaluations for the
@@ -135,36 +89,106 @@ impl Evaluator for CountingEval<'_> {
     }
 }
 
-/// Stage one: the deterministic search. `evaluated` is bumped per
-/// candidate so the server can answer `Poll` with live progress; pass a
-/// scratch counter when running standalone.
-fn run_search(spec: &SessionSpec, evaluated: &AtomicU64) -> (SearchReport, SearchResult) {
-    let profile = profile_of(spec.task);
-    let sys = SystemConfig::tx2_to_i7(40.0);
+/// Runs one search. Builds `spec`'s tiers — every one prices
+/// `spec.profile` on `spec.system` with the task's surrogate accuracy; the
+/// engine tier measures [`SearchSpec::stream`] on `fleet` — stacks two or
+/// more into a ladder, and runs the search, bumping `evaluated` per
+/// candidate. With a `cache` log the engine tier answers repeated runs
+/// from it and the session's memo files its records under
+/// [`SearchSpec::cache_tag`]. Returns the report (with the engine tier's
+/// telemetry when it ran), the result and the ladder's per-tier counters
+/// (empty for a single tier).
+///
+/// # Errors
+///
+/// A spec that names no tier, tiers that are not cheapest first, or keep
+/// fractions that are not 1 or one per step, each in `[0, 1]`.
+pub fn run_search(
+    spec: &SearchSpec,
+    fleet: &FleetSpec,
+    cache: Option<&SharedCacheLog>,
+    evaluated: &AtomicU64,
+) -> Result<(SearchReport, SearchResult, Vec<TierStats>), String> {
+    let n = spec.tiers.len();
+    if n == 0 {
+        return Err("--tiers: name at least one tier".into());
+    }
+    if n > 1 && spec.keep_fracs.len() != 1 && spec.keep_fracs.len() != n - 1 {
+        return Err(format!("--keep-frac: need 1 or {} fractions for {n} tiers", n - 1));
+    }
+    if let Some(f) = spec.keep_fracs.iter().find(|f| !(0.0..=1.0).contains(*f)) {
+        return Err(format!("--keep-frac: `{f}` is not a fraction in [0, 1]"));
+    }
+    let (profile, sys) = (spec.profile, &spec.system);
     let space = DesignSpace::paper(profile);
-    let s_cheap = SurrogateAccuracy::new(surrogate_of(spec.task));
-    let cheap = AnalyticBackend {
-        profile,
-        sys: sys.clone(),
-        accuracy_fn: move |a: &Architecture| s_cheap.overall_accuracy(a),
-    };
-    let s_mid = SurrogateAccuracy::new(surrogate_of(spec.task));
-    let mid = SimBackend {
-        profile,
-        sys,
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| s_mid.overall_accuracy(a),
-    };
-    let ladder =
-        CascadeBackend::ladder(vec![&cheap, &mid], spec.objective).with_keep_fracs(&[0.25]);
-    let counting = CountingEval { inner: &ladder, evaluated };
-    let mut session = SearchSession::new(&space, &counting).with_objective(spec.objective);
-    let mut config = spec.config;
-    config.iterations = config.iterations.min(MAX_SESSION_ITERATIONS);
-    config.tuning_iterations = config.tuning_iterations.min(MAX_SESSION_ITERATIONS);
-    let result = session.run(&RandomSearch::new(config));
-    let report = session.report("serve:analytic-sim", &result);
-    (report, result)
+    let surrogate = SurrogateAccuracy::new(spec.task);
+    let accuracy = move |a: &Architecture| surrogate.overall_accuracy(a);
+    // The engine tier stays concrete so its telemetry can be read back.
+    let engine = spec.tiers.contains(&Fidelity::Measured).then(|| {
+        let engine = EngineBackend::new(spec.stream(), profile.num_classes, sys.clone(), accuracy)
+            .with_frames(spec.frames)
+            .with_warmup(spec.warmup)
+            .with_uplink_mbps(sys.link.bandwidth_mbps)
+            .with_fleet(fleet.clone());
+        match cache {
+            Some(log) => engine.with_cache_log(log.clone()),
+            None => engine,
+        }
+    });
+    let sim = SimConfig::single_frame();
+    let analytic = AnalyticBackend { profile, sys: sys.clone(), accuracy_fn: accuracy };
+    let simulated = SimBackend { profile, sys: sys.clone(), sim, accuracy_fn: accuracy };
+    let predictor = spec.tiers.contains(&Fidelity::Predicted).then(|| {
+        // The training-data pipeline in the search loop: price a small
+        // seed population with the simulator and fit the GIN latency
+        // predictor on it before the search starts.
+        let data = sampled_latencies(&space, 48, spec.config.seed ^ 0x9D1C70, |a| {
+            simulate(a, &profile, sys, &sim).frame_latency_s
+        });
+        let config = PredictorConfig { hidden: 32, epochs: 60, ..Default::default() };
+        let predictor = LatencyPredictor::train(config, profile, sys.clone(), &data);
+        PredictorEvaluator { predictor, accuracy_fn: accuracy }
+    });
+    let tiers: Vec<&dyn EvalBackend> = spec
+        .tiers
+        .iter()
+        .map(|tier| match tier {
+            Fidelity::Analytic => &analytic as &dyn EvalBackend,
+            Fidelity::Simulated => &simulated,
+            Fidelity::Predicted => predictor.as_ref().expect("the predictor tier is built"),
+            Fidelity::Measured => engine.as_ref().expect("the engine tier is built"),
+        })
+        .collect();
+    if let Some(pair) = tiers.windows(2).find(|p| p[0].cost_hint() > p[1].cost_hint()) {
+        return Err(format!(
+            "--tiers must be ordered cheapest-first: `{}` (cost {:.0}x) precedes `{}` (cost {:.0}x)",
+            pair[0].name(),
+            pair[0].cost_hint(),
+            pair[1].name(),
+            pair[1].cost_hint()
+        ));
+    }
+    let ladder = (n > 1).then(|| {
+        let fracs = match spec.keep_fracs[..] {
+            [f] => vec![f; n - 1],
+            ref fracs => fracs.to_vec(),
+        };
+        CascadeBackend::ladder(tiers.clone(), spec.objective).with_keep_fracs(&fracs)
+    });
+    let backend = ladder.as_ref().map_or(tiers[0], |l| l as &dyn EvalBackend);
+    let counting = CountingEval { inner: backend, evaluated };
+    let mut session = SearchSession::new(&space, &counting)
+        .with_objective(spec.objective)
+        .with_workers(spec.workers);
+    if let Some(log) = cache {
+        session = session.with_cache_log(log.clone(), &spec.cache_tag(fleet));
+    }
+    let result = session.run(&RandomSearch::new(spec.config));
+    let mut report = session.report(backend.name(), &result);
+    if let Some(engine) = &engine {
+        report = report.with_measured(engine.measured_profile()).with_fleet(engine.fleet_stats());
+    }
+    Ok((report, result, ladder.map_or_else(Vec::new, |l| l.tier_stats())))
 }
 
 /// Lowers every zoo entry to its runnable plan, winner first: the one
@@ -176,51 +200,58 @@ fn zoo_plans(result: &SearchResult) -> Vec<ExecutionPlan> {
 
 /// Stage three (when the spec carries a [`ScenarioTrace`]): replay the
 /// trace against the finished zoo on a *session-private* one-pool fleet
-/// seeded with the serve-side constants, driving the task's fixed
-/// measurement stream. Private because a scenario mutates fleet state
-/// between segments (uplink re-caps, plan swaps) — it must never touch
-/// the shared tenant fleet. The per-slot seeding contract makes the
-/// reports' prediction-derived fields bit-identical between a served
-/// session and [`run_standalone`], for any pool count.
+/// seeded with the serve-side constants, driving the spec's measurement
+/// stream. Private because a scenario mutates fleet state between
+/// segments (uplink re-caps, plan swaps) — it must never touch the shared
+/// tenant fleet. The per-slot seeding contract makes the reports'
+/// prediction-derived fields bit-identical between a served session and
+/// [`run_standalone`], for any pool count.
 ///
 /// Returns `None` when the spec has no trace or the replay failed — an
 /// empty zoo fails it before anything is spawned (a scenario is a
 /// best-effort addendum to the report: it never fails the session that
 /// carried it).
+///
+/// [`ScenarioTrace`]: gcode_core::eval::scenario::ScenarioTrace
 fn run_scenario_stage(
-    spec: &SessionSpec,
+    spec: &SearchSpec,
+    stream: &[Sample],
     result: &SearchResult,
 ) -> Option<Vec<gcode_core::eval::scenario::ScenarioReport>> {
     let trace = spec.scenario.as_ref()?;
     let zoo = gcode_core::zoo::ArchitectureZoo::new(result.zoo.clone());
     let mut fleet = serve_fleet(FleetSpec::loopback(1));
-    let reports =
-        gcode_engine::replay_on_fleet(&zoo, &mut fleet, &stream_of(spec.task), trace).ok();
+    let reports = gcode_engine::replay_on_fleet(&zoo, &mut fleet, stream, trace).ok();
     let _ = fleet.shutdown();
     reports
 }
 
 /// The whole session pipeline, shared by a served session and
-/// [`run_standalone`]: search (bumping `evaluated` per candidate), measure
-/// the zoo (when `measure_zoo` is set, zoo order, winner first) on `fleet`
-/// through [`measure_cached`] — a plan whose run is already on record for
-/// this fleet and the task's stream never reaches the fleet, and
-/// `on_deploy` is called only when some plan does — fold the runs into the
-/// report's `MeasuredProfile`, then replay the spec's scenario trace, if
-/// any.
+/// [`run_standalone`]: search [`SearchSpec::served`] (bumping `evaluated`
+/// per candidate), measure the zoo (when `measure_zoo` is set, zoo order,
+/// winner first) on `fleet` through [`measure_cached`] — a plan whose run
+/// is already on record for this fleet and the spec's stream never
+/// reaches the fleet, and `on_deploy` is called only when some plan does —
+/// fold the runs into the report's `MeasuredProfile`, then replay the
+/// spec's scenario trace, if any.
 pub(crate) fn run_pipeline(
     spec: &SessionSpec,
     session: u64,
     evaluated: &AtomicU64,
-    cache: Option<&gcode_core::cachelog::SharedCacheLog>,
+    cache: Option<&SharedCacheLog>,
     fleet: &EdgeFleet,
     on_deploy: impl FnOnce(),
 ) -> SessionOutcome {
-    let (mut report, result) = run_search(spec, evaluated);
+    let spec = SearchSpec::served(spec);
+    let (mut report, result, _) = run_search(&spec, &FleetSpec::default(), None, evaluated)
+        .expect("the served preset is a valid ladder");
+    // The name served reports have always carried.
+    report.backend = "serve:analytic-sim".into();
+    let stream = spec.stream();
     let mut winner_predictions = Vec::new();
     if spec.measure_zoo && !result.zoo.is_empty() {
         let plans = zoo_plans(&result);
-        let runs = measure_cached(fleet, &plans, &stream_of(spec.task), cache, on_deploy);
+        let runs = measure_cached(fleet, &plans, &stream, cache, on_deploy);
         let mut fold = ProfileFold::default();
         for (outcome, from_cache) in &runs {
             fold.absorb(outcome, 0, *from_cache);
@@ -230,7 +261,7 @@ pub(crate) fn run_pipeline(
             winner_predictions = preds;
         }
     }
-    if let Some(scenarios) = run_scenario_stage(spec, &result) {
+    if let Some(scenarios) = run_scenario_stage(&spec, &stream, &result) {
         report = report.with_scenarios(scenarios);
     }
     SessionOutcome { session, report, result, winner_predictions }
@@ -257,7 +288,14 @@ mod tests {
     use super::*;
     use gcode_core::eval::Objective;
     use gcode_core::search::SearchConfig;
-    use gcode_engine::plan_wire_id;
+    use gcode_engine::{plan_wire_id, SessionTask, MAX_SESSION_ITERATIONS};
+
+    fn served_search(spec: &SessionSpec, evaluated: &AtomicU64) -> (SearchReport, SearchResult) {
+        let spec = SearchSpec::served(spec);
+        let (report, result, _) =
+            run_search(&spec, &FleetSpec::default(), None, evaluated).expect("a valid ladder");
+        (report, result)
+    }
 
     fn spec(seed: u64, task: SessionTask) -> SessionSpec {
         SessionSpec {
@@ -272,11 +310,11 @@ mod tests {
     #[test]
     fn search_stage_is_seed_reproducible_and_seed_sensitive() {
         let scratch = AtomicU64::new(0);
-        let (r1, a) = run_search(&spec(7, SessionTask::ModelNet40), &scratch);
-        let (r2, b) = run_search(&spec(7, SessionTask::ModelNet40), &scratch);
+        let (r1, a) = served_search(&spec(7, SessionTask::ModelNet40), &scratch);
+        let (r2, b) = served_search(&spec(7, SessionTask::ModelNet40), &scratch);
         assert_eq!(a, b, "same seed, same zoo");
         assert_eq!(r1, r2, "same seed, same report");
-        let (_, c) = run_search(&spec(8, SessionTask::ModelNet40), &scratch);
+        let (_, c) = served_search(&spec(8, SessionTask::ModelNet40), &scratch);
         assert_ne!(a.history, c.history, "different seed, different trajectory");
     }
 
@@ -288,7 +326,7 @@ mod tests {
         // `backend_deploys_the_plan_the_dispatcher_picks` is the other half).
         let scratch = AtomicU64::new(0);
         for task in [SessionTask::ModelNet40, SessionTask::Mr] {
-            let (_, result) = run_search(&spec(7, task), &scratch);
+            let (_, result) = served_search(&spec(7, task), &scratch);
             let plans = zoo_plans(&result);
             assert_eq!(plans.len(), result.zoo.len());
             for (entry, plan) in result.zoo.iter().zip(&plans) {
@@ -302,7 +340,7 @@ mod tests {
     fn both_tasks_produce_feasible_winners() {
         let scratch = AtomicU64::new(0);
         for task in [SessionTask::ModelNet40, SessionTask::Mr] {
-            let (_, result) = run_search(&spec(3, task), &scratch);
+            let (_, result) = served_search(&spec(3, task), &scratch);
             assert!(result.best().is_some(), "{task:?} search finds a feasible candidate");
         }
     }
@@ -311,7 +349,7 @@ mod tests {
     fn evaluation_counter_tracks_the_trial_budget() {
         let evaluated = AtomicU64::new(0);
         let s = spec(5, SessionTask::ModelNet40);
-        run_search(&s, &evaluated);
+        served_search(&s, &evaluated);
         let n = evaluated.load(Ordering::Relaxed);
         assert!(
             n >= s.config.iterations as u64,
@@ -349,7 +387,7 @@ mod tests {
         assert_eq!(measured.errors, 0);
         assert_eq!(
             outcome.winner_predictions.len(),
-            SERVE_STREAM_LEN,
+            SearchSpec::served(&s).stream().len(),
             "one prediction per stream frame"
         );
     }

@@ -3,73 +3,52 @@
 //! device/edge pair and prices it on the live pipelined runtime —
 //! compression, framing, pipelining and the throttled uplink all charged
 //! at face value, with p50/p95/p99 per-frame latencies in the report.
+//! The search is one `SearchSpec`, so the engine streams frames of the
+//! very profile the tiers below it price.
 //!
 //! ```sh
 //! cargo run --release --example closed_loop_search
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
-use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
-use gcode::core::eval::{Objective, SearchSession};
-use gcode::core::search::{RandomSearch, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
-use gcode::engine::EngineBackend;
-use gcode::graph::datasets::PointCloudDataset;
+use gcode::core::eval::backend::Fidelity;
+use gcode::core::eval::Objective;
+use gcode::core::search::SearchConfig;
+use gcode::engine::{FleetSpec, SearchSpec, SessionTask};
 use gcode::hardware::SystemConfig;
-use gcode::sim::{SimBackend, SimConfig};
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
-    let profile = WorkloadProfile::modelnet40();
-    let sys = SystemConfig::tx2_to_i7(40.0);
-    let space = DesignSpace::paper(profile);
-    let objective = Objective::new(0.25, 0.5, 3.0);
-
-    let s1 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let analytic = AnalyticBackend {
-        profile,
-        sys: sys.clone(),
-        accuracy_fn: move |a: &Architecture| s1.overall_accuracy(a),
-    };
-    let s2 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let sim = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| s2.overall_accuracy(a),
-    };
     // Top rung: the live engine, streaming 4 measured frames (after one
-    // warmup frame) per candidate over a 40 Mbps-throttled loopback
-    // uplink. One warm device/edge pair serves the whole search — every
-    // escalated candidate hot-swaps its plan in.
-    let frames = PointCloudDataset::generate(8, 24, 4, 3);
-    let s3 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let engine = EngineBackend::new(frames.samples().to_vec(), 4, sys.clone(), move |a| {
-        s3.overall_accuracy(a)
-    })
-    .with_frames(4)
-    .with_warmup(1)
-    .with_uplink_mbps(40.0);
-
-    let ladder = CascadeBackend::ladder(vec![&analytic, &sim, &engine], objective)
-        .with_keep_fracs(&[0.25, 0.5]);
-    println!("searching through `{}` ({:?} fidelity) …", ladder.name(), ladder.fidelity());
-    let cfg = SearchConfig { iterations: 200, seed: 5, ..SearchConfig::default() };
-    let mut session = SearchSession::new(&space, &ladder).with_objective(objective);
-    let result = session.run(&RandomSearch::new(cfg));
+    // warmup frame) of 1024-point clouds per candidate over a 40 Mbps-
+    // throttled loopback uplink. One warm device/edge pair serves the whole
+    // search — every escalated candidate hot-swaps its plan in.
+    let spec = SearchSpec {
+        tiers: vec![Fidelity::Analytic, Fidelity::Simulated, Fidelity::Measured],
+        keep_fracs: vec![0.25, 0.5],
+        frames: 4,
+        warmup: 1,
+        objective: Objective::new(0.25, 0.5, 3.0),
+        config: SearchConfig { iterations: 200, seed: 5, ..SearchConfig::default() },
+        ..SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SessionTask::ModelNet40)
+    };
+    println!("searching through {:?} …", spec.tiers);
+    let (report, result, ladder) =
+        run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid ladder");
 
     println!("\nfidelity ladder (bottom → top):");
-    for t in ladder.tier_stats() {
+    for t in &ladder {
         println!(
             "  {:<10} {:?} fidelity, cost {:>6.1}x → {:4} evals",
             t.name, t.fidelity, t.cost_hint, t.evals
         );
     }
-    let measured = engine.measured_profile();
+    let (measured, fleet) =
+        (report.measured.expect("engine ran"), report.fleet.as_ref().expect("fleet"));
     println!(
         "live engine: {} deployments hot-swapped onto {} warm pair(s), {} measured frames, p50 {:.2} ms / p95 {:.2} ms / p99 {:.2} ms, {} bytes sent, {} errors",
-        engine.deployments(),
-        engine.fleet_stats().spawns(),
+        measured.deployed,
+        fleet.spawns(),
         measured.frames,
         measured.p50_s * 1e3,
         measured.p95_s * 1e3,
@@ -77,7 +56,6 @@ fn main() {
         measured.bytes_sent,
         measured.errors
     );
-    let report = session.report(ladder.name(), &result).with_measured(measured);
     println!(
         "\nsearch report (JSON):\n{}",
         serde_json::to_string(&report).expect("report serializes")

@@ -10,65 +10,40 @@
 //! cargo run --release --example fleet_search
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
-use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
-use gcode::core::eval::{Objective, SearchSession};
-use gcode::core::search::{RandomSearch, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
-use gcode::engine::{EngineBackend, FleetSpec};
-use gcode::graph::datasets::PointCloudDataset;
+use gcode::core::eval::backend::Fidelity;
+use gcode::core::eval::Objective;
+use gcode::core::search::SearchConfig;
+use gcode::engine::{FleetSpec, SearchSpec, SessionTask};
 use gcode::hardware::SystemConfig;
-use gcode::sim::{SimBackend, SimConfig};
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
-    let profile = WorkloadProfile::modelnet40();
-    let sys = SystemConfig::tx2_to_i7(40.0);
-    let space = DesignSpace::paper(profile);
-    let objective = Objective::new(0.25, 0.5, 3.0);
-
-    let s1 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let analytic = AnalyticBackend {
-        profile,
-        sys: sys.clone(),
-        accuracy_fn: move |a: &Architecture| s1.overall_accuracy(a),
+    let spec = SearchSpec {
+        tiers: vec![Fidelity::Analytic, Fidelity::Simulated, Fidelity::Measured],
+        keep_fracs: vec![0.25, 0.5],
+        frames: 4,
+        warmup: 1,
+        objective: Objective::new(0.25, 0.5, 3.0),
+        config: SearchConfig { iterations: 200, seed: 5, ..SearchConfig::default() },
+        ..SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SessionTask::ModelNet40)
     };
-    let s2 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let sim = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| s2.overall_accuracy(a),
-    };
-    // Top rung: the live engine, drained by four warm loopback pools.
-    // On a LAN deployment the spec would name machines instead, e.g.
+    // The top rung is drained by four warm loopback pools. On a LAN
+    // deployment the fleet would name machines instead, e.g.
     // "10.0.0.7:9000,10.0.0.8:9000" — a pool per machine.
-    let spec: FleetSpec = "loopback:4".parse().expect("fleet spec");
-    let frames = PointCloudDataset::generate(8, 24, 4, 3);
-    let s3 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let engine = EngineBackend::new(frames.samples().to_vec(), 4, sys.clone(), move |a| {
-        s3.overall_accuracy(a)
-    })
-    .with_frames(4)
-    .with_warmup(1)
-    .with_uplink_mbps(40.0)
-    .with_fleet(spec);
-
-    let ladder = CascadeBackend::ladder(vec![&analytic, &sim, &engine], objective)
-        .with_keep_fracs(&[0.25, 0.5]);
-    println!("searching through `{}` ({:?} fidelity) …", ladder.name(), ladder.fidelity());
-    let cfg = SearchConfig { iterations: 200, seed: 5, ..SearchConfig::default() };
-    let mut session = SearchSession::new(&space, &ladder).with_objective(objective);
-    let result = session.run(&RandomSearch::new(cfg));
+    let fleet: FleetSpec = "loopback:4".parse().expect("fleet spec");
+    println!("searching through {:?} on {fleet} …", spec.tiers);
+    let (report, result, ladder) =
+        run_search(&spec, &fleet, None, &AtomicU64::new(0)).expect("a valid ladder");
 
     println!("\nfidelity ladder (bottom → top):");
-    for t in ladder.tier_stats() {
+    for t in &ladder {
         println!(
             "  {:<10} {:?} fidelity, cost {:>6.1}x → {:4} evals",
             t.name, t.fidelity, t.cost_hint, t.evals
         );
     }
-    let fleet = engine.fleet_stats();
+    let fleet = report.fleet.as_ref().expect("the engine tier ran on the fleet");
     println!(
         "edge fleet: {} pools, {} deployments, {} failures, {} requeued",
         fleet.pools.len(),
@@ -82,8 +57,6 @@ fn main() {
             p.endpoint, p.deployments, p.spawns
         );
     }
-    let measured = engine.measured_profile();
-    let report = session.report(ladder.name(), &result).with_measured(measured).with_fleet(fleet);
     println!(
         "\nsearch report (JSON):\n{}",
         serde_json::to_string(&report).expect("report serializes")

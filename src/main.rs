@@ -27,7 +27,14 @@
 //! frames). `--fleet` widens that to N warm pairs (spawned loopback pools
 //! and/or remote pre-deployed edges) that pull each escalated batch's
 //! candidates off a shared morsel queue, with results merged at input
-//! positions — predictions stay bit-identical for any pool count.
+//! positions — predictions stay bit-identical for any pool count. The
+//! engine tier streams frames of the profile the tiers below it price.
+//! `--frames`, `--warmup` and `--fleet` without the `engine` tier, and
+//! `--keep-frac` without a ladder, are refused by name.
+//!
+//! `gcode search` parses its flags into one `SearchSpec` and runs it
+//! with `gcode_server::run_search` — the runner every daemon session
+//! calls too, on the daemon's preset — and keeps only the printing.
 //!
 //! `gcode serve` keeps that fleet resident: a daemon that multiplexes
 //! concurrent search sessions over one warm fleet, with admission
@@ -47,31 +54,28 @@
 //! append-only log of `candidate × fidelity-tag × objective → metrics`
 //! records, plus the Measured tier's one raw-run record per deployed
 //! plan (predictions and per-frame stats, priced when read). A repeated
-//! search (same seed and configuration) replays every Measured-tier
-//! price from the file — zero new deployments, bit-identical winner.
+//! search (the same spec: every flag but `--workers`) replays every
+//! Measured-tier price from the file — zero new deployments,
+//! bit-identical winner: the metrics records are tagged with the spec's
+//! canonical JSON.
 //! Under `gcode serve` the same flag caches the same raw-run record, so
 //! a restarted daemon answers repeat sessions without touching the
 //! fleet.
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
-use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
+use gcode::core::arch::Architecture;
+use gcode::core::eval::backend::Fidelity;
 use gcode::core::eval::scenario::ScenarioTrace;
-use gcode::core::eval::{Objective, SearchSession};
-use gcode::core::predictor::{LatencyPredictor, PredictorConfig, PredictorEvaluator};
-use gcode::core::search::{RandomSearch, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::core::eval::Objective;
+use gcode::core::search::{SearchConfig, SearchResult};
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::{EngineBackend, FleetSpec, SessionSpec, SessionState, SessionTask};
-use gcode::graph::datasets::{PointCloudDataset, TextGraphDataset};
+use gcode::engine::{FleetSpec, SearchSpec, SessionSpec, SessionState, SessionTask};
+use gcode::graph::datasets::PointCloudDataset;
 use gcode::hardware::{Link, Processor, SystemConfig};
-use gcode::server::{PollReply, SearchServer, ServerClient, ServerConfig};
-use gcode::sim::{simulate, SimBackend, SimConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use gcode::server::{run_search, PollReply, SearchServer, ServerClient, ServerConfig};
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -244,43 +248,70 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
     }
 }
 
-fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
+/// `--task`: the workload a search or a session runs on.
+fn task(opts: &HashMap<String, String>) -> Result<SessionTask, String> {
+    match opts.get("task").map(String::as_str).unwrap_or("modelnet40") {
+        "modelnet40" => Ok(SessionTask::ModelNet40),
+        "mr" => Ok(SessionTask::Mr),
+        other => Err(format!("unknown task `{other}` (modelnet40|mr)")),
+    }
+}
+
+/// One `--tiers` name: the fidelity of the backend it builds.
+fn tier(name: &str) -> Result<Fidelity, String> {
+    match name {
+        "analytic" => Ok(Fidelity::Analytic),
+        "predictor" => Ok(Fidelity::Predicted),
+        "sim" => Ok(Fidelity::Simulated),
+        "engine" => Ok(Fidelity::Measured),
+        other => Err(format!("unknown tier `{other}` (analytic|predictor|sim|engine)")),
+    }
+}
+
+/// Parses `gcode search`'s flags into the spec of the search and the
+/// fleet its engine tier runs on. A flag that would shape nothing — an
+/// engine flag without the `engine` tier, `--keep-frac` without a ladder —
+/// is refused by name before anything runs.
+fn search_spec(opts: &HashMap<String, String>) -> Result<(SearchSpec, FleetSpec), String> {
     let dev = device(opts.get("device").ok_or("--device is required")?)?;
     let edg = edge(opts.get("edge").ok_or("--edge is required")?)?;
     let mbps = opts.get("mbps").map_or(Ok(40.0), |v| parse_mbps(v))?;
-    let sys = SystemConfig::new(dev, edg, Link::mbps(mbps));
-    let (profile, task) = match opts.get("task").map(String::as_str).unwrap_or("modelnet40") {
-        "modelnet40" => (WorkloadProfile::modelnet40(), SurrogateTask::ModelNet40),
-        "mr" => (WorkloadProfile::mr(), SurrogateTask::Mr),
-        other => return Err(format!("unknown task `{other}` (modelnet40|mr)")),
-    };
-    let cfg = SearchConfig {
-        iterations: get_usize(opts, "iterations", 2000)?,
-        seed: get_usize(opts, "seed", 0)? as u64,
-        ..SearchConfig::default()
-    };
-    let objective = Objective::new(
-        get_f64(opts, "lambda", 0.25)?,
-        get_f64(opts, "latency-ms", 300.0)? / 1e3,
-        get_f64(opts, "energy-j", 3.0)?,
-    );
-    let workers = get_usize(opts, "workers", 1)?;
-    let keep_fracs = parse_keep_fracs(opts.get("keep-frac").map_or("0.25", String::as_str))?;
-    let frames = get_usize(opts, "frames", 8)?.max(1);
-    let warmup = get_usize(opts, "warmup", 2)?;
-    let tiers: Vec<&str> =
-        opts.get("tiers").map_or("sim", String::as_str).split(',').map(str::trim).collect();
-    if opts.contains_key("fleet") && !tiers.contains(&"engine") {
-        return Err("--fleet drives the Measured tier; add the `engine` tier (e.g. \
-                    --tiers engine or --tiers analytic,sim,engine)"
-            .into());
+    let mut spec = SearchSpec::paper(SystemConfig::new(dev, edg, Link::mbps(mbps)), task(opts)?);
+    let tiers = opts.get("tiers").map_or("sim", String::as_str).split(',');
+    spec.tiers = tiers.map(|name| tier(name.trim())).collect::<Result<_, _>>()?;
+    let measured = spec.tiers.contains(&Fidelity::Measured);
+    if let Some(flag) =
+        ["fleet", "frames", "warmup"].iter().find(|f| !measured && opts.contains_key(**f))
+    {
+        return Err(format!(
+            "--{flag} drives the Measured tier; add the `engine` tier (e.g. \
+             --tiers engine or --tiers analytic,sim,engine)"
+        ));
     }
-    let fleet_spec = opts
-        .get("fleet")
-        .map(|s| s.parse::<FleetSpec>())
-        .transpose()
-        .map_err(|e| format!("--fleet: {e}"))?
-        .unwrap_or_default();
+    if let Some(fracs) = opts.get("keep-frac") {
+        if spec.tiers.len() == 1 {
+            return Err("--keep-frac sets a ladder's escalation; name two or more tiers \
+                        (e.g. --tiers analytic,sim)"
+                .into());
+        }
+        spec.keep_fracs = parse_keep_fracs(fracs)?;
+    }
+    spec.frames = get_usize(opts, "frames", spec.frames)?.max(1);
+    spec.warmup = get_usize(opts, "warmup", spec.warmup)?;
+    spec.workers = get_usize(opts, "workers", spec.workers)?;
+    spec.config.iterations = get_usize(opts, "iterations", spec.config.iterations)?;
+    spec.config.seed = get_usize(opts, "seed", spec.config.seed as usize)? as u64;
+    let objective = &mut spec.objective;
+    objective.lambda = get_f64(opts, "lambda", objective.lambda)?;
+    objective.latency_constraint_s =
+        get_f64(opts, "latency-ms", objective.latency_constraint_s * 1e3)? / 1e3;
+    objective.energy_constraint_j = get_f64(opts, "energy-j", objective.energy_constraint_j)?;
+    let fleet = opts.get("fleet").map_or(Ok(FleetSpec::default()), |s| s.parse());
+    Ok((spec, fleet.map_err(|e| format!("--fleet: {e}"))?))
+}
+
+fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
+    let (spec, fleet) = search_spec(opts)?;
     // The persistent evaluation cache: consulted by the search session on
     // memo misses and by the engine tier before any live deployment, and
     // written through on every fresh price.
@@ -288,159 +319,17 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
         .get("cache-file")
         .map(|p| gcode::core::cachelog::open_shared(p).map_err(|e| format!("--cache-file: {e}")))
         .transpose()?;
-    let space = DesignSpace::paper(profile);
-
-    // Build each requested tier once; all share the calibrated surrogate
-    // accuracy. The engine tier is kept concrete so its live telemetry can
-    // be read back after the search.
-    let mut boxed: HashMap<&str, Box<dyn EvalBackend>> = HashMap::new();
-    let mut engine_backend = None;
-    for &name in &tiers {
-        match name {
-            "analytic" => {
-                let s = SurrogateAccuracy::new(task);
-                boxed.insert(
-                    "analytic",
-                    Box::new(AnalyticBackend {
-                        profile,
-                        sys: sys.clone(),
-                        accuracy_fn: move |a: &Architecture| s.overall_accuracy(a),
-                    }),
-                );
-            }
-            "sim" => {
-                let s = SurrogateAccuracy::new(task);
-                boxed.insert(
-                    "sim",
-                    Box::new(SimBackend {
-                        profile,
-                        sys: sys.clone(),
-                        sim: SimConfig::single_frame(),
-                        accuracy_fn: move |a: &Architecture| s.overall_accuracy(a),
-                    }),
-                );
-            }
-            "predictor" => {
-                // The training-data pipeline in the search loop: price a
-                // small seed population with the simulator and fit the GIN
-                // latency predictor on it before the search starts.
-                const TRAIN_SAMPLES: usize = 48;
-                println!("training predictor tier on {TRAIN_SAMPLES} sim-priced samples …");
-                let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x9D1C70);
-                let sampler = space.sampler();
-                let data: Vec<(Architecture, f64)> = (0..TRAIN_SAMPLES)
-                    .map(|_| {
-                        let a = sampler.sample(&mut rng);
-                        let lat = simulate(&a, &profile, &sys, &SimConfig::single_frame())
-                            .frame_latency_s;
-                        (a, lat)
-                    })
-                    .collect();
-                let predictor = LatencyPredictor::train(
-                    PredictorConfig { hidden: 32, epochs: 60, ..PredictorConfig::default() },
-                    profile,
-                    sys.clone(),
-                    &data,
-                );
-                let s = SurrogateAccuracy::new(task);
-                boxed.insert(
-                    "predictor",
-                    Box::new(PredictorEvaluator {
-                        predictor,
-                        accuracy_fn: move |a: &Architecture| s.overall_accuracy(a),
-                    }),
-                );
-            }
-            "engine" => {
-                // Mini synthetic stream: the engine runs the candidate's
-                // real kernels over real sockets; frame content only needs
-                // the right feature width.
-                let (samples, classes) = if matches!(task, SurrogateTask::ModelNet40) {
-                    let ds = PointCloudDataset::generate(8, 24, 4, cfg.seed ^ 0xF4);
-                    (ds.samples().to_vec(), 4)
-                } else {
-                    let ds = TextGraphDataset::generate(8, 12, 24, cfg.seed ^ 0xF4);
-                    (ds.samples().to_vec(), 2)
-                };
-                let s = SurrogateAccuracy::new(task);
-                let mut engine =
-                    EngineBackend::new(samples, classes, sys.clone(), move |a: &Architecture| {
-                        s.overall_accuracy(a)
-                    })
-                    .with_frames(frames)
-                    .with_warmup(warmup)
-                    .with_uplink_mbps(mbps)
-                    .with_fleet(fleet_spec.clone());
-                if let Some(log) = &cache_log {
-                    engine = engine.with_cache_log(log.clone());
-                }
-                engine_backend = Some(engine);
-            }
-            other => return Err(format!("unknown tier `{other}` (analytic|predictor|sim|engine)")),
-        }
-    }
-    let tier_refs: Vec<&dyn EvalBackend> = tiers
-        .iter()
-        .map(|&name| match name {
-            "engine" => engine_backend.as_ref().expect("engine tier built") as &dyn EvalBackend,
-            other => boxed[other].as_ref(),
-        })
-        .collect();
-    let ladder = if tier_refs.len() == 1 {
-        None
-    } else {
-        if let Some(pair) = tier_refs.windows(2).find(|p| p[0].cost_hint() > p[1].cost_hint()) {
-            return Err(format!(
-                "--tiers must be ordered cheapest-first: `{}` (cost {:.0}x) precedes `{}` (cost {:.0}x)",
-                pair[0].name(),
-                pair[0].cost_hint(),
-                pair[1].name(),
-                pair[1].cost_hint()
-            ));
-        }
-        let fracs = if keep_fracs.len() == 1 {
-            vec![keep_fracs[0]; tier_refs.len() - 1]
-        } else if keep_fracs.len() == tier_refs.len() - 1 {
-            keep_fracs.clone()
-        } else {
-            return Err(format!(
-                "--keep-frac: need 1 or {} fractions for {} tiers",
-                tier_refs.len() - 1,
-                tier_refs.len()
-            ));
-        };
-        Some(CascadeBackend::ladder(tier_refs.clone(), objective).with_keep_fracs(&fracs))
-    };
-    let backend: &dyn EvalBackend = ladder.as_ref().map_or(tier_refs[0], |l| l as &dyn EvalBackend);
-
     println!(
         "searching {} on {} via `{}` ({:?} fidelity, {} worker{}) …",
-        cfg.iterations,
-        sys.label(),
-        backend.name(),
-        backend.fidelity(),
-        workers,
-        if workers == 1 { "" } else { "s" }
+        spec.config.iterations,
+        spec.system.label(),
+        opts.get("tiers").map_or("sim", String::as_str),
+        spec.tiers[spec.tiers.len() - 1],
+        spec.workers,
+        if spec.workers == 1 { "" } else { "s" }
     );
-    let mut session =
-        SearchSession::new(&space, backend).with_objective(objective).with_workers(workers);
-    if let Some(log) = &cache_log {
-        // The tag namespaces records by everything that shapes a metric at
-        // this fidelity, including the seed: cascade tiers price a culled
-        // candidate with the cheap tier, so replay is only bit-exact when
-        // the batch composition — hence the whole run configuration —
-        // matches the one that wrote the records.
-        let tag = format!(
-            "cli|{}|{}|mbps{mbps}|{task:?}|seed{}|frames{frames}|warmup{warmup}|keep{:?}|fleet:{fleet_spec}",
-            tiers.join(","),
-            sys.label(),
-            cfg.seed,
-            keep_fracs,
-        );
-        session = session.with_cache_log(log.clone(), &tag);
-    }
-    let result = session.run(&RandomSearch::new(cfg));
-    let mut report = session.report(backend.name(), &result);
+    let (report, result, ladder) =
+        run_search(&spec, &fleet, cache_log.as_ref(), &AtomicU64::new(0))?;
     println!(
         "evaluations: {} unique ({} cache hits of {} lookups, {:.1}% hit rate)",
         report.unique_architectures,
@@ -454,18 +343,16 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
             report.cache.log_hits
         );
     }
-    if let Some(ladder) = &ladder {
+    if !ladder.is_empty() {
         println!("fidelity ladder (bottom → top):");
-        for t in ladder.tier_stats() {
+        for t in &ladder {
             println!(
                 "  {:<10} {:?} fidelity, cost {:>6.1}x, keep {:4.2} → {} evals",
                 t.name, t.fidelity, t.cost_hint, t.keep_frac, t.evals
             );
         }
     }
-    if let Some(e) = &engine_backend {
-        let profile = e.measured_profile();
-        report = report.with_measured(profile);
+    if let (Some(profile), Some(fleet)) = (&report.measured, &report.fleet) {
         println!(
             "measured on the live engine: {} frames (p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms), {} bytes sent, {} failed deployments ({} newly deployed, {} from cache)",
             profile.frames,
@@ -477,7 +364,6 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
             profile.deployed,
             profile.cached
         );
-        let fleet = e.fleet_stats();
         println!(
             "edge fleet: {} pools, {} spawns, {} deployments, {} pool failures, {} candidates requeued",
             fleet.pools.len(),
@@ -498,13 +384,17 @@ fn cmd_search(opts: &HashMap<String, String>) -> Result<(), String> {
                 p.p95_s * 1e3
             );
         }
-        report = report.with_fleet(fleet);
     }
     if let Some(path) = opts.get("report-out") {
         let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("search report written to {path}");
     }
+    print_winner(&result, opts)
+}
+
+/// Prints a search's winner and writes its zoo to `--zoo-out`, if given.
+fn print_winner(result: &SearchResult, opts: &HashMap<String, String>) -> Result<(), String> {
     let Some(best) = result.best() else {
         return Err("no candidate met the constraints; relax --latency-ms/--energy-j".into());
     };
@@ -572,11 +462,6 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| format!("--server: {e}"))?
         .next()
         .ok_or("--server: resolved to no address")?;
-    let task = match opts.get("task").map(String::as_str).unwrap_or("modelnet40") {
-        "modelnet40" => SessionTask::ModelNet40,
-        "mr" => SessionTask::Mr,
-        other => return Err(format!("unknown task `{other}` (modelnet40|mr)")),
-    };
     let spec = SessionSpec {
         config: SearchConfig {
             iterations: get_usize(opts, "iterations", 200)?,
@@ -589,7 +474,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
             get_f64(opts, "latency-ms", 1000.0)? / 1e3,
             get_f64(opts, "energy-j", 5.0)?,
         ),
-        task,
+        task: task(opts)?,
         measure_zoo: opts.get("measure").map_or(Ok(true), |v| parse_bool("measure", v))?,
         scenario: opts.get("trace").map(|path| load_trace(path)).transpose()?,
     };
@@ -659,23 +544,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), String> {
             );
         }
     }
-    let Some(best) = outcome.result.best() else {
-        return Err("no candidate met the constraints; relax --latency-ms/--energy-j".into());
-    };
-    println!(
-        "\nbest (score {:.3}, accuracy {:.1}%, latency {:.1} ms, energy {:.3} J):",
-        best.score,
-        best.accuracy * 100.0,
-        best.latency_s * 1e3,
-        best.energy_j
-    );
-    println!("{}", best.arch.render());
-    if let Some(path) = opts.get("zoo-out") {
-        let zoo = ArchitectureZoo::new(outcome.result.zoo.clone());
-        let json = zoo.to_json().map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
-        println!("zoo ({} entries) written to {path}", zoo.len());
-    }
+    print_winner(&outcome.result, opts)?;
     // Best-effort: the result is already in hand, and a server started
     // with --sessions-limit may tear down right after delivering it.
     let _ = client.close_session(id);
@@ -836,6 +705,7 @@ fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcode::core::arch::WorkloadProfile;
 
     /// The `--flag` names `USAGE` prints under each `gcode <command>` line.
     fn usage_flags() -> Vec<(String, Vec<String>)> {
@@ -916,6 +786,62 @@ mod tests {
                 parse_bool("measure", bad),
                 Err(format!("--measure: `{bad}` is not a boolean (true|false|1|0|yes|no)"))
             );
+        }
+    }
+
+    fn search_args(words: &[&str]) -> Result<(SearchSpec, FleetSpec), String> {
+        let args = ["--device", "tx2", "--edge", "i7"].iter().chain(words);
+        search_spec(&parse_opts("search", &args.map(|w| w.to_string()).collect::<Vec<_>>())?)
+    }
+
+    #[test]
+    fn engine_flags_without_the_engine_tier_are_refused_by_name() {
+        for (flag, value) in [("fleet", "loopback:2"), ("frames", "3"), ("warmup", "0")] {
+            let err = search_args(&["--tiers", "analytic,sim", &format!("--{flag}"), value]);
+            assert_eq!(
+                err.expect_err(flag),
+                format!(
+                    "--{flag} drives the Measured tier; add the `engine` tier (e.g. --tiers \
+                     engine or --tiers analytic,sim,engine)"
+                )
+            );
+        }
+        let engine =
+            ["--tiers", "sim,engine", "--frames", "3", "--warmup", "0", "--fleet", "loopback:2"];
+        let (spec, fleet) = search_args(&engine).expect("engine flags with the engine tier");
+        assert_eq!((spec.frames, spec.warmup, fleet.endpoints().len()), (3, 0, 2));
+    }
+
+    #[test]
+    fn keep_frac_without_a_ladder_is_refused_by_name() {
+        let err = search_args(&["--tiers", "sim", "--keep-frac", "0.5"]).expect_err("one tier");
+        assert_eq!(
+            err,
+            "--keep-frac sets a ladder's escalation; name two or more tiers (e.g. --tiers \
+             analytic,sim)"
+        );
+        let (spec, _) =
+            search_args(&["--tiers", "analytic,sim", "--keep-frac", "0.5"]).expect("ok");
+        assert_eq!(spec.keep_fracs, vec![0.5]);
+    }
+
+    #[test]
+    fn the_engine_tier_measures_the_profile_the_tiers_below_it_price() {
+        for (task, profile) in
+            [("modelnet40", WorkloadProfile::modelnet40()), ("mr", WorkloadProfile::mr())]
+        {
+            let args = ["--task", task, "--tiers", "analytic,sim,engine", "--frames", "3"];
+            let (spec, _) = search_args(&args).expect(task);
+            assert_eq!(spec.profile, profile, "{task}: the tiers price the paper profile");
+            let stream = spec.stream();
+            assert_eq!(stream.len(), spec.warmup + 3);
+            for s in &stream {
+                // Text graphs vary by up to three words around the mean.
+                let slack = if profile.provides_graph { 3 } else { 0 };
+                assert!(s.features.rows().abs_diff(profile.num_nodes) <= slack, "{task}: nodes");
+                assert_eq!(s.features.cols(), profile.in_dim, "{task}: feature width");
+                assert!(s.label < profile.num_classes, "{task}: class count");
+            }
         }
     }
 }

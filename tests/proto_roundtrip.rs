@@ -166,6 +166,41 @@ fn session_frames_survive_framing_round_trip() {
     assert!(read_message(&mut cursor).expect("clean eof").is_none());
 }
 
+/// `OpenSession` bodies as clients sent them while `SessionTask` was an
+/// enum of its own: the surrogate's task enum it now names must keep
+/// every byte.
+const OPEN_SESSION_JSON: [(SessionTask, &str); 2] = [
+    (
+        SessionTask::ModelNet40,
+        r#"{"config":{"iterations":400,"tuning_iterations":10,"seed":11,"zoo_size":4,"tuning_tolerance":0.003,"batch_size":16},"objective":{"lambda":0.25,"latency_constraint_s":1,"energy_constraint_j":5},"task":"ModelNet40","measure_zoo":true,"scenario":null}"#,
+    ),
+    (
+        SessionTask::Mr,
+        r#"{"config":{"iterations":400,"tuning_iterations":10,"seed":11,"zoo_size":4,"tuning_tolerance":0.003,"batch_size":16},"objective":{"lambda":0.25,"latency_constraint_s":1,"energy_constraint_j":5},"task":"Mr","measure_zoo":true,"scenario":null}"#,
+    ),
+];
+
+#[test]
+fn open_session_json_is_pinned_per_task() {
+    for (task, json) in OPEN_SESSION_JSON {
+        let spec = SessionSpec {
+            config: SearchConfig {
+                iterations: 400,
+                zoo_size: 4,
+                seed: 11,
+                ..SearchConfig::default()
+            },
+            objective: Objective::new(0.25, 1.0, 5.0),
+            task,
+            measure_zoo: true,
+            scenario: None,
+        };
+        let body = encode_frame(&Frame::OpenSession(Box::new(spec.clone())));
+        assert_eq!(std::str::from_utf8(&body[1..]).expect("JSON body"), json, "{task:?}");
+        assert_eq!(decode_frame(&body).expect("decode"), Frame::OpenSession(Box::new(spec)));
+    }
+}
+
 #[test]
 fn hello_frame_carries_the_protocol_version_byte() {
     // The handshake must stay decodable by design: a v1 server can read a
