@@ -28,26 +28,30 @@
 //! is a count, a byte size, or a ratio or ordering of two quantities taken
 //! in the same run in a regime that is host-independent by construction
 //! (paced sleep under the uplink cap; probe-calibrated deadlines). Only a
-//! full run writes the artifact; `--quick` runs the engine-touching
-//! sections at tiny budgets under the same asserts and writes nothing.
+//! full run writes the artifact; `--quick` runs the model sections 3–5 at
+//! their full budgets (they take milliseconds) and the engine-touching
+//! sections at tiny budgets, all under the same asserts, and writes
+//! nothing. Sections 3–6 run their searches as `SearchSpec`s through
+//! `gcode_server::run_search`, except §6's three-tier ladder, whose
+//! engine tier measures its own small stream.
 
 use gcode_baselines::models;
-use gcode_bench::{
-    header, print_row, run_gcode_search, run_gcode_search_reported, table_search_config,
-};
+use gcode_bench::{header, print_row, search, table_spec};
 use gcode_core::arch::{Architecture, WorkloadProfile};
-use gcode_core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
+use gcode_core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend, Fidelity};
 use gcode_core::eval::scenario::{
     latency_percentiles, ArrivalSpec, ScenarioSegment, ScenarioTrace,
 };
-use gcode_core::eval::{Evaluator, Objective, SearchSession};
+use gcode_core::eval::{Evaluator, SearchSession};
 use gcode_core::op::{Op, SampleFn};
 use gcode_core::pareto::{front_of, hypervolume};
-use gcode_core::search::{RandomSearch, ScoredArch, SearchConfig};
+use gcode_core::search::{RandomSearch, ScoredArch};
 use gcode_core::space::DesignSpace;
 use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
 use gcode_core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode_engine::{replay_on_fleet, EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec};
+use gcode_engine::{
+    replay_on_fleet, EdgeFleet, EngineBackend, ExecutionPlan, FleetSpec, SearchSpec,
+};
 use gcode_graph::datasets::{PointCloudDataset, Sample};
 use gcode_hardware::SystemConfig;
 use gcode_nn::agg::AggMode;
@@ -91,21 +95,21 @@ const SECTIONS: &[Section] = &[
         id: 3,
         title: "λ sweep: Pareto hypervolume of the searched zoo",
         keys: &[],
-        quick: false,
+        quick: true,
         run: lambda_sweep,
     },
     Section {
         id: 4,
         title: "runtime dispatcher: simulated scenario replay on a 40↔2 Mbps square wave",
         keys: &[],
-        quick: false,
+        quick: true,
         run: adaptive_dispatch,
     },
     Section {
         id: 5,
         title: "multi-fidelity search: analytic→sim cascade vs pure sim",
         keys: &["pure_sim_evals", "cascade_sim_evals"],
-        quick: false,
+        quick: true,
         run: cascade,
     },
     Section {
@@ -162,13 +166,15 @@ fn main() {
     println!("\n  artifact written to BENCH_eval.json");
 }
 
-/// The system sections 3–6 search on — TX2 device, i7 edge, 40 Mbps — with
-/// the device-only DGCNN run that anchors their search constraints.
-fn anchored_system() -> (WorkloadProfile, SystemConfig, SimReport) {
-    let profile = WorkloadProfile::modelnet40();
+/// The spec sections 3–6 search at `seed` — TX2 device, i7 edge, 40 Mbps,
+/// the tables' budget — with the device-only DGCNN run that anchors its
+/// constraints.
+fn anchored_spec(seed: u64) -> (SearchSpec, SimReport) {
     let sys = SystemConfig::tx2_to_i7(40.0);
+    let profile = WorkloadProfile::modelnet40();
     let anchor = simulate(&models::dgcnn().arch, &profile, &sys, &SimConfig::single_frame());
-    (profile, sys, anchor)
+    let (latency_s, energy_j) = (anchor.frame_latency_s, anchor.device_energy_j);
+    (table_spec(sys, SurrogateTask::ModelNet40, latency_s, energy_j, seed), anchor)
 }
 
 fn pipelining(_quick: bool) -> Vec<Key> {
@@ -223,12 +229,10 @@ fn compression(_quick: bool) -> Vec<Key> {
 }
 
 fn lambda_sweep(_quick: bool) -> Vec<Key> {
-    let (profile, sys, anchor) = anchored_system();
+    let (mut spec, anchor) = anchored_spec(13);
     for lambda in [0.05, 0.25, 1.0] {
-        let (cfg, mut objective) =
-            table_search_config(anchor.frame_latency_s, anchor.device_energy_j, 13);
-        objective.lambda = lambda;
-        let result = run_gcode_search(profile, SurrogateTask::ModelNet40, &sys, &cfg, &objective);
+        spec.objective.lambda = lambda;
+        let (_, result, _) = search(&spec);
         let front = front_of(&result.zoo);
         let hv = hypervolume(&front, 0.85, anchor.frame_latency_s);
         let best_acc = front.iter().map(|p| p.accuracy).fold(0.0, f64::max);
@@ -244,15 +248,14 @@ fn lambda_sweep(_quick: bool) -> Vec<Key> {
 }
 
 fn adaptive_dispatch(_quick: bool) -> Vec<Key> {
-    let (profile, sys, anchor) = anchored_system();
     // The zoo pairs the winners of two searches run for the two link
     // regimes — the dispatcher's job is to pick per segment between them.
-    let (cfg40, obj40) = table_search_config(anchor.frame_latency_s, anchor.device_energy_j, 19);
-    let win40 = run_gcode_search(profile, SurrogateTask::ModelNet40, &sys, &cfg40, &obj40);
-    let mut congested = sys.clone();
-    congested.link.bandwidth_mbps = 2.0;
-    let (cfg2, obj2) = table_search_config(anchor.frame_latency_s, anchor.device_energy_j, 23);
-    let win2 = run_gcode_search(profile, SurrogateTask::ModelNet40, &congested, &cfg2, &obj2);
+    let (spec40, _) = anchored_spec(19);
+    let (_, win40, _) = search(&spec40);
+    let (mut spec2, _) = anchored_spec(23);
+    spec2.system.link.bandwidth_mbps = 2.0;
+    let (_, win2, _) = search(&spec2);
+    let (profile, sys) = (spec40.profile, spec40.system);
     let mut entries: Vec<_> = win40.zoo.iter().take(3).cloned().collect();
     entries.extend(win2.zoo.iter().take(3).cloned());
     let adaptive = ArchitectureZoo::new(entries);
@@ -292,43 +295,9 @@ fn adaptive_dispatch(_quick: bool) -> Vec<Key> {
     Vec::new()
 }
 
-/// The search budget sections 5 and 6 share, anchored like the tables'.
-fn search_budget(anchor: &SimReport) -> (SearchConfig, Objective) {
-    table_search_config(anchor.frame_latency_s, anchor.device_energy_j, 29)
-}
-
-/// The analytic screen of sections 5 and 6.
-fn analytic_tier(
-    profile: WorkloadProfile,
-    sys: &SystemConfig,
-) -> AnalyticBackend<impl Fn(&Architecture) -> f64 + Sync> {
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    AnalyticBackend {
-        profile,
-        sys: sys.clone(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-    }
-}
-
-/// The single-frame simulator tier of sections 5 and 6.
-fn sim_tier(
-    profile: WorkloadProfile,
-    sys: &SystemConfig,
-) -> SimBackend<impl Fn(&Architecture) -> f64 + Sync> {
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-    }
-}
-
 fn cascade(_quick: bool) -> Vec<Key> {
-    let (profile, sys, anchor) = anchored_system();
-    let (cfg, objective) = search_budget(&anchor);
-    let (pure, pure_report) =
-        run_gcode_search_reported(profile, SurrogateTask::ModelNet40, &sys, &cfg, &objective);
+    let (spec, _) = anchored_spec(29);
+    let (pure_report, pure, _) = search(&spec);
     println!(
         "  pure sim:  best score {:6.3}  sim evals {:5}  cache hit rate {:4.1}%",
         pure.best().map_or(-1.0, |b| b.score),
@@ -336,14 +305,8 @@ fn cascade(_quick: bool) -> Vec<Key> {
         pure_report.cache.hit_rate() * 100.0
     );
 
-    let space = DesignSpace::paper(profile);
-    let cheap = analytic_tier(profile, &sys);
-    let expensive = sim_tier(profile, &sys);
-    let cascade = CascadeBackend::ladder(vec![&cheap, &expensive], objective);
-    let mut session = SearchSession::new(&space, &cascade).with_objective(objective);
-    let result = session.run(&RandomSearch::new(cfg));
-    let report = session.report(cascade.name(), &result);
-    let tiers = cascade.tier_stats();
+    let ladder = SearchSpec { tiers: vec![Fidelity::Analytic, Fidelity::Simulated], ..spec };
+    let (report, result, tiers) = search(&ladder);
     let (cheap_evals, sim_evals) = (tiers[0].evals, tiers[1].evals);
     println!(
         "  cascade:   best score {:6.3}  sim evals {:5}  (screened {} cheaply, {:4.1}% escalated)  cache hit rate {:4.1}%",
@@ -369,24 +332,24 @@ fn cascade(_quick: bool) -> Vec<Key> {
 }
 
 fn ladder(_quick: bool) -> Vec<Key> {
-    let (profile, sys, anchor) = anchored_system();
-    let (cfg5, objective) = search_budget(&anchor);
+    let (mut spec, _) = anchored_spec(29);
     // Smaller budget: the top tier deploys on real TCP pairs.
-    let cfg = SearchConfig { iterations: 200, seed: 31, ..cfg5 };
-    let (pure, pure_report) =
-        run_gcode_search_reported(profile, SurrogateTask::ModelNet40, &sys, &cfg, &objective);
+    spec.config.iterations = 200;
+    spec.config.seed = 31;
+    let (pure_report, pure, _) = search(&spec);
 
+    let (profile, sys, objective, cfg) = (spec.profile, &spec.system, spec.objective, spec.config);
     let space = DesignSpace::paper(profile);
-    let screen = analytic_tier(profile, &sys);
-    let mid = sim_tier(profile, &sys);
-    let s_top = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
+    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
+    let accuracy = move |a: &Architecture| surrogate.overall_accuracy(a);
+    let screen = AnalyticBackend { profile, sys: sys.clone(), accuracy_fn: accuracy };
+    let sim = SimConfig::single_frame();
+    let mid = SimBackend { profile, sys: sys.clone(), sim, accuracy_fn: accuracy };
     let frames = PointCloudDataset::generate(8, 24, 4, 11);
-    let engine = EngineBackend::new(frames.samples().to_vec(), 4, sys.clone(), move |a| {
-        s_top.overall_accuracy(a)
-    })
-    .with_frames(4)
-    .with_warmup(1)
-    .with_uplink_mbps(40.0);
+    let engine = EngineBackend::new(frames.samples().to_vec(), 4, sys.clone(), accuracy)
+        .with_frames(4)
+        .with_warmup(1)
+        .with_uplink_mbps(40.0);
     let ladder = CascadeBackend::ladder(vec![&screen, &mid, &engine], objective)
         .with_keep_fracs(&[0.25, 0.5]);
     let mut session = SearchSession::new(&space, &ladder).with_objective(objective);

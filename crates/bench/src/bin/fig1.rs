@@ -29,11 +29,10 @@ fn main() {
         // GCoDE: best of the two edge options for this device.
         let mut best_point = (0.0f64, f64::INFINITY);
         for sys in &systems {
-            let best = best_gcode(profile, SurrogateTask::ModelNet40, sys, 5);
+            let best = best_gcode(SurrogateTask::ModelNet40, sys, 5);
             let fps = measure_fps(&best.arch, &profile, sys);
-            let (_, j) = measure(&best.arch, &profile, sys);
             if fps > best_point.0 {
-                best_point = (fps, j);
+                best_point = (fps, best.energy_j);
             }
         }
         print_row(

@@ -4,7 +4,7 @@
 
 use gcode_baselines::models;
 use gcode_baselines::partition::{best_partition, PartitionObjective};
-use gcode_bench::{header, measure, print_row, run_gcode_search, table_search_config};
+use gcode_bench::{header, measure, print_row, search, table_spec};
 use gcode_core::arch::WorkloadProfile;
 use gcode_core::surrogate::SurrogateTask;
 use gcode_hardware::SystemConfig;
@@ -43,17 +43,16 @@ fn main() {
     // GCoDE: the whole zoo with λ sweep to trace the Pareto frontier.
     let dgcnn = models::dgcnn();
     let (anchor_ms, anchor_j) = measure(&dgcnn.arch, &profile, &sys);
+    let mut spec = table_spec(sys, SurrogateTask::ModelNet40, anchor_ms / 1e3, anchor_j, 13);
     for (lambda, tag) in [(0.05, "λ=0.05"), (0.25, "λ=0.25"), (1.0, "λ=1.00")] {
-        let (cfg, mut objective) = table_search_config(anchor_ms / 1e3, anchor_j, 13);
-        objective.lambda = lambda;
-        let result = run_gcode_search(profile, SurrogateTask::ModelNet40, &sys, &cfg, &objective);
+        spec.objective.lambda = lambda;
+        let (_, result, _) = search(&spec);
         for (i, z) in result.zoo.iter().take(3).enumerate() {
-            let (ms, _) = measure(&z.arch, &profile, &sys);
             print_row(
                 &[
                     format!("GCoDE {tag} #{i}"),
                     format!("{:6.1}", z.accuracy * 100.0),
-                    format!("{ms:10.1}"),
+                    format!("{:10.1}", z.latency_s * 1e3),
                 ],
                 &widths,
             );

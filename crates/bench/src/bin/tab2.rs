@@ -26,11 +26,10 @@ fn main() {
                 &widths,
             );
             let dgcnn = baseline_rows(models::dgcnn(), &profile, &sys);
-            let base_ms = dgcnn.device.0;
-            let base_j = dgcnn.device.1;
+            let (base_ms, base_j) = dgcnn.device;
             let mut rows: Vec<(String, String, &str, f64, f64)> = Vec::new();
             for b in [
-                baseline_rows(models::dgcnn(), &profile, &sys),
+                dgcnn,
                 baseline_rows(models::optimized_dgcnn(), &profile, &sys),
                 baseline_rows(models::hgnas(), &profile, &sys),
             ] {
@@ -64,9 +63,8 @@ fn main() {
                 part.report.device_energy_j,
             ));
             // GCoDE.
-            let best = best_gcode(profile, SurrogateTask::ModelNet40, &sys, 7);
+            let best = best_gcode(SurrogateTask::ModelNet40, &sys, 7);
             let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-            let (ms, j) = measure(&best.arch, &profile, &sys);
             rows.push((
                 "GCoDE".to_string(),
                 format!(
@@ -75,8 +73,8 @@ fn main() {
                     surrogate.balanced_accuracy(&best.arch) * 100.0
                 ),
                 "Co",
-                ms,
-                j,
+                best.latency_s * 1e3,
+                best.energy_j,
             ));
 
             for (name, acc, mode, ms, j) in rows {

@@ -20,14 +20,10 @@ fn main() {
             &widths,
         );
         let pnas = baseline_rows(models::pnas_text(), &profile, &sys);
+        let branchy = models::branchy_text();
+        let (ms, j) = measure(&branchy.arch, &profile, &sys);
         let mut rows: Vec<(String, f64, &str, f64, f64)> = vec![
-            (
-                "BRANCHY-GNN".into(),
-                models::branchy_text().overall_accuracy,
-                "Co",
-                measure(&models::branchy_text().arch, &profile, &sys).0,
-                measure(&models::branchy_text().arch, &profile, &sys).1,
-            ),
+            ("BRANCHY-GNN".into(), branchy.overall_accuracy, "Co", ms, j),
             ("PNAS".into(), pnas.baseline.overall_accuracy, "D", pnas.device.0, pnas.device.1),
             ("PNAS".into(), pnas.baseline.overall_accuracy, "E", pnas.edge.0, pnas.edge.1),
         ];
@@ -45,8 +41,8 @@ fn main() {
             part.report.frame_latency_s * 1e3,
             part.report.device_energy_j,
         ));
-        let best = best_gcode(profile, SurrogateTask::Mr, &sys, 11);
-        let (ms, j) = measure(&best.arch, &profile, &sys);
+        let best = best_gcode(SurrogateTask::Mr, &sys, 11);
+        let (ms, j) = (best.latency_s * 1e3, best.energy_j);
         rows.push(("GCoDE".into(), best.accuracy * 100.0, "Co", ms, j));
 
         for (name, acc, mode, ms, j) in rows {

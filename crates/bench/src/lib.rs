@@ -1,21 +1,25 @@
 //! Shared harness for the table/figure generators.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (the README's "Paper artifacts and benchmarks" lists them). This library
-//! holds the pieces they share: running a GCoDE search on a system,
-//! evaluating baselines in each collaboration mode, and plain-text table
-//! formatting.
+//! (the README's "Paper artifacts and benchmarks" lists them, and the
+//! stdout of the ten fast ones is committed under `docs/paper-results/`).
+//! Every GCoDE search they run is a [`SearchSpec`] — [`table_spec`] is the
+//! tables' — run by `gcode_server::run_search`, the runner `gcode search`
+//! and the daemon use. This library also holds the baselines evaluated in
+//! each collaboration mode and plain-text table formatting.
 
 #![deny(unsafe_code)]
 
 use gcode_baselines::models::{as_edge_only, Baseline};
 use gcode_core::arch::{Architecture, WorkloadProfile};
-use gcode_core::eval::{Objective, SearchReport, SearchSession};
-use gcode_core::search::{RandomSearch, ScoredArch, SearchConfig, SearchResult};
-use gcode_core::space::DesignSpace;
-use gcode_core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode_core::eval::backend::TierStats;
+use gcode_core::eval::{Objective, SearchReport};
+use gcode_core::search::{ScoredArch, SearchResult};
+use gcode_core::surrogate::SurrogateTask;
+use gcode_engine::{FleetSpec, SearchSpec};
 use gcode_hardware::SystemConfig;
-use gcode_sim::{simulate, SimBackend, SimConfig};
+use gcode_sim::{simulate, SimConfig};
+use std::sync::atomic::AtomicU64;
 
 /// Latency (ms) and device energy (J) of an architecture on a system,
 /// measured by the single-frame simulator.
@@ -51,74 +55,47 @@ pub fn baseline_rows(
     BaselineRows { baseline, device, edge }
 }
 
-/// GCoDE search settings used by the table generators: the constraints are
-/// set relative to the device-only DGCNN anchor so every system gets a
-/// feasible but non-trivial budget.
-pub fn table_search_config(
+/// The tables' GCoDE search of `task` on `system`: the paper spec (the
+/// task's full profile priced by the simulator with the calibrated
+/// surrogate accuracy) at 2 000 iterations, its constraints set relative to
+/// the device-only DGCNN anchor so every system gets a feasible but
+/// non-trivial budget.
+pub fn table_spec(
+    system: SystemConfig,
+    task: SurrogateTask,
     anchor_latency_s: f64,
     anchor_energy_j: f64,
     seed: u64,
-) -> (SearchConfig, Objective) {
-    (
-        SearchConfig { iterations: 2000, seed, ..SearchConfig::default() },
-        Objective::new(0.25, anchor_latency_s, anchor_energy_j),
-    )
+) -> SearchSpec {
+    let mut spec = SearchSpec::paper(system, task);
+    spec.config.iterations = 2000;
+    spec.config.seed = seed;
+    spec.objective = Objective::new(0.25, anchor_latency_s, anchor_energy_j);
+    spec
 }
 
-/// Runs the full GCoDE pipeline (simulator-in-the-loop constraint-based
-/// random search with the calibrated surrogate accuracy) for one system.
-pub fn run_gcode_search(
-    profile: WorkloadProfile,
-    task: SurrogateTask,
-    sys: &SystemConfig,
-    cfg: &SearchConfig,
-    objective: &Objective,
-) -> SearchResult {
-    run_gcode_search_reported(profile, task, sys, cfg, objective).0
-}
-
-/// Like [`run_gcode_search`], but also returns the session's
-/// [`SearchReport`] (backend, memo-cache hit rate, unique evaluations) so
-/// generators can surface evaluation-side statistics next to the zoo.
-pub fn run_gcode_search_reported(
-    profile: WorkloadProfile,
-    task: SurrogateTask,
-    sys: &SystemConfig,
-    cfg: &SearchConfig,
-    objective: &Objective,
-) -> (SearchResult, SearchReport) {
-    let space = DesignSpace::paper(profile);
-    let surrogate = SurrogateAccuracy::new(task);
-    let eval = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-    };
-    let mut session = SearchSession::new(&space, &eval).with_objective(*objective);
-    let result = session.run(&RandomSearch::new(*cfg));
-    let report = session.report("sim", &result);
-    (result, report)
+/// Runs `spec` through `gcode_server::run_search` and returns the report,
+/// the result and a ladder's per-tier counters. The harness's specs name
+/// model tiers only, so no fleet is spawned, no cache log is kept and
+/// nobody reads the progress counter.
+pub fn search(spec: &SearchSpec) -> (SearchReport, SearchResult, Vec<TierStats>) {
+    gcode_server::run_search(spec, &FleetSpec::default(), None, &AtomicU64::new(0))
+        .expect("the spec names a valid ladder")
 }
 
 /// Convenience: the GCoDE candidate a user would deploy for low latency —
 /// the fastest zoo entry whose accuracy stays within the paper's reported
 /// band (≥ 92.1% OA on ModelNet40 / ≥ 76.1% on MR), falling back to the
 /// best-scoring entry when none qualifies.
-pub fn best_gcode(
-    profile: WorkloadProfile,
-    task: SurrogateTask,
-    sys: &SystemConfig,
-    seed: u64,
-) -> ScoredArch {
+pub fn best_gcode(task: SurrogateTask, system: &SystemConfig, seed: u64) -> ScoredArch {
     let (dgcnn, acc_floor) = if matches!(task, SurrogateTask::ModelNet40) {
         (gcode_baselines::models::dgcnn().arch, 0.921)
     } else {
         (gcode_baselines::models::pnas_text().arch, 0.761)
     };
-    let (anchor_ms, anchor_j) = measure(&dgcnn, &profile, sys);
-    let (cfg, objective) = table_search_config(anchor_ms / 1e3, anchor_j, seed);
-    let result = run_gcode_search(profile, task, sys, &cfg, &objective);
+    let profile = SearchSpec::paper(system.clone(), task).profile;
+    let (anchor_ms, anchor_j) = measure(&dgcnn, &profile, system);
+    let (_, result, _) = search(&table_spec(system.clone(), task, anchor_ms / 1e3, anchor_j, seed));
     result
         .zoo
         .iter()
@@ -144,7 +121,6 @@ pub fn header(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcode_core::surrogate::SurrogateTask;
 
     #[test]
     fn measure_returns_positive_metrics() {
@@ -162,10 +138,10 @@ mod tests {
         for sys in SystemConfig::paper_systems(40.0) {
             let dgcnn = gcode_baselines::models::dgcnn();
             let (base_ms, base_j) = measure(&dgcnn.arch, &profile, &sys);
-            let (base_cfg, objective) = table_search_config(base_ms / 1e3, base_j, 3);
-            let cfg = SearchConfig { iterations: 300, ..base_cfg };
-            let result =
-                run_gcode_search(profile, SurrogateTask::ModelNet40, &sys, &cfg, &objective);
+            let mut spec =
+                table_spec(sys.clone(), SurrogateTask::ModelNet40, base_ms / 1e3, base_j, 3);
+            spec.config.iterations = 300;
+            let (_, result, _) = search(&spec);
             let best = result.best().expect("found");
             let (ms, j) = measure(&best.arch, &profile, &sys);
             assert!(ms < base_ms, "{}: GCoDE {ms:.1} vs DGCNN {base_ms:.1}", sys.label());

@@ -10,71 +10,32 @@
 //! cargo run --release --example fidelity_ladder
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
-use gcode::core::eval::backend::{AnalyticBackend, CascadeBackend, EvalBackend};
-use gcode::core::eval::{Objective, SearchSession};
-use gcode::core::predictor::{LatencyPredictor, PredictorConfig, PredictorEvaluator};
-use gcode::core::search::{RandomSearch, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::core::eval::backend::Fidelity;
+use gcode::core::eval::Objective;
+use gcode::core::search::SearchConfig;
+use gcode::core::surrogate::SurrogateTask;
+use gcode::engine::{FleetSpec, SearchSpec};
 use gcode::hardware::SystemConfig;
-use gcode::sim::{simulate, SimBackend, SimConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
-    let profile = WorkloadProfile::modelnet40();
-    let sys = SystemConfig::tx2_to_i7(40.0);
-    let space = DesignSpace::paper(profile);
-    let objective = Objective::new(0.25, 0.5, 3.0);
-
-    // Middle rung: train the GIN latency predictor on a small sim-priced
-    // seed population — the training-data pipeline inside the search loop.
-    println!("training the predictor tier on 48 sim-priced samples …");
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let sampler = space.sampler();
-    let data: Vec<(Architecture, f64)> = (0..48)
-        .map(|_| {
-            let a = sampler.sample(&mut rng);
-            let lat = simulate(&a, &profile, &sys, &SimConfig::single_frame()).frame_latency_s;
-            (a, lat)
-        })
-        .collect();
-    let predictor = LatencyPredictor::train(
-        PredictorConfig { hidden: 32, epochs: 60, ..PredictorConfig::default() },
-        profile,
-        sys.clone(),
-        &data,
-    );
-
-    let s1 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let analytic = AnalyticBackend {
-        profile,
-        sys: sys.clone(),
-        accuracy_fn: move |a: &Architecture| s1.overall_accuracy(a),
+    // Middle rung: `run_search` trains the GIN latency predictor on 48
+    // sim-priced samples drawn from the spec's seed before the search
+    // starts — the training-data pipeline inside the search loop.
+    let spec = SearchSpec {
+        tiers: vec![Fidelity::Analytic, Fidelity::Predicted, Fidelity::Simulated],
+        keep_fracs: vec![0.25, 0.5],
+        objective: Objective::new(0.25, 0.5, 3.0),
+        config: SearchConfig { iterations: 600, seed: 7, ..SearchConfig::default() },
+        ..SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SurrogateTask::ModelNet40)
     };
-    let s2 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let predicted = PredictorEvaluator {
-        predictor,
-        accuracy_fn: move |a: &Architecture| s2.overall_accuracy(a),
-    };
-    let s3 = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let sim = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| s3.overall_accuracy(a),
-    };
-
-    let ladder = CascadeBackend::ladder(vec![&analytic, &predicted, &sim], objective)
-        .with_keep_fracs(&[0.25, 0.5]);
-    println!("searching through `{}` …", ladder.name());
-    let cfg = SearchConfig { iterations: 600, seed: 7, ..SearchConfig::default() };
-    let mut session = SearchSession::new(&space, &ladder).with_objective(objective);
-    let result = session.run(&RandomSearch::new(cfg));
+    println!("searching through {:?} …", spec.tiers);
+    let (_, result, ladder) =
+        run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid ladder");
 
     println!("\nfidelity ladder (bottom → top):");
-    for t in ladder.tier_stats() {
+    for t in ladder {
         println!(
             "  {:<10} {:?} fidelity, cost {:>5.1}x, keep {:4.2} → {:4} evals",
             t.name, t.fidelity, t.cost_hint, t.keep_frac, t.evals

@@ -5,47 +5,37 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
-use gcode::core::eval::{Objective, SearchSession};
-use gcode::core::search::{RandomSearch, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::core::eval::Objective;
+use gcode::core::search::SearchConfig;
+use gcode::core::surrogate::SurrogateTask;
+use gcode::engine::{FleetSpec, SearchSpec};
 use gcode::hardware::SystemConfig;
-use gcode::sim::{SimBackend, SimConfig};
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
-    // 1. User requirements: workload, system, constraints. The objective
-    //    (λ + constraints) is separate from the search hyper-parameters.
-    let profile = WorkloadProfile::modelnet40();
-    let sys = SystemConfig::tx2_to_i7(40.0);
-    let cfg = SearchConfig { iterations: 800, seed: 42, ..SearchConfig::default() };
-    let objective = Objective::new(0.25, 0.100 /* 100 ms budget */, 1.0);
-
-    // 2. The fused design space: Communicate is just another operation.
-    let space = DesignSpace::paper(profile);
-
-    // 3. Evaluate candidates on the co-inference simulator, with the
-    //    calibrated surrogate accuracy model.
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let eval = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
+    // 1. One search is one value: the system, the task (its workload
+    //    profile and calibrated surrogate accuracy), the objective
+    //    (λ + constraints) and the search hyper-parameters. The paper spec
+    //    searches the fused design space, where Communicate is just another
+    //    operation, and prices candidates on the co-inference simulator.
+    let spec = SearchSpec {
+        objective: Objective::new(0.25, 0.100 /* 100 ms budget */, 1.0),
+        config: SearchConfig { iterations: 800, seed: 42, ..SearchConfig::default() },
+        ..SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SurrogateTask::ModelNet40)
     };
 
-    // 4. Constraint-based random search (Alg. 1 of the paper), driven
+    // 2. Constraint-based random search (Alg. 1 of the paper), driven
     //    through a SearchSession that batches and memoizes evaluations.
-    let mut session = SearchSession::new(&space, &eval).with_objective(objective);
-    let result = session.run(&RandomSearch::new(cfg));
+    let (report, result, _) =
+        run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid spec");
     let best = result.best().expect("constraints are satisfiable");
 
-    let stats = session.cache_stats();
     println!(
         "searched {} candidates ({} constraint misses, {:.0}% served from the memo cache)",
-        cfg.iterations,
+        spec.config.iterations,
         result.constraint_misses,
-        stats.hit_rate() * 100.0
+        report.cache.hit_rate() * 100.0
     );
     println!("\nbest architecture (score {:.3}):", best.score);
     println!("{}", best.arch.render());

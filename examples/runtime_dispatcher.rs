@@ -9,33 +9,31 @@
 //! cargo run --release --example runtime_dispatcher
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::eval::scenario::latency_percentiles;
 use gcode::core::eval::Objective;
-use gcode::core::search::{random_search, SearchConfig};
-use gcode::core::space::DesignSpace;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::core::search::SearchConfig;
+use gcode::core::surrogate::SurrogateTask;
 use gcode::core::zoo::{ArchitectureZoo, RuntimeConstraint};
-use gcode::engine::{EdgeFleet, ExecutionPlan, FleetSpec};
+use gcode::engine::{EdgeFleet, ExecutionPlan, FleetSpec, SearchSpec};
 use gcode::graph::datasets::PointCloudDataset;
 use gcode::hardware::SystemConfig;
-use gcode::sim::{SimBackend, SimConfig};
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
-    let profile = WorkloadProfile::modelnet40();
-    let sys = SystemConfig::pi_to_1060(40.0);
-    let space = DesignSpace::paper(profile);
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let eval = SimBackend {
-        profile,
-        sys,
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
+    let spec = SearchSpec {
+        objective: Objective::new(0.15, 0.3, 1.5),
+        config: SearchConfig {
+            iterations: 1200,
+            zoo_size: 10,
+            seed: 31,
+            ..SearchConfig::default()
+        },
+        ..SearchSpec::paper(SystemConfig::pi_to_1060(40.0), SurrogateTask::ModelNet40)
     };
-    let cfg = SearchConfig { iterations: 1200, zoo_size: 10, seed: 31, ..SearchConfig::default() };
-    let objective = Objective::new(0.15, 0.3, 1.5);
     // One search, many optima: the zoo is free (paper Sec. 3.6).
-    let result = random_search(&space, &cfg, &objective, &eval);
+    let (_, result, _) =
+        run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid spec");
     let zoo = ArchitectureZoo::new(result.zoo);
     println!("architecture zoo after a single search ({} entries):", zoo.len());
     for z in zoo.entries() {

@@ -6,15 +6,17 @@
 //! cargo run --release --example text_classification
 //! ```
 
-use gcode::core::arch::{Architecture, WorkloadProfile};
+use gcode::core::arch::WorkloadProfile;
 use gcode::core::eval::Objective;
-use gcode::core::search::{random_search, SearchConfig};
+use gcode::core::search::SearchConfig;
 use gcode::core::space::DesignSpace;
 use gcode::core::supernet::SuperNet;
-use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::core::surrogate::SurrogateTask;
+use gcode::engine::{FleetSpec, SearchSpec};
 use gcode::graph::datasets::TextGraphDataset;
 use gcode::hardware::SystemConfig;
-use gcode::sim::{SimBackend, SimConfig};
+use gcode::server::run_search;
+use std::sync::atomic::AtomicU64;
 
 fn main() {
     // MR regime: ~17-node word graphs, wide embeddings (64 here for speed;
@@ -26,21 +28,17 @@ fn main() {
         provided_degree: 4,
         num_classes: 2,
     };
-    let sys = SystemConfig::tx2_to_i7(40.0);
 
     // Fast surrogate-driven search, as the table benches do.
-    let space = DesignSpace::paper(profile);
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::Mr);
-    let eval = SimBackend {
+    let spec = SearchSpec {
         profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
+        // The paper's MR designs land well below 30 ms.
+        objective: Objective::new(0.3, 0.030, 0.3),
+        config: SearchConfig { iterations: 600, seed: 17, ..SearchConfig::default() },
+        ..SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SurrogateTask::Mr)
     };
-    let cfg = SearchConfig { iterations: 600, seed: 17, ..SearchConfig::default() };
-    // The paper's MR designs land well below 30 ms.
-    let objective = Objective::new(0.3, 0.030, 0.3);
-    let result = random_search(&space, &cfg, &objective, &eval);
+    let (_, result, _) =
+        run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid spec");
     let best = result.best().expect("MR constraints are easy to meet");
     println!("searched MR design:\n{}", best.arch.render());
     println!(
@@ -53,7 +51,7 @@ fn main() {
     // Now train that architecture for real on synthetic sentiment graphs.
     let dataset = TextGraphDataset::generate(120, 17, 64, 23);
     let (train, val) = dataset.split(0.75);
-    let mut supernet = SuperNet::new(space, 29);
+    let mut supernet = SuperNet::new(DesignSpace::paper(profile), 29);
     let loss = supernet.train_arch(&best.arch, &train, 80, 0.02);
     let acc = supernet.accuracy(&best.arch, &val);
     println!(

@@ -1,7 +1,16 @@
 //! GCoDE umbrella crate: re-exports the whole workspace public API.
 //!
-//! The central entry point is [`core::eval::SearchSession`], which drives
-//! any [`core::eval::SearchStrategy`] (constraint-based
+//! The entry point is one value and one call: an [`engine::SearchSpec`]
+//! names everything that shapes a search (the device–edge system, the task
+//! and its workload profile, the fidelity tiers, the objective and the
+//! search hyper-parameters), and [`server::run_search`] builds its tiers and
+//! runs it. `gcode search`, every session the daemon serves and every
+//! surrogate-priced search of the paper's table/figure generators and the
+//! examples go through it (`fig10a` compares search strategies, which a
+//! spec does not name, and drives the session below directly).
+//!
+//! Beneath it, [`core::eval::SearchSession`] drives any
+//! [`core::eval::SearchStrategy`] (constraint-based
 //! [`core::search::RandomSearch`], the [`core::ea::Ea`] ablation, the
 //! single-device [`baselines::nas::SingleDeviceNas`] baseline) over a
 //! [`core::space::DesignSpace`] through a batched, memoized, worker-sharded
@@ -18,24 +27,23 @@
 //! one shared warm [`engine::EdgeFleet`].
 //!
 //! ```
-//! use gcode::core::arch::WorkloadProfile;
-//! use gcode::core::eval::{Objective, SearchSession};
-//! use gcode::core::search::{RandomSearch, SearchConfig};
-//! use gcode::core::space::DesignSpace;
-//! use gcode::core::eval::backend::AnalyticBackend;
+//! use gcode::core::eval::backend::Fidelity;
+//! use gcode::core::eval::Objective;
+//! use gcode::core::surrogate::SurrogateTask;
+//! use gcode::engine::{FleetSpec, SearchSpec};
 //! use gcode::hardware::SystemConfig;
+//! use std::sync::atomic::AtomicU64;
 //!
-//! let space = DesignSpace::paper(WorkloadProfile::modelnet40());
-//! let eval = AnalyticBackend {
-//!     profile: space.profile,
-//!     sys: SystemConfig::tx2_to_i7(40.0),
-//!     accuracy_fn: |_| 0.92,
-//! };
-//! let mut session = SearchSession::new(&space, &eval)
-//!     .with_objective(Objective::new(0.25, 0.2, 1.0));
-//! let cfg = SearchConfig { iterations: 50, seed: 7, ..SearchConfig::default() };
-//! let result = session.run(&RandomSearch::new(cfg));
+//! let mut spec = SearchSpec::paper(SystemConfig::tx2_to_i7(40.0), SurrogateTask::ModelNet40);
+//! spec.tiers = vec![Fidelity::Analytic];
+//! spec.objective = Objective::new(0.25, 0.2, 1.0);
+//! spec.config.iterations = 50;
+//! spec.config.seed = 7;
+//! let (report, result, _) =
+//!     gcode::server::run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0))?;
 //! assert!(result.best().is_some());
+//! assert_eq!(report.backend, "analytic");
+//! # Ok::<(), String>(())
 //! ```
 
 #![deny(unsafe_code)]

@@ -9,30 +9,36 @@ use gcode::baselines::partition::{
 use gcode::core::arch::{Architecture, WorkloadProfile};
 use gcode::core::ea::{evolutionary_search, EaConfig};
 use gcode::core::eval::Objective;
-use gcode::core::search::{random_search, SearchConfig};
+use gcode::core::search::{random_search, SearchConfig, SearchResult};
 use gcode::core::space::DesignSpace;
 use gcode::core::surrogate::{SurrogateAccuracy, SurrogateTask};
+use gcode::engine::{FleetSpec, SearchSpec};
 use gcode::hardware::SystemConfig;
+use gcode::server::run_search;
 use gcode::sim::{simulate, SimBackend, SimConfig};
+use std::sync::atomic::AtomicU64;
 
-fn gcode_best(
+/// The paper spec of `task` on `sys` (the task's profile, priced by the
+/// simulator with the calibrated surrogate accuracy) under `config` and
+/// `objective`, searched.
+fn search(
     sys: &SystemConfig,
     task: SurrogateTask,
-    profile: WorkloadProfile,
-    seed: u64,
-) -> Architecture {
-    let space = DesignSpace::paper(profile);
-    let surrogate = SurrogateAccuracy::new(task);
-    let eval = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-    };
+    config: SearchConfig,
+    objective: Objective,
+) -> SearchResult {
+    let spec = SearchSpec { config, objective, ..SearchSpec::paper(sys.clone(), task) };
+    run_search(&spec, &FleetSpec::default(), None, &AtomicU64::new(0)).expect("a valid spec").1
+}
+
+/// GCoDE's ModelNet40 design on `sys`: the fastest entry at ≥ 92 % OA in the
+/// zoo of a 500-trial search anchored to device-only DGCNN.
+fn gcode_best(sys: &SystemConfig, seed: u64) -> Architecture {
+    let profile = WorkloadProfile::modelnet40();
     let anchor = simulate(&models::dgcnn().arch, &profile, sys, &SimConfig::single_frame());
     let cfg = SearchConfig { iterations: 500, seed, ..SearchConfig::default() };
     let objective = Objective::new(0.25, anchor.frame_latency_s, anchor.device_energy_j);
-    let result = random_search(&space, &cfg, &objective, &eval);
+    let result = search(sys, SurrogateTask::ModelNet40, cfg, objective);
     result
         .zoo
         .iter()
@@ -49,7 +55,7 @@ fn tab2_gcode_beats_every_baseline_on_every_system() {
     let profile = WorkloadProfile::modelnet40();
     let sim = SimConfig::single_frame();
     for sys in SystemConfig::paper_systems(40.0) {
-        let gcode_arch = gcode_best(&sys, SurrogateTask::ModelNet40, profile, 7);
+        let gcode_arch = gcode_best(&sys, 7);
         let g = simulate(&gcode_arch, &profile, &sys, &sim);
         for baseline in [models::dgcnn(), models::optimized_dgcnn(), models::branchy_gnn()] {
             let b = simulate(&baseline.arch, &profile, &sys, &sim);
@@ -89,17 +95,9 @@ fn tab3_gcode_wins_the_text_workload() {
     let profile = WorkloadProfile::mr();
     let sim = SimConfig::single_frame();
     for sys in SystemConfig::paper_systems(40.0) {
-        let space = DesignSpace::paper(profile);
-        let surrogate = SurrogateAccuracy::new(SurrogateTask::Mr);
-        let eval = SimBackend {
-            profile,
-            sys: sys.clone(),
-            sim,
-            accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-        };
         let cfg = SearchConfig { iterations: 500, seed: 11, ..SearchConfig::default() };
         let objective = Objective::new(0.25, 0.05, 0.5);
-        let result = random_search(&space, &cfg, &objective, &eval);
+        let result = search(&sys, SurrogateTask::Mr, cfg, objective);
         let g = result.best_latency().expect("found");
         let pnas = simulate(&models::pnas_text().arch, &profile, &sys, &sim);
         assert!(
@@ -182,7 +180,7 @@ fn gcode_keeps_winning_under_degraded_bandwidth() {
     let profile = WorkloadProfile::modelnet40();
     let sim = SimConfig::single_frame();
     for sys in SystemConfig::paper_systems(10.0) {
-        let g = gcode_best(&sys, SurrogateTask::ModelNet40, profile, 7);
+        let g = gcode_best(&sys, 7);
         let gl = simulate(&g, &profile, &sys, &sim).frame_latency_s;
         for baseline in [
             models::dgcnn().arch,
@@ -245,19 +243,10 @@ fn separation_pipeline_produces_valid_partitioned_design() {
 fn codesign_beats_the_separation_pipeline() {
     // The central comparison: same budget, same accuracy model — the
     // fused search must match or beat search-then-partition.
-    let profile = WorkloadProfile::modelnet40();
     let sys = SystemConfig::tx2_to_i7(40.0);
     let part = separation_pipeline(&sys);
 
-    let space = DesignSpace::paper(profile);
-    let surrogate = SurrogateAccuracy::new(SurrogateTask::ModelNet40);
-    let eval = SimBackend {
-        profile,
-        sys: sys.clone(),
-        sim: SimConfig::single_frame(),
-        accuracy_fn: move |a: &Architecture| surrogate.overall_accuracy(a),
-    };
-    let fused = random_search(&space, &separation_cfg(), &separation_objective(), &eval);
+    let fused = search(&sys, SurrogateTask::ModelNet40, separation_cfg(), separation_objective());
     let fused_best_latency = fused.best_latency().expect("fused search found candidates").latency_s;
     assert!(
         fused_best_latency <= part.report.frame_latency_s * 1.05,
