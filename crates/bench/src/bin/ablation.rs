@@ -23,7 +23,8 @@
 //!
 //! (7, 9 and 10 timed what `perf/` now measures with spreads and are gone,
 //! and 11 counted the passes of the plan optimizer PR 24 retired;
-//! `docs/BENCHMARKS.md` maps every retired key to what replaced it.) [`SECTIONS`] is the one table `main` walks. A section owns the
+//! `docs/BENCHMARKS.md` maps every retired key to what replaced it.)
+//! [`SECTIONS`] is the one table `main` walks. A section owns the
 //! `BENCH_eval.json` keys it returns, and a key is admitted by one rule: it
 //! is a count, a byte size, or a ratio or ordering of two quantities taken
 //! in the same run in a regime that is host-independent by construction
@@ -387,7 +388,7 @@ fn ladder(_quick: bool) -> Vec<Key> {
     ]
 }
 
-/// The router uplink cap sections 8, 11 and 12 measure under, in Mbit/s —
+/// The router uplink cap sections 8 and 12 measure under, in Mbit/s —
 /// the paper's constrained-bandwidth regime. Under the cap a candidate's
 /// wall is dominated by paced transfer time (sleep, not compute), which
 /// is exactly the work N pools can overlap; unthrottled loopback pools

@@ -166,9 +166,10 @@ impl ProfileFold {
 /// at remote pre-deployed edges — and stream `warmup + frames` real
 /// samples through the pipelined runtime. Each candidate hot-swaps its
 /// plan onto a warm pair via one `SwapPlan` control frame (none for a
-/// local plan, which the edge never serves): no process spawn, TCP handshake or teardown per candidate, exactly the
-/// paper's Sec. 3.6 dispatcher move (the shared supernet `WeightBank`
-/// makes a swap weight-transfer-free). Weights are keyed and seeded per
+/// local plan, which the edge never serves): no process spawn, TCP
+/// handshake or teardown per candidate, exactly the paper's Sec. 3.6
+/// dispatcher move (the shared supernet `WeightBank` makes a swap
+/// weight-transfer-free). Weights are keyed and seeded per
 /// slot and the edge RNG restarts on every swap, so predictions are
 /// bit-identical to a freshly spawned pair, for any pool count.
 ///
@@ -424,10 +425,11 @@ impl<F: Fn(&Architecture) -> f64 + Sync> EngineBackend<F> {
     /// Converts one successful run's raw predictions and [`EngineStats`]
     /// into [`Metrics`] under this backend's `SystemConfig`, accuracy
     /// pricing and warmup cut — the same for a cached and a fresh run, so
-    /// backends sharing a log never see each other's prices. Everything priced here comes from the measured window
-    /// only — never empty, since a candidate streams at least one frame
-    /// past its warmup: warmup frames primed the pipeline and must not leak
-    /// into latency, traffic, energy or a measured hit rate.
+    /// backends sharing a log never see each other's prices. Everything
+    /// priced here comes from the measured window only — never empty, since
+    /// a candidate streams at least one frame past its warmup: warmup
+    /// frames primed the pipeline and must not leak into latency, traffic,
+    /// energy or a measured hit rate.
     fn price(&self, arch: &Architecture, outcome: &FleetOutcome) -> Option<Metrics> {
         let (predictions, stats) = outcome.as_ref().ok()?;
         let (cut, measured, measured_bytes) = measured_window(stats, self.warmup);

@@ -224,6 +224,10 @@ impl FromStr for FleetSpec {
                 if n == 0 {
                     return Err("loopback pool count must be at least 1".to_string());
                 }
+                // Refused before extending: a huge count must not allocate.
+                if n > MAX_FLEET_POOLS.saturating_sub(endpoints.len()) {
+                    return Err(cap_exceeded(endpoints.len().saturating_add(n)));
+                }
                 endpoints.extend((0..n).map(|_| FleetEndpoint::Loopback));
             } else {
                 let addr: SocketAddr = entry.parse().map_err(|_| {
@@ -236,13 +240,14 @@ impl FromStr for FleetSpec {
             return Err("a fleet needs at least one endpoint".to_string());
         }
         if endpoints.len() > MAX_FLEET_POOLS {
-            return Err(format!(
-                "{} endpoints exceed the {MAX_FLEET_POOLS}-pool fleet cap",
-                endpoints.len()
-            ));
+            return Err(cap_exceeded(endpoints.len()));
         }
         Ok(Self { endpoints, connect_timeout: DEFAULT_REMOTE_CONNECT_TIMEOUT })
     }
+}
+
+fn cap_exceeded(endpoints: usize) -> String {
+    format!("{endpoints} endpoints exceed the {MAX_FLEET_POOLS}-pool fleet cap")
 }
 
 /// One fleet slot: its endpoint, whether a pool stands behind it, and its
@@ -761,6 +766,13 @@ mod tests {
         assert!("loopback:4,".parse::<FleetSpec>().is_err(), "stray comma");
         assert!("example.com".parse::<FleetSpec>().is_err(), "no port, no DNS");
         assert!(format!("loopback:{}", MAX_FLEET_POOLS + 1).parse::<FleetSpec>().is_err());
+        assert_eq!(
+            "loopback:9223372036854775807".parse::<FleetSpec>().map(|s| s.len()),
+            Err(format!(
+                "9223372036854775807 endpoints exceed the {MAX_FLEET_POOLS}-pool fleet cap"
+            )),
+            "a huge count is refused by the cap before it allocates"
+        );
     }
 
     #[test]

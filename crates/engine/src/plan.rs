@@ -74,8 +74,9 @@ impl ExecutionPlan {
 
 // For the frozen `perf/` package only (`perf/src/measure.rs`, `serve.rs`),
 // which still names the retired plan optimizer: options ignored, counts 0,
-// the plan is `from_architecture`. Nothing else may call it (CI greps);
-// ROADMAP item 2 has the next `benchmark` PR drop it.
+// the plan is `from_architecture`. Nothing else may call it
+// (`tests/structure.rs`); ROADMAP item 2 has the next `benchmark` PR drop
+// it.
 #[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct OptimizeOptions {

@@ -59,7 +59,7 @@ impl ServerConfig {
     #[must_use]
     pub fn with_max_sessions(mut self, n: usize) -> Self {
         self.max_sessions = n.max(1);
-        self.queue_limit = 2 * self.max_sessions;
+        self.queue_limit = self.max_sessions.saturating_mul(2);
         self
     }
 
@@ -602,6 +602,14 @@ mod tests {
     use gcode_core::search::SearchConfig;
     use gcode_engine::SessionTask;
     use std::time::Duration;
+
+    #[test]
+    fn the_default_queue_saturates_for_a_huge_session_count() {
+        let config = ServerConfig::new(FleetSpec::loopback(1)).with_max_sessions(usize::MAX);
+        assert_eq!((config.max_sessions, config.queue_limit), (usize::MAX, usize::MAX));
+        let config = ServerConfig::new(FleetSpec::loopback(1)).with_max_sessions(3);
+        assert_eq!((config.max_sessions, config.queue_limit), (3, 6));
+    }
 
     #[test]
     fn connections_are_untracked_and_their_handlers_reaped_as_clients_leave() {

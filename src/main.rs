@@ -39,7 +39,8 @@
 //! `gcode serve` keeps that fleet resident: a daemon that multiplexes
 //! concurrent search sessions over one warm fleet, with admission
 //! control, and the fleet's first come, first served pool checkout
-//! interleaving the sessions' measurements. `gcode submit`
+//! interleaving the sessions' measurements; `--max-sessions` above 64 is
+//! refused by value before any worker starts. `gcode submit`
 //! is the matching client — open a session, follow its progress, print
 //! the winner.
 //!
@@ -205,6 +206,24 @@ fn get_f64(opts: &HashMap<String, String>, key: &str, default: f64) -> Result<f6
 fn get_usize(opts: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
     opts.get(key)
         .map_or(Ok(default), |v| v.parse().map_err(|_| format!("--{key}: bad number `{v}`")))
+}
+
+/// The most sessions `gcode serve` runs at once. The daemon starts one
+/// worker thread per session before it listens, so the count is refused
+/// above this cap (the fleet's own pool cap) rather than spawned.
+const MAX_SERVE_SESSIONS: usize = 64;
+
+/// Parses `--max-sessions` (default 4; 0 means 1), refusing a count above
+/// [`MAX_SERVE_SESSIONS`] by value.
+fn parse_max_sessions(opts: &HashMap<String, String>) -> Result<usize, String> {
+    let n = get_usize(opts, "max-sessions", 4)?.max(1);
+    if n > MAX_SERVE_SESSIONS {
+        return Err(format!(
+            "--max-sessions: `{n}` exceeds the {MAX_SERVE_SESSIONS}-session cap (one worker \
+             thread each)"
+        ));
+    }
+    Ok(n)
 }
 
 fn cmd_systems() -> Result<(), String> {
@@ -423,7 +442,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         .unwrap_or("loopback:2")
         .parse::<FleetSpec>()
         .map_err(|e| format!("--fleet: {e}"))?;
-    let max_sessions = get_usize(opts, "max-sessions", 4)?.max(1);
+    let max_sessions = parse_max_sessions(opts)?;
     let mut config = ServerConfig::new(fleet.clone()).with_max_sessions(max_sessions);
     if let Some(q) = opts.get("queue") {
         config =
@@ -771,6 +790,23 @@ mod tests {
         }
         assert_eq!(parse_mbps("x"), Err("--mbps: bad number `x`".to_string()));
         assert_eq!(parse_mbps("2.5"), Ok(2.5));
+    }
+
+    #[test]
+    fn session_counts_above_the_cap_are_refused_by_value() {
+        let opts = |v: &str| HashMap::from([("max-sessions".to_string(), v.to_string())]);
+        for bad in ["65", "18446744073709551615"] {
+            assert_eq!(
+                parse_max_sessions(&opts(bad)),
+                Err(format!(
+                    "--max-sessions: `{bad}` exceeds the 64-session cap (one worker thread each)"
+                ))
+            );
+        }
+        assert_eq!(parse_max_sessions(&opts("64")), Ok(MAX_SERVE_SESSIONS));
+        assert_eq!(parse_max_sessions(&opts("0")), Ok(1));
+        assert_eq!(parse_max_sessions(&HashMap::new()), Ok(4));
+        assert_eq!(parse_max_sessions(&opts("x")), Err("--max-sessions: bad number `x`".into()));
     }
 
     #[test]
